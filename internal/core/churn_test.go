@@ -77,6 +77,7 @@ func TestChurnAllProtocolsComplete(t *testing.T) {
 				t.Fatalf("device account does not close: %d deposited + %d lost != %d eligible",
 					m.DepositedDevices, lost, m.EligibleDevices)
 			}
+			assertDeviceAccounts(t, m, false)
 			if len(m.Ledger) == 0 {
 				t.Fatal("churn left no trace in the recovery ledger")
 			}
@@ -102,6 +103,7 @@ func TestChurnDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				assertDeviceAccounts(t, resp.Metrics, false)
 				m := *resp.Metrics
 				m.TLocal = 0 // mean of identical sums; avoid float-free divergence noise
 				return outcome{rows: sortedRows(resp.Result), metrics: m}

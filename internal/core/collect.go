@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
@@ -15,7 +15,6 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/tds"
-	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
 // The collection phase connects TDSs one by one (in random order, as
@@ -25,68 +24,73 @@ import (
 // how much of the fleet gets to answer. Personal-querybox posts are only
 // offered to their targets.
 //
-// The pipeline below parallelizes the real CPU work of that loop — query
-// decryption, local execution, tuple encryption — without perturbing its
-// simulated-time semantics. Devices are processed in waves of
-// CollectWorkers: every member of a wave runs Collect concurrently
-// against a speculative clock (wave start + the prefix sum of the earlier
-// members' connection intervals, exact whenever no earlier wave member
-// errors out), and the deposits are then committed strictly in the
-// pre-drawn connection order. A device whose speculative clock turns out
-// wrong — an earlier device errored, so simulated time advanced less than
-// predicted — is simply re-collected at the actual clock: Collect is
-// deterministic given (device, post, clock) because its RNG is freshly
-// seeded per call from (Seed, device ID, query ID), so the redo yields
-// exactly what a sequential engine would have produced. The result is
-// bit-identical metrics, observations and decrypted results for every
-// CollectWorkers setting.
+// There is one walk, whatever CollectWorkers says. It takes the pre-drawn
+// connection order a wave at a time. A wave is waveChunk devices per
+// worker — its width is not the worker count — cut down to what is left
+// of a SIZE tuple budget. The workers live for the whole phase and share
+// the wave out among themselves; each runs its devices' own work — query
+// decryption, local execution, tuple encryption, the deposit MAC —
+// against a speculative clock: wave start plus the connection intervals
+// of the earlier members expected to spend a slot. The commit thread
+// (worker 0, which collects like the others) then settles the wave
+// strictly in connection order. What happens to a device is decided in
+// one place, resolve, at its commit point: dropped, refused because
+// revoked, stale, failed, or committed. A member whose speculative clock
+// turns out wrong — an earlier one failed, so simulated time advanced less
+// than predicted — re-bases the rest of the wave: it is speculated again
+// from the actual clock, now predicting that what failed fails again.
+// Collect is deterministic given (device, post, clock), its RNG stream
+// being a function of (Seed, device ID, query ID), so whatever is redone
+// yields exactly what a one-device-at-a-time engine would have produced:
+// metrics, observations, ledger, trace and decrypted results are
+// bit-identical for every CollectWorkers setting.
 //
 // Fault plans ride the same machinery: a Behavior depends only on
-// (fault seed, device ID, query ID), so both pipelines evaluate it
-// identically. Offline devices are filtered out before the walk; dropped
-// and corrupt deposits consume a connection slot (the device did connect)
-// and advance the clock by the device's interval, while collect errors
-// keep the legacy semantics of never having connected at all.
+// (fault seed, device ID, query ID). Offline devices are filtered out
+// before the walk; dropped and corrupt deposits consume a connection slot
+// (the device did connect) and advance the clock by the device's interval,
+// while collect errors keep the legacy semantics of never having connected
+// at all.
+
+// waveChunk is how many devices a wave holds per worker. A wave's results
+// stay live until it settles, so its width is what the phase adds to the
+// heap; the hand-off and barrier each wave costs is what a wider one
+// saves. On the benchmark's 2-core box 64 takes 13 % more off the
+// 2000-device query than 16 does, and adds 35 % to the peak heap of the
+// 300-tuples-per-device one.
+const waveChunk = 16
 
 // collectWorkers resolves Config.CollectWorkers: 0 means GOMAXPROCS,
-// anything below 1 means sequential.
+// anything below 1 means one.
 func (e *Engine) collectWorkers() int {
-	w := e.cfg.CollectWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
+	if w := e.cfg.CollectWorkers; w != 0 {
+		return max(w, 1)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// deviceRng seeds the per-device collection RNG. The seed depends only on
-// (engine seed, device ID, query ID) — never on connection order or wall
-// time — which is what makes speculative collection safe to redo.
-func (e *Engine) deviceRng(t *tds.TDS, post *protocol.QueryPost) *rand.Rand {
-	return rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(t.ID)) ^ int64(hashString(post.ID))))
+	return runtime.GOMAXPROCS(0)
 }
 
 // collectOne runs one device's collection step at the given simulated
-// clock, with its deterministic per-device RNG.
-func (e *Engine) collectOne(t *tds.TDS, post *protocol.QueryPost,
+// clock, with the collector aimed at the device's deterministic RNG
+// stream.
+func (e *Engine) collectOne(c *collector, t *tds.TDS, post *protocol.QueryPost,
 	cfgTpl tds.CollectConfig, now time.Time) ([]protocol.WireTuple, tds.CollectStats, error) {
 	cfg := cfgTpl
 	cfg.Now = now
-	cfg.Rng = e.deviceRng(t, post)
+	cfg.Arena = &c.arena
+	cfg.Rng = c.deviceRng(e.cfg.Seed, t.ID, post.ID)
 	return t.Collect(post, cfg)
 }
 
 // collectDevice is one eligible, non-offline device with its scripted
-// behavior for this query. In a packed fleet t stays nil until the
-// device's wave wakes; everything decided before that instant — slot
+// behavior for this query. In a packed fleet t stays nil: the device is
+// materialized into its wave slot and dropped with it, so the walk never
+// accumulates devices. Everything decided before that instant — slot
 // order, fault behavior, trace identity — needs only the ID.
 type collectDevice struct {
 	slot int
 	id   string
 	b    faultplan.Behavior
-	t    *tds.TDS // nil for a packed slot that has not been materialized
+	t    *tds.TDS // nil for a packed slot
 }
 
 // step is the simulated time this device's connection slot occupies: the
@@ -98,21 +102,44 @@ func (d collectDevice) step(interval time.Duration) time.Duration {
 	return time.Duration(float64(interval) * d.b.SlowFactor)
 }
 
-// collectResult is one device's speculative collection outcome.
+// fate is what the walk does with a device at its connection slot.
+type fate int
+
+const (
+	// fateDrop: connected, then vanished mid-transfer. The slot is spent.
+	fateDrop fate = iota
+	// fateRefused: revoked, so the SSI refuses the connection outright —
+	// no grace for revocation, no slot spent; booked as a collect error.
+	fateRefused
+	// fateStale: a torn rollout left the device unable to serve the
+	// query's epoch; it queues for one retry after the walk.
+	fateStale
+	// fateError: the device could not answer (dead key epoch, local
+	// fault), which is indistinguishable from never having connected.
+	fateError
+	// fateCommit: the device's sealed deposit goes to the SSI.
+	fateCommit
+)
+
+// collectResult is one wave slot: what a worker's speculative collection
+// step left there, and what the commit thread resolved it to.
 type collectResult struct {
-	t       *tds.TDS // the device the wave materialized (or reused)
+	t       *tds.TDS  // the device that answered (a packed slot, materialized)
+	specNow time.Time // the clock the slot was speculated against
+	skip    bool      // expected to deposit nothing: no Collect was launched
+	ran     bool      // tuples, stats and err are Collect's outcome at specNow
 	tuples  []protocol.WireTuple
 	stats   tds.CollectStats
 	err     error
-	fatal   error     // engine-side failure (packed slot would not unpack)
-	specNow time.Time // the clock the result was computed against
+	commit  []byte // the device's deposit MAC over tuples; nil until computed
+	epoch   int    // the wire epoch commit binds
+	fate    fate
 }
 
 // collectionPhase drives the collection phase of one query and settles the
 // coverage account: how much of the eligible fleet the covering result
 // represents, and whether that clears the fault plan's floor. The
-// simulated clock advances to the instant the walk ended — identical for
-// both pipelines, so traces stay worker-count-independent.
+// simulated clock advances to the instant the walk ended.
 func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig) error {
 	post, metrics, faults := rs.post, rs.metrics, rs.faults
 	start := rs.clock.Now()
@@ -143,23 +170,16 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 		rs.roll = &collectRollup{}
 	}
 
-	var end time.Time
-	var err error
-	if workers := e.collectWorkers(); workers > 1 && len(devices) > 1 {
-		end, err = e.collectParallel(ctx, rs, cfgTpl, devices, start, workers)
-	} else {
-		end, err = e.collectSequential(ctx, rs, cfgTpl, devices, start)
+	w := e.newCollectWalk(rs, cfgTpl, len(devices))
+	defer w.stop()
+	end, err := w.run(ctx, devices, start)
+	if err == nil && len(rs.staleQ) > 0 {
+		// Devices a torn rollout caught on the wrong epoch get one retried
+		// connection each, after the walk, in their original order.
+		end, err = w.retryStale(ctx, end)
 	}
 	if err != nil {
 		return err
-	}
-	if len(rs.staleQ) > 0 {
-		// Devices a torn rollout caught on the wrong epoch get one retried
-		// connection each, after the walk, in their original order.
-		end, err = e.retryStaleDevices(ctx, rs, cfgTpl, end)
-		if err != nil {
-			return err
-		}
 	}
 	e.flushRollup(rs, end)
 	rs.clock.AdvanceTo(end)
@@ -174,67 +194,25 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	return nil
 }
 
-// commitDeposit seals one device's tuples in an envelope, applies the
-// scripted transport corruption, and commits it through the SSI's
-// churn-aware path, folding the outcome into the metrics. The envelope
-// carries the epoch the device actually committed under — during a
-// rotation grace window that may be the previous epoch, which the SSI's
-// grace policy admits. Each envelope that reaches the SSI is one tick of
-// the scripted-rotation trigger clock: commits happen strictly in
-// connection order in both pipelines, so a rotation scripted "after N
-// deposits" strikes the same logical instant at any worker count. It
-// returns whether the deposit completed the collection.
-func (e *Engine) commitDeposit(rs *runState, d collectDevice,
-	tuples []protocol.WireTuple, stats tds.CollectStats, now time.Time, attempt int) (bool, error) {
-	epoch := d.t.Epoch()
-	if epoch == 0 {
-		epoch = rs.post.Epoch
-	}
-	rs.slab.Grow(1)
-	dep := rs.slab.New(rs.post.ID, d.id, attempt, epoch, tuples)
-	dep.Commit = d.t.CommitDeposit(rs.post, attempt, tuples)
-	if d.b.CorruptDeposit {
-		dep.Sum ^= 0x1 // one flipped transport bit; the checksum catches it
-	}
-	accepted, done, err := rs.ssi.DepositEnvelope(rs.post.ID, dep, now)
-	if err != nil {
-		if errors.Is(err, ssi.ErrCorruptDeposit) || errors.Is(err, ssi.ErrStaleDeposit) ||
-			errors.Is(err, ssi.ErrRevokedDeposit) {
-			e.recordRejected(rs, d, now, err, attempt)
-			if rerr := e.scriptedRotation(rs, now); rerr != nil {
-				return done, rerr
-			}
-			return done, nil
-		}
-		return false, err
-	}
-	e.acceptDeposit(rs, d, accepted, tuples, dep.Commit, stats, now, epoch, attempt)
-	if rerr := e.scriptedRotation(rs, now); rerr != nil {
-		return done, rerr
-	}
-	return done, nil
-}
-
 // acceptDeposit folds one accepted deposit into the metrics, the trace,
 // the registry, and the verification records. The byte volume billed is
 // the envelope's full ciphertext — what the SSI actually watched arrive,
 // whether or not the SIZE cap truncated the accepted count.
-func (e *Engine) acceptDeposit(rs *runState, d collectDevice, accepted int,
-	tuples []protocol.WireTuple, commit []byte, stats tds.CollectStats, now time.Time,
-	epoch, attempt int) {
-	sent, sentBytes := len(tuples), protocol.TotalSize(tuples)
+func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, accepted int,
+	now time.Time, attempt int) {
+	sent, sentBytes := len(r.tuples), protocol.TotalSize(r.tuples)
 	rs.metrics.Nt += int64(accepted)
 	if accepted == sent {
-		rs.metrics.TrueTuples += int64(stats.True)
+		rs.metrics.TrueTuples += int64(r.stats.True)
 	}
 	rs.metrics.DepositedDevices++
 	rs.metrics.CollectBytes += int64(sentBytes)
-	rs.recordDepositCommit(d, accepted, tuples, commit, epoch, attempt)
+	rs.recordDepositCommit(d.id, r, accepted, attempt)
 	if rs.pipe != nil {
-		// Every accepted deposit, on every collection pipeline, funnels
-		// through here in commit order — the single feed point of the
-		// streaming pipeline's speculative executor.
-		rs.pipe.notify(int(rs.metrics.Nt), tuples[:accepted])
+		// Every accepted deposit funnels through here in commit order —
+		// the single feed point of the streaming pipeline's speculative
+		// executor.
+		rs.pipe.notify(int(rs.metrics.Nt), r.tuples[:accepted])
 	}
 	if e.sampled(d.id) {
 		e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
@@ -244,7 +222,7 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, accepted int,
 	e.obs.devices.With("accepted").Inc()
 	e.obs.tuples.With("accepted").Add(float64(accepted))
 	if accepted == sent {
-		e.obs.tuples.With("true").Add(float64(stats.True))
+		e.obs.tuples.With("true").Add(float64(r.stats.True))
 	}
 	e.obs.bytes.With("collect_up").Add(float64(sentBytes))
 	e.obs.depositTuples.Observe(float64(accepted))
@@ -366,73 +344,6 @@ func (e *Engine) flushRollup(rs *runState, now time.Time) {
 	r.samples = r.samples[:0]
 }
 
-// collectSequential is the reference one-device-at-a-time pipeline; the
-// parallel pipeline must be observationally identical to it. It returns
-// the simulated instant the walk ended.
-func (e *Engine) collectSequential(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig,
-	devices []collectDevice, start time.Time) (time.Time, error) {
-	post := rs.post
-	interval := e.cfg.ConnectionInterval
-	now := start
-	// One arena serves the whole walk: each connection's ciphertexts are
-	// carved from shared blocks instead of individual allocations.
-	cfgTpl.Arena = &tdscrypto.Arena{}
-	for _, d := range devices {
-		if rs.ssi.CollectionDone(post.ID, now) {
-			break
-		}
-		if err := ctxErr(ctx); err != nil {
-			return now, err
-		}
-		if d.b.DropDeposit {
-			// The device connected and its slot is spent, but its deposit
-			// never lands.
-			e.recordDropped(rs, d, now)
-			now = now.Add(d.step(interval))
-			continue
-		}
-		if e.isRevoked(d.id) && !rs.revokedAllowed() {
-			// Expelled mid-run: the SSI refuses the connection outright —
-			// no grace for revocation. Same account as a device that could
-			// not answer; no connection slot is spent.
-			e.recordCollectError(rs, d, now)
-			continue
-		}
-		if d.t == nil {
-			// The packed slot wakes for exactly this connection; the
-			// loop-local copy keeps the walk from accumulating devices.
-			t, err := e.materializeDevice(d.slot)
-			if err != nil {
-				return now, err
-			}
-			d.t = t
-		}
-		if rs.rotScript != nil && e.rotationInProgress() && !d.t.ServesEpoch(post.Epoch) {
-			// A torn rollout left this device on the wrong side of the
-			// epoch boundary; queue it for a post-walk retry.
-			e.recordStaleDevice(rs, d, now)
-			continue
-		}
-		tuples, stats, err := e.collectOne(d.t, post, cfgTpl, now)
-		if err != nil {
-			// A device that cannot answer (stale key epoch, local fault) is
-			// indistinguishable from one that never connected; the protocol
-			// proceeds without it.
-			e.recordCollectError(rs, d, now)
-			continue
-		}
-		done, err := e.commitDeposit(rs, d, tuples, stats, now, 1)
-		if err != nil {
-			return now, err
-		}
-		if done {
-			break
-		}
-		now = now.Add(d.step(interval))
-	}
-	return now, nil
-}
-
 // revokedAllowed reports whether the fault plan scripts revoked devices
 // to keep depositing anyway — the adversarial case where the SSI's admit
 // gate, not the engine-side connection refusal, must hold the line.
@@ -440,263 +351,346 @@ func (rs *runState) revokedAllowed() bool {
 	return rs.rotScript != nil && rs.rotScript.RevokedDeposits
 }
 
-// retryStaleDevices drains the stale queue after the main walk: devices
-// that connected while a torn rollout left them unable to serve the
-// query's epoch get one more connection, in their original order, each
-// billed a second-attempt backoff. By now the scripted waves (or a
-// completed rollout) may have migrated them; a device still stale — or
-// revoked meanwhile — degrades to the collect-error account, never to a
-// wrong answer.
-func (e *Engine) retryStaleDevices(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig,
-	now time.Time) (time.Time, error) {
-	if len(rs.staleQ) == 0 {
-		return now, nil
+// collectWalk is the state of one query's collection walk: the workers'
+// collectors, the helper goroutines behind workers 1..n-1, and the wave
+// slots.
+type collectWalk struct {
+	e      *Engine
+	rs     *runState
+	cfgTpl tds.CollectConfig
+	// cols holds one collector per worker. cols[0] is the commit thread's:
+	// it serves worker 0's share of a wave, every commit-point redo and the
+	// stale retries, none of which overlap.
+	cols []*collector
+	// work hands each helper goroutine its call for a wave; busy is the
+	// wave barrier, exit waits for the helpers to leave.
+	work       chan func()
+	busy, exit sync.WaitGroup
+	next       atomic.Int32 // the wave's next unclaimed member
+	res        []collectResult
+	deps       []*protocol.Deposit
+}
+
+// newCollectWalk readies a walk over n devices. Workers beyond the first
+// get a goroutine each, for the whole phase: its stack grows once, not
+// once per device.
+func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, n int) *collectWalk {
+	workers := max(min(e.collectWorkers(), n), 1)
+	w := &collectWalk{e: e, rs: rs, cfgTpl: cfgTpl,
+		cols: make([]*collector, workers),
+		res:  make([]collectResult, min(workers*waveChunk, n)),
 	}
-	post := rs.post
-	interval := e.cfg.ConnectionInterval
-	cfgTpl.Arena = &tdscrypto.Arena{}
-	queue := rs.staleQ
-	rs.staleQ = nil
-	for _, d := range queue {
-		if rs.ssi.CollectionDone(post.ID, now) {
+	for k := range w.cols {
+		w.cols[k] = newCollector()
+	}
+	if workers > 1 {
+		w.work = make(chan func())
+		w.exit.Add(workers - 1)
+		for k := 1; k < workers; k++ {
+			go func() {
+				defer w.exit.Done()
+				for f := range w.work {
+					f()
+				}
+			}()
+		}
+	}
+	return w
+}
+
+// stop ends the helper goroutines and waits for them to leave.
+func (w *collectWalk) stop() {
+	if w.work != nil {
+		close(w.work)
+		w.exit.Wait()
+	}
+}
+
+// width is how many devices the next wave takes: every worker's chunk,
+// capped by the tuples a SIZE clause still admits. Each deposit carries at
+// least one tuple, so devices beyond that budget could not all be reached
+// and collecting them would be wasted.
+func (w *collectWalk) width() int {
+	n := len(w.res)
+	if limit := w.rs.post.Size.MaxTuples; limit > 0 {
+		n = int(max(min(int64(n), limit-w.rs.metrics.Nt), 1))
+	}
+	return n
+}
+
+// run walks the devices in connection order and returns the simulated
+// instant the walk ended.
+func (w *collectWalk) run(ctx context.Context, devices []collectDevice, now time.Time) (time.Time, error) {
+	rs := w.rs
+	// With a zero interval and no scripted rotation nothing a commit does
+	// can change what the next device meets: the clock stands still (so
+	// the DURATION window cannot expire between two deposits) and no
+	// rotation fires at a commit point. The whole wave then settles under
+	// one SSI lock acquisition; otherwise it settles a device at a time.
+	batch := w.e.cfg.ConnectionInterval == 0 && rs.rotScript == nil
+	for base := 0; base < len(devices); {
+		if rs.ssi.CollectionDone(rs.post.ID, now) {
 			break
 		}
 		if err := ctxErr(ctx); err != nil {
 			return now, err
 		}
+		wave := devices[base:min(base+w.width(), len(devices))]
+		base += len(wave)
+		res := w.res[:len(wave)]
+		clear(res) // the settled wave's tuples and devices are released here
+		for j := 0; j < len(wave); {
+			w.speculate(wave[j:], res[j:], now)
+			// Settle in connection order. A member whose speculative clock
+			// is not the actual one ends the pass: the rest of the wave is
+			// re-based, speculated again from here.
+			for j < len(wave) && res[j].specNow.Equal(now) {
+				end := len(wave)
+				if !batch {
+					if rs.ssi.CollectionDone(rs.post.ID, now) {
+						return now, nil
+					}
+					end = j + 1
+				}
+				for k := j; k < end; k++ {
+					var err error
+					if res[k].fate, err = w.resolve(wave[k], &res[k], now, 1); err != nil {
+						return now, err
+					}
+				}
+				step, done, err := w.settle(wave[j:end], res[j:end], now, 1)
+				if err != nil || done {
+					return now, err
+				}
+				now, j = now.Add(step), end
+			}
+		}
+	}
+	return now, nil
+}
+
+// refused reports whether the SSI refuses the device's connection
+// outright: it is revoked, and no script keeps it depositing regardless
+// (a script only ever covers the first attempt).
+func (w *collectWalk) refused(d collectDevice, attempt int) bool {
+	return w.e.isRevoked(d.id) && (attempt > 1 || !w.rs.revokedAllowed())
+}
+
+// speculate runs the collection step of every wave member expected to
+// deposit, across the workers, each member against its predicted clock.
+// A member is predicted to spend its connection slot unless it is refused
+// or its previous speculation in this wave failed.
+func (w *collectWalk) speculate(wave []collectDevice, res []collectResult, now time.Time) {
+	interval := w.e.cfg.ConnectionInterval
+	spec := now
+	for j, d := range wave {
+		failed := res[j].ran && res[j].err != nil
+		refused := !d.b.DropDeposit && w.refused(d, 1)
+		// Dropped deposits occupy their slot but never produce tuples.
+		res[j] = collectResult{specNow: spec, skip: d.b.DropDeposit || refused}
+		if !refused && !failed {
+			spec = spec.Add(d.step(interval))
+		}
+	}
+	// Members are claimed, not dealt: a helper that wakes late just finds
+	// less left to do, and nobody waits on anyone for more than one device.
+	w.next.Store(0)
+	claim := func(c *collector) {
+		for j := int(w.next.Add(1)) - 1; j < len(wave); j = int(w.next.Add(1)) - 1 {
+			if !res[j].skip {
+				w.collectSlot(c, wave[j], &res[j])
+			}
+		}
+	}
+	helpers := min(len(w.cols), len(wave)) - 1
+	w.busy.Add(helpers)
+	for k := 1; k <= helpers; k++ {
+		w.work <- func() {
+			defer w.busy.Done()
+			claim(w.cols[k])
+		}
+	}
+	claim(w.cols[0])
+	w.busy.Wait()
+}
+
+// collectSlot is a worker's whole job for one device: wake a packed slot,
+// collect, and seal the deposit with the device's MAC — all of it the
+// device's own work, none of it the commit thread's.
+func (w *collectWalk) collectSlot(c *collector, d collectDevice, r *collectResult) {
+	t := d.t
+	if t == nil {
+		var err error
+		if t, err = w.e.materializeDevice(d.slot); err != nil {
+			return // resolve tries again at the commit point and reports it in walk order
+		}
+	}
+	r.t = t
+	r.tuples, r.stats, r.err = w.e.collectOne(c, t, w.rs.post, w.cfgTpl, r.specNow)
+	r.ran = true
+	if r.err == nil {
+		r.commit, r.epoch = t.CommitDeposit(w.rs.post, 1, r.tuples)
+	}
+}
+
+// resolve decides what the walk does with a device at its commit point
+// (the simulated instant now, the device's attempt-th connection), and
+// leaves a slot that resolves to fateCommit holding exactly what a
+// one-device-at-a-time walk would deposit: tuples collected at now by the
+// device in its commit-point state, sealed under the epoch it is on. The
+// speculative outcome is used when it is that; otherwise the step is
+// redone here. It books nothing.
+func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, attempt int) (fate, error) {
+	e, rs := w.e, w.rs
+	post := rs.post
+	switch {
+	case d.b.DropDeposit:
+		return fateDrop, nil
+	case w.refused(d, attempt):
+		return fateRefused, nil
+	}
+	if r.t == nil {
+		r.t = d.t
+	}
+	if r.t == nil || (rs.rotScript != nil && e.deviceAt(d.slot) == nil) {
+		// A packed slot nobody woke — or one a scripted rotation, which
+		// fires at commit points, may have migrated since its wave
+		// speculated: rebuild it in its commit-point state.
 		t, err := e.materializeDevice(d.slot)
 		if err != nil {
+			return 0, err
+		}
+		r.t = t
+	}
+	if (attempt > 1 || (rs.rotScript != nil && e.rotationInProgress())) && !r.t.ServesEpoch(post.Epoch) {
+		if attempt > 1 {
+			return fateError, nil // still stale on its retry
+		}
+		return fateStale, nil
+	}
+	if !r.ran || !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
+		// Never speculated, speculated against another clock, or failed
+		// in what may have been the device's pre-migration state.
+		r.tuples, r.stats, r.err = e.collectOne(w.cols[0], r.t, post, w.cfgTpl, now)
+		r.ran, r.specNow, r.commit = true, now, nil
+	}
+	if r.err != nil {
+		return fateError, nil
+	}
+	epoch := r.t.Epoch()
+	if epoch == 0 {
+		epoch = post.Epoch
+	}
+	if r.commit == nil || r.epoch != epoch {
+		r.commit, r.epoch = r.t.CommitDeposit(post, attempt, r.tuples)
+	}
+	return fateCommit, nil
+}
+
+// settle books a run of resolved slots whose devices all connect at now:
+// the envelopes of those that deposit go through the SSI in one call, and
+// every outcome is booked in connection order — through the device whose
+// deposit hit the SIZE cap and no further, exactly the devices a
+// one-at-a-time walk reaches. Each envelope that reaches the SSI is one
+// tick of the scripted-rotation trigger clock, which therefore strikes
+// the same logical instant at any worker count. It returns the simulated
+// time the run's connection slots spent and whether the collection
+// completed.
+func (w *collectWalk) settle(run []collectDevice, res []collectResult, now time.Time,
+	attempt int) (time.Duration, bool, error) {
+	e, rs := w.e, w.rs
+	rs.slab.Grow(len(run))
+	deps := w.deps[:0]
+	for j, d := range run {
+		if r := &res[j]; r.fate == fateCommit {
+			// The envelope declares the epoch the device's MAC binds —
+			// during a rotation grace window that may be the previous
+			// epoch, which the SSI's grace policy admits.
+			dep := rs.slab.New(rs.post.ID, d.id, attempt, r.epoch, r.tuples)
+			dep.Commit = r.commit
+			if d.b.CorruptDeposit {
+				dep.Sum ^= 0x1 // one flipped transport bit; the checksum catches it
+			}
+			deps = append(deps, dep)
+		}
+	}
+	w.deps = deps
+	out, doneAt, done, err := rs.ssi.DepositEnvelopeBatch(rs.post.ID, deps, now)
+	if err != nil {
+		return 0, false, err
+	}
+	interval := e.cfg.ConnectionInterval
+	var spent time.Duration
+	b := 0 // the next envelope to book
+	for j, d := range run {
+		if done && b > doneAt {
+			break // doneAt is -1 when the collection was complete before the run
+		}
+		switch r := &res[j]; r.fate {
+		case fateDrop:
+			e.recordDropped(rs, d, now)
+		case fateStale:
+			e.recordStaleDevice(rs, d, now)
+			continue
+		case fateRefused, fateError:
+			e.recordCollectError(rs, d, now)
+			continue
+		default:
+			if out[b].Err != nil {
+				e.recordRejected(rs, d, now, out[b].Err, attempt)
+			} else {
+				e.acceptDeposit(rs, d, r, out[b].Accepted, now, attempt)
+			}
+			b++
+			if err := e.scriptedRotation(rs, now); err != nil {
+				return spent, done, err
+			}
+		}
+		spent += d.step(interval) // the device did connect
+	}
+	return spent, done, nil
+}
+
+// retryStale drains the stale queue after the main walk: devices that
+// connected while a torn rollout left them unable to serve the query's
+// epoch get one more connection, in their original order, each billed a
+// second-attempt backoff. By now the scripted waves (or a completed
+// rollout) may have migrated them; a device still stale — or revoked
+// meanwhile — degrades to the collect-error account, never to a wrong
+// answer.
+func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time, error) {
+	rs := w.rs
+	wait := rs.faults.RetryWait(2)
+	queue := rs.staleQ
+	rs.staleQ = nil
+	for i := range queue {
+		if rs.ssi.CollectionDone(rs.post.ID, now) {
+			break
+		}
+		if err := ctxErr(ctx); err != nil {
 			return now, err
 		}
-		d.t = t
-		if e.isRevoked(d.id) || !d.t.ServesEpoch(post.Epoch) {
-			e.recordCollectError(rs, d, now)
-			continue
+		queue[i].t = nil // the rollout may have reached the slot since it queued
+		r := &w.res[0]
+		*r = collectResult{}
+		var err error
+		if r.fate, err = w.resolve(queue[i], r, now.Add(wait), 2); err != nil {
+			return now, err
 		}
-		wait := rs.faults.RetryWait(2)
-		rs.metrics.RetryWait += wait
-		e.obs.retryWait.Add(wait.Seconds())
-		now = now.Add(wait)
-		tuples, stats, err := e.collectOne(d.t, post, cfgTpl, now)
-		if err != nil {
-			e.recordCollectError(rs, d, now)
-			continue
+		if r.ran {
+			// The retry went ahead; one that cannot proceed bills no backoff.
+			rs.metrics.RetryWait += wait
+			w.e.obs.retryWait.Add(wait.Seconds())
+			now = now.Add(wait)
 		}
-		done, err := e.commitDeposit(rs, d, tuples, stats, now, 2)
+		step, done, err := w.settle(queue[i:i+1], w.res[:1], now, 2)
 		if err != nil {
 			return now, err
 		}
 		if done {
 			break
 		}
-		now = now.Add(d.step(interval))
+		now = now.Add(step)
 	}
 	return now, nil
-}
-
-// collectParallel processes eligible devices in waves of `workers`
-// concurrent Collect calls, committing deposits in connection order. It
-// returns the simulated instant the walk ended — provably the same
-// instant collectSequential would have reached, because drops and commits
-// advance the clock identically and errors advance it in neither.
-func (e *Engine) collectParallel(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig,
-	devices []collectDevice, start time.Time, workers int) (time.Time, error) {
-	post := rs.post
-	interval := e.cfg.ConnectionInterval
-	now := start
-	res := make([]collectResult, workers)
-	// One arena per worker slot, reused across waves (wg.Wait separates
-	// the waves, so a slot's arena is never touched concurrently).
-	arenas := make([]*tdscrypto.Arena, workers)
-	for j := range arenas {
-		arenas[j] = &tdscrypto.Arena{}
-	}
-	for base := 0; base < len(devices); base += workers {
-		end := base + workers
-		if end > len(devices) {
-			end = len(devices)
-		}
-		wave := devices[base:end]
-		if rs.ssi.CollectionDone(post.ID, now) {
-			return now, nil
-		}
-		if err := ctxErr(ctx); err != nil {
-			return now, err
-		}
-
-		// Speculative phase: the whole wave collects concurrently, each
-		// member against its predicted clock — the wave start plus the
-		// prefix sum of the earlier members' (possibly slow-inflated)
-		// intervals. Dropped deposits still occupy their slot but never
-		// produce tuples, so their Collect is skipped outright.
-		var wg sync.WaitGroup
-		spec := now
-		for j, d := range wave {
-			if !d.b.DropDeposit && !(e.isRevoked(d.id) && !rs.revokedAllowed()) {
-				wg.Add(1)
-				go func(j int, d collectDevice, spec time.Time) {
-					defer wg.Done()
-					if d.t == nil {
-						t, err := e.materializeDevice(d.slot)
-						if err != nil {
-							res[j] = collectResult{fatal: err, specNow: spec}
-							return
-						}
-						d.t = t
-					}
-					cfg := cfgTpl
-					cfg.Arena = arenas[j]
-					tuples, stats, err := e.collectOne(d.t, post, cfg, spec)
-					res[j] = collectResult{t: d.t, tuples: tuples, stats: stats, err: err, specNow: spec}
-				}(j, d, spec)
-			}
-			spec = spec.Add(d.step(interval))
-		}
-		wg.Wait()
-
-		// Commit phase, strictly in connection order.
-		if interval == 0 && rs.rotScript == nil {
-			// Every speculative clock equals the actual one, and the Done
-			// flag can only flip inside a deposit (the DURATION window
-			// cannot expire while the clock stands still) — so the whole
-			// wave commits under one SSI lock acquisition.
-			done, err := e.commitWaveBatch(rs, wave, res[:len(wave)], now)
-			if err != nil || done {
-				return now, err
-			}
-			continue
-		}
-		for j, d := range wave {
-			if rs.ssi.CollectionDone(post.ID, now) {
-				return now, nil
-			}
-			if d.b.DropDeposit {
-				e.recordDropped(rs, d, now)
-				now = now.Add(d.step(interval))
-				continue
-			}
-			if e.isRevoked(d.id) && !rs.revokedAllowed() {
-				// Revoked between walk start and this commit slot (or
-				// skipped at launch): refused exactly as the sequential
-				// walk refuses it.
-				e.recordCollectError(rs, d, now)
-				continue
-			}
-			r := res[j]
-			if r.fatal != nil {
-				return now, r.fatal
-			}
-			d.t = r.t
-			if rs.rotScript != nil && e.deviceAt(d.slot) == nil {
-				// A scripted rotation fires at commit points, after this
-				// wave speculated: the packed slot may have migrated since
-				// it was materialized. Rebuild it in its commit-point state
-				// — the state the sequential walk materializes — so the
-				// epoch it commits under is identical at any worker count.
-				t, err := e.materializeDevice(d.slot)
-				if err != nil {
-					return now, err
-				}
-				d.t = t
-				r.t = t
-			}
-			if rs.rotScript != nil && e.rotationInProgress() && !d.t.ServesEpoch(post.Epoch) {
-				e.recordStaleDevice(rs, d, now)
-				continue
-			}
-			if !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
-				// An earlier device errored, so simulated time advanced less
-				// than predicted — or a scripted rotation landed a wave after
-				// this device speculated, so its failure may be pre-migration
-				// state. Redo at the commit-point clock and device state —
-				// exactly what the sequential walk sees; the per-device RNG
-				// makes the redo deterministic.
-				r.tuples, r.stats, r.err = e.collectOne(d.t, post, cfgTpl, now)
-			}
-			if r.err != nil {
-				e.recordCollectError(rs, d, now)
-				continue
-			}
-			done, err := e.commitDeposit(rs, d, r.tuples, r.stats, now, 1)
-			if err != nil {
-				return now, err
-			}
-			if done {
-				return now, nil
-			}
-			now = now.Add(d.step(interval))
-		}
-	}
-	return now, nil
-}
-
-// commitWaveBatch commits one zero-interval wave through the SSI's batched
-// envelope path and folds the metrics exactly as the sequential loop would
-// have: failed and faulted devices deposit nothing but are accounted if
-// and only if the sequential walk would have reached them before the SIZE
-// cutoff.
-func (e *Engine) commitWaveBatch(rs *runState, wave []collectDevice, res []collectResult,
-	now time.Time) (bool, error) {
-	post := rs.post
-	rs.slab.Grow(len(res))
-	deps := make([]*protocol.Deposit, 0, len(res))
-	idxOf := make([]int, 0, len(res)) // envelope index -> wave index
-	for j := range res {
-		if wave[j].b.DropDeposit {
-			continue
-		}
-		if res[j].fatal != nil {
-			return false, res[j].fatal
-		}
-		if res[j].err != nil {
-			continue
-		}
-		epoch := res[j].t.Epoch()
-		if epoch == 0 {
-			epoch = post.Epoch
-		}
-		dep := rs.slab.New(post.ID, wave[j].id, 1, epoch, res[j].tuples)
-		dep.Commit = res[j].t.CommitDeposit(post, 1, res[j].tuples)
-		if wave[j].b.CorruptDeposit {
-			dep.Sum ^= 0x1
-		}
-		deps = append(deps, dep)
-		idxOf = append(idxOf, j)
-	}
-	out, doneAt, done, err := rs.ssi.DepositEnvelopeBatch(post.ID, deps, now)
-	if err != nil {
-		return false, err
-	}
-	// How far the sequential walk would have gone into this wave: through
-	// the device whose deposit hit the SIZE cap, or the whole wave.
-	limitWave, limitBatch := len(res), len(deps)
-	if done {
-		if doneAt >= 0 {
-			limitWave, limitBatch = idxOf[doneAt]+1, doneAt+1
-		} else {
-			limitWave, limitBatch = 0, 0 // done before the first deposit
-		}
-	}
-	b := 0
-	for j := 0; j < limitWave; j++ {
-		switch {
-		case wave[j].b.DropDeposit:
-			e.recordDropped(rs, wave[j], now)
-		case res[j].err != nil:
-			e.recordCollectError(rs, wave[j], now)
-		default:
-			if b < limitBatch {
-				if out[b].Err != nil {
-					e.recordRejected(rs, wave[j], now, out[b].Err, 1)
-				} else {
-					d := wave[j]
-					d.t = res[j].t // a SIZE-truncated acceptance re-commits through it
-					e.acceptDeposit(rs, d, out[b].Accepted, res[j].tuples,
-						deps[b].Commit, res[j].stats, now, deps[b].Epoch, 1)
-				}
-			}
-			b++
-		}
-	}
-	return done, nil
 }

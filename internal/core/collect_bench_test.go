@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -80,14 +81,17 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 	}
 }
 
-// BenchmarkCollectionPhase sweeps the worker pool over a 10^3-TDS fleet
-// (plus a smaller fleet for scaling context). workers=1 is the sequential
-// reference pipeline; higher counts exercise the speculative-wave pipeline
-// with identical results. Wall-clock gains require real cores: on a
-// single-CPU host all settings converge, by design.
+// BenchmarkCollectionPhase sweeps the worker count over a 10^3-TDS fleet
+// (plus a smaller fleet for scaling context): one worker, two, and one
+// per CPU of the box. Every setting runs the same walk with identical
+// results; wall-clock gains require real cores.
 func BenchmarkCollectionPhase(b *testing.B) {
+	counts := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		counts = append(counts, n)
+	}
 	for _, fleet := range []int{100, 1000} {
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range counts {
 			b.Run(fmt.Sprintf("fleet=%d/workers=%d", fleet, workers), func(b *testing.B) {
 				benchCollectionPhase(b, fleet, workers)
 			})
@@ -108,10 +112,11 @@ func BenchmarkCollectOneTDS(b *testing.B) {
 	}
 	t := eng.fleet[0]
 	now := time.Unix(1700000000, 0)
+	col := newCollector()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tuples, _, err := eng.collectOne(t, post, tds.CollectConfig{}, now)
+		tuples, _, err := eng.collectOne(col, t, post, tds.CollectConfig{}, now)
 		if err != nil {
 			b.Fatal(err)
 		}

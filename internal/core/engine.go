@@ -59,8 +59,8 @@ type Config struct {
 	// concurrently — real CPU parallelism of the simulator, invisible to
 	// the protocol: deposits still commit in the pre-drawn connection
 	// order, so metrics, SSI observations and results are bit-identical
-	// for every setting. 0 selects GOMAXPROCS; 1 forces the sequential
-	// pipeline.
+	// for every setting. 0 selects GOMAXPROCS; 1 runs the same walk on
+	// the calling goroutine alone.
 	CollectWorkers int
 	// AuditReplicas enables the compromised-TDS extension: every
 	// aggregation/filtering partition is processed by this many distinct

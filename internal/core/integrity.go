@@ -91,16 +91,16 @@ func (rs *runState) integrityReport() *IntegrityReport {
 // re-commits to the accepted prefix (it knows the cutoff from the SSI's
 // acknowledgment), so the record always binds exactly the tuples that
 // should be in storage.
-func (rs *runState) recordDepositCommit(d collectDevice, accepted int,
-	tuples []protocol.WireTuple, commit []byte, epoch, attempt int) {
+func (rs *runState) recordDepositCommit(device string, r *collectResult, accepted, attempt int) {
 	if !rs.verify {
 		return
 	}
-	if accepted < len(tuples) {
-		commit = d.t.CommitDeposit(rs.post, attempt, tuples[:accepted])
+	commit := r.commit
+	if accepted < len(r.tuples) {
+		commit, _ = r.t.CommitDeposit(rs.post, attempt, r.tuples[:accepted])
 	}
 	rs.integ.records = append(rs.integ.records, depositRecord{
-		device: d.id, attempt: attempt, accepted: accepted, epoch: epoch,
+		device: device, attempt: attempt, accepted: accepted, epoch: r.epoch,
 		commit: commit,
 	})
 }

@@ -54,6 +54,7 @@ func TestPackedFleetEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(eager.Metrics, packed.Metrics) {
 				t.Errorf("metrics diverge:\neager:  %+v\npacked: %+v", eager.Metrics, packed.Metrics)
 			}
+			assertDeviceAccounts(t, packed.Metrics, false)
 		})
 	}
 }
@@ -159,6 +160,7 @@ func TestPackedRevocation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("packed=%v: %v", packed, err)
 		}
+		assertDeviceAccounts(t, resp.Metrics, false)
 		m := *resp.Metrics
 		return outcome{rows: sortedRows(resp.Result), m: m}
 	}

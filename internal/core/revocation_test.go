@@ -90,6 +90,7 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != len(repeat) {
 		t.Errorf("CollectErrors = %d, want %d revoked devices", m.CollectErrors, len(repeat))
 	}
@@ -128,6 +129,7 @@ func TestRevocationPopulationSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != 2 {
 		t.Errorf("CollectErrors = %d", m.CollectErrors)
 	}
@@ -156,6 +158,7 @@ func TestRevokedDeviceCannotRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != 1 {
 		t.Errorf("CollectErrors = %d, want the one revoked device", m.CollectErrors)
 	}

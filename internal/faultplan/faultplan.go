@@ -18,6 +18,7 @@ package faultplan
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -221,6 +222,10 @@ func fnv(s string) uint32 {
 	return h
 }
 
+// rngPool recycles the generators For draws from: it runs once per device
+// per churned query, from any goroutine.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // For returns the scripted behavior of device deviceID on query queryID.
 // It is pure: the outcome depends only on (Seed, deviceID, queryID), so
 // callers may evaluate it in any order, from any goroutine, any number of
@@ -230,7 +235,10 @@ func (p *Plan) For(deviceID, queryID string) Behavior {
 	if p == nil {
 		return b
 	}
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(fnv(deviceID)) ^ int64(fnv(queryID))<<17 ^ 0xfa17))
+	// Seeding an existing source yields the stream of a fresh one, without
+	// its 4.9 KB of generator state.
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(p.Seed ^ int64(fnv(deviceID)) ^ int64(fnv(queryID))<<17 ^ 0xfa17)
 	// Fixed draw count and order: adding a scenario must not reshuffle the
 	// draws of the others.
 	offline := rng.Float64() < p.OfflineFraction
@@ -238,6 +246,7 @@ func (p *Plan) For(deviceID, queryID string) Behavior {
 	corrupt := rng.Float64() < p.CorruptFraction
 	slow := rng.Float64() < p.SlowFraction
 	crash := rng.Float64() < p.CrashFraction
+	rngPool.Put(rng)
 	// Collection outcomes are mutually exclusive, resolved by severity: a
 	// device that never connects cannot also half-deposit, and a deposit
 	// that never completes cannot arrive corrupted.

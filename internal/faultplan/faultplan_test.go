@@ -1,6 +1,8 @@
 package faultplan
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -144,5 +146,57 @@ func TestSSIScriptMembership(t *testing.T) {
 			t.Fatalf("duplicate misbehavior %q", b)
 		}
 		seen[b] = true
+	}
+}
+
+// forFresh is For as it was before the generator was pooled: one freshly
+// allocated source per call. The pooled implementation must script exactly
+// what it scripted.
+func forFresh(p *Plan, deviceID, queryID string) Behavior {
+	rng := rand.New(rand.NewSource(p.Seed ^ int64(fnv(deviceID)) ^ int64(fnv(queryID))<<17 ^ 0xfa17))
+	offline := rng.Float64() < p.OfflineFraction
+	drop := rng.Float64() < p.DropFraction
+	corrupt := rng.Float64() < p.CorruptFraction
+	slow := rng.Float64() < p.SlowFraction
+	b := Behavior{SlowFactor: 1, CrashInPhase: rng.Float64() < p.CrashFraction}
+	switch {
+	case offline:
+		b.Offline = true
+	case drop:
+		b.DropDeposit = true
+	case corrupt:
+		b.CorruptDeposit = true
+	}
+	if slow && !b.Offline {
+		b.SlowFactor = DefaultSlowFactor
+	}
+	return b
+}
+
+func TestForMatchesFreshSource(t *testing.T) {
+	triples := 0
+	for seed := int64(-3); seed < 9; seed++ {
+		p := &Plan{Seed: seed * 7919, OfflineFraction: 0.15, DropFraction: 0.2,
+			CorruptFraction: 0.25, SlowFraction: 0.3, CrashFraction: 0.35}
+		for dev := 0; dev < 16; dev++ {
+			for q := 0; q < 8; q++ {
+				id, qid := fmt.Sprintf("tds-%05d", dev*37), fmt.Sprintf("q-%06d", q)
+				if got, want := p.For(id, qid), forFresh(p, id, qid); got != want {
+					t.Fatalf("seed %d %s %s: pooled %+v, fresh source %+v", p.Seed, id, qid, got, want)
+				}
+				triples++
+			}
+		}
+	}
+	if triples < 1000 {
+		t.Fatalf("only %d triples compared", triples)
+	}
+}
+
+func TestForDoesNotAllocate(t *testing.T) {
+	p := &Plan{Seed: 21, OfflineFraction: 0.1, SlowFraction: 0.2}
+	p.For("tds-00000", "q-000000") // fill the pool
+	if n := testing.AllocsPerRun(1000, func() { p.For("tds-00042", "q-000007") }); n != 0 {
+		t.Errorf("For allocates %v objects per call, want 0", n)
 	}
 }

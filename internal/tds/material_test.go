@@ -78,7 +78,9 @@ func TestKeyMaterialEquivalence(t *testing.T) {
 		}
 	}
 
-	if !bytes.Equal(eager.CommitDeposit(post, 1, te), shared.CommitDeposit(post, 1, te)) {
+	ce, ee := eager.CommitDeposit(post, 1, te)
+	cs, es := shared.CommitDeposit(post, 1, te)
+	if !bytes.Equal(ce, cs) || ee != es {
 		t.Error("deposit commitments diverge")
 	}
 

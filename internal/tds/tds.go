@@ -187,15 +187,16 @@ func (t *TDS) ServesEpoch(epoch int) bool {
 // verifier can recompute it per deposit from the declared epoch alone,
 // even when a rotation grace window has devices of two epochs answering
 // one query. Devices that never set an epoch bind the posted one, the
-// pre-rotation wire behavior.
-func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []protocol.WireTuple) []byte {
+// pre-rotation wire behavior. The bound epoch is returned with the MAC,
+// read under the same lock, so the envelope can never declare another.
+func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []protocol.WireTuple) (commit []byte, epoch int) {
 	t.matMu.RLock()
 	c, epoch := t.km.Committer, t.epoch
 	t.matMu.RUnlock()
 	if epoch == 0 {
 		epoch = post.Epoch
 	}
-	return protocol.DepositCommitment(c, post.ID, t.ID, attempt, epoch, tuples)
+	return protocol.DepositCommitment(c, post.ID, t.ID, attempt, epoch, tuples), epoch
 }
 
 // PlanCache shares compiled query plans across a fleet. It is keyed by

@@ -31,6 +31,14 @@ go build ./...
 echo "==> go test"
 go test ./...
 
+# CollectWorkers defaults to GOMAXPROCS, so the core suite's default-worker
+# tests run a different walk shape on every box. Pin the shapes: a 1-CPU
+# box must not be able to hide a worker-count divergence.
+for procs in 1 2 8; do
+    echo "==> go test ./internal/core (GOMAXPROCS=$procs)"
+    GOMAXPROCS=$procs go test -count=1 ./internal/core
+done
+
 echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
 
