@@ -12,12 +12,13 @@ import (
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
-func newBenchEngine(b *testing.B, fleet, workers int) (*Engine, *querier.Querier) {
+func newBenchEngine(b testing.TB, fleet, workers int) (*Engine, *querier.Querier) {
 	b.Helper()
 	schema := meterSchema()
 	eng, err := NewEngine(Config{
@@ -122,6 +123,125 @@ func BenchmarkCollectOneTDS(b *testing.B) {
 		}
 		if len(tuples) == 0 {
 			b.Fatal("no tuples")
+		}
+	}
+}
+
+// verifyStore is the part of ssi.Service the verifier reads, over a fixed
+// tuple sequence; any other call hits the nil embedded interface.
+type verifyStore struct {
+	ssi.Service
+	tuples []protocol.WireTuple
+	// tamper is the stored position whose ciphertext reads back with a bit
+	// flipped; negative for an honest store.
+	tamper int
+}
+
+func (s *verifyStore) CollectedCount(string) int { return len(s.tuples) }
+
+func (s *verifyStore) CollectedRange(_ string, start, end int) []protocol.WireTuple {
+	out := append([]protocol.WireTuple(nil), s.tuples[start:end]...)
+	if i := s.tamper - start; s.tamper >= 0 && i >= 0 && i < len(out) {
+		ct := append([]byte(nil), out[i].Ciphertext...)
+		ct[len(ct)-1] ^= 1
+		out[i].Ciphertext = ct
+	}
+	return out
+}
+
+func (s *verifyStore) LedgerFor(string) []ssi.LedgerEntry { return nil }
+func (s *verifyStore) Record(string, ssi.LedgerEntry)     {}
+
+// newVerifyRun stands up what verification needs of a run, without one:
+// a store of deposits × per tuples and the deposit records whose
+// commitments the devices would have sealed over them.
+func newVerifyRun(eng *Engine, deposits, per int) (*runState, *verifyStore) {
+	store := &verifyStore{tuples: benchTuples(deposits*per, 50), tamper: -1}
+	rs := &runState{
+		post: &protocol.QueryPost{ID: "q-verify"}, metrics: &Metrics{},
+		clock: obs.NewSimClock(obs.SimOrigin()), ssi: store, verify: true,
+		integ: &integrityState{}, verifier: eng.committerFor(1),
+	}
+	for d := 0; d < deposits; d++ {
+		device := fmt.Sprintf("tds-%05d", d)
+		rs.integ.records = append(rs.integ.records, depositRecord{
+			device: device, attempt: 1, accepted: per, epoch: 1,
+			commit: protocol.DepositCommitment(rs.verifier, rs.post.ID, device, 1, 1,
+				store.tuples[d*per:(d+1)*per]),
+		})
+	}
+	return rs, store
+}
+
+// verifyWorkerCounts is the sweep of the verification benchmarks: the
+// inline loop, and the fan-out over every CPU of the box.
+func verifyWorkerCounts() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
+// BenchmarkVerifyCollection measures the collection verifier alone over
+// the two shapes the repo benchmark's integrity-heavy workloads deposit:
+// many mid-sized deposits (noise_tagged) and few large ones (deep_device).
+func BenchmarkVerifyCollection(b *testing.B) {
+	for _, shape := range []struct{ deposits, per int }{{480, 50}, {100, 300}} {
+		for _, workers := range verifyWorkerCounts() {
+			b.Run(fmt.Sprintf("deposits=%dx%d/workers=%d", shape.deposits, shape.per, workers), func(b *testing.B) {
+				eng, _ := newBenchEngine(b, 1, workers)
+				rs, _ := newVerifyRun(eng, shape.deposits, shape.per)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := eng.verifyCollection(rs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkVerifyBuild measures what one partition build costs to verify
+// — the multiset check and the digest fold — over 24 000 tuples, built
+// the two ways the protocols build: deposit-order windows (Basic, S_Agg's
+// first step) and per-tag chunks of a shuffled input (the noise
+// protocols), which visit the index table in no order at all.
+func BenchmarkVerifyBuild(b *testing.B) {
+	input := benchTuples(24000, 50)
+	var windows [][]protocol.WireTuple
+	for off := 0; off < len(input); off += 200 {
+		windows = append(windows, input[off:off+200])
+	}
+	byTag := make(map[string][]protocol.WireTuple)
+	for _, w := range shuffledParts(input, len(input), rand.New(rand.NewSource(3)))[0] {
+		byTag[string(w.Tag)] = append(byTag[string(w.Tag)], w)
+	}
+	var tagged [][]protocol.WireTuple
+	for i := 0; i < 50; i++ {
+		ws := byTag[string(input[i].Tag)]
+		for off := 0; off < len(ws); off += 64 {
+			tagged = append(tagged, ws[off:min(off+64, len(ws))])
+		}
+	}
+	for _, shape := range []struct {
+		name  string
+		parts [][]protocol.WireTuple
+	}{{"deposit-order", windows}, {"by-tag-shuffled", tagged}} {
+		for _, workers := range verifyWorkerCounts() {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
+				eng, _ := newBenchEngine(b, 1, workers)
+				rs, _ := newVerifyRun(eng, 0, 0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !rs.integ.multisetEqual(input, shape.parts) {
+						b.Fatal("honest build rejected")
+					}
+					eng.foldBuild(rs, "bench", shape.parts)
+				}
+			})
 		}
 	}
 }

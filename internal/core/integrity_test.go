@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -382,5 +383,159 @@ func assertRegistryHas(t *testing.T, e *Engine, want string) {
 	}
 	if !strings.Contains(buf.String(), want) {
 		t.Errorf("registry is missing %q:\n%s", want, buf.String())
+	}
+}
+
+// TestIntegrityWorkersAgree drives the verifier directly over a store large
+// enough to span several windows and to pass the fan-out gate, at one
+// worker and at eight: the digest must be the one the one-shot Commit and
+// Fold produce over the same bytes (what the verifier computed before its
+// leaves were streamed and fanned out), and a tampered stored tuple must
+// end the walk at the same check, with the same typed violation, wherever
+// in a window it sits and whoever computed its leaf.
+func TestIntegrityWorkersAgree(t *testing.T) {
+	const deposits, per = 100, 130 // ~1.4 MB: two windows, both above the gate
+	segsOf := func(ws []protocol.WireTuple) [][]byte {
+		var segs [][]byte
+		for _, w := range ws {
+			segs = append(segs, w.Tag, w.Ciphertext, w.Digest)
+		}
+		return segs
+	}
+	for _, workers := range []int{1, 8} {
+		eng, _ := newBenchEngine(t, 1, workers)
+		rs, store := newVerifyRun(eng, deposits, per)
+		c := rs.verifier
+		if protocol.TotalSize(store.tuples) < leafWindowBytes+leafFanOutBytes {
+			t.Fatal("store too small to exercise a second fanned-out window")
+		}
+
+		if err := eng.verifyCollection(rs); err != nil {
+			t.Fatalf("workers=%d: honest store rejected: %v", workers, err)
+		}
+		var leaves [][]byte
+		for _, r := range rs.integ.records {
+			leaves = append(leaves, r.commit)
+		}
+		if want := c.Fold("collection-root", leaves...); !bytes.Equal(rs.integ.digest, want) {
+			t.Errorf("workers=%d: collection root %x, want %x", workers, rs.integ.digest, want)
+		}
+		if got, want := rs.metrics.IntegrityChecks, 1+deposits+1; got != want {
+			t.Errorf("workers=%d: %d checks on the honest walk, want %d", workers, got, want)
+		}
+
+		root := rs.integ.digest
+		parts := shuffledParts(store.tuples, 77, rand.New(rand.NewSource(5)))
+		eng.foldBuild(rs, "step", parts)
+		children := [][]byte{root}
+		for _, p := range parts {
+			children = append(children, c.Commit("partition/step", segsOf(p)...))
+		}
+		if want := c.Fold("phase/step", children...); !bytes.Equal(rs.integ.digest, want) {
+			t.Errorf("workers=%d: phase digest %x, want %x", workers, rs.integ.digest, want)
+		}
+
+		for _, rec := range []int{0, 3, 57, deposits - 5, deposits - 1} {
+			rs, store := newVerifyRun(eng, deposits, per)
+			store.tamper = rec*per + per/2
+			var mis *ErrSSIMisbehavior
+			if err := eng.verifyCollection(rs); !errors.As(err, &mis) {
+				t.Fatalf("workers=%d: tampered record %d not detected: %v", workers, rec, err)
+			}
+			if mis.Kind != "deposit-commitment" || mis.Phase != "collection" {
+				t.Errorf("workers=%d record %d: detection = %+v", workers, rec, mis)
+			}
+			if got, want := rs.metrics.IntegrityChecks, 1+rec+1; got != want {
+				t.Errorf("workers=%d record %d: %d checks before the violation, want %d",
+					workers, rec, got, want)
+			}
+			if rs.metrics.IntegrityViolations != 1 || rs.integ.digest != nil {
+				t.Errorf("workers=%d record %d: violations %d, digest %x",
+					workers, rec, rs.metrics.IntegrityViolations, rs.integ.digest)
+			}
+		}
+	}
+}
+
+// TestAdversaryFanOutWorkersAgree is the chaos sweep's complement at a
+// size where verification leaves the inline loop: the 20-device fleets of
+// TestAdversaryChaosSweep never reach the fan-out gate, so they compare
+// one worker with eight over the same serial code. Here every run collects
+// more than the gate, so at eight workers the deposit and partition leaves
+// are computed concurrently — under the race detector in check.sh — and
+// must still produce the same check count, counters, ledger, rows and
+// typed error as the inline walk, honest or under attack.
+func TestAdversaryFanOutWorkersAgree(t *testing.T) {
+	for _, sc := range []struct {
+		kind  protocol.Kind
+		fleet int
+	}{{protocol.KindSAgg, 4000}, {protocol.KindCNoise, 1000}} {
+		for _, attack := range []struct {
+			name       string
+			faults     *faultplan.Plan
+			kind       string // the typed abort expected; "" for a run that completes
+			violations int
+		}{
+			{"honest", nil, "", 0},
+			{"drop-tuple", ssiScript(false, faultplan.SSIDropTuple), "", 1},
+			{"persistent-duplicate", ssiScript(true, faultplan.SSIDuplicateTuple), "partition-multiset", 1},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", sc.kind, attack.name), func(t *testing.T) {
+				type outcome struct {
+					rows    []string
+					metrics Metrics
+					rep     IntegrityReport
+					err     error
+				}
+				runAt := func(workers int) outcome {
+					f := newFixture(t, sc.fleet, func(c *Config) { c.CollectWorkers = workers })
+					resp, err := f.eng.Execute(context.Background(), Request{
+						Querier: f.q, SQL: flagshipSQL, Kind: sc.kind, Faults: attack.faults,
+					})
+					if resp == nil || resp.Integrity == nil {
+						t.Fatalf("workers=%d: no verified response (err=%v)", workers, err)
+					}
+					o := outcome{metrics: *resp.Metrics, rep: *resp.Integrity, err: err}
+					o.metrics.TLocal = 0
+					o.rep.Digest = nil // keyed over nondeterministic ciphertext
+					if resp.Result != nil {
+						o.rows = sortedRows(resp.Result)
+					}
+					return o
+				}
+				seq, par := runAt(1), runAt(8)
+				if seq.metrics.CollectBytes < leafFanOutBytes {
+					t.Fatalf("collected %d bytes: below the fan-out gate, this run proves nothing",
+						seq.metrics.CollectBytes)
+				}
+				if seq.metrics.IntegrityChecks != par.metrics.IntegrityChecks {
+					t.Errorf("checks: %d inline, %d fanned out",
+						seq.metrics.IntegrityChecks, par.metrics.IntegrityChecks)
+				}
+				if !reflect.DeepEqual(seq.rows, par.rows) {
+					t.Errorf("rows diverge across workers:\n1: %v\n8: %v", seq.rows, par.rows)
+				}
+				if !reflect.DeepEqual(seq.metrics, par.metrics) {
+					t.Errorf("metrics diverge across workers:\n1: %+v\n8: %+v", seq.metrics, par.metrics)
+				}
+				if !reflect.DeepEqual(seq.rep, par.rep) {
+					t.Errorf("integrity reports diverge across workers:\n1: %+v\n8: %+v", seq.rep, par.rep)
+				}
+				var mis1, mis8 *ErrSSIMisbehavior
+				if errors.As(seq.err, &mis1) != errors.As(par.err, &mis8) ||
+					(mis1 != nil && *mis1 != *mis8) {
+					t.Errorf("detections diverge across workers:\n1: %v\n8: %v", seq.err, par.err)
+				}
+				switch {
+				case attack.kind == "" && seq.err != nil:
+					t.Errorf("run failed: %v", seq.err)
+				case attack.kind != "" && (mis1 == nil || mis1.Kind != attack.kind):
+					t.Errorf("err = %v, want a %s abort", seq.err, attack.kind)
+				}
+				if seq.rep.Violations != attack.violations {
+					t.Errorf("violations = %d, want %d: %+v", seq.rep.Violations, attack.violations, seq.rep)
+				}
+			})
+		}
 	}
 }

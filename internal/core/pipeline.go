@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -486,25 +484,14 @@ func (rs *runState) pipelineReport() *PipelineReport {
 	return r
 }
 
-// specKey hashes a tuple sequence, order-sensitively and length-framed,
-// for adoption candidate lookup; matches are confirmed with tuplesEqual.
+// specKey hashes a tuple sequence, order-sensitively, for adoption
+// candidate lookup; matches are confirmed with tuplesEqual.
 func specKey(ws []protocol.WireTuple) uint64 {
-	h := fnv.New64a()
-	var n [4]byte
-	frame := func(b []byte) {
-		n[0] = byte(len(b))
-		n[1] = byte(len(b) >> 8)
-		n[2] = byte(len(b) >> 16)
-		n[3] = byte(len(b) >> 24)
-		h.Write(n[:])
-		h.Write(b)
+	h := uint64(len(ws))
+	for i := range ws {
+		h = h*hashPrime ^ tupleHash(&ws[i])
 	}
-	for _, w := range ws {
-		frame(w.Tag)
-		frame(w.Ciphertext)
-		frame(w.Digest)
-	}
-	return h.Sum64()
+	return h
 }
 
 // tuplesEqual reports exact, order-sensitive equality of two tuple
@@ -514,9 +501,7 @@ func tuplesEqual(a, b []protocol.WireTuple) bool {
 		return false
 	}
 	for i := range a {
-		if !bytes.Equal(a[i].Tag, b[i].Tag) ||
-			!bytes.Equal(a[i].Ciphertext, b[i].Ciphertext) ||
-			!bytes.Equal(a[i].Digest, b[i].Digest) {
+		if !sameTuple(&a[i], &b[i]) {
 			return false
 		}
 	}

@@ -247,15 +247,28 @@ func (d *Deposit) IntegrityOK() bool { return d.Sum == d.checksum() }
 // comparison.
 func DepositCommitment(c *tdscrypto.Committer, queryID, deviceID string,
 	attempt, epoch int, tuples []WireTuple) []byte {
-	segs := make([][]byte, 0, 4+3*len(tuples))
+	leaf := c.StartCommit("deposit")
 	var counters [16]byte
 	binary.BigEndian.PutUint64(counters[:8], uint64(attempt))
 	binary.BigEndian.PutUint64(counters[8:], uint64(epoch))
-	segs = append(segs, []byte(queryID), []byte(deviceID), counters[:8], counters[8:])
-	for _, w := range tuples {
-		segs = append(segs, w.Tag, w.Ciphertext, w.Digest)
+	leaf.Add([]byte(queryID))
+	leaf.Add([]byte(deviceID))
+	leaf.Add(counters[:8])
+	leaf.Add(counters[8:])
+	CommitTuples(leaf, tuples)
+	return leaf.Sum()
+}
+
+// CommitTuples absorbs every field of every tuple, in order, into a
+// streamed commitment — three length-framed segments per tuple, the shape
+// every tuple-bearing commitment (deposit leaves, partition leaves) uses.
+func CommitTuples(leaf *tdscrypto.FoldStream, tuples []WireTuple) {
+	for i := range tuples {
+		w := &tuples[i]
+		leaf.Add(w.Tag)
+		leaf.Add(w.Ciphertext)
+		leaf.Add(w.Digest)
 	}
-	return c.Commit("deposit", segs...)
 }
 
 // Size returns the bytes the deposit's tuples occupy.

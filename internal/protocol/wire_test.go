@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -206,5 +207,41 @@ func TestDepositSize(t *testing.T) {
 	})
 	if got := d.Size(); got != 20 {
 		t.Fatalf("Size = %d, want 20", got)
+	}
+}
+
+// TestDepositCommitmentGoldenVectors pins the deposit leaf's bytes under a
+// fixed key (vectors generated before the leaf was streamed): devices seal
+// it, the verifier recomputes it, so its encoding never changes. The
+// reference builds the segment list the one-shot Commit takes.
+func TestDepositCommitmentGoldenVectors(t *testing.T) {
+	c := tdscrypto.NewCommitter(tdscrypto.DeriveKey(tdscrypto.Key{}, "golden"))
+	tuples := []WireTuple{
+		{Tag: []byte("ab"), Ciphertext: []byte("c"), Digest: []byte{9, 8, 7}},
+		{Ciphertext: []byte("ciphertext-two")},
+		{Tag: []byte("a"), Ciphertext: []byte("bc")},
+	}
+	for _, tc := range []struct {
+		attempt, epoch int
+		tuples         []WireTuple
+		want           string
+	}{
+		{1, 3, nil, "7c5c7aed8a434cba00976e3433e7af80"},
+		{2, 1, tuples, "3742f94971cb96622f8c86ba9a799b08"},
+		{2, 1, tuples[:2], "b4b4d088ca6f265a5409579571e5f988"},
+	} {
+		got := DepositCommitment(c, "q-7", "tds-00042", tc.attempt, tc.epoch, tc.tuples)
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("attempt %d epoch %d, %d tuples: %x, want %s",
+				tc.attempt, tc.epoch, len(tc.tuples), got, tc.want)
+		}
+		segs := [][]byte{[]byte("q-7"), []byte("tds-00042"),
+			{0, 0, 0, 0, 0, 0, 0, byte(tc.attempt)}, {0, 0, 0, 0, 0, 0, 0, byte(tc.epoch)}}
+		for _, w := range tc.tuples {
+			segs = append(segs, w.Tag, w.Ciphertext, w.Digest)
+		}
+		if ref := c.Commit("deposit", segs...); !bytes.Equal(got, ref) {
+			t.Errorf("streamed leaf %x differs from Commit over its segments %x", got, ref)
+		}
 	}
 }

@@ -60,37 +60,51 @@ func (c *Committer) Fold(domain string, children ...[]byte) []byte {
 	return c.sum(commitFoldPrefix, domain, children)
 }
 
-// FoldStream is an incremental Fold: children are absorbed one at a time
-// instead of being gathered into a slice first, so a verifier can fold a
-// million deposit leaves into one collection root without ever holding
-// them together. StartFold/Add/Sum over the same children produces the
-// byte-identical commitment Fold would — the MAC absorbs the exact same
-// prefix, domain and length-framed child sequence. A FoldStream is single
-// use and not safe for concurrent use; call either Sum or Discard exactly
-// once.
+// FoldStream is an incremental Fold or Commit: children (segments) are
+// absorbed one at a time instead of being gathered into a slice first, so
+// a verifier can fold a million deposit leaves into one collection root
+// without ever holding them together, and a leaf over a deposit's tuples
+// never builds the segment list. StartFold/Add/Sum over the same children
+// produces the byte-identical commitment Fold would, StartCommit/Add/Sum
+// the one Commit would — the MAC absorbs the exact same prefix, domain
+// and length-framed sequence. A FoldStream is single use and not safe for
+// concurrent use; call either Sum or Discard exactly once.
 type FoldStream struct {
 	c   *Committer
 	mac hash.Hash
+	// frame is Add's length prefix: as a local it would escape through
+	// the hash.Hash interface, one heap allocation per Add.
+	frame [8]byte
 }
 
 // StartFold begins an incremental fold over the domain.
 func (c *Committer) StartFold(domain string) *FoldStream {
+	return c.start(commitFoldPrefix, domain)
+}
+
+// StartCommit begins an incremental leaf commitment over the domain.
+func (c *Committer) StartCommit(domain string) *FoldStream {
+	return c.start(commitLeafPrefix, domain)
+}
+
+func (c *Committer) start(prefix []byte, domain string) *FoldStream {
 	mac := c.macs.Get()
-	mac.Write(commitFoldPrefix)
+	mac.Write(prefix)
 	mac.Write([]byte(domain))
 	return &FoldStream{c: c, mac: mac}
 }
 
-// Add absorbs one child commitment, length-framed exactly like Fold.
+// Add absorbs one child commitment or leaf segment, length-framed exactly
+// like Fold and Commit.
 func (f *FoldStream) Add(child []byte) {
-	var frame [8]byte
-	binary.BigEndian.PutUint64(frame[:], uint64(len(child)))
-	f.mac.Write(frame[:])
+	binary.BigEndian.PutUint64(f.frame[:], uint64(len(child)))
+	f.mac.Write(f.frame[:])
 	f.mac.Write(child)
 }
 
-// Sum finishes the fold and returns the parent commitment, equal to
-// Fold(domain, children...) over the Added children in order.
+// Sum finishes the stream and returns the commitment, equal to
+// Fold(domain, children...) or Commit(domain, segments...) over what was
+// Added, in order.
 func (f *FoldStream) Sum() []byte {
 	var sum [sha256.Size]byte
 	out := make([]byte, CommitSize)
@@ -100,8 +114,8 @@ func (f *FoldStream) Sum() []byte {
 	return out
 }
 
-// Discard abandons the fold without producing a commitment, recycling the
-// underlying MAC state. Used when verification fails mid-stream.
+// Discard abandons the stream without producing a commitment, recycling
+// the underlying MAC state. Used when verification fails mid-stream.
 func (f *FoldStream) Discard() {
 	if f.mac != nil {
 		f.c.macs.Put(f.mac)
@@ -110,20 +124,11 @@ func (f *FoldStream) Discard() {
 }
 
 func (c *Committer) sum(prefix []byte, domain string, segments [][]byte) []byte {
-	mac := c.macs.Get()
-	var frame [8]byte
-	mac.Write(prefix)
-	mac.Write([]byte(domain))
+	f := c.start(prefix, domain)
 	for _, seg := range segments {
-		binary.BigEndian.PutUint64(frame[:], uint64(len(seg)))
-		mac.Write(frame[:])
-		mac.Write(seg)
+		f.Add(seg)
 	}
-	var sum [sha256.Size]byte
-	out := make([]byte, CommitSize)
-	copy(out, mac.Sum(sum[:0]))
-	c.macs.Put(mac)
-	return out
+	return f.Sum()
 }
 
 // CommitEqual compares two commitments in constant time. Empty or

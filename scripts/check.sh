@@ -48,6 +48,8 @@ go vet ./... && go test -race -count=1 ./internal/core -run 'Churn|Determinism'
 echo "==> trace determinism gate"
 go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedger'
 
+# TestAdversaryFanOutWorkersAgree and TestIntegrityWorkersAgree run the
+# verifier's leaf MACs on eight workers here, under the race detector.
 echo "==> adversary determinism gate"
 go test -race -count=1 ./internal/core -run 'Adversary|Integrity' \
     && go test -race -count=1 ./internal/ssi -run 'Adversary'
@@ -89,6 +91,8 @@ if [ "$short" -eq 0 ]; then
     go test -run '^$' -fuzz '^FuzzDecodeRow$' -fuzztime 3s ./internal/storage
     go test -run '^$' -fuzz '^FuzzDecrypt$' -fuzztime 3s ./internal/tdscrypto
     go test -run '^$' -fuzz '^FuzzTrustBundleDecode$' -fuzztime 3s ./internal/tdscrypto
+    # The exact multiset check against its map-of-framed-strings reference.
+    go test -run '^$' -fuzz '^FuzzMultisetEqual$' -fuzztime 3s ./internal/core
 fi
 
 echo "OK"
