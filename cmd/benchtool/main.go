@@ -14,9 +14,6 @@
 //	benchtool -concurrent-sweep
 //	                         # measure the multi-tenant query server and
 //	                         # write BENCH_concurrent.json
-//	benchtool -pipeline-compare
-//	                         # measure barrier vs pipelined end-to-end
-//	                         # execution and merge into BENCH_collection.json
 package main
 
 import (
@@ -56,16 +53,7 @@ func main() {
 	concurrentInflight := flag.Int("concurrent-inflight", 0, "concurrent-sweep: Server MaxInFlight (0 = GOMAXPROCS)")
 	rotationScenario := flag.Bool("rotation-scenario", false, "measure a collection pass with a live mid-query key rotation and merge the records into -fleet-out")
 	rotationFleet := flag.Int("rotation-fleet", 100000, "rotation-scenario: packed fleet size")
-	pipelineCompare := flag.Bool("pipeline-compare", false, "measure barrier vs pipelined end-to-end execution across -pipeline-fleets and merge the records into -bench-out")
-	pipelineFleets := flag.String("pipeline-fleets", "1000,100000", "pipeline-compare: comma-separated fleet sizes")
 	flag.Parse()
-	if *pipelineCompare {
-		if err := runPipelineCompare(*benchOut, *pipelineFleets, *benchWorkers, *benchIters, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtool:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *rotationScenario {
 		if err := runRotationScenario(*fleetOut, *rotationFleet, *fleetIters, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtool:", err)

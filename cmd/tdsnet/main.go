@@ -107,7 +107,6 @@ type options struct {
 	ssiAdversary  string
 	ssiPersistent bool
 	verify        bool
-	pipeline      string
 
 	rotateEvery int
 	rotateWaves int
@@ -234,8 +233,6 @@ func main() {
 		"re-strike scripted SSI misbehaviors on every opportunity, including quarantine retries")
 	flag.BoolVar(&o.verify, "verify", true,
 		"verify the SSI against the fleet's deposit commitments (disable to isolate protocol cost)")
-	flag.StringVar(&o.pipeline, "pipeline", "off",
-		"streaming pipeline mode: off | auto | full (overlap collection with the first aggregation step)")
 	flag.IntVar(&o.rotateEvery, "rotate-every", 0,
 		"begin a live key rotation after N committed deposits and advance one rollout wave every further N (0 = no rotation)")
 	flag.IntVar(&o.rotateWaves, "rotate-waves", 3,
@@ -292,10 +289,6 @@ func runExt(fleet int, protoName, query string, nf, buckets int, available, fail
 
 func runOpts(o options) error {
 	kind, err := parseProtocol(o.protoName)
-	if err != nil {
-		return err
-	}
-	pipeMode, err := core.ParsePipelineMode(o.pipeline)
 	if err != nil {
 		return err
 	}
@@ -382,7 +375,6 @@ func runOpts(o options) error {
 		Params:     protocol.Params{Nf: o.nf, NumBuckets: o.buckets},
 		Faults:     plan,
 		SkipVerify: !o.verify,
-		Pipeline:   pipeMode,
 	})
 	if err != nil {
 		// An abort after execution started still carries metrics, ledger
@@ -427,10 +419,6 @@ func runOpts(o options) error {
 	fmt.Printf("  distinct tags %d\n", len(m.Observation.TagCounts))
 	fmt.Printf("  bytes seen    %.1f KB (all ciphertext)\n", float64(m.Observation.BytesSeen)/1e3)
 	printIntegrity(resp.Integrity)
-	if p := resp.Pipeline; p != nil && p.Active {
-		fmt.Printf("\nstreaming pipeline (%s): %d windows speculated, %d adopted, %d wasted\n",
-			p.Mode, p.Speculated, p.Adopted, p.Wasted)
-	}
 	if resp.Conformance != nil {
 		fmt.Printf("\n%s", resp.Conformance)
 	}
@@ -472,7 +460,6 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 	errs := make([]error, o.concurrent)
 	var rows int
 	var wg sync.WaitGroup
-	pipeMode, _ := core.ParsePipelineMode(o.pipeline) // validated in runOpts
 	start := time.Now()
 	for i := 0; i < o.concurrent; i++ {
 		wg.Add(1)
@@ -484,7 +471,6 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 				QueryID:    fmt.Sprintf("cc-%04d", i),
 				Faults:     plan,
 				SkipVerify: !o.verify,
-				Pipeline:   pipeMode,
 			})
 			if err != nil {
 				errs[i] = err

@@ -208,12 +208,6 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, 
 	rs.metrics.DepositedDevices++
 	rs.metrics.CollectBytes += int64(sentBytes)
 	rs.recordDepositCommit(d.id, r, accepted, attempt)
-	if rs.pipe != nil {
-		// Every accepted deposit funnels through here in commit order —
-		// the single feed point of the streaming pipeline's speculative
-		// executor.
-		rs.pipe.notify(int(rs.metrics.Nt), r.tuples[:accepted])
-	}
 	if e.sampled(d.id) {
 		e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
 			obs.CipherFacts{Tuples: accepted, Bytes: int64(sentBytes), Attempt: attempt})

@@ -56,11 +56,9 @@ func TestContinuousEDHistWithRefresh(t *testing.T) {
 	f := newFixture(t, 18, nil)
 	sql := `SELECT C.district, COUNT(*) FROM Power P, Consumer C ` +
 		`WHERE C.cid = P.cid GROUP BY C.district`
-	results, err := f.eng.RunContinuous(f.q, sql, protocol.KindEDHist, protocol.Params{}, 3,
-		func(w int) {
-			if w == 0 {
-				return
-			}
+	var counts [3]int64
+	for w := range counts {
+		if w > 0 {
 			// New readings shift the distribution; refresh discovery so
 			// the histogram reflects it (stale histograms stay correct but
 			// drift from equi-depth).
@@ -71,15 +69,14 @@ func TestContinuousEDHistWithRefresh(t *testing.T) {
 				}
 			}
 			f.eng.RefreshDiscovery()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int64, len(results))
-	for i, wr := range results {
-		for _, row := range wr.Result.Rows {
+		}
+		res, _, err := runQuery(f.eng, f.q, sql, protocol.KindEDHist, protocol.Params{})
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		for _, row := range res.Rows {
 			n, _ := row[1].AsInt()
-			counts[i] += n
+			counts[w] += n
 		}
 	}
 	if counts[1] != counts[0]+18 || counts[2] != counts[1]+18 {

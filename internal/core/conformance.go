@@ -43,17 +43,6 @@ type ConformanceReport struct {
 	Ratio float64
 	// Phases is the per-phase-family breakdown, in model order.
 	Phases []PhaseConformance
-	// PredictedCollection is the model's collection-phase duration at the
-	// run's operating point. It is excluded from PredictedTQ (as in the
-	// paper's T_Q) but bounds what the streaming pipeline can overlap.
-	PredictedCollection time.Duration
-	// PipelineOverlap is the model's upper bound on the wall-clock the
-	// streaming pipeline can hide: min(predicted collection, predicted
-	// first post-collection family). The simulated-time accounting is
-	// deliberately pipeline-blind (that is the determinism contract), so
-	// the bound is the model-side regression check: it must stay positive
-	// and below PredictedCollection whenever the model covers the run.
-	PipelineOverlap time.Duration
 }
 
 // String renders the report for trace summaries.
@@ -150,23 +139,14 @@ func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 	for _, ph := range m.Phases {
 		measured[phaseFamily(ph.Name)] += ph.Duration
 	}
-	var streamed time.Duration
 	for _, ph := range fc.Phases {
 		if ph.Name == "collection" {
-			rep.PredictedCollection = ph.TQ // excluded from T_Q, as in the paper
-			continue
-		}
-		if streamed == 0 {
-			streamed = ph.TQ // first post-collection family: what the pipeline streams
+			continue // excluded from T_Q, as in the paper
 		}
 		rep.PredictedTQ += ph.TQ
 		rep.Phases = append(rep.Phases, PhaseConformance{
 			Name: ph.Name, Measured: measured[ph.Name], Predicted: ph.TQ,
 		})
-	}
-	rep.PipelineOverlap = rep.PredictedCollection
-	if streamed < rep.PipelineOverlap {
-		rep.PipelineOverlap = streamed
 	}
 	if rep.PredictedTQ > 0 {
 		rep.Ratio = rep.MeasuredTQ.Seconds() / rep.PredictedTQ.Seconds()

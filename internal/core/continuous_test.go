@@ -7,15 +7,15 @@ import (
 	"github.com/trustedcells/tcq/internal/storage"
 )
 
-func TestRunContinuousWindows(t *testing.T) {
+// TestContinuousWindows is Section 2.3's continuous query: Execute in a
+// loop, one complete and independent protocol run per collection window,
+// each aggregating the data present at that point.
+func TestContinuousWindows(t *testing.T) {
 	f := newFixture(t, 15, nil)
 	sql := `SELECT COUNT(*) FROM Power`
 	var counts []int64
-	results, err := f.eng.RunContinuous(f.q, sql, protocol.KindSAgg, protocol.Params{}, 3,
-		func(w int) {
-			if w == 0 {
-				return // first window sees the provisioned data only
-			}
+	for w := 0; w < 3; w++ {
+		if w > 0 { // the first window sees the provisioned data only
 			// The physical world between windows: every meter records one
 			// fresh reading.
 			for i, db := range f.dbs {
@@ -25,53 +25,22 @@ func TestRunContinuousWindows(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("windows = %d", len(results))
-	}
-	for _, wr := range results {
-		if len(wr.Result.Rows) != 1 {
-			t.Fatalf("window %d: %v", wr.Window, wr.Result.Rows)
 		}
-		n, _ := wr.Result.Rows[0][0].AsInt()
+		res, m, err := runQuery(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{})
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("window %d: %v", w, res.Rows)
+		}
+		n, _ := res.Rows[0][0].AsInt()
 		counts = append(counts, n)
-		if wr.Metrics.Nt == 0 {
-			t.Errorf("window %d: no collection", wr.Window)
+		if m.Nt == 0 {
+			t.Errorf("window %d: no collection", w)
 		}
 	}
 	// Each window counts 15 more readings than the previous.
 	if counts[1] != counts[0]+15 || counts[2] != counts[1]+15 {
 		t.Errorf("window counts = %v, want +15 per window", counts)
-	}
-}
-
-func TestRunContinuousValidation(t *testing.T) {
-	f := newFixture(t, 4, nil)
-	if _, err := f.eng.RunContinuous(f.q, `SELECT COUNT(*) FROM Power`,
-		protocol.KindSAgg, protocol.Params{}, 0, nil); err == nil {
-		t.Error("zero windows accepted")
-	}
-	// An error in one window surfaces with the window index.
-	_, err := f.eng.RunContinuous(f.q, `SELECT cid FROM Power`,
-		protocol.KindSAgg, protocol.Params{}, 2, nil)
-	if err == nil {
-		t.Error("bad query accepted")
-	}
-}
-
-func TestRunContinuousNilFeed(t *testing.T) {
-	f := newFixture(t, 6, nil)
-	results, err := f.eng.RunContinuous(f.q, `SELECT COUNT(*) FROM Power`,
-		protocol.KindSAgg, protocol.Params{}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := results[0].Result.Rows[0][0].AsInt()
-	b, _ := results[1].Result.Rows[0][0].AsInt()
-	if a != b {
-		t.Errorf("static data but counts differ: %d vs %d", a, b)
 	}
 }

@@ -98,11 +98,6 @@ type Config struct {
 	// routinely benchmarkable. Every observable — rows, metrics,
 	// ledgers, traces — is bit-identical to the eager representation.
 	PackedFleet bool
-	// Pipeline is the engine-wide default for Request.Pipeline: whether
-	// a query's collection phase overlaps its first aggregation step.
-	// The zero value (PipelineDefault) resolves to PipelineOff. Requests
-	// override per query; observables are bit-identical either way.
-	Pipeline PipelineMode
 	// Seed makes runs reproducible.
 	Seed int64
 }
@@ -757,11 +752,10 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	type task struct {
 		part    []protocol.WireTuple
 		attempt int // 1-based assignment count for this partition
-		idx     int // partition index in the canonical build, kept across reassignment
 	}
 	tasks := make([]task, 0, len(partitions))
-	for i, p := range partitions {
-		tasks = append(tasks, task{part: p, attempt: 1, idx: i})
+	for _, p := range partitions {
+		tasks = append(tasks, task{part: p, attempt: 1})
 	}
 
 	// Failure decisions must be deterministic: draw them up front.
@@ -772,7 +766,6 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	type assignment struct {
 		part    []protocol.WireTuple
 		workers []*tds.TDS // replicas processing the same partition
-		idx     int        // partition index, for pipeline adoption lookup
 	}
 	var plan []assignment
 	maxReassign := 10 * len(partitions) // safety valve against failure rates ~ 1
@@ -818,7 +811,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				Kind: "reassign", Phase: phase, Device: ws[0].ID,
 				Attempt: t.attempt, At: phaseStart.Add(stats.Wait),
 			})
-			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1, idx: t.idx})
+			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
 			continue
 		}
 		if faults != nil && stats.Reassigned < maxReassign &&
@@ -844,10 +837,10 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				continue
 			}
 			stats.Reassigned++
-			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1, idx: t.idx})
+			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
 			continue
 		}
-		plan = append(plan, assignment{part: t.part, workers: ws, idx: t.idx})
+		plan = append(plan, assignment{part: t.part, workers: ws})
 	}
 
 	pool := e.availableWorkers()
@@ -898,26 +891,14 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				unanimous := true
 				var firstKey string
 				for i, w := range batch {
-					// Pipeline adoption: a speculative window whose input
-					// exactly matched this partition already produced the
-					// output any device of this epoch would — reuse it.
-					// The map is only populated in the single-replica,
-					// uncompromised regime, where outputs are observably
-					// device-independent; everything else about the unit
-					// (worker draw, busy time, voting) proceeds as if the
-					// assigned worker had computed it.
-					out, adopted := rs.adopt[a.idx]
-					if !adopted {
-						var err error
-						out, err = process(w, a.part)
-						if err != nil {
-							mu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
+					out, err := process(w, a.part)
+					if err != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
 						}
+						mu.Unlock()
+						return
 					}
 					key := digestKey(out)
 					if i == 0 {

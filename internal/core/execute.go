@@ -51,13 +51,6 @@ type Request struct {
 	// honest-but-curious. Skipping is for benchmarks that must isolate
 	// protocol cost from verification cost.
 	SkipVerify bool
-	// Pipeline selects whether this query's collection phase overlaps
-	// the first aggregation step (the streaming pipeline). The zero
-	// value defers to the engine-wide Config.Pipeline default. Every
-	// determinism-compared observable — rows, Metrics, ledger, journal,
-	// trace — is bit-identical across modes; only wall-clock behavior
-	// and Response.Pipeline change.
-	Pipeline PipelineMode
 }
 
 // Response is one execution's outcome.
@@ -90,13 +83,6 @@ type Response struct {
 	// aborted runs, and protocol configurations the model does not cover
 	// (e.g. Rnf_Noise with a non-standard fake count).
 	Conformance *ConformanceReport
-	// Pipeline reports what the streaming pipeline did for this run:
-	// the resolved mode, whether speculation was armed, and the
-	// speculated/adopted/wasted window counts. It describes the
-	// mechanism, not the answer, and is therefore exempt from the
-	// bit-identity contract the other observables satisfy. Nil for
-	// CollectOnly and aborted runs.
-	Pipeline *PipelineReport
 }
 
 // Execute runs one query end-to-end: collection, aggregation (for the

@@ -351,15 +351,14 @@ func (e *Engine) fanOut(n, size int, f func(i int)) {
 }
 
 // tupleSeed keys tupleHash for the life of the process. The hash only
-// narrows a search — to a bucket of the multiset index, to a candidate
-// list of the pipeline's adoption lookup — and sameTuple then confirms
-// every match byte for byte, so no result depends on the seed and it is
-// not a security parameter: an SSI that could predict it could lengthen a
-// chain, never pass a check.
+// narrows a search to a bucket of the multiset index, and sameTuple then
+// confirms every match byte for byte, so no result depends on the seed and
+// it is not a security parameter: an SSI that could predict it could
+// lengthen a chain, never pass a check.
 var tupleSeed = maphash.MakeSeed()
 
-// hashPrime (the 64-bit FNV prime) chains field hashes into a tuple hash
-// and tuple hashes into the pipeline's sequence hash, order-sensitively.
+// hashPrime (the 64-bit FNV prime) chains field hashes into a tuple hash,
+// order-sensitively.
 const hashPrime = 1099511628211
 
 func tupleHash(w *protocol.WireTuple) uint64 {

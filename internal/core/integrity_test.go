@@ -79,8 +79,8 @@ func TestIntegrityHonestPathNoFalsePositives(t *testing.T) {
 }
 
 // TestAdversaryChaosSweep is the no-silent-wrong-answer theorem, checked by
-// sweep: every protocol × every scripted SSI misbehavior × both collection
-// pipelines either returns the bit-identical honest result (detection +
+// sweep: every protocol × every scripted SSI misbehavior × one and eight
+// collection workers either returns the bit-identical honest result (detection +
 // recovery) or fails with the typed misbehavior error — never a quietly
 // skewed answer. The sweep also pins adversarial runs to the determinism
 // contract: workers=1 and workers=8 agree on rows, metrics and errors.
@@ -106,11 +106,11 @@ func TestAdversaryChaosSweep(t *testing.T) {
 					rep     IntegrityReport
 					err     error
 				}
-				runAt := func(workers int, pm PipelineMode) outcome {
+				runAt := func(workers int) outcome {
 					f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = workers })
 					resp, err := f.eng.Execute(context.Background(), Request{
 						Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-						Faults: ssiScript(false, b), Pipeline: pm,
+						Faults: ssiScript(false, b),
 					})
 					if resp == nil {
 						t.Fatalf("workers=%d: no response at all (err=%v)", workers, err)
@@ -126,11 +126,11 @@ func TestAdversaryChaosSweep(t *testing.T) {
 					}
 					return o
 				}
-				seq, par := runAt(1, PipelineOff), runAt(8, PipelineOff)
+				seq, par := runAt(1), runAt(8)
 
 				// Determinism under attack: the adversary's strikes depend
-				// only on (seed, query ID), so both pipelines see the same
-				// run.
+				// only on (seed, query ID), so both worker counts see the
+				// same run.
 				if !reflect.DeepEqual(seq.rows, par.rows) {
 					t.Errorf("rows diverge across workers:\n1: %v\n8: %v", seq.rows, par.rows)
 				}
@@ -142,27 +142,6 @@ func TestAdversaryChaosSweep(t *testing.T) {
 				}
 				if (seq.err == nil) != (par.err == nil) || fmt.Sprint(seq.err) != fmt.Sprint(par.err) {
 					t.Errorf("errors diverge across workers:\n1: %v\n8: %v", seq.err, par.err)
-				}
-
-				// The streaming pipeline is deliberately NOT gated on SSI
-				// misbehavior: adoption matches against the verified (and,
-				// after a quarantine, recovered) canonical build, so a
-				// pipelined adversarial run must reproduce the barrier
-				// outcome exactly — rows, metrics, report and error alike.
-				pip := runAt(8, PipelineFull)
-				if !reflect.DeepEqual(seq.rows, pip.rows) {
-					t.Errorf("pipelined rows diverge:\nbarrier:   %v\npipelined: %v", seq.rows, pip.rows)
-				}
-				if !reflect.DeepEqual(seq.metrics, pip.metrics) {
-					t.Errorf("pipelined metrics diverge:\nbarrier:   %+v\npipelined: %+v",
-						seq.metrics, pip.metrics)
-				}
-				if !reflect.DeepEqual(seq.rep, pip.rep) {
-					t.Errorf("pipelined integrity reports diverge:\nbarrier:   %+v\npipelined: %+v",
-						seq.rep, pip.rep)
-				}
-				if (seq.err == nil) != (pip.err == nil) || fmt.Sprint(seq.err) != fmt.Sprint(pip.err) {
-					t.Errorf("pipelined errors diverge:\nbarrier:   %v\npipelined: %v", seq.err, pip.err)
 				}
 
 				switch {

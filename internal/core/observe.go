@@ -37,7 +37,6 @@ type engineObs struct {
 	depositTuples *obs.Histogram
 	queriesFailed *obs.CounterVec // aborted runs, by reason
 	integrity     *obs.CounterVec // verified-execution events, by kind
-	pipeline      *obs.CounterVec // streaming-pipeline window outcomes
 }
 
 func newEngineObs() *engineObs {
@@ -84,9 +83,6 @@ func newEngineObs() *engineObs {
 		integrity: reg.CounterVec("tcq_integrity_events_total",
 			"verified-execution events (check, violation, quarantine, recovered)",
 			"kind"),
-		pipeline: reg.CounterVec("tcq_pipeline_windows_total",
-			"streaming-pipeline speculative window outcomes (speculated, adopted, wasted)",
-			"outcome"),
 	}
 }
 
@@ -138,22 +134,13 @@ type runState struct {
 	// roll accumulates the per-wave trace rollups when TraceSampleRate is
 	// fractional; nil at the full-tracing default.
 	roll *collectRollup
-	// Streaming-pipeline context. pipeMode is the resolved request mode;
-	// pipe the speculative executor (nil when speculation is not armed);
-	// adopt the canonical-partition-index → speculative-output map the
-	// streamed phase's runPhase consults, installed by settlePipeline
-	// and cleared when that phase ends. adopt is written strictly before
-	// the phase pool starts and read-only inside it.
-	pipeMode PipelineMode
-	pipe     *pipeline
-	adopt    map[int][]protocol.WireTuple
 }
 
 // beginPhaseScope opens one phase's span/journal pair at the current
 // simulated instant. Every phase — collection, the aggregation steps,
 // filtering, delivery — brackets itself through this helper and
 // endPhaseScope, so a span can never be emitted without its journal
-// counterpart (or vice versa), however the phases are overlapped.
+// counterpart (or vice versa).
 func (e *Engine) beginPhaseScope(rs *runState, name string, party obs.Party, facts obs.CipherFacts) *obs.Span {
 	sp := e.obs.tracer.StartChild(rs.post.ID, name, party, rs.clock.Now())
 	e.obs.journal.Emit(rs.post.ID, obs.JournalEvent{

@@ -100,25 +100,17 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 						metrics Metrics
 						integ   *IntegrityReport
 					}
-					runAt := func(workers int, rot *faultplan.RotationScript, pm PipelineMode) outcome {
+					runAt := func(workers int, rot *faultplan.RotationScript) outcome {
 						f := newFixture(t, 40, func(c *Config) {
 							c.CollectWorkers = workers
 							c.PackedFleet = packed
 						})
 						resp, err := f.eng.Execute(context.Background(), Request{
 							Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-							Faults:   &faultplan.Plan{Seed: 21, Rotation: rot},
-							Pipeline: pm,
+							Faults: &faultplan.Plan{Seed: 21, Rotation: rot},
 						})
 						if err != nil {
 							t.Fatalf("workers=%d rot=%v: %v", workers, rot != nil, err)
-						}
-						if rot != nil && pm == PipelineFull {
-							// A scripted rotation puts the run outside the
-							// speculated regime: the pipeline must refuse to arm.
-							if p := resp.Pipeline; p == nil || p.Active {
-								t.Fatalf("pipeline armed under a rotation script: %+v", p)
-							}
 						}
 						m := *resp.Metrics
 						m.TLocal = 0 // mean of identical sums; avoid float divergence noise
@@ -127,10 +119,9 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 					script := func() *faultplan.RotationScript {
 						return &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
 					}
-					clean := runAt(1, nil, PipelineOff)
-					seq := runAt(1, script(), PipelineOff)
-					par := runAt(8, script(), PipelineOff)
-					pip := runAt(8, script(), PipelineFull)
+					clean := runAt(1, nil)
+					seq := runAt(1, script())
+					par := runAt(8, script())
 
 					if !reflect.DeepEqual(seq.rows, clean.rows) {
 						t.Errorf("rotation changed the answer:\nclean:    %v\nrotated:  %v",
@@ -146,12 +137,7 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 					if !reflect.DeepEqual(seq.metrics, par.metrics) {
 						t.Errorf("metrics diverge:\nW1: %+v\nW8: %+v", seq.metrics, par.metrics)
 					}
-					if !reflect.DeepEqual(seq.rows, pip.rows) ||
-						!reflect.DeepEqual(seq.metrics, pip.metrics) {
-						t.Errorf("pipelined rotated run diverges:\nbarrier: %v %+v\npipelined: %v %+v",
-							seq.rows, seq.metrics, pip.rows, pip.metrics)
-					}
-					for _, o := range []outcome{seq, par, pip} {
+					for _, o := range []outcome{seq, par} {
 						if o.integ == nil || !o.integ.Verified {
 							t.Fatal("rotated run skipped verification")
 						}

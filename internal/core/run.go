@@ -113,13 +113,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	defer jr.Discard(post.ID) // no-op when the journal was taken
 	e.obs.queries.With(req.Kind.String()).Inc()
 
-	// Arm the streaming pipeline before collection starts (the deposit
-	// funnel feeds it); the deferred abort registers after dropPlans and
-	// Drop, so it runs first and no speculative worker outlives the
-	// query's SSI state.
-	e.armPipeline(rs, req, groupCountHint(stmt))
-	defer rs.pipe.abort()
-
 	e.beginPhaseScope(rs, "collect", obs.PartyEngine, obs.CipherFacts{})
 	if err := e.collectionPhase(ctx, rs, cfgTpl); err != nil {
 		return e.abortRun(rs, err)
@@ -180,10 +173,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 
 	snapshot()
 	metrics.finish()
-	// Settle the speculation account before reporting: a run whose
-	// streamed step never ran (e.g. S_Agg over ≤1 tuple) still dispatched
-	// windows, which abort files as wasted; after a settle this no-ops.
-	rs.pipe.abort()
 	conf := e.conformance(rs, req)
 	if conf != nil {
 		// Deterministic model check on the root span: predicted T_Q and
@@ -197,8 +186,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		At: rs.clock.Now(), Facts: obs.CipherFacts{Count: len(res.Rows)},
 	})
 	return &Response{Result: res, Metrics: metrics, Trace: tr.Take(post.ID),
-		Integrity: rs.integrityReport(), Journal: jr.Take(post.ID), Conformance: conf,
-		Pipeline: rs.pipelineReport()}, nil
+		Integrity: rs.integrityReport(), Journal: jr.Take(post.ID), Conformance: conf}, nil
 }
 
 // collectInputs assembles the per-protocol collection-phase inputs: the
@@ -257,6 +245,44 @@ func (e *Engine) perPartitionTuples(params protocol.Params, sample []protocol.Wi
 	return n
 }
 
+// streamTuplesPerPartition sizes the first step over the covering result
+// from the calibration's nominal tuple size, where perPartitionTuples
+// uses the measured average of the tuples in hand.
+func (e *Engine) streamTuplesPerPartition(params protocol.Params) int {
+	if params.PartitionTuples > 0 {
+		return params.PartitionTuples
+	}
+	avg := e.cal.TupleSize
+	if avg < 1 {
+		avg = 64
+	}
+	n := e.cal.PartitionSize / avg
+	if n < 2 {
+		n = 2
+	}
+	return n
+}
+
+// firstStepPer is the partition size of the protocol's first step: the
+// calibrated streaming unit, additionally capped at ~α·G for S_Agg
+// (Section 4.2's first-step partitions).
+func (e *Engine) firstStepPer(kind protocol.Kind, params protocol.Params, g int) int {
+	per := e.streamTuplesPerPartition(params)
+	if kind == protocol.KindSAgg {
+		alpha := params.Alpha
+		if alpha < 2 {
+			alpha = 3.6
+		}
+		if ap := int(alpha * float64(g)); ap < per {
+			per = ap
+		}
+		if per < 2 {
+			per = 2
+		}
+	}
+	return per
+}
+
 // aggregateAndFilter runs the protocol-specific aggregation phase followed
 // by the filtering phase and returns the k1-encrypted final tuples.
 func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt) ([]protocol.WireTuple, error) {
@@ -268,8 +294,7 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		// Filtering phase only: deposit-order windows of the covering
 		// result, each filtered by a TDS (steps 9-12). Deposit order is
 		// itself a random permutation of the fleet walk, so the windows
-		// are as random as the former explicit shuffle — and, unlike it,
-		// streamable while collection is still running.
+		// need no explicit shuffle.
 		per := e.firstStepPer(post.Kind, post.Params, 0)
 		parts, err := e.buildVerified(rs, "filter-sfw", collected, func() [][]protocol.WireTuple {
 			return rs.ssi.StreamBuild(post.ID, per)
@@ -277,12 +302,10 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		if err != nil {
 			return nil, err
 		}
-		e.settlePipeline(rs, parts)
 		e.startPhase(rs, "filter-sfw", parts)
 		units, ps, err := e.runPhase(ctx, rs, "filter-sfw", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 			return w.FilterSFW(post, p)
 		})
-		rs.adopt = nil
 		if err != nil {
 			return nil, err
 		}
@@ -316,9 +339,9 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 	// First step: partitions of ~α*G tuples; later steps: α partials each.
 	// The first step partitions the covering result as it sits in the
 	// SSI's chunked store — deposit-order windows, a random permutation
-	// by construction of the fleet walk, and the streamed build the
-	// pipeline speculates on. Later steps partition relayed partials,
-	// which never sit in the store, so they keep the explicit shuffle.
+	// by construction of the fleet walk. Later steps partition relayed
+	// partials, which never sit in the store, so they keep the explicit
+	// shuffle.
 	per := e.firstStepPer(protocol.KindSAgg, post.Params, g)
 	first := true
 	for len(units) > 1 {
@@ -331,20 +354,16 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 			build = func() [][]protocol.WireTuple {
 				return rs.ssi.StreamBuild(post.ID, size)
 			}
+			first = false
 		}
 		parts, err := e.buildVerified(rs, name, input, build)
 		if err != nil {
 			return nil, err
 		}
-		if first {
-			e.settlePipeline(rs, parts)
-			first = false
-		}
 		sp := e.startPhase(rs, name, parts)
 		stepUnits, ps, err := e.runPhase(ctx, rs, name, parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 			return w.Aggregate(post, p, tds.EmitWhole)
 		})
-		rs.adopt = nil
 		if err != nil {
 			return nil, err
 		}
@@ -383,8 +402,6 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt,
 	collected []protocol.WireTuple) ([]protocol.WireTuple, error) {
 	post := rs.post
-	// Sized nominally (not from the measured average) so the pipeline can
-	// form identical per-tag chunks while collection is still running.
 	per := e.firstStepPer(post.Kind, post.Params, 0)
 
 	// First aggregation step: partitions hold tuples of one tag; large
@@ -395,12 +412,10 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	if err != nil {
 		return nil, err
 	}
-	e.settlePipeline(rs, parts)
 	e.startPhase(rs, "aggregate-1", parts)
 	step1, ps, err := e.runPhase(ctx, rs, "aggregate-1", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 		return w.Aggregate(post, p, tds.EmitPerGroup)
 	})
-	rs.adopt = nil
 	if err != nil {
 		return nil, err
 	}

@@ -160,8 +160,7 @@ func (a *Adversary) PartitionByTag(id string, tuples []protocol.WireTuple, maxPe
 
 // StreamBuild is a partition build like any other: built honestly by the
 // inner SSI (which stashes it for the quarantine retry), then tampered on
-// the way out — so the misbehavior sweep covers pipelined runs through
-// the same strike points as barrier ones.
+// the way out.
 func (a *Adversary) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
 	return a.tampered(id, a.inner.StreamBuild(id, perPartition))
 }
@@ -288,16 +287,4 @@ func (a *Adversary) BytesStored(id string) int64 { return a.inner.BytesStored(id
 func (a *Adversary) Drop(id string)              { a.inner.Drop(id) }
 func (a *Adversary) SetEpochPolicy(p EpochPolicy) {
 	a.inner.SetEpochPolicy(p)
-}
-
-// PartitionReady and TakePartition stay honest: the readiness protocol
-// only feeds speculation, and the engine adopts a speculative result only
-// when its window matches the verified canonical build — lying here could
-// waste the engine's work but never skew an answer, so the interesting
-// attacks all go through StreamBuild.
-func (a *Adversary) PartitionReady(id string, perPartition int) int {
-	return a.inner.PartitionReady(id, perPartition)
-}
-func (a *Adversary) TakePartition(id string, k, perPartition int) []protocol.WireTuple {
-	return a.inner.TakePartition(id, k, perPartition)
 }

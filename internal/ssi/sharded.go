@@ -120,12 +120,6 @@ func (s *Sharded) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerP
 func (s *Sharded) Repartition(id string) [][]protocol.WireTuple {
 	return s.shard(id).Repartition(id)
 }
-func (s *Sharded) PartitionReady(id string, perPartition int) int {
-	return s.shard(id).PartitionReady(id, perPartition)
-}
-func (s *Sharded) TakePartition(id string, k, perPartition int) []protocol.WireTuple {
-	return s.shard(id).TakePartition(id, k, perPartition)
-}
 func (s *Sharded) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
 	return s.shard(id).StreamBuild(id, perPartition)
 }

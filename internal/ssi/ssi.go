@@ -158,28 +158,22 @@ type Epochs interface {
 	SetEpochPolicy(EpochPolicy)
 }
 
-// Streamer is the partition-building facet, including the streaming
-// readiness protocol that lets the engine overlap collection with the
-// first reduction step: PartitionReady reports how many full
-// deposit-order windows the chunked store already holds, TakePartition
-// reads one such window back, and StreamBuild turns the whole store into
-// the canonical deposit-order build (stashed for Repartition like every
-// other build). Deposit order is itself a uniform random permutation of
-// the fleet, so a deposit-order window is exactly the "random partition"
-// of step 9 — which is what makes the streamed build protocol-equivalent
-// to RandomPartitions.
-type Streamer interface {
+// Partitioner is the partition-building facet. StreamBuild turns the
+// whole chunked store into the canonical deposit-order build (stashed for
+// Repartition like every other build). Deposit order is itself a uniform
+// random permutation of the fleet, so a deposit-order window is exactly
+// the "random partition" of step 9 — which is what makes that build
+// protocol-equivalent to RandomPartitions.
+type Partitioner interface {
 	PartitionRandom(id string, tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple
 	PartitionByTag(id string, tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple
 	Repartition(id string) [][]protocol.WireTuple
-	PartitionReady(id string, perPartition int) int
-	TakePartition(id string, k, perPartition int) []protocol.WireTuple
 	StreamBuild(id string, perPartition int) [][]protocol.WireTuple
 }
 
 // Service is the infrastructure interface the engine's run path drives:
 // everything the protocols need from the supporting servers, composed
-// from the Store, Epochs and Streamer facets. *SSI is the
+// from the Store, Epochs and Partitioner facets. *SSI is the
 // honest-but-curious implementation; Adversary wraps it with scripted
 // misbehavior for the upgraded threat model. Keeping the engine on this
 // interface is what makes the integrity layer meaningful: the verifier
@@ -187,7 +181,7 @@ type Streamer interface {
 type Service interface {
 	Store
 	Epochs
-	Streamer
+	Partitioner
 }
 
 var _ Service = (*SSI)(nil)
@@ -623,39 +617,10 @@ func (s *SSI) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerParti
 	return parts
 }
 
-// PartitionReady reports how many full deposit-order windows of
-// perPartition tuples the collection store holds so far. The store only
-// ever appends, so a window that is ready stays ready with identical
-// content — the property the streaming pipeline's speculation relies on.
-func (s *SSI) PartitionReady(id string, perPartition int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
-	if !ok || perPartition <= 0 {
-		return 0
-	}
-	return st.tuples.n / perPartition
-}
-
-// TakePartition reads back the k-th deposit-order window of perPartition
-// tuples (a fresh copy; partial trailing windows are returned as far as
-// the store goes). It is a pure read: handing a window to a speculating
-// TDS neither stashes a build nor commits the SSI to any partitioning.
-func (s *SSI) TakePartition(id string, k, perPartition int) []protocol.WireTuple {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
-	if !ok || perPartition <= 0 || k < 0 {
-		return nil
-	}
-	return st.tuples.slice(k*perPartition, (k+1)*perPartition)
-}
-
-// StreamBuild is the canonical build of the streamed first step: the
-// whole collection store chunked into deposit-order windows of
-// perPartition tuples. Unlike TakePartition it is a real partition build
-// — stashed for Repartition and subject to the same multiset
-// verification as any other.
+// StreamBuild is the canonical build of the first step over the covering
+// result: the whole collection store chunked into deposit-order windows
+// of perPartition tuples, stashed for Repartition and subject to the
+// same multiset verification as any other build.
 func (s *SSI) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()

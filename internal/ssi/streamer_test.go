@@ -9,12 +9,10 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 )
 
-// The Streamer facet backs the engine's streaming pipeline: PartitionReady
-// and TakePartition expose full deposit-order windows of the chunked store
-// while collection is still running, and StreamBuild is the matching
-// canonical first-step build. The contract under test: windows are pure
-// reads of committed prefixes, in deposit order, and StreamBuild stashes
-// its build for the quarantine Repartition path like every other builder.
+// StreamBuild is the canonical first-step build over the chunked store.
+// The contract under test: its partitions are the deposit-order windows of
+// the committed store, and it stashes its build for the quarantine
+// Repartition path like every other builder.
 
 // streamTuples builds n distinct wire tuples.
 func streamTuples(n int) []protocol.WireTuple {
@@ -39,32 +37,11 @@ func TestStreamerWindows(t *testing.T) {
 	all := streamTuples(10)
 	const per = 4
 
-	// Windows appear exactly as full multiples of per are committed.
-	deposited := 0
+	// Deposits that straddle the window boundaries.
 	for _, batch := range [][]protocol.WireTuple{all[:3], all[3:5], all[5:9], all[9:]} {
 		if _, _, err := s.Deposit("q-str", batch, now); err != nil {
 			t.Fatal(err)
 		}
-		deposited += len(batch)
-		if got, want := s.PartitionReady("q-str", per), deposited/per; got != want {
-			t.Fatalf("after %d tuples: PartitionReady = %d, want %d", deposited, got, want)
-		}
-	}
-
-	// TakePartition hands out deposit-order windows and is a pure read:
-	// repeated calls agree, and nothing about the store changes.
-	for k := 0; k < 2; k++ {
-		want := all[k*per : (k+1)*per]
-		got := s.TakePartition("q-str", k, per)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %d = %v, want %v", k, got, want)
-		}
-		if again := s.TakePartition("q-str", k, per); !reflect.DeepEqual(again, got) {
-			t.Fatalf("window %d not repeatable", k)
-		}
-	}
-	if n := s.CollectedCount("q-str"); n != len(all) {
-		t.Fatalf("reads mutated the store: count = %d", n)
 	}
 
 	// StreamBuild chunks the whole store in deposit order, trailing
@@ -93,14 +70,14 @@ func TestStreamerEmpty(t *testing.T) {
 	if err := s.PostQuery(&protocol.QueryPost{ID: "q-mt", PostedAt: now}, now); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.PartitionReady("q-mt", 4); n != 0 {
-		t.Errorf("empty store ready = %d", n)
-	}
 	if parts := s.StreamBuild("q-mt", 4); parts != nil {
 		t.Errorf("empty StreamBuild = %v, want nil", parts)
 	}
-	if n := s.PartitionReady("q-none", 4); n != 0 {
-		t.Errorf("unknown query ready = %d", n)
+	if parts := s.StreamBuild("q-none", 4); parts != nil {
+		t.Errorf("unknown query StreamBuild = %v, want nil", parts)
+	}
+	if re := s.Repartition("q-mt"); re != nil {
+		t.Errorf("empty build left a stash: %v", re)
 	}
 }
 
@@ -108,7 +85,7 @@ func TestShardedStreamer(t *testing.T) {
 	s := NewSharded(4)
 	now := time.Unix(0, 0)
 	all := streamTuples(6)
-	// Two queries on (very likely) different shards: windows must route by
+	// Two queries on (very likely) different shards: builds must route by
 	// query ID and never bleed across.
 	for i, id := range []string{"q-a", "q-b"} {
 		if err := s.PostQuery(&protocol.QueryPost{ID: id, PostedAt: now}, now); err != nil {
@@ -120,23 +97,20 @@ func TestShardedStreamer(t *testing.T) {
 		}
 	}
 	for i, id := range []string{"q-a", "q-b"} {
-		if n := s.PartitionReady(id, 3); n != 1 {
-			t.Errorf("%s ready = %d, want 1", id, n)
-		}
 		want := all[i*3 : i*3+3]
-		if got := s.TakePartition(id, 0, 3); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s window = %v, want %v", id, got, want)
-		}
-		if parts := s.StreamBuild(id, 3); len(parts) != 1 || !reflect.DeepEqual(parts[0], want) {
+		parts := s.StreamBuild(id, 3)
+		if len(parts) != 1 || !reflect.DeepEqual(parts[0], want) {
 			t.Errorf("%s StreamBuild = %v, want [%v]", id, parts, want)
+		}
+		if re := s.Repartition(id); !reflect.DeepEqual(re, parts) {
+			t.Errorf("%s Repartition = %v, want %v", id, re, parts)
 		}
 	}
 }
 
 // TestAdversaryStreamBuild: a scripted adversary tampers with StreamBuild
 // like any other partition build, while the inner stash stays honest — the
-// exact shape the engine's quarantine/Repartition recovery relies on. The
-// read-only PartitionReady/TakePartition surface delegates honestly.
+// exact shape the engine's quarantine/Repartition recovery relies on.
 func TestAdversaryStreamBuild(t *testing.T) {
 	s := New()
 	now := time.Unix(0, 0)
@@ -148,13 +122,6 @@ func TestAdversaryStreamBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAdversary(s, script(faultplan.SSIDropTuple), 21, "q-adv")
-
-	if got := a.TakePartition("q-adv", 0, 3); !reflect.DeepEqual(got, all[:3]) {
-		t.Fatalf("adversary tampered with the read-only window: %v", got)
-	}
-	if n := a.PartitionReady("q-adv", 3); n != 2 {
-		t.Fatalf("adversary PartitionReady = %d, want 2", n)
-	}
 
 	honest := multiset([][]protocol.WireTuple{all})
 	got := a.StreamBuild("q-adv", 3)

@@ -43,7 +43,7 @@ echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
 
 echo "==> churn determinism gate"
-go vet ./... && go test -race -count=1 ./internal/core -run 'Churn|Determinism'
+go test -race -count=1 ./internal/core -run 'Churn|Determinism'
 
 echo "==> trace determinism gate"
 go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedger'
@@ -62,15 +62,6 @@ go test -race -count=1 ./internal/core -run 'Journal|Conformance'
 
 echo "==> key lifecycle gate (live rotation / revocation / trust bundles)"
 go test -race -count=1 ./internal/core ./internal/tdscrypto -run 'Rotation|Revocation|Bundle'
-
-# The streaming-pipeline gate: the determinism sweep (5 protocols x
-# CollectWorkers {1,8} x packed/eager x pipeline off/auto/full) under the
-# race detector — the speculative executor runs concurrently with
-# collection — plus the conformance-band check on pipelined runs
-# (TestPipelineConformanceBand pins tq_ratio to [0.25, 5]).
-echo "==> streaming pipeline gate (determinism + conformance band)"
-go test -race -count=1 ./internal/core -run 'Pipeline' \
-    && go test -race -count=1 ./internal/ssi -run 'Streamer|StreamBuild'
 
 if [ "$short" -eq 0 ]; then
     echo "==> go test -race"
