@@ -124,6 +124,48 @@ func TestChurnDeterminism(t *testing.T) {
 	}
 }
 
+// TestCorruptDepositRejectedAtAdmission scripts only corrupt uploads — the
+// device seals its checksum in its collection worker, one transport bit
+// flips on the way — and requires the SSI's recomputation to catch every
+// one of them, and nothing else, at one worker and at eight.
+func TestCorruptDepositRejectedAtAdmission(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
+		plan := &faultplan.Plan{Seed: 5, CorruptFraction: 0.3}
+		const id = "q-corrupt"
+		want := map[string]bool{}
+		for i := range f.dbs {
+			if dev := f.eng.deviceID(i); plan.For(dev, id).CorruptDeposit {
+				want[dev] = true
+			}
+		}
+		if len(want) == 0 || len(want) == len(f.dbs) {
+			t.Fatalf("the plan corrupts %d of %d devices; the test needs some of each", len(want), len(f.dbs))
+		}
+		resp, err := f.eng.Execute(context.Background(), Request{
+			Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg, QueryID: id, Faults: plan,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		m := resp.Metrics
+		if m.CorruptDeposits != len(want) || m.DepositedDevices != len(f.dbs)-len(want) {
+			t.Errorf("workers=%d: %d corrupt and %d deposited, want %d and %d", workers,
+				m.CorruptDeposits, m.DepositedDevices, len(want), len(f.dbs)-len(want))
+		}
+		for _, le := range m.Ledger {
+			if le.Kind != "deposit-corrupt" || !want[le.Device] {
+				t.Errorf("workers=%d: unexpected ledger entry %+v", workers, le)
+			}
+			delete(want, le.Device)
+		}
+		if len(want) != 0 {
+			t.Errorf("workers=%d: corrupt deposits of %v were not rejected", workers, want)
+		}
+		assertDeviceAccounts(t, m, false)
+	}
+}
+
 // TestChurnCrashRecoveryIsLossless scripts only phase crashes (the
 // collection is clean), so the SSI's timeout/backoff/re-issue machinery
 // must recover every partition and the result must equal the reference.

@@ -131,6 +131,7 @@ type collectResult struct {
 	tuples  []protocol.WireTuple
 	stats   tds.CollectStats
 	err     error
+	sum     uint64 // the transport checksum of tuples, sealed with commit
 	commit  []byte // the device's deposit MAC over tuples; nil until computed
 	epoch   int    // the wire epoch commit binds
 	fate    fate
@@ -508,9 +509,16 @@ func (w *collectWalk) speculate(wave []collectDevice, res []collectResult, now t
 	w.busy.Wait()
 }
 
+// seal computes what the device attaches to the tuples it uploads: the
+// transport checksum and its MAC.
+func (r *collectResult) seal(post *protocol.QueryPost, attempt int) {
+	r.sum = protocol.Checksum(r.tuples)
+	r.commit, r.epoch = r.t.CommitDeposit(post, attempt, r.tuples)
+}
+
 // collectSlot is a worker's whole job for one device: wake a packed slot,
-// collect, and seal the deposit with the device's MAC — all of it the
-// device's own work, none of it the commit thread's.
+// collect, and seal the deposit — all of it the device's own work, none of
+// it the commit thread's.
 func (w *collectWalk) collectSlot(c *collector, d collectDevice, r *collectResult) {
 	t := d.t
 	if t == nil {
@@ -523,7 +531,7 @@ func (w *collectWalk) collectSlot(c *collector, d collectDevice, r *collectResul
 	r.tuples, r.stats, r.err = w.e.collectOne(c, t, w.rs.post, w.cfgTpl, r.specNow)
 	r.ran = true
 	if r.err == nil {
-		r.commit, r.epoch = t.CommitDeposit(w.rs.post, 1, r.tuples)
+		r.seal(w.rs.post, 1)
 	}
 }
 
@@ -576,7 +584,7 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 		epoch = post.Epoch
 	}
 	if r.commit == nil || r.epoch != epoch {
-		r.commit, r.epoch = r.t.CommitDeposit(post, attempt, r.tuples)
+		r.seal(post, attempt)
 	}
 	return fateCommit, nil
 }
@@ -600,7 +608,7 @@ func (w *collectWalk) settle(run []collectDevice, res []collectResult, now time.
 			// The envelope declares the epoch the device's MAC binds —
 			// during a rotation grace window that may be the previous
 			// epoch, which the SSI's grace policy admits.
-			dep := rs.slab.New(rs.post.ID, d.id, attempt, r.epoch, r.tuples)
+			dep := rs.slab.New(rs.post.ID, d.id, attempt, r.epoch, r.tuples, r.sum)
 			dep.Commit = r.commit
 			if d.b.CorruptDeposit {
 				dep.Sum ^= 0x1 // one flipped transport bit; the checksum catches it

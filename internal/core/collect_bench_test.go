@@ -12,6 +12,8 @@ import (
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/sqlexec"
+	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
@@ -54,12 +56,10 @@ func newBenchEngine(b testing.TB, fleet, workers int) (*Engine, *querier.Querier
 // connect the whole fleet, deposit at the SSI — at a given worker count.
 func benchCollectionPhase(b *testing.B, fleet, workers int) {
 	eng, q := newBenchEngine(b, fleet, workers)
-	sql := `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
-		`WHERE C.cid = P.cid GROUP BY C.district`
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post, err := q.BuildPost(eng.nextQueryID(), sql, protocol.KindSAgg, protocol.Params{})
+		post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,9 +105,7 @@ func BenchmarkCollectionPhase(b *testing.B) {
 // encoding and tuple encryption.
 func BenchmarkCollectOneTDS(b *testing.B) {
 	eng, q := newBenchEngine(b, 1, 1)
-	sql := `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
-		`WHERE C.cid = P.cid GROUP BY C.district`
-	post, err := q.BuildPost(eng.nextQueryID(), sql, protocol.KindSAgg, protocol.Params{})
+	post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,6 +240,60 @@ func BenchmarkVerifyBuild(b *testing.B) {
 					eng.foldBuild(rs, "bench", shape.parts)
 				}
 			})
+		}
+	}
+}
+
+// benchAggSQL is the repo benchmark's aggregate query.
+const benchAggSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
+	`WHERE C.cid = P.cid GROUP BY C.district`
+
+// newDeepDevice is the repo benchmark's deep_device shape cut down to one
+// device: a consumer with 300 readings, and the S_Agg query posted.
+func newDeepDevice(b *testing.B) (*Engine, *tds.TDS, *protocol.QueryPost) {
+	eng, q := newBenchEngine(b, 1, 1)
+	t := eng.fleet[0]
+	for p := t.DB.Count("Power"); p < 300; p++ {
+		must(t.DB.Insert("Power", storage.Row{
+			storage.Int(0), storage.Float(50 + float64(p%40)), storage.Int(int64(p))}))
+	}
+	post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng, t, post
+}
+
+// BenchmarkCollectLocal isolates the plaintext half of a device's
+// collection step — scan, join, WHERE, collection tuples — which is where
+// compile-time column binding and the in-place scan apply.
+func BenchmarkCollectLocal(b *testing.B) {
+	_, t, _ := newDeepDevice(b)
+	plan := sqlexec.MustCompile(sqlparse.MustParse(benchAggSQL), t.DB.Schema())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := plan.CollectLocal(t.DB)
+		if err != nil || len(rows) != 300 {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
+	}
+}
+
+// BenchmarkAggregateFold measures one first-step aggregation unit of that
+// shape: a TDS opening and folding a partition of 300 collection tuples,
+// all of one group.
+func BenchmarkAggregateFold(b *testing.B) {
+	eng, t, post := newDeepDevice(b)
+	partition, _, err := eng.collectOne(newCollector(), t, post, tds.CollectConfig{}, time.Unix(1700000000, 0))
+	if err != nil || len(partition) != 300 {
+		b.Fatalf("%d tuples, %v", len(partition), err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := t.Aggregate(post, partition, tds.EmitWhole); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

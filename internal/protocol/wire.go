@@ -155,7 +155,7 @@ type Deposit struct {
 	// 0 means unknown (legacy/anonymous deposits skip the epoch check).
 	Epoch  int
 	Tuples []WireTuple
-	// Sum is the FNV-1a transport checksum over the tuples.
+	// Sum is the transport checksum over the tuples — see Checksum.
 	Sum uint64
 	// Commit is the depositing TDS's k2-keyed integrity commitment over
 	// (QueryID, DeviceID, Attempt, Epoch, Tuples) — see DepositCommitment.
@@ -170,10 +170,8 @@ type Deposit struct {
 // NewDeposit assembles a sealed envelope: the checksum is computed over
 // the tuples at build time, so any later in-flight mutation is detectable.
 func NewDeposit(queryID, deviceID string, attempt, epoch int, tuples []WireTuple) *Deposit {
-	d := &Deposit{QueryID: queryID, DeviceID: deviceID, Attempt: attempt,
-		Epoch: epoch, Tuples: tuples}
-	d.Sum = d.checksum()
-	return d
+	return &Deposit{QueryID: queryID, DeviceID: deviceID, Attempt: attempt,
+		Epoch: epoch, Tuples: tuples, Sum: Checksum(tuples)}
 }
 
 // DepositSlab recycles Deposit envelopes across collection waves: one
@@ -196,47 +194,55 @@ func (s *DepositSlab) Grow(n int) {
 	s.buf = s.buf[:0]
 }
 
-// New assembles a sealed envelope inside the slab, equivalent to
-// NewDeposit. If the wave outgrows the reserved capacity the envelope
-// falls back to its own allocation rather than invalidating earlier
-// pointers.
-func (s *DepositSlab) New(queryID, deviceID string, attempt, epoch int, tuples []WireTuple) *Deposit {
-	if len(s.buf) == cap(s.buf) {
-		return NewDeposit(queryID, deviceID, attempt, epoch, tuples)
+// New assembles an envelope inside the slab around tuples already sealed
+// with sum, their Checksum — the depositing device computes it in its
+// collection worker, beside the MAC, and not here on the commit thread. If
+// the wave outgrows the reserved capacity the envelope falls back to its
+// own allocation rather than invalidating earlier pointers.
+func (s *DepositSlab) New(queryID, deviceID string, attempt, epoch int, tuples []WireTuple, sum uint64) *Deposit {
+	var d *Deposit
+	if len(s.buf) < cap(s.buf) {
+		s.buf = s.buf[:len(s.buf)+1]
+		d = &s.buf[len(s.buf)-1]
+	} else {
+		d = new(Deposit)
 	}
-	s.buf = append(s.buf, Deposit{QueryID: queryID, DeviceID: deviceID,
-		Attempt: attempt, Epoch: epoch, Tuples: tuples})
-	d := &s.buf[len(s.buf)-1]
-	d.Sum = d.checksum()
+	*d = Deposit{QueryID: queryID, DeviceID: deviceID, Attempt: attempt,
+		Epoch: epoch, Tuples: tuples, Sum: sum}
 	return d
 }
 
-// checksum is FNV-1a over every byte of every tuple, with length framing
-// so tuple boundaries cannot be shifted without detection.
-func (d *Deposit) checksum() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b []byte) {
-		h ^= uint64(len(b))
-		h *= prime
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime
-		}
+// Checksum is the transport checksum of a deposit's tuples: an FNV-1a
+// style xor-multiply chain that takes each field eight bytes at a time
+// (little-endian words, the last one zero-padded), after the field's
+// length, so neither a tuple nor a field boundary can be shifted without
+// detection. Every step is a bijection of the running state, so any change
+// confined to one word — a flipped bit, say — always changes the sum.
+func Checksum(tuples []WireTuple) uint64 {
+	h := uint64(14695981039346656037)
+	for i := range tuples {
+		w := &tuples[i]
+		h = mixField(mixField(mixField(h, w.Tag), w.Ciphertext), w.Digest)
 	}
-	for _, w := range d.Tuples {
-		mix(w.Tag)
-		mix(w.Ciphertext)
-		mix(w.Digest)
+	return h
+}
+
+func mixField(h uint64, b []byte) uint64 {
+	const prime = 1099511628211
+	h = (h ^ uint64(len(b))) * prime
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+	}
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		h = (h ^ binary.LittleEndian.Uint64(tail[:])) * prime
 	}
 	return h
 }
 
 // IntegrityOK reports whether the tuples still match the sealed checksum.
-func (d *Deposit) IntegrityOK() bool { return d.Sum == d.checksum() }
+func (d *Deposit) IntegrityOK() bool { return d.Sum == Checksum(d.Tuples) }
 
 // DepositCommitment computes the k2-keyed leaf commitment a TDS seals over
 // one deposit: a MAC binding the query, the device, its attempt counter,

@@ -200,6 +200,112 @@ func TestDepositChecksumFramesLengths(t *testing.T) {
 	}
 }
 
+// TestChecksumGoldenVectors pins the word-wise sum (vectors computed by an
+// independent implementation): a device and the SSI that admits its
+// deposit must agree on it, byte order and tail padding included.
+func TestChecksumGoldenVectors(t *testing.T) {
+	for _, tc := range []struct {
+		tuples []WireTuple
+		want   uint64
+	}{
+		{nil, 0xcbf29ce484222325},
+		{[]WireTuple{{}}, 0xd94d12186c0f2fb7},
+		{[]WireTuple{{Tag: []byte("ab"), Ciphertext: []byte("c")}}, 0xc64bec3552c09334},
+		{[]WireTuple{{Tag: []byte("a"), Ciphertext: []byte("bc")}}, 0x21e397c0a792a395},
+		// A 16-byte digest (two whole words), a 14-byte ciphertext (a word
+		// and a padded tail), and fields shorter than a word.
+		{sealedDeposit(fuzzCommitter()).Tuples, 0x8d6ba2dd5cd6ff66},
+	} {
+		if got := Checksum(tc.tuples); got != tc.want {
+			t.Errorf("Checksum(%v) = %#x, want %#x", tc.tuples, got, tc.want)
+		}
+		if d := NewDeposit("q", "dev", 1, 1, tc.tuples); d.Sum != tc.want || !d.IntegrityOK() {
+			t.Errorf("NewDeposit sealed %#x over %v, want %#x", d.Sum, tc.tuples, tc.want)
+		}
+	}
+}
+
+// TestChecksumDetectsEveryBitFlip flips each bit of each field of a small
+// deposit — fields of 0, 1, 3, 5, 8, 14 and 16 bytes, so whole words and
+// padded tails both occur — and requires the sum to move every time.
+func TestChecksumDetectsEveryBitFlip(t *testing.T) {
+	d := sealedDeposit(fuzzCommitter())
+	d.Tuples = append(d.Tuples, WireTuple{Tag: []byte("8 bytes!")})
+	d.Sum = Checksum(d.Tuples)
+	flips := 0
+	for i := range d.Tuples {
+		w := &d.Tuples[i]
+		for _, field := range [][]byte{w.Tag, w.Ciphertext, w.Digest} {
+			for j := range field {
+				for bit := 0; bit < 8; bit++ {
+					field[j] ^= 1 << bit
+					if d.IntegrityOK() {
+						t.Errorf("tuple %d: bit %d of byte %d flipped undetected", i, bit, j)
+					}
+					field[j] ^= 1 << bit
+					flips++
+				}
+			}
+		}
+	}
+	if !d.IntegrityOK() || flips != 8*(5+14+16+3+1+3+8) {
+		t.Errorf("restored deposit rejected, or %d flips tried", flips)
+	}
+}
+
+// TestChecksumFramesEmptyFields: an empty field still occupies its place.
+// Dropping one, or a whole empty tuple, or moving the bytes of a field
+// into its empty neighbour, changes the sum.
+func TestChecksumFramesEmptyFields(t *testing.T) {
+	x := []byte("x")
+	sums := map[uint64]string{}
+	for name, tuples := range map[string][]WireTuple{
+		"tag":         {{Tag: x}},
+		"ciphertext":  {{Ciphertext: x}},
+		"digest":      {{Digest: x}},
+		"empty first": {{}, {Tag: x}},
+		"empty last":  {{Tag: x}, {}},
+		"two empty":   {{}, {}},
+		"one empty":   {{}},
+		"none":        nil,
+		"zero byte":   {{Tag: []byte{0}}},
+		"zero word":   {{Tag: make([]byte, 8)}},
+		"zero word+1": {{Tag: make([]byte, 9)}},
+	} {
+		sum := Checksum(tuples)
+		if other, dup := sums[sum]; dup {
+			t.Errorf("%q and %q share the sum %#x", name, other, sum)
+		}
+		sums[sum] = name
+	}
+}
+
+// TestDepositSlabCarriesTheSealedSum: the slab does not seal — it wraps
+// tuples in the sum their device computed, so a wrong sum stays wrong for
+// the SSI to catch — and outgrowing it leaves earlier envelopes intact.
+func TestDepositSlabCarriesTheSealedSum(t *testing.T) {
+	tuples := sealedDeposit(fuzzCommitter()).Tuples
+	var slab DepositSlab
+	slab.Grow(2)
+	a := slab.New("q", "tds-1", 1, 2, tuples, Checksum(tuples))
+	b := slab.New("q", "tds-2", 1, 2, tuples, Checksum(tuples)^1)
+	c := slab.New("q", "tds-3", 2, 2, nil, Checksum(nil)) // past the reserved two
+	if !a.IntegrityOK() || b.IntegrityOK() || !c.IntegrityOK() {
+		t.Errorf("IntegrityOK = %v, %v, %v; want true, false, true",
+			a.IntegrityOK(), b.IntegrityOK(), c.IntegrityOK())
+	}
+	if a.DeviceID != "tds-1" || b.DeviceID != "tds-2" || c.DeviceID != "tds-3" || c.Attempt != 2 {
+		t.Errorf("envelopes = %+v, %+v, %+v", a, b, c)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		slab.Grow(2)
+		slab.New("q", "tds-1", 1, 2, tuples, 0)
+		slab.New("q", "tds-2", 1, 2, tuples, 0)
+	}); n != 0 {
+		t.Errorf("a wave inside the slab allocates %v times", n)
+	}
+}
+
 func TestDepositSize(t *testing.T) {
 	d := NewDeposit("q", "", 0, 0, []WireTuple{
 		{Tag: []byte("ab"), Ciphertext: make([]byte, 10), Digest: []byte("xyz")},

@@ -23,6 +23,7 @@ type Group struct {
 type Accumulator struct {
 	plan   *Plan
 	groups map[string]*Group
+	key    []byte // scratch for group's lookups
 }
 
 // NewAccumulator returns an empty accumulator for the plan.
@@ -34,15 +35,17 @@ func NewAccumulator(plan *Plan) *Accumulator {
 func (a *Accumulator) NumGroups() int { return len(a.groups) }
 
 // group returns (creating if needed) the bucket for the grouping values.
+// The lookup goes through the scratch key, so a key string is allocated
+// only when a group is first seen.
 func (a *Accumulator) group(groupVals storage.Row) *Group {
-	k := groupVals.Key()
-	g, ok := a.groups[k]
+	a.key = groupVals.AppendKey(a.key[:0])
+	g, ok := a.groups[string(a.key)]
 	if !ok {
 		g = &Group{Values: groupVals.Clone(), States: make([]AggState, len(a.plan.Aggs))}
 		for i, spec := range a.plan.Aggs {
 			g.States[i] = NewAggState(spec)
 		}
-		a.groups[k] = g
+		a.groups[string(a.key)] = g
 	}
 	return g
 }

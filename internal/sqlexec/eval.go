@@ -27,16 +27,16 @@ func (ctx *evalContext) evalExpr(e sqlparse.Expr) (storage.Value, error) {
 		return n.Value, nil
 
 	case *sqlparse.ColumnRef:
-		b, err := ctx.plan.resolve(n)
-		if err != nil {
-			return storage.Null(), err
-		}
+		pos, bound := ctx.plan.colPos[n]
 		if ctx.row != nil {
-			return ctx.row[b.pos], nil
+			if !bound {
+				return storage.Null(), fmt.Errorf("sqlexec: column %q was not bound by Compile", n)
+			}
+			return ctx.row[pos], nil
 		}
 		// finalize mode: the column must be a grouping column
 		for i, g := range ctx.plan.GroupCols {
-			if g.pos == b.pos {
+			if bound && g.pos == pos {
 				return ctx.groupRow[i], nil
 			}
 		}

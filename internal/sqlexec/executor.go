@@ -19,9 +19,15 @@ import (
 // The caller (the TDS protocol layer) encrypts these rows before anything
 // leaves the secure device.
 func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
+	agg, width := p.IsAggregate(), len(p.OutputNames)
+	if agg {
+		width = p.CollectionWidth()
+	}
 	var out []storage.Row
-	err := p.scanJoin(db, func(combined storage.Row) error {
-		ctx := &evalContext{plan: p, row: combined}
+	var slab []storage.Value // output rows are carved from it, a chunk at a time
+	ctx := &evalContext{plan: p}
+	err := p.scanJoin(db, func(combined storage.Row, chunk int) error {
+		ctx.row = combined
 		keep, err := ctx.predicateTrue(p.Stmt.Where)
 		if err != nil {
 			return fmt.Errorf("sqlexec: WHERE: %w", err)
@@ -29,8 +35,15 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 		if !keep {
 			return nil
 		}
-		if p.IsAggregate() {
-			row := make(storage.Row, 0, p.CollectionWidth())
+		if cap(slab)-len(slab) < width {
+			slab = make([]storage.Value, 0, chunk*width)
+			if out == nil {
+				out = make([]storage.Row, 0, chunk)
+			}
+		}
+		row := slab[len(slab) : len(slab) : len(slab)+width]
+		slab = slab[:len(slab)+width]
+		if agg {
 			for _, g := range p.GroupCols {
 				row = append(row, combined[g.pos])
 			}
@@ -48,10 +61,9 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 			out = append(out, row)
 			return nil
 		}
-		row := make(storage.Row, 0, len(p.OutputNames))
 		for _, it := range p.Stmt.Select {
 			if it.Star {
-				row = append(row, combined.Clone()...)
+				row = append(row, combined...)
 				continue
 			}
 			v, err := ctx.evalExpr(it.Expr)
@@ -69,24 +81,32 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 	return out, nil
 }
 
+// slabRows caps how many output rows one slab chunk of CollectLocal holds,
+// so a selective WHERE over a large join cannot reserve the whole product.
+const slabRows = 512
+
 // scanJoin enumerates the cartesian product of the FROM tables of the
-// local database, invoking fn with each combined row. WHERE predicates
-// restrict it to the intended internal join. TDS databases are small
-// (one household's data), so a nested-loop join is the right tool.
-func (p *Plan) scanJoin(db *storage.LocalDB, fn func(storage.Row) error) error {
+// local database, invoking fn with each combined row and the size of the
+// product, capped at slabRows. WHERE predicates restrict it to the
+// intended internal join. TDS databases are small (one household's data),
+// so a nested-loop join is the right tool. The tables are read in place,
+// as of the call: stored rows are immutable, so there is nothing to copy.
+func (p *Plan) scanJoin(db *storage.LocalDB, fn func(combined storage.Row, product int) error) error {
 	tables := make([][]storage.Row, len(p.tables))
+	product := 1
 	for i, tb := range p.tables {
 		rows, err := db.Rows(tb.def.Name)
 		if err != nil {
 			return err
 		}
 		tables[i] = rows
+		product = min(product*len(rows), slabRows)
 	}
 	combined := make(storage.Row, p.width)
 	var rec func(level int) error
 	rec = func(level int) error {
 		if level == len(tables) {
-			return fn(combined)
+			return fn(combined, product)
 		}
 		tb := p.tables[level]
 		for _, r := range tables[level] {

@@ -31,8 +31,7 @@ type tableBinding struct {
 
 // colBinding is a resolved column reference.
 type colBinding struct {
-	pos  int // position in the combined row
-	name string
+	pos int // position in the combined row
 }
 
 // AggSpec is one compiled aggregate function application.
@@ -63,6 +62,9 @@ type Plan struct {
 
 	tables []tableBinding
 	width  int // combined row width
+	// colPos holds every column reference of the statement, bound to its
+	// combined-row position by Compile; evaluation only looks it up.
+	colPos map[*sqlparse.ColumnRef]int
 
 	// Aggregate query artifacts (empty for plain SFW):
 	GroupCols []colBinding
@@ -83,7 +85,8 @@ func (p *Plan) CollectionWidth() int { return len(p.GroupCols) + len(p.Aggs) }
 
 // Compile type-checks and binds a statement against the schema.
 func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
-	p := &Plan{Stmt: stmt, Schema: schema, aggIndex: make(map[*sqlparse.FuncCall]int)}
+	p := &Plan{Stmt: stmt, Schema: schema, aggIndex: make(map[*sqlparse.FuncCall]int),
+		colPos: make(map[*sqlparse.ColumnRef]int)}
 	seenAlias := make(map[string]bool)
 	for _, ref := range stmt.From {
 		def, ok := schema.Table(ref.Name)
@@ -173,7 +176,8 @@ func MustCompile(stmt *sqlparse.SelectStmt, schema *storage.Schema) *Plan {
 	return p
 }
 
-// resolve binds a column reference to a combined-row position.
+// resolve binds a column reference to a combined-row position and records
+// the binding. It runs at compile time only.
 func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
 	var found []colBinding
 	for _, tb := range p.tables {
@@ -184,13 +188,14 @@ func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
 			continue
 		}
 		if i := tb.def.ColumnIndex(ref.Name); i >= 0 {
-			found = append(found, colBinding{pos: tb.offset + i, name: ref.String()})
+			found = append(found, colBinding{pos: tb.offset + i})
 		}
 	}
 	switch len(found) {
 	case 0:
 		return colBinding{}, fmt.Errorf("unknown column %q", ref)
 	case 1:
+		p.colPos[ref] = found[0].pos
 		return found[0], nil
 	default:
 		return colBinding{}, fmt.Errorf("ambiguous column %q", ref)

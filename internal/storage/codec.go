@@ -43,7 +43,11 @@ func AppendValue(dst []byte, v Value) []byte {
 
 // DecodeValue decodes one value from b and returns it with the number of
 // bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) {
+func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b, nil) }
+
+// decodeValue is DecodeValue with text values looked up in, and added to,
+// strs when it is non-nil.
+func decodeValue(b []byte, strs map[string]string) (Value, int, error) {
 	if len(b) == 0 {
 		return Null(), 0, fmt.Errorf("storage: empty value encoding")
 	}
@@ -69,7 +73,14 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if n <= 0 || uint64(len(rest)-n) < l {
 			return Null(), 0, fmt.Errorf("storage: bad string length")
 		}
-		return Str(string(rest[n : n+int(l)])), 1 + n + int(l), nil
+		str, ok := strs[string(rest[n:n+int(l)])]
+		if !ok {
+			str = string(rest[n : n+int(l)])
+			if strs != nil {
+				strs[str] = str
+			}
+		}
+		return Str(str), 1 + n + int(l), nil
 	case KindBool:
 		if len(rest) < 1 {
 			return Null(), 0, fmt.Errorf("storage: short bool")
@@ -130,7 +141,19 @@ func EncodeRow(r Row) []byte { return AppendRow(make([]byte, 0, EncodedRowSize(r
 
 // DecodeRow decodes one row from b and returns it with the number of bytes
 // consumed.
-func DecodeRow(b []byte) (Row, int, error) {
+func DecodeRow(b []byte) (Row, int, error) { return new(RowDecoder).Decode(b) }
+
+// RowDecoder decodes a run of rows into one reused Row, sharing equal text
+// values, so n rows over d distinct texts allocate O(d) and not O(n). The
+// Row a Decode returns is overwritten by the next; its values — immutable
+// like any Value — may be kept. The zero RowDecoder is ready to use.
+type RowDecoder struct {
+	row  Row
+	strs map[string]string
+}
+
+// Decode is DecodeRow into the decoder's Row.
+func (d *RowDecoder) Decode(b []byte) (Row, int, error) {
 	n, used := binary.Uvarint(b)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: bad row header")
@@ -138,17 +161,22 @@ func DecodeRow(b []byte) (Row, int, error) {
 	if n > uint64(len(b)) {
 		return nil, 0, fmt.Errorf("storage: implausible row arity %d", n)
 	}
-	row := make(Row, 0, n)
+	if d.row == nil {
+		d.row = make(Row, 0, n)
+	} else if d.strs == nil {
+		d.strs = make(map[string]string) // a second row: a run worth sharing over
+	}
+	d.row = d.row[:0]
 	off := used
 	for i := uint64(0); i < n; i++ {
-		v, c, err := DecodeValue(b[off:])
+		v, c, err := decodeValue(b[off:], d.strs)
 		if err != nil {
 			return nil, 0, fmt.Errorf("storage: value %d: %w", i, err)
 		}
-		row = append(row, v)
+		d.row = append(d.row, v)
 		off += c
 	}
-	return row, off, nil
+	return d.row, off, nil
 }
 
 // EncodeRows encodes a batch of rows.

@@ -215,3 +215,46 @@ func TestRowStringRendering(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestRowDecoderReusesRowSharesText: a RowDecoder hands every row back in
+// the same backing array and stops allocating once it has seen a run's
+// distinct texts; values copied out of a decoded row survive the next.
+func TestRowDecoderReusesRowSharesText(t *testing.T) {
+	encs := [][]byte{
+		EncodeRow(Row{Str("Paris"), Float(1.5), Null()}),
+		EncodeRow(Row{Str("Lyon"), Int(2), Bool(true)}),
+		EncodeRow(Row{Str("Paris"), Float(3.5), Str("")}),
+	}
+	var dec RowDecoder
+	var kept []Value
+	for i, enc := range encs {
+		row, n, err := dec.Decode(enc)
+		want, _, _ := DecodeRow(enc)
+		if err != nil || n != len(enc) || row.Key() != want.Key() {
+			t.Fatalf("row %d = %v, %d, %v; want %v", i, row, n, err, want)
+		}
+		if i > 0 && &row[0] != &dec.row[0] {
+			t.Errorf("row %d was not decoded in place", i)
+		}
+		kept = append(kept, row[0])
+	}
+	if kept[0].AsString() != "Paris" || kept[1].AsString() != "Lyon" || kept[2].AsString() != "Paris" {
+		t.Errorf("values kept across decodes = %v", kept)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		for _, enc := range encs {
+			if _, _, err := dec.Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("decoding rows of known texts allocates %v times", n)
+	}
+	// A failed decode leaves the decoder usable.
+	if _, _, err := dec.Decode(encs[0][:3]); err == nil {
+		t.Error("truncated row must fail")
+	}
+	if row, _, err := dec.Decode(encs[1]); err != nil || row[0].AsString() != "Lyon" {
+		t.Errorf("decode after an error = %v, %v", row, err)
+	}
+}

@@ -53,22 +53,19 @@ func (db *LocalDB) InsertAll(table string, rows []Row) error {
 // Scan calls fn for every tuple of the table. fn must not retain the row.
 // Returning false from fn stops the scan early.
 func (db *LocalDB) Scan(table string, fn func(Row) bool) error {
-	def, ok := db.schema.Table(table)
-	if !ok {
-		return fmt.Errorf("storage: unknown table %q", table)
-	}
-	db.mu.RLock()
-	rows := db.rows[lower(def.Name)]
-	db.mu.RUnlock()
+	rows, err := db.Rows(table)
 	for _, r := range rows {
 		if !fn(r) {
-			return nil
+			break
 		}
 	}
-	return nil
+	return err
 }
 
-// Rows returns a copy of all tuples of the table.
+// Rows returns a snapshot of the table without copying it: the tuples
+// stored at the time of the call, however many Inserts follow. Stored rows
+// are immutable — Insert clones on the way in and nothing writes to a row
+// afterwards — so the caller must only read them.
 func (db *LocalDB) Rows(table string) ([]Row, error) {
 	def, ok := db.schema.Table(table)
 	if !ok {
@@ -76,12 +73,8 @@ func (db *LocalDB) Rows(table string) ([]Row, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	src := db.rows[lower(def.Name)]
-	out := make([]Row, len(src))
-	for i, r := range src {
-		out[i] = r.Clone()
-	}
-	return out, nil
+	rows := db.rows[lower(def.Name)]
+	return rows[:len(rows):len(rows)], nil
 }
 
 // Count returns the number of tuples in the table (0 for unknown tables).

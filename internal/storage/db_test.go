@@ -149,19 +149,36 @@ func TestInsertAllStopsAtFirstBad(t *testing.T) {
 	}
 }
 
-func TestRowsReturnsCopies(t *testing.T) {
+// TestRowsIsSnapshot: Rows hands out the stored rows themselves, so the
+// contract that makes that safe is checked here — Insert keeps its own copy
+// of the caller's row, and a snapshot is closed to later Inserts, including
+// through its spare capacity.
+func TestRowsIsSnapshot(t *testing.T) {
 	db := NewLocalDB(powerSchema())
-	if err := db.Insert("Power", Row{Int(1), Float(1), Int(1)}); err != nil {
+	mine := Row{Int(1), Float(1), Int(1)}
+	if err := db.Insert("Power", mine); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Rows("Power")
+	mine[0] = Int(999)
+	snap, err := db.Rows("Power")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows[0][0] = Int(999)
-	rows2, _ := db.Rows("Power")
-	if v, _ := rows2[0][0].AsInt(); v != 1 {
-		t.Error("Rows must return defensive copies")
+	if v, _ := snap[0][0].AsInt(); v != 1 {
+		t.Error("Insert must keep its own copy of the row")
+	}
+	for i := 2; i < 10; i++ {
+		if err := db.Insert("Power", Row{Int(int64(i)), Float(1), Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(snap) != 1 || cap(snap) != 1 {
+		t.Errorf("snapshot has len %d cap %d after later inserts, want 1 and 1", len(snap), cap(snap))
+	}
+	_ = append(snap, Row{Int(-1), Float(-1), Int(-1)})
+	now, _ := db.Rows("Power")
+	if v, _ := now[1][0].AsInt(); len(now) != 9 || v != 2 {
+		t.Errorf("appending to a snapshot reached the table: %v", now)
 	}
 	if _, err := db.Rows("nope"); err == nil {
 		t.Error("unknown table must fail")

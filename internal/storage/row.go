@@ -17,15 +17,17 @@ func (r Row) Clone() Row {
 }
 
 // Key returns a canonical grouping key for the whole row.
-func (r Row) Key() string {
-	var b strings.Builder
+func (r Row) Key() string { return string(r.AppendKey(nil)) }
+
+// AppendKey appends Key's bytes to dst and returns the result.
+func (r Row) AppendKey(dst []byte) []byte {
 	for i, v := range r {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			dst = append(dst, 0x1f)
 		}
-		b.WriteString(v.Key())
+		dst = v.AppendKey(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the row for debugging and CLI output.

@@ -9,7 +9,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -354,26 +353,27 @@ func arith(a, b Value, op byte) (Value, error) {
 // Key returns a canonical comparable representation of the value, suitable
 // as a map key for grouping. Distinct values yield distinct keys; numeric
 // values that compare equal (1 and 1.0) share a key.
-func (v Value) Key() string {
+func (v Value) Key() string { return string(v.AppendKey(nil)) }
+
+// AppendKey appends Key's bytes to dst and returns the result — the one
+// key encoder, in the form hot loops use over a scratch buffer.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "n"
+		return append(dst, 'n')
 	case KindInt:
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), float64(v.i), 'g', -1, 64)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
-		}
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindBool:
 		if v.b {
-			return "bt"
+			return append(dst, "bt"...)
 		}
-		return "bf"
+		return append(dst, "bf"...)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

@@ -315,3 +315,59 @@ func TestFloatKeyConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendKeyTable pins the one key encoder to the strings Key returned
+// when it was built by concatenation: AppendKey must append exactly those
+// bytes, and Key must be AppendKey's bytes as a string.
+func TestAppendKeyTable(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Null(), "n"},
+		{Int(1), "f1"},
+		{Float(1.0), "f1"}, // 1 and 1.0 compare equal and share a key
+		{Int(-3), "f-3"},
+		{Int(0), "f0"},
+		{Float(1.5), "f1.5"},
+		{Float(1e20), "f1e+20"},
+		{Float(math.Inf(-1)), "f-Inf"},
+		{Int(1<<53 + 1), "f9.007199254740992e+15"},
+		{Str(""), "s"},
+		{Str("n"), "sn"},
+		{Str("a\x1fb"), "sa\x1fb"},
+		{Bool(true), "bt"},
+		{Bool(false), "bf"},
+		{Value{kind: 99}, "?"},
+	} {
+		if got := c.v.Key(); got != c.want {
+			t.Errorf("%#v.Key() = %q, want %q", c.v, got, c.want)
+		}
+		if got := string(c.v.AppendKey([]byte("pre"))); got != "pre"+c.want {
+			t.Errorf("%#v.AppendKey(pre) = %q, want %q", c.v, got, "pre"+c.want)
+		}
+	}
+	for _, c := range []struct {
+		r    Row
+		want string
+	}{
+		{Row{}, ""},
+		{Row{Null()}, "n"},
+		{Row{Int(1), Str("a\x1fb"), Null()}, "f1\x1fsa\x1fb\x1fn"},
+		{Row{Str(""), Str("")}, "s\x1fs"},
+		{Row{Float(1), Bool(true)}, "f1\x1fbt"},
+	} {
+		if got := c.r.Key(); got != c.want {
+			t.Errorf("%v.Key() = %q, want %q", c.r, got, c.want)
+		}
+		if got := string(c.r.AppendKey([]byte("pre"))); got != "pre"+c.want {
+			t.Errorf("%v.AppendKey(pre) = %q, want %q", c.r, got, "pre"+c.want)
+		}
+	}
+	// A scratch buffer with room takes a key without allocating.
+	buf := make([]byte, 0, 64)
+	r := Row{Int(12), Str("Paris"), Float(2.5), Null(), Bool(true)}
+	if n := testing.AllocsPerRun(100, func() { buf = r.AppendKey(buf[:0]) }); n != 0 {
+		t.Errorf("AppendKey into a scratch buffer allocates %v times", n)
+	}
+}

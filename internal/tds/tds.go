@@ -626,9 +626,12 @@ func (t *TDS) Aggregate(post *protocol.QueryPost, partition []protocol.WireTuple
 	fp := partitionFingerprint(partition)
 	acc := sqlexec.NewAccumulator(plan)
 	payloads := 0
+	// One plaintext buffer and one decoded row serve the whole partition:
+	// the accumulator copies what it keeps.
+	var pt []byte
+	var dec storage.RowDecoder
 	for _, w := range partition {
-		pt, err := m.K2.Decrypt(w.Ciphertext, post.AAD())
-		if err != nil {
+		if pt, err = m.K2.DecryptTo(pt[:0], w.Ciphertext, post.AAD()); err != nil {
 			return nil, fmt.Errorf("tds %s: decrypt partition tuple: %w", t.ID, err)
 		}
 		marker, body, err := protocol.DecodePayload(pt)
@@ -644,7 +647,7 @@ func (t *TDS) Aggregate(post *protocol.QueryPost, partition []protocol.WireTuple
 		}
 		switch marker {
 		case protocol.MarkerTrue:
-			row, n, err := storage.DecodeRow(body)
+			row, n, err := dec.Decode(body)
 			if err != nil || n != len(body) {
 				return nil, fmt.Errorf("tds %s: bad collection row: %v", t.ID, err)
 			}
@@ -713,11 +716,11 @@ func (t *TDS) FilterSFW(post *protocol.QueryPost, partition []protocol.WireTuple
 	m := t.matFor(post)
 	fp := partitionFingerprint(partition)
 	var out []protocol.WireTuple
-	var payload []byte // plaintext scratch; re-encryption copies out of it
+	var pt, payload []byte // plaintext scratch; re-encryption copies out of it
+	var err error
 	kept := 0
 	for _, w := range partition {
-		pt, err := m.K2.Decrypt(w.Ciphertext, post.AAD())
-		if err != nil {
+		if pt, err = m.K2.DecryptTo(pt[:0], w.Ciphertext, post.AAD()); err != nil {
 			return nil, fmt.Errorf("tds %s: decrypt: %w", t.ID, err)
 		}
 		marker, body, err := protocol.DecodePayload(pt)
@@ -760,9 +763,9 @@ func (t *TDS) FinalizeGroups(post *protocol.QueryPost, partition []protocol.Wire
 	acc := sqlexec.NewAccumulator(plan)
 	sawPartial := false
 	merged := 0
+	var pt []byte // plaintext scratch; MergeEncoded copies out of it
 	for _, w := range partition {
-		pt, err := m.K2.Decrypt(w.Ciphertext, post.AAD())
-		if err != nil {
+		if pt, err = m.K2.DecryptTo(pt[:0], w.Ciphertext, post.AAD()); err != nil {
 			return nil, fmt.Errorf("tds %s: decrypt: %w", t.ID, err)
 		}
 		marker, body, err := protocol.DecodePayload(pt)

@@ -497,3 +497,41 @@ func TestPlanCachePerQuery(t *testing.T) {
 		t.Errorf("plan cache grew to %d", len(d.plans))
 	}
 }
+
+// TestAggregateFoldAllocBudget: folding a partition allocates for the
+// groups it finds and for the one result it emits, never per tuple — the
+// plaintext buffer, the decoded row and the group-key scratch are reused,
+// and equal grouping texts share one string. Ten times the tuples over
+// the same groups must cost the same.
+func TestAggregateFoldAllocBudget(t *testing.T) {
+	districts := []string{"Paris", "Lyon", "Metz", "Nice"}
+	post := makePost(t, aggSQL, protocol.KindSAgg, protocol.Params{})
+	partition := func(n int) []protocol.WireTuple {
+		rows := make([]storage.Row, n)
+		for i := range rows {
+			rows[i] = row(1, districts[i%len(districts)], float64(i))
+		}
+		tuples, _, err := newTDS(t, rows...).Collect(post, cfg())
+		if err != nil || len(tuples) != n {
+			t.Fatalf("collected %d of %d tuples: %v", len(tuples), n, err)
+		}
+		return tuples
+	}
+	worker := newTDS(t)
+	fold := func(p []protocol.WireTuple) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := worker.Aggregate(post, p, EmitWhole); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Measured at 45 and 45: four groups at five apiece, and the fixed cost
+	// of a call (accumulator, buffers, fingerprint, the encrypted result).
+	// The slack is for pooled MAC states a GC or the race detector drops;
+	// one allocation per tuple would add 360.
+	small, large := fold(partition(40)), fold(partition(400))
+	if large > small+4 || large > 52 {
+		t.Errorf("Aggregate allocates %v times over 40 tuples and %v over 400, both of %d groups; budget 52",
+			small, large, len(districts))
+	}
+}

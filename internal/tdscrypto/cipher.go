@@ -143,10 +143,17 @@ func (s *Suite) DetEncryptArena(plaintext, aad []byte, a *Arena) ([]byte, error)
 // Decrypt opens a ciphertext produced by either NDetEncrypt or DetEncrypt
 // with the same key and aad.
 func (s *Suite) Decrypt(ciphertext, aad []byte) ([]byte, error) {
+	return s.DecryptTo(nil, ciphertext, aad)
+}
+
+// DecryptTo is Decrypt with the plaintext appended to dst, whose spare
+// capacity is used when it suffices, so a loop over many ciphertexts can
+// reuse one buffer. Nothing is appended when authentication fails.
+func (s *Suite) DecryptTo(dst, ciphertext, aad []byte) ([]byte, error) {
 	if len(ciphertext) < nonceSize {
 		return nil, fmt.Errorf("tdscrypto: ciphertext shorter than nonce")
 	}
-	pt, err := s.aead.Open(nil, ciphertext[:nonceSize], ciphertext[nonceSize:], aad)
+	pt, err := s.aead.Open(dst, ciphertext[:nonceSize], ciphertext[nonceSize:], aad)
 	if err != nil {
 		return nil, fmt.Errorf("tdscrypto: open: %w", err)
 	}

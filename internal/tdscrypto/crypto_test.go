@@ -223,3 +223,46 @@ func TestDetFunctionalQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDecryptToReusesTheBuffer: a loop over many ciphertexts opens them
+// all into one buffer. DecryptTo appends after what dst holds, allocates
+// nothing while the capacity lasts, and hands nothing back — not even a
+// partial plaintext — when authentication fails.
+func TestDecryptToReusesTheBuffer(t *testing.T) {
+	s := MustSuite(MustRandomKey())
+	aad := []byte("query/q-1")
+	var cts [][]byte
+	for _, m := range []string{"", "x", "hello world", "a longer plaintext, past one AES block"} {
+		ct, err := s.NDetEncrypt([]byte(m), aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, ct)
+		pt, err := s.DecryptTo([]byte("kept|"), ct, aad)
+		if err != nil || string(pt) != "kept|"+m {
+			t.Errorf("DecryptTo(%q) = %q, %v", m, pt, err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(50, func() {
+		for _, ct := range cts {
+			var err error
+			if buf, err = s.DecryptTo(buf[:0], ct, aad); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("DecryptTo into a buffer with room allocates %v times", n)
+	}
+	bad := append([]byte(nil), cts[2]...)
+	bad[len(bad)-1] ^= 1
+	if pt, err := s.DecryptTo(buf[:0], bad, aad); err == nil || pt != nil {
+		t.Errorf("tampered ciphertext opened: %q, %v", pt, err)
+	}
+	if pt, err := s.DecryptTo(buf[:0], cts[2], []byte("query/q-2")); err == nil || pt != nil {
+		t.Errorf("ciphertext opened under another query's AAD: %q, %v", pt, err)
+	}
+	if _, err := s.DecryptTo(nil, []byte("short"), aad); err == nil {
+		t.Error("ciphertext shorter than a nonce must fail")
+	}
+}

@@ -33,10 +33,13 @@ go test ./...
 
 # CollectWorkers defaults to GOMAXPROCS, so the core suite's default-worker
 # tests run a different walk shape on every box. Pin the shapes: a 1-CPU
-# box must not be able to hide a worker-count divergence.
+# box must not be able to hide a worker-count divergence. The per-tuple
+# allocation budgets of the device path ride along: an allocation count
+# must not depend on the core count either.
 for procs in 1 2 8; do
-    echo "==> go test ./internal/core (GOMAXPROCS=$procs)"
+    echo "==> go test ./internal/core + allocation budgets (GOMAXPROCS=$procs)"
     GOMAXPROCS=$procs go test -count=1 ./internal/core
+    GOMAXPROCS=$procs go test -count=1 -run 'AllocBudget' ./internal/sqlexec ./internal/tds
 done
 
 echo "==> obslint (no direct time.Now() in internal/)"
