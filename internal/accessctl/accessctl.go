@@ -11,7 +11,6 @@ package accessctl
 
 import (
 	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,28 +57,36 @@ func (c *Credential) HasRole(role string) bool {
 }
 
 // Authority signs querier credentials. Its verification key is installed in
-// every TDS alongside the access-control policy.
+// every TDS alongside the access-control policy. Safe for concurrent use:
+// every device of a fleet verifies, on every query, through the one.
 type Authority struct {
-	key tdscrypto.Key
+	macs *tdscrypto.MACPool // HMAC states keyed when the authority is built
 }
 
 // NewAuthority creates an authority from its signing key.
-func NewAuthority(key tdscrypto.Key) *Authority { return &Authority{key: key} }
+func NewAuthority(key tdscrypto.Key) *Authority {
+	return &Authority{macs: tdscrypto.NewMACPool(key)}
+}
+
+// sign computes the authority's signature over the credential.
+func (a *Authority) sign(c *Credential) []byte {
+	mac := a.macs.Get()
+	mac.Write(c.signingPayload())
+	sig := mac.Sum(nil)
+	a.macs.Put(mac)
+	return sig
+}
 
 // Issue returns a signed credential for the querier.
 func (a *Authority) Issue(querierID string, roles []string, expiry time.Time) Credential {
 	c := Credential{QuerierID: querierID, Roles: append([]string(nil), roles...), Expiry: expiry}
-	mac := hmac.New(sha256.New, a.key[:])
-	mac.Write(c.signingPayload())
-	c.Signature = mac.Sum(nil)
+	c.Signature = a.sign(&c)
 	return c
 }
 
 // Verify checks the credential signature and expiry at the given time.
 func (a *Authority) Verify(c Credential, now time.Time) error {
-	mac := hmac.New(sha256.New, a.key[:])
-	mac.Write(c.signingPayload())
-	if !hmac.Equal(mac.Sum(nil), c.Signature) {
+	if !hmac.Equal(a.sign(&c), c.Signature) {
 		return errors.New("accessctl: invalid credential signature")
 	}
 	if now.After(c.Expiry) {

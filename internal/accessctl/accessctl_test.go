@@ -1,7 +1,9 @@
 package accessctl
 
 import (
+	"encoding/hex"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -200,4 +202,61 @@ func TestAuthorizeHavingAndGroupByColumns(t *testing.T) {
 	if err := p.Authorize(cred("r"), q); err != nil {
 		t.Fatalf("legal HAVING denied: %v", err)
 	}
+}
+
+// TestVerifyTable: the pooled signer must take the decisions, and return
+// the error strings, of a fresh hmac.New per call — serially and from
+// eight goroutines sharing the authority (the fleet's devices do). The
+// signature is pinned to the bytes the unpooled Issue produced.
+func TestVerifyTable(t *testing.T) {
+	a := issuer()
+	stamp := time.Unix(1700000000, 0).UTC()
+	valid := a.Issue("edf", []string{"energy-analyst", "auditor"}, stamp)
+	const golden = "dc6c4674a833934cf1f37239c2791f7287878e2c244ff86d52fb4d2b6b6b445d"
+	if got := hex.EncodeToString(valid.Signature); got != golden {
+		t.Fatalf("signature = %s, want %s", got, golden)
+	}
+	forged := valid
+	forged.Signature = append([]byte(nil), valid.Signature...)
+	forged.Signature[31] ^= 0x80
+	roles := valid
+	roles.Roles = []string{"energy-analyst", "admin"}
+	const badSig = "accessctl: invalid credential signature"
+	cases := []struct {
+		name string
+		c    Credential
+		at   time.Time
+		want string // "" = accepted
+	}{
+		{"valid", valid, stamp.Add(-time.Hour), ""},
+		{"valid at the expiry instant", valid, stamp, ""},
+		{"forged signature", forged, stamp.Add(-time.Hour), badSig},
+		{"empty signature", Credential{QuerierID: "edf", Expiry: stamp}, stamp, badSig},
+		{"altered role set", roles, stamp.Add(-time.Hour), badSig},
+		{"expired", valid, stamp.Add(time.Second), "accessctl: credential expired at 2023-11-14T22:13:20Z"},
+		{"forged and expired", forged, stamp.Add(time.Second), badSig},
+	}
+	check := func(report func(string, ...any)) {
+		for _, tc := range cases {
+			got := ""
+			if err := a.Verify(tc.c, tc.at); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				report("%s: Verify = %q, want %q", tc.name, got, tc.want)
+			}
+		}
+	}
+	check(t.Fatalf)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				check(t.Errorf)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -244,6 +244,52 @@ func BenchmarkVerifyBuild(b *testing.B) {
 	}
 }
 
+// ssiShapes are the collections the repo benchmark's ssi-heavy workloads
+// leave in the store: 480 deposits of 50 tuples (noise_tagged) and 100 of
+// 300 (deep_device), over 50 tags.
+var ssiShapes = []struct{ deposits, per int }{{480, 50}, {100, 300}}
+
+// BenchmarkTagPartitions times the SSI's per-tag build of the first
+// aggregation step, 64 tuples to a partition.
+func BenchmarkTagPartitions(b *testing.B) {
+	for _, shape := range ssiShapes {
+		b.Run(fmt.Sprintf("deposits=%dx%d", shape.deposits, shape.per), func(b *testing.B) {
+			input := benchTuples(shape.deposits*shape.per, 50)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if parts := ssi.TagPartitions(input, 64); len(parts) < 50 {
+					b.Fatalf("%d partitions", len(parts))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStreamBuild times the deposit-order build over a stored
+// collection, stash included: windows inside a chunk are views, the few
+// that straddle a chunk boundary are copied.
+func BenchmarkStreamBuild(b *testing.B) {
+	for _, shape := range ssiShapes {
+		b.Run(fmt.Sprintf("deposits=%dx%d", shape.deposits, shape.per), func(b *testing.B) {
+			store, input := ssi.New(), benchTuples(shape.deposits*shape.per, 50)
+			must(store.PostQuery(&protocol.QueryPost{ID: "q"}, time.Unix(1700000000, 0)))
+			for d := 0; d < shape.deposits; d++ {
+				if _, _, err := store.Deposit("q", input[d*shape.per:(d+1)*shape.per], time.Unix(1700000000, 0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if parts := store.StreamBuild("q", 64); len(parts) != (len(input)+63)/64 {
+					b.Fatalf("%d partitions", len(parts))
+				}
+			}
+		})
+	}
+}
+
 // benchAggSQL is the repo benchmark's aggregate query.
 const benchAggSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 	`WHERE C.cid = P.cid GROUP BY C.district`

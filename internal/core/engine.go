@@ -214,12 +214,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// newTDS builds a device wired to the engine's shared plan cache.
-func (e *Engine) newTDS(id string, db *storage.LocalDB, ring tdscrypto.KeyRing) (*tds.TDS, error) {
-	t, err := tds.New(id, db, ring, e.cfg.Policy, e.authority)
+// newTDS builds an eager device enrolled at the authority's current
+// epoch, wired to the engine's shared plan cache. Like a packed slot it
+// borrows the epoch's key material: one ring per epoch, expanded once.
+func (e *Engine) newTDS(id string, db *storage.LocalDB) (*tds.TDS, error) {
+	epoch := uint32(e.keyAuth.Epoch())
+	km, err := e.keyMaterial(epoch)
 	if err != nil {
 		return nil, err
 	}
+	t := tds.NewWithMaterial(id, db, km, e.cfg.Policy, e.authority)
+	t.SetEpoch(int(epoch) + 1)
 	t.Shared = e.planCache
 	return t, nil
 }
@@ -266,7 +271,6 @@ func (e *Engine) rotateKeysLocked() {
 func (e *Engine) ReenrollAll() error {
 	e.life.Lock()
 	defer e.life.Unlock()
-	wire := int(e.keyAuth.Epoch()) + 1
 	for i, old := range e.fleet {
 		if old == nil {
 			// A packed slot re-enrolls by recording the new epoch; the
@@ -274,11 +278,10 @@ func (e *Engine) ReenrollAll() error {
 			e.packed.epoch[i] = uint32(e.keyAuth.Epoch())
 			continue
 		}
-		t, err := e.newTDS(old.ID, old.DB, e.keys)
+		t, err := e.newTDS(old.ID, old.DB)
 		if err != nil {
 			return err
 		}
-		t.SetEpoch(wire)
 		t.Corrupt = old.Corrupt
 		e.fleet[i] = t
 	}
@@ -316,7 +319,6 @@ func (e *Engine) RevokeAndRotate(ids ...string) error {
 	if err != nil {
 		return err
 	}
-	wire := int(e.keyAuth.Epoch()) + 1
 	for i, old := range e.fleet {
 		id := e.deviceIDLocked(i)
 		if e.revoked[id] {
@@ -326,22 +328,21 @@ func (e *Engine) RevokeAndRotate(ids ...string) error {
 		if err != nil {
 			return err
 		}
-		ring, err := dk.OpenRing(msg)
-		if err != nil {
+		// The opened ring is the authority's freshly rotated ring, which
+		// the device re-derives from its new epoch: a packed slot on wake,
+		// an eager one by borrowing the epoch's expanded material.
+		if _, err := dk.OpenRing(msg); err != nil {
 			return fmt.Errorf("core: device %s failed to open the key broadcast: %w", id, err)
 		}
 		if old == nil {
-			// The opened ring is the authority's freshly rotated ring;
-			// the packed slot records the epoch and re-derives it on
-			// wake. Revoked packed slots keep their dead epoch.
+			// Revoked packed slots keep their dead epoch.
 			e.packed.epoch[i] = uint32(e.keyAuth.Epoch())
 			continue
 		}
-		t, err := e.newTDS(old.ID, old.DB, ring)
+		t, err := e.newTDS(old.ID, old.DB)
 		if err != nil {
 			return err
 		}
-		t.SetEpoch(wire)
 		t.Corrupt = old.Corrupt
 		e.fleet[i] = t
 	}
@@ -470,11 +471,10 @@ func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
 	e.life.Lock()
 	defer e.life.Unlock()
 	id := fmt.Sprintf("tds-%05d", len(e.fleet))
-	t, err := e.newTDS(id, db, e.keys)
+	t, err := e.newTDS(id, db)
 	if err != nil {
 		return nil, err
 	}
-	t.SetEpoch(int(e.keyAuth.Epoch()) + 1)
 	if f := e.cfg.CompromisedFraction; f > 0 {
 		r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(id)) ^ 0x5eed))
 		t.Corrupt = r.Float64() < f

@@ -181,7 +181,7 @@ func (a *Adversary) tampered(id string, honest [][]protocol.WireTuple) [][]proto
 	defer a.mu.Unlock()
 	a.builds++
 	out := a.tamperLocked(honest, fmt.Sprintf("build-%d", a.builds))
-	a.prev = copyBuild(honest)
+	a.prev = viewBuild(honest)
 	return out
 }
 
@@ -217,7 +217,7 @@ func (a *Adversary) tamperLocked(parts [][]protocol.WireTuple, at string) [][]pr
 					}
 					parts = replacePart(parts, q, append(append([]protocol.WireTuple(nil), parts[q]...), w))
 				} else {
-					parts = append(copyBuild(parts), []protocol.WireTuple{w})
+					parts = append(viewBuild(parts), []protocol.WireTuple{w})
 				}
 				a.fired(b, at)
 			}

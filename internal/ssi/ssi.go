@@ -56,13 +56,6 @@ type EpochPolicy struct {
 	Revoked []string
 }
 
-// EpochPolicyHolder is the historical name of the Epochs facet, kept as
-// an alias for callers that type-asserted it before Epochs became part of
-// Service proper.
-//
-// Deprecated: use Epochs.
-type EpochPolicyHolder = Epochs
-
 // QueryState is everything the SSI holds for one active query.
 type QueryState struct {
 	Post        *protocol.QueryPost
@@ -70,9 +63,10 @@ type QueryState struct {
 	Done        bool // SIZE condition reached
 	StartedAt   time.Time
 
-	tuples    tupleStore // the spillable collection multiset
-	observed  Observation
-	attempts  map[string]int // device -> highest committed deposit attempt
+	tuples    tupleStore        // the spillable collection multiset
+	observed  Observation       // TagCounts stays nil here: tags count in tagCounts
+	tagCounts map[string]*int64 // counted through pointers: no key per tuple
+	attempts  map[string]int    // device -> highest committed deposit attempt
 	ledger    []LedgerEntry
 	lastBuild [][]protocol.WireTuple // most recent partition build, for Repartition
 }
@@ -88,47 +82,50 @@ const tupleChunk = 4096
 // live in one contiguous allocation. Append order is preserved exactly —
 // the covering-count and per-deposit commitment checks rely on offsets
 // into the deposit-order sequence.
+//
+// The store is append-only and a stored tuple is immutable: a chunk is
+// allocated at full capacity and never moves, and a written slot is never
+// written again. So reads can be views: a window handed out before later
+// deposits still reads the same tuples after them.
 type tupleStore struct {
 	chunks [][]protocol.WireTuple
 	n      int
 }
 
-func (ts *tupleStore) append(w protocol.WireTuple) {
-	if len(ts.chunks) == 0 || len(ts.chunks[len(ts.chunks)-1]) == tupleChunk {
-		ts.chunks = append(ts.chunks, make([]protocol.WireTuple, 0, tupleChunk))
+func (ts *tupleStore) append(ws []protocol.WireTuple) {
+	for len(ws) > 0 {
+		if len(ts.chunks) == 0 || len(ts.chunks[len(ts.chunks)-1]) == tupleChunk {
+			ts.chunks = append(ts.chunks, make([]protocol.WireTuple, 0, tupleChunk))
+		}
+		last := &ts.chunks[len(ts.chunks)-1]
+		take := min(len(ws), tupleChunk-len(*last))
+		*last = append(*last, ws[:take]...)
+		ts.n += take
+		ws = ws[take:]
 	}
-	last := len(ts.chunks) - 1
-	ts.chunks[last] = append(ts.chunks[last], w)
-	ts.n++
 }
 
-// slice copies the half-open window [start, end) into a fresh slice.
-// Out-of-range bounds are clamped.
+// slice returns the half-open window [start, end), out-of-range bounds
+// clamped: a view of the chunk it sits in, capacity clipped so an append
+// by the holder reallocates, or a copy when it straddles a chunk boundary.
 func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
-	if start < 0 {
-		start = 0
-	}
-	if end > ts.n {
-		end = ts.n
-	}
+	start, end = max(start, 0), min(end, ts.n)
 	if start >= end {
 		return nil
+	}
+	if c, off := ts.chunks[start/tupleChunk], start%tupleChunk; off+end-start <= len(c) {
+		return c[off : off+end-start : off+end-start]
 	}
 	out := make([]protocol.WireTuple, 0, end-start)
 	for i := start; i < end; {
 		c := ts.chunks[i/tupleChunk]
 		off := i % tupleChunk
-		take := len(c) - off
-		if rem := end - i; take > rem {
-			take = rem
-		}
+		take := min(len(c)-off, end-i)
 		out = append(out, c[off:off+take]...)
 		i += take
 	}
 	return out
 }
-
-func (ts *tupleStore) all() []protocol.WireTuple { return ts.slice(0, ts.n) }
 
 // Store is the querybox-and-ledger facet of the infrastructure: posting
 // queries, accepting deposits into the chunked collection store, reading
@@ -152,8 +149,7 @@ type Store interface {
 
 // Epochs is the rotation-policy facet: the engine's rotation coordinator
 // pushes the admit gate's view of the current epoch, the grace window and
-// the revocation list through it. It absorbs what used to be the bolt-on
-// EpochPolicyHolder type-assert.
+// the revocation list through it.
 type Epochs interface {
 	SetEpochPolicy(EpochPolicy)
 }
@@ -227,12 +223,13 @@ type Observation struct {
 	BytesSeen    int64
 }
 
-// clone returns a deep copy for safe hand-out.
-func (o *Observation) clone() Observation {
-	out := *o
-	out.TagCounts = make(map[string]int64, len(o.TagCounts))
-	for k, v := range o.TagCounts {
-		out.TagCounts[k] = v
+// observation returns the query's curious record with the tag counts
+// copied into a fresh TagCounts map, safe to hand out.
+func (st *QueryState) observation() Observation {
+	out := st.observed
+	out.TagCounts = make(map[string]int64, len(st.tagCounts))
+	for tag, n := range st.tagCounts {
+		out.TagCounts[tag] = *n
 	}
 	return out
 }
@@ -291,7 +288,7 @@ func (s *SSI) PostQuery(post *protocol.QueryPost, now time.Time) error {
 	s.queries[post.ID] = &QueryState{
 		Post:      post,
 		StartedAt: now,
-		observed:  Observation{TagCounts: make(map[string]int64)},
+		tagCounts: make(map[string]*int64),
 		attempts:  make(map[string]int),
 	}
 	return nil
@@ -470,31 +467,38 @@ func (s *SSI) LedgerFor(id string) []LedgerEntry {
 	return out
 }
 
-// depositLocked stores one device's tuples; the caller holds s.mu.
+// depositLocked stores one device's tuples, up to the SIZE cap; the
+// caller holds s.mu and has seen st.Done false.
 func (s *SSI) depositLocked(st *QueryState, tuples []protocol.WireTuple, now time.Time) (accepted int) {
-	for _, w := range tuples {
-		st.tuples.append(w)
-		st.BytesStored += int64(w.Size())
-		s.observe(st, w)
-		accepted++
-		if max := st.Post.Size.MaxTuples; max > 0 && int64(st.tuples.n) >= max {
-			st.Done = true
-			break
+	if max := st.Post.Size.MaxTuples; max > 0 {
+		if room := max - int64(st.tuples.n); int64(len(tuples)) >= room {
+			tuples, st.Done = tuples[:room], true
 		}
+	}
+	st.tuples.append(tuples)
+	for i := range tuples {
+		st.BytesStored += int64(tuples[i].Size())
+		s.observe(st, &tuples[i])
 	}
 	if d := st.Post.Size.Duration; d > 0 && now.Sub(st.StartedAt) >= d {
 		st.Done = true
 	}
-	return accepted
+	return len(tuples)
 }
 
 // observe records what the honest-but-curious SSI can see of one tuple.
-func (s *SSI) observe(st *QueryState, w protocol.WireTuple) {
+// Only a tag seen for the first time allocates (its key and counter).
+func (s *SSI) observe(st *QueryState, w *protocol.WireTuple) {
 	st.observed.TotalTuples++
 	st.observed.BytesSeen += int64(w.Size())
 	if len(w.Tag) > 0 {
 		st.observed.TaggedTuples++
-		st.observed.TagCounts[string(w.Tag)]++
+		n := st.tagCounts[string(w.Tag)]
+		if n == nil {
+			n = new(int64)
+			st.tagCounts[string(w.Tag)] = n
+		}
+		*n++
 	}
 }
 
@@ -508,8 +512,8 @@ func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, at time.Time)
 	if !ok {
 		return
 	}
-	for _, w := range tuples {
-		s.observe(st, w)
+	for i := range tuples {
+		s.observe(st, &tuples[i])
 	}
 	s.trace.SSIEvent(id, "relay", "", at, obs.CipherFacts{
 		Tuples: len(tuples), Bytes: int64(protocol.TotalSize(tuples)),
@@ -533,8 +537,9 @@ func (s *SSI) CollectionDone(id string, now time.Time) bool {
 }
 
 // CollectedTuples returns the covering result of the collection phase as
-// one flat copy. Large-fleet consumers should prefer CollectedCount +
-// CollectedRange, which never force the whole collection into one slice.
+// one flat slice (a view while it fits one chunk, a copy beyond). Large-
+// fleet consumers should prefer CollectedCount + CollectedRange, which
+// never force the whole collection into one slice.
 func (s *SSI) CollectedTuples(id string) []protocol.WireTuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -542,7 +547,7 @@ func (s *SSI) CollectedTuples(id string) []protocol.WireTuple {
 	if !ok {
 		return nil
 	}
-	return st.tuples.all()
+	return st.tuples.slice(0, st.tuples.n)
 }
 
 // CollectedCount returns the number of tuples stored for the query.
@@ -556,9 +561,9 @@ func (s *SSI) CollectedCount(id string) int {
 	return st.tuples.n
 }
 
-// CollectedRange returns a copy of the stored tuples [start, end) in
-// deposit order — the window a streaming verifier walks one deposit at a
-// time instead of materializing the whole collection.
+// CollectedRange returns the stored tuples [start, end) in deposit order
+// — the window a streaming verifier walks one deposit at a time instead
+// of materializing the whole collection. A snapshot; never written through.
 func (s *SSI) CollectedRange(id string, start, end int) []protocol.WireTuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -577,7 +582,7 @@ func (s *SSI) ObservationFor(id string) Observation {
 	if !ok {
 		return Observation{TagCounts: map[string]int64{}}
 	}
-	return st.observed.clone()
+	return st.observation()
 }
 
 // BytesStored returns the temporary-storage footprint of a query at the
@@ -640,15 +645,15 @@ func (s *SSI) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
 		}
 		parts = append(parts, st.tuples.slice(start, end))
 	}
-	st.lastBuild = copyBuild(parts)
+	st.lastBuild = viewBuild(parts)
 	return parts
 }
 
 // Repartition re-issues the most recent partition build of a query — what
 // the engine demands after quarantining a build that failed verification.
-// The honest SSI's stash is a private copy taken at build time, so the
-// re-issue is exactly the build it originally computed, whatever happened
-// to the slices it handed out.
+// The honest SSI's stash is a private outer slice taken at build time, so
+// the re-issue is exactly the build it originally computed, whatever was
+// done to the outer slice it handed out.
 func (s *SSI) Repartition(id string) [][]protocol.WireTuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -656,7 +661,7 @@ func (s *SSI) Repartition(id string) [][]protocol.WireTuple {
 	if !ok || st.lastBuild == nil {
 		return nil
 	}
-	return copyBuild(st.lastBuild)
+	return viewBuild(st.lastBuild)
 }
 
 // stashBuild snapshots a partition build for Repartition.
@@ -667,18 +672,17 @@ func (s *SSI) stashBuild(id string, parts [][]protocol.WireTuple) {
 	if !ok {
 		return
 	}
-	st.lastBuild = copyBuild(parts)
+	st.lastBuild = viewBuild(parts)
 }
 
-// copyBuild deep-copies the partition structure (the tuples themselves
-// are immutable value structs shared by design).
-func copyBuild(parts [][]protocol.WireTuple) [][]protocol.WireTuple {
+// viewBuild returns a private outer slice over the build's partitions,
+// which it shares. Sharing is safe because a partition's tuples are never
+// written once built (the adversary rebuilds what it strikes), and every
+// window is capacity-clipped: an append through it reallocates.
+func viewBuild(parts [][]protocol.WireTuple) [][]protocol.WireTuple {
 	out := make([][]protocol.WireTuple, len(parts))
 	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		out[i] = append([]protocol.WireTuple(nil), p...)
+		out[i] = p[:len(p):len(p)]
 	}
 	return out
 }
@@ -705,7 +709,7 @@ func RandomPartitions(tuples []protocol.WireTuple, perPartition int, rng *rand.R
 		if end > len(shuffled) {
 			end = len(shuffled)
 		}
-		out = append(out, shuffled[start:end])
+		out = append(out, shuffled[start:end:end])
 	}
 	return out
 }
@@ -723,39 +727,68 @@ func TagPartitions(tuples []protocol.WireTuple, maxPerPartition int) [][]protoco
 	if maxPerPartition <= 0 {
 		maxPerPartition = len(tuples)
 	}
-	byTag := make(map[string][]protocol.WireTuple)
-	var order []string // deterministic partition order: first appearance
-	var untagged []protocol.WireTuple
-	for _, w := range tuples {
-		if len(w.Tag) == 0 {
-			untagged = append(untagged, w)
+	// Count: number each tag by first appearance (the deterministic
+	// partition order) and remember every tuple's group, -1 for untagged.
+	groupOf := make([]int32, len(tuples))
+	index := make(map[string]int32)
+	var counts []int     // tuples per group
+	var sprinkle []int32 // positions of the untagged tuples
+	for i := range tuples {
+		tag := tuples[i].Tag
+		if len(tag) == 0 {
+			groupOf[i] = -1
+			sprinkle = append(sprinkle, int32(i))
 			continue
 		}
-		k := string(w.Tag)
-		if _, seen := byTag[k]; !seen {
-			order = append(order, k)
+		g, seen := index[string(tag)]
+		if !seen {
+			g = int32(len(counts))
+			index[string(tag)] = g
+			counts = append(counts, 0)
 		}
-		byTag[k] = append(byTag[k], w)
+		groupOf[i] = g
+		counts[g]++
 	}
-	var out [][]protocol.WireTuple
-	for _, k := range order {
-		group := byTag[k]
-		for start := 0; start < len(group); start += maxPerPartition {
-			end := start + maxPerPartition
-			if end > len(group) {
-				end = len(group)
-			}
-			out = append(out, group[start:end])
+	// Carve: group g owns ceil(count/max) consecutive partitions from
+	// first[g], each a clipped window of one flat array sized for its tagged
+	// tuples plus its share of the untagged; next[p] becomes its cursor.
+	first := make([]int, len(counts))
+	var next []int
+	for g, c := range counts {
+		first[g] = len(next)
+		for ; c > 0; c -= maxPerPartition {
+			next = append(next, min(c, maxPerPartition)) // the tagged size, until carved
 		}
 	}
-	if len(untagged) > 0 {
-		if len(out) == 0 {
-			out = append(out, nil)
+	if len(next) == 0 {
+		next = []int{0} // nothing tagged: one partition of sprinkles
+	}
+	nparts, untagged := len(next), len(sprinkle)
+	flat := make([]protocol.WireTuple, len(tuples))
+	out := make([][]protocol.WireTuple, nparts)
+	start := 0
+	for p := range out {
+		size := next[p] + untagged/nparts
+		if p < untagged%nparts {
+			size++
 		}
-		for i, w := range untagged {
-			j := i % len(out)
-			out[j] = append(out[j], w)
+		out[p], next[p] = flat[start:start+size:start+size], start
+		start += size
+	}
+	// Place: a group fills its partitions in order of appearance; the
+	// untagged tuples then go round-robin behind the tagged ones.
+	clear(counts) // now: tuples of each group placed so far
+	for i := range tuples {
+		if g := groupOf[i]; g >= 0 {
+			p := first[g] + counts[g]/maxPerPartition
+			counts[g]++
+			flat[next[p]] = tuples[i]
+			next[p]++
 		}
+	}
+	for k, i := range sprinkle {
+		flat[next[k%nparts]] = tuples[i]
+		next[k%nparts]++
 	}
 	return out
 }

@@ -8,6 +8,7 @@
 package tds
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
@@ -29,12 +30,13 @@ type TDS struct {
 	Policy    *accessctl.Policy
 	Authority *accessctl.Authority
 
-	// Shared is an optional fleet-wide compiled-plan cache installed by
-	// the engine. Every TDS compiles the common query against the common
+	// Shared is an optional fleet-wide per-query cache installed by the
+	// engine. Every TDS compiles the common query against the common
 	// schema, so the work is identical across the fleet; sharing it turns
 	// a fleet-size × compile cost into a single compile. Each device still
 	// decrypts the query with its own key material first — a stale-epoch
-	// device must keep failing there, cache or not.
+	// device must keep failing there, cache or not. It also shares Det_Enc
+	// tags among devices holding the same expanded key (groupTag).
 	Shared *PlanCache
 
 	// Corrupt marks a compromised device for the extended threat model
@@ -80,7 +82,6 @@ func New(id string, db *storage.LocalDB, ring tdscrypto.KeyRing,
 // use, so one KeyMaterial can back many TDSs at once.
 type KeyMaterial struct {
 	K1, K2     *tdscrypto.Suite
-	K2Raw      tdscrypto.Key
 	BucketHash *tdscrypto.BucketHasher
 	AuditMAC   *tdscrypto.MACPool
 	Committer  *tdscrypto.Committer
@@ -97,7 +98,7 @@ func NewKeyMaterial(ring tdscrypto.KeyRing) (*KeyMaterial, error) {
 		return nil, err
 	}
 	return &KeyMaterial{
-		K1: s1, K2: s2, K2Raw: ring.K2,
+		K1: s1, K2: s2,
 		BucketHash: tdscrypto.NewBucketHasher(ring.K2),
 		AuditMAC:   tdscrypto.NewMACPool(ring.K2),
 		Committer:  tdscrypto.NewCommitter(ring.K2),
@@ -199,13 +200,19 @@ func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []prot
 	return protocol.DepositCommitment(c, post.ID, t.ID, attempt, epoch, tuples), epoch
 }
 
-// PlanCache shares compiled query plans across a fleet. It is keyed by
-// (query ID, schema) so devices on different schemas can never exchange
-// plans; within one fleet the schema pointer is common and every device
-// after the first gets the compile for free. Safe for concurrent use.
+// PlanCache shares across a fleet, for the life of one query, what every
+// device would compute identically. Plans are keyed by (query ID, schema)
+// so devices on different schemas can never exchange plans; within one
+// fleet the schema pointer is common and every device after the first
+// gets the compile for free. Det_Enc tags are keyed by (query ID, key
+// material, encoded group) — Det_Enc is a function of k2, the query's AAD
+// and the plaintext, and a *KeyMaterial is one expanded k2 — so a device
+// only ever reads tags its own serving material computed. Safe for
+// concurrent use.
 type PlanCache struct {
 	mu    sync.RWMutex
 	plans map[planKey]*sqlexec.Plan
+	tags  map[tagKey][]byte
 }
 
 type planKey struct {
@@ -213,9 +220,29 @@ type planKey struct {
 	schema  *storage.Schema
 }
 
+type tagKey struct {
+	queryID string
+	km      *KeyMaterial
+	group   string // storage.AppendRow of the grouping values
+}
+
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[planKey]*sqlexec.Plan)}
+	return &PlanCache{plans: make(map[planKey]*sqlexec.Plan), tags: make(map[tagKey][]byte)}
+}
+
+// tag returns the shared Det_Enc tag of one encoded group, nil on a miss.
+// A key literal in the index expression converts group without allocating.
+func (c *PlanCache) tag(id string, km *KeyMaterial, group []byte) []byte {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tags[tagKey{id, km, string(group)}]
+}
+
+func (c *PlanCache) putTag(id string, km *KeyMaterial, group, tag []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tags[tagKey{id, km, string(group)}] = tag
 }
 
 func (c *PlanCache) get(id string, schema *storage.Schema) *sqlexec.Plan {
@@ -230,13 +257,18 @@ func (c *PlanCache) put(id string, schema *storage.Schema, p *sqlexec.Plan) {
 	c.plans[planKey{id, schema}] = p
 }
 
-// Drop forgets every cached plan of a finished query.
+// Drop forgets every cached plan and tag of a finished query.
 func (c *PlanCache) Drop(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k := range c.plans {
 		if k.queryID == id {
 			delete(c.plans, k)
+		}
+	}
+	for k := range c.tags {
+		if k.queryID == id {
+			delete(c.tags, k)
 		}
 	}
 }
@@ -319,6 +351,7 @@ type collectScratch struct {
 	m       *KeyMaterial     // material serving this call
 	payload []byte           // marker + encoded row plaintext
 	tag     []byte           // encoded grouping values / bucket identifier
+	key     []byte           // controlledFakes: the true group's key, then a candidate's
 	row     storage.Row      // assembled fake row
 	arena   *tdscrypto.Arena // optional slab for ciphertexts and tags
 }
@@ -370,7 +403,14 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 		return []protocol.WireTuple{w}, stats, nil
 	}
 
-	out := make([]protocol.WireTuple, 0, len(rows))
+	perRow := 1 // the true tuple and the fakes it brings
+	switch post.Kind {
+	case protocol.KindRnfNoise:
+		perRow += post.Params.Nf
+	case protocol.KindCNoise:
+		perRow += len(cfg.Domain)
+	}
+	out := make([]protocol.WireTuple, 0, len(rows)*perRow)
 	for _, row := range rows {
 		tag, err := t.collectionTag(post, plan, cfg, row, &sc)
 		if err != nil {
@@ -466,11 +506,22 @@ func groupValues(plan *sqlexec.Plan, row storage.Row) storage.Row {
 }
 
 // groupTag is Det_Enc_k2 over the encoded grouping values, bound to the
-// query by its AAD. The encoding goes through the scratch buffer; the
-// returned tag is freshly allocated by the cipher and safe to retain.
+// query by its AAD. The encoding goes through the scratch buffer. The tag
+// is one value per (query, material, group), so it is looked up in the
+// fleet-shared table and computed, with the serving material's own k2,
+// only on a miss; like every tuple field it is never written again.
 func (t *TDS) groupTag(post *protocol.QueryPost, group storage.Row, sc *collectScratch) ([]byte, error) {
 	sc.tag = storage.AppendRow(sc.tag[:0], group)
-	return sc.m.K2.DetEncryptArena(sc.tag, post.AAD(), sc.arena)
+	if t.Shared != nil {
+		if tag := t.Shared.tag(post.ID, sc.m, sc.tag); tag != nil {
+			return tag, nil
+		}
+	}
+	tag, err := sc.m.K2.DetEncryptArena(sc.tag, post.AAD(), sc.arena)
+	if err == nil && t.Shared != nil {
+		t.Shared.putTag(post.ID, sc.m, sc.tag, tag)
+	}
+	return tag, err
 }
 
 // randomFakes appends nf fake tuples whose A_G values are drawn uniformly
@@ -500,9 +551,11 @@ func (t *TDS) controlledFakes(post *protocol.QueryPost, plan *sqlexec.Plan,
 	if len(cfg.Domain) == 0 {
 		return nil, fmt.Errorf("tds %s: C_Noise requires the A_G domain", t.ID)
 	}
-	trueKey := groupValues(plan, trueRow).Key()
+	sc.key = groupValues(plan, trueRow).AppendKey(sc.key[:0])
+	n := len(sc.key)
 	for _, g := range cfg.Domain {
-		if g.Key() == trueKey {
+		sc.key = g.AppendKey(sc.key[:n])
+		if bytes.Equal(sc.key[n:], sc.key[:n]) {
 			continue
 		}
 		w, err := t.encryptFake(post, t.fakeRow(plan, cfg, g, sc), g, sc)

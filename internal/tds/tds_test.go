@@ -1,7 +1,10 @@
 package tds
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -533,5 +536,131 @@ func TestAggregateFoldAllocBudget(t *testing.T) {
 	if large > small+4 || large > 52 {
 		t.Errorf("Aggregate allocates %v times over 40 tuples and %v over 400, both of %d groups; budget 52",
 			small, large, len(districts))
+	}
+}
+
+// TestCollectNoiseAllocBudget: a C_Noise collection allocates per call,
+// not per fake — the output is sized once, group keys are compared in a
+// scratch buffer, tags come from the shared table and ciphertexts from
+// the arena. Five times the domain must cost the same.
+func TestCollectNoiseAllocBudget(t *testing.T) {
+	post := makePost(t, aggSQL, protocol.KindCNoise, protocol.Params{})
+	shared := NewPlanCache()
+	collect := func(domainSize int) float64 {
+		c := cfg()
+		for i := 0; i < domainSize; i++ {
+			c.Domain = append(c.Domain, storage.Row{storage.Str(fmt.Sprintf("district-%02d", i))})
+		}
+		d := newTDS(t, row(1, "district-03", 10), row(1, "district-07", 20))
+		d.Shared = shared
+		return testing.AllocsPerRun(20, func() {
+			c.Arena = &tdscrypto.Arena{} // as the engine does per worker: blocks amortize over a wave
+			tuples, stats, err := d.Collect(post, c)
+			if err != nil || len(tuples) != 2*domainSize || stats.Fake != 2*(domainSize-1) {
+				t.Fatalf("collected %d tuples, stats %+v: %v", len(tuples), stats, err)
+			}
+		})
+	}
+	// Measured at 21 and 21: the arena and its block, the output, the
+	// scratch buffers, the local rows and the policy check. The slack is
+	// for pooled MAC states a GC or the race detector drops; one Key()
+	// string per domain value per row would alone add 100.
+	small, large := collect(10), collect(50)
+	if large > small+4 || large > 28 {
+		t.Errorf("Collect allocates %v times at |domain| 10 and %v at 50; budget 28, and no growth", small, large)
+	}
+}
+
+// TestDetTagTable: the shared table hands out exactly Det_Enc's bytes,
+// and only ever to devices whose serving material computed them.
+func TestDetTagTable(t *testing.T) {
+	auth := tdscrypto.NewKeyAuthority(tdscrypto.DeriveKey(tdscrypto.Key{}, "m"))
+	km1, err := NewKeyMaterial(auth.RingAt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	km2, err := NewKeyMaterial(auth.RingAt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewPlanCache()
+	device := func(id string, epoch int, km *KeyMaterial) *TDS {
+		d := NewWithMaterial(id, storage.NewLocalDB(schema()), km, nil, nil)
+		d.SetEpoch(epoch)
+		d.Shared = shared
+		return d
+	}
+	post := makePost(t, aggSQL, protocol.KindCNoise, protocol.Params{})
+	post.Epoch = 1
+	group := storage.Row{storage.Str("Paris")}
+	tagOf := func(d *TDS) []byte {
+		sc := collectScratch{m: d.matFor(post)}
+		tag, err := d.groupTag(post, group, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tag
+	}
+	want := func(km *KeyMaterial) []byte {
+		tag, err := km.K2.DetEncrypt(storage.EncodeRow(group), post.AAD())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tag
+	}
+
+	first, second := device("a", 1, km1), device("b", 1, km1)
+	miss, hit := tagOf(first), tagOf(second)
+	if !bytes.Equal(miss, want(km1)) || !bytes.Equal(hit, want(km1)) {
+		t.Fatal("table tag differs from DetEncrypt under the same k2")
+	}
+	if &miss[0] != &hit[0] {
+		t.Error("second device of the epoch recomputed the tag instead of sharing it")
+	}
+	// A migrated device serves the epoch-1 post through its grace
+	// material, so it shares epoch 1's tags — and its own epoch's tags
+	// once the post is at epoch 2.
+	migrated := device("c", 1, km1)
+	migrated.Migrate(2, km2)
+	if got := tagOf(migrated); &got[0] != &miss[0] {
+		t.Error("grace material did not resolve its own epoch's table entry")
+	}
+	// A device stuck on another epoch computes and reads only its own.
+	stale := device("d", 2, km2)
+	if got := tagOf(stale); !bytes.Equal(got, want(km2)) || bytes.Equal(got, miss) {
+		t.Error("a device on another epoch must get tags under its own k2")
+	}
+	if len(shared.tags) != 2 {
+		t.Errorf("table holds %d tags, want one per material", len(shared.tags))
+	}
+	// A wave of devices of both epochs filling and reading the table at
+	// once (run under -race by check.sh).
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		km := []*KeyMaterial{km1, km2}[g%2]
+		wg.Add(1)
+		go func(d *TDS) {
+			defer wg.Done()
+			sc := collectScratch{m: km}
+			for i := 0; i < 200; i++ {
+				grp := storage.Row{storage.Int(int64(i % 20))}
+				want, _ := km.K2.DetEncrypt(storage.EncodeRow(grp), post.AAD())
+				if got, err := d.groupTag(post, grp, &sc); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent tag of group %d: %x, want %x (%v)", i%20, got, want, err)
+					return
+				}
+			}
+		}(device(fmt.Sprint("w", g), 1+g%2, km))
+	}
+	wg.Wait()
+	shared.Drop(post.ID)
+	if len(shared.tags) != 0 {
+		t.Errorf("%d tags outlive the query", len(shared.tags))
+	}
+	// No shared cache: every call computes, same bytes.
+	alone := device("e", 1, km1)
+	alone.Shared = nil
+	if a, b := tagOf(alone), tagOf(alone); !bytes.Equal(a, miss) || &a[0] == &b[0] {
+		t.Error("Shared == nil must still tag, freshly each time")
 	}
 }

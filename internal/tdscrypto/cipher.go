@@ -85,11 +85,7 @@ func MustSuite(k Key) *Suite {
 // plaintexts nor mount frequency attacks. aad is authenticated but not
 // encrypted (message headers).
 func (s *Suite) NDetEncrypt(plaintext, aad []byte) ([]byte, error) {
-	out := make([]byte, nonceSize, nonceSize+len(plaintext)+s.aead.Overhead())
-	if _, err := rand.Read(out[:nonceSize]); err != nil {
-		return nil, fmt.Errorf("tdscrypto: nonce: %w", err)
-	}
-	return s.aead.Seal(out, out[:nonceSize], plaintext, aad), nil
+	return s.NDetEncryptArena(plaintext, aad, nil)
 }
 
 // NDetEncryptArena is NDetEncrypt with the output carved from the arena
@@ -111,16 +107,7 @@ func (s *Suite) NDetEncryptArena(plaintext, aad []byte, a *Arena) ([]byte, error
 // tuples of one group into one partition — and it is exactly what the
 // frequency attack of Section 5 exploits, hence the noise protocols.
 func (s *Suite) DetEncrypt(plaintext, aad []byte) ([]byte, error) {
-	mac := s.detMAC.Get()
-	mac.Write(aad)
-	mac.Write(sepZero)
-	mac.Write(plaintext)
-	var sum [sha256.Size]byte
-	synthetic := mac.Sum(sum[:0])[:nonceSize]
-	out := make([]byte, nonceSize, nonceSize+len(plaintext)+s.aead.Overhead())
-	copy(out, synthetic)
-	s.detMAC.Put(mac)
-	return s.aead.Seal(out, out[:nonceSize], plaintext, aad), nil
+	return s.DetEncryptArena(plaintext, aad, nil)
 }
 
 // DetEncryptArena is DetEncrypt with the output carved from the arena.

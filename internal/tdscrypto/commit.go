@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"sync"
 )
 
 // CommitSize is the byte length of every commitment this package emits.
@@ -26,14 +27,46 @@ const CommitSize = 16
 // "commit"), so no commitment can be replayed as any other MAC. Safe for
 // concurrent use.
 type Committer struct {
-	macs *MACPool
+	states sync.Pool // *foldState, keyed under the commitment key
 }
 
 // NewCommitter prepares a committer keyed for the fleet key. Two
 // committers built from equal keys produce equal commitments — that is
 // what lets a verifier recompute and compare a TDS's leaf commitment.
 func NewCommitter(k Key) *Committer {
-	return &Committer{macs: NewMACPool(DeriveKey(k, "commit"))}
+	key := DeriveKey(k, "commit")
+	c := &Committer{}
+	c.states.New = func() any { return &foldState{mac: hmac.New(sha256.New, key[:])} }
+	return c
+}
+
+// foldState is the pooled half of a FoldStream: a keyed MAC and the block
+// buffer in front of it. A tuple commits ~94 bytes in six pieces; written
+// one by one, the calls through hash.Hash cost as much as the SHA-256
+// they feed, so pieces gather in buf and reach the MAC a block at a time.
+// The MAC absorbs the same byte sequence either way.
+type foldState struct {
+	mac hash.Hash
+	n   int // bytes of buf not yet written to mac
+	buf [512]byte
+}
+
+func (st *foldState) flush() {
+	st.mac.Write(st.buf[:st.n])
+	st.n = 0
+}
+
+// write queues p behind what the buffer holds, flushing first when it
+// does not fit; a p larger than the whole buffer goes straight to the MAC.
+func (st *foldState) write(p []byte) {
+	if len(p) > len(st.buf)-st.n {
+		st.flush()
+		if len(p) > len(st.buf) {
+			st.mac.Write(p)
+			return
+		}
+	}
+	st.n += copy(st.buf[st.n:], p)
 }
 
 // Domain separators of the two commitment shapes.
@@ -68,13 +101,12 @@ func (c *Committer) Fold(domain string, children ...[]byte) []byte {
 // produces the byte-identical commitment Fold would, StartCommit/Add/Sum
 // the one Commit would — the MAC absorbs the exact same prefix, domain
 // and length-framed sequence. A FoldStream is single use and not safe for
-// concurrent use; call either Sum or Discard exactly once.
+// concurrent use; call either Sum or Discard once. Only the state behind
+// the handle is pooled, so a Discard after either finds st nil and cannot
+// touch a state another stream has since taken.
 type FoldStream struct {
-	c   *Committer
-	mac hash.Hash
-	// frame is Add's length prefix: as a local it would escape through
-	// the hash.Hash interface, one heap allocation per Add.
-	frame [8]byte
+	c  *Committer
+	st *foldState // nil once finished
 }
 
 // StartFold begins an incremental fold over the domain.
@@ -88,38 +120,44 @@ func (c *Committer) StartCommit(domain string) *FoldStream {
 }
 
 func (c *Committer) start(prefix []byte, domain string) *FoldStream {
-	mac := c.macs.Get()
-	mac.Write(prefix)
-	mac.Write([]byte(domain))
-	return &FoldStream{c: c, mac: mac}
+	st := c.states.Get().(*foldState)
+	st.mac.Reset()
+	st.n = copy(st.buf[:], prefix)
+	st.write([]byte(domain))
+	return &FoldStream{c: c, st: st}
 }
 
 // Add absorbs one child commitment or leaf segment, length-framed exactly
 // like Fold and Commit.
 func (f *FoldStream) Add(child []byte) {
-	binary.BigEndian.PutUint64(f.frame[:], uint64(len(child)))
-	f.mac.Write(f.frame[:])
-	f.mac.Write(child)
+	st := f.st
+	if len(st.buf)-st.n < 8 {
+		st.flush()
+	}
+	// Framed in place: a local frame would escape through hash.Hash.
+	binary.BigEndian.PutUint64(st.buf[st.n:], uint64(len(child)))
+	st.n += 8
+	st.write(child)
 }
 
 // Sum finishes the stream and returns the commitment, equal to
 // Fold(domain, children...) or Commit(domain, segments...) over what was
 // Added, in order.
 func (f *FoldStream) Sum() []byte {
-	var sum [sha256.Size]byte
+	st := f.st
+	st.flush()
 	out := make([]byte, CommitSize)
-	copy(out, f.mac.Sum(sum[:0]))
-	f.c.macs.Put(f.mac)
-	f.mac = nil
+	copy(out, st.mac.Sum(st.buf[:0])) // the flushed buffer is free: no escaping local
+	f.Discard()
 	return out
 }
 
 // Discard abandons the stream without producing a commitment, recycling
-// the underlying MAC state. Used when verification fails mid-stream.
+// the underlying state. Used when verification fails mid-stream.
 func (f *FoldStream) Discard() {
-	if f.mac != nil {
-		f.c.macs.Put(f.mac)
-		f.mac = nil
+	if f.st != nil {
+		f.c.states.Put(f.st)
+		f.st = nil
 	}
 }
 

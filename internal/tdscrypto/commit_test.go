@@ -2,6 +2,9 @@ package tdscrypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 )
@@ -125,5 +128,115 @@ func TestFoldStreamAddDoesNotAllocate(t *testing.T) {
 	defer s.Discard()
 	if n := testing.AllocsPerRun(100, func() { s.Add(seg) }); n != 0 {
 		t.Fatalf("FoldStream.Add allocates %.0f times per call, want 0", n)
+	}
+}
+
+// TestFoldStreamSplitInvariance: the block buffer in front of the MAC
+// must not show in the commitment. Streams over segment lengths around
+// the buffer's edges — shorter, exactly filling it, one over, larger than
+// the whole buffer — equal a one-shot HMAC over the framed bytes, and so
+// do streams that take a pooled state a finished stream handed back.
+func TestFoldStreamSplitInvariance(t *testing.T) {
+	key := DeriveKey(Key{}, "split")
+	c := NewCommitter(key)
+	commitKey := DeriveKey(key, "commit")
+	reference := func(prefix, domain string, segs [][]byte) []byte {
+		mac := hmac.New(sha256.New, commitKey[:])
+		mac.Write([]byte(prefix + domain))
+		for _, seg := range segs {
+			var frame [8]byte
+			binary.BigEndian.PutUint64(frame[:], uint64(len(seg)))
+			mac.Write(frame[:])
+			mac.Write(seg)
+		}
+		return mac.Sum(nil)[:CommitSize]
+	}
+	fill := bytes.Repeat([]byte("0123456789abcdef"), 126)
+	seg := func(n int) []byte { return fill[len(fill)-n:] }
+	block := len(foldState{}.buf)
+
+	var shapes [][]int
+	for n := 0; n <= 2000; n++ {
+		shapes = append(shapes, []int{n}, []int{7, n, 62}, []int{n, n})
+	}
+	for _, edge := range []int{block - 8, block, 2 * block} {
+		for d := -20; d <= 20; d++ {
+			shapes = append(shapes, []int{edge + d, 0, 16}, []int{16, 62, edge + d, 1})
+		}
+	}
+	tuple := []int{0, 62, 16} // the benchmark's tuple: no tag, 62-byte ciphertext, digest
+	long := []int{}
+	for i := 0; i < 300; i++ {
+		long = append(long, tuple...)
+	}
+	shapes = append(shapes, nil, long)
+
+	for i, lens := range shapes {
+		segs := make([][]byte, len(lens))
+		for j, n := range lens {
+			segs[j] = seg(n)
+		}
+		// Alternate the ways a previous stream ended, so this one starts
+		// from a state Sum or Discard recycled with bytes still buffered.
+		prev := c.StartCommit("previous")
+		prev.Add(seg(i % 700))
+		if i%2 == 0 {
+			prev.Sum()
+		}
+		prev.Discard() // after Sum: a second finish, which must not pool the state twice
+		domain := "partition/aggregate-1"
+		leaf, fold := c.StartCommit(domain), c.StartFold(domain)
+		for _, s := range segs {
+			leaf.Add(s)
+			fold.Add(s)
+		}
+		if got, want := leaf.Sum(), reference("commit/leaf/", domain, segs); !bytes.Equal(got, want) {
+			t.Fatalf("leaf over lengths %v = %x, want %x", lens, got, want)
+		}
+		if got, want := fold.Sum(), reference("commit/fold/", domain, segs); !bytes.Equal(got, want) {
+			t.Fatalf("fold over lengths %v = %x, want %x", lens, got, want)
+		}
+	}
+}
+
+// TestFoldStreamAllocBudget: a stream costs its handle, its domain and
+// its commitment, however many segments it absorbs — the MAC state and
+// the block buffer come from the committer's pool.
+func TestFoldStreamAllocBudget(t *testing.T) {
+	c := NewCommitter(DeriveKey(Key{}, "allocs"))
+	ct, digest := make([]byte, 62), make([]byte, 16)
+	stream := func(tuples int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			s := c.StartCommit("deposit")
+			for i := 0; i < tuples; i++ {
+				s.Add(nil)
+				s.Add(ct)
+				s.Add(digest)
+			}
+			s.Sum()
+		})
+	}
+	// Measured at 3 and 3. The slack is for pooled states a GC or the race
+	// detector drops; one allocation per segment would add 900.
+	if small, large := stream(1), stream(300); large > small+2 || large > 6 {
+		t.Errorf("a stream allocates %v times over 1 tuple and %v over 300; budget 6, and no growth", small, large)
+	}
+}
+
+// BenchmarkCommitTuples times a deposit leaf on the deep_device shape:
+// 300 tuples of a 62-byte ciphertext and a 16-byte digest.
+func BenchmarkCommitTuples(b *testing.B) {
+	c := NewCommitter(DeriveKey(Key{}, "bench"))
+	ct, digest := make([]byte, 62), make([]byte, 16)
+	b.SetBytes(300 * (3*8 + 62 + 16))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := c.StartCommit("deposit")
+		for j := 0; j < 300; j++ {
+			s.Add(nil)
+			s.Add(ct)
+			s.Add(digest)
+		}
+		s.Sum()
 	}
 }
