@@ -472,9 +472,8 @@ func BenchmarkBroadcastRevocation(b *testing.B) {
 // ---- Fleet-scale memory model (DESIGN.md §10) ----
 
 // benchProvisionFleet measures fleet enrollment and reports how much live
-// heap one enrolled device costs, packed or eager. The sweep companion is
-// `benchtool -fleet-sweep`, which records the same figure across orders of
-// magnitude into BENCH_fleet.json.
+// heap one enrolled device costs, packed or eager. The budget on the same
+// figure is core's TestPackedMemoryFootprint (100k devices, packed).
 func benchProvisionFleet(b *testing.B, packed bool) {
 	const fleet = 10_000
 	w := workload.DefaultSmartMeter(9)

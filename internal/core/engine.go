@@ -150,8 +150,8 @@ type Engine struct {
 	// kmCache).
 	commCache map[int]*tdscrypto.Committer
 
-	// Broadcast revocation state (lazily initialized by RevokeAndRotate
-	// and BeginRotation).
+	// Broadcast revocation state (lazily initialized by the first
+	// rotation).
 	bcast      *tdscrypto.BroadcastAuthority
 	deviceKeys map[string]tdscrypto.DeviceKeySet
 	revoked    map[string]bool
@@ -291,12 +291,14 @@ func (e *Engine) ReenrollAll() error {
 	return nil
 }
 
-// RevokeAndRotate expels the given devices from the fleet: it revokes
-// their broadcast slots, rotates the key ring, and distributes the new
-// ring with the complete-subtree broadcast scheme (footnote 7). Every
-// non-revoked device opens the broadcast and re-enrolls; the revoked ones
-// cannot decrypt it, stay on the dead epoch, and drop out of every future
-// query (Metrics.CollectErrors). Feed it the repeat offenders from
+// RevokeAndRotate expels the given devices from the fleet as one hard
+// cutover: a single-wave rotation (rotation.go) begun and completed under
+// one hold of the lifecycle lock. It revokes their broadcast slots,
+// rotates the key ring, and distributes the new ring with the
+// complete-subtree broadcast scheme (footnote 7). Every non-revoked device
+// opens the broadcast and migrates; the revoked ones cannot decrypt it,
+// stay on the dead epoch, and drop out of every future query
+// (Metrics.CollectErrors). Feed it the repeat offenders from
 // Metrics.Suspects to close the audit loop: detect, revoke, rotate.
 func (e *Engine) RevokeAndRotate(ids ...string) error {
 	if len(ids) == 0 {
@@ -307,48 +309,10 @@ func (e *Engine) RevokeAndRotate(ids ...string) error {
 	if e.rot != nil {
 		return fmt.Errorf("core: a live rotation is in progress; complete it before the hard cutover")
 	}
-	if err := e.ensureBroadcastLocked(); err != nil {
+	if err := e.beginRotationLocked(1, ids); err != nil {
 		return err
 	}
-	if err := e.revokeSlotsLocked(ids); err != nil {
-		return err
-	}
-
-	e.rotateKeysLocked()
-	msg, err := e.bcast.BroadcastRing(e.keys)
-	if err != nil {
-		return err
-	}
-	for i, old := range e.fleet {
-		id := e.deviceIDLocked(i)
-		if e.revoked[id] {
-			continue // cannot open the broadcast; stays on the dead epoch
-		}
-		dk, err := e.deviceKeysLocked(i)
-		if err != nil {
-			return err
-		}
-		// The opened ring is the authority's freshly rotated ring, which
-		// the device re-derives from its new epoch: a packed slot on wake,
-		// an eager one by borrowing the epoch's expanded material.
-		if _, err := dk.OpenRing(msg); err != nil {
-			return fmt.Errorf("core: device %s failed to open the key broadcast: %w", id, err)
-		}
-		if old == nil {
-			// Revoked packed slots keep their dead epoch.
-			e.packed.epoch[i] = uint32(e.keyAuth.Epoch())
-			continue
-		}
-		t, err := e.newTDS(old.ID, old.DB)
-		if err != nil {
-			return err
-		}
-		t.Corrupt = old.Corrupt
-		e.fleet[i] = t
-	}
-	e.pushEpochPolicyLocked(false)
-	e.devCache.purge() // same epoch argument as ReenrollAll
-	return nil
+	return e.completeRotationLocked()
 }
 
 // ensureBroadcastLocked lazily stands up the broadcast tree. On real
@@ -387,21 +351,26 @@ func (e *Engine) deviceKeysLocked(slot int) (tdscrypto.DeviceKeySet, error) {
 }
 
 // revokeSlotsLocked expels the named devices: broadcast-tree revocation
-// plus the engine's revocation set.
+// plus the engine's revocation set. Every ID is resolved before any slot
+// is revoked, so an unknown device refuses the whole list.
 func (e *Engine) revokeSlotsLocked(ids []string) error {
 	slotOf := make(map[string]int, len(e.fleet))
 	for i := range e.fleet {
 		slotOf[e.deviceIDLocked(i)] = i
 	}
-	for _, id := range ids {
+	slots := make([]int, len(ids))
+	for i, id := range ids {
 		slot, ok := slotOf[id]
 		if !ok {
 			return fmt.Errorf("core: unknown device %q", id)
 		}
+		slots[i] = slot
+	}
+	for i, slot := range slots {
 		if err := e.bcast.Revoke(slot); err != nil {
 			return err
 		}
-		e.revoked[id] = true
+		e.revoked[ids[i]] = true
 	}
 	return nil
 }
@@ -431,15 +400,11 @@ func (e *Engine) pushEpochPolicyLocked(grace bool) {
 	})
 }
 
-// RevokedDevices returns the IDs expelled so far, in no particular order.
+// RevokedDevices returns the IDs expelled so far, sorted.
 func (e *Engine) RevokedDevices() []string {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	out := make([]string, 0, len(e.revoked))
-	for id := range e.revoked {
-		out = append(out, id)
-	}
-	return out
+	return e.revokedListLocked()
 }
 
 // Authority returns the credential authority so callers can issue querier

@@ -163,3 +163,60 @@ func TestRevokedDeviceCannotRejoin(t *testing.T) {
 		t.Errorf("CollectErrors = %d, want the one revoked device", m.CollectErrors)
 	}
 }
+
+// TestRevocationIsAllOrNothing: a revocation list naming an unknown device
+// is refused before anyone is expelled — through the cutover and through
+// the staged rotation alike. Nobody is revoked, the epoch does not move,
+// and the device named before the unknown one keeps depositing.
+func TestRevocationIsAllOrNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		revoke func(e *Engine, ids ...string) error
+	}{
+		{"RevokeAndRotate", (*Engine).RevokeAndRotate},
+		{"BeginRotation", func(e *Engine, ids ...string) error {
+			if err := e.BeginRotation(2, ids...); err != nil {
+				return err
+			}
+			return e.CompleteRotation()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 10, nil)
+			epoch := f.eng.wireEpoch()
+			if err := tc.revoke(f.eng, "tds-00003", "tds-99999"); err == nil {
+				t.Fatal("unknown device accepted")
+			}
+			if got := f.eng.RevokedDevices(); len(got) != 0 {
+				t.Errorf("refused revocation still expelled %v", got)
+			}
+			if got := f.eng.wireEpoch(); got != epoch {
+				t.Errorf("wire epoch moved %d -> %d", epoch, got)
+			}
+			if f.eng.rotationInProgress() {
+				t.Error("refused revocation left a rotation open")
+			}
+			_, m, err := runQuery(f.eng, f.q, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.DepositedDevices != 10 || m.CollectErrors != 0 {
+				t.Errorf("deposited %d of 10 devices, %d collect errors", m.DepositedDevices, m.CollectErrors)
+			}
+			// The refused call must not have burnt the broadcast slot: a
+			// later rotation without revocations reaches tds-00003 too.
+			if err := tc.revoke(f.eng, "tds-00007"); err != nil {
+				t.Fatal(err)
+			}
+			_, m, err = runQuery(f.eng, newQuerierForEngine(t, f.eng, "edf2"),
+				`SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.DepositedDevices != 9 || m.CollectErrors != 1 {
+				t.Errorf("after revoking one device: deposited %d, %d collect errors; want 9 and 1",
+					m.DepositedDevices, m.CollectErrors)
+			}
+		})
+	}
+}

@@ -96,6 +96,12 @@ func (e *Engine) BeginRotation(waves int, revoke ...string) error {
 	if e.rot != nil {
 		return fmt.Errorf("core: a rotation is already in progress")
 	}
+	return e.beginRotationLocked(waves, revoke)
+}
+
+// beginRotationLocked is BeginRotation under an already-held lifecycle
+// lock, with no rotation in progress.
+func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 	if waves < 1 {
 		waves = 1
 	}
@@ -247,6 +253,12 @@ func (e *Engine) migrateSlotsLocked(rot *rotationState, slots []int) error {
 func (e *Engine) CompleteRotation() error {
 	e.life.Lock()
 	defer e.life.Unlock()
+	return e.completeRotationLocked()
+}
+
+// completeRotationLocked is CompleteRotation under an already-held
+// lifecycle lock.
+func (e *Engine) completeRotationLocked() error {
 	rot := e.rot
 	if rot == nil {
 		return fmt.Errorf("core: no rotation in progress")

@@ -31,6 +31,12 @@ go build ./...
 echo "==> go test"
 go test ./...
 
+# bench/ is its own module, replaced onto this one: vetting and testing it
+# here turns "every signature bench/ compiles against is kept" into a red
+# build.
+echo "==> bench/ (go vet + go test)"
+(cd bench && go vet ./... && go test ./...)
+
 # CollectWorkers defaults to GOMAXPROCS, so the core suite's default-worker
 # tests run a different walk shape on every box. Pin the shapes: a 1-CPU
 # box must not be able to hide a worker-count divergence. The per-tuple
@@ -77,13 +83,11 @@ if [ "$short" -eq 0 ]; then
     echo "==> go test -race"
     go test -race ./...
 
-    # Fleet-scale smoke: provision and collect a packed 100k-device fleet
-    # under a hard memory ceiling, and fail if the packed representation
-    # regresses above the recorded enrollment budget (BENCH_fleet.json
-    # records ~110 B/device; 256 leaves headroom for platform noise).
+    # Fleet-scale smoke: provision a packed 100k-device fleet under a hard
+    # memory ceiling, collect from every device once, and fail if the live
+    # heap is above 256 B/device before or after the pass (~110 measured).
     echo "==> fleet memory gate (packed, 100k devices)"
-    GOMEMLIMIT=2GiB go run ./cmd/benchtool -fleet-sweep -fleet-sizes 100000 \
-        -fleet-iters 1 -fleet-budget 256 -fleet-out /tmp/tcq_fleet_check.json
+    GOMEMLIMIT=2GiB go test -count=1 -run 'TestPackedMemoryFootprint' ./internal/core
 
     # A ~10s smoke over the coverage-guided fuzz targets: enough to catch a
     # freshly broken decoder invariant, nowhere near a real fuzzing session.
