@@ -276,17 +276,6 @@ func parseProtocol(name string) (protocol.Kind, error) {
 	}
 }
 
-// run keeps the original signature for the basic scenarios.
-func run(fleet int, protoName, query string, nf, buckets int, available, failure float64, seed int64) error {
-	return runExt(fleet, protoName, query, nf, buckets, available, failure, 1, 0, seed)
-}
-
-func runExt(fleet int, protoName, query string, nf, buckets int, available, failure float64, audit int, compromised float64, seed int64) error {
-	return runOpts(options{fleet: fleet, protoName: protoName, query: query,
-		nf: nf, buckets: buckets, available: available, failure: failure,
-		audit: audit, compromised: compromised, seed: seed, verify: true})
-}
-
 func runOpts(o options) error {
 	kind, err := parseProtocol(o.protoName)
 	if err != nil {
@@ -431,7 +420,9 @@ func runOpts(o options) error {
 // deployment shape, where the SSI serves many queriers and each device
 // connection answers every pending querybox. Reports wall-clock
 // throughput and the exact simulated-latency quantiles; with fixed seeds
-// every per-query simulated metric is identical to a solo run's.
+// every per-query simulated metric is identical to a solo run's. The
+// exported trace and journal are query cc-0000's; the metrics registry is
+// engine-wide.
 func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 	q *querier.Querier, kind protocol.Kind, plan *faultplan.Plan) error {
 	inflight := o.inflight
@@ -458,7 +449,7 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 
 	latencies := make([]float64, o.concurrent)
 	errs := make([]error, o.concurrent)
-	var rows int
+	var first *core.Response
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < o.concurrent; i++ {
@@ -478,7 +469,7 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 			}
 			latencies[i] = resp.Metrics.TQ.Seconds() * 1e3
 			if i == 0 {
-				rows = len(resp.Result.Rows)
+				first = resp
 			}
 		}(i)
 	}
@@ -490,7 +481,7 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("rows per query     %d\n", rows)
+	fmt.Printf("rows per query     %d\n", len(first.Result.Rows))
 	fmt.Printf("wall clock         %v (%.1f queries/sec)\n",
 		wall.Round(time.Millisecond), float64(o.concurrent)/wall.Seconds())
 	fmt.Printf("simulated latency  p50 %.2fms  p99 %.2fms (T_Q per query)\n",
@@ -501,7 +492,7 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 		fmt.Printf("tenant %-14s completed %d  sim T_Q p50 %v p99 %v  queue wait p50 %v p99 %v\n",
 			ts.Querier, ts.Completed, ts.SimTQP50, ts.SimTQP99, ts.QueueWaitP50, ts.QueueWaitP99)
 	}
-	return nil
+	return exportObservability(o, eng, first)
 }
 
 // startOps serves the read-only ops endpoint for the remainder of the

@@ -18,14 +18,16 @@ func TestRunAllProtocols(t *testing.T) {
 		if proto == "basic" {
 			query = `SELECT C.cid, C.district FROM Consumer C WHERE C.accommodation = 'flat'`
 		}
-		if err := run(40, proto, query, 2, 0, 0.5, 0, 7); err != nil {
+		if err := runOpts(options{fleet: 40, protoName: proto, query: query,
+			nf: 2, available: 0.5, audit: 1, seed: 7, verify: true}); err != nil {
 			t.Errorf("%s: %v", proto, err)
 		}
 	}
 }
 
 func TestRunWithFailures(t *testing.T) {
-	if err := run(30, "s_agg", defaultQuery, 0, 0, 0.5, 0.2, 3); err != nil {
+	if err := runOpts(options{fleet: 30, protoName: "s_agg", query: defaultQuery,
+		available: 0.5, failure: 0.2, audit: 1, seed: 3, verify: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,10 +49,13 @@ func TestParseProtocol(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if err := run(10, "nope", defaultQuery, 0, 0, 0.5, 0, 1); err == nil {
+	o := options{fleet: 10, protoName: "nope", query: defaultQuery,
+		available: 0.5, audit: 1, seed: 1, verify: true}
+	if err := runOpts(o); err == nil {
 		t.Error("bad protocol accepted")
 	}
-	if err := run(10, "s_agg", "not sql", 0, 0, 0.5, 0, 1); err == nil {
+	o.protoName, o.query = "s_agg", "not sql"
+	if err := runOpts(o); err == nil {
 		t.Error("bad query accepted")
 	}
 }
@@ -67,22 +72,37 @@ func TestRunWithChurn(t *testing.T) {
 	}
 }
 
-// TestObservabilityExports runs a churned query with -trace-out and
-// -metrics-out targets and validates both artifacts: the trace file is
-// line-delimited JSON covering every phase, the metrics file parses as
-// Prometheus text.
+// TestObservabilityExports runs a churned query with -trace-out,
+// -metrics-out and -journal-out targets and validates the artifacts.
 func TestObservabilityExports(t *testing.T) {
+	runAndCheckExports(t, options{
+		fleet: 40, protoName: "s_agg", query: defaultQuery,
+		available: 0.5, audit: 1, seed: 7,
+		churnOffline: 0.1, churnDrop: 0.1, churnCrash: 0.2, faultSeed: 21,
+	})
+}
+
+// TestConcurrentObservabilityExports: -concurrent N honours the same
+// export flags as a single run — query cc-0000's trace and journal, and
+// the engine-wide registry.
+func TestConcurrentObservabilityExports(t *testing.T) {
+	runAndCheckExports(t, options{
+		fleet: 30, protoName: "s_agg", query: defaultQuery,
+		available: 0.5, audit: 1, seed: 7, verify: true, concurrent: 2,
+	})
+}
+
+// runAndCheckExports runs o with every export target set and validates
+// the three artifacts: the trace file is line-delimited JSON covering
+// every phase, the metrics file parses as Prometheus text, the journal
+// passes its schema check.
+func runAndCheckExports(t *testing.T, o options) {
+	t.Helper()
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "trace.jsonl")
 	metricsFile := filepath.Join(dir, "metrics.prom")
 	journalFile := filepath.Join(dir, "journal.jsonl")
-	o := options{
-		fleet: 40, protoName: "s_agg", query: defaultQuery,
-		available: 0.5, audit: 1, seed: 7,
-		churnOffline: 0.1, churnDrop: 0.1, churnCrash: 0.2, faultSeed: 21,
-		traceOut: traceFile, metricsOut: metricsFile, traceSummary: true,
-		journalOut: journalFile,
-	}
+	o.traceOut, o.metricsOut, o.journalOut, o.traceSummary = traceFile, metricsFile, journalFile, true
 	if err := runOpts(o); err != nil {
 		t.Fatal(err)
 	}

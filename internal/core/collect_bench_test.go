@@ -275,7 +275,8 @@ func BenchmarkStreamBuild(b *testing.B) {
 			store, input := ssi.New(), benchTuples(shape.deposits*shape.per, 50)
 			must(store.PostQuery(&protocol.QueryPost{ID: "q"}, time.Unix(1700000000, 0)))
 			for d := 0; d < shape.deposits; d++ {
-				if _, _, err := store.Deposit("q", input[d*shape.per:(d+1)*shape.per], time.Unix(1700000000, 0)); err != nil {
+				dep := protocol.NewDeposit("q", "", 0, 0, input[d*shape.per:(d+1)*shape.per])
+				if _, _, err := store.DepositEnvelope("q", dep, time.Unix(1700000000, 0)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,11 +3,60 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
 )
+
+// newTDS builds an eager device enrolled at the authority's current
+// epoch, wired to the engine's shared plan cache. Like a packed slot it
+// borrows the epoch's key material: one ring per epoch, expanded once.
+func (e *Engine) newTDS(id string, db *storage.LocalDB) (*tds.TDS, error) {
+	epoch := uint32(e.keyAuth.Epoch())
+	km, err := e.keyMaterial(epoch)
+	if err != nil {
+		return nil, err
+	}
+	t := tds.NewWithMaterial(id, db, km, e.cfg.Policy, e.authority)
+	t.SetEpoch(int(epoch) + 1)
+	t.Shared = e.planCache
+	return t, nil
+}
+
+// AddTDS enrolls one TDS hosting the given local database. When the
+// extended threat model is active, a deterministic share of devices is
+// marked compromised at enrollment.
+func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
+	e.life.Lock()
+	defer e.life.Unlock()
+	id := fmt.Sprintf("tds-%05d", len(e.fleet))
+	t, err := e.newTDS(id, db)
+	if err != nil {
+		return nil, err
+	}
+	if f := e.cfg.CompromisedFraction; f > 0 {
+		r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(id)) ^ 0x5eed))
+		t.Corrupt = r.Float64() < f
+	}
+	e.fleet = append(e.fleet, t)
+	return t, nil
+}
+
+// ProvisionFleet enrolls n TDSs whose databases are produced by populate.
+// Each database is consumed during its own enrollment and not referenced
+// afterwards: with Config.PackedFleet it is serialized and discarded, and
+// either way the engine retains nothing of populate's scratch state.
+func (e *Engine) ProvisionFleet(n int, populate func(i int) *storage.LocalDB) error {
+	if e.cfg.PackedFleet {
+		return e.provisionPacked(n, populate)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := e.AddTDS(populate(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // The packed fleet representation (Config.PackedFleet): instead of one
 // live *tds.TDS per enrolled device — a materialized LocalDB, a plans
@@ -57,87 +106,6 @@ func (p *packedFleet) region(slot int) []byte {
 		start = p.end[slot-1]
 	}
 	return p.blob[start:p.end[slot]]
-}
-
-// deviceCache shares materialized packed devices across in-flight
-// queries — the shared-wave half of the multi-tenant server. In the
-// paper's fleet model a device that wakes up serves every pending
-// querybox during its connection; here, once one query's collection wave
-// pays a slot's unpack, every other in-flight query reuses the same live
-// TDS instead of materializing its own copy. Reuse is observation-free:
-// materializeDevice is a pure function of (slot, epoch), and every TDS
-// method drawn on the run path is safe for concurrent use, so a cached
-// device answers each query exactly as a privately materialized one
-// would. Disabled (max == 0) outside a Server, where single-query walks
-// over million-device fleets must not accumulate live devices.
-type deviceCache struct {
-	mu  sync.Mutex
-	max int
-	// gen is the purge generation. A materialization started before a
-	// purge must not land after it: put discards inserts whose observed
-	// generation is stale, so a rotation or revocation that purged the
-	// cache can never be undone by an in-flight materializeDevice
-	// resurrecting pre-purge (possibly revoked) key material.
-	gen  uint64
-	devs map[int]*tds.TDS
-}
-
-// enable sizes the cache; max <= 0 disables it.
-func (c *deviceCache) enable(max int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = max
-	if max > 0 && c.devs == nil {
-		c.devs = make(map[int]*tds.TDS)
-	}
-}
-
-// get returns the cached device for slot (nil when absent) and the purge
-// generation the lookup observed; hand that generation back to put.
-func (c *deviceCache) get(slot int) (*tds.TDS, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.devs[slot], c.gen
-}
-
-// put caches one materialized device, but only when the cache generation
-// is still the one the caller's get observed: a purge in between means
-// the fleet's enrollment state moved while the device was being built,
-// and inserting it would resurrect stale key material. A full cache stays
-// as it is — the bound is a memory promise, not an eviction policy; the
-// hot low-numbered waves of concurrent collections are exactly what it
-// retains.
-func (c *deviceCache) put(slot int, t *tds.TDS, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen || c.max <= 0 || len(c.devs) >= c.max {
-		return
-	}
-	if _, ok := c.devs[slot]; !ok {
-		c.devs[slot] = t
-	}
-}
-
-// purge empties the cache and advances the generation — required whenever
-// slot epochs move (re-enrollment, revocation, rotation waves), since a
-// cached device embodies the key material of the epoch it was
-// materialized at.
-func (c *deviceCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	if c.devs != nil {
-		c.devs = make(map[int]*tds.TDS)
-	}
-}
-
-// each visits every cached device.
-func (c *deviceCache) each(fn func(*tds.TDS)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range c.devs {
-		fn(t)
-	}
 }
 
 // packedID is the canonical device ID of a fleet slot — by construction
@@ -210,10 +178,6 @@ func (e *Engine) materializeDevice(slot int) (*tds.TDS, error) {
 	if t := e.deviceAt(slot); t != nil {
 		return t, nil
 	}
-	cached, gen := e.devCache.get(slot)
-	if cached != nil {
-		return cached, nil
-	}
 	db, err := storage.UnpackDB(e.schema, e.packed.region(slot))
 	if err != nil {
 		return nil, fmt.Errorf("core: slot %d: %w", slot, err)
@@ -245,7 +209,6 @@ func (e *Engine) materializeDevice(slot int) (*tds.TDS, error) {
 	}
 	t.Shared = e.planCache
 	t.Corrupt = corrupt
-	e.devCache.put(slot, t, gen)
 	return t, nil
 }
 

@@ -1,0 +1,339 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+
+	"github.com/trustedcells/tcq/internal/netsim"
+	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/ssi"
+	"github.com/trustedcells/tcq/internal/tds"
+)
+
+// workUnit is one partition processed by one TDS in some phase.
+type workUnit struct {
+	partition []protocol.WireTuple
+	out       []protocol.WireTuple
+	busy      time.Duration
+}
+
+// phaseStats aggregates what a phase cost beyond its work units.
+type phaseStats struct {
+	Reassigned int           // partitions re-sent after a TDS death
+	Detections int           // replicas outvoted by the audit (compromised-TDS ext.)
+	Suspects   []string      // IDs of the outvoted devices
+	Timeouts   int           // scripted crashes the SSI had to time out
+	Wait       time.Duration // timeout + backoff bill of those crashes
+	Abandoned  int           // partitions dropped after MaxAttempts
+}
+
+// runPhase distributes partitions over connected TDSs with a bounded
+// worker pool, injecting failures and re-assigning failed partitions.
+// process runs inside the chosen TDS; it must be pure protocol work.
+//
+// With Config.AuditReplicas > 1, every partition is processed by that many
+// distinct TDSs; the SSI compares their keyed semantic digests and keeps
+// the majority output, outvoting compromised devices (extended threat
+// model). Each replica is a real work unit: auditing multiplies P_TDS and
+// Load_Q by ~r, the price of the stronger threat model.
+//
+// Two failure sources coexist: the legacy Config.FailureRate draws
+// deaths from the run RNG, and a fault plan scripts crash-before-commit
+// per (device, query). A scripted crash bills the SSI a PhaseTimeout
+// plus capped exponential backoff (phaseStats.Wait), lands a "reassign"
+// entry in the recovery ledger, and re-issues the partition to freshly
+// drawn replacements — until the plan's MaxAttempts abandons it. Workers
+// are drawn before the failure draw so even a legacy death names its
+// device in the ledger, and every entry carries the simulated instant
+// the SSI gave up on the assignment. All draws happen sequentially up
+// front, so the phase is deterministic for any pool size.
+func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
+	partitions [][]protocol.WireTuple,
+	process func(worker *tds.TDS, part []protocol.WireTuple) ([]protocol.WireTuple, error),
+) ([]workUnit, phaseStats, error) {
+	post, rng, faults := rs.post, rs.rng, rs.faults
+	phaseStart := rs.clock.Now()
+	var stats phaseStats
+	// Revoked devices cannot open the current epoch's queries; the SSI
+	// never hands them partitions (the revocation list is public). Nor
+	// can a device on the wrong side of a live rotation boundary open
+	// this query's epoch — drawing it as a worker would turn a staged
+	// rollout into a phase failure, so the draw pool is epoch-aware. The
+	// live set holds fleet slots, not devices — packed slots materialize
+	// only when actually drawn.
+	live := make([]int, 0, len(e.fleet))
+	for slot := range e.fleet {
+		if !e.isRevoked(e.deviceID(slot)) && e.slotServes(slot, post.Epoch) {
+			live = append(live, slot)
+		}
+	}
+	if len(live) == 0 {
+		// A fully stale fleet (hard cutover, nobody re-enrolled) still
+		// runs the protocol and fails per-device, exactly like collection
+		// did; the epoch filter only narrows the pool while a mix of
+		// epochs is live, as during a staged rotation.
+		for slot := range e.fleet {
+			if !e.isRevoked(e.deviceID(slot)) {
+				live = append(live, slot)
+			}
+		}
+	}
+	if len(live) == 0 {
+		return nil, stats, fmt.Errorf("%w: every device is revoked", ErrNoEligibleTDS)
+	}
+	replicas := e.cfg.AuditReplicas
+	if replicas < 1 {
+		replicas = 1
+	}
+	if replicas > len(live) {
+		replicas = len(live)
+	}
+
+	type task struct {
+		part    []protocol.WireTuple
+		attempt int // 1-based assignment count for this partition
+	}
+	tasks := make([]task, 0, len(partitions))
+	for _, p := range partitions {
+		tasks = append(tasks, task{part: p, attempt: 1})
+	}
+
+	// Failure decisions must be deterministic: draw them up front.
+	failDraw := func() bool { return rng.Float64() < e.cfg.FailureRate }
+
+	// Pre-pick worker TDSs and failure flags deterministically, then let
+	// goroutines do the crypto-heavy processing concurrently.
+	type assignment struct {
+		part    []protocol.WireTuple
+		workers []*tds.TDS // replicas processing the same partition
+	}
+	var plan []assignment
+	maxReassign := 10 * len(partitions) // safety valve against failure rates ~ 1
+	for qi := 0; qi < len(tasks); qi++ {
+		t := tasks[qi]
+		if err := ctxErr(ctx); err != nil {
+			return nil, stats, err
+		}
+		// Pre-draw enough distinct workers for up to three audit rounds:
+		// when a round produces no strict digest majority, the partition
+		// is re-sent to the next batch of fresh devices. Drawing before
+		// the failure decision means every death below has a name.
+		rounds := 1
+		if replicas > 1 {
+			rounds = 3
+		}
+		want := replicas * rounds
+		if want > len(live) {
+			want = len(live)
+		}
+		ws := make([]*tds.TDS, 0, want)
+		seen := make(map[int]bool, want)
+		for len(ws) < want {
+			i := rng.Intn(len(live))
+			if seen[i] {
+				continue
+			}
+			seen[i] = true
+			w, err := e.runDevice(rs, live[i])
+			if err != nil {
+				return nil, stats, err
+			}
+			ws = append(ws, w)
+		}
+		if e.cfg.FailureRate > 0 && stats.Reassigned < maxReassign && failDraw() {
+			// The TDS dies mid-partition: after a timeout the SSI re-sends
+			// the partition to another available TDS (Section 3.2,
+			// correctness). The dead TDS's partial work is discarded. The
+			// legacy model bills no wait, but the ledger still names the
+			// assignee and the instant.
+			stats.Reassigned++
+			rs.ssi.Record(post.ID, ssi.LedgerEntry{
+				Kind: "reassign", Phase: phase, Device: ws[0].ID,
+				Attempt: t.attempt, At: phaseStart.Add(stats.Wait),
+			})
+			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
+			continue
+		}
+		if faults != nil && stats.Reassigned < maxReassign &&
+			faults.For(ws[0].ID, post.ID).CrashInPhase {
+			// The scripted churn: the primary assignee crashes before
+			// committing. The SSI times out, backs off, and re-issues the
+			// partition to a fresh draw — or abandons it past MaxAttempts.
+			wait := faults.RetryWait(t.attempt)
+			stats.Timeouts++
+			at := phaseStart.Add(stats.Wait) // instant the SSI starts waiting this one out
+			stats.Wait += wait
+			rs.ssi.Record(post.ID, ssi.LedgerEntry{
+				Kind: "reassign", Phase: phase, Device: ws[0].ID,
+				Attempt: t.attempt, Wait: wait, At: at,
+			})
+			if max := faults.MaxAttempts; max > 0 && t.attempt >= max {
+				stats.Abandoned++
+				rs.ssi.Record(post.ID, ssi.LedgerEntry{
+					Kind: "partition-abandoned", Phase: phase,
+					Device: ws[0].ID, Attempt: t.attempt,
+					At: phaseStart.Add(stats.Wait),
+				})
+				continue
+			}
+			stats.Reassigned++
+			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
+			continue
+		}
+		plan = append(plan, assignment{part: t.part, workers: ws})
+	}
+
+	pool := e.availableWorkers()
+	if pool > len(partitions)*replicas {
+		pool = len(partitions) * replicas
+	}
+	if pool < 1 {
+		pool = 1
+	}
+
+	// Each assignment gets its own result slot, and the slots are flattened
+	// in plan order after the pool drains: the phase output is independent
+	// of goroutine completion order, so downstream partitioning (and hence
+	// the whole run) is deterministic for any pool size.
+	type phaseResult struct {
+		units    []workUnit
+		suspects []string
+	}
+	var (
+		mu       sync.Mutex
+		results  = make([]phaseResult, len(plan))
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	sem := make(chan struct{}, pool)
+	for ai, a := range plan {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(ai int, a assignment) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			// Audit rounds: process with `replicas` fresh devices per
+			// round; a unanimous round is accepted immediately (the common
+			// case). Otherwise votes accumulate across rounds — the honest
+			// result recurs in every round while independent forgeries
+			// rarely repeat — and the globally most-voted output wins.
+			var allUnits []workUnit
+			var voters []string // worker ID per vote, parallel to keys
+			var keys []string
+			tally := make(map[string]int)
+			repr := make(map[string]int) // digest key -> index in allUnits
+			for start := 0; start < len(a.workers); start += replicas {
+				end := start + replicas
+				if end > len(a.workers) {
+					end = len(a.workers)
+				}
+				batch := a.workers[start:end]
+				unanimous := true
+				var firstKey string
+				for i, w := range batch {
+					out, err := process(w, a.part)
+					if err != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						mu.Unlock()
+						return
+					}
+					key := digestKey(out)
+					if i == 0 {
+						firstKey = key
+					} else if key != firstKey {
+						unanimous = false
+					}
+					tally[key]++
+					keys = append(keys, key)
+					voters = append(voters, w.ID)
+					if _, ok := repr[key]; !ok {
+						repr[key] = len(allUnits)
+					}
+					allUnits = append(allUnits, workUnit{
+						partition: a.part,
+						out:       out,
+						busy:      e.meterUnit(a.part, out),
+					})
+				}
+				if unanimous {
+					break
+				}
+			}
+			// Pick the globally most-voted key; clear the outputs of every
+			// unit that did not produce it (their replicas' work is spent
+			// but their result is discarded — and their producer flagged).
+			var winnerKey string
+			winnerVotes := -1
+			for k, v := range tally {
+				if v > winnerVotes || (v == winnerVotes && k < winnerKey) {
+					winnerKey, winnerVotes = k, v
+				}
+			}
+			keep := repr[winnerKey]
+			var suspects []string
+			for i := range allUnits {
+				if i != keep {
+					allUnits[i].out = nil
+				}
+				if keys[i] != winnerKey {
+					suspects = append(suspects, voters[i])
+				}
+			}
+			results[ai] = phaseResult{units: allUnits, suspects: suspects}
+		}(ai, a)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, stats, firstErr
+	}
+	var units []workUnit
+	for _, r := range results {
+		stats.Detections += len(r.suspects)
+		stats.Suspects = append(stats.Suspects, r.suspects...)
+		units = append(units, r.units...)
+	}
+	return units, stats, nil
+}
+
+// digestKey canonicalizes an output's semantic digest set for vote
+// comparison.
+func digestKey(out []protocol.WireTuple) string {
+	ds := make([]string, 0, len(out))
+	for _, w := range out {
+		ds = append(ds, string(w.Digest))
+	}
+	sort.Strings(ds)
+	return strings.Join(ds, "|")
+}
+
+// meterUnit accounts the simulated device time of processing one
+// partition: download + decrypt + compute the input, encrypt + upload the
+// output.
+func (e *Engine) meterUnit(in, out []protocol.WireTuple) time.Duration {
+	var m netsim.Meter
+	inBytes, outBytes := tupleBytes(in), tupleBytes(out)
+	m.AddDownload(e.cal, inBytes)
+	m.AddDecrypt(e.cal, inBytes)
+	m.AddCompute(e.cal, inBytes)
+	m.AddEncrypt(e.cal, outBytes)
+	m.AddUpload(e.cal, outBytes)
+	return m.Total()
+}
+
+func tupleBytes(ws []protocol.WireTuple) int { return protocol.TotalSize(ws) }
+
+// collectOutputs flattens phase outputs in deterministic partition order.
+func collectOutputs(units []workUnit) []protocol.WireTuple {
+	var out []protocol.WireTuple
+	for _, u := range units {
+		out = append(out, u.out...)
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
@@ -144,7 +145,6 @@ func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 		version: e.bundleSeq, bundle: bundle, waves: schedule,
 	}
 	e.pushEpochPolicyLocked(true) // grace: epoch e and e-1 both admit
-	e.devCache.purge()
 	return nil
 }
 
@@ -188,7 +188,6 @@ func (e *Engine) advanceRotationWave(mode bundleDelivery) (bool, error) {
 			return false, fmt.Errorf("core: a replayed stale trust bundle was accepted")
 		}
 	}
-	e.devCache.purge()
 	return rot.nextWave >= len(rot.waves), nil
 }
 
@@ -276,7 +275,6 @@ func (e *Engine) completeRotationLocked() error {
 	}
 	e.rot = nil
 	e.pushEpochPolicyLocked(false)
-	e.devCache.purge()
 	return nil
 }
 
@@ -398,4 +396,164 @@ func (e *Engine) pendingWaves() int {
 		return 0
 	}
 	return len(e.rot.waves) - e.rot.nextWave
+}
+
+// RotateKeys advances the fleet key epoch (the paper notes k1/k2 may
+// change over time). Queriers built with the new K1 and TDSs enrolled
+// after rotation use the new ring; devices still holding the previous
+// epoch's keys can no longer decrypt new queries and drop out of
+// collection (counted in Metrics.CollectErrors) until re-enrolled. This
+// is the hard cutover; BeginRotation (rotation.go) is the live path that
+// migrates a fleet under traffic.
+func (e *Engine) RotateKeys() {
+	e.life.Lock()
+	defer e.life.Unlock()
+	e.rotateKeysLocked()
+}
+
+// rotateKeysLocked advances the epoch under an already-held lifecycle
+// lock.
+func (e *Engine) rotateKeysLocked() {
+	e.keyAuth.Rotate()
+	e.keys = e.keyAuth.Ring()
+	e.verifier = tdscrypto.NewCommitter(e.keys.K2)
+}
+
+// ReenrollAll re-provisions every enrolled TDS with the current key ring,
+// as a fleet-wide firmware/key update would. Compromised devices remain
+// compromised — re-enrollment changes keys, not silicon.
+func (e *Engine) ReenrollAll() error {
+	e.life.Lock()
+	defer e.life.Unlock()
+	for i, old := range e.fleet {
+		if old == nil {
+			// A packed slot re-enrolls by recording the new epoch; the
+			// ring is derived from it when the device next wakes.
+			e.packed.epoch[i] = uint32(e.keyAuth.Epoch())
+			continue
+		}
+		t, err := e.newTDS(old.ID, old.DB)
+		if err != nil {
+			return err
+		}
+		t.Corrupt = old.Corrupt
+		e.fleet[i] = t
+	}
+	return nil
+}
+
+// RevokeAndRotate expels the given devices from the fleet as one hard
+// cutover: a single-wave rotation (rotation.go) begun and completed under
+// one hold of the lifecycle lock. It revokes their broadcast slots,
+// rotates the key ring, and distributes the new ring with the
+// complete-subtree broadcast scheme (footnote 7). Every non-revoked device
+// opens the broadcast and migrates; the revoked ones cannot decrypt it,
+// stay on the dead epoch, and drop out of every future query
+// (Metrics.CollectErrors). Feed it the repeat offenders from
+// Metrics.Suspects to close the audit loop: detect, revoke, rotate.
+func (e *Engine) RevokeAndRotate(ids ...string) error {
+	if len(ids) == 0 {
+		return fmt.Errorf("core: RevokeAndRotate needs at least one device ID")
+	}
+	e.life.Lock()
+	defer e.life.Unlock()
+	if e.rot != nil {
+		return fmt.Errorf("core: a live rotation is in progress; complete it before the hard cutover")
+	}
+	if err := e.beginRotationLocked(1, ids); err != nil {
+		return err
+	}
+	return e.completeRotationLocked()
+}
+
+// ensureBroadcastLocked lazily stands up the broadcast tree. On real
+// hardware the path keys are installed at enrollment; the simulation
+// issues them retroactively (and on demand) from the fleet roster.
+func (e *Engine) ensureBroadcastLocked() error {
+	if e.bcast != nil {
+		return nil
+	}
+	bc, err := tdscrypto.NewBroadcastAuthority(e.cfg.MasterKey, len(e.fleet))
+	if err != nil {
+		return err
+	}
+	e.bcast = bc
+	e.deviceKeys = make(map[string]tdscrypto.DeviceKeySet)
+	if e.revoked == nil {
+		e.revoked = make(map[string]bool)
+	}
+	return nil
+}
+
+// deviceKeysLocked derives (and caches) one slot's broadcast path keys.
+// Lazy derivation keeps million-device fleets from paying a full-tree
+// key issue up front.
+func (e *Engine) deviceKeysLocked(slot int) (tdscrypto.DeviceKeySet, error) {
+	id := e.deviceIDLocked(slot)
+	if dk, ok := e.deviceKeys[id]; ok {
+		return dk, nil
+	}
+	dk, err := e.bcast.DeviceKeys(slot)
+	if err != nil {
+		return tdscrypto.DeviceKeySet{}, err
+	}
+	e.deviceKeys[id] = dk
+	return dk, nil
+}
+
+// revokeSlotsLocked expels the named devices: broadcast-tree revocation
+// plus the engine's revocation set. Every ID is resolved before any slot
+// is revoked, so an unknown device refuses the whole list.
+func (e *Engine) revokeSlotsLocked(ids []string) error {
+	slotOf := make(map[string]int, len(e.fleet))
+	for i := range e.fleet {
+		slotOf[e.deviceIDLocked(i)] = i
+	}
+	slots := make([]int, len(ids))
+	for i, id := range ids {
+		slot, ok := slotOf[id]
+		if !ok {
+			return fmt.Errorf("core: unknown device %q", id)
+		}
+		slots[i] = slot
+	}
+	for i, slot := range slots {
+		if err := e.bcast.Revoke(slot); err != nil {
+			return err
+		}
+		e.revoked[ids[i]] = true
+	}
+	return nil
+}
+
+// revokedListLocked returns the revocation set in sorted order — the
+// deterministic form trust bundles and SSI policies carry.
+func (e *Engine) revokedListLocked() []string {
+	if len(e.revoked) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(e.revoked))
+	for id := range e.revoked {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// pushEpochPolicyLocked installs the current epoch/grace/revocation admit
+// policy on the SSI. SetEpochPolicy is part of ssi.Service, so every
+// injected implementation carries it.
+func (e *Engine) pushEpochPolicyLocked(grace bool) {
+	e.ssi.SetEpochPolicy(ssi.EpochPolicy{
+		Epoch:   int(e.keyAuth.Epoch()) + 1,
+		Grace:   grace,
+		Revoked: e.revokedListLocked(),
+	})
+}
+
+// RevokedDevices returns the IDs expelled so far, sorted.
+func (e *Engine) RevokedDevices() []string {
+	e.life.RLock()
+	defer e.life.RUnlock()
+	return e.revokedListLocked()
 }

@@ -569,6 +569,17 @@ func (e *Engine) RefreshDiscovery() {
 	e.discovery = make(map[string]*discovered)
 }
 
+// discovered is a cached distribution-discovery outcome. The entry lands
+// in Engine.discovery before its sub-query runs; ready closes once counts
+// and domain (or err) are settled, so concurrent queries needing the same
+// distribution wait for one discovery run instead of racing N of them.
+type discovered struct {
+	counts map[string]int64
+	domain []storage.Row
+	err    error
+	ready  chan struct{}
+}
+
 // discoverDistribution runs (or recalls) the distribution-discovery
 // process of Section 4.4: a COUNT Group-By-A_G query over the fleet,
 // executed with S_Agg (which needs no prior knowledge), yielding both the

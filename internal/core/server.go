@@ -31,11 +31,9 @@ import (
 //     up to Quota.Weight of one querier's requests, so a heavy tenant
 //     cannot starve a light one, then moves on. At most
 //     ServerConfig.MaxInFlight queries execute concurrently.
-//   - Sharing: in-flight queries run over the same fleet, the same
-//     sharded SSI (each query's state lives in its own stripe), and —
-//     for packed fleets — a shared device cache, so a device one query's
-//     collection wave materialized serves every other pending query's
-//     querybox without a second unpack.
+//   - Sharing: in-flight queries run over the same fleet and the same
+//     striped SSI (each query's state lives in its own stripe). A packed
+//     fleet's devices are materialized per query, never shared.
 //
 // Determinism survives multi-tenancy: a Request that pins its QueryID
 // produces bit-identical rows, metrics, ledgers and traces no matter
@@ -54,8 +52,7 @@ var (
 )
 
 // ServerConfig sizes a Server. The zero value is usable: 4 in-flight
-// queries, a queue of 64, no per-querier quotas beyond the defaults, and
-// a 1024-device shared cache on packed fleets.
+// queries, a queue of 64, no per-querier quotas beyond the defaults.
 type ServerConfig struct {
 	// MaxInFlight caps concurrently executing queries. 0 means 4.
 	MaxInFlight int
@@ -65,11 +62,6 @@ type ServerConfig struct {
 	// gives every querier the defaults (MaxInFlight/MaxQueued bounded
 	// only by the server, Weight 1).
 	Quotas *accessctl.QuotaPolicy
-	// DeviceCache bounds the shared materialized-device cache for packed
-	// fleets: devices one query's collection wave unpacked stay live to
-	// serve the other in-flight queries. 0 means 1024; negative disables
-	// sharing (every query materializes privately, as without a Server).
-	DeviceCache int
 }
 
 // Server fronts one Engine with admission control and a fair scheduler.
@@ -142,8 +134,8 @@ type pending struct {
 }
 
 // NewServer wraps the engine in a multi-tenant scheduler. Multiple
-// Servers over one engine share its registry instruments and device
-// cache; in practice one server per engine is the intended shape.
+// Servers over one engine share its registry instruments; in practice
+// one server per engine is the intended shape.
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4
@@ -151,10 +143,6 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.DeviceCache == 0 {
-		cfg.DeviceCache = 1024
-	}
-	eng.devCache.enable(cfg.DeviceCache)
 	reg := eng.Registry()
 	return &Server{
 		eng:     eng,

@@ -414,18 +414,21 @@ func TestServerClosed(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestServerSharedDeviceCache checks the shared-wave half of the server
-// on a packed fleet: with the cache on, concurrent queries reuse one
-// materialization per slot, and results stay identical to a plain
-// engine's.
+// TestServerSharedDeviceCache checks the server over a packed fleet:
+// concurrent queries, each materializing the devices it wakes, return
+// what the same queries return alone on a plain engine.
 func TestServerSharedDeviceCache(t *testing.T) {
 	solo := newFixture(t, 24, func(c *Config) { c.PackedFleet = true })
-	resp, err := solo.eng.Execute(context.Background(), Request{
-		Querier: solo.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "cache-0"})
-	if err != nil {
-		t.Fatal(err)
+	want := make([]string, 4)
+	for i := range want {
+		resp, err := solo.eng.Execute(context.Background(), Request{
+			Querier: solo.q, SQL: countSQL, Kind: protocol.KindSAgg,
+			QueryID: fmt.Sprintf("cache-%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprintf("%v", resp.Result.Rows)
 	}
-	want := fmt.Sprintf("%v", resp.Result.Rows)
 
 	f := newFixture(t, 24, func(c *Config) { c.PackedFleet = true })
 	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 4})
@@ -442,33 +445,12 @@ func TestServerSharedDeviceCache(t *testing.T) {
 				t.Errorf("cache-%d: %v", i, err)
 				return
 			}
-			if got := fmt.Sprintf("%v", resp.Result.Rows); i == 0 && got != want {
-				t.Errorf("cached run diverged: got %s want %s", got, want)
+			if got := fmt.Sprintf("%v", resp.Result.Rows); got != want[i] {
+				t.Errorf("cache-%d diverged from its solo run: got %s want %s", i, got, want[i])
 			}
 		}(i)
 	}
 	wg.Wait()
-
-	f.eng.devCache.mu.Lock()
-	cached := len(f.eng.devCache.devs)
-	f.eng.devCache.mu.Unlock()
-	if cached == 0 {
-		t.Error("shared device cache stayed empty across 4 packed-fleet queries")
-	}
-	if cached > 24 {
-		t.Errorf("cache holds %d devices for a 24-slot fleet", cached)
-	}
-
-	// Key rotation invalidates the cached epoch.
-	if err := f.eng.ReenrollAll(); err != nil {
-		t.Fatal(err)
-	}
-	f.eng.devCache.mu.Lock()
-	cached = len(f.eng.devCache.devs)
-	f.eng.devCache.mu.Unlock()
-	if cached != 0 {
-		t.Errorf("%d stale devices survived re-enrollment", cached)
-	}
 }
 
 // TestQuotaPolicyResolution exercises the accessctl side: role merge

@@ -26,7 +26,10 @@ import (
 // order and partition builds by build order, both of which the engine
 // already keeps worker-count-independent.
 type Adversary struct {
-	inner  Service
+	// Service is the honest implementation: the adversary follows the
+	// protocol wherever no attack is scripted, so every method it does not
+	// override below is the inner one.
+	Service
 	script *faultplan.SSIScript
 
 	mu        sync.Mutex
@@ -43,8 +46,8 @@ var _ Service = (*Adversary)(nil)
 
 // NewAdversary arms the scripted behaviors against one query. seed is the
 // fault plan's; strike points depend only on (seed, queryID). inner is any
-// Service — the plain honest SSI or a sharded one; the adversary only ever
-// touches its own query's state through the interface.
+// Service; the adversary only ever touches its own query's state through
+// the interface.
 func NewAdversary(inner Service, script *faultplan.SSIScript, seed int64, queryID string) *Adversary {
 	rng := rand.New(rand.NewSource(seed ^ int64(fnvHash(queryID))<<21 ^ 0xadc0de))
 	armed := make(map[faultplan.SSIMisbehavior]bool)
@@ -54,7 +57,7 @@ func NewAdversary(inner Service, script *faultplan.SSIScript, seed int64, queryI
 	// Fixed draw order: the forge strike point is drawn whether or not the
 	// behavior is scripted, so adding an attack never reshuffles another's.
 	forgeAt := 1 + rng.Intn(3)
-	return &Adversary{inner: inner, script: script, rng: rng, armed: armed, forgeAt: forgeAt}
+	return &Adversary{Service: inner, script: script, rng: rng, armed: armed, forgeAt: forgeAt}
 }
 
 // fnvHash is FNV-1a over a string, matching the engine's per-entity
@@ -104,7 +107,7 @@ func (a *Adversary) strikeForge() bool {
 // which is exactly how the verifier catches the forgery.
 func (a *Adversary) DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (int, bool, error) {
 	fwd, claim := a.maybeForge(dep)
-	accepted, done, err := a.inner.DepositEnvelope(id, fwd, now)
+	accepted, done, err := a.Service.DepositEnvelope(id, fwd, now)
 	if err == nil && claim >= 0 {
 		accepted = claim
 	}
@@ -119,7 +122,7 @@ func (a *Adversary) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, no
 	for i, dep := range deps {
 		fwd[i], claims[i] = a.maybeForge(dep)
 	}
-	out, doneAt, done, err := a.inner.DepositEnvelopeBatch(id, fwd, now)
+	out, doneAt, done, err := a.Service.DepositEnvelopeBatch(id, fwd, now)
 	if err != nil {
 		return out, doneAt, done, err
 	}
@@ -150,25 +153,25 @@ func (a *Adversary) maybeForge(dep *protocol.Deposit) (*protocol.Deposit, int) {
 // quarantine-and-retry gets a clean re-issue) and as the adversary's own
 // stale material for later replay.
 func (a *Adversary) PartitionRandom(id string, tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple {
-	return a.tampered(id, a.inner.PartitionRandom(id, tuples, perPartition, rng))
+	return a.tampered(id, a.Service.PartitionRandom(id, tuples, perPartition, rng))
 }
 
 // PartitionByTag mirrors PartitionRandom for the tag-grouped protocols.
 func (a *Adversary) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple {
-	return a.tampered(id, a.inner.PartitionByTag(id, tuples, maxPerPartition))
+	return a.tampered(id, a.Service.PartitionByTag(id, tuples, maxPerPartition))
 }
 
 // StreamBuild is a partition build like any other: built honestly by the
 // inner SSI (which stashes it for the quarantine retry), then tampered on
 // the way out.
 func (a *Adversary) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
-	return a.tampered(id, a.inner.StreamBuild(id, perPartition))
+	return a.tampered(id, a.Service.StreamBuild(id, perPartition))
 }
 
 // Repartition re-issues the inner SSI's honest stash — and, when the
 // script is persistent, tampers with it again: the degradation path.
 func (a *Adversary) Repartition(id string) [][]protocol.WireTuple {
-	parts := a.inner.Repartition(id)
+	parts := a.Service.Repartition(id)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.tamperLocked(parts, fmt.Sprintf("rebuild-%d", a.builds))
@@ -257,34 +260,4 @@ func replacePart(parts [][]protocol.WireTuple, i int, p []protocol.WireTuple) []
 	out := append([][]protocol.WireTuple(nil), parts...)
 	out[i] = p
 	return out
-}
-
-// Everything below is honest delegation: the adversary follows the
-// protocol wherever no attack is scripted.
-
-func (a *Adversary) PostQuery(post *protocol.QueryPost, now time.Time) error {
-	return a.inner.PostQuery(post, now)
-}
-func (a *Adversary) CollectionDone(id string, now time.Time) bool {
-	return a.inner.CollectionDone(id, now)
-}
-func (a *Adversary) CollectedTuples(id string) []protocol.WireTuple {
-	return a.inner.CollectedTuples(id)
-}
-func (a *Adversary) CollectedCount(id string) int { return a.inner.CollectedCount(id) }
-func (a *Adversary) CollectedRange(id string, start, end int) []protocol.WireTuple {
-	return a.inner.CollectedRange(id, start, end)
-}
-func (a *Adversary) ObserveRelay(id string, tuples []protocol.WireTuple, at time.Time) {
-	a.inner.ObserveRelay(id, tuples, at)
-}
-func (a *Adversary) Record(id string, e LedgerEntry)   { a.inner.Record(id, e) }
-func (a *Adversary) LedgerFor(id string) []LedgerEntry { return a.inner.LedgerFor(id) }
-func (a *Adversary) ObservationFor(id string) Observation {
-	return a.inner.ObservationFor(id)
-}
-func (a *Adversary) BytesStored(id string) int64 { return a.inner.BytesStored(id) }
-func (a *Adversary) Drop(id string)              { a.inner.Drop(id) }
-func (a *Adversary) SetEpochPolicy(p EpochPolicy) {
-	a.inner.SetEpochPolicy(p)
 }

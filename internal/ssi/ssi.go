@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/obs"
@@ -127,11 +128,15 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 	return out
 }
 
-// Store is the querybox-and-ledger facet of the infrastructure: posting
-// queries, accepting deposits into the chunked collection store, reading
-// the store back, and keeping the recovery ledger and the curious
-// observation record.
-type Store interface {
+// Service is the infrastructure interface the engine's run path drives:
+// everything the protocols need from the supporting servers — the
+// querybox and its chunked collection store, the recovery ledger and the
+// curious observation record, the rotation admit policy, and the
+// partition builds. *SSI is the honest-but-curious implementation;
+// Adversary wraps it with scripted misbehavior for the upgraded threat
+// model. Keeping the engine on this interface is what makes the integrity
+// layer meaningful: the verifier must not care which one it is talking to.
+type Service interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)
 	DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) (out []DepositOutcome, doneAt int, done bool, err error)
@@ -145,39 +150,19 @@ type Store interface {
 	ObservationFor(id string) Observation
 	BytesStored(id string) int64
 	Drop(id string)
-}
-
-// Epochs is the rotation-policy facet: the engine's rotation coordinator
-// pushes the admit gate's view of the current epoch, the grace window and
-// the revocation list through it.
-type Epochs interface {
+	// SetEpochPolicy is how the engine's rotation coordinator pushes the
+	// admit gate's view of the current epoch, the grace window and the
+	// revocation list.
 	SetEpochPolicy(EpochPolicy)
-}
-
-// Partitioner is the partition-building facet. StreamBuild turns the
-// whole chunked store into the canonical deposit-order build (stashed for
-// Repartition like every other build). Deposit order is itself a uniform
-// random permutation of the fleet, so a deposit-order window is exactly
-// the "random partition" of step 9 — which is what makes that build
-// protocol-equivalent to RandomPartitions.
-type Partitioner interface {
 	PartitionRandom(id string, tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple
 	PartitionByTag(id string, tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple
 	Repartition(id string) [][]protocol.WireTuple
+	// StreamBuild turns the whole chunked store into the canonical
+	// deposit-order build. Deposit order is itself a uniform random
+	// permutation of the fleet, so a deposit-order window is exactly the
+	// "random partition" of step 9 — which is what makes that build
+	// protocol-equivalent to RandomPartitions.
 	StreamBuild(id string, perPartition int) [][]protocol.WireTuple
-}
-
-// Service is the infrastructure interface the engine's run path drives:
-// everything the protocols need from the supporting servers, composed
-// from the Store, Epochs and Partitioner facets. *SSI is the
-// honest-but-curious implementation; Adversary wraps it with scripted
-// misbehavior for the upgraded threat model. Keeping the engine on this
-// interface is what makes the integrity layer meaningful: the verifier
-// must not care which one it is talking to.
-type Service interface {
-	Store
-	Epochs
-	Partitioner
 }
 
 var _ Service = (*SSI)(nil)
@@ -234,20 +219,60 @@ func (st *QueryState) observation() Observation {
 	return out
 }
 
-// SSI is the supporting server infrastructure. Safe for concurrent use by
-// many TDS goroutines.
-type SSI struct {
+// DefaultShards is the stripe count NewSharded uses when asked for zero.
+// Queries hash uniformly over stripes, so a modest power of two already
+// makes cross-query lock collisions rare at any realistic in-flight count.
+const DefaultShards = 16
+
+// stripe is one lock domain of the querybox. Query state is fully
+// independent per ID, so a query behaves identically whichever stripe
+// holds it and however many there are.
+type stripe struct {
 	mu      sync.Mutex
 	queries map[string]*QueryState
-	trace   *obs.Tracer  // nil-safe; mirrors ledger events as SSI-party trace events
-	journal *obs.Journal // nil-safe; mirrors ledger events as SSI-party journal records
-	policy  EpochPolicy
-	revoked map[string]bool // device IDs of policy.Revoked
 }
 
-// New returns an empty SSI.
-func New() *SSI {
-	return &SSI{queries: make(map[string]*QueryState)}
+// admitPolicy is an installed EpochPolicy with its revocation list
+// indexed. Immutable once published.
+type admitPolicy struct {
+	EpochPolicy
+	revoked map[string]bool
+}
+
+// SSI is the supporting server infrastructure. Safe for concurrent use by
+// many TDS goroutines. Per-query state is striped over independent lock
+// domains selected by a stable hash of the query ID, so N in-flight
+// queries never serialize on one mutex: the paper's SSI is "powerful and
+// highly available" (Section 2.1) precisely because it serves many
+// queriers at once. Tracer, journal and epoch policy are fleet-wide and
+// held once.
+type SSI struct {
+	stripes []stripe
+	trace   *obs.Tracer  // nil-safe; mirrors ledger events as SSI-party trace events
+	journal *obs.Journal // nil-safe; mirrors ledger events as SSI-party journal records
+	policy  atomic.Pointer[admitPolicy]
+}
+
+// New returns an empty SSI with a single stripe.
+func New() *SSI { return NewSharded(1) }
+
+// NewSharded returns an empty SSI with n stripes (DefaultShards when
+// n <= 0).
+func NewSharded(n int) *SSI {
+	if n <= 0 {
+		n = DefaultShards
+	}
+	s := &SSI{stripes: make([]stripe, n)}
+	for i := range s.stripes {
+		s.stripes[i].queries = make(map[string]*QueryState)
+	}
+	s.policy.Store(&admitPolicy{})
+	return s
+}
+
+// stripeOf routes one query ID to its stripe.
+func (s *SSI) stripeOf(id string) *stripe {
+	return &s.stripes[fnvHash(id)%uint32(len(s.stripes))]
 }
 
 // WithTracer mirrors every recorded ledger event and relay observation
@@ -262,30 +287,31 @@ func (s *SSI) WithTracer(tr *obs.Tracer) { s.trace = tr }
 // nothing beyond the ledger the SSI already keeps.
 func (s *SSI) WithJournal(j *obs.Journal) { s.journal = j }
 
-// SetEpochPolicy installs the rotation admit policy. The rotation
-// coordinator calls it at the grace boundaries; in-flight deposits
-// serialize against it on s.mu, so every deposit sees exactly one policy.
+// SetEpochPolicy installs the rotation admit policy, atomically for every
+// stripe. The rotation coordinator calls it at the grace boundaries; a
+// deposit call reads the policy once, so every envelope of a batch sees
+// exactly one policy, and a call that starts after SetEpochPolicy returns
+// sees the new one.
 func (s *SSI) SetEpochPolicy(p EpochPolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.policy = p
-	s.revoked = nil
+	ap := &admitPolicy{EpochPolicy: p}
 	if len(p.Revoked) > 0 {
-		s.revoked = make(map[string]bool, len(p.Revoked))
+		ap.revoked = make(map[string]bool, len(p.Revoked))
 		for _, id := range p.Revoked {
-			s.revoked[id] = true
+			ap.revoked[id] = true
 		}
 	}
+	s.policy.Store(ap)
 }
 
 // PostQuery deposits a query in the global querybox (step 1 of Fig. 2).
 func (s *SSI) PostQuery(post *protocol.QueryPost, now time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.queries[post.ID]; dup {
+	sp := s.stripeOf(post.ID)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if _, dup := sp.queries[post.ID]; dup {
 		return fmt.Errorf("ssi: query %q already posted", post.ID)
 	}
-	s.queries[post.ID] = &QueryState{
+	sp.queries[post.ID] = &QueryState{
 		Post:      post,
 		StartedAt: now,
 		tagCounts: make(map[string]*int64),
@@ -294,44 +320,27 @@ func (s *SSI) PostQuery(post *protocol.QueryPost, now time.Time) error {
 	return nil
 }
 
-// Query returns the post for a query ID — what a connecting TDS downloads
-// from the querybox (step 2).
-func (s *SSI) Query(id string) (*protocol.QueryPost, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
-	if !ok {
-		return nil, false
-	}
-	return st.Post, true
-}
-
-// Deposit stores collection-phase tuples (step 4), evaluates the SIZE
-// clause and records observations. It returns how many tuples were
-// accepted (the SIZE cap may truncate) and whether the collection is now
-// complete. The tuples travel in an anonymous envelope: no replay or epoch
-// checking — use DepositEnvelope for the churn-aware path.
-func (s *SSI) Deposit(id string, tuples []protocol.WireTuple, now time.Time) (accepted int, done bool, err error) {
-	return s.DepositEnvelope(id, protocol.NewDeposit(id, "", 0, 0, tuples), now)
-}
-
-// DepositEnvelope stores one device's sealed collection deposit. Beyond
-// Deposit's SIZE accounting it enforces the availability protocol:
-// a replayed envelope (same device, non-advancing attempt), an envelope
-// from a different key epoch, or one failing its transport checksum is
-// rejected with a typed error (ErrStaleDeposit / ErrCorruptDeposit) and
-// nothing is stored — the collection stays open.
+// DepositEnvelope stores one device's sealed collection deposit (step 4),
+// evaluates the SIZE clause and records observations. It returns how many
+// tuples were accepted (the SIZE cap may truncate) and whether the
+// collection is now complete. It enforces the availability protocol: a
+// deposit from a revoked device, a replayed envelope (same device,
+// non-advancing attempt), an envelope from a different key epoch, or one
+// failing its transport checksum is rejected with a typed error
+// (ErrRevokedDeposit / ErrStaleDeposit / ErrCorruptDeposit) and nothing is
+// stored — the collection stays open.
 func (s *SSI) DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return 0, false, fmt.Errorf("ssi: unknown query %q", id)
 	}
 	if st.Done {
 		return 0, true, nil
 	}
-	if err := s.admit(st, dep); err != nil {
+	if err := s.policy.Load().admit(st, dep); err != nil {
 		return 0, st.Done, err
 	}
 	return s.depositLocked(st, dep.Tuples, now), st.Done, nil
@@ -339,9 +348,9 @@ func (s *SSI) DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (
 
 // admit runs the revocation, replay, epoch and integrity checks of one
 // envelope and commits its attempt counter on success. The caller holds
-// s.mu.
-func (s *SSI) admit(st *QueryState, dep *protocol.Deposit) error {
-	if dep.DeviceID != "" && s.revoked[dep.DeviceID] {
+// the query's stripe lock.
+func (p *admitPolicy) admit(st *QueryState, dep *protocol.Deposit) error {
+	if dep.DeviceID != "" && p.revoked[dep.DeviceID] {
 		return fmt.Errorf("%w: device %s", ErrRevokedDeposit, dep.DeviceID)
 	}
 	if dep.DeviceID != "" {
@@ -351,7 +360,7 @@ func (s *SSI) admit(st *QueryState, dep *protocol.Deposit) error {
 		}
 	}
 	if dep.Epoch != 0 && st.Post.Epoch != 0 && dep.Epoch != st.Post.Epoch &&
-		!s.graceAdmits(dep.Epoch, st.Post.Epoch) {
+		!p.graceAdmits(dep.Epoch, st.Post.Epoch) {
 		return fmt.Errorf("%w: epoch %d, query posted at epoch %d",
 			ErrStaleDeposit, dep.Epoch, st.Post.Epoch)
 	}
@@ -366,9 +375,8 @@ func (s *SSI) admit(st *QueryState, dep *protocol.Deposit) error {
 
 // graceAdmits reports whether the open grace window covers a deposit
 // epoch / posted epoch mismatch: both must sit in {e−1, e}. The caller
-// holds s.mu and has already ruled out the exact match.
-func (s *SSI) graceAdmits(depEpoch, postEpoch int) bool {
-	p := s.policy
+// has already ruled out the exact match.
+func (p *admitPolicy) graceAdmits(depEpoch, postEpoch int) bool {
 	if !p.Grace || p.Epoch == 0 {
 		return false
 	}
@@ -376,51 +384,30 @@ func (s *SSI) graceAdmits(depEpoch, postEpoch int) bool {
 	return in(depEpoch) && in(postEpoch)
 }
 
-// DepositBatch deposits several devices' collection results in device
-// order under one lock acquisition — the parallel collection pipeline
-// commits a whole wave of simultaneous connections (ConnectionInterval 0)
-// in one call. Semantics are identical to calling Deposit once per batch
-// in order: accepted[i] is the tuple count accepted from batches[i], and
-// doneAt is the index of the batch whose deposit completed the collection
-// (-1 when the collection is still open, or was already complete before
-// the first batch; later batches are untouched, exactly as the sequential
-// loop never visits devices after the SIZE condition is reached).
-func (s *SSI) DepositBatch(id string, batches [][]protocol.WireTuple, now time.Time) (accepted []int, doneAt int, done bool, err error) {
-	deps := make([]*protocol.Deposit, len(batches))
-	for i, tuples := range batches {
-		deps[i] = protocol.NewDeposit(id, "", 0, 0, tuples)
-	}
-	out, doneAt, done, err := s.DepositEnvelopeBatch(id, deps, now)
-	if err != nil {
-		return nil, doneAt, done, err
-	}
-	accepted = make([]int, len(out))
-	for i, o := range out {
-		accepted[i] = o.Accepted
-	}
-	return accepted, doneAt, done, nil
-}
-
 // DepositEnvelopeBatch is DepositEnvelope over a whole committed wave,
 // under one lock acquisition. Envelopes are admitted in order; a rejected
 // envelope gets its typed error in out[i].Err and the walk continues (a
 // bad deposit cannot complete a collection), while the walk stops at the
 // envelope whose deposit reaches the SIZE condition, exactly as the
-// sequential loop never visits later devices.
+// sequential loop never visits later devices: doneAt is that envelope's
+// index (-1 when the collection is still open, or was already complete
+// before the first envelope).
 func (s *SSI) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) (out []DepositOutcome, doneAt int, done bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return nil, -1, false, fmt.Errorf("ssi: unknown query %q", id)
 	}
 	out = make([]DepositOutcome, len(deps))
 	doneAt = -1
+	policy := s.policy.Load()
 	for i, dep := range deps {
 		if st.Done {
 			break
 		}
-		if rejectErr := s.admit(st, dep); rejectErr != nil {
+		if rejectErr := policy.admit(st, dep); rejectErr != nil {
 			out[i].Err = rejectErr
 			continue
 		}
@@ -438,9 +425,10 @@ func (s *SSI) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time
 // order, so the ledger is deterministic for a fixed fault seed regardless
 // of worker count.
 func (s *SSI) Record(id string, e LedgerEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return
 	}
@@ -456,9 +444,10 @@ func (s *SSI) Record(id string, e LedgerEntry) {
 
 // LedgerFor returns a copy of the recovery ledger of a query.
 func (s *SSI) LedgerFor(id string) []LedgerEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return nil
 	}
@@ -468,7 +457,7 @@ func (s *SSI) LedgerFor(id string) []LedgerEntry {
 }
 
 // depositLocked stores one device's tuples, up to the SIZE cap; the
-// caller holds s.mu and has seen st.Done false.
+// caller holds the stripe lock and has seen st.Done false.
 func (s *SSI) depositLocked(st *QueryState, tuples []protocol.WireTuple, now time.Time) (accepted int) {
 	if max := st.Post.Size.MaxTuples; max > 0 {
 		if room := max - int64(st.tuples.n); int64(len(tuples)) >= room {
@@ -506,9 +495,10 @@ func (s *SSI) observe(st *QueryState, w *protocol.WireTuple) {
 // aggregation phase at the given simulated instant; they feed the same
 // curious ledger, and the relay's ciphertext volume lands in the trace.
 func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, at time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return
 	}
@@ -522,9 +512,10 @@ func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, at time.Time)
 
 // CollectionDone reports whether the SIZE condition has been reached.
 func (s *SSI) CollectionDone(id string, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return false
 	}
@@ -541,9 +532,10 @@ func (s *SSI) CollectionDone(id string, now time.Time) bool {
 // fleet consumers should prefer CollectedCount + CollectedRange, which
 // never force the whole collection into one slice.
 func (s *SSI) CollectedTuples(id string) []protocol.WireTuple {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return nil
 	}
@@ -552,9 +544,10 @@ func (s *SSI) CollectedTuples(id string) []protocol.WireTuple {
 
 // CollectedCount returns the number of tuples stored for the query.
 func (s *SSI) CollectedCount(id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return 0
 	}
@@ -565,9 +558,10 @@ func (s *SSI) CollectedCount(id string) int {
 // — the window a streaming verifier walks one deposit at a time instead
 // of materializing the whole collection. A snapshot; never written through.
 func (s *SSI) CollectedRange(id string, start, end int) []protocol.WireTuple {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return nil
 	}
@@ -576,9 +570,10 @@ func (s *SSI) CollectedRange(id string, start, end int) []protocol.WireTuple {
 
 // ObservationFor returns a snapshot of the curious ledger of a query.
 func (s *SSI) ObservationFor(id string) Observation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return Observation{TagCounts: map[string]int64{}}
 	}
@@ -588,9 +583,10 @@ func (s *SSI) ObservationFor(id string) Observation {
 // BytesStored returns the temporary-storage footprint of a query at the
 // SSI — a component of Load_Q.
 func (s *SSI) BytesStored(id string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return 0
 	}
@@ -599,9 +595,10 @@ func (s *SSI) BytesStored(id string) int64 {
 
 // Drop discards all state of a finished query.
 func (s *SSI) Drop(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.queries, id)
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	delete(sp.queries, id)
 }
 
 // PartitionRandom is RandomPartitions as a querybox operation: the build
@@ -627,9 +624,10 @@ func (s *SSI) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerParti
 // of perPartition tuples, stashed for Repartition and subject to the
 // same multiset verification as any other build.
 func (s *SSI) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok || st.tuples.n == 0 {
 		return nil
 	}
@@ -655,9 +653,10 @@ func (s *SSI) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
 // the re-issue is exactly the build it originally computed, whatever was
 // done to the outer slice it handed out.
 func (s *SSI) Repartition(id string) [][]protocol.WireTuple {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok || st.lastBuild == nil {
 		return nil
 	}
@@ -666,9 +665,10 @@ func (s *SSI) Repartition(id string) [][]protocol.WireTuple {
 
 // stashBuild snapshots a partition build for Repartition.
 func (s *SSI) stashBuild(id string, parts [][]protocol.WireTuple) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.queries[id]
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	st, ok := sp.queries[id]
 	if !ok {
 		return
 	}

@@ -29,6 +29,21 @@ func tuple(tag string, n int) protocol.WireTuple {
 
 var t0 = time.Unix(1700000000, 0)
 
+// deposit sends tuples through the admit gate in an anonymous envelope:
+// no device ID, so no replay, revocation or epoch check applies.
+func deposit(s Service, id string, tuples []protocol.WireTuple, now time.Time) (int, bool, error) {
+	return s.DepositEnvelope(id, protocol.NewDeposit(id, "", 0, 0, tuples), now)
+}
+
+// anonymous wraps each batch in an anonymous envelope.
+func anonymous(id string, batches [][]protocol.WireTuple) []*protocol.Deposit {
+	deps := make([]*protocol.Deposit, len(batches))
+	for i, tuples := range batches {
+		deps[i] = protocol.NewDeposit(id, "", 0, 0, tuples)
+	}
+	return deps
+}
+
 func TestPostAndQuerybox(t *testing.T) {
 	s := New()
 	p := post("q1", sqlparse.SizeClause{})
@@ -38,13 +53,6 @@ func TestPostAndQuerybox(t *testing.T) {
 	if err := s.PostQuery(p, t0); err == nil {
 		t.Error("duplicate post accepted")
 	}
-	got, ok := s.Query("q1")
-	if !ok || got.ID != "q1" {
-		t.Fatalf("querybox lookup: %v %v", got, ok)
-	}
-	if _, ok := s.Query("nope"); ok {
-		t.Error("unknown query found")
-	}
 }
 
 func TestDepositRespectsSizeClause(t *testing.T) {
@@ -53,7 +61,7 @@ func TestDepositRespectsSizeClause(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := []protocol.WireTuple{tuple("", 10), tuple("", 10), tuple("", 10), tuple("", 10)}
-	accepted, done, err := s.Deposit("q1", batch, t0)
+	accepted, done, err := deposit(s, "q1", batch, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func TestDepositRespectsSizeClause(t *testing.T) {
 		t.Fatalf("accepted = %d done = %v, want 3/true", accepted, done)
 	}
 	// Further deposits are ignored once done.
-	accepted, done, err = s.Deposit("q1", batch, t0)
+	accepted, done, err = deposit(s, "q1", batch, t0)
 	if err != nil || accepted != 0 || !done {
 		t.Fatalf("post-done deposit: %d %v %v", accepted, done, err)
 	}
@@ -75,7 +83,7 @@ func TestDepositDurationBound(t *testing.T) {
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{Duration: time.Minute}), t0); err != nil {
 		t.Fatal(err)
 	}
-	if _, done, _ := s.Deposit("q1", []protocol.WireTuple{tuple("", 4)}, t0.Add(30*time.Second)); done {
+	if _, done, _ := deposit(s, "q1", []protocol.WireTuple{tuple("", 4)}, t0.Add(30*time.Second)); done {
 		t.Error("done before the window closed")
 	}
 	if !s.CollectionDone("q1", t0.Add(61*time.Second)) {
@@ -88,7 +96,7 @@ func TestDepositDurationBound(t *testing.T) {
 
 func TestDepositUnknownQuery(t *testing.T) {
 	s := New()
-	if _, _, err := s.Deposit("nope", nil, t0); err == nil {
+	if _, _, err := deposit(s, "nope", nil, t0); err == nil {
 		t.Error("deposit to unknown query accepted")
 	}
 }
@@ -99,7 +107,7 @@ func TestObservationLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := []protocol.WireTuple{tuple("a", 10), tuple("a", 10), tuple("b", 10), tuple("", 10)}
-	if _, _, err := s.Deposit("q1", batch, t0); err != nil {
+	if _, _, err := deposit(s, "q1", batch, t0); err != nil {
 		t.Fatal(err)
 	}
 	s.ObserveRelay("q1", []protocol.WireTuple{tuple("c", 5)}, t0)
@@ -126,7 +134,7 @@ func TestBytesStoredAndDrop(t *testing.T) {
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Deposit("q1", []protocol.WireTuple{tuple("ab", 10)}, t0); err != nil {
+	if _, _, err := deposit(s, "q1", []protocol.WireTuple{tuple("ab", 10)}, t0); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BytesStored("q1"); got != 12 {
@@ -240,14 +248,14 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 			{tuple("c", 10), tuple("c", 10), tuple("d", 10)},
 		}
 	}
-	// Reference: one Deposit per batch.
+	// Reference: one envelope per call.
 	ref := New()
 	if err := ref.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
 	var refAccepted []int
 	for _, b := range mk() {
-		n, done, err := ref.Deposit("q1", b, t0)
+		n, done, err := deposit(ref, "q1", b, t0)
 		if err != nil || done {
 			t.Fatalf("reference deposit: %d %v %v", n, done, err)
 		}
@@ -258,7 +266,7 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
-	accepted, doneAt, done, err := s.DepositBatch("q1", mk(), t0)
+	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", anonymous("q1", mk()), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +274,8 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 		t.Errorf("done = %v doneAt = %d, want open collection", done, doneAt)
 	}
 	for i := range refAccepted {
-		if accepted[i] != refAccepted[i] {
-			t.Errorf("accepted[%d] = %d, want %d", i, accepted[i], refAccepted[i])
+		if accepted[i].Accepted != refAccepted[i] || accepted[i].Err != nil {
+			t.Errorf("accepted[%d] = %+v, want %d", i, accepted[i], refAccepted[i])
 		}
 	}
 	if ro, so := ref.ObservationFor("q1"), s.ObservationFor("q1"); ro.TotalTuples != so.TotalTuples ||
@@ -286,29 +294,29 @@ func TestDepositBatchSizeCutoff(t *testing.T) {
 		{tuple("b", 10), tuple("b", 10), tuple("b", 10)}, // cap hits inside this one
 		{tuple("c", 10)}, // never visited
 	}
-	accepted, doneAt, done, err := s.DepositBatch("q1", batches, t0)
+	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", anonymous("q1", batches), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !done || doneAt != 1 {
 		t.Fatalf("done = %v doneAt = %d, want cutoff at batch 1", done, doneAt)
 	}
-	if accepted[0] != 1 || accepted[1] != 2 || accepted[2] != 0 {
+	if accepted[0].Accepted != 1 || accepted[1].Accepted != 2 || accepted[2].Accepted != 0 {
 		t.Errorf("accepted = %v, want [1 2 0]", accepted)
 	}
 	if got := len(s.CollectedTuples("q1")); got != 3 {
 		t.Errorf("stored = %d, want the SIZE cap", got)
 	}
 	// A later batch call is a no-op on a done collection.
-	accepted, doneAt, done, err = s.DepositBatch("q1", batches[:1], t0)
-	if err != nil || !done || doneAt != -1 || accepted[0] != 0 {
+	accepted, doneAt, done, err = s.DepositEnvelopeBatch("q1", anonymous("q1", batches[:1]), t0)
+	if err != nil || !done || doneAt != -1 || accepted[0].Accepted != 0 {
 		t.Errorf("post-done batch: %v %d %v %v", accepted, doneAt, done, err)
 	}
 }
 
 func TestDepositBatchUnknownQuery(t *testing.T) {
 	s := New()
-	if _, _, _, err := s.DepositBatch("nope", nil, t0); err == nil {
+	if _, _, _, err := s.DepositEnvelopeBatch("nope", nil, t0); err == nil {
 		t.Error("batch deposit to unknown query accepted")
 	}
 }
@@ -336,9 +344,9 @@ func TestDepositEnvelopeRejectsReplay(t *testing.T) {
 	if _, _, err := s.DepositEnvelope("q1", retry, t0); err != nil {
 		t.Fatalf("advancing attempt rejected: %v", err)
 	}
-	// Anonymous envelopes (legacy Deposit path) are never replay-checked.
+	// Anonymous envelopes are never replay-checked.
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.Deposit("q1", []protocol.WireTuple{tuple("", 8)}, t0); err != nil {
+		if _, _, err := deposit(s, "q1", []protocol.WireTuple{tuple("", 8)}, t0); err != nil {
 			t.Fatalf("anonymous deposit %d rejected: %v", i, err)
 		}
 	}

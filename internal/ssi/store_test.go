@@ -26,7 +26,7 @@ func TestTupleStoreChunks(t *testing.T) {
 		for i := range batch {
 			batch[i] = tuple(fmt.Sprintf("t-%d-%d", d, i), 4)
 		}
-		accepted, _, err := s.Deposit("q1", batch, t0)
+		accepted, _, err := deposit(s, "q1", batch, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestStoreViewsAreSnapshots(t *testing.T) {
 			batch[i] = tuple(fmt.Sprintf("t-%d", len(ref)+i), 4)
 		}
 		ref = append(ref, batch...)
-		if accepted, _, err := s.Deposit("q1", batch, t0); err != nil || accepted != n {
+		if accepted, _, err := deposit(s, "q1", batch, t0); err != nil || accepted != n {
 			t.Fatalf("deposit: accepted %d of %d: %v", accepted, n, err)
 		}
 	}
@@ -270,7 +270,7 @@ func TestRepartitionAfterOuterTamper(t *testing.T) {
 			in[i] = tuple(fmt.Sprintf("g%d", i%3), 2)
 			in[i].Ciphertext[0] = byte(i)
 		}
-		if _, _, err := s.Deposit("q1", in, t0); err != nil {
+		if _, _, err := deposit(s, "q1", in, t0); err != nil {
 			t.Fatal(err)
 		}
 		parts := build(s, in)
@@ -299,7 +299,7 @@ func TestRepartitionAfterOuterTamper(t *testing.T) {
 func TestObserveAllocBudget(t *testing.T) {
 	s := New()
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
-	st := s.queries["q1"]
+	st := s.stripeOf("q1").queries["q1"]
 	w := tuple("a-repeated-tag", 8)
 	s.observe(st, &w)
 	if n := testing.AllocsPerRun(100, func() { s.observe(st, &w) }); n != 0 {

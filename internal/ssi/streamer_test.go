@@ -39,7 +39,7 @@ func TestStreamerWindows(t *testing.T) {
 
 	// Deposits that straddle the window boundaries.
 	for _, batch := range [][]protocol.WireTuple{all[:3], all[3:5], all[5:9], all[9:]} {
-		if _, _, err := s.Deposit("q-str", batch, now); err != nil {
+		if _, _, err := deposit(s, "q-str", batch, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestAdversaryStreamBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := streamTuples(6)
-	if _, _, err := s.Deposit("q-adv", all, now); err != nil {
+	if _, _, err := deposit(s, "q-adv", all, now); err != nil {
 		t.Fatal(err)
 	}
 	a := NewAdversary(s, script(faultplan.SSIDropTuple), 21, "q-adv")
