@@ -28,8 +28,8 @@ import (
 // connection order a wave at a time. A wave is waveChunk devices per
 // worker — its width is not the worker count — cut down to what is left
 // of a SIZE tuple budget. The workers live for the whole phase and share
-// the wave out among themselves; each runs its devices' own work — query
-// decryption, local execution, tuple encryption, the deposit MAC —
+// the wave out among themselves; each runs its devices' own work — the
+// admission lookup, local execution, tuple encryption, the deposit MAC —
 // against a speculative clock: wave start plus the connection intervals
 // of the earlier members expected to spend a slot. The commit thread
 // (worker 0, which collects like the others) then settles the wave
@@ -145,30 +145,43 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	post, metrics, faults := rs.post, rs.metrics, rs.faults
 	start := rs.clock.Now()
 	order := rs.rng.Perm(len(e.fleet))
-	devices := make([]collectDevice, 0, len(order))
-	for _, idx := range order {
-		id := e.deviceID(idx)
-		if !post.TargetedTo(id) {
+	// One lifecycle read-lock for IDs and slots; revocation can change mid-walk, so resolve asks that.
+	all := make([]collectDevice, len(order))
+	e.life.RLock()
+	for i, idx := range order {
+		all[i] = collectDevice{slot: idx, id: e.deviceIDLocked(idx), t: e.fleet[idx]}
+	}
+	e.life.RUnlock()
+	devices := all[:0] // filtered in place
+	for _, d := range all {
+		if !post.TargetedTo(d.id) {
 			continue
 		}
 		metrics.EligibleDevices++
-		b := faults.For(id, post.ID)
-		if b.Offline {
+		d.b = faults.For(d.id, post.ID)
+		if d.b.Offline {
 			// An offline window covering the query: the device never
 			// connects, so it occupies no connection slot at all. The
 			// engine knows its fault script hit; the SSI never saw it.
 			metrics.OfflineDevices++
-			if e.sampled(id) {
-				e.obs.tracer.EngineEvent(post.ID, "fault-"+b.Label(), id, start, obs.CipherFacts{})
+			if e.sampled(d.id) {
+				e.obs.tracer.EngineEvent(post.ID, "fault-"+d.b.Label(), d.id, start, obs.CipherFacts{})
 			}
 			e.obs.devices.With("offline").Inc()
 			continue
 		}
-		devices = append(devices, collectDevice{slot: idx, id: id, b: b, t: e.deviceAt(idx)})
+		devices = append(devices, d)
 	}
 
 	if r := e.cfg.TraceSampleRate; r > 0 && r < 1 {
 		rs.roll = &collectRollup{}
+	}
+	if rs.verify { // one record per deposit of at least one tuple
+		n := int64(len(devices))
+		if limit := post.Size.MaxTuples; limit > 0 {
+			n = min(n, limit)
+		}
+		rs.integ.records = make([]depositRecord, 0, n)
 	}
 
 	w := e.newCollectWalk(rs, cfgTpl, len(devices))

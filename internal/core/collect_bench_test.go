@@ -78,7 +78,7 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 			b.Fatal("nothing collected")
 		}
 		eng.ssi.Drop(post.ID)
-		eng.dropPlans(post.ID)
+		eng.planCache.Drop(post.ID)
 	}
 }
 

@@ -108,7 +108,7 @@ type Engine struct {
 	keyAuth   *tdscrypto.KeyAuthority
 	keys      tdscrypto.KeyRing
 	cal       netsim.Calibration
-	planCache *tds.PlanCache // fleet-shared compiled plans, per query
+	planCache *tds.PlanCache // what a query's devices share; no device holds a plan of its own
 	obs       *engineObs     // tracer + metrics registry
 	// verifier recomputes k2 deposit and partition commitments on the
 	// trusted side of the run — the engine playing the querier's checker
@@ -193,18 +193,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		verifier:  tdscrypto.NewCommitter(ring.K2),
 		discovery: make(map[string]*discovered),
 	}, nil
-}
-
-// dropPlans forgets every compiled plan of a finished query, fleet-wide.
-func (e *Engine) dropPlans(id string) {
-	e.planCache.Drop(id)
-	e.life.RLock()
-	for _, t := range e.fleet {
-		if t != nil { // packed slots hold plans only while materialized
-			t.DropPlan(id)
-		}
-	}
-	e.life.RUnlock()
 }
 
 // Authority returns the credential authority so callers can issue querier

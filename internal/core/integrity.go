@@ -169,7 +169,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 	// in record order, so the checks counted, the first violation reported
 	// and the folded root are those of a one-record-at-a-time walk.
 	fold := rs.verifier.StartFold("collection-root")
-	var win []depositLeaf
+	win := make([]depositLeaf, 0, min(len(rs.integ.records), leafWindowBytes/64)) // a full window of one-tuple deposits
 	comm, epoch := rs.verifier, rs.post.Epoch
 	for off, recs := 0, rs.integ.records; len(recs) > 0; recs = recs[len(win):] {
 		clear(win) // the previous window's tuples are released here

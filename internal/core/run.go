@@ -88,7 +88,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	defer e.ssi.Drop(post.ID)
-	defer e.dropPlans(post.ID)
+	defer e.planCache.Drop(post.ID)
 
 	// Distribution discovery runs first (its sub-query owns its own
 	// trace), so the root span covers only this query's own phases.

@@ -254,13 +254,10 @@ func (d *Deposit) IntegrityOK() bool { return d.Sum == Checksum(d.Tuples) }
 func DepositCommitment(c *tdscrypto.Committer, queryID, deviceID string,
 	attempt, epoch int, tuples []WireTuple) []byte {
 	leaf := c.StartCommit("deposit")
-	var counters [16]byte
-	binary.BigEndian.PutUint64(counters[:8], uint64(attempt))
-	binary.BigEndian.PutUint64(counters[8:], uint64(epoch))
-	leaf.Add([]byte(queryID))
-	leaf.Add([]byte(deviceID))
-	leaf.Add(counters[:8])
-	leaf.Add(counters[8:])
+	leaf.AddString(queryID)
+	leaf.AddString(deviceID)
+	leaf.AddUint64(uint64(attempt))
+	leaf.AddUint64(uint64(epoch))
 	CommitTuples(leaf, tuples)
 	return leaf.Sum()
 }
@@ -377,22 +374,6 @@ type QueryPost struct {
 	// rebinds to the query, so the hot paths would otherwise allocate the
 	// same string once per tuple per TDS.
 	aad atomic.Pointer[[]byte]
-
-	// parsed caches the parse of the decrypted query text. Parsing is pure
-	// and the statement is immutable after Parse, so once any TDS has
-	// decrypted and parsed the query, the whole fleet can share the result
-	// — each TDS still performs its own decryption (a stale-key-epoch
-	// device must keep failing there), but the fleet-size × parse cost of
-	// the collection phase collapses to a single parse. The decrypted SQL
-	// is compared against the cached text before reuse, so a cache entry
-	// can never leak across different query strings.
-	parsed atomic.Pointer[parsedQuery]
-}
-
-// parsedQuery is one cached parse outcome.
-type parsedQuery struct {
-	sql  string
-	stmt *sqlparse.SelectStmt
 }
 
 // TargetedTo reports whether the post concerns the given TDS: global
@@ -433,22 +414,17 @@ func NewQueryPost(id string, kind Kind, params Params, sql string,
 	return post, nil
 }
 
-// OpenQuery decrypts and parses the posted query (what a TDS does at
-// step 3 of Fig. 2). Decryption always runs with the caller's key — only a
-// device holding the current epoch's k1 gets past it — while the parse of
-// the recovered text is cached on the post and shared across the fleet.
+// OpenQuery decrypts and parses the posted query (step 3 of Fig. 2). Only a
+// holder of the posting epoch's k1 gets past the decryption. Nothing is kept:
+// a fleet opens a post once per key material (tds.PlanCache), a querier once.
 func (q *QueryPost) OpenQuery(k1 *tdscrypto.Suite) (*sqlparse.SelectStmt, error) {
 	sql, err := k1.Decrypt(q.EncQuery, q.AAD())
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decrypt query: %w", err)
 	}
-	if c := q.parsed.Load(); c != nil && c.sql == string(sql) {
-		return c.stmt, nil
-	}
 	stmt, err := sqlparse.Parse(string(sql))
 	if err != nil {
 		return nil, fmt.Errorf("protocol: parse query: %w", err)
 	}
-	q.parsed.Store(&parsedQuery{sql: string(sql), stmt: stmt})
 	return stmt, nil
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"testing"
 	"time"
 
@@ -348,6 +349,32 @@ func TestDepositCommitmentGoldenVectors(t *testing.T) {
 		}
 		if ref := c.Commit("deposit", segs...); !bytes.Equal(got, ref) {
 			t.Errorf("streamed leaf %x differs from Commit over its segments %x", got, ref)
+		}
+	}
+}
+
+// TestDepositCommitmentAllocBudget: a deposit leaf allocates the
+// commitment it returns and nothing else — the stream handle stays in
+// DepositCommitment's frame, the IDs, the domain and the counters are
+// absorbed where they are, and the MAC state is the committer's pooled
+// one — whatever the deposit holds. A pooled state a GC or the race
+// detector dropped is rebuilt at some ten allocations, so each size takes
+// the least of twenty single calls.
+func TestDepositCommitmentAllocBudget(t *testing.T) {
+	c := tdscrypto.NewCommitter(tdscrypto.DeriveKey(tdscrypto.Key{}, "allocs"))
+	for _, n := range []int{1, 2, 300} {
+		tuples := make([]WireTuple, n)
+		for i := range tuples {
+			tuples[i] = WireTuple{Ciphertext: make([]byte, 62), Digest: make([]byte, 16)}
+		}
+		least := math.Inf(1)
+		for try := 0; try < 20; try++ {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				DepositCommitment(c, "q-000007", "tds-00042", 1, 1, tuples)
+			}))
+		}
+		if least > 1 {
+			t.Errorf("DepositCommitment over %d tuples allocates %v times, want 1", n, least)
 		}
 	}
 }

@@ -30,13 +30,16 @@ type TDS struct {
 	Policy    *accessctl.Policy
 	Authority *accessctl.Authority
 
-	// Shared is an optional fleet-wide per-query cache installed by the
-	// engine. Every TDS compiles the common query against the common
-	// schema, so the work is identical across the fleet; sharing it turns
-	// a fleet-size × compile cost into a single compile. Each device still
-	// decrypts the query with its own key material first — a stale-epoch
-	// device must keep failing there, cache or not. It also shares Det_Enc
-	// tags among devices holding the same expanded key (groupTag).
+	// Shared is an optional fleet-wide per-query table installed by the
+	// engine. A device's admission of a post — open it with the serving
+	// material's k1, check the credential's signature, evaluate the policy,
+	// compile the plan — is a function of (post, key material, schema,
+	// authority, policy), so the first device holding a combination decides
+	// and the others read its record: one open per (post, key material).
+	// A device holding another key — a stale epoch, dropped grace material —
+	// meets only its own record and keeps failing at the open. Expiry is
+	// each device's own clock against the post, never shared. Det_Enc tags
+	// are shared per expanded key (groupTag). Nil computes on every call.
 	Shared *PlanCache
 
 	// Corrupt marks a compromised device for the extended threat model
@@ -58,9 +61,6 @@ type TDS struct {
 	km        *KeyMaterial
 	prev      *KeyMaterial
 	prevEpoch int
-
-	mu    sync.Mutex
-	plans map[string]*sqlexec.Plan // query ID -> compiled plan
 }
 
 // New creates a TDS with its key ring, database and access policy.
@@ -110,11 +110,7 @@ func NewKeyMaterial(ring tdscrypto.KeyRing) (*KeyMaterial, error) {
 // only the expansion cost is shared.
 func NewWithMaterial(id string, db *storage.LocalDB, km *KeyMaterial,
 	policy *accessctl.Policy, authority *accessctl.Authority) *TDS {
-	return &TDS{
-		ID: id, DB: db, Policy: policy, Authority: authority,
-		km:    km,
-		plans: make(map[string]*sqlexec.Plan),
-	}
+	return &TDS{ID: id, DB: db, Policy: policy, Authority: authority, km: km}
 }
 
 // Epoch returns the device's primary enrollment epoch (wire numbering;
@@ -201,34 +197,64 @@ func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []prot
 }
 
 // PlanCache shares across a fleet, for the life of one query, what every
-// device would compute identically. Plans are keyed by (query ID, schema)
-// so devices on different schemas can never exchange plans; within one
-// fleet the schema pointer is common and every device after the first
-// gets the compile for free. Det_Enc tags are keyed by (query ID, key
-// material, encoded group) — Det_Enc is a function of k2, the query's AAD
-// and the plaintext, and a *KeyMaterial is one expanded k2 — so a device
-// only ever reads tags its own serving material computed. Safe for
-// concurrent use.
+// device would compute identically: one table per query ID, holding the
+// admission records and the Det_Enc tags. Each is keyed by every input of
+// its value — an admission by (post, key material, schema, authority,
+// policy), a tag by (key material, encoded group), Det_Enc being a function
+// of k2, the query's AAD and the plaintext, and a *KeyMaterial one expanded
+// ring — so a device only ever reads what a device holding exactly its own
+// inputs computed. Safe for concurrent use.
 type PlanCache struct {
-	mu    sync.RWMutex
-	plans map[planKey]*sqlexec.Plan
-	tags  map[tagKey][]byte
+	mu      sync.RWMutex
+	queries map[string]queryTable // by query ID; a missing table reads as empty
 }
 
-type planKey struct {
-	queryID string
-	schema  *storage.Schema
+type queryTable struct {
+	admissions map[admissionKey]*admission
+	tags       map[tagKey][]byte
+}
+
+type admissionKey struct {
+	post      *protocol.QueryPost
+	km        *KeyMaterial
+	schema    *storage.Schema
+	authority *accessctl.Authority
+	policy    *accessctl.Policy
 }
 
 type tagKey struct {
-	queryID string
-	km      *KeyMaterial
-	group   string // storage.AppendRow of the grouping values
+	km    *KeyMaterial
+	group string // storage.AppendRow of the grouping values
+}
+
+// admission is step 3 of Fig. 2 decided for one key: the compiled plan of
+// the opened query, or why it does not open or compile, and whether the
+// credential's signature and the policy grant the querier true tuples.
+type admission struct {
+	once    sync.Once // the first device holding the key decides
+	plan    *sqlexec.Plan
+	err     error
+	granted bool
 }
 
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[planKey]*sqlexec.Plan), tags: make(map[tagKey][]byte)}
+	return &PlanCache{queries: make(map[string]queryTable)}
+}
+
+// table returns a query's table, created on first use; c.mu is held.
+func (c *PlanCache) table(id string) queryTable {
+	if _, ok := c.queries[id]; !ok {
+		c.queries[id] = queryTable{make(map[admissionKey]*admission), make(map[tagKey][]byte)}
+	}
+	return c.queries[id]
+}
+
+// Drop forgets the table of a finished query.
+func (c *PlanCache) Drop(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.queries, id)
 }
 
 // tag returns the shared Det_Enc tag of one encoded group, nil on a miss.
@@ -236,85 +262,52 @@ func NewPlanCache() *PlanCache {
 func (c *PlanCache) tag(id string, km *KeyMaterial, group []byte) []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.tags[tagKey{id, km, string(group)}]
+	return c.queries[id].tags[tagKey{km, string(group)}]
 }
 
 func (c *PlanCache) putTag(id string, km *KeyMaterial, group, tag []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tags[tagKey{id, km, string(group)}] = tag
+	c.table(id).tags[tagKey{km, string(group)}] = tag
 }
 
-func (c *PlanCache) get(id string, schema *storage.Schema) *sqlexec.Plan {
+// admission returns the record of one key, inserted undecided on first use.
+func (c *PlanCache) admission(id string, k admissionKey) *admission {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.plans[planKey{id, schema}]
-}
-
-func (c *PlanCache) put(id string, schema *storage.Schema, p *sqlexec.Plan) {
+	a := c.queries[id].admissions[k]
+	c.mu.RUnlock()
+	if a != nil {
+		return a
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans[planKey{id, schema}] = p
+	q := c.table(id)
+	if a = q.admissions[k]; a == nil {
+		a = new(admission)
+		q.admissions[k] = a
+	}
+	return a
 }
 
-// Drop forgets every cached plan and tag of a finished query.
-func (c *PlanCache) Drop(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.plans {
-		if k.queryID == id {
-			delete(c.plans, k)
-		}
-	}
-	for k := range c.tags {
-		if k.queryID == id {
-			delete(c.tags, k)
-		}
-	}
-}
-
-// DropPlan forgets this device's compiled plan for a finished query, so
-// long-lived devices do not accumulate one entry per query ever run.
-func (t *TDS) DropPlan(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.plans, id)
-}
-
-// plan decrypts, parses and compiles the posted query, caching per query
-// ID so a TDS participating in several phases does the work once. The
-// decryption runs with the resolved key material's own k1 (stale key
-// epochs must keep failing), the parse is shared through the post, and
-// the compile through the optional fleet-wide PlanCache.
-func (t *TDS) plan(m *KeyMaterial, post *protocol.QueryPost) (*sqlexec.Plan, error) {
-	t.mu.Lock()
-	p, ok := t.plans[post.ID]
-	t.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	stmt, err := post.OpenQuery(m.K1)
-	if err != nil {
-		return nil, err
-	}
-	schema := t.DB.Schema()
-	p = nil
+// admit returns this device's admission of the post under the material
+// serving it — the plan, whether true tuples are granted, or what stopped
+// it — decided here or by the first device that held the same key, with the
+// whole of step 3 under that material's own k1: a stale epoch fails here.
+func (t *TDS) admit(m *KeyMaterial, post *protocol.QueryPost) (*sqlexec.Plan, bool, error) {
+	a := new(admission)
 	if t.Shared != nil {
-		p = t.Shared.get(post.ID, schema)
+		a = t.Shared.admission(post.ID, admissionKey{post, m, t.DB.Schema(), t.Authority, t.Policy})
 	}
-	if p == nil || p.Stmt != stmt {
-		p, err = sqlexec.Compile(stmt, schema)
-		if err != nil {
-			return nil, err
+	a.once.Do(func() {
+		stmt, err := post.OpenQuery(m.K1)
+		if err == nil {
+			a.plan, err = sqlexec.Compile(stmt, t.DB.Schema())
 		}
-		if t.Shared != nil {
-			t.Shared.put(post.ID, schema, p)
-		}
-	}
-	t.mu.Lock()
-	t.plans[post.ID] = p
-	t.mu.Unlock()
-	return p, nil
+		a.err = err
+		a.granted = err == nil && t.Authority.Signed(&post.Credential) &&
+			t.Policy.Authorize(post.Credential, stmt) == nil
+	})
+	return a.plan, a.granted, a.err
 }
 
 // CollectConfig carries per-protocol collection-phase inputs.
@@ -356,9 +349,9 @@ type collectScratch struct {
 	arena   *tdscrypto.Arena // optional slab for ciphertexts and tags
 }
 
-// Collect performs the collection-phase work of this TDS: download and
-// decrypt the query, verify the querier credential, evaluate the access
-// policy, execute the query locally, and return encrypted wire tuples.
+// Collect performs the collection-phase work of this TDS: admit the query
+// (admit: decrypt it, verify the querier credential, evaluate the access
+// policy), execute it locally, and return encrypted wire tuples.
 //
 // Per steps 4/4' of Fig. 2, an empty local result or a denied query still
 // yields one dummy tuple, non-deterministically encrypted, so the SSI can
@@ -366,16 +359,11 @@ type collectScratch struct {
 func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.WireTuple, CollectStats, error) {
 	var stats CollectStats
 	m := t.matFor(post)
-	plan, err := t.plan(m, post)
+	plan, granted, err := t.admit(m, post)
 	if err != nil {
 		return nil, stats, err
 	}
-	authorized := true
-	if err := t.Authority.Verify(post.Credential, cfg.Now); err != nil {
-		authorized = false
-	} else if err := t.Policy.Authorize(post.Credential, plan.Stmt); err != nil {
-		authorized = false
-	}
+	authorized := granted && !cfg.Now.After(post.Credential.Expiry) // this device's own clock
 	stats.Denied = !authorized
 
 	var rows []storage.Row
@@ -672,7 +660,7 @@ const (
 // return the re-encrypted partial result.
 func (t *TDS) Aggregate(post *protocol.QueryPost, partition []protocol.WireTuple, emit EmitMode) ([]protocol.WireTuple, error) {
 	m := t.matFor(post)
-	plan, err := t.plan(m, post)
+	plan, _, err := t.admit(m, post)
 	if err != nil {
 		return nil, err
 	}
@@ -808,7 +796,7 @@ func (t *TDS) FilterSFW(post *protocol.QueryPost, partition []protocol.WireTuple
 // global aggregate over an empty input.
 func (t *TDS) FinalizeGroups(post *protocol.QueryPost, partition []protocol.WireTuple, forceEmpty bool) ([]protocol.WireTuple, error) {
 	m := t.matFor(post)
-	plan, err := t.plan(m, post)
+	plan, _, err := t.admit(m, post)
 	if err != nil {
 		return nil, err
 	}

@@ -484,20 +484,40 @@ func TestCorruptDeviceDropsWork(t *testing.T) {
 	}
 }
 
+// TestPlanCachePerQuery: a device holds no plan of its own. Every phase it
+// takes part in reads the one admission record of its key in the query's
+// table; another query gets another table, and dropping one leaves the
+// other alone.
 func TestPlanCachePerQuery(t *testing.T) {
 	d := newTDS(t, row(1, "Paris", 10))
+	d.Shared = NewPlanCache()
 	post := makePost(t, aggSQL, protocol.KindSAgg, protocol.Params{})
+	tuples, _, err := d.Collect(post, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := d.admit(d.matFor(post), post)
 	if _, _, err := d.Collect(post, cfg()); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.plans) != 1 {
-		t.Fatalf("plan cache = %d", len(d.plans))
-	}
-	if _, _, err := d.Collect(post, cfg()); err != nil {
+	if _, err := d.Aggregate(post, tuples, EmitWhole); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.plans) != 1 {
-		t.Errorf("plan cache grew to %d", len(d.plans))
+	again, _, _ := d.admit(d.matFor(post), post)
+	if n := len(d.Shared.queries[post.ID].admissions); n != 1 || again != first || first == nil {
+		t.Errorf("one device, one post: %d admission records, want the one plan it started with", n)
+	}
+	other, err := protocol.NewQueryPost("q-2", post.Kind, post.Params, aggSQL,
+		tdscrypto.MustSuite(ring.K1), post.Credential, sqlparse.SizeClause{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Collect(other, cfg()); err != nil {
+		t.Fatal(err)
+	}
+	d.Shared.Drop(post.ID)
+	if len(d.Shared.queries) != 1 || len(d.Shared.queries["q-2"].admissions) != 1 {
+		t.Errorf("Drop(%q) left %d tables, want q-2's alone", post.ID, len(d.Shared.queries))
 	}
 }
 
@@ -521,6 +541,7 @@ func TestAggregateFoldAllocBudget(t *testing.T) {
 		return tuples
 	}
 	worker := newTDS(t)
+	worker.Shared = NewPlanCache() // as the engine wires it: the plan is read, not compiled per call
 	fold := func(p []protocol.WireTuple) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := worker.Aggregate(post, p, EmitWhole); err != nil {
@@ -630,8 +651,8 @@ func TestDetTagTable(t *testing.T) {
 	if got := tagOf(stale); !bytes.Equal(got, want(km2)) || bytes.Equal(got, miss) {
 		t.Error("a device on another epoch must get tags under its own k2")
 	}
-	if len(shared.tags) != 2 {
-		t.Errorf("table holds %d tags, want one per material", len(shared.tags))
+	if n := len(shared.queries[post.ID].tags); n != 2 {
+		t.Errorf("table holds %d tags, want one per material", n)
 	}
 	// A wave of devices of both epochs filling and reading the table at
 	// once (run under -race by check.sh).
@@ -654,8 +675,8 @@ func TestDetTagTable(t *testing.T) {
 	}
 	wg.Wait()
 	shared.Drop(post.ID)
-	if len(shared.tags) != 0 {
-		t.Errorf("%d tags outlive the query", len(shared.tags))
+	if len(shared.queries) != 0 {
+		t.Errorf("%d query tables outlive the query", len(shared.queries))
 	}
 	// No shared cache: every call computes, same bytes.
 	alone := device("e", 1, km1)

@@ -69,6 +69,29 @@ func (st *foldState) write(p []byte) {
 	st.n += copy(st.buf[st.n:], p)
 }
 
+// writeString is write for a string, which has no []byte to hand the MAC:
+// it goes through the buffer, cut at the buffer's edge.
+func (st *foldState) writeString(s string) {
+	for {
+		n := copy(st.buf[st.n:], s)
+		st.n += n
+		if s = s[n:]; s == "" {
+			return
+		}
+		st.flush()
+	}
+}
+
+// frame queues a segment's 8-byte big-endian length (or a counter), in
+// place: a local frame would escape through hash.Hash.
+func (st *foldState) frame(v uint64) {
+	if len(st.buf)-st.n < 8 {
+		st.flush()
+	}
+	binary.BigEndian.PutUint64(st.buf[st.n:], v)
+	st.n += 8
+}
+
 // Domain separators of the two commitment shapes.
 var (
 	commitLeafPrefix = []byte("commit/leaf/")
@@ -103,7 +126,8 @@ func (c *Committer) Fold(domain string, children ...[]byte) []byte {
 // and length-framed sequence. A FoldStream is single use and not safe for
 // concurrent use; call either Sum or Discard once. Only the state behind
 // the handle is pooled, so a Discard after either finds st nil and cannot
-// touch a state another stream has since taken.
+// touch a state another stream has since taken. StartFold and StartCommit
+// inline, so a handle that stays in its caller lives in the caller's frame.
 type FoldStream struct {
 	c  *Committer
 	st *foldState // nil once finished
@@ -111,33 +135,39 @@ type FoldStream struct {
 
 // StartFold begins an incremental fold over the domain.
 func (c *Committer) StartFold(domain string) *FoldStream {
-	return c.start(commitFoldPrefix, domain)
+	return &FoldStream{c: c, st: c.start(commitFoldPrefix, domain)}
 }
 
 // StartCommit begins an incremental leaf commitment over the domain.
 func (c *Committer) StartCommit(domain string) *FoldStream {
-	return c.start(commitLeafPrefix, domain)
+	return &FoldStream{c: c, st: c.start(commitLeafPrefix, domain)}
 }
 
-func (c *Committer) start(prefix []byte, domain string) *FoldStream {
+func (c *Committer) start(prefix []byte, domain string) *foldState {
 	st := c.states.Get().(*foldState)
 	st.mac.Reset()
 	st.n = copy(st.buf[:], prefix)
-	st.write([]byte(domain))
-	return &FoldStream{c: c, st: st}
+	st.writeString(domain)
+	return st
 }
 
 // Add absorbs one child commitment or leaf segment, length-framed exactly
 // like Fold and Commit.
 func (f *FoldStream) Add(child []byte) {
-	st := f.st
-	if len(st.buf)-st.n < 8 {
-		st.flush()
-	}
-	// Framed in place: a local frame would escape through hash.Hash.
-	binary.BigEndian.PutUint64(st.buf[st.n:], uint64(len(child)))
-	st.n += 8
-	st.write(child)
+	f.st.frame(uint64(len(child)))
+	f.st.write(child)
+}
+
+// AddString is Add([]byte(s)) without the conversion's allocation.
+func (f *FoldStream) AddString(s string) {
+	f.st.frame(uint64(len(s)))
+	f.st.writeString(s)
+}
+
+// AddUint64 is Add of v's eight big-endian bytes.
+func (f *FoldStream) AddUint64(v uint64) {
+	f.st.frame(8)
+	f.st.frame(v)
 }
 
 // Sum finishes the stream and returns the commitment, equal to
@@ -162,7 +192,7 @@ func (f *FoldStream) Discard() {
 }
 
 func (c *Committer) sum(prefix []byte, domain string, segments [][]byte) []byte {
-	f := c.start(prefix, domain)
+	f := FoldStream{c: c, st: c.start(prefix, domain)}
 	for _, seg := range segments {
 		f.Add(seg)
 	}

@@ -52,15 +52,15 @@ fi
 
 # CollectWorkers defaults to GOMAXPROCS, so the core suite's default-worker
 # tests run a different walk shape on every box. Pin the shapes: a 1-CPU
-# box must not be able to hide a worker-count divergence. The per-tuple
-# allocation budgets of the device path, the SSI's observe and the
-# commitment streams ride along: an allocation count must not depend on
-# the core count either.
+# box must not be able to hide a worker-count divergence. The allocation
+# budgets of the device path (per tuple, per admission), the SSI's observe,
+# the commitment streams and the deposit leaf ride along: an allocation
+# count must not depend on the core count either.
 for procs in 1 2 8; do
     echo "==> go test ./internal/core + allocation budgets (GOMAXPROCS=$procs)"
     GOMAXPROCS=$procs go test -count=1 ./internal/core
     GOMAXPROCS=$procs go test -count=1 -run 'AllocBudget' \
-        ./internal/sqlexec ./internal/tds ./internal/ssi ./internal/tdscrypto
+        ./internal/sqlexec ./internal/tds ./internal/ssi ./internal/tdscrypto ./internal/protocol
 done
 
 echo "==> obslint (no direct time.Now() in internal/)"
@@ -76,12 +76,13 @@ go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedg
 # verifier's leaf MACs on eight workers here, under the race detector.
 # What the fleet shares rides along: store views read while a goroutine
 # deposits, the SSI's one epoch policy flipped under eight depositors, the
-# Det_Enc tag table filled by devices of two epochs at once, and one
-# credential authority verifying from eight goroutines.
+# Det_Enc tag table and the admission records filled by devices of two
+# epochs at once, and one credential authority verifying from eight
+# goroutines.
 echo "==> adversary determinism gate"
 go test -race -count=1 ./internal/core -run 'Adversary|Integrity' \
     && go test -race -count=1 ./internal/ssi -run 'Adversary|StoreViews|Repartition|Stripes|EpochPolicy' \
-    && go test -race -count=1 ./internal/tds -run 'DetTagTable' \
+    && go test -race -count=1 ./internal/tds -run 'DetTagTable|AdmissionTable' \
     && go test -race -count=1 ./internal/accessctl -run 'VerifyTable'
 
 echo "==> multi-tenant scheduler gate"
