@@ -14,7 +14,8 @@
 // The -churn-* flags script deterministic fleet churn (seeded by
 // -fault-seed): offline windows, deposits dropped mid-transfer, corrupted
 // uploads, slow devices and crash-before-commit during the aggregation
-// phases. The run then reports its coverage ratio and recovery account.
+// phases (-failure is the older spelling of -churn-crash). The run then
+// reports its coverage ratio and recovery account.
 //
 // The -rotate-every/-revoke-ids flags exercise the live key lifecycle:
 // a signed trust-bundle rotation (and optional broadcast revocation)
@@ -90,7 +91,6 @@ type options struct {
 	nf          int
 	buckets     int
 	available   float64
-	failure     float64
 	audit       int
 	compromised float64
 	seed        int64
@@ -207,53 +207,59 @@ func parseSSIScript(list string, persistent bool) (*faultplan.SSIScript, error) 
 	return &faultplan.SSIScript{Behaviors: bs, Persistent: persistent}, nil
 }
 
-func main() {
+// parseFlags turns a command line into options; a bad flag exits.
+func parseFlags(args []string) options {
 	var o options
-	flag.IntVar(&o.fleet, "fleet", 200, "number of TDSs (smart meters)")
-	flag.StringVar(&o.protoName, "protocol", "s_agg", "basic | s_agg | rnf_noise | c_noise | ed_hist")
-	flag.StringVar(&o.query, "query", defaultQuery, "SQL query to execute")
-	flag.IntVar(&o.nf, "nf", 2, "Rnf_Noise: fake tuples per true tuple")
-	flag.IntVar(&o.buckets, "buckets", 0, "ED_Hist: histogram buckets (0 = derive from h=5)")
-	flag.Float64Var(&o.available, "available", 0.10, "fraction of the fleet connected for aggregation")
-	flag.Float64Var(&o.failure, "failure", 0, "probability a TDS dies mid-partition")
-	flag.IntVar(&o.audit, "audit", 1, "audit replicas per partition (compromised-TDS extension)")
-	flag.Float64Var(&o.compromised, "compromised", 0, "fraction of the fleet marked compromised")
-	flag.Int64Var(&o.seed, "seed", 42, "RNG seed")
-	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock bound on the whole run (0 = none)")
-	flag.Float64Var(&o.churnOffline, "churn-offline", 0, "fraction of devices offline for the whole query")
-	flag.Float64Var(&o.churnDrop, "churn-drop", 0, "fraction of devices that vanish mid-deposit")
-	flag.Float64Var(&o.churnCorrupt, "churn-corrupt", 0, "fraction of deposits arriving corrupted")
-	flag.Float64Var(&o.churnSlow, "churn-slow", 0, "fraction of devices with inflated connection latency")
-	flag.Float64Var(&o.churnCrash, "churn-crash", 0, "fraction of devices crashing before committing a partition")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the scripted churn")
-	flag.Float64Var(&o.coverageFloor, "coverage-floor", 0, "fail the query below this collection coverage ratio")
-	flag.StringVar(&o.ssiAdversary, "ssi-adversary", "",
+	fs := flag.NewFlagSet("tdsnet", flag.ExitOnError)
+	fs.IntVar(&o.fleet, "fleet", 200, "number of TDSs (smart meters)")
+	fs.StringVar(&o.protoName, "protocol", "s_agg", "basic | s_agg | rnf_noise | c_noise | ed_hist")
+	fs.StringVar(&o.query, "query", defaultQuery, "SQL query to execute")
+	fs.IntVar(&o.nf, "nf", 2, "Rnf_Noise: fake tuples per true tuple")
+	fs.IntVar(&o.buckets, "buckets", 0, "ED_Hist: histogram buckets (0 = derive from h=5)")
+	fs.Float64Var(&o.available, "available", 0.10, "fraction of the fleet connected for aggregation")
+	fs.Float64Var(&o.churnCrash, "failure", 0, "alias of -churn-crash")
+	fs.IntVar(&o.audit, "audit", 1, "audit replicas per partition (compromised-TDS extension)")
+	fs.Float64Var(&o.compromised, "compromised", 0, "fraction of the fleet marked compromised")
+	fs.Int64Var(&o.seed, "seed", 42, "RNG seed")
+	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock bound on the whole run (0 = none)")
+	fs.Float64Var(&o.churnOffline, "churn-offline", 0, "fraction of devices offline for the whole query")
+	fs.Float64Var(&o.churnDrop, "churn-drop", 0, "fraction of devices that vanish mid-deposit")
+	fs.Float64Var(&o.churnCorrupt, "churn-corrupt", 0, "fraction of deposits arriving corrupted")
+	fs.Float64Var(&o.churnSlow, "churn-slow", 0, "fraction of devices with inflated connection latency")
+	fs.Float64Var(&o.churnCrash, "churn-crash", 0, "fraction of devices crashing before committing a partition")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the scripted churn")
+	fs.Float64Var(&o.coverageFloor, "coverage-floor", 0, "fail the query below this collection coverage ratio")
+	fs.StringVar(&o.ssiAdversary, "ssi-adversary", "",
 		"comma-separated SSI misbehaviors to script (drop-tuple, duplicate-tuple, replay-stale-partition, forge-coverage, equivocate-partitioning)")
-	flag.BoolVar(&o.ssiPersistent, "ssi-persistent", false,
+	fs.BoolVar(&o.ssiPersistent, "ssi-persistent", false,
 		"re-strike scripted SSI misbehaviors on every opportunity, including quarantine retries")
-	flag.BoolVar(&o.verify, "verify", true,
+	fs.BoolVar(&o.verify, "verify", true,
 		"verify the SSI against the fleet's deposit commitments (disable to isolate protocol cost)")
-	flag.IntVar(&o.rotateEvery, "rotate-every", 0,
+	fs.IntVar(&o.rotateEvery, "rotate-every", 0,
 		"begin a live key rotation after N committed deposits and advance one rollout wave every further N (0 = no rotation)")
-	flag.IntVar(&o.rotateWaves, "rotate-waves", 3,
+	fs.IntVar(&o.rotateWaves, "rotate-waves", 3,
 		"staged-rollout wave count for -rotate-every / -revoke-ids")
-	flag.StringVar(&o.revokeIDs, "revoke-ids", "",
+	fs.StringVar(&o.revokeIDs, "revoke-ids", "",
 		"comma-separated device IDs (e.g. tds-00007) revoked at the rotation point")
-	flag.IntVar(&o.concurrent, "concurrent", 1,
+	fs.IntVar(&o.concurrent, "concurrent", 1,
 		"run the query N times at once through the multi-tenant server (N > 1)")
-	flag.IntVar(&o.inflight, "inflight", 0,
+	fs.IntVar(&o.inflight, "inflight", 0,
 		"concurrent: server MaxInFlight (0 = GOMAXPROCS)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write the query trace as JSON lines to this file")
-	flag.BoolVar(&o.traceSummary, "trace-summary", false, "print the query trace as an ASCII span tree")
-	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry (Prometheus text) to this file")
-	flag.StringVar(&o.journalOut, "journal-out", "", "write the structured query journal (JSON lines) to this file")
-	flag.Float64Var(&o.traceSample, "trace-sample", 0,
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the query trace as JSON lines to this file")
+	fs.BoolVar(&o.traceSummary, "trace-summary", false, "print the query trace as an ASCII span tree")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry (Prometheus text) to this file")
+	fs.StringVar(&o.journalOut, "journal-out", "", "write the structured query journal (JSON lines) to this file")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0,
 		"deterministic per-device trace sampling rate in (0,1); 0 or >=1 traces every device")
-	flag.StringVar(&o.opsAddr, "ops-addr", "",
+	fs.StringVar(&o.opsAddr, "ops-addr", "",
 		"serve the ops endpoint (/metrics, /healthz, /traces/<id>, /journal) on this address")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
-	if err := runOpts(o); err != nil {
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
+	return o
+}
+
+func main() {
+	if err := runOpts(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "tdsnet:", err)
 		os.Exit(1)
 	}
@@ -301,7 +307,6 @@ func runOpts(o options) error {
 		AuthorityKey:        tdscrypto.DeriveKey(tdscrypto.Key{}, "authority"),
 		MasterKey:           tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
 		AvailableFraction:   o.available,
-		FailureRate:         o.failure,
 		AuditReplicas:       o.audit,
 		CompromisedFraction: o.compromised,
 		Seed:                o.seed,
@@ -324,8 +329,7 @@ func runOpts(o options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fleet=%d protocol=%v available=%.0f%% failure=%.0f%%\n",
-		o.fleet, kind, o.available*100, o.failure*100)
+	fmt.Printf("fleet=%d protocol=%v available=%.0f%%\n", o.fleet, kind, o.available*100)
 	if plan != nil {
 		fmt.Printf("churn: offline=%.0f%% drop=%.0f%% corrupt=%.0f%% slow=%.0f%% crash=%.0f%% (fault seed %d)\n",
 			plan.OfflineFraction*100, plan.DropFraction*100, plan.CorruptFraction*100,
@@ -545,7 +549,7 @@ func printRotationReport(eng *core.Engine, ledger []ssi.LedgerEntry) {
 			begun++
 		case "rotation-wave":
 			waves++
-		case "deposit-stale":
+		case "deposit-retry":
 			stale++
 		case "deposit-revoked":
 			revokedDeps++

@@ -25,10 +25,51 @@ func TestRunAllProtocols(t *testing.T) {
 	}
 }
 
-func TestRunWithFailures(t *testing.T) {
-	if err := runOpts(options{fleet: 30, protoName: "s_agg", query: defaultQuery,
-		available: 0.5, failure: 0.2, audit: 1, seed: 3, verify: true}); err != nil {
+// printed runs tdsnet with the given command line and returns what it
+// wrote to standard output, less the two lines that differ between any two
+// runs: the wall-clock time and the digest over randomly-nonced ciphertext.
+func printed(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = runOpts(parseFlags(args))
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.Contains(line, "wall clock") && !strings.Contains(line, "run digest") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// TestRunWithFailures: -failure is -churn-crash under its older name, so
+// the two spellings print the same run byte for byte — one crash share in
+// the header, the same rows, metrics and ledger.
+func TestRunWithFailures(t *testing.T) {
+	common := []string{"-fleet", "30", "-available", "0.5", "-seed", "3"}
+	failure := printed(t, append(common, "-failure", "0.2")...)
+	crash := printed(t, append(common, "-churn-crash", "0.2")...)
+	if failure != crash {
+		t.Errorf("-failure 0.2 and -churn-crash 0.2 print different runs:\n%s\n---\n%s", failure, crash)
+	}
+	if strings.Count(failure, "20%") != 1 || !strings.Contains(failure, "crash=20%") {
+		t.Errorf("the header must print the crash share once:\n%s", failure)
+	}
+	if !strings.Contains(failure, " reassign ") {
+		t.Errorf("a fifth of the fleet crashing re-assigned nothing:\n%s", failure)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -230,6 +231,71 @@ func TestChurnMaxAttemptsDegradesGracefully(t *testing.T) {
 	}
 	if abandoned != m.PartitionsAbandoned {
 		t.Fatalf("ledger records %d abandonments, metrics count %d", abandoned, m.PartitionsAbandoned)
+	}
+}
+
+// TestCrashVictimsAreScripted: who dies mid-partition is a function of
+// (fault seed, device, query ID) and of nothing else. Availability, audit
+// replication, the collection worker count and the fleet representation
+// all change which devices get drawn as assignees, and none of them may
+// change which of the drawn ones die: every reassign and
+// partition-abandoned entry, in every cell, names a device the plan
+// scripts to crash — one fixed set, which a draw from the run RNG could
+// not give.
+func TestCrashVictimsAreScripted(t *testing.T) {
+	const fleetSize, qid = 40, "crash-victims-pin"
+	plan := &faultplan.Plan{Seed: 21, CrashFraction: 0.3, MaxAttempts: 2}
+	crashers := map[string]bool{}
+	for i := 0; i < fleetSize; i++ {
+		if dev := packedID(i); plan.For(dev, qid).CrashInPhase {
+			crashers[dev] = true
+		}
+	}
+	if len(crashers) == 0 || len(crashers) == fleetSize {
+		t.Fatalf("the plan crashes %d of %d devices; the test needs some of each", len(crashers), fleetSize)
+	}
+	kinds := map[string]int{}
+	victimSets := map[string]bool{}
+	for _, available := range []float64{0.1, 0.5} {
+		for _, replicas := range []int{1, 3} {
+			for _, workers := range []int{1, 8} {
+				for _, packed := range []bool{false, true} {
+					f := newFixture(t, fleetSize, func(c *Config) {
+						c.AvailableFraction = available
+						c.AuditReplicas = replicas
+						c.CollectWorkers = workers
+						c.PackedFleet = packed
+					})
+					resp, err := f.eng.Execute(context.Background(), Request{
+						Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg, QueryID: qid,
+						Params: protocol.Params{PartitionTuples: 4}, Faults: plan,
+					})
+					cell := fmt.Sprintf("available=%v replicas=%d workers=%d packed=%v",
+						available, replicas, workers, packed)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					var victims []string
+					for _, le := range resp.Metrics.Ledger {
+						if le.Kind != "reassign" && le.Kind != "partition-abandoned" {
+							continue
+						}
+						kinds[le.Kind]++
+						victims = append(victims, le.Device)
+						if !crashers[le.Device] {
+							t.Errorf("%s: %s names %s, which the plan does not crash", cell, le.Kind, le.Device)
+						}
+					}
+					victimSets[fmt.Sprint(victims)] = true
+				}
+			}
+		}
+	}
+	if kinds["reassign"] == 0 || kinds["partition-abandoned"] == 0 {
+		t.Errorf("the sweep saw %v; it needs both reassignments and abandonments", kinds)
+	}
+	if len(victimSets) < 2 {
+		t.Error("every cell drew the same victims in the same order; the sweep does not vary the draw")
 	}
 }
 

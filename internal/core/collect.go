@@ -692,12 +692,20 @@ func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time,
 		if r.fate, err = w.resolve(queue[i], r, now.Add(wait), 2); err != nil {
 			return now, err
 		}
+		var billed time.Duration
 		if r.ran {
 			// The retry went ahead; one that cannot proceed bills no backoff.
+			billed = wait
 			rs.metrics.RetryWait += wait
 			w.e.obs.retryWait.Add(wait.Seconds())
 			now = now.Add(wait)
 		}
+		// The device is booked by how this connection ends, not by the
+		// provisional deposit-stale mark it queued with: the ledger says so.
+		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+			Kind: "deposit-retry", Phase: "collection", Device: queue[i].id,
+			Attempt: 2, Wait: billed, At: now,
+		})
 		step, done, err := w.settle(queue[i:i+1], w.res[:1], now, 2)
 		if err != nil {
 			return now, err

@@ -29,7 +29,7 @@ type PhaseConformance struct {
 // ConformanceReport is the run-vs-model comparison for one query.
 type ConformanceReport struct {
 	// Protocol is the cost model's name for the configuration
-	// (S_Agg, R2_Noise, R1000_Noise, C_Noise, ED_Hist, Basic).
+	// (S_Agg, R<n_f>_Noise, C_Noise, ED_Hist, Basic).
 	Protocol string
 	// MeasuredTQ is Metrics.TQ: the simulated aggregation + filtering
 	// duration (collection excluded, as in the paper's T_Q).
@@ -56,31 +56,6 @@ func (r *ConformanceReport) String() string {
 	return b.String()
 }
 
-// modelName maps a protocol configuration onto the cost model's named
-// operating points. Configurations the model has no closed form for
-// (Rnf_Noise with an unusual fake count) return "".
-func modelName(kind protocol.Kind, params protocol.Params) string {
-	switch kind {
-	case protocol.KindBasic:
-		return costmodel.NameBasic
-	case protocol.KindSAgg:
-		return costmodel.NameSAgg
-	case protocol.KindRnfNoise:
-		switch params.Nf {
-		case 2:
-			return costmodel.NameR2Noise
-		case 1000:
-			return costmodel.NameR1000Noise
-		}
-		return ""
-	case protocol.KindCNoise:
-		return costmodel.NameCNoise
-	case protocol.KindEDHist:
-		return costmodel.NameEDHist
-	}
-	return ""
-}
-
 // phaseFamily folds the engine's concrete phase names into the model's
 // three families. The collect phase never appears in Metrics.Phases (its
 // timing is excluded from T_Q), so only aggregation and filtering occur.
@@ -93,12 +68,13 @@ func phaseFamily(name string) string {
 	}
 }
 
-// conformance builds the report for a finished run; nil when the model
-// does not cover the configuration or the run collected nothing.
+// conformance builds the report for a finished run; nil when the run
+// collected nothing, and for Rnf_Noise at n_f = 0: that is Params' unset
+// value — no fakes, Det_Enc without noise — not an operating point of
+// Section 6.1.2, and the pinned runs that use it carry no tq_ratio.
 func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 	m := rs.metrics
-	name := modelName(req.Kind, rs.post.Params)
-	if name == "" || m.Nt == 0 {
+	if m.Nt == 0 || (req.Kind == protocol.KindRnfNoise && rs.post.Params.Nf == 0) {
 		return nil
 	}
 
@@ -113,12 +89,9 @@ func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 	}
 	stBytes := int(st + 0.5)
 	tt := e.cal.TransferTime(stBytes) + e.cal.CryptoTime(stBytes) + e.cal.CPUTime(stBytes)
-	g := float64(m.Groups)
+	g := float64(m.Groups) // unused for Basic: costmodel.Full walks the covering result there
 	if g < 1 {
 		g = 1
-	}
-	if name == costmodel.NameBasic {
-		g = float64(m.Nt) // the filtering pass walks the covering result
 	}
 	p := costmodel.Params{
 		Nt:        float64(m.Nt),
@@ -127,14 +100,16 @@ func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 		Tt:        tt,
 		Available: float64(rs.workers),
 		Alpha:     rs.post.Params.Alpha,
+		Nf:        float64(rs.post.Params.Nf),
 		H:         rs.post.Params.CollisionFactor,
 	}
-	fc, err := costmodel.Full(name, p, e.cfg.AuditReplicas)
+	// The cost model spells its protocols as protocol.Kind prints them.
+	fc, err := costmodel.Full(req.Kind.String(), p, e.cfg.AuditReplicas)
 	if err != nil {
 		return nil
 	}
 
-	rep := &ConformanceReport{Protocol: name, MeasuredTQ: m.TQ}
+	rep := &ConformanceReport{Protocol: fc.Protocol, MeasuredTQ: m.TQ}
 	measured := map[string]time.Duration{}
 	for _, ph := range m.Phases {
 		measured[phaseFamily(ph.Name)] += ph.Duration

@@ -41,10 +41,6 @@ type Config struct {
 	// aggregation and filtering phases (the paper sweeps 1%, 10%, 100%).
 	// 0 selects the paper's default of 10%.
 	AvailableFraction float64
-	// FailureRate is the probability that a TDS goes offline while
-	// processing a partition; the SSI then re-assigns the partition
-	// (correctness property of Section 3.2). 0 disables failures.
-	FailureRate float64
 	// ConnectionInterval is the simulated time between two successive TDS
 	// connections in the collection phase. With seldom-connected devices
 	// (health tokens) it is hours; smart meters make it ~0. It is what a

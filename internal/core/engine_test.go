@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/accessctl"
+	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/sqlexec"
@@ -263,17 +264,19 @@ func TestGroupedAggregateOverNoMatches(t *testing.T) {
 }
 
 func TestFailureInjectionStillCorrect(t *testing.T) {
-	f := newFixture(t, 30, func(c *Config) { c.FailureRate = 0.3 })
+	f := newFixture(t, 30, nil)
 	want := f.reference(t, flagshipSQL)
-	// Small partitions force many work units so the 30% failure rate is
-	// statistically certain to fire at least once.
-	got, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 3})
+	// Small partitions force many work units so a crasher among 30% of the
+	// fleet is certain to be drawn as an assignee at least once.
+	got, m, err := runRequest(f.eng, Request{Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
+		Params: protocol.Params{PartitionTuples: 3},
+		Faults: &faultplan.Plan{Seed: 21, CrashFraction: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, got, want)
 	if m.Reassignments == 0 {
-		t.Error("failure rate 0.3 produced no reassignments — injection inert")
+		t.Error("crash fraction 0.3 produced no reassignments — injection inert")
 	}
 }
 

@@ -80,8 +80,7 @@ type Response struct {
 	Journal *obs.QueryJournal
 	// Conformance compares the run's measured simulated durations against
 	// the Section 6.1 cost model's predictions. Nil for CollectOnly runs,
-	// aborted runs, and protocol configurations the model does not cover
-	// (e.g. Rnf_Noise with a non-standard fake count).
+	// aborted runs, and Rnf_Noise with n_f left at 0.
 	Conformance *ConformanceReport
 }
 

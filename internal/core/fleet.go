@@ -34,12 +34,17 @@ func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f := e.cfg.CompromisedFraction; f > 0 {
-		r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(id)) ^ 0x5eed))
-		t.Corrupt = r.Float64() < f
-	}
+	t.Corrupt = e.compromised(id)
 	e.fleet = append(e.fleet, t)
 	return t, nil
+}
+
+// compromised is the enrolment draw of the extended threat model: whether
+// the device of this ID belongs to Config.CompromisedFraction, a function
+// of (Seed, ID) so both fleet representations mark the same silicon.
+func (e *Engine) compromised(id string) bool {
+	f := e.cfg.CompromisedFraction
+	return f > 0 && rand.New(rand.NewSource(e.cfg.Seed^int64(hashString(id))^0x5eed)).Float64() < f
 }
 
 // ProvisionFleet enrolls n TDSs whose databases are produced by populate.
@@ -272,14 +277,8 @@ func (e *Engine) provisionPacked(n int, populate func(i int) *storage.LocalDB) e
 	epoch := uint32(e.keyAuth.Epoch())
 	for i := 0; i < n; i++ {
 		slot := len(e.fleet)
-		corrupt := false
-		if f := e.cfg.CompromisedFraction; f > 0 {
-			// The exact draw AddTDS would have made for this slot.
-			r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(packedID(slot))) ^ 0x5eed))
-			corrupt = r.Float64() < f
-		}
 		e.packed.pad(slot)
-		e.packed.addPacked(storage.PackDB(populate(i)), epoch, corrupt)
+		e.packed.addPacked(storage.PackDB(populate(i)), epoch, e.compromised(packedID(slot)))
 		e.fleet = append(e.fleet, nil)
 	}
 	return nil

@@ -39,7 +39,8 @@ type Metrics struct {
 	TQ time.Duration
 	// TLocal is the average simulated busy time per TDS participation.
 	TLocal time.Duration
-	// Reassignments counts partitions re-sent after a TDS failure.
+	// Reassignments counts partitions re-issued after their assignee's
+	// scripted crash; each is also a timeout in Timeouts and RetryWait.
 	Reassignments int
 	// CollectErrors counts TDSs that connected but could not answer
 	// (stale key epoch, local fault); the protocol proceeds without them.
@@ -125,7 +126,7 @@ func (m *Metrics) applyPhaseStats(ps phaseStats) {
 	m.Reassignments += ps.Reassigned
 	m.AuditDetections += ps.Detections
 	m.Suspects = append(m.Suspects, ps.Suspects...)
-	m.Timeouts += ps.Timeouts
+	m.Timeouts += ps.Reassigned + ps.Abandoned // every crash the SSI timed out ended as one or the other
 	m.RetryWait += ps.Wait
 	m.PartitionsAbandoned += ps.Abandoned
 }

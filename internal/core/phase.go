@@ -23,12 +23,11 @@ type workUnit struct {
 
 // phaseStats aggregates what a phase cost beyond its work units.
 type phaseStats struct {
-	Reassigned int           // partitions re-sent after a TDS death
+	Reassigned int           // partitions re-sent after their assignee's crash
 	Detections int           // replicas outvoted by the audit (compromised-TDS ext.)
 	Suspects   []string      // IDs of the outvoted devices
-	Timeouts   int           // scripted crashes the SSI had to time out
-	Wait       time.Duration // timeout + backoff bill of those crashes
-	Abandoned  int           // partitions dropped after MaxAttempts
+	Wait       time.Duration // timeout + backoff bill of the crashes
+	Abandoned  int           // partitions dropped after MaxAttempts, not re-sent
 }
 
 // runPhase distributes partitions over connected TDSs with a bounded
@@ -41,15 +40,13 @@ type phaseStats struct {
 // model). Each replica is a real work unit: auditing multiplies P_TDS and
 // Load_Q by ~r, the price of the stronger threat model.
 //
-// Two failure sources coexist: the legacy Config.FailureRate draws
-// deaths from the run RNG, and a fault plan scripts crash-before-commit
-// per (device, query). A scripted crash bills the SSI a PhaseTimeout
-// plus capped exponential backoff (phaseStats.Wait), lands a "reassign"
-// entry in the recovery ledger, and re-issues the partition to freshly
-// drawn replacements — until the plan's MaxAttempts abandons it. Workers
-// are drawn before the failure draw so even a legacy death names its
-// device in the ledger, and every entry carries the simulated instant
-// the SSI gave up on the assignment. All draws happen sequentially up
+// An assignee dies one way: the fault plan scripts crash-before-commit, so
+// who dies is a function of (fault seed, device, query ID), never of draw
+// order. The SSI waits the crash out (Section 3.2, correctness): it bills
+// a PhaseTimeout plus capped exponential backoff (phaseStats.Wait), names
+// the assignee and the instant it started waiting in a "reassign" ledger
+// entry, and re-issues the partition to freshly drawn replacements until
+// the plan's MaxAttempts abandons it. All draws happen sequentially up
 // front, so the phase is deterministic for any pool size.
 func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	partitions [][]protocol.WireTuple,
@@ -102,17 +99,14 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		tasks = append(tasks, task{part: p, attempt: 1})
 	}
 
-	// Failure decisions must be deterministic: draw them up front.
-	failDraw := func() bool { return rng.Float64() < e.cfg.FailureRate }
-
-	// Pre-pick worker TDSs and failure flags deterministically, then let
+	// Pre-pick worker TDSs and crash decisions deterministically, then let
 	// goroutines do the crypto-heavy processing concurrently.
 	type assignment struct {
 		part    []protocol.WireTuple
 		workers []*tds.TDS // replicas processing the same partition
 	}
 	var plan []assignment
-	maxReassign := 10 * len(partitions) // safety valve against failure rates ~ 1
+	maxReassign := 10 * len(partitions) // safety valve against crash fractions ~ 1
 	for qi := 0; qi < len(tasks); qi++ {
 		t := tasks[qi]
 		if err := ctxErr(ctx); err != nil {
@@ -120,8 +114,8 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		}
 		// Pre-draw enough distinct workers for up to three audit rounds:
 		// when a round produces no strict digest majority, the partition
-		// is re-sent to the next batch of fresh devices. Drawing before
-		// the failure decision means every death below has a name.
+		// is re-sent to the next batch of fresh devices. The first drawn
+		// is the primary assignee the crash decision below is about.
 		rounds := 1
 		if replicas > 1 {
 			rounds = 3
@@ -144,27 +138,12 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			}
 			ws = append(ws, w)
 		}
-		if e.cfg.FailureRate > 0 && stats.Reassigned < maxReassign && failDraw() {
-			// The TDS dies mid-partition: after a timeout the SSI re-sends
-			// the partition to another available TDS (Section 3.2,
-			// correctness). The dead TDS's partial work is discarded. The
-			// legacy model bills no wait, but the ledger still names the
-			// assignee and the instant.
-			stats.Reassigned++
-			rs.ssi.Record(post.ID, ssi.LedgerEntry{
-				Kind: "reassign", Phase: phase, Device: ws[0].ID,
-				Attempt: t.attempt, At: phaseStart.Add(stats.Wait),
-			})
-			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
-			continue
-		}
 		if faults != nil && stats.Reassigned < maxReassign &&
 			faults.For(ws[0].ID, post.ID).CrashInPhase {
 			// The scripted churn: the primary assignee crashes before
 			// committing. The SSI times out, backs off, and re-issues the
 			// partition to a fresh draw — or abandons it past MaxAttempts.
 			wait := faults.RetryWait(t.attempt)
-			stats.Timeouts++
 			at := phaseStart.Add(stats.Wait) // instant the SSI starts waiting this one out
 			stats.Wait += wait
 			rs.ssi.Record(post.ID, ssi.LedgerEntry{

@@ -112,6 +112,7 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 						if err != nil {
 							t.Fatalf("workers=%d rot=%v: %v", workers, rot != nil, err)
 						}
+						assertDeviceAccounts(t, resp.Metrics, false)
 						m := *resp.Metrics
 						m.TLocal = 0 // mean of identical sums; avoid float divergence noise
 						return outcome{rows: sortedRows(resp.Result), metrics: m, integ: resp.Integrity}
@@ -372,6 +373,7 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 				})
 				var out tornOutcome
 				note := func(resp *Response) {
+					assertDeviceAccounts(t, resp.Metrics, false)
 					out.rows = append(out.rows, sortedRows(resp.Result))
 					out.ledgers = append(out.ledgers, flatLedger(resp.Metrics))
 				}

@@ -30,6 +30,9 @@ type queryOutcome struct {
 
 func outcomeOf(t *testing.T, resp *Response) queryOutcome {
 	t.Helper()
+	// The SQL is not in the response, so only the bound that holds with or
+	// without a SIZE clause: no device is booked twice.
+	assertDeviceAccounts(t, resp.Metrics, true)
 	var buf bytes.Buffer
 	if resp.Trace != nil {
 		if err := resp.Trace.WriteJSONL(&buf); err != nil {

@@ -90,12 +90,12 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceLedgerUniformlyStamped drives both failure sources at once —
-// the scripted churn plan plus the legacy FailureRate deaths — and
-// requires every recovery-ledger entry to carry a device ID and a
-// simulated timestamp, on every path.
+// TestTraceLedgerUniformlyStamped drives every churn path the plan
+// scripts, crashes abandoned at the second attempt included, and requires
+// every recovery-ledger entry to carry a device ID and a simulated
+// timestamp, on every path.
 func TestTraceLedgerUniformlyStamped(t *testing.T) {
-	f := newFixture(t, 40, func(c *Config) { c.FailureRate = 0.3 })
+	f := newFixture(t, 40, nil)
 	resp, err := f.eng.Execute(context.Background(), Request{
 		Querier: f.q, SQL: flagshipSQL, Kind: churnScenarios[1].kind,
 		Params: churnScenarios[1].params,
@@ -108,7 +108,7 @@ func TestTraceLedgerUniformlyStamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(resp.Metrics.Ledger) == 0 {
-		t.Fatal("no ledger entries despite churn + FailureRate")
+		t.Fatal("no ledger entries despite churn")
 	}
 	kinds := map[string]int{}
 	for _, le := range resp.Metrics.Ledger {
@@ -124,7 +124,7 @@ func TestTraceLedgerUniformlyStamped(t *testing.T) {
 		}
 	}
 	if kinds["reassign"] == 0 {
-		t.Fatalf("no reassign entries recorded (kinds=%v); FailureRate paths untested", kinds)
+		t.Fatalf("no reassign entries recorded (kinds=%v); the crash path is untested", kinds)
 	}
 }
 

@@ -228,26 +228,32 @@ func applyAvailability(m Metrics, p Params, totalTuples float64) Metrics {
 	return m
 }
 
-// Protocol names used by Compare and the figure harness. NameBasic is
-// the Select-From-Where protocol: it has no aggregation phase and is not
-// part of the paper's Fig. 10 comparison (ProtocolNames), but Full
-// decomposes it so the conformance gate can check all engine protocols.
+// Protocol names used by Compare, Full and the figure harness; the five
+// protocols are spelled as protocol.Kind prints them. NameBasic is the
+// Select-From-Where protocol: it has no aggregation phase and is not part
+// of the paper's Fig. 10 comparison (ProtocolNames), but Full decomposes
+// it so the conformance gate can check all engine protocols. NameR2Noise
+// and NameR1000Noise are Fig. 10's legends for two operating points of
+// NameRnfNoise, which reads Params.Nf.
 const (
 	NameBasic      = "Basic"
 	NameSAgg       = "S_Agg"
+	NameRnfNoise   = "Rnf_Noise"
 	NameR2Noise    = "R2_Noise"
 	NameR1000Noise = "R1000_Noise"
 	NameCNoise     = "C_Noise"
 	NameEDHist     = "ED_Hist"
 )
 
+// legendNf is the n_f behind each of Fig. 10's two Rnf_Noise legends.
+var legendNf = map[string]float64{NameR2Noise: 2, NameR1000Noise: 1000}
+
 // Compare evaluates the five protocol configurations plotted throughout
 // Fig. 10: S_Agg, R2_Noise (n_f=2), R1000_Noise (n_f=1000), C_Noise and
 // ED_Hist.
 func Compare(p Params) map[string]Metrics {
 	r2, r1000 := p, p
-	r2.Nf = 2
-	r1000.Nf = 1000
+	r2.Nf, r1000.Nf = legendNf[NameR2Noise], legendNf[NameR1000Noise]
 	return map[string]Metrics{
 		NameSAgg:       SAgg(p),
 		NameR2Noise:    RnfNoise(r2),

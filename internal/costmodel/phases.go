@@ -69,10 +69,8 @@ func (f FullCost) String() string {
 // expansion returns the collection-phase tuple multiplier of a protocol.
 func expansion(name string, p Params) float64 {
 	switch name {
-	case NameR2Noise:
-		return 3 // n_f = 2 fakes + 1 true
-	case NameR1000Noise:
-		return 1001
+	case NameRnfNoise:
+		return p.Nf + 1 // n_f fakes + 1 true
 	case NameCNoise:
 		return p.G // n_d - 1 fakes + 1 true, n_d ≈ G
 	default:
@@ -121,14 +119,8 @@ func aggregationPhase(name string, p Params) PhaseCost {
 	switch name {
 	case NameSAgg:
 		m = SAgg(p)
-	case NameR2Noise:
-		q := p
-		q.Nf = 2
-		m = RnfNoise(q)
-	case NameR1000Noise:
-		q := p
-		q.Nf = 1000
-		m = RnfNoise(q)
+	case NameRnfNoise:
+		m = RnfNoise(p)
 	case NameCNoise:
 		m = CNoise(p)
 	case NameEDHist:
@@ -145,11 +137,18 @@ func aggregationPhase(name string, p Params) PhaseCost {
 
 // Full returns the complete per-phase cost decomposition of a protocol,
 // optionally with the audit extension's replication factor (1 = off).
-func Full(name string, p Params, auditReplicas int) (FullCost, error) {
+// NameRnfNoise reads p.Nf; Fig. 10's two legends for it set p.Nf.
+func Full(legend string, p Params, auditReplicas int) (FullCost, error) {
+	name := legend
+	if nf, ok := legendNf[legend]; ok {
+		name, p.Nf = NameRnfNoise, nf
+	}
 	switch name {
-	case NameBasic, NameSAgg, NameR2Noise, NameR1000Noise, NameCNoise, NameEDHist:
+	case NameBasic, NameSAgg, NameCNoise, NameEDHist:
+	case NameRnfNoise:
+		legend = fmt.Sprintf("R%g_Noise", p.Nf) // the figures' name for the operating point
 	default:
-		return FullCost{}, fmt.Errorf("costmodel: unknown protocol %q", name)
+		return FullCost{}, fmt.Errorf("costmodel: unknown protocol %q", legend)
 	}
 	p = p.withDefaults()
 	if auditReplicas < 1 {
@@ -166,7 +165,7 @@ func Full(name string, p Params, auditReplicas int) (FullCost, error) {
 		fil.Load *= r
 		fil.PTDS *= r
 		return FullCost{
-			Protocol:   name,
+			Protocol:   legend,
 			Phases:     []PhaseCost{col, fil},
 			SSIStorage: p.Nt * p.St,
 		}, nil
@@ -187,7 +186,7 @@ func Full(name string, p Params, auditReplicas int) (FullCost, error) {
 		agg.TQ = time.Duration(float64(agg.TQ) * math.Min(r, agg.PTDS/p.Available))
 	}
 	return FullCost{
-		Protocol:   name,
+		Protocol:   legend,
 		Phases:     []PhaseCost{col, agg, fil},
 		SSIStorage: expansion(name, p) * p.Nt * p.St,
 	}, nil

@@ -174,13 +174,14 @@ var _ Service = (*SSI)(nil)
 // worker count.
 type LedgerEntry struct {
 	// Kind classifies the event: "deposit-timeout", "deposit-corrupt",
-	// "deposit-stale", "deposit-revoked", "reassign",
-	// "partition-abandoned", and the rotation lifecycle marks
+	// "deposit-stale", "deposit-retry" (the second connection of a device
+	// first refused as stale, which is what books it), "deposit-revoked",
+	// "reassign", "partition-abandoned", and the rotation lifecycle marks
 	// "rotation-begin", "rotation-wave", "rotation-complete".
 	Kind string
 	// Phase names the aggregation/filtering phase for reassignments.
 	Phase string
-	// Device is the TDS the event concerns (empty for anonymous deaths).
+	// Device is the TDS the event concerns.
 	Device string
 	// Attempt is the 1-based attempt the event ended.
 	Attempt int

@@ -44,8 +44,8 @@ echo "==> non-test line budget"
 core_ssi=$(find internal/core internal/ssi -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*.go' -not -name '*_test.go' -print | xargs cat | wc -l)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 5650); repo outside bench/: $repo (ceiling 17750)"
-if [ "$core_ssi" -gt 5650 ] || [ "$repo" -gt 17750 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 5600); repo outside bench/: $repo (ceiling 17700)"
+if [ "$core_ssi" -gt 5600 ] || [ "$repo" -gt 17700 ]; then
     echo "non-test line budget exceeded" >&2
     exit 1
 fi
@@ -66,8 +66,10 @@ done
 echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
 
+# TestCrashVictimsAreScripted rides along: who dies mid-partition may not
+# depend on the worker count, the fleet representation or the draw order.
 echo "==> churn determinism gate"
-go test -race -count=1 ./internal/core -run 'Churn|Determinism'
+go test -race -count=1 ./internal/core -run 'Churn|Determinism|CrashVictims'
 
 echo "==> trace determinism gate"
 go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedger'
