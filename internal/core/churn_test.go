@@ -5,12 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
+	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/tds"
 )
 
 // churnPlan is the reference fault script of the churn tests: with seed 21
@@ -296,6 +301,48 @@ func TestCrashVictimsAreScripted(t *testing.T) {
 	}
 	if len(victimSets) < 2 {
 		t.Error("every cell drew the same victims in the same order; the sweep does not vary the draw")
+	}
+}
+
+// TestPhaseErrorDeterminism: a phase in which every assignment fails
+// reports the failure lowest in plan order, whoever failed first. Every
+// device opens the post but none can decrypt the partitions it is sent (as
+// after a fleet went stale between collection and aggregation), so each
+// assignment's error names its own device: at one worker that is the
+// plan's first, and eight workers racing through forty assignments must
+// say the same, twenty times over — although there the first assignment
+// is held back until another has failed, so it is never the first to.
+func TestPhaseErrorDeterminism(t *testing.T) {
+	junk := shuffledParts(benchTuples(160, 4), 4, rand.New(rand.NewSource(5)))
+	var want string
+	for _, workers := range []int{1, 8} {
+		f := newFixture(t, 30, func(c *Config) { c.CollectWorkers = workers })
+		post, err := f.q.BuildPost("phase-error", flagshipSQL, protocol.KindSAgg, protocol.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post.Epoch = f.eng.wireEpoch()
+		defer f.eng.planCache.Drop(post.ID)
+		for rep := 0; rep < 20; rep++ {
+			rs := &runState{post: post, rng: rand.New(rand.NewSource(3)), metrics: &Metrics{},
+				clock: obs.NewSimClock(obs.SimOrigin()), crew: &crew{n: f.eng.collectWorkers()}}
+			_, _, err := f.eng.runPhase(context.Background(), rs, "step", junk,
+				func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
+					for workers > 1 && &p[0] == &junk[0][0] && !rs.crew.failed.Load() {
+						runtime.Gosched()
+					}
+					return w.Aggregate(post, p, tds.EmitWhole)
+				})
+			rs.crew.stop()
+			if err == nil || !strings.Contains(err.Error(), "decrypt partition tuple") {
+				t.Fatalf("workers=%d: a phase over undecryptable partitions returned %v", workers, err)
+			}
+			if want == "" {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("workers=%d, repetition %d: %q, want the plan's first failure %q", workers, rep, err, want)
+			}
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
@@ -27,7 +25,7 @@ import (
 // There is one walk, whatever CollectWorkers says. It takes the pre-drawn
 // connection order a wave at a time. A wave is waveChunk devices per
 // worker — its width is not the worker count — cut down to what is left
-// of a SIZE tuple budget. The workers live for the whole phase and share
+// of a SIZE tuple budget. The workers are the run's crew and share
 // the wave out among themselves; each runs its devices' own work — the
 // admission lookup, local execution, tuple encryption, the deposit MAC —
 // against a speculative clock: wave start plus the connection intervals
@@ -185,7 +183,6 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	}
 
 	w := e.newCollectWalk(rs, cfgTpl, len(devices))
-	defer w.stop()
 	end, err := w.run(ctx, devices, start)
 	if err == nil && len(rs.staleQ) > 0 {
 		// Devices a torn rollout caught on the wrong epoch get one retried
@@ -360,30 +357,22 @@ func (rs *runState) revokedAllowed() bool {
 }
 
 // collectWalk is the state of one query's collection walk: the workers'
-// collectors, the helper goroutines behind workers 1..n-1, and the wave
-// slots.
+// collectors and the wave slots.
 type collectWalk struct {
 	e      *Engine
 	rs     *runState
 	cfgTpl tds.CollectConfig
-	// cols holds one collector per worker. cols[0] is the commit thread's:
-	// it serves worker 0's share of a wave, every commit-point redo and the
-	// stale retries, none of which overlap.
+	// cols holds one collector per worker of the run's crew. cols[0] is the
+	// commit thread's: it serves worker 0's share of a wave, every
+	// commit-point redo and the stale retries, none of which overlap.
 	cols []*collector
-	// work hands each helper goroutine its call for a wave; busy is the
-	// wave barrier, exit waits for the helpers to leave.
-	work       chan func()
-	busy, exit sync.WaitGroup
-	next       atomic.Int32 // the wave's next unclaimed member
-	res        []collectResult
-	deps       []*protocol.Deposit
+	res  []collectResult
+	deps []*protocol.Deposit
 }
 
-// newCollectWalk readies a walk over n devices. Workers beyond the first
-// get a goroutine each, for the whole phase: its stack grows once, not
-// once per device.
+// newCollectWalk readies a walk over n devices.
 func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, n int) *collectWalk {
-	workers := max(min(e.collectWorkers(), n), 1)
+	workers := max(min(rs.crew.n, n), 1)
 	w := &collectWalk{e: e, rs: rs, cfgTpl: cfgTpl,
 		cols: make([]*collector, workers),
 		res:  make([]collectResult, min(workers*waveChunk, n)),
@@ -391,27 +380,7 @@ func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, n int) *
 	for k := range w.cols {
 		w.cols[k] = newCollector()
 	}
-	if workers > 1 {
-		w.work = make(chan func())
-		w.exit.Add(workers - 1)
-		for k := 1; k < workers; k++ {
-			go func() {
-				defer w.exit.Done()
-				for f := range w.work {
-					f()
-				}
-			}()
-		}
-	}
 	return w
-}
-
-// stop ends the helper goroutines and waits for them to leave.
-func (w *collectWalk) stop() {
-	if w.work != nil {
-		close(w.work)
-		w.exit.Wait()
-	}
 }
 
 // width is how many devices the next wave takes: every worker's chunk,
@@ -446,7 +415,9 @@ func (w *collectWalk) run(ctx context.Context, devices []collectDevice, now time
 		wave := devices[base:min(base+w.width(), len(devices))]
 		base += len(wave)
 		res := w.res[:len(wave)]
-		clear(res) // the settled wave's tuples and devices are released here
+		for j := range res { // a slot keeps its tuple buffer: the settled wave's deposits were copied
+			res[j] = collectResult{tuples: res[j].tuples[:0]}
+		}
 		for j := 0; j < len(wave); {
 			w.speculate(wave[j:], res[j:], now)
 			// Settle in connection order. A member whose speculative clock
@@ -495,31 +466,17 @@ func (w *collectWalk) speculate(wave []collectDevice, res []collectResult, now t
 		failed := res[j].ran && res[j].err != nil
 		refused := !d.b.DropDeposit && w.refused(d, 1)
 		// Dropped deposits occupy their slot but never produce tuples.
-		res[j] = collectResult{specNow: spec, skip: d.b.DropDeposit || refused}
+		res[j] = collectResult{specNow: spec, skip: d.b.DropDeposit || refused, tuples: res[j].tuples[:0]}
 		if !refused && !failed {
 			spec = spec.Add(d.step(interval))
 		}
 	}
-	// Members are claimed, not dealt: a helper that wakes late just finds
-	// less left to do, and nobody waits on anyone for more than one device.
-	w.next.Store(0)
-	claim := func(c *collector) {
-		for j := int(w.next.Add(1)) - 1; j < len(wave); j = int(w.next.Add(1)) - 1 {
-			if !res[j].skip {
-				w.collectSlot(c, wave[j], &res[j])
-			}
+	w.rs.crew.each(len(wave), func(k, j int) error {
+		if !res[j].skip {
+			w.collectSlot(w.cols[k], wave[j], &res[j])
 		}
-	}
-	helpers := min(len(w.cols), len(wave)) - 1
-	w.busy.Add(helpers)
-	for k := 1; k <= helpers; k++ {
-		w.work <- func() {
-			defer w.busy.Done()
-			claim(w.cols[k])
-		}
-	}
-	claim(w.cols[0])
-	w.busy.Wait()
+		return nil
+	})
 }
 
 // seal computes what the device attaches to the tuples it uploads: the
@@ -541,11 +498,22 @@ func (w *collectWalk) collectSlot(c *collector, d collectDevice, r *collectResul
 		}
 	}
 	r.t = t
-	r.tuples, r.stats, r.err = w.e.collectOne(c, t, w.rs.post, w.cfgTpl, r.specNow)
-	r.ran = true
+	w.collect(c, r, r.specNow)
 	if r.err == nil {
 		r.seal(w.rs.post, 1)
 	}
+}
+
+// collect runs the slot's device at now, into the slot's own tuple buffer;
+// a slot that has none yet gets one sized for the worker's previous
+// answer, a fleet's devices answering much alike.
+func (w *collectWalk) collect(c *collector, r *collectResult, now time.Time) {
+	cfg := w.cfgTpl
+	if cfg.Out = r.tuples[:0]; cfg.Out == nil {
+		cfg.Out = make([]protocol.WireTuple, 0, c.last)
+	}
+	r.tuples, r.stats, r.err = w.e.collectOne(c, r.t, w.rs.post, cfg, now)
+	r.ran, r.specNow, r.commit, c.last = true, now, nil, len(r.tuples)
 }
 
 // resolve decides what the walk does with a device at its commit point
@@ -586,8 +554,7 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	if !r.ran || !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
 		// Never speculated, speculated against another clock, or failed
 		// in what may have been the device's pre-migration state.
-		r.tuples, r.stats, r.err = e.collectOne(w.cols[0], r.t, post, w.cfgTpl, now)
-		r.ran, r.specNow, r.commit = true, now, nil
+		w.collect(w.cols[0], r, now)
 	}
 	if r.err != nil {
 		return fateError, nil
@@ -687,7 +654,7 @@ func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time,
 		}
 		queue[i].t = nil // the rollout may have reached the slot since it queued
 		r := &w.res[0]
-		*r = collectResult{}
+		*r = collectResult{tuples: r.tuples[:0]}
 		var err error
 		if r.fate, err = w.resolve(queue[i], r, now.Add(wait), 2); err != nil {
 			return now, err

@@ -70,13 +70,14 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 		}
 		var m Metrics
 		rs := &runState{post: post, rng: rng, metrics: &m, clock: obs.NewSimClock(now),
-			ssi: eng.ssi, integ: &integrityState{}}
+			ssi: eng.ssi, integ: &integrityState{}, crew: &crew{n: eng.collectWorkers()}}
 		if err := eng.collectionPhase(context.Background(), rs, tds.CollectConfig{}); err != nil {
 			b.Fatal(err)
 		}
 		if m.Nt == 0 {
 			b.Fatal("nothing collected")
 		}
+		rs.crew.stop()
 		eng.ssi.Drop(post.ID)
 		eng.planCache.Drop(post.ID)
 	}
@@ -153,13 +154,15 @@ func (s *verifyStore) Record(string, ssi.LedgerEntry)     {}
 // newVerifyRun stands up what verification needs of a run, without one:
 // a store of deposits × per tuples and the deposit records whose
 // commitments the devices would have sealed over them.
-func newVerifyRun(eng *Engine, deposits, per int) (*runState, *verifyStore) {
+func newVerifyRun(tb testing.TB, eng *Engine, deposits, per int) (*runState, *verifyStore) {
 	store := &verifyStore{tuples: benchTuples(deposits*per, 50), tamper: -1}
 	rs := &runState{
 		post: &protocol.QueryPost{ID: "q-verify"}, metrics: &Metrics{},
 		clock: obs.NewSimClock(obs.SimOrigin()), ssi: store, verify: true,
 		integ: &integrityState{}, verifier: eng.committerFor(1),
+		crew: &crew{n: eng.collectWorkers()},
 	}
+	tb.Cleanup(rs.crew.stop)
 	for d := 0; d < deposits; d++ {
 		device := fmt.Sprintf("tds-%05d", d)
 		rs.integ.records = append(rs.integ.records, depositRecord{
@@ -188,7 +191,7 @@ func BenchmarkVerifyCollection(b *testing.B) {
 		for _, workers := range verifyWorkerCounts() {
 			b.Run(fmt.Sprintf("deposits=%dx%d/workers=%d", shape.deposits, shape.per, workers), func(b *testing.B) {
 				eng, _ := newBenchEngine(b, 1, workers)
-				rs, _ := newVerifyRun(eng, shape.deposits, shape.per)
+				rs, _ := newVerifyRun(b, eng, shape.deposits, shape.per)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -230,7 +233,7 @@ func BenchmarkVerifyBuild(b *testing.B) {
 		for _, workers := range verifyWorkerCounts() {
 			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
 				eng, _ := newBenchEngine(b, 1, workers)
-				rs, _ := newVerifyRun(eng, 0, 0)
+				rs, _ := newVerifyRun(b, eng, 0, 0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -215,6 +215,21 @@ func TestCollectWorkersDeterminismWalk(t *testing.T) {
 			}
 		},
 	}, {
+		// More than one wave at every width before the cut (8 workers take
+		// 128 devices a wave, one takes 16), so slots are refilled — a three-tuple deposit's
+		// buffer by a one-tuple device, and back — before verification
+		// reads every stored deposit against its commitment.
+		name: "size-cut-after-waves", fleet: 300,
+		sql: `SELECT P.cid, P.cons FROM Power P SIZE 500`, kind: protocol.KindBasic,
+		sizeBounded: true,
+		check: func(t *testing.T, m *Metrics) {
+			if m.Nt != 500 || m.DepositedDevices <= 8*waveChunk || m.IntegrityViolations != 0 ||
+				m.IntegrityChecks < m.DepositedDevices {
+				t.Errorf("Nt = %d from %d devices, %d checks, %d violations: want 500 verified tuples from more than one full wave",
+					m.Nt, m.DepositedDevices, m.IntegrityChecks, m.IntegrityViolations)
+			}
+		},
+	}, {
 		// A quarter of the fleet is stuck on the dead epoch of a hard
 		// cutover: not revoked, so each connects, fails its Collect and
 		// spends no slot, and the clocks speculated for the wave members

@@ -46,6 +46,7 @@ type collector struct {
 	arena tdscrypto.Arena
 	src   lazySource
 	rng   *rand.Rand
+	last  int // tuples of the worker's previous Collect
 }
 
 func newCollector() *collector {

@@ -46,12 +46,14 @@ type Config struct {
 	// (health tokens) it is hours; smart meters make it ~0. It is what a
 	// SIZE ... DURATION window measures against.
 	ConnectionInterval time.Duration
-	// CollectWorkers bounds how many TDSs run their collection step
-	// concurrently — real CPU parallelism of the simulator, invisible to
-	// the protocol: deposits still commit in the pre-drawn connection
-	// order, so metrics, SSI observations and results are bit-identical
-	// for every setting. 0 selects GOMAXPROCS; 1 runs the same walk on
-	// the calling goroutine alone.
+	// CollectWorkers is the host parallelism of a run: how many goroutines
+	// share out its collection waves, the verifier's leaf MACs and its
+	// phases' partitions — real CPU parallelism of the simulator, invisible
+	// to the protocol (AvailableFraction is the simulated one). Deposits
+	// still commit in the pre-drawn connection order and phase outputs land
+	// in plan order, so metrics, SSI observations and results are identical
+	// for every setting. 0 selects GOMAXPROCS; 1 runs the whole query on the
+	// calling goroutine.
 	CollectWorkers int
 	// AuditReplicas enables the compromised-TDS extension: every
 	// aggregation/filtering partition is processed by this many distinct
@@ -232,7 +234,7 @@ func (e *Engine) wireEpoch() int {
 }
 
 // availableWorkers is the number of TDSs connected during aggregation and
-// filtering phases.
+// filtering phases: simulated P_TDS, never a goroutine count.
 func (e *Engine) availableWorkers() int {
 	n := int(e.cfg.AvailableFraction * float64(len(e.fleet)))
 	if n < 1 {

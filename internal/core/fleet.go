@@ -223,25 +223,19 @@ func (e *Engine) materializeDevice(slot int) (*tds.TDS, error) {
 // its new epoch and the previous one; an unmigrated device serves only
 // its own. Epoch 0 means "unknown" and matches everything.
 func (e *Engine) slotServes(slot, wireEpoch int) bool {
-	if wireEpoch == 0 {
-		return true
-	}
 	e.life.RLock()
-	t := e.fleet[slot]
-	var epoch uint32
-	var grace bool
-	if t == nil {
-		epoch = e.packed.epoch[slot]
-		grace = e.rot != nil && epoch == e.rot.newEpoch && epoch > 0
-	}
-	e.life.RUnlock()
-	if t != nil {
+	defer e.life.RUnlock()
+	return e.slotServesLocked(slot, wireEpoch)
+}
+
+// slotServesLocked is slotServes for callers holding the lifecycle lock.
+func (e *Engine) slotServesLocked(slot, wireEpoch int) bool {
+	if t := e.fleet[slot]; t != nil {
 		return t.ServesEpoch(wireEpoch)
 	}
-	if int(epoch)+1 == wireEpoch {
-		return true
-	}
-	return grace && int(epoch) == wireEpoch
+	epoch := e.packed.epoch[slot]
+	grace := e.rot != nil && epoch == e.rot.newEpoch && epoch > 0
+	return wireEpoch == 0 || int(epoch)+1 == wireEpoch || (grace && int(epoch) == wireEpoch)
 }
 
 // runDevice materializes a slot for the rest of one run, caching the

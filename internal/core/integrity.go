@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -188,7 +186,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 			size += protocol.TotalSize(tuples)
 			win = append(win, depositLeaf{comm: comm, tuples: tuples})
 		}
-		e.fanOut(len(win), size, func(i int) {
+		rs.fanOut(len(win), size, func(i int) {
 			r, l := &recs[i], &win[i]
 			l.want = protocol.DepositCommitment(l.comm, id, r.device, r.attempt, r.epoch, l.tuples)
 		})
@@ -296,7 +294,7 @@ func (e *Engine) foldBuild(rs *runState, phase string, parts [][]protocol.WireTu
 	for _, p := range parts {
 		size += protocol.TotalSize(p)
 	}
-	e.fanOut(len(parts), size, func(i int) {
+	rs.fanOut(len(parts), size, func(i int) {
 		leaf := c.StartCommit(domain)
 		protocol.CommitTuples(leaf, parts[i])
 		leaves[i] = leaf.Sum()
@@ -324,30 +322,14 @@ const leafWindowBytes = 1 << 20
 const leafFanOutBytes = 256 << 10
 
 // fanOut runs f(0) … f(n-1), independent MACs over size bytes in all, on
-// the collect workers: the caller and workers-1 goroutines claim indices
-// until none is left. With one worker, or too little work to repay waking
-// a core, it is the plain loop.
-func (e *Engine) fanOut(n, size int, f func(i int)) {
-	workers := min(e.collectWorkers(), n)
-	if workers < 2 || size < leafFanOutBytes {
-		workers = 1
+// the run's crew — or, with too little work to repay waking a core, on the
+// caller alone.
+func (rs *runState) fanOut(n, size int, f func(i int)) {
+	c := rs.crew
+	if size < leafFanOutBytes {
+		c = &crew{n: 1}
 	}
-	var next atomic.Int32
-	claim := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			f(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for k := 1; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
+	c.each(n, func(_, i int) error { f(i); return nil })
 }
 
 // tupleSeed keys tupleHash for the life of the process. The hash only

@@ -383,7 +383,7 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		eng, _ := newBenchEngine(t, 1, workers)
-		rs, store := newVerifyRun(eng, deposits, per)
+		rs, store := newVerifyRun(t, eng, deposits, per)
 		c := rs.verifier
 		if protocol.TotalSize(store.tuples) < leafWindowBytes+leafFanOutBytes {
 			t.Fatal("store too small to exercise a second fanned-out window")
@@ -415,7 +415,7 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 		}
 
 		for _, rec := range []int{0, 3, 57, deposits - 5, deposits - 1} {
-			rs, store := newVerifyRun(eng, deposits, per)
+			rs, store := newVerifyRun(t, eng, deposits, per)
 			store.tamper = rec*per + per/2
 			var mis *ErrSSIMisbehavior
 			if err := eng.verifyCollection(rs); !errors.As(err, &mis) {

@@ -97,7 +97,8 @@ type runState struct {
 	metrics *Metrics
 	faults  *faultplan.Plan
 	clock   *obs.SimClock
-	workers int // TDSs connected during aggregation/filtering phases
+	workers int   // TDSs connected during aggregation/filtering phases (simulated P_TDS)
+	crew    *crew // the goroutines the run's waves, leaf MACs and phases execute on
 
 	// ssi is the service this run talks to: the engine's honest SSI, or
 	// the per-query Adversary wrapping it when the fault plan scripts

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/netsim"
@@ -30,8 +31,82 @@ type phaseStats struct {
 	Abandoned  int           // partitions dropped after MaxAttempts, not re-sent
 }
 
-// runPhase distributes partitions over connected TDSs with a bounded
-// worker pool, injecting failures and re-assigning failed partitions.
+// crew is a run's host parallelism: the run's goroutine and up to n-1
+// helpers, started when first needed and alive until stop, so a helper's
+// stack grows once per query. The collection waves, the verifier's leaf
+// MACs and the phases run on it, the run's goroutine making one call to
+// each at a time, so a call's state lives here.
+type crew struct {
+	n, helpers int // Config.CollectWorkers resolved; helpers started so far
+	work       chan func()
+	exit, busy sync.WaitGroup
+	next       atomic.Int32 // the call's next unclaimed index
+	failed     atomic.Bool
+	mu         sync.Mutex // guards first and err
+	first      int        // the lowest failing index so far
+	err        error
+}
+
+// each runs f(k, i) for every i below n, k naming the worker (0 is the
+// caller). Indices are claimed in order, not dealt — a helper that wakes
+// late just finds less left to do — until a call fails. The error returned
+// is the lowest failing index's, whoever failed first: every index below a
+// claimed one was claimed too, and a claimed index always runs.
+func (c *crew) each(n int, f func(k, i int) error) error {
+	c.next.Store(0)
+	c.failed.Store(false)
+	c.first, c.err = n, nil
+	claim := func(k int) {
+		for !c.failed.Load() {
+			i := int(c.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := f(k, i); err != nil {
+				c.failed.Store(true)
+				c.mu.Lock()
+				if i < c.first {
+					c.first, c.err = i, err
+				}
+				c.mu.Unlock()
+			}
+		}
+	}
+	helpers := min(c.n, n) - 1
+	for ; c.helpers < helpers; c.helpers++ {
+		if c.work == nil {
+			c.work = make(chan func())
+		}
+		c.exit.Add(1)
+		go func() {
+			defer c.exit.Done()
+			for g := range c.work {
+				g()
+			}
+		}()
+	}
+	for k := 1; k <= helpers; k++ {
+		c.busy.Add(1)
+		c.work <- func() {
+			defer c.busy.Done()
+			claim(k)
+		}
+	}
+	claim(0)
+	c.busy.Wait()
+	return c.err
+}
+
+// stop ends the helpers and waits for them to leave.
+func (c *crew) stop() {
+	if c.work != nil {
+		close(c.work)
+		c.exit.Wait()
+	}
+}
+
+// runPhase distributes partitions over connected TDSs, injecting failures
+// and re-assigning failed partitions; the run's crew does the work.
 // process runs inside the chosen TDS; it must be pure protocol work.
 //
 // With Config.AuditReplicas > 1, every partition is processed by that many
@@ -47,7 +122,8 @@ type phaseStats struct {
 // the assignee and the instant it started waiting in a "reassign" ledger
 // entry, and re-issues the partition to freshly drawn replacements until
 // the plan's MaxAttempts abandons it. All draws happen sequentially up
-// front, so the phase is deterministic for any pool size.
+// front, and a failing phase reports its first failing assignment in plan
+// order, so the phase is deterministic for any worker count.
 func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	partitions [][]protocol.WireTuple,
 	process func(worker *tds.TDS, part []protocol.WireTuple) ([]protocol.WireTuple, error),
@@ -61,34 +137,24 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	// this query's epoch — drawing it as a worker would turn a staged
 	// rollout into a phase failure, so the draw pool is epoch-aware. The
 	// live set holds fleet slots, not devices — packed slots materialize
-	// only when actually drawn.
+	// only when actually drawn. A fully stale fleet (hard cutover, nobody
+	// re-enrolled) still runs the protocol and fails per-device, exactly
+	// like collection did: the epoch filter (the first pass) only narrows
+	// the pool while a mix of epochs is live, as during a staged rotation.
 	live := make([]int, 0, len(e.fleet))
-	for slot := range e.fleet {
-		if !e.isRevoked(e.deviceID(slot)) && e.slotServes(slot, post.Epoch) {
-			live = append(live, slot)
-		}
-	}
-	if len(live) == 0 {
-		// A fully stale fleet (hard cutover, nobody re-enrolled) still
-		// runs the protocol and fails per-device, exactly like collection
-		// did; the epoch filter only narrows the pool while a mix of
-		// epochs is live, as during a staged rotation.
+	e.life.RLock() // one hold for the whole set, not three per slot
+	for pass := 0; pass < 2 && len(live) == 0; pass++ {
 		for slot := range e.fleet {
-			if !e.isRevoked(e.deviceID(slot)) {
+			if !e.revoked[e.deviceIDLocked(slot)] && (pass == 1 || e.slotServesLocked(slot, post.Epoch)) {
 				live = append(live, slot)
 			}
 		}
 	}
+	e.life.RUnlock()
 	if len(live) == 0 {
 		return nil, stats, fmt.Errorf("%w: every device is revoked", ErrNoEligibleTDS)
 	}
-	replicas := e.cfg.AuditReplicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(live) {
-		replicas = len(live)
-	}
+	replicas := min(max(e.cfg.AuditReplicas, 1), len(live))
 
 	type task struct {
 		part    []protocol.WireTuple
@@ -120,10 +186,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		if replicas > 1 {
 			rounds = 3
 		}
-		want := replicas * rounds
-		if want > len(live) {
-			want = len(live)
-		}
+		want := min(replicas*rounds, len(live))
 		ws := make([]*tds.TDS, 0, want)
 		seen := make(map[int]bool, want)
 		for len(ws) < want {
@@ -166,111 +229,83 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		plan = append(plan, assignment{part: t.part, workers: ws})
 	}
 
-	pool := e.availableWorkers()
-	if pool > len(partitions)*replicas {
-		pool = len(partitions) * replicas
-	}
-	if pool < 1 {
-		pool = 1
-	}
-
 	// Each assignment gets its own result slot, and the slots are flattened
-	// in plan order after the pool drains: the phase output is independent
-	// of goroutine completion order, so downstream partitioning (and hence
-	// the whole run) is deterministic for any pool size.
+	// in plan order after the crew is through: the phase output is
+	// independent of completion order, so downstream partitioning (and hence
+	// the whole run) is deterministic for any worker count.
 	type phaseResult struct {
 		units    []workUnit
 		suspects []string
 	}
-	var (
-		mu       sync.Mutex
-		results  = make([]phaseResult, len(plan))
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, pool)
-	for ai, a := range plan {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ai int, a assignment) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Audit rounds: process with `replicas` fresh devices per
-			// round; a unanimous round is accepted immediately (the common
-			// case). Otherwise votes accumulate across rounds — the honest
-			// result recurs in every round while independent forgeries
-			// rarely repeat — and the globally most-voted output wins.
-			var allUnits []workUnit
-			var voters []string // worker ID per vote, parallel to keys
-			var keys []string
-			tally := make(map[string]int)
-			repr := make(map[string]int) // digest key -> index in allUnits
-			for start := 0; start < len(a.workers); start += replicas {
-				end := start + replicas
-				if end > len(a.workers) {
-					end = len(a.workers)
+	results := make([]phaseResult, len(plan))
+	err := rs.crew.each(len(plan), func(_, ai int) error {
+		a := plan[ai]
+		// Audit rounds: process with `replicas` fresh devices per
+		// round; a unanimous round is accepted immediately (the common
+		// case). Otherwise votes accumulate across rounds — the honest
+		// result recurs in every round while independent forgeries
+		// rarely repeat — and the globally most-voted output wins.
+		var allUnits []workUnit
+		var voters []string // worker ID per vote, parallel to keys
+		var keys []string
+		tally := make(map[string]int)
+		repr := make(map[string]int) // digest key -> index in allUnits
+		for start := 0; start < len(a.workers); start += replicas {
+			batch := a.workers[start:min(start+replicas, len(a.workers))]
+			unanimous := true
+			var firstKey string
+			for i, w := range batch {
+				out, err := process(w, a.part)
+				if err != nil {
+					return err
 				}
-				batch := a.workers[start:end]
-				unanimous := true
-				var firstKey string
-				for i, w := range batch {
-					out, err := process(w, a.part)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					key := digestKey(out)
-					if i == 0 {
-						firstKey = key
-					} else if key != firstKey {
-						unanimous = false
-					}
-					tally[key]++
-					keys = append(keys, key)
-					voters = append(voters, w.ID)
-					if _, ok := repr[key]; !ok {
-						repr[key] = len(allUnits)
-					}
-					allUnits = append(allUnits, workUnit{
-						partition: a.part,
-						out:       out,
-						busy:      e.meterUnit(a.part, out),
-					})
+				key := digestKey(out)
+				if i == 0 {
+					firstKey = key
+				} else if key != firstKey {
+					unanimous = false
 				}
-				if unanimous {
-					break
+				tally[key]++
+				keys = append(keys, key)
+				voters = append(voters, w.ID)
+				if _, ok := repr[key]; !ok {
+					repr[key] = len(allUnits)
 				}
+				allUnits = append(allUnits, workUnit{
+					partition: a.part,
+					out:       out,
+					busy:      e.meterUnit(a.part, out),
+				})
 			}
-			// Pick the globally most-voted key; clear the outputs of every
-			// unit that did not produce it (their replicas' work is spent
-			// but their result is discarded — and their producer flagged).
-			var winnerKey string
-			winnerVotes := -1
-			for k, v := range tally {
-				if v > winnerVotes || (v == winnerVotes && k < winnerKey) {
-					winnerKey, winnerVotes = k, v
-				}
+			if unanimous {
+				break
 			}
-			keep := repr[winnerKey]
-			var suspects []string
-			for i := range allUnits {
-				if i != keep {
-					allUnits[i].out = nil
-				}
-				if keys[i] != winnerKey {
-					suspects = append(suspects, voters[i])
-				}
+		}
+		// Pick the globally most-voted key; clear the outputs of every
+		// unit that did not produce it (their replicas' work is spent
+		// but their result is discarded — and their producer flagged).
+		var winnerKey string
+		winnerVotes := -1
+		for k, v := range tally {
+			if v > winnerVotes || (v == winnerVotes && k < winnerKey) {
+				winnerKey, winnerVotes = k, v
 			}
-			results[ai] = phaseResult{units: allUnits, suspects: suspects}
-		}(ai, a)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, stats, firstErr
+		}
+		keep := repr[winnerKey]
+		var suspects []string
+		for i := range allUnits {
+			if i != keep {
+				allUnits[i].out = nil
+			}
+			if keys[i] != winnerKey {
+				suspects = append(suspects, voters[i])
+			}
+		}
+		results[ai] = phaseResult{units: allUnits, suspects: suspects}
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
 	}
 	var units []workUnit
 	for _, r := range results {

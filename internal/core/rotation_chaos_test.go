@@ -374,6 +374,11 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 				var out tornOutcome
 				note := func(resp *Response) {
 					assertDeviceAccounts(t, resp.Metrics, false)
+					// The retries run in the walk's first slot, its buffer reused:
+					// every deposit must still answer to its commitment.
+					if in := resp.Integrity; in.Violations != 0 || in.Deposits != resp.Metrics.DepositedDevices {
+						t.Errorf("%d of %d deposits verified, %d violations", in.Deposits, resp.Metrics.DepositedDevices, in.Violations)
+					}
 					out.rows = append(out.rows, sortedRows(resp.Result))
 					out.ledgers = append(out.ledgers, flatLedger(resp.Metrics))
 				}

@@ -71,6 +71,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		faults:  req.Faults,
 		clock:   obs.NewSimClock(obs.SimOrigin()),
 		workers: e.availableWorkers(),
+		crew:    &crew{n: e.collectWorkers()},
 		ssi:     svc,
 		verify:  !req.SkipVerify,
 		integ:   &integrityState{},
@@ -83,6 +84,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		rs.rotScript = req.Faults.Rotation
 	}
 	metrics := rs.metrics
+	defer rs.crew.stop()
 
 	if err := rs.ssi.PostQuery(post, rs.clock.Now()); err != nil {
 		return nil, err

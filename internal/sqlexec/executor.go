@@ -9,24 +9,24 @@ import (
 	"github.com/trustedcells/tcq/internal/storage"
 )
 
-// CollectLocal performs the collection-phase work of one TDS: it evaluates
-// FROM (with internal joins), WHERE, and emits
+// ScanLocal performs the collection-phase work of one TDS: it evaluates
+// FROM (with internal joins) and WHERE, and hands fn, in scan order,
 //
-//   - for plain Select-From-Where queries: the projected result tuples;
-//   - for aggregate queries: collection tuples — grouping values followed
+//   - for plain Select-From-Where queries: each projected result tuple;
+//   - for aggregate queries: each collection tuple — grouping values followed
 //     by one raw input value per aggregate function.
 //
-// The caller (the TDS protocol layer) encrypts these rows before anything
-// leaves the secure device.
-func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
+// The row is the scan's one buffer, overwritten by the next: fn must Clone
+// what it keeps. The caller (the TDS protocol layer) encrypts each row
+// before anything leaves the secure device.
+func (p *Plan) ScanLocal(db *storage.LocalDB, fn func(row storage.Row) error) error {
 	agg, width := p.IsAggregate(), len(p.OutputNames)
 	if agg {
 		width = p.CollectionWidth()
 	}
-	var out []storage.Row
-	var slab []storage.Value // output rows are carved from it, a chunk at a time
+	row := make(storage.Row, 0, width)
 	ctx := &evalContext{plan: p}
-	err := p.scanJoin(db, func(combined storage.Row, chunk int) error {
+	return p.scanJoin(db, func(combined storage.Row) error {
 		ctx.row = combined
 		keep, err := ctx.predicateTrue(p.Stmt.Where)
 		if err != nil {
@@ -35,14 +35,7 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 		if !keep {
 			return nil
 		}
-		if cap(slab)-len(slab) < width {
-			slab = make([]storage.Value, 0, chunk*width)
-			if out == nil {
-				out = make([]storage.Row, 0, chunk)
-			}
-		}
-		row := slab[len(slab) : len(slab) : len(slab)+width]
-		slab = slab[:len(slab)+width]
+		row = row[:0]
 		if agg {
 			for _, g := range p.GroupCols {
 				row = append(row, combined[g.pos])
@@ -58,8 +51,7 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 				}
 				row = append(row, v)
 			}
-			out = append(out, row)
-			return nil
+			return fn(row)
 		}
 		for _, it := range p.Stmt.Select {
 			if it.Star {
@@ -72,41 +64,55 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 			}
 			row = append(row, v)
 		}
-		out = append(out, row)
+		return fn(row)
+	})
+}
+
+// CollectLocal is ScanLocal with every row cloned into one array, first
+// sized for the join's product, capped lest a selective WHERE reserve it all.
+func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
+	var flat []storage.Value
+	n, bound := 0, 1
+	for _, tb := range p.tables {
+		bound = min(bound*db.Count(tb.def.Name), 512)
+	}
+	err := p.ScanLocal(db, func(row storage.Row) error {
+		if flat == nil {
+			flat = make([]storage.Value, 0, bound*len(row))
+		}
+		flat, n = append(flat, row...), n+1
 		return nil
 	})
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
+	}
+	out, w := make([]storage.Row, n), len(flat)/n
+	for i := range out {
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out, nil
 }
 
-// slabRows caps how many output rows one slab chunk of CollectLocal holds,
-// so a selective WHERE over a large join cannot reserve the whole product.
-const slabRows = 512
-
 // scanJoin enumerates the cartesian product of the FROM tables of the
-// local database, invoking fn with each combined row and the size of the
-// product, capped at slabRows. WHERE predicates restrict it to the
-// intended internal join. TDS databases are small (one household's data),
-// so a nested-loop join is the right tool. The tables are read in place,
-// as of the call: stored rows are immutable, so there is nothing to copy.
-func (p *Plan) scanJoin(db *storage.LocalDB, fn func(combined storage.Row, product int) error) error {
+// local database, invoking fn with each combined row. WHERE predicates
+// restrict it to the intended internal join. TDS databases are small (one
+// household's data), so a nested-loop join is the right tool. The tables
+// are read in place, as of the call: stored rows are immutable, so there
+// is nothing to copy.
+func (p *Plan) scanJoin(db *storage.LocalDB, fn func(combined storage.Row) error) error {
 	tables := make([][]storage.Row, len(p.tables))
-	product := 1
 	for i, tb := range p.tables {
 		rows, err := db.Rows(tb.def.Name)
 		if err != nil {
 			return err
 		}
 		tables[i] = rows
-		product = min(product*len(rows), slabRows)
 	}
 	combined := make(storage.Row, p.width)
 	var rec func(level int) error
 	rec = func(level int) error {
 		if level == len(tables) {
-			return fn(combined, product)
+			return fn(combined)
 		}
 		tb := p.tables[level]
 		for _, r := range tables[level] {
@@ -125,32 +131,22 @@ func (p *Plan) scanJoin(db *storage.LocalDB, fn func(combined storage.Row, produ
 // reference implementation the distributed protocols are tested against:
 // any protocol run must produce exactly this result.
 func Standalone(p *Plan, dbs ...*storage.LocalDB) (*Result, error) {
-	var res *Result
+	res, acc := &Result{Columns: p.OutputNames}, NewAccumulator(p)
+	fn := acc.AddCollectionRow // folds the row's values, keeps none of its storage
 	if !p.IsAggregate() {
-		res = &Result{Columns: p.OutputNames}
-		for _, db := range dbs {
-			rows, err := p.CollectLocal(db)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, rows...)
+		fn = func(row storage.Row) error {
+			res.Rows = append(res.Rows, row.Clone())
+			return nil
 		}
-	} else {
-		acc := NewAccumulator(p)
-		for _, db := range dbs {
-			rows, err := p.CollectLocal(db)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rows {
-				if err := acc.AddCollectionRow(r); err != nil {
-					return nil, err
-				}
-			}
+	}
+	for _, db := range dbs {
+		if err := p.ScanLocal(db, fn); err != nil {
+			return nil, err
 		}
+	}
+	if p.IsAggregate() {
 		var err error
-		res, err = acc.Finalize()
-		if err != nil {
+		if res, err = acc.Finalize(); err != nil {
 			return nil, err
 		}
 	}

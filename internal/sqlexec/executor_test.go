@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -148,6 +149,63 @@ func TestCollectionTuplesForAggregate(t *testing.T) {
 		if len(r) != p.CollectionWidth() || r[0].AsString() != "Paris" {
 			t.Errorf("tuple = %v", r)
 		}
+	}
+}
+
+// TestScanLocalStreamsCollectLocal: CollectLocal is the streamed rows,
+// cloned, on every fixture query above; and the streamed row is the scan's
+// one buffer — a callback that keeps it without cloning finds every kept
+// row overwritten by the last.
+func TestScanLocalStreamsCollectLocal(t *testing.T) {
+	db := oneHousehold(t, 7, "Paris", "detached house", 10, 20, 30)
+	for _, q := range []string{
+		`SELECT cid, cons FROM Power WHERE cons > 15`,
+		`SELECT * FROM Power`,
+		`SELECT * FROM Power P, Consumer C WHERE C.cid = P.cid`,
+		`SELECT P.cons FROM Power P, Consumer C WHERE C.cid = P.cid AND C.accommodation = 'flat'`,
+		`SELECT AVG(P.cons) FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district`,
+		`SELECT period, COUNT(*), MAX(cons + 1) FROM Power GROUP BY period`,
+		`SELECT COUNT(*) FROM Power WHERE cons > 100`,
+	} {
+		p := compile(t, q)
+		want, err := p.CollectLocal(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cloned, kept []storage.Row
+		err = p.ScanLocal(db, func(row storage.Row) error {
+			cloned, kept = append(cloned, row.Clone()), append(kept, row)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cloned) != len(want) {
+			t.Fatalf("%s: %d streamed rows, CollectLocal has %d", q, len(cloned), len(want))
+		}
+		for i := range want {
+			if want[i].Key() != cloned[i].Key() {
+				t.Errorf("%s: row %d streamed as %v, collected as %v", q, i, cloned[i], want[i])
+			}
+			if last := cloned[len(cloned)-1]; kept[i].Key() != last.Key() {
+				t.Errorf("%s: uncloned row %d reads %v, want the last row %v", q, i, kept[i], last)
+			}
+			// A collected row owns its values: appending to one cannot reach the next.
+			if i+1 < len(want) {
+				next := want[i+1].Key()
+				_ = append(want[i], storage.Int(-1))
+				if want[i+1].Key() != next {
+					t.Errorf("%s: appending to row %d overwrote row %d", q, i, i+1)
+				}
+			}
+		}
+	}
+	// An error from the callback ends the scan and comes back as it is.
+	stop := errors.New("stop")
+	calls := 0
+	err := compile(t, `SELECT * FROM Power`).ScanLocal(db, func(storage.Row) error { calls++; return stop })
+	if err != stop || calls != 1 {
+		t.Errorf("scan returned %v after %d calls, want the callback's error after one", err, calls)
 	}
 }
 

@@ -136,6 +136,11 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 // Adversary wraps it with scripted misbehavior for the upgraded threat
 // model. Keeping the engine on this interface is what makes the integrity
 // layer meaningful: the verifier must not care which one it is talking to.
+//
+// A deposit's tuple slice is the depositor's again once DepositEnvelope or
+// DepositEnvelopeBatch returns: an implementation copies the tuples it
+// keeps (the bytes they point to are immutable and may be shared), so the
+// collection walk refills one buffer per wave slot.
 type Service interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)

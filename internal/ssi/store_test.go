@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/sqlparse"
 )
@@ -307,5 +308,69 @@ func TestObserveAllocBudget(t *testing.T) {
 	}
 	if got := s.ObservationFor("q1").TagCounts["a-repeated-tag"]; got != 102 {
 		t.Errorf("tag count = %d, want 102", got)
+	}
+}
+
+// TestDepositDoesNotRetainTuples pins the clause of the Service contract
+// the collection walk's reused slot buffers rest on: a deposit's tuple
+// slice is the depositor's again once the call returns. The caller
+// overwrites every slice it deposited — after the deposits, after a build
+// and after the adversary stashed one — and the stored sequence, the
+// honest SSI's lastBuild and the Adversary's stale stash still read the
+// tuples as deposited.
+func TestDepositDoesNotRetainTuples(t *testing.T) {
+	for name, wrap := range map[string]func(*SSI) Service{
+		"honest":    func(s *SSI) Service { return s },
+		"adversary": func(s *SSI) Service { return NewAdversary(s, script(faultplan.SSIReplayStalePartition), 7, "q1") },
+	} {
+		inner := New()
+		svc := wrap(inner)
+		must(t, svc.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
+		bufs := make([][]protocol.WireTuple, 4)
+		var want []protocol.WireTuple
+		for b := range bufs {
+			for i := 0; i < 5+b; i++ {
+				w := tuple(fmt.Sprintf("g%d", i%3), 2)
+				w.Ciphertext[0], w.Ciphertext[1] = byte(b), byte(i)
+				bufs[b] = append(bufs[b], w)
+			}
+			want = append(want, bufs[b]...)
+		}
+		scribble := func() {
+			for _, buf := range bufs {
+				for i := range buf {
+					buf[i] = tuple("overwritten", 3)
+				}
+			}
+		}
+		for b, buf := range bufs[:2] {
+			if _, _, err := svc.DepositEnvelope("q1", protocol.NewDeposit("q1", fmt.Sprint("d", b), 1, 0, buf), t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deps := []*protocol.Deposit{
+			protocol.NewDeposit("q1", "d2", 1, 0, bufs[2]), protocol.NewDeposit("q1", "d3", 1, 0, bufs[3]),
+		}
+		if _, _, _, err := svc.DepositEnvelopeBatch("q1", deps, t0); err != nil {
+			t.Fatal(err)
+		}
+		scribble()
+		if got := svc.CollectedTuples("q1"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the store reads the caller's overwritten slice", name)
+		}
+		svc.StreamBuild("q1", 4) // the inner SSI stashes the build, the adversary its stale copy
+		scribble()
+		flat := func(parts [][]protocol.WireTuple) (out []protocol.WireTuple) {
+			for _, p := range parts {
+				out = append(out, p...)
+			}
+			return out
+		}
+		if !reflect.DeepEqual(flat(inner.Repartition("q1")), want) {
+			t.Errorf("%s: the stashed build reads the caller's overwritten slice", name)
+		}
+		if a, ok := svc.(*Adversary); ok && !reflect.DeepEqual(flat(a.prev), want) {
+			t.Errorf("%s: the adversary's stale stash reads the caller's overwritten slice", name)
+		}
 	}
 }

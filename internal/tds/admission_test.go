@@ -176,11 +176,13 @@ func TestAdmissionTable(t *testing.T) {
 // TestCollectAdmissionAllocBudget: on a warm record the n-th device's
 // Collect pays for its own reading and nothing of the admission — no
 // decrypted statement, no parse, no compile, no signing payload, no policy
-// walk — so a statement forty times the size costs the same.
+// walk — so a statement forty times the size costs the same; and with the
+// caller's Out reused it pays nothing per row either, so three hundred
+// readings cost what one does.
 func TestCollectAdmissionAllocBudget(t *testing.T) {
 	f := newAdmissionFleet(t)
 	long := strings.Repeat(" AND cid <> 99 AND district <> 'nowhere'", 40)
-	collect := func(sql string) float64 {
+	collect := func(sql string, readings int, out []protocol.WireTuple) float64 {
 		post := makePost(t, sql, protocol.KindSAgg, protocol.Params{})
 		shared := NewPlanCache()
 		c := cfg()
@@ -188,22 +190,35 @@ func TestCollectAdmissionAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := f.device(t, "tds-nth", 1, f.km1, f.allow, shared)
+		for i := 1; i < readings; i++ {
+			if err := d.DB.Insert("Power", row(1, "Paris", float64(10+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Out = out
 		return testing.AllocsPerRun(50, func() {
-			c.Arena = &tdscrypto.Arena{} // as the engine does per worker: blocks amortize over a wave
+			c.Arena = &tdscrypto.Arena{} // as the engine does per worker: blocks and nonces amortize over a wave
 			tuples, stats, err := d.Collect(post, c)
-			if err != nil || len(tuples) != 1 || stats.True != 1 {
+			if err != nil || len(tuples) != readings || stats.True != readings {
 				t.Fatalf("collected %d tuples, stats %+v: %v", len(tuples), stats, err)
 			}
 		})
 	}
-	small := collect(`SELECT district, SUM(cons) FROM Power WHERE cons > 1 GROUP BY district`)
-	large := collect(`SELECT district, SUM(cons) FROM Power WHERE cons > 1` + long + ` GROUP BY district`)
+	const short = `SELECT district, SUM(cons) FROM Power WHERE cons > 1 GROUP BY district`
+	small, large := collect(short, 1, nil), collect(strings.Replace(short, " GROUP", long+" GROUP", 1), 1, nil)
 	// Measured at 11 and 11: the arena and its block, the output, the payload
-	// scratch, the scan of the local table and the row it yields. The cold
-	// call of the long statement allocates some 700 times. The slack is for
-	// pooled states a GC or the race detector drops.
-	if large != small || large > 14 {
-		t.Errorf("a warm Collect allocates %v times for the short statement and %v for the long one; budget 14, and equal",
+	// scratch, the scan of the local table and the one buffer it yields rows
+	// in. The cold call of the long statement allocates some 700 times. The
+	// slack is for pooled states a GC or the race detector drops.
+	if large != small || large > 13 {
+		t.Errorf("a warm Collect allocates %v times for the short statement and %v for the long one; budget 13, and equal",
 			small, large)
+	}
+	// Measured at 10 and 10: the same less the output.
+	out := make([]protocol.WireTuple, 0, 300)
+	one, many := collect(short, 1, out), collect(short, 300, out)
+	if many != one || many > 12 {
+		t.Errorf("into a reused Out a warm Collect allocates %v times over one reading and %v over 300; budget 12, and equal",
+			one, many)
 	}
 }

@@ -326,6 +326,9 @@ type CollectConfig struct {
 	// either way. The caller must not share one arena across concurrent
 	// Collect calls.
 	Arena *tdscrypto.Arena
+	// Out is the buffer the call's tuples are appended to, from its start
+	// (a wave slot's buffer of last wave); nil allocates one.
+	Out []protocol.WireTuple
 }
 
 // CollectStats instruments the collection step for the simulation's
@@ -366,15 +369,37 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 	authorized := granted && !cfg.Now.After(post.Credential.Expiry) // this device's own clock
 	stats.Denied = !authorized
 
-	var rows []storage.Row
+	sc := collectScratch{m: m, arena: cfg.Arena}
+	out := cfg.Out[:0]
 	if authorized {
-		rows, err = plan.CollectLocal(t.DB)
+		// Each row is tagged, encrypted and joined by its fakes as the scan yields it.
+		err = plan.ScanLocal(t.DB, func(row storage.Row) error {
+			tag, err := t.collectionTag(post, plan, cfg, row, &sc)
+			if err != nil {
+				return err
+			}
+			sc.payload = protocol.AppendRowPayload(sc.payload[:0], protocol.MarkerTrue, row)
+			w, err := t.encryptTuple(m, post, sc.payload, tag, sc.arena)
+			if err != nil {
+				return err
+			}
+			n := len(out)
+			out = append(out, w)
+			stats.True++
+			switch post.Kind { // noise injection
+			case protocol.KindRnfNoise:
+				out, err = t.randomFakes(post, plan, cfg, post.Params.Nf, out, &sc)
+			case protocol.KindCNoise:
+				out, err = t.controlledFakes(post, plan, cfg, row, out, &sc)
+			}
+			stats.Fake += len(out) - n - 1
+			return err
+		})
 		if err != nil {
 			return nil, stats, fmt.Errorf("tds %s: local execution: %w", t.ID, err)
 		}
 	}
-	sc := collectScratch{m: m, arena: cfg.Arena}
-	if len(rows) == 0 {
+	if len(out) == 0 {
 		// Dummy sized like a plausible tuple of this plan. In the tagged
 		// protocols the dummy carries a plausible random tag, otherwise its
 		// taglessness would let the SSI single it out.
@@ -388,46 +413,7 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 			return nil, stats, err
 		}
 		stats.Dummy++
-		return []protocol.WireTuple{w}, stats, nil
-	}
-
-	perRow := 1 // the true tuple and the fakes it brings
-	switch post.Kind {
-	case protocol.KindRnfNoise:
-		perRow += post.Params.Nf
-	case protocol.KindCNoise:
-		perRow += len(cfg.Domain)
-	}
-	out := make([]protocol.WireTuple, 0, len(rows)*perRow)
-	for _, row := range rows {
-		tag, err := t.collectionTag(post, plan, cfg, row, &sc)
-		if err != nil {
-			return nil, stats, err
-		}
-		sc.payload = protocol.AppendRowPayload(sc.payload[:0], protocol.MarkerTrue, row)
-		w, err := t.encryptTuple(m, post, sc.payload, tag, sc.arena)
-		if err != nil {
-			return nil, stats, err
-		}
 		out = append(out, w)
-		stats.True++
-
-		// Noise injection.
-		switch post.Kind {
-		case protocol.KindRnfNoise:
-			out, err = t.randomFakes(post, plan, cfg, post.Params.Nf, out, &sc)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Fake += post.Params.Nf
-		case protocol.KindCNoise:
-			n := len(out)
-			out, err = t.controlledFakes(post, plan, cfg, row, out, &sc)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Fake += len(out) - n
-		}
 	}
 	return out, stats, nil
 }

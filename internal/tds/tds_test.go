@@ -521,6 +521,66 @@ func TestPlanCachePerQuery(t *testing.T) {
 	}
 }
 
+// TestCollectIntoOut: a call handed the caller's buffer — dirty, too small
+// or ample — answers as one that allocates: the same decrypted rows, tags
+// and stats in the same order and the RNG left at the same draw, for all
+// five protocols, a dataless device (the dummy) included.
+func TestCollectIntoOut(t *testing.T) {
+	domain := []storage.Row{{storage.Str("Lyon")}, {storage.Str("Metz")}, {storage.Str("Paris")}}
+	hist := histogram.MustBuild(map[string]int64{domain[0].Key(): 5, domain[1].Key(): 5, domain[2].Key(): 5}, 2)
+	full := newTDS(t, row(1, "Paris", 10), row(1, "Lyon", 20), row(1, "Paris", 30), row(1, "Metz", 40))
+	k2 := tdscrypto.MustSuite(ring.K2)
+	for _, tc := range []struct {
+		kind   protocol.Kind
+		sql    string
+		params protocol.Params
+	}{
+		{protocol.KindBasic, `SELECT cid, cons FROM Power WHERE cons > 15`, protocol.Params{}},
+		{protocol.KindSAgg, aggSQL, protocol.Params{}},
+		{protocol.KindRnfNoise, aggSQL, protocol.Params{Nf: 3}},
+		{protocol.KindCNoise, aggSQL, protocol.Params{}},
+		{protocol.KindEDHist, aggSQL, protocol.Params{}},
+	} {
+		post := makePost(t, tc.sql, tc.kind, tc.params)
+		for _, d := range []*TDS{full, newTDS(t)} {
+			run := func(out []protocol.WireTuple) (rows []string, stats CollectStats, next int64) {
+				c := cfg()
+				c.Domain, c.Hist, c.Out, c.Arena = domain, hist, out, &tdscrypto.Arena{}
+				tuples, stats, err := d.Collect(post, c)
+				if err != nil {
+					t.Fatalf("%v: %v", tc.kind, err)
+				}
+				if out != nil && cap(out) >= len(tuples) && &tuples[0] != &out[:1][0] {
+					t.Errorf("%v: an ample Out was not written in place", tc.kind)
+				}
+				for _, w := range tuples {
+					pt, err := k2.Decrypt(w.Ciphertext, post.AAD())
+					if err != nil {
+						t.Fatalf("%v: %v", tc.kind, err)
+					}
+					if pt[0] == byte(protocol.MarkerDummy) {
+						pt = pt[:1] // a dummy's body is random filler: only its size is the call's
+					}
+					rows = append(rows, fmt.Sprintf("%x|%x|%d", w.Tag, pt, len(w.Ciphertext)))
+				}
+				return rows, stats, c.Rng.Int63()
+			}
+			want, wantStats, wantNext := run(nil)
+			dirty := make([]protocol.WireTuple, 64)
+			for i := range dirty {
+				dirty[i] = protocol.WireTuple{Tag: []byte("stale"), Ciphertext: []byte("stale")}
+			}
+			for _, out := range [][]protocol.WireTuple{dirty, dirty[:1:1], dirty[:0:0]} {
+				got, stats, next := run(out)
+				if fmt.Sprint(got) != fmt.Sprint(want) || stats != wantStats || next != wantNext {
+					t.Errorf("%v into an Out of cap %d: %d tuples, stats %+v, next draw %d; want %d, %+v, %d",
+						tc.kind, cap(out), len(got), stats, next, len(want), wantStats, wantNext)
+				}
+			}
+		}
+	}
+}
+
 // TestAggregateFoldAllocBudget: folding a partition allocates for the
 // groups it finds and for the one result it emits, never per tuple — the
 // plaintext buffer, the decoded row and the group-key scratch are reused,

@@ -4,7 +4,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -91,11 +90,12 @@ func (s *Suite) NDetEncrypt(plaintext, aad []byte) ([]byte, error) {
 // NDetEncryptArena is NDetEncrypt with the output carved from the arena
 // instead of its own allocation. The arena slot has exact capacity for
 // nonce + ciphertext + tag, so Seal appends in place. A nil arena falls
-// back to NDetEncrypt. The ciphertext bytes are identical either way.
+// back to NDetEncrypt. The nonce comes from the arena's reservoir (a nil
+// arena reads it directly).
 func (s *Suite) NDetEncryptArena(plaintext, aad []byte, a *Arena) ([]byte, error) {
 	out := a.Alloc(nonceSize + len(plaintext) + s.aead.Overhead())
 	out = out[:nonceSize]
-	if _, err := rand.Read(out); err != nil {
+	if err := a.nonce(out); err != nil {
 		return nil, fmt.Errorf("tdscrypto: nonce: %w", err)
 	}
 	return s.aead.Seal(out, out[:nonceSize], plaintext, aad), nil

@@ -143,3 +143,72 @@ func TestArenaEncrypt(t *testing.T) {
 		t.Error("arena slot overwritten by later allocations")
 	}
 }
+
+// TestArenaNonces: batching the nonce reads changes nothing a nonce must
+// be. Ten thousand ciphertexts over many refills carry pairwise distinct
+// nonces, two arenas share none, and a nil arena still encrypts. And no
+// reservoir byte is handed out twice: every draw is the next bytes of the
+// current fill, a fill is always a fresh read, and a draw the reservoir is
+// too short for discards what is left rather than splicing it onto the
+// refill.
+func TestArenaNonces(t *testing.T) {
+	s := MustSuite(DeriveKey(Key{}, "k2"))
+	a, b := new(Arena), new(Arena)
+	seen := make(map[string]string)
+	note := func(ct []byte, who string) {
+		n := string(ct[:nonceSize])
+		if prev, dup := seen[n]; dup {
+			t.Fatalf("nonce %x drawn by %s was already drawn by %s", n, who, prev)
+		}
+		seen[n] = who
+	}
+	var fill [len(a.nonces)]byte
+	for i := 0; i < 10000; i++ {
+		refill := a.unread < nonceSize
+		ct, err := s.NDetEncryptArena([]byte("tuple"), nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refill {
+			if fill == a.nonces {
+				t.Fatalf("draw %d: the refill left the reservoir as it was", i)
+			}
+			fill = a.nonces
+		}
+		// The nonce is the fill's next unread bytes, and the fill is untouched.
+		at := len(a.nonces) - a.unread - nonceSize
+		if !bytes.Equal(ct[:nonceSize], fill[at:at+nonceSize]) || fill != a.nonces {
+			t.Fatalf("draw %d: nonce %x is not bytes %d… of its fill", i, ct[:nonceSize], at)
+		}
+		note(ct, "a")
+		if i%100 == 0 {
+			for _, other := range []*Arena{b, nil} {
+				ct, err := s.NDetEncryptArena([]byte("tuple"), nil, other)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Decrypt(ct, nil); err != nil {
+					t.Fatal(err)
+				}
+				note(ct, "another arena")
+			}
+		}
+	}
+	if fills := 10000 * nonceSize / len(a.nonces); fills < 100 {
+		t.Fatalf("only %d refills exercised", fills)
+	}
+	// A leftover shorter than the draw is dropped whole.
+	c := new(Arena)
+	var first, second [40]byte
+	if err := c.nonce(first[:]); err != nil {
+		t.Fatal(err)
+	}
+	c.unread = 7
+	tail := append([]byte(nil), c.nonces[len(c.nonces)-7:]...)
+	if err := c.nonce(second[:]); err != nil {
+		t.Fatal(err)
+	}
+	if c.unread != len(c.nonces)-40 || !bytes.Equal(second[:], c.nonces[:40]) || bytes.Contains(second[:], tail) {
+		t.Errorf("a 40-byte draw over a 7-byte leftover: %d unread, want a whole fresh fill less 40", c.unread)
+	}
+}

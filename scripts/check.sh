@@ -53,9 +53,10 @@ fi
 # CollectWorkers defaults to GOMAXPROCS, so the core suite's default-worker
 # tests run a different walk shape on every box. Pin the shapes: a 1-CPU
 # box must not be able to hide a worker-count divergence. The allocation
-# budgets of the device path (per tuple, per admission), the SSI's observe,
-# the commitment streams and the deposit leaf ride along: an allocation
-# count must not depend on the core count either.
+# budgets of the device path (per tuple, per admission, per row into a
+# reused Out), the SSI's observe, the commitment streams and the deposit
+# leaf ride along: an allocation count must not depend on the core count
+# either.
 for procs in 1 2 8; do
     echo "==> go test ./internal/core + allocation budgets (GOMAXPROCS=$procs)"
     GOMAXPROCS=$procs go test -count=1 ./internal/core
@@ -68,6 +69,7 @@ go run ./scripts/obslint.go
 
 # TestCrashVictimsAreScripted rides along: who dies mid-partition may not
 # depend on the worker count, the fleet representation or the draw order.
+# Nor may which failure a failing phase reports (TestPhaseErrorDeterminism).
 echo "==> churn determinism gate"
 go test -race -count=1 ./internal/core -run 'Churn|Determinism|CrashVictims'
 
@@ -80,11 +82,14 @@ go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedg
 # deposits, the SSI's one epoch policy flipped under eight depositors, the
 # Det_Enc tag table and the admission records filled by devices of two
 # epochs at once, and one credential authority verifying from eight
-# goroutines.
+# goroutines. So does what the walk's reused slot buffers rest on: no SSI
+# keeps a depositor's slice, a Collect into the caller's buffer answers as
+# one that allocates, and batched nonces never repeat.
 echo "==> adversary determinism gate"
 go test -race -count=1 ./internal/core -run 'Adversary|Integrity' \
-    && go test -race -count=1 ./internal/ssi -run 'Adversary|StoreViews|Repartition|Stripes|EpochPolicy' \
-    && go test -race -count=1 ./internal/tds -run 'DetTagTable|AdmissionTable' \
+    && go test -race -count=1 ./internal/ssi -run 'Adversary|StoreViews|Repartition|Stripes|EpochPolicy|DepositDoesNotRetain' \
+    && go test -race -count=1 ./internal/tds -run 'DetTagTable|AdmissionTable|CollectIntoOut' \
+    && go test -race -count=1 ./internal/tdscrypto -run 'ArenaNonces' \
     && go test -race -count=1 ./internal/accessctl -run 'VerifyTable'
 
 echo "==> multi-tenant scheduler gate"
