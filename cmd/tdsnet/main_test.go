@@ -57,19 +57,22 @@ func printed(t *testing.T, args ...string) string {
 
 // TestRunWithFailures: -failure is -churn-crash under its older name, so
 // the two spellings print the same run byte for byte — one crash share in
-// the header, the same rows, metrics and ledger.
+// the header, the same rows, metrics and ledger. The share is 1 so that
+// the re-assignment the test looks for does not rest on who the run's
+// two assignments happen to draw: every first assignee crashes, whatever
+// the stream, and the phase's re-assignment cap lets the run finish.
 func TestRunWithFailures(t *testing.T) {
 	common := []string{"-fleet", "30", "-available", "0.5", "-seed", "3"}
-	failure := printed(t, append(common, "-failure", "0.2")...)
-	crash := printed(t, append(common, "-churn-crash", "0.2")...)
+	failure := printed(t, append(common, "-failure", "1")...)
+	crash := printed(t, append(common, "-churn-crash", "1")...)
 	if failure != crash {
-		t.Errorf("-failure 0.2 and -churn-crash 0.2 print different runs:\n%s\n---\n%s", failure, crash)
+		t.Errorf("-failure 1 and -churn-crash 1 print different runs:\n%s\n---\n%s", failure, crash)
 	}
-	if strings.Count(failure, "20%") != 1 || !strings.Contains(failure, "crash=20%") {
+	if strings.Count(failure, "100%") != 1 || !strings.Contains(failure, "crash=100%") {
 		t.Errorf("the header must print the crash share once:\n%s", failure)
 	}
 	if !strings.Contains(failure, " reassign ") {
-		t.Errorf("a fifth of the fleet crashing re-assigned nothing:\n%s", failure)
+		t.Errorf("the whole fleet crashing re-assigned nothing:\n%s", failure)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/sqlexec"
 	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -63,13 +64,13 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(eng.cfg.Seed ^ int64(hashString(post.ID))))
+		run := rng.New(eng.cfg.Seed, post.ID, rng.Run)
 		now := time.Unix(1700000000, 0)
 		if err := eng.ssi.PostQuery(post, now); err != nil {
 			b.Fatal(err)
 		}
 		var m Metrics
-		rs := &runState{post: post, rng: rng, metrics: &m, clock: obs.NewSimClock(now),
+		rs := &runState{post: post, rng: run, metrics: &m, clock: obs.NewSimClock(now),
 			ssi: eng.ssi, integ: &integrityState{}, crew: &crew{n: eng.collectWorkers()}}
 		if err := eng.collectionPhase(context.Background(), rs, tds.CollectConfig{}); err != nil {
 			b.Fatal(err)

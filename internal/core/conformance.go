@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/costmodel"
-	"github.com/trustedcells/tcq/internal/protocol"
 )
 
 // The conformance report closes the loop between the paper's two
@@ -69,12 +68,10 @@ func phaseFamily(name string) string {
 }
 
 // conformance builds the report for a finished run; nil when the run
-// collected nothing, and for Rnf_Noise at n_f = 0: that is Params' unset
-// value — no fakes, Det_Enc without noise — not an operating point of
-// Section 6.1.2, and the pinned runs that use it carry no tq_ratio.
+// collected nothing.
 func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 	m := rs.metrics
-	if m.Nt == 0 || (req.Kind == protocol.KindRnfNoise && rs.post.Params.Nf == 0) {
+	if m.Nt == 0 {
 		return nil
 	}
 

@@ -1,92 +1,87 @@
 package core
 
 import (
-	"context"
-	"math/rand"
+	"fmt"
+	"math"
 	"testing"
-	"time"
 
-	"github.com/trustedcells/tcq/internal/protocol"
-	"github.com/trustedcells/tcq/internal/sqlparse"
-	"github.com/trustedcells/tcq/internal/tds"
+	"github.com/trustedcells/tcq/internal/rng"
 )
 
-// TestLazySourceMatchesStdlib: a Rand over the lazy source must hand out
-// exactly the streams of rand.New(rand.NewSource(seed)) — through every
-// draw tds.Collect makes — both from a source built fresh for the seed and
-// from a collector re-aimed at it after serving other devices.
-func TestLazySourceMatchesStdlib(t *testing.T) {
+// TestCollectOneRngCost: aiming the collector at a device allocates
+// nothing, and a collector re-aimed after serving other devices hands out
+// the stream a fresh generator would — nothing of the previous device's
+// draws survives in the Rand, which is what lets a commit-point redo reuse
+// the worker's collector.
+func TestCollectOneRngCost(t *testing.T) {
 	col := newCollector()
-	for i := int64(0); i < 1000; i++ {
-		seed := i*2654435761 - 500
-		want := rand.New(rand.NewSource(seed))
-		fresh := rand.New(&lazySource{seed: seed})
-		reused := col.deviceRng(seed, "", "") // the empty IDs hash to equal values and cancel
-		for draw := 0; draw < 24; draw++ {
-			switch draw % 4 {
-			case 0:
-				n := 1 + draw*97
-				if w, f, r := want.Intn(n), fresh.Intn(n), reused.Intn(n); f != w || r != w {
-					t.Fatalf("seed %d draw %d: Intn(%d) = %d fresh, %d reused, want %d", seed, draw, n, f, r, w)
-				}
-			case 1:
-				if w, f, r := want.Float64(), fresh.Float64(), reused.Float64(); f != w || r != w {
-					t.Fatalf("seed %d draw %d: Float64 = %v fresh, %v reused, want %v", seed, draw, f, r, w)
-				}
-			case 2:
-				if w, f, r := want.NormFloat64(), fresh.NormFloat64(), reused.NormFloat64(); f != w || r != w {
-					t.Fatalf("seed %d draw %d: NormFloat64 = %v fresh, %v reused, want %v", seed, draw, f, r, w)
-				}
-			case 3:
-				if w, f, r := want.Uint64(), fresh.Uint64(), reused.Uint64(); f != w || r != w {
-					t.Fatalf("seed %d draw %d: Uint64 = %d fresh, %d reused, want %d", seed, draw, f, r, w)
-				}
+	if n := testing.AllocsPerRun(100, func() { col.deviceRng(7, "tds-00001", "q-000001") }); n != 0 {
+		t.Errorf("aiming the collector at a device allocates %v objects, want 0", n)
+	}
+	for d := 0; d < 200; d++ {
+		id, qid := fmt.Sprintf("tds-%05d", d), fmt.Sprintf("q-%06d", d%7)
+		want := rng.New(7, qid, uint64(rng.Hash(id)))
+		got := col.deviceRng(7, id, qid)
+		for draw := 0; draw <= d%5; draw++ { // leave streams at different depths
+			if w, g := want.Intn(50), got.Intn(50); g != w {
+				t.Fatalf("%s %s draw %d: Intn = %d re-aimed, %d fresh", id, qid, draw, g, w)
+			}
+			if w, g := want.NormFloat64(), got.NormFloat64(); g != w {
+				t.Fatalf("%s %s draw %d: NormFloat64 = %v re-aimed, %v fresh", id, qid, draw, g, w)
 			}
 		}
 	}
 }
 
-// TestCollectOneRngCost: under S_Agg a device draws nothing, so its
-// collection step must not build a generator at all — 4.9 KB and ~11 µs
-// per device per query otherwise — and aiming the collector at a device
-// allocates nothing. Under C_Noise the stream is drawn from, and the
-// collector builds its generator once and reseeds it from then on.
-func TestCollectOneRngCost(t *testing.T) {
-	f := newFixture(t, 8, nil)
-	now := time.Unix(1700000000, 0)
-	collectAll := func(col *collector, kind protocol.Kind, cfg tds.CollectConfig) {
-		t.Helper()
-		post, err := f.q.BuildPost(f.eng.nextQueryID(), flagshipSQL, kind, protocol.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range f.eng.fleet {
-			if _, _, err := f.eng.collectOne(col, d, post, cfg, now); err != nil {
-				t.Fatal(err)
+// TestNeighbouringDeviceStreamsAreIndependent guards Rnf_Noise's uniform
+// fake groups and C_Noise's fake measures — that is, the exposure the
+// noise protocols promise — against a cheap seed that correlates: over the
+// sequential IDs a fleet really has, the first Intn(G) of each device's
+// stream must be uniform (chi-square) and unrelated to its neighbour's,
+// and the NormFloat64 after it standard normal. Fixed seeds: the test is
+// deterministic, the thresholds are 4 sigma.
+func TestNeighbouringDeviceStreamsAreIndependent(t *testing.T) {
+	const devices, queries = 500, 50
+	n := float64(devices * queries)
+	for _, seed := range []int64{0, 1, 7} {
+		for _, g := range []int{7, 50} {
+			col := newCollector()
+			counts := make([]float64, g)
+			var sum, sumSq, prev, lagged float64
+			for q := 0; q < queries; q++ {
+				qid := fmt.Sprintf("q-%06d", q)
+				for d := 0; d < devices; d++ {
+					r := col.deviceRng(seed, fmt.Sprintf("tds-%05d", d), qid)
+					k := float64(r.Intn(g))
+					counts[int(k)]++
+					lagged += (k - float64(g-1)/2) * prev
+					prev = k - float64(g-1)/2
+					x := r.NormFloat64()
+					sum += x
+					sumSq += x * x
+				}
+			}
+			chi := 0.0
+			for _, c := range counts {
+				chi += (c - n/float64(g)) * (c - n/float64(g)) / (n / float64(g))
+			}
+			df := float64(g - 1)
+			if z := (chi - df) / math.Sqrt(2*df); z > 4 {
+				t.Errorf("seed %d G=%d: first Intn chi-square %.1f on %v degrees (z = %.1f)", seed, g, chi, df, z)
+			}
+			// Each term is a product of two centred uniforms of variance
+			// (g²-1)/12, so the sum of n has that variance as its deviation per sqrt(n).
+			if z := lagged / math.Sqrt(n) / ((float64(g*g) - 1) / 12); math.Abs(z) > 4 {
+				t.Errorf("seed %d G=%d: neighbouring devices' fake groups correlate (z = %.1f)", seed, g, z)
+			}
+			mean := sum / n
+			if z := mean * math.Sqrt(n); math.Abs(z) > 4 {
+				t.Errorf("seed %d G=%d: NormFloat64 mean %.4f (z = %.1f)", seed, g, mean, z)
+			}
+			// Var of the sample variance of a normal is 2/n.
+			if z := (sumSq/n - mean*mean - 1) / math.Sqrt(2/n); math.Abs(z) > 4 {
+				t.Errorf("seed %d G=%d: NormFloat64 variance %.4f (z = %.1f)", seed, g, sumSq/n-mean*mean, z)
 			}
 		}
-	}
-
-	col := newCollector()
-	collectAll(col, protocol.KindSAgg, tds.CollectConfig{})
-	if col.src.src != nil {
-		t.Error("an S_Agg collectOne built the generator it never draws from")
-	}
-	if n := testing.AllocsPerRun(100, func() { col.deviceRng(7, "tds-00001", "q-000001") }); n != 0 {
-		t.Errorf("aiming the collector at a device allocates %v objects, want 0", n)
-	}
-
-	disc, err := f.eng.discoverDistribution(context.Background(), f.q, sqlparse.MustParse(flagshipSQL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectAll(col, protocol.KindCNoise, tds.CollectConfig{Domain: disc.domain})
-	built := col.src.src
-	if built == nil {
-		t.Fatal("a C_Noise collectOne drew fakes without building the generator")
-	}
-	collectAll(col, protocol.KindCNoise, tds.CollectConfig{Domain: disc.domain})
-	if col.src.src != built {
-		t.Error("the collector rebuilt its generator instead of reseeding it")
 	}
 }

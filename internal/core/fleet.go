@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
+	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
 )
@@ -44,7 +44,7 @@ func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
 // of (Seed, ID) so both fleet representations mark the same silicon.
 func (e *Engine) compromised(id string) bool {
 	f := e.cfg.CompromisedFraction
-	return f > 0 && rand.New(rand.NewSource(e.cfg.Seed^int64(hashString(id))^0x5eed)).Float64() < f
+	return f > 0 && rng.New(e.cfg.Seed, "", rng.Enrol|uint64(rng.Hash(id))).Float64() < f
 }
 
 // ProvisionFleet enrolls n TDSs whose databases are produced by populate.

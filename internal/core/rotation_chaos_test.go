@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -18,6 +17,7 @@ import (
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/sqlexec"
 	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -36,7 +36,7 @@ const basicConsumerSQL = `SELECT C.cid, C.district FROM Consumer C`
 // collectionPhase makes it. Tests use it to place revocations relative to
 // the scripted rotation point.
 func connectionOrder(qid string, fleetSize int) []int {
-	return rand.New(rand.NewSource(7 ^ int64(hashString(qid)))).Perm(fleetSize)
+	return rng.New(7, qid, rng.Run).Perm(fleetSize)
 }
 
 // slotOf inverts the "tds-%05d" device naming.

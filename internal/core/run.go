@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
@@ -66,7 +66,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	}
 	rs := &runState{
 		post:    post,
-		rng:     rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(post.ID)))),
+		rng:     rng.New(e.cfg.Seed, post.ID, rng.Run),
 		metrics: &Metrics{Protocol: req.Kind},
 		faults:  req.Faults,
 		clock:   obs.NewSimClock(obs.SimOrigin()),
@@ -549,16 +549,6 @@ func groupCountHint(stmt *sqlparse.SelectStmt) int {
 		return 1
 	}
 	return 16
-}
-
-// hashString is a small FNV-1a for seeding per-entity RNGs.
-func hashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // RefreshDiscovery drops every cached A_G distribution so the next query

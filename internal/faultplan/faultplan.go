@@ -17,9 +17,9 @@
 package faultplan
 
 import (
-	"math/rand"
-	"sync"
 	"time"
+
+	"github.com/trustedcells/tcq/internal/rng"
 )
 
 // Defaults of the SSI-side recovery policy (simulated time).
@@ -211,21 +211,6 @@ type Behavior struct {
 	CrashInPhase bool
 }
 
-// fnv is FNV-1a, the same string hash the engine seeds per-entity RNGs
-// with; faultplan keeps its own copy so the package stays leaf-level.
-func fnv(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// rngPool recycles the generators For draws from: it runs once per device
-// per churned query, from any goroutine.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // For returns the scripted behavior of device deviceID on query queryID.
 // It is pure: the outcome depends only on (Seed, deviceID, queryID), so
 // callers may evaluate it in any order, from any goroutine, any number of
@@ -235,18 +220,15 @@ func (p *Plan) For(deviceID, queryID string) Behavior {
 	if p == nil {
 		return b
 	}
-	// Seeding an existing source yields the stream of a fresh one, without
-	// its 4.9 KB of generator state.
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(p.Seed ^ int64(fnv(deviceID)) ^ int64(fnv(queryID))<<17 ^ 0xfa17)
+	var src rng.Source
+	src.Aim(p.Seed, queryID, rng.Fault|uint64(rng.Hash(deviceID)))
 	// Fixed draw count and order: adding a scenario must not reshuffle the
 	// draws of the others.
-	offline := rng.Float64() < p.OfflineFraction
-	drop := rng.Float64() < p.DropFraction
-	corrupt := rng.Float64() < p.CorruptFraction
-	slow := rng.Float64() < p.SlowFraction
-	crash := rng.Float64() < p.CrashFraction
-	rngPool.Put(rng)
+	offline := src.Float64() < p.OfflineFraction
+	drop := src.Float64() < p.DropFraction
+	corrupt := src.Float64() < p.CorruptFraction
+	slow := src.Float64() < p.SlowFraction
+	crash := src.Float64() < p.CrashFraction
 	// Collection outcomes are mutually exclusive, resolved by severity: a
 	// device that never connects cannot also half-deposit, and a deposit
 	// that never completes cannot arrive corrupted.

@@ -2,7 +2,7 @@ package faultplan
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"testing"
 	"time"
 )
@@ -149,53 +149,72 @@ func TestSSIScriptMembership(t *testing.T) {
 	}
 }
 
-// forFresh is For as it was before the generator was pooled: one freshly
-// allocated source per call. The pooled implementation must script exactly
-// what it scripted.
-func forFresh(p *Plan, deviceID, queryID string) Behavior {
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(fnv(deviceID)) ^ int64(fnv(queryID))<<17 ^ 0xfa17))
-	offline := rng.Float64() < p.OfflineFraction
-	drop := rng.Float64() < p.DropFraction
-	corrupt := rng.Float64() < p.CorruptFraction
-	slow := rng.Float64() < p.SlowFraction
-	b := Behavior{SlowFactor: 1, CrashInPhase: rng.Float64() < p.CrashFraction}
-	switch {
-	case offline:
-		b.Offline = true
-	case drop:
-		b.DropDeposit = true
-	case corrupt:
-		b.CorruptDeposit = true
+// TestForDrawsAreIndependent guards the two-word seeding against a cheap
+// seed that correlates: over sequential device × query IDs — the IDs a
+// fleet really has, whose hashes differ in a few bits — each of For's five
+// draws must hit its fraction within 4 sigma, and no two may correlate.
+// One plan per draw (only its fraction set) reads that draw's bit
+// undisturbed by the severity resolution; the stream does not depend on
+// the fractions, so the five bits of a pair belong to one joint draw.
+func TestForDrawsAreIndependent(t *testing.T) {
+	fracs := [5]float64{0.15, 0.2, 0.25, 0.3, 0.35}
+	const seed = 21
+	plans := [5]*Plan{
+		{Seed: seed, OfflineFraction: fracs[0]},
+		{Seed: seed, DropFraction: fracs[1]},
+		{Seed: seed, CorruptFraction: fracs[2]},
+		{Seed: seed, SlowFraction: fracs[3]},
+		{Seed: seed, CrashFraction: fracs[4]},
 	}
-	if slow && !b.Offline {
-		b.SlowFactor = DefaultSlowFactor
+	bit := [5]func(Behavior) bool{
+		func(b Behavior) bool { return b.Offline },
+		func(b Behavior) bool { return b.DropDeposit },
+		func(b Behavior) bool { return b.CorruptDeposit },
+		func(b Behavior) bool { return b.SlowFactor > 1 },
+		func(b Behavior) bool { return b.CrashInPhase },
 	}
-	return b
-}
-
-func TestForMatchesFreshSource(t *testing.T) {
-	triples := 0
-	for seed := int64(-3); seed < 9; seed++ {
-		p := &Plan{Seed: seed * 7919, OfflineFraction: 0.15, DropFraction: 0.2,
-			CorruptFraction: 0.25, SlowFraction: 0.3, CrashFraction: 0.35}
-		for dev := 0; dev < 16; dev++ {
-			for q := 0; q < 8; q++ {
-				id, qid := fmt.Sprintf("tds-%05d", dev*37), fmt.Sprintf("q-%06d", q)
-				if got, want := p.For(id, qid), forFresh(p, id, qid); got != want {
-					t.Fatalf("seed %d %s %s: pooled %+v, fresh source %+v", p.Seed, id, qid, got, want)
+	const devices, queries = 500, 50
+	n := float64(devices * queries)
+	var hits [5]float64
+	var both [5][5]float64
+	for q := 0; q < queries; q++ {
+		qid := fmt.Sprintf("q-%06d", q)
+		for d := 0; d < devices; d++ {
+			id := fmt.Sprintf("tds-%05d", d)
+			var drawn [5]bool
+			for k := range plans {
+				drawn[k] = bit[k](plans[k].For(id, qid))
+			}
+			for i := range drawn {
+				if !drawn[i] {
+					continue
 				}
-				triples++
+				hits[i]++
+				for j := i + 1; j < 5; j++ {
+					if drawn[j] {
+						both[i][j]++
+					}
+				}
 			}
 		}
 	}
-	if triples < 1000 {
-		t.Fatalf("only %d triples compared", triples)
+	sd := func(p float64) float64 { return math.Sqrt(p * (1 - p)) }
+	for i, f := range fracs {
+		if z := (hits[i]/n - f) / (sd(f) / math.Sqrt(n)); math.Abs(z) > 4 {
+			t.Errorf("draw %d: fraction %.4f, want %.2f (z = %.1f)", i, hits[i]/n, f, z)
+		}
+		for j := i + 1; j < 5; j++ {
+			// Sample correlation of two independent bits is ~N(0, 1/n).
+			r := (both[i][j]/n - hits[i]/n*hits[j]/n) / (sd(hits[i]/n) * sd(hits[j]/n))
+			if z := r * math.Sqrt(n); math.Abs(z) > 4 {
+				t.Errorf("draws %d and %d correlate: r = %.4f (z = %.1f)", i, j, r, z)
+			}
+		}
 	}
 }
 
 func TestForDoesNotAllocate(t *testing.T) {
 	p := &Plan{Seed: 21, OfflineFraction: 0.1, SlowFraction: 0.2}
-	p.For("tds-00000", "q-000000") // fill the pool
 	if n := testing.AllocsPerRun(1000, func() { p.For("tds-00042", "q-000007") }); n != 0 {
 		t.Errorf("For allocates %v objects per call, want 0", n)
 	}

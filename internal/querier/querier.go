@@ -8,6 +8,7 @@ package querier
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/protocol"
@@ -63,6 +64,7 @@ func (q *Querier) DecryptResult(post *protocol.QueryPost, tuples []protocol.Wire
 		return nil, fmt.Errorf("querier %s: %w", q.ID, err)
 	}
 	res := &sqlexec.Result{Columns: plan.OutputNames}
+	var dec storage.RowDecoder // one for the run: equal texts are shared
 	for i, w := range tuples {
 		pt, err := q.k1.Decrypt(w.Ciphertext, post.AAD())
 		if err != nil {
@@ -75,16 +77,17 @@ func (q *Querier) DecryptResult(post *protocol.QueryPost, tuples []protocol.Wire
 		if marker != protocol.MarkerTrue {
 			continue
 		}
-		row, n, err := storage.DecodeRow(body)
+		row, n, err := dec.Decode(body)
 		if err != nil || n != len(body) {
 			return nil, fmt.Errorf("querier %s: tuple %d: bad row (%v)", q.ID, i, err)
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, row.Clone())
 	}
 	// ORDER BY / LIMIT are presentation concerns applied after decryption;
 	// the fleet and the SSI never see them act.
 	if err := sqlexec.ApplyPresentation(stmt, res); err != nil {
 		return nil, fmt.Errorf("querier %s: %w", q.ID, err)
 	}
+	res.Rows = slices.Clone(res.Rows) // the answer outlives the run: no append slack
 	return res, nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/rng"
 )
 
 // Adversary is a Service that misbehaves on schedule. One Adversary
@@ -49,26 +50,15 @@ var _ Service = (*Adversary)(nil)
 // Service; the adversary only ever touches its own query's state through
 // the interface.
 func NewAdversary(inner Service, script *faultplan.SSIScript, seed int64, queryID string) *Adversary {
-	rng := rand.New(rand.NewSource(seed ^ int64(fnvHash(queryID))<<21 ^ 0xadc0de))
-	armed := make(map[faultplan.SSIMisbehavior]bool)
+	a := &Adversary{Service: inner, script: script, rng: rng.New(seed, queryID, rng.Strike),
+		armed: make(map[faultplan.SSIMisbehavior]bool)}
 	for _, b := range script.Behaviors {
-		armed[b] = true
+		a.armed[b] = true
 	}
 	// Fixed draw order: the forge strike point is drawn whether or not the
 	// behavior is scripted, so adding an attack never reshuffles another's.
-	forgeAt := 1 + rng.Intn(3)
-	return &Adversary{Service: inner, script: script, rng: rng, armed: armed, forgeAt: forgeAt}
-}
-
-// fnvHash is FNV-1a over a string, matching the engine's per-entity
-// seeding convention.
-func fnvHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
+	a.forgeAt = 1 + a.rng.Intn(3)
+	return a
 }
 
 // Strikes returns the attacks fired so far, in order.

@@ -20,6 +20,7 @@ import (
 
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/rng"
 )
 
 // Typed deposit rejections. The SSI never aborts a collection over one bad
@@ -278,7 +279,7 @@ func NewSharded(n int) *SSI {
 
 // stripeOf routes one query ID to its stripe.
 func (s *SSI) stripeOf(id string) *stripe {
-	return &s.stripes[fnvHash(id)%uint32(len(s.stripes))]
+	return &s.stripes[rng.Hash(id)%uint32(len(s.stripes))]
 }
 
 // WithTracer mirrors every recorded ledger event and relay observation

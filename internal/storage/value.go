@@ -68,10 +68,10 @@ func ParseKind(s string) (Kind, error) {
 // by value throughout the engine.
 type Value struct {
 	kind Kind
+	b    bool // beside kind: 40 bytes, not 48
 	i    int64
 	f    float64
 	s    string
-	b    bool
 }
 
 // Null returns the SQL NULL value.
