@@ -139,6 +139,10 @@ type verifyStore struct {
 
 func (s *verifyStore) CollectedCount(string) int { return len(s.tuples) }
 
+func (s *verifyStore) CollectedTuples(id string) []protocol.WireTuple {
+	return s.CollectedRange(id, 0, len(s.tuples))
+}
+
 func (s *verifyStore) CollectedRange(_ string, start, end int) []protocol.WireTuple {
 	out := append([]protocol.WireTuple(nil), s.tuples[start:end]...)
 	if i := s.tamper - start; s.tamper >= 0 && i >= 0 && i < len(out) {
@@ -158,7 +162,7 @@ func (s *verifyStore) Record(string, ssi.LedgerEntry)     {}
 func newVerifyRun(tb testing.TB, eng *Engine, deposits, per int) (*runState, *verifyStore) {
 	store := &verifyStore{tuples: benchTuples(deposits*per, 50), tamper: -1}
 	rs := &runState{
-		post: &protocol.QueryPost{ID: "q-verify"}, metrics: &Metrics{},
+		post: &protocol.QueryPost{ID: "q-verify", Epoch: 1}, metrics: &Metrics{},
 		clock: obs.NewSimClock(obs.SimOrigin()), ssi: store, verify: true,
 		integ: &integrityState{}, verifier: eng.committerFor(1),
 		crew: &crew{n: eng.collectWorkers()},
@@ -206,15 +210,20 @@ func BenchmarkVerifyCollection(b *testing.B) {
 }
 
 // BenchmarkVerifyBuild measures what one partition build costs to verify
-// — the multiset check and the digest fold — over 24 000 tuples, built
-// the two ways the protocols build: deposit-order windows (Basic, S_Agg's
-// first step) and per-tag chunks of a shuffled input (the noise
-// protocols), which visit the index table in no order at all.
+// — the check and the digest fold — over 24 000 tuples deposited 300 at a
+// time, built the two ways the protocols build the covering result:
+// deposit-order windows (Basic, S_Agg's first step: an identity walk) and
+// per-tag chunks of a shuffled input (the noise protocols: a multiset
+// check that visits the index table in no order at all); and the latter
+// again as relayed partials, whose partition leaves MAC their bytes.
 func BenchmarkVerifyBuild(b *testing.B) {
 	input := benchTuples(24000, 50)
-	var windows [][]protocol.WireTuple
+	var views, windows [][]protocol.WireTuple
 	for off := 0; off < len(input); off += 200 {
 		windows = append(windows, input[off:off+200])
+	}
+	for off := 0; off < len(input); off += 300 {
+		views = append(views, input[off:off+300])
 	}
 	byTag := make(map[string][]protocol.WireTuple)
 	for _, w := range shuffledParts(input, len(input), rand.New(rand.NewSource(3)))[0] {
@@ -228,23 +237,22 @@ func BenchmarkVerifyBuild(b *testing.B) {
 		}
 	}
 	for _, shape := range []struct {
-		name  string
-		parts [][]protocol.WireTuple
-	}{{"deposit-order", windows}, {"by-tag-shuffled", tagged}} {
-		for _, workers := range verifyWorkerCounts() {
-			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
-				eng, _ := newBenchEngine(b, 1, workers)
-				rs, _ := newVerifyRun(b, eng, 0, 0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !rs.integ.multisetEqual(input, shape.parts) {
-						b.Fatal("honest build rejected")
-					}
-					eng.foldBuild(rs, "bench", shape.parts)
+		name     string
+		parts    [][]protocol.WireTuple
+		covering bool
+	}{{"deposit-order", windows, true}, {"by-tag-shuffled", tagged, true}, {"relayed", tagged, false}} {
+		b.Run(shape.name, func(b *testing.B) {
+			eng, _ := newBenchEngine(b, 1, 1)
+			rs, _ := newVerifyRun(b, eng, 0, 0)
+			rs.integ.views = views
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !rs.foldBuild("bench", shape.covering, input, shape.parts) {
+					b.Fatal("honest build rejected")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math/bits"
+	"slices"
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -20,8 +21,8 @@ import (
 // acknowledged deposits and folds the leaf commitments into a collection
 // root. Each partition build is checked to be a permutation of its input
 // (the SSI may order and group ciphertext freely — that is its job — but
-// may not drop, duplicate or substitute any of it), and the per-partition
-// commitments fold into the running digest. Finally the claimed coverage
+// may not drop, duplicate or substitute any of it), and each build's
+// commitment folds into the running digest. Finally the claimed coverage
 // is reconciled against the recovery ledger. A failed partition check
 // quarantines the build and retries once through the SSI's stashed honest
 // build; everything else, and a retry that fails again, surfaces as a
@@ -44,21 +45,17 @@ type depositRecord struct {
 
 // integrityState accumulates one run's verification context.
 type integrityState struct {
-	records  []depositRecord
+	records []depositRecord
+	// views holds each record's stored tuples as verifyCollection verified
+	// them (store views): from then on, the run's covering result.
+	views    [][]protocol.WireTuple
 	digest   []byte // folded commitment over everything verified so far
 	deposits int    // deposit commitments verified
 	phases   int    // partition builds verified
 	// head and next are multisetEqual's index table, reused across the
-	// run's builds.
+	// run's builds; after a passing check head[:n] holds the input
+	// position of every build tuple, in build order.
 	head, next []int32
-}
-
-// depositLeaf is one record's slot in a verifyCollection window: what the
-// SSI stores for it, the committer of its epoch, and the recomputed leaf.
-type depositLeaf struct {
-	comm   *tdscrypto.Committer
-	tuples []protocol.WireTuple
-	want   []byte
 }
 
 // IntegrityReport summarizes the verification of one run. The digest is
@@ -72,7 +69,7 @@ type IntegrityReport struct {
 	// Deposits is how many acknowledged deposits had their commitment
 	// checked against the stored tuples.
 	Deposits int
-	// Phases is how many partition builds were multiset-verified.
+	// Phases is how many partition builds were verified.
 	Phases int
 	// Checks, Violations, Quarantines and Recovered mirror the Metrics
 	// counters of the same names.
@@ -149,57 +146,52 @@ func (e *Engine) verifyCollection(rs *runState) error {
 	if !rs.verify {
 		return nil
 	}
-	id := rs.post.ID
-
-	total := 0
-	for _, r := range rs.integ.records {
-		total += r.accepted
+	// Each record's stored slice is fetched as a store view and kept: the
+	// builds are checked against these views, so the run never needs the
+	// covering result as one slice. The leaves are independent MACs — the
+	// workers compute them into ok — and the serial loop then checks and
+	// folds them in record order, so the checks counted, the first
+	// violation reported and the folded root are those of a
+	// one-record-at-a-time walk.
+	id, st := rs.post.ID, rs.integ
+	st.views = make([][]protocol.WireTuple, len(st.records))
+	off, size := 0, 0
+	for i, r := range st.records {
+		st.views[i] = rs.ssi.CollectedRange(id, off, off+r.accepted)
+		off += r.accepted
+		size += protocol.TotalSize(st.views[i])
 	}
 	e.noteCheck(rs)
-	if total != rs.ssi.CollectedCount(id) {
+	if off != rs.ssi.CollectedCount(id) {
 		return e.integrityViolation(rs, "covering-count", "collection")
 	}
-
-	// The walk streams: the stored sequence is fetched a window of records
-	// at a time, so verification never holds the covering result in one
-	// slice. A window's leaves are independent MACs — the workers compute
-	// them into its slots — and the serial loop then checks and folds them
-	// in record order, so the checks counted, the first violation reported
-	// and the folded root are those of a one-record-at-a-time walk.
-	fold := rs.verifier.StartFold("collection-root")
-	win := make([]depositLeaf, 0, min(len(rs.integ.records), leafWindowBytes/64)) // a full window of one-tuple deposits
-	comm, epoch := rs.verifier, rs.post.Epoch
-	for off, recs := 0, rs.integ.records; len(recs) > 0; recs = recs[len(win):] {
-		clear(win) // the previous window's tuples are released here
-		win = win[:0]
-		size := 0
-		for len(win) < len(recs) && size < leafWindowBytes {
-			r := &recs[len(win)]
-			// Each record answers to the committer of the epoch it deposited
-			// under — across a rotation boundary the covering result holds
-			// both epochs' deposits, each verifiable only with its own k2.
-			if r.epoch != epoch {
-				comm, epoch = e.committerFor(r.epoch), r.epoch
-			}
-			tuples := rs.ssi.CollectedRange(id, off, off+r.accepted)
-			off += r.accepted
-			size += protocol.TotalSize(tuples)
-			win = append(win, depositLeaf{comm: comm, tuples: tuples})
-		}
-		rs.fanOut(len(win), size, func(i int) {
-			r, l := &recs[i], &win[i]
-			l.want = protocol.DepositCommitment(l.comm, id, r.device, r.attempt, r.epoch, l.tuples)
-		})
-		for i := range win {
-			e.noteCheck(rs)
-			if !tdscrypto.CommitEqual(recs[i].commit, win[i].want) {
-				fold.Discard()
-				return e.integrityViolation(rs, "deposit-commitment", "collection")
-			}
-			fold.Add(win[i].want)
-		}
+	ok := make([]bool, len(st.records))
+	c := rs.crew
+	if size < leafFanOutBytes {
+		c = &crew{n: 1} // too little to repay waking a core: the caller alone
 	}
-	rs.integ.deposits = len(rs.integ.records)
+	c.each(len(st.records), func(_, i int) error {
+		// Each record answers to the committer of the epoch it deposited
+		// under — across a rotation boundary the covering result holds
+		// both epochs' deposits, each verifiable only with its own k2.
+		r, comm := &st.records[i], rs.verifier
+		if r.epoch != rs.post.Epoch {
+			comm = e.committerFor(r.epoch)
+		}
+		ok[i] = tdscrypto.CommitEqual(r.commit,
+			protocol.DepositCommitment(comm, id, r.device, r.attempt, r.epoch, st.views[i]))
+		return nil
+	})
+	fold := rs.verifier.StartFold("collection-root")
+	for i := range st.records {
+		e.noteCheck(rs)
+		if !ok[i] {
+			fold.Discard()
+			return e.integrityViolation(rs, "deposit-commitment", "collection")
+		}
+		fold.Add(st.records[i].commit) // equal to the recomputed leaf
+	}
+	st.deposits = len(st.records)
 
 	// Coverage account: every deposit the metrics wrote off must have a
 	// ledger entry of the matching kind — an SSI understating churn (to
@@ -219,7 +211,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 		return e.integrityViolation(rs, "coverage-account", "collection")
 	}
 
-	rs.integ.digest = fold.Sum()
+	st.digest = fold.Sum()
 	return nil
 }
 
@@ -245,21 +237,26 @@ func (e *Engine) committerFor(wireEpoch int) *tdscrypto.Committer {
 }
 
 // buildVerified obtains one partition build and verifies it is a
-// permutation of its input before any TDS processes it. A failed check
-// quarantines the build and retries once through the SSI's stashed
-// (pre-tamper) build — the graceful-degradation path, which recovers the
-// honest result bit-for-bit because the stash needed no fresh RNG draws.
-// A retry that fails again aborts the run with the typed error.
+// permutation of its input before any TDS processes it. The run's first
+// build partitions the covering result — step 9 of every protocol does —
+// and is checked against the views verifyCollection kept (input, when
+// not nil, is the covering result as one slice, already checked against
+// them); every later build partitions the relayed partials in input. A
+// failed check quarantines the build and retries once through the SSI's
+// stashed (pre-tamper) build — the graceful-degradation path, which
+// recovers the honest result bit-for-bit because the stash needed no
+// fresh RNG draws. A retry that fails again aborts the run with the typed
+// error.
 func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.WireTuple,
 	build func() [][]protocol.WireTuple) ([][]protocol.WireTuple, error) {
 	parts := build()
 	if !rs.verify {
 		return parts, nil
 	}
+	covering := rs.integ.phases == 0
 	rs.integ.phases++
 	e.noteCheck(rs)
-	if rs.integ.multisetEqual(input, parts) {
-		e.foldBuild(rs, phase, parts)
+	if rs.foldBuild(phase, covering, input, parts) {
 		return parts, nil
 	}
 	verr := e.integrityViolation(rs, "partition-multiset", phase)
@@ -270,49 +267,108 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 	})
 	retry := rs.ssi.Repartition(rs.post.ID)
 	e.noteCheck(rs)
-	if retry != nil && rs.integ.multisetEqual(input, retry) {
+	if retry != nil && rs.foldBuild(phase, covering, input, retry) {
 		rs.metrics.IntegrityRecovered++
 		e.obs.integrity.With("recovered").Inc()
 		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 			Kind: "integrity-recovered", Phase: phase, At: rs.clock.Now(),
 		})
-		e.foldBuild(rs, phase, retry)
 		return retry, nil
 	}
 	return nil, verr
 }
 
-// foldBuild extends the run digest with one verified partition build:
-// each partition is committed individually and the partition commitments
-// fold under the previous digest, Merkle-style, so the final digest pins
-// the exact content and grouping of every phase. The partition leaves are
-// independent MACs streamed straight from the tuples, so the workers
-// compute them; the fold over them stays serial, in partition order.
-func (e *Engine) foldBuild(rs *runState, phase string, parts [][]protocol.WireTuple) {
+// foldBuild checks one partition build and, when it passes, folds it
+// under the previous digest, Merkle-style, so the final digest pins the
+// exact content and grouping of every phase. A build over the covering
+// result needs no tuple byte MAC'd again — the collection root commits
+// every one, in deposit order:
+//   - in that order (a deposit-order build), an identity walk against the
+//     views proves it, and the partition boundaries fix the grouping;
+//   - in any other order, the multiset check against the covering result
+//     proves it, and each partition's leaf commits the input positions of
+//     its tuples, each naming a tuple the root commits.
+//
+// Relayed partials are pinned by nothing else, so each partition's leaf
+// commits its tuples' bytes.
+func (rs *runState) foldBuild(phase string, covering bool, input []protocol.WireTuple,
+	parts [][]protocol.WireTuple) bool {
 	st, c := rs.integ, rs.verifier
-	leaves, domain, size := make([][]byte, len(parts)), "partition/"+phase, 0
-	for _, p := range parts {
-		size += protocol.TotalSize(p)
+	if covering && st.inOrder(parts) {
+		fold, end := c.StartFold("bounds/"+phase), 0
+		fold.Add(st.digest)
+		for _, p := range parts {
+			end += len(p)
+			fold.AddUint64(uint64(end))
+		}
+		st.digest = fold.Sum()
+		return true
 	}
-	rs.fanOut(len(parts), size, func(i int) {
-		leaf := c.StartCommit(domain)
-		protocol.CommitTuples(leaf, parts[i])
-		leaves[i] = leaf.Sum()
-	})
-	fold := c.StartFold("phase/" + phase)
+	if covering && input == nil {
+		input = rs.covering()
+	}
+	if !st.multisetEqual(input, parts) {
+		return false
+	}
+	fold, domain, pos := c.StartFold("phase/"+phase), "partition/"+phase, st.head
+	if covering {
+		domain = "positions/" + phase
+	}
 	fold.Add(st.digest)
-	for _, l := range leaves {
-		fold.Add(l)
+	for _, p := range parts {
+		leaf := c.StartCommit(domain)
+		if covering {
+			for _, i := range pos[:len(p)] {
+				leaf.AddUint64(uint64(i))
+			}
+			pos = pos[len(p):]
+		} else {
+			protocol.CommitTuples(leaf, p)
+		}
+		fold.Add(leaf.Sum())
 	}
 	st.digest = fold.Sum()
+	return true
 }
 
-// leafWindowBytes bounds the tuple bytes of one verifyCollection window
-// (plus one deposit's overshoot): what the verifier holds of the covering
-// result at any moment, and what it hands the workers at once.
-const leafWindowBytes = 1 << 20
+// covering returns the covering result as one slice, for a build that
+// takes it whole (PartitionByTag) or a check that indexes it: the store's
+// own — a view while it fits one chunk — once an identity walk finds it
+// tuple for tuple the one verified, else the verified views
+// concatenated.
+func (rs *runState) covering() []protocol.WireTuple {
+	flat := rs.ssi.CollectedTuples(rs.post.ID)
+	if rs.verify && !rs.integ.inOrder([][]protocol.WireTuple{flat}) {
+		flat = slices.Concat(rs.integ.views...)
+	}
+	return flat
+}
 
-// leafFanOutBytes is the least a window must hold to go to the workers.
+// inOrder reports whether parts hold the verified covering result in
+// deposit order, tuple for tuple. A partition that shares the store's
+// backing bytes — as a deposit-order build does — costs one comparison of
+// pointers and lengths per field (bytes.Equal returns at once on a shared
+// array); any other is compared byte for byte.
+func (st *integrityState) inOrder(parts [][]protocol.WireTuple) bool {
+	views, j := st.views, 0
+	for _, p := range parts {
+		for k := range p {
+			for len(views) > 0 && j == len(views[0]) {
+				views, j = views[1:], 0
+			}
+			if len(views) == 0 || !sameTuple(&views[0][j], &p[k]) {
+				return false
+			}
+			j++
+		}
+	}
+	for _, v := range views {
+		j -= len(v) // down to zero when the build reached every verified tuple
+	}
+	return j == 0
+}
+
+// leafFanOutBytes is the least the deposits must hold to go to the workers.
 // A second core takes ~100 µs to wake on the benchmark's 2-core box, and
 // HMAC-SHA256 runs at ~530 MB/s there: 150 deposits verified inline vs
 // fanned out take 135 vs 174 µs at 31 KB, 190 vs 187 at 63 KB, 290 vs 265
@@ -320,17 +376,6 @@ const leafWindowBytes = 1 << 20
 // the first size whose gain is clear, which also keeps the small queries
 // of a multi-tenant mix — whose cores are busy with each other — inline.
 const leafFanOutBytes = 256 << 10
-
-// fanOut runs f(0) … f(n-1), independent MACs over size bytes in all, on
-// the run's crew — or, with too little work to repay waking a core, on the
-// caller alone.
-func (rs *runState) fanOut(n, size int, f func(i int)) {
-	c := rs.crew
-	if size < leafFanOutBytes {
-		c = &crew{n: 1}
-	}
-	c.each(n, func(_, i int) error { f(i); return nil })
-}
 
 // tupleSeed keys tupleHash for the life of the process. The hash only
 // narrows a search to a bucket of the multiset index, and sameTuple then
@@ -362,7 +407,10 @@ func sameTuple(a, b *protocol.WireTuple) bool {
 // holding 1-based input positions, 0 ending the chain); each partition
 // tuple must find a byte-identical input tuple on its bucket's chain and
 // unlink it, so with the counts equal nothing was dropped, duplicated or
-// substituted. The table is the run's scratch: a warm call allocates nothing.
+// substituted. An unlinked input's next slot is free, and records which
+// build tuple took it; a passing check inverts that into head[:n], the
+// input position of every build tuple in build order. The table is the
+// run's scratch: a warm call allocates nothing.
 func (st *integrityState) multisetEqual(input []protocol.WireTuple, parts [][]protocol.WireTuple) bool {
 	n := 0
 	for _, p := range parts {
@@ -381,6 +429,7 @@ func (st *integrityState) multisetEqual(input []protocol.WireTuple, parts [][]pr
 		b := tupleHash(&input[i]) & mask
 		next[i], head[b] = head[b], int32(i+1)
 	}
+	taken := int32(0) // build tuples matched so far
 	for _, p := range parts {
 		for k := range p {
 			link := &head[tupleHash(&p[k])&mask]
@@ -390,8 +439,13 @@ func (st *integrityState) multisetEqual(input []protocol.WireTuple, parts [][]pr
 			if *link == 0 {
 				return false
 			}
-			*link = next[*link-1]
+			i := *link - 1
+			*link, next[i] = next[i], taken
+			taken++
 		}
+	}
+	for i, k := range next[:n] {
+		head[k] = int32(i)
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -204,6 +205,122 @@ func TestAdversaryChaosSweep(t *testing.T) {
 	}
 }
 
+// coveringLiar serves one query's covering result honestly through
+// CollectedRange — the read the collection verifier checks against the
+// deposit commitments — but drops its first tuple from CollectedTuples and
+// the first tuple of the query's first partition build; persistent, it
+// drops it again from the build's re-issue. Both lies tell every other
+// reader the same story.
+type coveringLiar struct {
+	ssi.Service
+	id         string
+	persistent bool
+	builds     int // partition builds of the query so far
+}
+
+func (l *coveringLiar) CollectedTuples(id string) []protocol.WireTuple {
+	ws := l.Service.CollectedTuples(id)
+	if id == l.id && len(ws) > 0 {
+		ws = ws[1:]
+	}
+	return ws
+}
+
+func (l *coveringLiar) StreamBuild(id string, per int) [][]protocol.WireTuple {
+	return l.lie(id, l.Service.StreamBuild(id, per), true)
+}
+
+func (l *coveringLiar) PartitionByTag(id string, ws []protocol.WireTuple, maxPer int) [][]protocol.WireTuple {
+	return l.lie(id, l.Service.PartitionByTag(id, ws, maxPer), true)
+}
+
+func (l *coveringLiar) PartitionRandom(id string, ws []protocol.WireTuple, per int, r *rand.Rand) [][]protocol.WireTuple {
+	return l.lie(id, l.Service.PartitionRandom(id, ws, per, r), true)
+}
+
+func (l *coveringLiar) Repartition(id string) [][]protocol.WireTuple {
+	return l.lie(id, l.Service.Repartition(id), false)
+}
+
+// lie drops the first tuple of the first partition of the query's first
+// build (fresh), or of its re-issue when persistent.
+func (l *coveringLiar) lie(id string, parts [][]protocol.WireTuple, fresh bool) [][]protocol.WireTuple {
+	if id != l.id {
+		return parts
+	}
+	if fresh {
+		l.builds++
+	}
+	if l.builds != 1 || (!fresh && !l.persistent) || len(parts) == 0 || len(parts[0]) == 0 {
+		return parts
+	}
+	out := append([][]protocol.WireTuple(nil), parts...)
+	out[0] = out[0][1:]
+	return out
+}
+
+// TestIntegrityReferenceIsWhatWasVerified closes the gap between what the
+// collection verifier checks and what a build is checked against: an SSI
+// that serves the verifier honestly but drops one tuple from every other
+// read of the covering result, and from the first build, must not get a
+// build one tuple short past the multiset check. Every protocol, at one
+// worker and at eight: the build is quarantined and the honest rows come
+// back through the re-issue, or — the lie persisting — the run ends in a
+// typed abort.
+func TestIntegrityReferenceIsWhatWasVerified(t *testing.T) {
+	const id = "q-liar"
+	for _, sc := range churnScenarios {
+		f := newFixture(t, 20, nil)
+		resp, err := f.eng.Execute(context.Background(), Request{
+			Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params, QueryID: id,
+		})
+		if err != nil {
+			t.Fatalf("%v: honest reference failed: %v", sc.kind, err)
+		}
+		honest := sortedRows(resp.Result)
+		for _, persistent := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/persistent=%v", sc.kind, persistent), func(t *testing.T) {
+				var first Metrics
+				for _, workers := range []int{1, 8} {
+					f := newFixture(t, 20, func(c *Config) {
+						c.CollectWorkers = workers
+						c.SSI = &coveringLiar{Service: ssi.New(), id: id, persistent: persistent}
+					})
+					resp, err := f.eng.Execute(context.Background(), Request{
+						Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params, QueryID: id,
+					})
+					if resp == nil || resp.Integrity == nil {
+						t.Fatalf("workers=%d: no verified response (err=%v)", workers, err)
+					}
+					rep := resp.Integrity
+					if rep.Violations != 1 || rep.Quarantines != 1 {
+						t.Errorf("workers=%d: the short build was not caught: %+v", workers, rep)
+					}
+					var mis *ErrSSIMisbehavior
+					switch {
+					case persistent && (!errors.As(err, &mis) || mis.Kind != "partition-multiset"):
+						t.Errorf("workers=%d: err = %v, want a partition-multiset abort", workers, err)
+					case persistent && resp.Result != nil:
+						t.Errorf("workers=%d: aborted run still returned rows", workers)
+					case !persistent && err != nil:
+						t.Errorf("workers=%d: recoverable lie aborted the run: %v", workers, err)
+					case !persistent && (rep.Recovered != 1 || !reflect.DeepEqual(sortedRows(resp.Result), honest)):
+						t.Errorf("workers=%d: recovered %d, rows %v, want the honest %v",
+							workers, rep.Recovered, sortedRows(resp.Result), honest)
+					}
+					m := *resp.Metrics
+					m.TLocal = 0
+					if workers == 1 {
+						first = m
+					} else if !reflect.DeepEqual(first, m) {
+						t.Errorf("metrics diverge across workers:\n1: %+v\n8: %+v", first, m)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestIntegrityPersistentAdversaryAborts scripts an adversary that tampers
 // with the quarantine retry too: graceful degradation has nowhere left to
 // go, so the run must fail with the typed partition error, visibly.
@@ -366,14 +483,16 @@ func assertRegistryHas(t *testing.T, e *Engine, want string) {
 }
 
 // TestIntegrityWorkersAgree drives the verifier directly over a store large
-// enough to span several windows and to pass the fan-out gate, at one
-// worker and at eight: the digest must be the one the one-shot Commit and
-// Fold produce over the same bytes (what the verifier computed before its
-// leaves were streamed and fanned out), and a tampered stored tuple must
-// end the walk at the same check, with the same typed violation, wherever
-// in a window it sits and whoever computed its leaf.
+// enough to pass the fan-out gate, at one worker and at eight: the digests
+// must be the ones the one-shot Commit and Fold produce (what the verifier
+// computed before its leaves were streamed and fanned out) — the
+// collection root over the deposit leaves, a covering build over its
+// partition boundaries in deposit order or over its tuples' input
+// positions permuted, a build over relayed partials over its bytes — and a
+// tampered stored tuple must end the walk at the same check, with the same
+// typed violation, wherever it sits and whoever computed its leaf.
 func TestIntegrityWorkersAgree(t *testing.T) {
-	const deposits, per = 100, 130 // ~1.4 MB: two windows, both above the gate
+	const deposits, per = 100, 130 // ~1.4 MB, above the gate
 	segsOf := func(ws []protocol.WireTuple) [][]byte {
 		var segs [][]byte
 		for _, w := range ws {
@@ -381,12 +500,13 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 		}
 		return segs
 	}
+	be64 := func(v int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(v)) }
 	for _, workers := range []int{1, 8} {
 		eng, _ := newBenchEngine(t, 1, workers)
 		rs, store := newVerifyRun(t, eng, deposits, per)
 		c := rs.verifier
-		if protocol.TotalSize(store.tuples) < leafWindowBytes+leafFanOutBytes {
-			t.Fatal("store too small to exercise a second fanned-out window")
+		if protocol.TotalSize(store.tuples) < leafFanOutBytes {
+			t.Fatal("store too small to fan out")
 		}
 
 		if err := eng.verifyCollection(rs); err != nil {
@@ -404,14 +524,45 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 		}
 
 		root := rs.integ.digest
-		parts := shuffledParts(store.tuples, 77, rand.New(rand.NewSource(5)))
-		eng.foldBuild(rs, "step", parts)
-		children := [][]byte{root}
-		for _, p := range parts {
-			children = append(children, c.Commit("partition/step", segsOf(p)...))
+		var windows [][]protocol.WireTuple
+		bounds := [][]byte{root}
+		for off := 0; off < len(store.tuples); off += 77 {
+			end := min(off+77, len(store.tuples))
+			windows = append(windows, store.tuples[off:end])
+			bounds = append(bounds, be64(end))
 		}
-		if want := c.Fold("phase/step", children...); !bytes.Equal(rs.integ.digest, want) {
-			t.Errorf("workers=%d: phase digest %x, want %x", workers, rs.integ.digest, want)
+		parts := shuffledParts(store.tuples, 77, rand.New(rand.NewSource(5)))
+		at := make(map[string]int) // ciphertext -> input position; benchTuples are distinct
+		for i, w := range store.tuples {
+			at[string(w.Ciphertext)] = i
+		}
+		positions, relayed := [][]byte{root}, [][]byte{root}
+		for _, p := range parts {
+			var segs [][]byte
+			for _, w := range p {
+				segs = append(segs, be64(at[string(w.Ciphertext)]))
+			}
+			positions = append(positions, c.Commit("positions/step", segs...))
+			relayed = append(relayed, c.Commit("partition/step", segsOf(p)...))
+		}
+		for _, b := range []struct {
+			name     string
+			covering bool
+			input    []protocol.WireTuple // nil: the covering result, read through the store
+			parts    [][]protocol.WireTuple
+			want     []byte
+		}{
+			{"in order", true, nil, windows, c.Fold("bounds/step", bounds...)},
+			{"permuted", true, nil, parts, c.Fold("phase/step", positions...)},
+			{"relayed", false, store.tuples, parts, c.Fold("phase/step", relayed...)},
+		} {
+			rs.integ.digest = root
+			if !rs.foldBuild("step", b.covering, b.input, b.parts) {
+				t.Fatalf("workers=%d: honest %s build rejected", workers, b.name)
+			}
+			if !bytes.Equal(rs.integ.digest, b.want) {
+				t.Errorf("workers=%d: %s build digest %x, want %x", workers, b.name, rs.integ.digest, b.want)
+			}
 		}
 
 		for _, rec := range []int{0, 3, 57, deposits - 5, deposits - 1} {
@@ -440,8 +591,8 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 // size where verification leaves the inline loop: the 20-device fleets of
 // TestAdversaryChaosSweep never reach the fan-out gate, so they compare
 // one worker with eight over the same serial code. Here every run collects
-// more than the gate, so at eight workers the deposit and partition leaves
-// are computed concurrently — under the race detector in check.sh — and
+// more than the gate, so at eight workers the deposit leaves are computed
+// concurrently — under the race detector in check.sh — and
 // must still produce the same check count, counters, ledger, rows and
 // typed error as the inline walk, honest or under attack.
 func TestAdversaryFanOutWorkersAgree(t *testing.T) {

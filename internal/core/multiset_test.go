@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
 // refMultisetEqual is the map-of-framed-strings check multisetEqual
@@ -190,20 +193,99 @@ func fuzzTuples(data []byte) []protocol.WireTuple {
 	return out
 }
 
+// digestRun is the part of a run a build check reads: a verifier, the
+// views of a verified covering result under a stand-in collection root,
+// and a store serving the same tuples.
+func digestRun(views ...[]protocol.WireTuple) *runState {
+	return &runState{post: &protocol.QueryPost{ID: "q"}, verify: true,
+		verifier: tdscrypto.NewCommitter(tdscrypto.Key{}),
+		ssi:      &verifyStore{tuples: slices.Concat(views...), tamper: -1},
+		integ:    &integrityState{views: views, digest: []byte("root")}}
+}
+
+// TestIntegrityDigestPinsGrouping holds a build's digest to its grouping,
+// not just its multiset: the same tuples cut or ordered differently fold
+// to a different digest, whether the fold commits partition boundaries
+// (the covering result in deposit order), input positions (permuted) or
+// bytes (relayed partials); the same build folds to the same digest.
+func TestIntegrityDigestPinsGrouping(t *testing.T) {
+	a, b, c, d := wt("t", "ct-a", "d"), wt("t", "ct-b", "d"), wt("", "ct-c", ""), wt("u", "ct-d", "e")
+	input := []protocol.WireTuple{a, b, c, d}
+	type parts = [][]protocol.WireTuple
+	for _, tc := range []struct {
+		name     string
+		covering bool
+		x, y     parts
+	}{
+		{"in order, a boundary moved", true, parts{{a, b}, {c, d}}, parts{{a}, {b, c, d}}},
+		{"in order, an empty partition added", true, parts{{a, b}, {c, d}}, parts{{a, b}, {}, {c, d}}},
+		{"in order vs permuted", true, parts{{a, b}, {c, d}}, parts{{b, a}, {c, d}}},
+		{"permuted, a tuple moved", true, parts{{b, a}, {d, c}}, parts{{b}, {a, d, c}}},
+		{"permuted, partitions swapped", true, parts{{b, a}, {d, c}}, parts{{d, c}, {b, a}}},
+		{"relayed, a tuple moved", false, parts{{a, b}, {c, d}}, parts{{a}, {b, c, d}}},
+		{"relayed, reordered", false, parts{{a, b}, {c, d}}, parts{{b, a}, {c, d}}},
+	} {
+		digest := func(p parts) []byte {
+			rs, in := digestRun(input[:1], input[1:]), input
+			if tc.covering {
+				in = nil // read through the store
+			}
+			if !rs.foldBuild("step", tc.covering, in, p) {
+				t.Fatalf("%s: honest build %v rejected", tc.name, p)
+			}
+			return rs.integ.digest
+		}
+		x := digest(tc.x)
+		if !bytes.Equal(x, digest(tc.x)) {
+			t.Errorf("%s: one build, two digests", tc.name)
+		}
+		if bytes.Equal(x, digest(tc.y)) {
+			t.Errorf("%s: %v and %v fold to one digest", tc.name, tc.x, tc.y)
+		}
+	}
+}
+
 // FuzzMultisetEqual holds the index-table check to the reference on
-// honest builds (a seeded shuffle of the input, regrouped) and on every
-// way of tampering with one: drop, duplicate, substitute, reframe, append
-// foreign tuples.
+// honest builds and on every way of tampering with one: drop, duplicate,
+// substitute, reframe, append foreign tuples. A build is a seeded shuffle
+// of the input, regrouped, or deposit-order windows of it, their bytes
+// shared with the input or copied into arrays of their own; the input is
+// also the covering result of a run, verified in deposits of seeded
+// sizes. The build check over the covering result — the identity walk in
+// order, the multiset check and its input positions otherwise — must
+// accept exactly what the reference accepts, and a passing multiset check
+// must name, for each build tuple, a distinct input position holding it.
 func FuzzMultisetEqual(f *testing.F) {
 	f.Add([]byte{0x15, 'a', 'b', 'a', 0x15, 'a', 'b', 'a', 0x06, 'b', 'a', 'a'}, []byte{}, int64(1), uint8(0), uint8(2))
 	f.Add([]byte{0x06, 'a', 'b', 'c'}, []byte{0x09, 'a', 'b', 'c'}, int64(2), uint8(5), uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, []byte{0}, int64(3), uint8(2), uint8(1))
 	f.Add([]byte{}, []byte{}, int64(4), uint8(1), uint8(3))
+	f.Add([]byte{0x15, 'a', 'b', 'a', 0x2a, 'b', 'a', 'a', 'b', 0x06, 'b', 'a'}, []byte{}, int64(5), uint8(6), uint8(1))
+	f.Add([]byte{0x15, 'a', 'b', 'a', 0x2a, 'b', 'a', 'a', 'b', 0x06, 'b', 'a'}, []byte{}, int64(6), uint8(19), uint8(4))
 	st := &integrityState{} // one state for the whole run: scratch reuse is part of what is fuzzed
 	f.Fuzz(func(t *testing.T, data, foreign []byte, seed int64, tamper, per uint8) {
 		input := fuzzTuples(data)
 		rng := rand.New(rand.NewSource(seed))
+		var views [][]protocol.WireTuple
+		for rest := input; len(rest) > 0 || rng.Intn(3) == 0; {
+			k := min(rng.Intn(4), len(rest)) // empty deposits too
+			views, rest = append(views, rest[:k]), rest[k:]
+		}
 		parts := shuffledParts(input, int(per%7)+1, rng)
+		if tamper/6%2 == 1 { // deposit order
+			parts = nil
+			for rest := slices.Clone(input); len(rest) > 0; {
+				k := min(int(per%7)+1, len(rest))
+				parts, rest = append(parts, rest[:k:k]), rest[k:]
+			}
+		}
+		if tamper/12%2 == 1 { // equal bytes in arrays of their own
+			for _, p := range parts {
+				for i := range p {
+					p[i] = wt(string(p[i].Tag), string(p[i].Ciphertext), string(p[i].Digest))
+				}
+			}
+		}
 		pick := func() *protocol.WireTuple {
 			p := parts[rng.Intn(len(parts))]
 			return &p[rng.Intn(len(p))]
@@ -229,8 +311,30 @@ func FuzzMultisetEqual(f *testing.F) {
 					append([]byte{w.Tag[len(w.Tag)-1]}, w.Ciphertext...)
 			}
 		}
-		if got, want := st.multisetEqual(input, parts), refMultisetEqual(input, parts); got != want {
+		want := refMultisetEqual(input, parts)
+		if got := st.multisetEqual(input, parts); got != want {
 			t.Fatalf("multisetEqual = %v, reference = %v\ninput %q\nparts %q", got, want, input, parts)
+		}
+		if want {
+			taken, k := make([]bool, len(input)), 0
+			for _, p := range parts {
+				for j := range p {
+					i := st.head[k]
+					if taken[i] || !sameTuple(&input[i], &p[j]) {
+						t.Fatalf("build tuple %d named input position %d\ninput %q\nparts %q", k, i, input, parts)
+					}
+					taken[i], k = true, k+1
+				}
+			}
+		}
+		rs := digestRun(views...)
+		rs.integ.head, rs.integ.next = st.head, st.next
+		if got := rs.foldBuild("fuzz", true, nil, parts); got != want {
+			t.Fatalf("covering build check = %v, reference = %v\ninput %q\nviews %q\nparts %q",
+				got, want, input, views, parts)
+		}
+		if tamper%6 == 0 && tamper/6%2 == 1 && !rs.integ.inOrder(parts) {
+			t.Fatalf("an honest deposit-order build missed the identity walk\nviews %q\nparts %q", views, parts)
 		}
 	})
 }

@@ -188,13 +188,18 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		}
 		want := min(replicas*rounds, len(live))
 		ws := make([]*tds.TDS, 0, want)
-		seen := make(map[int]bool, want)
+		var seen map[int]bool // a one-worker draw cannot repeat a slot
+		if want > 1 {
+			seen = make(map[int]bool, want)
+		}
 		for len(ws) < want {
 			i := rng.Intn(len(live))
 			if seen[i] {
 				continue
 			}
-			seen[i] = true
+			if seen != nil {
+				seen[i] = true
+			}
 			w, err := e.runDevice(rs, live[i])
 			if err != nil {
 				return nil, stats, err
@@ -240,6 +245,11 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	results := make([]phaseResult, len(plan))
 	err := rs.crew.each(len(plan), func(_, ai int) error {
 		a := plan[ai]
+		if replicas == 1 { // no audit: one output, nothing to vote on
+			out, err := process(a.workers[0], a.part)
+			results[ai].units = []workUnit{{partition: a.part, out: out, busy: e.meterUnit(a.part, out)}}
+			return err
+		}
 		// Audit rounds: process with `replicas` fresh devices per
 		// round; a unanimous round is accepted immediately (the common
 		// case). Otherwise votes accumulate across rounds — the honest

@@ -216,10 +216,7 @@ func (e *Engine) collectInputs(ctx context.Context, q *querier.Querier, stmt *sq
 			if h <= 0 {
 				h = 5 // the paper's experiment default
 			}
-			m = int(float64(len(disc.domain))/h + 0.5)
-			if m < 1 {
-				m = 1
-			}
+			m = max(int(float64(len(disc.domain))/h+0.5), 1)
 		}
 		hist, err := histogram.Build(disc.counts, m)
 		if err != nil {
@@ -230,75 +227,33 @@ func (e *Engine) collectInputs(ctx context.Context, q *querier.Querier, stmt *sq
 	return cfgTpl, nil
 }
 
-// perPartitionTuples derives how many wire tuples fit the calibrated
-// streaming unit (4 KB partitions in the unit test).
-func (e *Engine) perPartitionTuples(params protocol.Params, sample []protocol.WireTuple) int {
+// perPartitionTuples derives how many wire tuples of avg bytes (64 when
+// avg < 1) fit the calibrated streaming unit (4 KB partitions in the unit
+// test). A first step over the covering result sizes with the
+// calibration's nominal tuple size, later ones with the measured average
+// of the tuples in hand.
+func (e *Engine) perPartitionTuples(params protocol.Params, avg int) int {
 	if params.PartitionTuples > 0 {
 		return params.PartitionTuples
 	}
-	avg := 64
-	if len(sample) > 0 {
-		avg = tupleBytes(sample)/len(sample) + 1
-	}
-	n := e.cal.PartitionSize / avg
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// streamTuplesPerPartition sizes the first step over the covering result
-// from the calibration's nominal tuple size, where perPartitionTuples
-// uses the measured average of the tuples in hand.
-func (e *Engine) streamTuplesPerPartition(params protocol.Params) int {
-	if params.PartitionTuples > 0 {
-		return params.PartitionTuples
-	}
-	avg := e.cal.TupleSize
 	if avg < 1 {
 		avg = 64
 	}
-	n := e.cal.PartitionSize / avg
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// firstStepPer is the partition size of the protocol's first step: the
-// calibrated streaming unit, additionally capped at ~α·G for S_Agg
-// (Section 4.2's first-step partitions).
-func (e *Engine) firstStepPer(kind protocol.Kind, params protocol.Params, g int) int {
-	per := e.streamTuplesPerPartition(params)
-	if kind == protocol.KindSAgg {
-		alpha := params.Alpha
-		if alpha < 2 {
-			alpha = 3.6
-		}
-		if ap := int(alpha * float64(g)); ap < per {
-			per = ap
-		}
-		if per < 2 {
-			per = 2
-		}
-	}
-	return per
+	return max(e.cal.PartitionSize/avg, 2)
 }
 
 // aggregateAndFilter runs the protocol-specific aggregation phase followed
 // by the filtering phase and returns the k1-encrypted final tuples.
 func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt) ([]protocol.WireTuple, error) {
 	post := rs.post
-	collected := rs.ssi.CollectedTuples(post.ID)
-
 	switch post.Kind {
 	case protocol.KindBasic:
 		// Filtering phase only: deposit-order windows of the covering
 		// result, each filtered by a TDS (steps 9-12). Deposit order is
 		// itself a random permutation of the fleet walk, so the windows
 		// need no explicit shuffle.
-		per := e.firstStepPer(post.Kind, post.Params, 0)
-		parts, err := e.buildVerified(rs, "filter-sfw", collected, func() [][]protocol.WireTuple {
+		per := e.perPartitionTuples(post.Params, e.cal.TupleSize)
+		parts, err := e.buildVerified(rs, "filter-sfw", nil, func() [][]protocol.WireTuple {
 			return rs.ssi.StreamBuild(post.ID, per)
 		})
 		if err != nil {
@@ -315,10 +270,10 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		return collectOutputs(units), nil
 
 	case protocol.KindSAgg:
-		return e.runSAgg(ctx, rs, stmt, collected)
+		return e.runSAgg(ctx, rs, stmt)
 
 	case protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist:
-		return e.runTagged(ctx, rs, stmt, collected)
+		return e.runTagged(ctx, rs, stmt)
 
 	default:
 		return nil, fmt.Errorf("core: unknown protocol %v", post.Kind)
@@ -328,37 +283,34 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 // runSAgg is the iterative secure aggregation of Section 4.2: random
 // partitions, each folded by a TDS into one partial aggregation, repeated
 // with reduction factor α until a single partial remains, then filtering.
-func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt,
-	collected []protocol.WireTuple) ([]protocol.WireTuple, error) {
+func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt) ([]protocol.WireTuple, error) {
 	post, metrics := rs.post, rs.metrics
 	alpha := post.Params.Alpha
 	if alpha < 2 {
 		alpha = 3.6 // α_op of Section 6.1.1
 	}
-	g := groupCountHint(stmt)
 
-	units := collected
-	// First step: partitions of ~α*G tuples; later steps: α partials each.
+	// First step: the calibrated streaming unit, capped at ~α*G tuples
+	// (Section 4.2's first-step partitions); later steps: α partials each.
 	// The first step partitions the covering result as it sits in the
 	// SSI's chunked store — deposit-order windows, a random permutation
 	// by construction of the fleet walk. Later steps partition relayed
-	// partials, which never sit in the store, so they keep the explicit
-	// shuffle.
-	per := e.firstStepPer(protocol.KindSAgg, post.Params, g)
-	first := true
-	for len(units) > 1 {
+	// partials (units), which never sit in the store, so they keep the
+	// explicit shuffle.
+	per := max(min(e.perPartitionTuples(post.Params, e.cal.TupleSize), int(alpha*float64(groupCountHint(stmt)))), 2)
+	var units []protocol.WireTuple
+	n := rs.ssi.CollectedCount(post.ID)
+	if n <= 1 { // nothing to reduce: the covering result goes to filtering
+		units = rs.covering()
+	}
+	for first := true; n > 1; first = false {
 		name := fmt.Sprintf("s_agg-step-%d", len(metrics.Phases)+1)
-		input, size := units, per
-		build := func() [][]protocol.WireTuple {
-			return rs.ssi.PartitionRandom(post.ID, input, size, rs.rng)
-		}
-		if first {
-			build = func() [][]protocol.WireTuple {
-				return rs.ssi.StreamBuild(post.ID, size)
+		parts, err := e.buildVerified(rs, name, units, func() [][]protocol.WireTuple {
+			if first {
+				return rs.ssi.StreamBuild(post.ID, per)
 			}
-			first = false
-		}
-		parts, err := e.buildVerified(rs, name, input, build)
+			return rs.ssi.PartitionRandom(post.ID, units, per, rs.rng)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -375,21 +327,16 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 		if len(next) > 0 {
 			// The round's achieved reduction factor — the protocol's
 			// effective alpha, histogrammed across rounds and runs.
-			e.obs.saggReduction.Observe(float64(len(units)) / float64(len(next)))
-			sp.SetAttr("reduction", fmt.Sprintf("%d->%d", len(units), len(next)))
+			e.obs.saggReduction.Observe(float64(n) / float64(len(next)))
+			sp.SetAttr("reduction", fmt.Sprintf("%d->%d", n, len(next)))
 		}
-		if len(next) >= len(units) {
+		units, per = next, max(int(alpha+0.5), 2)
+		if len(next) >= n {
 			// No progress (e.g., all-dummy partitions of size 1); force a
 			// final merge in one partition.
-			per = len(units) + 1
-			units = next
-			continue
+			per = n + 1
 		}
-		units = next
-		per = int(alpha + 0.5)
-		if per < 2 {
-			per = 2
-		}
+		n = len(next)
 	}
 
 	// Filtering phase: the single final partial goes to one TDS which
@@ -401,13 +348,13 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 // tuples by tag (Det_Enc(A_G) or h(bucketId)), a first aggregation step
 // folds each partition into per-group partials, a second step completes
 // each group, and the filtering phase applies HAVING.
-func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt,
-	collected []protocol.WireTuple) ([]protocol.WireTuple, error) {
+func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt) ([]protocol.WireTuple, error) {
 	post := rs.post
-	per := e.firstStepPer(post.Kind, post.Params, 0)
+	per := e.perPartitionTuples(post.Params, e.cal.TupleSize)
 
 	// First aggregation step: partitions hold tuples of one tag; large
 	// groups split across n_NB partitions processed in parallel.
+	collected := rs.covering()
 	parts, err := e.buildVerified(rs, "aggregate-1", collected, func() [][]protocol.WireTuple {
 		return rs.ssi.PartitionByTag(post.ID, collected, per)
 	})
@@ -454,7 +401,8 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 	finals []protocol.WireTuple) ([]protocol.WireTuple, error) {
 	post, metrics, rng := rs.post, rs.metrics, rs.rng
 	parts, err := e.buildVerified(rs, "filtering", finals, func() [][]protocol.WireTuple {
-		return rs.ssi.PartitionRandom(post.ID, finals, e.perPartitionTuples(post.Params, finals), rng)
+		avg := (tupleBytes(finals) + len(finals)) / max(len(finals), 1) // mean size + 1; 0 for none
+		return rs.ssi.PartitionRandom(post.ID, finals, e.perPartitionTuples(post.Params, avg), rng)
 	})
 	if err != nil {
 		return nil, err
@@ -484,29 +432,17 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 	if len(out) == 0 && forceEmpty {
 		// Global aggregate over an empty covering result still returns one
 		// row (COUNT = 0, others NULL); one live TDS synthesizes it.
+		// A fully stale fleet falls back to any live device (the second
+		// pass), as the phase draws do — the synthesis fails per-device
+		// rather than aborting the engine.
 		var w *tds.TDS
 		order := rng.Perm(len(e.fleet))
-		for _, idx := range order {
-			if !e.isRevoked(e.deviceID(idx)) && e.slotServes(idx, post.Epoch) {
-				t, err := e.runDevice(rs, idx)
-				if err != nil {
-					return nil, err
-				}
-				w = t
-				break
-			}
-		}
-		if w == nil {
-			// Fully stale fleet: fall back to any live device, as the
-			// phase draws do — the synthesis fails per-device rather than
-			// aborting the engine.
+		for pass := 0; pass < 2 && w == nil; pass++ {
 			for _, idx := range order {
-				if !e.isRevoked(e.deviceID(idx)) {
-					t, err := e.runDevice(rs, idx)
-					if err != nil {
+				if !e.isRevoked(e.deviceID(idx)) && (pass == 1 || e.slotServes(idx, post.Epoch)) {
+					if w, err = e.runDevice(rs, idx); err != nil {
 						return nil, err
 					}
-					w = t
 					break
 				}
 			}

@@ -89,7 +89,10 @@ echo "==> trace determinism gate"
 go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedger'
 
 # TestAdversaryFanOutWorkersAgree and TestIntegrityWorkersAgree run the
-# verifier's leaf MACs on eight workers here, under the race detector.
+# verifier's leaf MACs on eight workers here, under the race detector;
+# TestIntegrityReferenceIsWhatWasVerified holds every protocol's first
+# build to the tuples the verifier checked, not to what the SSI's other
+# reads serve.
 # What the fleet shares rides along: store views read while a goroutine
 # deposits, the SSI's one epoch policy flipped under eight depositors, the
 # Det_Enc tag table and the admission records filled by devices of two
@@ -130,7 +133,9 @@ if [ "$short" -eq 0 ]; then
     go test -run '^$' -fuzz '^FuzzDecodeRow$' -fuzztime 3s ./internal/storage
     go test -run '^$' -fuzz '^FuzzDecrypt$' -fuzztime 3s ./internal/tdscrypto
     go test -run '^$' -fuzz '^FuzzTrustBundleDecode$' -fuzztime 3s ./internal/tdscrypto
-    # The exact multiset check against its map-of-framed-strings reference.
+    # The exact multiset check against its map-of-framed-strings reference,
+    # and the covering-build check (identity walk in deposit order, input
+    # positions permuted) accepting exactly what the reference accepts.
     go test -run '^$' -fuzz '^FuzzMultisetEqual$' -fuzztime 3s ./internal/core
 fi
 
