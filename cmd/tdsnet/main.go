@@ -14,8 +14,7 @@
 // The -churn-* flags script deterministic fleet churn (seeded by
 // -fault-seed): offline windows, deposits dropped mid-transfer, corrupted
 // uploads, slow devices and crash-before-commit during the aggregation
-// phases (-failure is the older spelling of -churn-crash). The run then
-// reports its coverage ratio and recovery account.
+// phases. The run then reports its coverage ratio and recovery account.
 //
 // The -rotate-every/-revoke-ids flags exercise the live key lifecycle:
 // a signed trust-bundle rotation (and optional broadcast revocation)
@@ -217,7 +216,6 @@ func parseFlags(args []string) options {
 	fs.IntVar(&o.nf, "nf", 2, "Rnf_Noise: fake tuples per true tuple")
 	fs.IntVar(&o.buckets, "buckets", 0, "ED_Hist: histogram buckets (0 = derive from h=5)")
 	fs.Float64Var(&o.available, "available", 0.10, "fraction of the fleet connected for aggregation")
-	fs.Float64Var(&o.churnCrash, "failure", 0, "alias of -churn-crash")
 	fs.IntVar(&o.audit, "audit", 1, "audit replicas per partition (compromised-TDS extension)")
 	fs.Float64Var(&o.compromised, "compromised", 0, "fraction of the fleet marked compromised")
 	fs.Int64Var(&o.seed, "seed", 42, "RNG seed")

@@ -55,24 +55,18 @@ func printed(t *testing.T, args ...string) string {
 	return strings.Join(kept, "\n")
 }
 
-// TestRunWithFailures: -failure is -churn-crash under its older name, so
-// the two spellings print the same run byte for byte — one crash share in
-// the header, the same rows, metrics and ledger. The share is 1 so that
-// the re-assignment the test looks for does not rest on who the run's
-// two assignments happen to draw: every first assignee crashes, whatever
-// the stream, and the phase's re-assignment cap lets the run finish.
+// TestRunWithFailures: -churn-crash prints its share once in the header
+// and re-assigns. The share is 1 so that the re-assignment the test looks
+// for does not rest on who the run's two assignments happen to draw: every
+// first assignee crashes, whatever the stream, and the phase's
+// re-assignment cap lets the run finish.
 func TestRunWithFailures(t *testing.T) {
-	common := []string{"-fleet", "30", "-available", "0.5", "-seed", "3"}
-	failure := printed(t, append(common, "-failure", "1")...)
-	crash := printed(t, append(common, "-churn-crash", "1")...)
-	if failure != crash {
-		t.Errorf("-failure 1 and -churn-crash 1 print different runs:\n%s\n---\n%s", failure, crash)
+	crash := printed(t, "-fleet", "30", "-available", "0.5", "-seed", "3", "-churn-crash", "1")
+	if strings.Count(crash, "100%") != 1 || !strings.Contains(crash, "crash=100%") {
+		t.Errorf("the header must print the crash share once:\n%s", crash)
 	}
-	if strings.Count(failure, "100%") != 1 || !strings.Contains(failure, "crash=100%") {
-		t.Errorf("the header must print the crash share once:\n%s", failure)
-	}
-	if !strings.Contains(failure, " reassign ") {
-		t.Errorf("the whole fleet crashing re-assigned nothing:\n%s", failure)
+	if !strings.Contains(crash, " reassign ") {
+		t.Errorf("the whole fleet crashing re-assigned nothing:\n%s", crash)
 	}
 }
 

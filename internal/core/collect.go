@@ -47,8 +47,7 @@ import (
 // (fault seed, device ID, query ID). Offline devices are filtered out
 // before the walk; dropped and corrupt deposits consume a connection slot
 // (the device did connect) and advance the clock by the device's interval,
-// while collect errors keep the legacy semantics of never having connected
-// at all.
+// while a collect error is booked as never having connected at all.
 
 // waveChunk is how many devices a wave holds per worker. A wave's results
 // stay live until it settles, so its width is what the phase adds to the

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/accessctl"
-	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/sqlexec"
@@ -263,23 +262,6 @@ func TestGroupedAggregateOverNoMatches(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionStillCorrect(t *testing.T) {
-	f := newFixture(t, 30, nil)
-	want := f.reference(t, flagshipSQL)
-	// Small partitions force many work units so a crasher among 30% of the
-	// fleet is certain to be drawn as an assignee at least once.
-	got, m, err := runRequest(f.eng, Request{Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-		Params: protocol.Params{PartitionTuples: 3},
-		Faults: &faultplan.Plan{Seed: 21, CrashFraction: 0.3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, got, want)
-	if m.Reassignments == 0 {
-		t.Error("crash fraction 0.3 produced no reassignments — injection inert")
-	}
-}
-
 func TestAccessControlDeniedQuerier(t *testing.T) {
 	f := newFixture(t, 10, nil)
 	cred := f.eng.Authority().Issue("mallory", []string{"energy-analyst"},
@@ -531,22 +513,5 @@ func TestPhaseTimings(t *testing.T) {
 	want := []string{"aggregate-1", "aggregate-2", "filtering"}
 	if len(names) != 3 || names[0] != want[0] || names[1] != want[1] || names[2] != want[2] {
 		t.Errorf("ED_Hist phases = %v, want %v", names, want)
-	}
-}
-
-func TestDeterministicRuns(t *testing.T) {
-	f1 := newFixture(t, 25, nil)
-	f2 := newFixture(t, 25, nil)
-	r1, m1, err := runQuery(f1.eng, f1.q, flagshipSQL, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, m2, err := runQuery(f2.eng, f2.q, flagshipSQL, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, r1, r2)
-	if m1.Nt != m2.Nt || m1.PTDS != m2.PTDS {
-		t.Errorf("metrics differ across identical seeded runs: %+v vs %+v", m1, m2)
 	}
 }

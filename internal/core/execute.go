@@ -11,10 +11,8 @@ import (
 	"github.com/trustedcells/tcq/internal/sqlexec"
 )
 
-// Request is everything one query execution needs. It consolidates the
-// former Run / RunTargeted / CollectOnce entry points: the zero value of
-// every optional field selects the plain global-querybox run those methods
-// used to perform.
+// Request is everything one query execution needs. The zero value of
+// every optional field selects a plain global-querybox run.
 type Request struct {
 	// Querier issues the query and decrypts the result. Required.
 	Querier *querier.Querier
@@ -41,8 +39,7 @@ type Request struct {
 	// policy (timeouts, backoff, coverage floor). Nil injects nothing.
 	Faults *faultplan.Plan
 	// CollectOnly stops after the collection phase and returns a Response
-	// with Metrics but no Result — the benchmark-instrumentation mode of
-	// the former CollectOnce.
+	// with Metrics but no Result.
 	CollectOnly bool
 	// SkipVerify disables the verified execution path: no deposit
 	// commitments are recorded, no partition build is multiset-checked,
@@ -86,13 +83,11 @@ type Response struct {
 
 // Execute runs one query end-to-end: collection, aggregation (for the
 // Group-By protocols) and filtering, through the honest-but-curious SSI,
-// under the fault plan's churn if one is given. It is the single
-// entrypoint consolidating Run, RunTargeted and CollectOnce.
+// under the fault plan's churn if one is given.
 //
 // ctx bounds the run: when it is canceled or its deadline passes, Execute
 // aborts between protocol steps and returns an error matching
-// errors.Is(err, ErrQueryTimeout). A nil plan and empty targets reproduce
-// the legacy Run behavior exactly.
+// errors.Is(err, ErrQueryTimeout).
 //
 // A run that aborts after execution started (coverage floor, context
 // expiry, detected SSI misbehavior) returns the error together with a

@@ -11,18 +11,18 @@ import (
 	"github.com/trustedcells/tcq/internal/sqlexec"
 )
 
-// Test-side spellings of the common Execute shapes. They replace the
-// removed Run / RunTargeted / CollectOnce wrappers in call sites that only
-// care about rows and metrics; tests exercising traces or cancellation
-// call Execute directly. Every shape closes the collection's books before
-// it returns: a run whose device accounts do not balance is an error.
+// Test-side spellings of the common Execute shapes, for call sites that
+// only care about rows and metrics; tests exercising traces or
+// cancellation call Execute directly. Every shape closes the collection's
+// books before it returns: a run whose device accounts do not balance is
+// an error.
 
 func runRequest(e *Engine, req Request) (*sqlexec.Result, *Metrics, error) {
 	resp, err := e.Execute(context.Background(), req)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := deviceAccounts(resp.Metrics, strings.Contains(req.SQL, " SIZE ")); err != nil {
+	if err := deviceAccounts(resp.Metrics, sizeBounded(req)); err != nil {
 		return nil, nil, err
 	}
 	return resp.Result, resp.Metrics, nil
@@ -38,12 +38,9 @@ func runTargeted(e *Engine, q *querier.Querier, sql string, kind protocol.Kind,
 	return runRequest(e, Request{Querier: q, SQL: sql, Kind: kind, Params: params, Targets: targets})
 }
 
-func collectOnce(e *Engine, q *querier.Querier, sql string, kind protocol.Kind,
-	params protocol.Params) (*Metrics, error) {
-	_, m, err := runRequest(e, Request{
-		Querier: q, SQL: sql, Kind: kind, Params: params, CollectOnly: true})
-	return m, err
-}
+// sizeBounded reports whether the request's SQL carries a SIZE clause,
+// which may close the collection before every device was reached.
+func sizeBounded(req Request) bool { return strings.Contains(req.SQL, " SIZE ") }
 
 // deviceAccounts checks the collection phase's books: every eligible
 // device ends in exactly one account. Metrics carries most of the terms;

@@ -16,195 +16,6 @@ import (
 	"github.com/trustedcells/tcq/internal/ssi"
 )
 
-// ssiScript wraps one misbehavior into a fault plan that scripts no device
-// churn: every deviation from the honest run is the SSI's doing.
-func ssiScript(persistent bool, bs ...faultplan.SSIMisbehavior) *faultplan.Plan {
-	return &faultplan.Plan{
-		Seed: 21,
-		SSI:  &faultplan.SSIScript{Behaviors: bs, Persistent: persistent},
-	}
-}
-
-// TestIntegrityHonestPathNoFalsePositives runs every protocol through the
-// reference churn plan with verification on (the default) and requires a
-// clean bill: checks ran, nothing was flagged, and the result equals the
-// unverified run's bit for bit. Zero false positives is the contract that
-// lets verification default to on.
-func TestIntegrityHonestPathNoFalsePositives(t *testing.T) {
-	for _, sc := range churnScenarios {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%v/workers=%d", sc.kind, workers), func(t *testing.T) {
-				run := func(skip bool) (*Response, error) {
-					f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
-					return f.eng.Execute(context.Background(), Request{
-						Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-						Faults: churnPlan(), SkipVerify: skip,
-					})
-				}
-				verified, err := run(false)
-				if err != nil {
-					t.Fatalf("verified run failed: %v", err)
-				}
-				rep := verified.Integrity
-				if rep == nil || !rep.Verified {
-					t.Fatal("verified run returned no integrity report")
-				}
-				if rep.Violations != 0 || rep.Quarantines != 0 || rep.Recovered != 0 {
-					t.Fatalf("honest SSI flagged: %+v", rep)
-				}
-				if rep.Checks == 0 || rep.Deposits == 0 || rep.Phases == 0 {
-					t.Fatalf("verification did not run: %+v", rep)
-				}
-				if len(rep.Digest) == 0 {
-					t.Fatal("verified run produced no digest")
-				}
-				if m := verified.Metrics; m.IntegrityChecks != rep.Checks || m.IntegrityViolations != 0 {
-					t.Fatalf("metrics disagree with report: checks=%d violations=%d, report %+v",
-						m.IntegrityChecks, m.IntegrityViolations, rep)
-				}
-
-				unverified, err := run(true)
-				if err != nil {
-					t.Fatalf("unverified run failed: %v", err)
-				}
-				if unverified.Integrity != nil {
-					t.Fatal("SkipVerify still produced an integrity report")
-				}
-				if !reflect.DeepEqual(sortedRows(verified.Result), sortedRows(unverified.Result)) {
-					t.Errorf("verification changed the result:\nverified:   %v\nunverified: %v",
-						sortedRows(verified.Result), sortedRows(unverified.Result))
-				}
-			})
-		}
-	}
-}
-
-// TestAdversaryChaosSweep is the no-silent-wrong-answer theorem, checked by
-// sweep: every protocol × every scripted SSI misbehavior × one and eight
-// collection workers either returns the bit-identical honest result (detection +
-// recovery) or fails with the typed misbehavior error — never a quietly
-// skewed answer. The sweep also pins adversarial runs to the determinism
-// contract: workers=1 and workers=8 agree on rows, metrics and errors.
-func TestAdversaryChaosSweep(t *testing.T) {
-	for _, sc := range churnScenarios {
-		// The honest reference: same fault seed, no SSI script.
-		f := newFixture(t, 20, nil)
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-			Faults: &faultplan.Plan{Seed: 21},
-		})
-		if err != nil {
-			t.Fatalf("%v: honest reference failed: %v", sc.kind, err)
-		}
-		honest := sortedRows(resp.Result)
-
-		for _, b := range faultplan.SSIMisbehaviors() {
-			sc, b := sc, b
-			t.Run(fmt.Sprintf("%v/%s", sc.kind, b), func(t *testing.T) {
-				type outcome struct {
-					rows    []string
-					metrics Metrics
-					rep     IntegrityReport
-					err     error
-				}
-				runAt := func(workers int) outcome {
-					f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = workers })
-					resp, err := f.eng.Execute(context.Background(), Request{
-						Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-						Faults: ssiScript(false, b),
-					})
-					if resp == nil {
-						t.Fatalf("workers=%d: no response at all (err=%v)", workers, err)
-					}
-					o := outcome{metrics: *resp.Metrics, err: err}
-					o.metrics.TLocal = 0
-					if resp.Integrity != nil {
-						o.rep = *resp.Integrity
-						o.rep.Digest = nil // keyed over nondeterministic ciphertext
-					}
-					if resp.Result != nil {
-						o.rows = sortedRows(resp.Result)
-					}
-					return o
-				}
-				seq, par := runAt(1), runAt(8)
-
-				// Determinism under attack: the adversary's strikes depend
-				// only on (seed, query ID), so both worker counts see the
-				// same run.
-				if !reflect.DeepEqual(seq.rows, par.rows) {
-					t.Errorf("rows diverge across workers:\n1: %v\n8: %v", seq.rows, par.rows)
-				}
-				if !reflect.DeepEqual(seq.metrics, par.metrics) {
-					t.Errorf("metrics diverge across workers:\n1: %+v\n8: %+v", seq.metrics, par.metrics)
-				}
-				if !reflect.DeepEqual(seq.rep, par.rep) {
-					t.Errorf("integrity reports diverge across workers:\n1: %+v\n8: %+v", seq.rep, par.rep)
-				}
-				if (seq.err == nil) != (par.err == nil) || fmt.Sprint(seq.err) != fmt.Sprint(par.err) {
-					t.Errorf("errors diverge across workers:\n1: %v\n8: %v", seq.err, par.err)
-				}
-
-				switch {
-				case b == faultplan.SSIForgeCoverage:
-					// The tuples are gone before the engine can notice; the
-					// only sound outcome is a typed abort at the collection
-					// check.
-					var mis *ErrSSIMisbehavior
-					if !errors.As(seq.err, &mis) {
-						t.Fatalf("forged coverage not detected: err=%v rows=%v", seq.err, seq.rows)
-					}
-					if mis.Kind != "covering-count" || mis.Phase != "collection" {
-						t.Errorf("detection = %+v, want covering-count in collection", mis)
-					}
-					if seq.rows != nil {
-						t.Errorf("aborted run still returned rows: %v", seq.rows)
-					}
-					if seq.rep.Violations == 0 {
-						t.Errorf("abort reported no violation: %+v", seq.rep)
-					}
-					assertLedgerHas(t, seq.metrics.Ledger, "integrity-violation", "collection")
-					assertLedgerHas(t, seq.metrics.Ledger, "query-abort", "ssi-misbehavior")
-
-				case b == faultplan.SSIReplayStalePartition && sc.kind == protocol.KindBasic:
-					// Basic has a single partition build, so there is no
-					// stale material to replay: the attack never fires and
-					// the run must be indistinguishable from honest.
-					if seq.err != nil {
-						t.Fatalf("no-op replay still failed: %v", seq.err)
-					}
-					if !reflect.DeepEqual(seq.rows, honest) {
-						t.Errorf("rows diverge from honest:\ngot:  %v\nwant: %v", seq.rows, honest)
-					}
-					if seq.rep.Violations != 0 {
-						t.Errorf("no-op replay was flagged: %+v", seq.rep)
-					}
-
-				default:
-					// Tampered partition builds: detected, quarantined, and
-					// recovered from the SSI's stashed honest build — the
-					// result must equal the honest run bit for bit.
-					if seq.err != nil {
-						t.Fatalf("recoverable attack aborted the run: %v", seq.err)
-					}
-					if !reflect.DeepEqual(seq.rows, honest) {
-						t.Errorf("recovered rows diverge from honest:\ngot:  %v\nwant: %v", seq.rows, honest)
-					}
-					if seq.rep.Violations == 0 || seq.rep.Quarantines == 0 {
-						t.Errorf("attack went undetected: %+v", seq.rep)
-					}
-					if seq.rep.Recovered != seq.rep.Quarantines {
-						t.Errorf("quarantined %d builds but recovered %d",
-							seq.rep.Quarantines, seq.rep.Recovered)
-					}
-					assertLedgerHas(t, seq.metrics.Ledger, "integrity-quarantine", "")
-					assertLedgerHas(t, seq.metrics.Ledger, "integrity-recovered", "")
-				}
-			})
-		}
-	}
-}
-
 // coveringLiar serves one query's covering result honestly through
 // CollectedRange — the read the collection verifier checks against the
 // deposit commitments — but drops its first tuple from CollectedTuples and
@@ -321,39 +132,6 @@ func TestIntegrityReferenceIsWhatWasVerified(t *testing.T) {
 	}
 }
 
-// TestIntegrityPersistentAdversaryAborts scripts an adversary that tampers
-// with the quarantine retry too: graceful degradation has nowhere left to
-// go, so the run must fail with the typed partition error, visibly.
-func TestIntegrityPersistentAdversaryAborts(t *testing.T) {
-	f := newFixture(t, 20, nil)
-	resp, err := f.eng.Execute(context.Background(), Request{
-		Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-		Params: protocol.Params{PartitionTuples: 4},
-		Faults: ssiScript(true, faultplan.SSIDropTuple),
-	})
-	var mis *ErrSSIMisbehavior
-	if !errors.As(err, &mis) {
-		t.Fatalf("err = %v, want ErrSSIMisbehavior", err)
-	}
-	if mis.Kind != "partition-multiset" {
-		t.Errorf("detection kind = %q, want partition-multiset", mis.Kind)
-	}
-	if resp == nil {
-		t.Fatal("abort returned no response")
-	}
-	if resp.Result != nil {
-		t.Fatal("failed run still returned rows")
-	}
-	rep := resp.Integrity
-	if rep == nil || rep.Quarantines == 0 || rep.Recovered != 0 {
-		t.Fatalf("degradation path not exercised: %+v", rep)
-	}
-	assertLedgerHas(t, resp.Metrics.Ledger, "integrity-quarantine", "")
-	assertLedgerHas(t, resp.Metrics.Ledger, "query-abort", "ssi-misbehavior")
-	assertRegistryHas(t, f.eng, `tcq_queries_failed_total{reason="ssi-misbehavior"} 1`)
-	assertRegistryHas(t, f.eng, `tcq_integrity_events_total{kind="quarantine"}`)
-}
-
 // TestIntegritySizeTruncationVerifies caps the covering result at every
 // small SIZE: the cap routinely cuts mid-deposit, the device re-commits to
 // the accepted prefix, and verification must still pass with zero
@@ -381,39 +159,6 @@ func TestIntegritySizeTruncationVerifies(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestAbortCoverageFloorObservability pins the error-path plumbing for a
-// coverage-floor abort: the Response still carries metrics, ledger and a
-// well-formed trace, and the failure lands in the cumulative registry.
-func TestAbortCoverageFloorObservability(t *testing.T) {
-	f := newFixture(t, 40, nil)
-	resp, err := f.eng.Execute(context.Background(), Request{
-		Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-		Params: protocol.Params{PartitionTuples: 4},
-		Faults: &faultplan.Plan{Seed: 2, OfflineFraction: 0.9, CoverageFloor: 0.5},
-	})
-	if !errors.Is(err, ErrCoverageBelowFloor) {
-		t.Fatalf("err = %v, want ErrCoverageBelowFloor", err)
-	}
-	if resp == nil {
-		t.Fatal("abort returned no response")
-	}
-	if resp.Result != nil {
-		t.Fatal("failed run still returned rows")
-	}
-	if resp.Metrics == nil || resp.Metrics.CoverageRatio >= 0.5 {
-		t.Fatalf("abort metrics do not show the failing coverage: %+v", resp.Metrics)
-	}
-	assertLedgerHas(t, resp.Metrics.Ledger, "query-abort", "coverage-floor")
-	if resp.Trace == nil {
-		t.Fatal("abort returned no trace")
-	}
-	var buf bytes.Buffer
-	if err := resp.Trace.WriteJSONL(&buf); err != nil {
-		t.Fatalf("abort trace does not serialize: %v", err)
-	}
-	assertRegistryHas(t, f.eng, `tcq_queries_failed_total{reason="coverage-floor"} 1`)
 }
 
 // fuseCtx is live for the first `fuse` Err checks and canceled after: it
@@ -587,14 +332,12 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 	}
 }
 
-// TestAdversaryFanOutWorkersAgree is the chaos sweep's complement at a
-// size where verification leaves the inline loop: the 20-device fleets of
-// TestAdversaryChaosSweep never reach the fan-out gate, so they compare
-// one worker with eight over the same serial code. Here every run collects
-// more than the gate, so at eight workers the deposit leaves are computed
-// concurrently — under the race detector in check.sh — and
-// must still produce the same check count, counters, ledger, rows and
-// typed error as the inline walk, honest or under attack.
+// TestAdversaryFanOutWorkersAgree runs where verification leaves the
+// inline loop: TestComposedFaults' small fleets never reach the fan-out
+// gate. Here every run collects more than the gate, so at eight workers
+// the deposit leaves are computed concurrently — under the race detector
+// in check.sh — and must still produce the same check count, counters,
+// ledger, rows and typed error as the inline walk, honest or under attack.
 func TestAdversaryFanOutWorkersAgree(t *testing.T) {
 	for _, sc := range []struct {
 		kind  protocol.Kind
@@ -607,8 +350,10 @@ func TestAdversaryFanOutWorkersAgree(t *testing.T) {
 			violations int
 		}{
 			{"honest", nil, "", 0},
-			{"drop-tuple", ssiScript(false, faultplan.SSIDropTuple), "", 1},
-			{"persistent-duplicate", ssiScript(true, faultplan.SSIDuplicateTuple), "partition-multiset", 1},
+			{"drop-tuple", &faultplan.Plan{Seed: 21, SSI: &faultplan.SSIScript{
+				Behaviors: []faultplan.SSIMisbehavior{faultplan.SSIDropTuple}}}, "", 1},
+			{"persistent-duplicate", &faultplan.Plan{Seed: 21, SSI: &faultplan.SSIScript{Persistent: true,
+				Behaviors: []faultplan.SSIMisbehavior{faultplan.SSIDuplicateTuple}}}, "partition-multiset", 1},
 		} {
 			t.Run(fmt.Sprintf("%v/%s", sc.kind, attack.name), func(t *testing.T) {
 				type outcome struct {

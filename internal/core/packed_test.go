@@ -13,103 +13,8 @@ import (
 )
 
 // The packed-fleet contract: Config.PackedFleet changes the memory shape
-// of the fleet and nothing else. Every test here runs the same scripted
-// scenario against an eager and a packed engine and requires bit-equal
-// rows, metrics and recovery ledgers (the ledger rides inside Metrics).
-
-// packedPair runs one request against an eager and a packed twin of the
-// same fixture and returns both outcomes.
-func packedPair(t *testing.T, fleet int, cfgEdit func(*Config), req func(f *fixture) Request) (eager, packed *Response) {
-	t.Helper()
-	run := func(packed bool) *Response {
-		f := newFixture(t, fleet, func(c *Config) {
-			c.PackedFleet = packed
-			if cfgEdit != nil {
-				cfgEdit(c)
-			}
-		})
-		resp, err := f.eng.Execute(context.Background(), req(f))
-		if err != nil {
-			t.Fatalf("packed=%v: %v", packed, err)
-		}
-		return resp
-	}
-	return run(false), run(true)
-}
-
-// TestPackedFleetEquivalence: every protocol, under the reference churn
-// plan, must produce identical rows and metrics from both fleet shapes.
-func TestPackedFleetEquivalence(t *testing.T) {
-	for _, sc := range churnScenarios {
-		t.Run(sc.kind.String(), func(t *testing.T) {
-			eager, packed := packedPair(t, 40, nil, func(f *fixture) Request {
-				return Request{
-					Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-					Faults: churnPlan(),
-				}
-			})
-			if !reflect.DeepEqual(sortedRows(eager.Result), sortedRows(packed.Result)) {
-				t.Errorf("rows diverge between fleet shapes")
-			}
-			if !reflect.DeepEqual(eager.Metrics, packed.Metrics) {
-				t.Errorf("metrics diverge:\neager:  %+v\npacked: %+v", eager.Metrics, packed.Metrics)
-			}
-			assertDeviceAccounts(t, packed.Metrics, false)
-		})
-	}
-}
-
-// TestPackedCompromisedEquivalence: the enrollment-time corruption draw
-// must land on the same devices in both shapes (the audit then detects
-// and names the same suspects).
-func TestPackedCompromisedEquivalence(t *testing.T) {
-	edit := func(c *Config) {
-		c.CompromisedFraction = 0.3
-		c.AuditReplicas = 3
-	}
-	eager, packed := packedPair(t, 24, edit, func(f *fixture) Request {
-		return Request{Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-			Params: protocol.Params{PartitionTuples: 4}}
-	})
-	if !reflect.DeepEqual(sortedRows(eager.Result), sortedRows(packed.Result)) {
-		t.Error("rows diverge")
-	}
-	if !reflect.DeepEqual(eager.Metrics.Suspects, packed.Metrics.Suspects) {
-		t.Errorf("suspects diverge: %v vs %v", eager.Metrics.Suspects, packed.Metrics.Suspects)
-	}
-	if !reflect.DeepEqual(eager.Metrics, packed.Metrics) {
-		t.Error("metrics diverge")
-	}
-}
-
-// TestPackedDeterminismAcrossWorkers: the packed pipeline keeps the
-// worker-count independence contract.
-func TestPackedDeterminismAcrossWorkers(t *testing.T) {
-	runAt := func(workers int) (rows []string, m Metrics) {
-		f := newFixture(t, 40, func(c *Config) {
-			c.PackedFleet = true
-			c.CollectWorkers = workers
-		})
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-			Params: protocol.Params{PartitionTuples: 4}, Faults: churnPlan(),
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		met := *resp.Metrics
-		met.TLocal = 0
-		return sortedRows(resp.Result), met
-	}
-	seqRows, seqM := runAt(1)
-	parRows, parM := runAt(8)
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Error("rows depend on CollectWorkers")
-	}
-	if !reflect.DeepEqual(seqM, parM) {
-		t.Errorf("metrics depend on CollectWorkers:\nseq: %+v\npar: %+v", seqM, parM)
-	}
-}
+// of the fleet and nothing else (TestComposedFaults holds the two
+// representations to bit-equal runs).
 
 // TestPackedRotationStaleEpoch: a packed slot enrolled at epoch 0 must
 // keep failing against an epoch-1 query exactly like a stale eager

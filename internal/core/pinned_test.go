@@ -60,7 +60,7 @@ func TestPinnedRunDigests(t *testing.T) {
 						if err != nil {
 							t.Fatalf("packed=%v workers=%d churned=%v: %v", packed, workers, churned, err)
 						}
-						o := outcomeOf(t, resp)
+						o := outcomeOf(t, req, resp)
 						o.metrics.TLocal = 0 // mean of identical sums; float noise
 						sum := sha256.Sum256([]byte(fmt.Sprintf("rows %s\nmetrics %+v\njournal %s\ntrace %s",
 							o.rows, o.metrics, o.journal, o.trace)))

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/sqlexec"
 )
@@ -148,22 +147,5 @@ func TestRandomizedProtocolEquivalence(t *testing.T) {
 				approxSameResult(t, fmt.Sprintf("%v: %s", pc.kind, sql), got, want)
 			}
 		})
-	}
-}
-
-// TestRandomizedWithFailuresAndAudit stresses the same property under
-// failures and replicated auditing simultaneously.
-func TestRandomizedWithFailuresAndAudit(t *testing.T) {
-	f := newFixture(t, 30, func(c *Config) { c.AuditReplicas = 3 })
-	gen := &queryGen{rng: rand.New(rand.NewSource(314159))}
-	for qi := 0; qi < 5; qi++ {
-		sql := gen.generate()
-		want := f.reference(t, sql)
-		got, _, err := runRequest(f.eng, Request{Querier: f.q, SQL: sql, Kind: protocol.KindSAgg,
-			Faults: &faultplan.Plan{Seed: 21, CrashFraction: 0.15}})
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-		approxSameResult(t, sql, got, want)
 	}
 }

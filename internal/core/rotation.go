@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
+	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
@@ -37,7 +39,7 @@ import (
 // device ID) — never of slot order, worker count, goroutine scheduling or
 // time — so a rotation scripted at a deterministic trigger point yields
 // bit-identical runs for every CollectWorkers setting, which is what the
-// rotation chaos sweep pins.
+// composed-fault generator's cross-axis clause pins.
 
 // rotationState is the coordinator state of one in-progress rotation,
 // guarded by Engine.life.
@@ -64,23 +66,15 @@ const (
 	replayStaleBundle
 )
 
-// rotationWave assigns one device to a rollout wave: FNV-1a over the
-// engine seed, the target epoch and the device ID, mod the wave count.
-// Exported behavior (RolloutSchedule) depends only on these inputs, so
-// the schedule is bit-identical across runs, engines and worker counts.
+// rotationWave assigns one device to a rollout wave: rng.Hash over the
+// engine seed (8 bytes, little-endian), the target epoch (4 bytes,
+// little-endian) and the device ID, mod the wave count. Exported behavior
+// (RolloutSchedule) depends only on these inputs, so the schedule is
+// bit-identical across runs, engines and worker counts.
 func rotationWave(seed int64, epoch uint32, id string, waves int) int {
-	h := uint32(2166136261)
-	mix := func(b byte) { h ^= uint32(b); h *= 16777619 }
-	for i := 0; i < 8; i++ {
-		mix(byte(uint64(seed) >> (8 * i)))
-	}
-	for i := 0; i < 4; i++ {
-		mix(byte(epoch >> (8 * i)))
-	}
-	for i := 0; i < len(id); i++ {
-		mix(id[i])
-	}
-	return int(h % uint32(waves))
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 12+len(id)), uint64(seed))
+	b = binary.LittleEndian.AppendUint32(b, epoch)
+	return int(rng.Hash(append(b, id...)) % uint32(waves))
 }
 
 // BeginRotation starts a live key rotation: revoke the named devices (if
@@ -287,9 +281,9 @@ func (e *Engine) rotationInProgress() bool {
 }
 
 // RolloutSchedule returns the device IDs of each rollout wave of the
-// in-progress rotation, in wave order — the deterministic schedule the
-// chaos sweep pins across worker counts. Nil when no rotation is in
-// progress.
+// in-progress rotation, in wave order — a pure function of (engine seed,
+// target epoch, device ID), identical across worker counts. Nil when no
+// rotation is in progress.
 func (e *Engine) RolloutSchedule() [][]string {
 	e.life.RLock()
 	defer e.life.RUnlock()

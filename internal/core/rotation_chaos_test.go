@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
-	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/rng"
@@ -23,11 +22,6 @@ import (
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 )
-
-// The rotation chaos sweep: rotate (and revoke) mid-query, across every
-// protocol, both collection pipelines and both fleet representations, and
-// require the answer to be bit-identical to a rotation-free run — or a
-// typed abort, never a silently skewed result.
 
 const basicConsumerSQL = `SELECT C.cid, C.district FROM Consumer C`
 
@@ -80,267 +74,10 @@ func ledgerCount(m *Metrics, kind string) int {
 	return n
 }
 
-// TestRotationMidQueryDeterminism is the heart of the sweep: a rotation
-// scripted to begin after the 8th deposit and roll out in three waves,
-// under every protocol, both worker counts and both fleet
-// representations. The rows must match a rotation-free run bit for bit,
-// the run must verify with zero integrity violations, and metrics, ledger
-// and rows must be identical at any CollectWorkers setting.
-func TestRotationMidQueryDeterminism(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		name := "eager"
-		if packed {
-			name = "packed"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, sc := range churnScenarios {
-				t.Run(sc.kind.String(), func(t *testing.T) {
-					type outcome struct {
-						rows    []string
-						metrics Metrics
-						integ   *IntegrityReport
-					}
-					runAt := func(workers int, rot *faultplan.RotationScript) outcome {
-						f := newFixture(t, 40, func(c *Config) {
-							c.CollectWorkers = workers
-							c.PackedFleet = packed
-						})
-						resp, err := f.eng.Execute(context.Background(), Request{
-							Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-							Faults: &faultplan.Plan{Seed: 21, Rotation: rot},
-						})
-						if err != nil {
-							t.Fatalf("workers=%d rot=%v: %v", workers, rot != nil, err)
-						}
-						assertDeviceAccounts(t, resp.Metrics, false)
-						m := *resp.Metrics
-						m.TLocal = 0 // mean of identical sums; avoid float divergence noise
-						return outcome{rows: sortedRows(resp.Result), metrics: m, integ: resp.Integrity}
-					}
-					script := func() *faultplan.RotationScript {
-						return &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
-					}
-					clean := runAt(1, nil)
-					seq := runAt(1, script())
-					par := runAt(8, script())
-
-					if !reflect.DeepEqual(seq.rows, clean.rows) {
-						t.Errorf("rotation changed the answer:\nclean:    %v\nrotated:  %v",
-							clean.rows, seq.rows)
-					}
-					if !reflect.DeepEqual(seq.rows, par.rows) {
-						t.Errorf("results diverge across workers:\nW1: %v\nW8: %v", seq.rows, par.rows)
-					}
-					if !reflect.DeepEqual(seq.metrics.Ledger, par.metrics.Ledger) {
-						t.Errorf("recovery ledgers diverge:\nW1: %+v\nW8: %+v",
-							seq.metrics.Ledger, par.metrics.Ledger)
-					}
-					if !reflect.DeepEqual(seq.metrics, par.metrics) {
-						t.Errorf("metrics diverge:\nW1: %+v\nW8: %+v", seq.metrics, par.metrics)
-					}
-					for _, o := range []outcome{seq, par} {
-						if o.integ == nil || !o.integ.Verified {
-							t.Fatal("rotated run skipped verification")
-						}
-						if o.integ.Violations != 0 {
-							t.Errorf("rotation produced %d integrity violations", o.integ.Violations)
-						}
-					}
-					if n := ledgerCount(&seq.metrics, "rotation-begin"); n != 1 {
-						t.Errorf("rotation-begin ledger entries = %d, want 1", n)
-					}
-					if n := ledgerCount(&seq.metrics, "rotation-wave"); n != 3 {
-						t.Errorf("rotation-wave ledger entries = %d, want all 3 waves", n)
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestRotationRevocationMidQuery revokes two devices as part of a
-// mid-query rotation, placed (via the reproducible connection order) so
-// they have not yet deposited when the rotation strikes. They must be
-// refused with no grace, the rows must equal the standalone answer over
-// the surviving fleet, and the whole outcome must be worker-count
-// independent.
-func TestRotationRevocationMidQuery(t *testing.T) {
-	const fleetSize, after = 24, 8
-	const qid = "rot-revoke-pin"
-	order := connectionOrder(qid, fleetSize)
-	victims := []string{
-		fmt.Sprintf("tds-%05d", order[after]),
-		fmt.Sprintf("tds-%05d", order[after+1]),
-	}
-	exclude := map[int]bool{order[after]: true, order[after+1]: true}
-
-	type outcome struct {
-		rows    []string
-		metrics Metrics
-	}
-	runAt := func(workers int) (*fixture, outcome) {
-		f := newFixture(t, fleetSize, func(c *Config) { c.CollectWorkers = workers })
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: qid,
-			Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{
-				AfterDeposits: after, Waves: 2, WaveEvery: 6, Revoke: victims,
-			}},
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if resp.Integrity == nil || resp.Integrity.Violations != 0 {
-			t.Fatalf("workers=%d: integrity report %+v", workers, resp.Integrity)
-		}
-		m := *resp.Metrics
-		m.TLocal = 0
-		return f, outcome{rows: sortedRows(resp.Result), metrics: m}
-	}
-
-	f, seq := runAt(1)
-	_, par := runAt(8)
-
-	want := sortedRows(referenceExcluding(t, f, basicConsumerSQL, exclude))
-	if !reflect.DeepEqual(seq.rows, want) {
-		t.Errorf("rows over the surviving fleet:\ngot:  %v\nwant: %v", seq.rows, want)
-	}
-	if seq.metrics.CollectErrors != len(victims) {
-		t.Errorf("CollectErrors = %d, want the %d revoked devices refused",
-			seq.metrics.CollectErrors, len(victims))
-	}
-	if !reflect.DeepEqual(seq.rows, par.rows) || !reflect.DeepEqual(seq.metrics, par.metrics) {
-		t.Errorf("revocation outcome diverges across workers:\nW1: %+v\nW8: %+v",
-			seq.metrics, par.metrics)
-	}
-	revoked := map[string]bool{}
-	for _, id := range f.eng.RevokedDevices() {
-		revoked[id] = true
-	}
-	for _, v := range victims {
-		if !revoked[v] {
-			t.Errorf("device %s missing from the revocation set", v)
-		}
-	}
-	for _, wave := range f.eng.RolloutSchedule() {
-		for _, id := range wave {
-			if exclude[slotOf(t, id)] {
-				t.Errorf("revoked device %s appears in the rollout schedule", id)
-			}
-		}
-	}
-}
-
-// TestRotationBundleFaults scripts the three bundle-delivery faults. A
-// dropped bundle and a replayed stale bundle leave the wave unmigrated —
-// the grace window keeps the query whole either way. A revoked device
-// that keeps depositing is stopped by the SSI's admit gate and leaves the
-// "deposit-revoked" proof in the ledger.
-func TestRotationBundleFaults(t *testing.T) {
-	const fleetSize = 24
-	clean := func(t *testing.T, qid string) []string {
-		f := newFixture(t, fleetSize, nil)
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: qid,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sortedRows(resp.Result)
-	}
-	faulted := func(t *testing.T, qid string, rot *faultplan.RotationScript) (*fixture, *Response) {
-		f := newFixture(t, fleetSize, nil)
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: qid,
-			Faults: &faultplan.Plan{Rotation: rot},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Integrity == nil || resp.Integrity.Violations != 0 {
-			t.Fatalf("integrity report %+v", resp.Integrity)
-		}
-		return f, resp
-	}
-
-	t.Run("bundle-drop", func(t *testing.T) {
-		const qid = "rot-drop-pin"
-		f, resp := faulted(t, qid, &faultplan.RotationScript{
-			AfterDeposits: 6, Waves: 2, WaveEvery: 5, DropBundle: true,
-		})
-		if got, want := sortedRows(resp.Result), clean(t, qid); !reflect.DeepEqual(got, want) {
-			t.Errorf("dropped bundle changed the answer:\ngot:  %v\nwant: %v", got, want)
-		}
-		if n := ledgerCount(resp.Metrics, "rotation-wave"); n != 2 {
-			t.Errorf("rotation-wave entries = %d, want 2 (waves happen, delivery fails)", n)
-		}
-		if resp.Metrics.CollectErrors != 0 {
-			t.Errorf("CollectErrors = %d; grace must carry the unmigrated fleet", resp.Metrics.CollectErrors)
-		}
-		if f.eng.TrustBundleBytes() == nil {
-			t.Error("no published trust bundle while the rotation is in progress")
-		}
-	})
-
-	t.Run("stale-bundle-replay", func(t *testing.T) {
-		const qid = "rot-replay-pin"
-		_, resp := faulted(t, qid, &faultplan.RotationScript{
-			AfterDeposits: 6, Waves: 2, WaveEvery: 5, ReplayStale: true,
-		})
-		if got, want := sortedRows(resp.Result), clean(t, qid); !reflect.DeepEqual(got, want) {
-			t.Errorf("replayed stale bundle changed the answer:\ngot:  %v\nwant: %v", got, want)
-		}
-		if resp.Metrics.CollectErrors != 0 {
-			t.Errorf("CollectErrors = %d; rejecting the replay must not cost coverage", resp.Metrics.CollectErrors)
-		}
-	})
-
-	t.Run("revoked-device-keeps-depositing", func(t *testing.T) {
-		const qid = "rot-revdep-pin"
-		order := connectionOrder(qid, fleetSize)
-		victim := fmt.Sprintf("tds-%05d", order[6])
-		_, resp := faulted(t, qid, &faultplan.RotationScript{
-			AfterDeposits: 6, Waves: 1, Revoke: []string{victim}, RevokedDeposits: true,
-		})
-		want := func() []string {
-			f := newFixture(t, fleetSize, nil)
-			return sortedRows(referenceExcluding(t, f, basicConsumerSQL,
-				map[int]bool{order[6]: true}))
-		}()
-		if got := sortedRows(resp.Result); !reflect.DeepEqual(got, want) {
-			t.Errorf("revoked deposit leaked into the answer:\ngot:  %v\nwant: %v", got, want)
-		}
-		found := false
-		for _, le := range resp.Metrics.Ledger {
-			if le.Kind == "deposit-revoked" && le.Device == victim {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no deposit-revoked ledger proof for %s:\n%+v", victim, resp.Metrics.Ledger)
-		}
-		if resp.Metrics.CollectErrors != 0 {
-			t.Errorf("CollectErrors = %d; the admit gate, not the engine, must refuse", resp.Metrics.CollectErrors)
-		}
-	})
-}
-
 // tornOutcome is one worker count's view of the torn-rollout sequence.
 type tornOutcome struct {
 	rows    [][]string
-	ledgers [][]ssiLedger
-}
-
-type ssiLedger struct {
-	Kind, Device string
-	Attempt      int
-}
-
-func flatLedger(m *Metrics) []ssiLedger {
-	out := make([]ssiLedger, 0, len(m.Ledger))
-	for _, le := range m.Ledger {
-		out = append(out, ssiLedger{Kind: le.Kind, Device: le.Device, Attempt: le.Attempt})
-	}
-	return out
+	ledgers [][]ssi.LedgerEntry
 }
 
 // TestTornRolloutStaleRecovery walks the full degradation-and-recovery
@@ -380,7 +117,7 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 						t.Errorf("%d of %d deposits verified, %d violations", in.Deposits, resp.Metrics.DepositedDevices, in.Violations)
 					}
 					out.rows = append(out.rows, sortedRows(resp.Result))
-					out.ledgers = append(out.ledgers, flatLedger(resp.Metrics))
+					out.ledgers = append(out.ledgers, resp.Metrics.Ledger)
 				}
 
 				// q1: old epoch, torn rollout (3 waves, last one never lands).
@@ -690,43 +427,5 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 	}
 	if resp.Metrics.CollectErrors != 1 {
 		t.Errorf("settled CollectErrors = %d, want the one revoked device", resp.Metrics.CollectErrors)
-	}
-}
-
-// TestJournalRotationDeterminism extends the journal's determinism
-// contract to rotation: with a scripted mid-query rotation the structured
-// event stream is byte-identical across worker counts, passes the schema
-// check, and mirrors the rotation lifecycle events.
-func TestJournalRotationDeterminism(t *testing.T) {
-	run := func(workers int) []byte {
-		f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-			Params:  protocol.Params{PartitionTuples: 4},
-			QueryID: "rotation-journal-pin",
-			Faults: &faultplan.Plan{Seed: 21, Rotation: &faultplan.RotationScript{
-				AfterDeposits: 8, Waves: 3, WaveEvery: 5,
-			}},
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if resp.Journal == nil {
-			t.Fatalf("workers=%d: no journal", workers)
-		}
-		b := resp.Journal.Bytes()
-		if err := obs.CheckJournal(bytes.NewReader(b)); err != nil {
-			t.Fatalf("workers=%d: journal fails schema check: %v\n%s", workers, err, b)
-		}
-		return b
-	}
-	one, eight := run(1), run(8)
-	if !bytes.Equal(one, eight) {
-		t.Errorf("rotation journal diverged across CollectWorkers:\nW1:\n%s\nW8:\n%s", one, eight)
-	}
-	for _, detail := range []string{`"detail":"rotation-begin"`, `"detail":"rotation-wave"`} {
-		if !bytes.Contains(one, []byte(detail)) {
-			t.Errorf("journal does not mirror %s", detail)
-		}
 	}
 }

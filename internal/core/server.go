@@ -481,14 +481,22 @@ func (s *Server) retainLocked(id string, tr *obs.QueryTrace, jr *obs.QueryJourna
 	s.recentAt++
 }
 
-// TraceFor returns the retained trace of a recently finished query, or
-// nil when it has aged out of the ring (or never ran here).
+// recentLocked returns the i-th most recently retained entry. Once the
+// ring has wrapped, slice order is not age order: the newest entry sits
+// just before recentAt%len.
+func (s *Server) recentLocked(i int) retained {
+	return s.recent[(len(s.recent)+s.recentAt-1-i)%len(s.recent)]
+}
+
+// TraceFor returns the retained trace of the most recent finished query
+// with this ID, or nil when it has aged out of the ring (or never ran
+// here).
 func (s *Server) TraceFor(id string) *obs.QueryTrace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := len(s.recent) - 1; i >= 0; i-- {
-		if s.recent[i].id == id && s.recent[i].trace != nil {
-			return s.recent[i].trace
+	for i := range s.recent {
+		if r := s.recentLocked(i); r.id == id && r.trace != nil {
+			return r.trace
 		}
 	}
 	return nil
@@ -499,10 +507,8 @@ func (s *Server) RecentJournals(n int) []*obs.QueryJournal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*obs.QueryJournal, 0, n)
-	// Ring order: entries before recentAt%len are older overwrites.
 	for i := 0; i < len(s.recent) && len(out) < n; i++ {
-		r := s.recent[(len(s.recent)+s.recentAt-1-i)%len(s.recent)]
-		if r.journal != nil {
+		if r := s.recentLocked(i); r.journal != nil {
 			out = append(out, r.journal)
 		}
 	}

@@ -28,11 +28,9 @@ type queryOutcome struct {
 	journal string
 }
 
-func outcomeOf(t *testing.T, resp *Response) queryOutcome {
+func outcomeOf(t *testing.T, req Request, resp *Response) queryOutcome {
 	t.Helper()
-	// The SQL is not in the response, so only the bound that holds with or
-	// without a SIZE clause: no device is booked twice.
-	assertDeviceAccounts(t, resp.Metrics, true)
+	assertDeviceAccounts(t, resp.Metrics, sizeBounded(req))
 	var buf bytes.Buffer
 	if resp.Trace != nil {
 		if err := resp.Trace.WriteJSONL(&buf); err != nil {
@@ -91,12 +89,13 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 			for i, sp := range specs {
 				f := newFixture(t, 40, nil)
 				solo := NewServer(f.eng, ServerConfig{MaxInFlight: 1, QueueDepth: 1})
-				resp, err := solo.Submit(context.Background(), reqOf(f, sp))
+				req := reqOf(f, sp)
+				resp, err := solo.Submit(context.Background(), req)
 				solo.Close()
 				if err != nil {
 					t.Fatalf("solo %s: %v", sp.id, err)
 				}
-				want[i] = outcomeOf(t, resp)
+				want[i] = outcomeOf(t, req, resp)
 			}
 
 			// The same specs, all in flight at once over one shared fleet.
@@ -110,12 +109,13 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 				wg.Add(1)
 				go func(i int, sp spec) {
 					defer wg.Done()
-					resp, err := srv.Submit(context.Background(), reqOf(f, sp))
+					req := reqOf(f, sp)
+					resp, err := srv.Submit(context.Background(), req)
 					if err != nil {
 						errs[i] = err
 						return
 					}
-					got[i] = outcomeOf(t, resp)
+					got[i] = outcomeOf(t, req, resp)
 				}(i, sp)
 			}
 			wg.Wait()

@@ -90,9 +90,9 @@ type Plan struct {
 	SSI *SSIScript
 
 	// Rotation scripts a live key rotation (and optional revocation)
-	// firing mid-collection — the chaos axis of the key-lifecycle sweep.
-	// Nil rotates nothing. The script adds no RNG draws, so plans with
-	// and without it assign every device the same Behavior.
+	// firing mid-collection. Nil rotates nothing. The script adds no RNG
+	// draws, so plans with and without it assign every device the same
+	// Behavior.
 	Rotation *RotationScript
 }
 
@@ -121,8 +121,7 @@ const (
 	SSIEquivocatePartitioning SSIMisbehavior = "equivocate-partitioning"
 )
 
-// SSIMisbehaviors returns every scripted attack, in a fixed order — the
-// sweep axis of the chaos tests.
+// SSIMisbehaviors returns every scripted attack, in a fixed order.
 func SSIMisbehaviors() []SSIMisbehavior {
 	return []SSIMisbehavior{
 		SSIDropTuple, SSIDuplicateTuple, SSIReplayStalePartition,

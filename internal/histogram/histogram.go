@@ -17,6 +17,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"github.com/trustedcells/tcq/internal/rng"
 )
 
 // Bucket is one cell of the histogram: a set of grouping-value keys whose
@@ -114,7 +116,7 @@ func (h *Histogram) BucketOf(key string) (id string, ok bool) {
 	if i, found := h.byKey[key]; found {
 		return h.buckets[i].ID, true
 	}
-	return h.buckets[int(fnv32(key))%len(h.buckets)].ID, false
+	return h.buckets[int(rng.Hash(key))%len(h.buckets)].ID, false
 }
 
 // NumBuckets returns M, the number of buckets.
@@ -219,14 +221,4 @@ func decodeString(b []byte) (string, int, error) {
 		return "", 0, fmt.Errorf("short string")
 	}
 	return string(b[n : n+int(l)]), n + int(l), nil
-}
-
-// fnv32 is a tiny local FNV-1a for the unknown-value fallback.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

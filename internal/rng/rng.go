@@ -14,9 +14,10 @@ import (
 	randv2 "math/rand/v2"
 )
 
-// Hash is FNV-1a over a string: what streams, and the SSI's stripes, key
-// an ID by.
-func Hash(s string) uint32 {
+// Hash is the repository's one 32-bit FNV-1a: what streams, the SSI's
+// stripes, the rollout waves, a compromised device's drop pattern and the
+// histogram's unknown-value bucket key their bytes by.
+func Hash[T ~string | ~[]byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

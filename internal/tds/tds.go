@@ -18,6 +18,7 @@ import (
 	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/histogram"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/sqlexec"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
@@ -589,11 +590,7 @@ func partitionFingerprint(partition []protocol.WireTuple) []byte {
 // colluding pair producing byte-identical forgeries can still outvote a
 // single honest replica — the usual bound of majority-based auditing).
 func (t *TDS) corruptDrop(i int) bool {
-	h := uint32(2166136261)
-	for j := 0; j < len(t.ID); j++ {
-		h ^= uint32(t.ID[j])
-		h *= 16777619
-	}
+	h := rng.Hash(t.ID)
 	h ^= uint32(i)
 	h *= 16777619
 	h ^= h >> 15
