@@ -28,7 +28,6 @@ import (
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
-	"github.com/trustedcells/tcq/internal/validate"
 	"github.com/trustedcells/tcq/internal/workload"
 )
 
@@ -366,21 +365,6 @@ func BenchmarkEndToEndAudited(b *testing.B) {
 		detections = resp.Metrics.AuditDetections
 	}
 	b.ReportMetric(float64(detections), "detections")
-}
-
-// BenchmarkCrossValidation runs the model-vs-simulation agreement check.
-func BenchmarkCrossValidation(b *testing.B) {
-	agree := 0.0
-	for i := 0; i < b.N; i++ {
-		rep, err := validate.Run(100, 6, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.LoadOrder.Agree {
-			agree = 1
-		}
-	}
-	b.ReportMetric(agree, "load_order_agreement")
 }
 
 // BenchmarkEnrollment measures the ECDH key-provisioning handshake of the

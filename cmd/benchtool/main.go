@@ -17,15 +17,24 @@
 package main
 
 import (
+	"cmp"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
+	"time"
 
+	"github.com/trustedcells/tcq/internal/accessctl"
+	"github.com/trustedcells/tcq/internal/core"
 	"github.com/trustedcells/tcq/internal/costmodel"
 	"github.com/trustedcells/tcq/internal/figures"
-	"github.com/trustedcells/tcq/internal/validate"
+	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/tdscrypto"
+	"github.com/trustedcells/tcq/internal/workload"
 )
 
 func main() {
@@ -55,11 +64,7 @@ func run(fig string, replicas, fleet, groups int, seed int64, out io.Writer) err
 			fmt.Fprint(out, fc.String())
 		}
 	case fig == "validate":
-		rep, err := validate.Run(fleet, groups, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.String())
+		return printValidate(out, fleet, groups, seed)
 	case fig == "all":
 		print9b(out)
 		printFig10All(out)
@@ -104,4 +109,60 @@ func print11(out io.Writer) {
 		fmt.Fprintf(out, "  %-44s %s\n", a.Axis+":", strings.Join(a.Order, "  "))
 	}
 	fmt.Fprintln(out)
+}
+
+// printValidate runs a district-level aggregate under each protocol of the
+// model's Load_Q ordering on one live fleet, prints every run's
+// conformance report, then the protocols ordered by measured and by
+// predicted Load_Q. The model licenses extrapolation to nation scale only
+// where the two orders agree.
+func printValidate(out io.Writer, fleet, groups int, seed int64) error {
+	w := workload.DefaultSmartMeter(seed)
+	w.Districts = groups
+	w.Readings = 1 // one tuple per device, as in the model's N_t
+	eng, err := core.NewEngine(core.Config{
+		Schema:            w.Schema(),
+		Policy:            &accessctl.Policy{Rules: []accessctl.Rule{{Role: "energy-analyst", AggregateOnly: true}}},
+		AuthorityKey:      tdscrypto.DeriveKey(tdscrypto.Key{}, "validate-auth"),
+		MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "validate-master"),
+		AvailableFraction: 0.5,
+		Seed:              seed,
+	})
+	if err != nil {
+		return err
+	}
+	if err := eng.ProvisionFleet(fleet, w.HouseholdDB); err != nil {
+		return err
+	}
+	cred := eng.Authority().Issue("validator", []string{"energy-analyst"},
+		time.Unix(1700000000, 0).Add(time.Hour))
+	q, err := querier.New("validator", eng.K1(), cred, eng.Schema())
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "cross-validation: fleet=%d G=%d\n", fleet, groups)
+	var reps []*core.ConformanceReport
+	for _, req := range []core.Request{{Kind: protocol.KindSAgg}, {Kind: protocol.KindEDHist},
+		{Kind: protocol.KindRnfNoise, Params: protocol.Params{Nf: 2}}, {Kind: protocol.KindCNoise}} {
+		req.Querier = q
+		req.SQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district`
+		resp, err := eng.Execute(context.Background(), req)
+		if err != nil || resp.Conformance == nil {
+			return fmt.Errorf("validate: %v: no conformance report (%v)", req.Kind, err)
+		}
+		fmt.Fprint(out, resp.Conformance)
+		reps = append(reps, resp.Conformance)
+	}
+	order := func(load func(*core.ConformanceReport) float64) string {
+		slices.SortStableFunc(reps, func(a, b *core.ConformanceReport) int { return cmp.Compare(load(a), load(b)) })
+		names := make([]string, len(reps))
+		for i, r := range reps {
+			names[i] = r.Protocol
+		}
+		return strings.Join(names, " < ")
+	}
+	fmt.Fprintf(out, "Load_Q order (measured): %s\n", order(func(r *core.ConformanceReport) float64 { return float64(r.MeasuredLoadQ) }))
+	fmt.Fprintf(out, "Load_Q order (predicted): %s\n", order(func(r *core.ConformanceReport) float64 { return r.PredictedLoadQ }))
+	return nil
 }

@@ -71,8 +71,19 @@ func TestRunValidate(t *testing.T) {
 	if err := run("validate", 1, 60, 5, 3, &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "cross-validation") {
-		t.Errorf("validate output: %s", b.String())
+	out := b.String()
+	for _, p := range []string{"S_Agg", "ED_Hist", "R2_Noise", "C_Noise"} {
+		if !strings.Contains(out, "cost-model conformance: "+p+" measured T_Q=") {
+			t.Errorf("no %s report block", p)
+		}
+	}
+	for _, want := range []string{"cross-validation: fleet=60 G=5", "Load_Q order (measured): ", "Load_Q order (predicted): "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+	if n := strings.Count(out, "  Load_Q "); n != 4 {
+		t.Errorf("%d Load_Q lines, want one per protocol:\n%s", n, out)
 	}
 }
 

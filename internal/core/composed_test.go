@@ -264,7 +264,8 @@ func (c *composition) run(t *testing.T) (classes map[string]bool) {
 		"floor-abort": first.abort == "coverage-floor", "size-cut": cut && c.bound == "size",
 		"duration-cut": cut && c.bound == "duration", "audit-outvoted": c.compromised > 0 && m.AuditDetections > 0}
 	if s := p.SSI; s != nil {
-		classes[fmt.Sprintf("%s/%v", s.Behaviors[0], s.Persistent)] = m.IntegrityViolations > 0
+		classes[fmt.Sprintf("%s/%v", s.Behaviors[0], s.Persistent)] = m.IntegrityViolations > 0 ||
+			strings.HasPrefix(first.abort, "no-progress")
 	}
 	for _, cl := range c.cells {
 		classes[fmt.Sprintf("workers=%d", cl.workers)] = true
@@ -317,14 +318,24 @@ func TestAbortCoverageFloorJournal(t *testing.T) {
 	}
 }
 
-// TestAbortMisbehaviorJournal pins a persistent tuple drop, which tampers
-// with the quarantined build's re-issue too: the run must end in the typed
-// partition-multiset abort, its quarantine mirrored in the journal.
+// TestAbortMisbehaviorJournal pins persistent S_Agg attacks that must end
+// in a typed abort, settled in the journal: a tuple drop, which tampers
+// with the quarantined build's re-issue too (partition-multiset), and,
+// with verification off, an equivocation that grows every forced final
+// merge by a partition (no-progress, not a livelock).
 func TestAbortMisbehaviorJournal(t *testing.T) {
-	s := &faultplan.SSIScript{Persistent: true, Behaviors: []faultplan.SSIMisbehavior{faultplan.SSIDropTuple}}
-	c := pinned(1, 20, faultplan.Plan{Seed: 21, SSI: s}, cell{workers: 1}, cell{workers: 8})
-	if !c.run(t)["drop-tuple/true"] {
-		t.Error("the persistent tuple drop found no build to strike")
+	for _, tc := range []struct {
+		b          faultplan.SSIMisbehavior
+		skipVerify bool
+	}{{faultplan.SSIDropTuple, false}, {faultplan.SSIEquivocatePartitioning, true}} {
+		t.Run(string(tc.b), func(t *testing.T) {
+			s := &faultplan.SSIScript{Persistent: true, Behaviors: []faultplan.SSIMisbehavior{tc.b}}
+			c := pinned(1, 20, faultplan.Plan{Seed: 21, SSI: s},
+				cell{workers: 1, skipVerify: tc.skipVerify}, cell{workers: 8, skipVerify: tc.skipVerify})
+			if !c.run(t)[string(tc.b)+"/true"] {
+				t.Errorf("the persistent %s found no build to strike", tc.b)
+			}
+		})
 	}
 }
 
@@ -350,7 +361,9 @@ func (c *composition) runCell(t *testing.T, cl cell, twin *observed) *observed {
 	if twin == nil {
 		plan.SSI = nil
 	}
-	resp, err := f.eng.Execute(context.Background(), Request{Querier: f.q, SQL: c.sql,
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second) // a livelock fails, not hangs
+	defer cancel()
+	resp, err := f.eng.Execute(ctx, Request{Querier: f.q, SQL: c.sql,
 		Kind: churnScenarios[c.scenario].kind, Params: c.params, QueryID: c.qid, Faults: &plan,
 		SkipVerify: cl.skipVerify})
 	if resp == nil {
@@ -394,6 +407,10 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 	switch {
 	case p.CoverageFloor > 0 && m.CoverageRatio < p.CoverageFloor:
 		want = "coverage-floor"
+	case struck != 0 && cl.skipVerify:
+		// Unverified, only S_Agg's forced final merge catches a strike: a
+		// persistent equivocation keeps it from reducing.
+		want = "no-progress/"
 	case struck != 0 && forge:
 		want, either = "covering-count/collection", struck < 0
 	case struck != 0 && script.Persistent:

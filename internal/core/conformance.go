@@ -13,8 +13,8 @@ import (
 // simulated time) and the Section 6.1 analytical cost model (what it
 // should have cost). Every successful run is checked against the model
 // at its own operating point — N_t, G, s_t and T_t all measured from the
-// run itself — and the measured/predicted T_Q ratio lands on the root
-// span and in check.sh's regression gate. A drift in either the engine's
+// run itself — on T_Q and Load_Q, and the measured/predicted T_Q ratio
+// lands on the root span and in check.sh's regression gate. A drift in either the engine's
 // accounting or the model's closed forms moves the ratio out of its band.
 
 // PhaseConformance compares one phase family's simulated duration with
@@ -40,6 +40,10 @@ type ConformanceReport struct {
 	// approximation, so the ratio is not 1.0 — but it is deterministic
 	// per configuration, which is what the regression gate pins.
 	Ratio float64
+	// MeasuredLoadQ is Metrics.LoadBytes; PredictedLoadQ is the model's
+	// Load_Q in bytes at the same point. Both include collection.
+	MeasuredLoadQ  int64
+	PredictedLoadQ float64
 	// Phases is the per-phase-family breakdown, in model order.
 	Phases []PhaseConformance
 }
@@ -49,6 +53,7 @@ func (r *ConformanceReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cost-model conformance: %s measured T_Q=%v predicted=%v ratio=%.3f\n",
 		r.Protocol, r.MeasuredTQ, r.PredictedTQ, r.Ratio)
+	fmt.Fprintf(&b, "  %-12s measured=%-14d predicted=%.0f (bytes)\n", "Load_Q", r.MeasuredLoadQ, r.PredictedLoadQ)
 	for _, p := range r.Phases {
 		fmt.Fprintf(&b, "  %-12s measured=%-14v predicted=%v\n", p.Name, p.Measured, p.Predicted)
 	}
@@ -106,7 +111,8 @@ func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 		return nil
 	}
 
-	rep := &ConformanceReport{Protocol: fc.Protocol, MeasuredTQ: m.TQ}
+	rep := &ConformanceReport{Protocol: fc.Protocol, MeasuredTQ: m.TQ,
+		MeasuredLoadQ: m.LoadBytes, PredictedLoadQ: fc.Total().LoadQ}
 	measured := map[string]time.Duration{}
 	for _, ph := range m.Phases {
 		measured[phaseFamily(ph.Name)] += ph.Duration

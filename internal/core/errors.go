@@ -30,9 +30,10 @@ type ErrSSIMisbehavior struct {
 	// Kind names the failed check: "covering-count" (the stored tuple set
 	// does not match the acknowledged deposits), "deposit-commitment" (a
 	// stored deposit fails its k2 commitment), "partition-multiset" (a
-	// partition build is not a permutation of its input), or
+	// partition build is not a permutation of its input),
 	// "coverage-account" (the claimed coverage disagrees with the
-	// recovery ledger).
+	// recovery ledger), or "no-progress" (an S_Agg forced final merge did
+	// not reduce: the one check SkipVerify keeps).
 	Kind string
 	// Phase is where the check failed: "collection" or the partition
 	// phase label ("filter-sfw", "aggregate-1", ...).

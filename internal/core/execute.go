@@ -75,9 +75,9 @@ type Response struct {
 	// and concurrency for a pinned QueryID; serialize with
 	// Journal.WriteJSONL, validate with obs.CheckJournal.
 	Journal *obs.QueryJournal
-	// Conformance compares the run's measured simulated durations against
-	// the Section 6.1 cost model's predictions. Nil for CollectOnly runs,
-	// aborted runs, and Rnf_Noise with n_f left at 0.
+	// Conformance compares the run's measured T_Q and Load_Q against the
+	// Section 6.1 cost model's predictions. Nil for CollectOnly runs and
+	// aborted runs; Rnf_Noise with n_f left at 0 reports as R0_Noise.
 	Conformance *ConformanceReport
 }
 

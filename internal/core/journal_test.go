@@ -288,7 +288,12 @@ var conformanceSpecs = []struct {
 // Fig. 10's two; 0.97 at n_f = 2) to 2.14 (Basic), so [0.25, 5] flags a
 // real drift between the engine's simulated accounting and the closed
 // forms without pinning the approximation error itself.
+//
+// Across protocols, measured and predicted Load_Q must both order
+// S_Agg < ED_Hist < R2_Noise < C_Noise (fakes cost bytes), one subtest
+// each: the model's ordering only licenses extrapolation if runs share it.
 func TestCostModelConformance(t *testing.T) {
+	reports := map[string]*ConformanceReport{}
 	for _, sc := range conformanceSpecs {
 		t.Run(sc.name, func(t *testing.T) {
 			f := newFixture(t, 40, nil)
@@ -305,9 +310,10 @@ func TestCostModelConformance(t *testing.T) {
 			if rep.Protocol != sc.name {
 				t.Errorf("protocol = %q, want %q", rep.Protocol, sc.name)
 			}
-			if rep.PredictedTQ <= 0 || rep.MeasuredTQ <= 0 {
+			if rep.PredictedTQ <= 0 || rep.MeasuredTQ <= 0 || rep.PredictedLoadQ <= 0 || rep.MeasuredLoadQ <= 0 {
 				t.Fatalf("degenerate report: %+v", rep)
 			}
+			reports[sc.name] = rep
 			t.Logf("\n%s", rep)
 			if rep.Ratio < 0.25 || rep.Ratio > 5 {
 				t.Errorf("ratio %.3f outside [0.25, 5]: engine accounting and cost model diverged\n%s",
@@ -323,6 +329,23 @@ func TestCostModelConformance(t *testing.T) {
 			}
 			if !bytes.Contains(tb.Bytes(), []byte(`"tq_ratio"`)) {
 				t.Error("root span is missing the tq_ratio attribute")
+			}
+		})
+	}
+	if len(reports) != len(conformanceSpecs) {
+		return // a -run filter or a failed spec: nothing to order
+	}
+	order := []string{"S_Agg", "ED_Hist", "R2_Noise", "C_Noise"}
+	loadQ := map[string]func(*ConformanceReport) float64{
+		"MeasuredLoadQOrder":  func(r *ConformanceReport) float64 { return float64(r.MeasuredLoadQ) },
+		"PredictedLoadQOrder": func(r *ConformanceReport) float64 { return r.PredictedLoadQ },
+	}
+	for name, load := range loadQ {
+		t.Run(name, func(t *testing.T) {
+			for i := 1; i < len(order); i++ {
+				if lo, hi := reports[order[i-1]], reports[order[i]]; load(lo) >= load(hi) {
+					t.Errorf("%s %.0f >= %s %.0f", lo.Protocol, load(lo), hi.Protocol, load(hi))
+				}
 			}
 		})
 	}

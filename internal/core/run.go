@@ -303,7 +303,7 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 	if n <= 1 { // nothing to reduce: the covering result goes to filtering
 		units = rs.covering()
 	}
-	for first := true; n > 1; first = false {
+	for first, forced := true, false; n > 1; first = false {
 		name := fmt.Sprintf("s_agg-step-%d", len(metrics.Phases)+1)
 		parts, err := e.buildVerified(rs, name, units, func() [][]protocol.WireTuple {
 			if first {
@@ -333,8 +333,12 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 		units, per = next, max(int(alpha+0.5), 2)
 		if len(next) >= n {
 			// No progress (e.g., all-dummy partitions of size 1); force a
-			// final merge in one partition.
-			per = n + 1
+			// final merge in one partition. An honest one yields at most
+			// one tuple; one that does not reduce is the SSI's doing.
+			if forced {
+				return nil, &ErrSSIMisbehavior{Kind: "no-progress", Phase: name}
+			}
+			per, forced = n+1, true
 		}
 		n = len(next)
 	}
