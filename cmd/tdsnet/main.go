@@ -42,16 +42,12 @@
 //	-metrics-out m.prom   write the engine's metrics registry in
 //	                      Prometheus text format
 //	-journal-out q.jsonl  write the structured query journal as JSON lines
-//	-ops-addr :8080       serve /metrics, /healthz, /traces/<id>, /journal
-//	-pprof localhost:6060 serve net/http/pprof for CPU/heap profiling
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"strings"
@@ -119,8 +115,6 @@ type options struct {
 	metricsOut   string
 	journalOut   string
 	traceSample  float64
-	opsAddr      string
-	pprofAddr    string
 }
 
 // faultPlan assembles the scripted churn and SSI misbehavior, or nil when
@@ -249,9 +243,6 @@ func parseFlags(args []string) options {
 	fs.StringVar(&o.journalOut, "journal-out", "", "write the structured query journal (JSON lines) to this file")
 	fs.Float64Var(&o.traceSample, "trace-sample", 0,
 		"deterministic per-device trace sampling rate in (0,1); 0 or >=1 traces every device")
-	fs.StringVar(&o.opsAddr, "ops-addr", "",
-		"serve the ops endpoint (/metrics, /healthz, /traces/<id>, /journal) on this address")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 	return o
 }
@@ -284,16 +275,6 @@ func runOpts(o options) error {
 	kind, err := parseProtocol(o.protoName)
 	if err != nil {
 		return err
-	}
-	if o.pprofAddr != "" {
-		// net/http/pprof registers its handlers on DefaultServeMux; the
-		// server lives for the remainder of the process.
-		go func() {
-			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "tdsnet: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", o.pprofAddr)
 	}
 	w := workload.DefaultSmartMeter(o.seed)
 	eng, err := core.NewEngine(core.Config{
@@ -351,11 +332,6 @@ func runOpts(o options) error {
 
 	if o.concurrent > 1 {
 		return runConcurrent(ctx, o, eng, q, kind, plan)
-	}
-	if o.opsAddr != "" {
-		// A single-shot run has no server retention; the endpoint serves
-		// the registry for the remainder of the process.
-		startOps(o.opsAddr, obs.OpsSource{Registry: eng.Registry()})
 	}
 
 	start := time.Now()
@@ -434,19 +410,6 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 	srv := core.NewServer(eng, core.ServerConfig{
 		MaxInFlight: inflight, QueueDepth: o.concurrent})
 	defer srv.Close()
-	if o.opsAddr != "" {
-		startOps(o.opsAddr, obs.OpsSource{
-			Registry: eng.Registry(),
-			Health: func() any {
-				return struct {
-					Server  core.ServerStats   `json:"server"`
-					Tenants []core.TenantStats `json:"tenants"`
-				}{srv.Stats(), srv.TenantStats()}
-			},
-			Trace:    srv.TraceFor,
-			Journals: srv.RecentJournals,
-		})
-	}
 	fmt.Printf("multi-tenant: %d queries, %d in flight\n\n", o.concurrent, inflight)
 
 	latencies := make([]float64, o.concurrent)
@@ -490,23 +453,7 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 		obs.Quantile(latencies, 0.50), obs.Quantile(latencies, 0.99))
 	fmt.Printf("server             admitted %d, completed %d, rejected %d\n",
 		st.Admitted, st.Completed, st.Rejected)
-	for _, ts := range srv.TenantStats() {
-		fmt.Printf("tenant %-14s completed %d  sim T_Q p50 %v p99 %v  queue wait p50 %v p99 %v\n",
-			ts.Querier, ts.Completed, ts.SimTQP50, ts.SimTQP99, ts.QueueWaitP50, ts.QueueWaitP99)
-	}
 	return exportObservability(o, eng, first)
-}
-
-// startOps serves the read-only ops endpoint for the remainder of the
-// process, pprof-style.
-func startOps(addr string, src obs.OpsSource) {
-	h := obs.ServeOps(src)
-	go func() {
-		if err := http.ListenAndServe(addr, h); err != nil {
-			fmt.Fprintln(os.Stderr, "tdsnet: ops:", err)
-		}
-	}()
-	fmt.Printf("ops: http://%s/metrics\n", addr)
 }
 
 // printIntegrity renders the verified-execution report, or notes that

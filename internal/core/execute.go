@@ -24,7 +24,8 @@ type Request struct {
 	// (engine seed, device ID, query ID), so a query with a fixed ID
 	// produces bit-identical rows, metrics, ledgers and traces no matter
 	// what else is in flight or in what order requests were admitted. An
-	// ID still in flight is rejected by the SSI's duplicate-post check.
+	// ID still in flight is rejected: by Server.Submit at admission (also
+	// while still queued there), by Execute at the SSI's duplicate post.
 	QueryID string
 	// Kind selects the protocol (Basic for Select-From-Where, an
 	// aggregation protocol otherwise).

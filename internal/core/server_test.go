@@ -10,11 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/trustedcells/tcq/internal/accessctl"
+	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/ssi"
-	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
 // queryOutcome fingerprints everything a query's determinism contract
@@ -232,75 +231,28 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
-// TestServerQuota gives one querier's role a 1-in-flight / 1-queued
-// quota and checks both halves: the backlog cap rejects with
-// ErrQuotaExceeded, and the in-flight cap keeps the second query queued
-// even while the server has free global slots.
-func TestServerQuota(t *testing.T) {
-	gate := newGatedSSI()
-	f := newFixture(t, 8, func(c *Config) { c.SSI = gate })
-	srv := NewServer(f.eng, ServerConfig{
-		MaxInFlight: 4,
-		Quotas: &accessctl.QuotaPolicy{
-			ByRole: map[string]accessctl.Quota{
-				"energy-analyst": {MaxInFlight: 1, MaxQueued: 1},
-			},
-		},
-	})
-	defer srv.Close()
-	defer gate.release()
-
-	req := Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg}
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := srv.Submit(context.Background(), req)
-			results <- err
-		}()
-		// The quota's MaxInFlight keeps query 2 queued despite 3 free slots.
-		waitStats(t, srv, 1, i)
-	}
-
-	if _, err := srv.Submit(context.Background(), req); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("over-quota submission: err = %v, want ErrQuotaExceeded", err)
-	}
-
-	gate.release()
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("within-quota request failed: %v", err)
-		}
-	}
-}
-
-// TestServerFairness pins the weighted round-robin dispatch order: with
-// every request pre-queued behind one execution slot, a weight-2 querier
-// is admitted twice per turn and a weight-1 querier once, so neither
-// starves.
+// TestServerFairness pins the round-robin dispatch order: with every
+// request pre-queued behind one execution slot, each turn admits one
+// request of the next querier, so a querier that queued first cannot
+// starve one that queued later.
 func TestServerFairness(t *testing.T) {
 	gate := newGatedSSI()
 	f := newFixture(t, 8, func(c *Config) { c.SSI = gate })
-	srv := NewServer(f.eng, ServerConfig{
-		MaxInFlight: 1,
-		Quotas: &accessctl.QuotaPolicy{
-			ByRole: map[string]accessctl.Quota{"bulk": {Weight: 2}},
-		},
-	})
+	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 1})
 	defer srv.Close()
 	defer gate.release()
 
 	expiry := time.Unix(1700000000, 0).Add(365 * 24 * time.Hour)
-	mkQuerier := func(id string, roles ...string) *querier.Querier {
+	mkQuerier := func(id string) *querier.Querier {
 		t.Helper()
-		cred := f.eng.Authority().Issue(id, roles, expiry)
+		cred := f.eng.Authority().Issue(id, []string{"energy-analyst"}, expiry)
 		q, err := querier.New(id, f.eng.K1(), cred, f.eng.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return q
 	}
-	alice := mkQuerier("alice", "energy-analyst", "bulk") // weight 2
-	bob := mkQuerier("bob", "energy-analyst")             // weight 1
+	alice, bob := mkQuerier("alice"), mkQuerier("bob")
 
 	submit := func(q *querier.Querier, id string, wg *sync.WaitGroup) {
 		wg.Add(1)
@@ -333,9 +285,78 @@ func TestServerFairness(t *testing.T) {
 	gate.release()
 	wg.Wait()
 
-	want := []string{"a1", "a2", "b1", "a3", "a4", "b2", "b3", "b4"}
+	want := []string{"a1", "b1", "a2", "b2", "a3", "b3", "a4", "b4"}
 	if got := gate.admitted(); !reflect.DeepEqual(got, want) {
-		t.Errorf("dispatch order = %v, want weighted round-robin %v", got, want)
+		t.Errorf("dispatch order = %v, want round-robin %v", got, want)
+	}
+}
+
+// heldSSI parks every collection wave until released, and signals when
+// the first one arrives: a run is then inside its collection phase, its
+// query posted and its journal stream open.
+type heldSSI struct {
+	ssi.Service
+	entered, gate chan struct{}
+	enter, open   sync.Once
+}
+
+func (h *heldSSI) release() { h.open.Do(func() { close(h.gate) }) }
+
+func (h *heldSSI) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) ([]ssi.DepositOutcome, int, bool, error) {
+	h.enter.Do(func() { close(h.entered) })
+	<-h.gate
+	return h.Service.DepositEnvelopeBatch(id, deps, now)
+}
+
+// TestServerDuplicateQueryID: a request pinning the ID of a run still in
+// flight is rejected at admission, before it can write into that run's
+// journal stream or discard it, and the first run's journal comes back
+// whole.
+func TestServerDuplicateQueryID(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			held := &heldSSI{Service: ssi.NewSharded(0),
+				entered: make(chan struct{}), gate: make(chan struct{})}
+			f := newFixture(t, 8, func(c *Config) { c.SSI = held; c.CollectWorkers = workers })
+			srv := NewServer(f.eng, ServerConfig{MaxInFlight: 2})
+			defer srv.Close()
+			defer held.release()
+
+			req := Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "dup"}
+			first := make(chan *Response, 1)
+			go func() {
+				resp, err := srv.Submit(context.Background(), req)
+				if err != nil {
+					t.Errorf("first run: %v", err)
+				}
+				first <- resp
+			}()
+			select {
+			case <-held.entered:
+			case <-first:
+				t.Fatal("first run finished without reaching collection")
+			}
+			if _, err := srv.Submit(context.Background(), req); err == nil {
+				t.Error("second run under an in-flight QueryID was admitted")
+			}
+
+			held.release()
+			resp := <-first
+			if resp == nil || resp.Journal == nil {
+				t.Fatal("first run lost its journal to the duplicate")
+			}
+			if err := obs.CheckJournal(bytes.NewReader(resp.Journal.Bytes())); err != nil {
+				t.Errorf("first run's journal fails schema check: %v", err)
+			}
+			if n := resp.Journal.Counts()[obs.JournalAdmission]; n != 1 {
+				t.Errorf("first run's journal has %d admission events, want 1", n)
+			}
+			srv.Close()
+			if n := f.eng.obs.journal.OpenStreams(); n != 0 {
+				t.Errorf("open journal streams after Close = %d, want 0", n)
+			}
+			assertRegistryHas(t, f.eng, `tcq_server_rejected_total{reason="duplicate",querier="edf"} 1`)
+		})
 	}
 }
 
@@ -454,38 +475,4 @@ func TestServerSharedDeviceCache(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// TestQuotaPolicyResolution exercises the accessctl side: role merge
-// keeps the most permissive value per field, with negative as unlimited.
-func TestQuotaPolicyResolution(t *testing.T) {
-	auth := accessctl.NewAuthority(tdscrypto.Key{1})
-	expiry := time.Unix(1800000000, 0)
-	pol := &accessctl.QuotaPolicy{
-		Default: accessctl.Quota{MaxInFlight: 1, MaxQueued: 2},
-		ByRole: map[string]accessctl.Quota{
-			"bulk":    {MaxInFlight: 4, MaxQueued: 8, Weight: 2},
-			"admin":   {MaxInFlight: -1, Weight: 1},
-			"analyst": {MaxInFlight: 2},
-		},
-	}
-	cases := []struct {
-		roles []string
-		want  accessctl.Quota
-	}{
-		{[]string{"nobody"}, accessctl.Quota{MaxInFlight: 1, MaxQueued: 2}},
-		{[]string{"analyst"}, accessctl.Quota{MaxInFlight: 2}},
-		{[]string{"bulk", "analyst"}, accessctl.Quota{MaxInFlight: 4, MaxQueued: 8, Weight: 2}},
-		{[]string{"admin", "bulk"}, accessctl.Quota{MaxInFlight: -1, MaxQueued: 8, Weight: 2}},
-	}
-	for _, c := range cases {
-		cred := auth.Issue("q", c.roles, expiry)
-		if got := pol.For(cred); got != c.want {
-			t.Errorf("For(%v) = %+v, want %+v", c.roles, got, c.want)
-		}
-	}
-	var nilPol *accessctl.QuotaPolicy
-	if got := nilPol.For(auth.Issue("q", []string{"x"}, expiry)); got != (accessctl.Quota{}) {
-		t.Errorf("nil policy quota = %+v, want zero", got)
-	}
 }

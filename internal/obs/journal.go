@@ -82,23 +82,24 @@ func (j *Journal) SetOpenGauge(g *Gauge) {
 	j.mu.Unlock()
 }
 
-// Begin opens a stream for query id. Idempotent: an already-open stream
-// is kept, so the server can open at admission and the engine can
-// re-open harmlessly at run start (or open fresh for direct Execute
-// calls that never passed through a server).
-func (j *Journal) Begin(id string) {
+// Begin opens a stream for query id and reports whether it did. An
+// already-open stream is kept (false), so the server can open at
+// admission and the engine can re-open harmlessly at run start (or open
+// fresh for direct Execute calls that never passed through a server).
+func (j *Journal) Begin(id string) bool {
 	if j == nil {
-		return
+		return false
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.active[id]; ok {
-		return
+		return false
 	}
 	j.active[id] = &QueryJournal{QueryID: id}
 	if j.open != nil {
 		j.open.Add(1)
 	}
+	return true
 }
 
 // Emit appends an event to query id's stream; no-op when no stream is

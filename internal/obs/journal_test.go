@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -184,45 +183,5 @@ func TestGraftAppendsAtEnd(t *testing.T) {
 	var nilQT *QueryTrace
 	if nilQT.Graft(nil, "x", PartyEngine, at, at) != nil {
 		t.Fatal("nil trace grafted a span")
-	}
-}
-
-func TestServeOpsRoutes(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("tcq_ops_test_total", "test counter").Inc()
-	qt := buildTrace(t)
-	qj := buildJournal(t)
-	h := ServeOps(OpsSource{
-		Registry: reg,
-		Health:   func() any { return map[string]int{"in_flight": 1} },
-		Trace: func(id string) *QueryTrace {
-			if id == qt.QueryID {
-				return qt
-			}
-			return nil
-		},
-		Journals: func(n int) []*QueryJournal { return []*QueryJournal{qj} },
-	})
-	get := func(path string) (int, string) {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec.Code, rec.Body.String()
-	}
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "tcq_ops_test_total 1") {
-		t.Fatalf("/metrics: %d\n%s", code, body)
-	}
-	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, `"in_flight": 1`) {
-		t.Fatalf("/healthz: %d\n%s", code, body)
-	}
-	if code, body := get("/traces/q"); code != 200 || !strings.Contains(body, `"name":"execute"`) {
-		t.Fatalf("/traces/q: %d\n%s", code, body)
-	}
-	if code, _ := get("/traces/unknown"); code != 404 {
-		t.Fatalf("/traces/unknown: %d, want 404", code)
-	}
-	if code, body := get("/journal?n=5"); code != 200 ||
-		!strings.Contains(body, `"query_id":"q"`) || !strings.Contains(body, `"kind":"admission"`) {
-		t.Fatalf("/journal: %d\n%s", code, body)
 	}
 }
