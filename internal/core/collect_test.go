@@ -69,15 +69,15 @@ func TestCollectWorkersDeterminismWalk(t *testing.T) {
 			}
 		},
 	}, {
-		// A quarter of the fleet is stuck on the dead epoch of a hard
-		// cutover: not revoked, so each connects, fails its Collect and
-		// spends no slot, and the clocks speculated for the wave members
-		// behind it are a minute ahead. Drops and slow devices vary what
-		// a slot costs.
+		// A quarter of the fleet is stuck on a dead epoch whose bundle
+		// reached none of it: not revoked, so each connects, fails its
+		// Collect and spends no slot, and the clocks speculated for the
+		// wave members behind it are a minute ahead. Drops and slow
+		// devices vary what a slot costs.
 		name: "collect-errors-at-interval", fleet: 10,
 		edit: func(c *Config) { c.ConnectionInterval = time.Minute },
 		prepare: func(t *testing.T, f *fixture) {
-			f.eng.RotateKeys()
+			strandFleet(f.eng)
 			err := f.eng.ProvisionFleet(30, func(i int) *storage.LocalDB {
 				return householdDB(f.eng.Schema(), 10+i)
 			})

@@ -141,11 +141,10 @@ type Engine struct {
 	// kmCache).
 	commCache map[int]*tdscrypto.Committer
 
-	// Broadcast revocation state (lazily initialized by the first
-	// rotation).
-	bcast      *tdscrypto.BroadcastAuthority
-	deviceKeys map[string]tdscrypto.DeviceKeySet
-	revoked    map[string]bool
+	// Broadcast revocation state (built by the first rotation, rebuilt
+	// by the first one after the fleet outgrows the tree).
+	bcast   *tdscrypto.BroadcastAuthority
+	revoked map[string]bool
 }
 
 // NewEngine builds an engine with an empty fleet.
@@ -206,12 +205,6 @@ func (e *Engine) K1() tdscrypto.Key {
 
 // Schema returns the common schema.
 func (e *Engine) Schema() *storage.Schema { return e.schema }
-
-// SSI exposes the supporting-server interface for observation in tests
-// and audits. The concrete implementation — the default *ssi.SSI or an
-// injected decorator — is deliberately hidden: everything the engine
-// relies on is in ssi.Service.
-func (e *Engine) SSI() ssi.Service { return e.ssi }
 
 // FleetSize returns the number of enrolled TDSs.
 func (e *Engine) FleetSize() int { return len(e.fleet) }

@@ -8,32 +8,23 @@ import (
 	"github.com/trustedcells/tcq/internal/tds"
 )
 
-// newTDS builds an eager device enrolled at the authority's current
-// epoch, wired to the engine's shared plan cache. Like a packed slot it
-// borrows the epoch's key material: one ring per epoch, expanded once.
-func (e *Engine) newTDS(id string, db *storage.LocalDB) (*tds.TDS, error) {
+// AddTDS enrolls one eager TDS hosting the given local database at the
+// authority's current epoch, wired to the engine's shared plan cache.
+// Like a packed slot it borrows the epoch's key material: one ring per
+// epoch, expanded once. When the extended threat model is active, a
+// deterministic share of devices is marked compromised at enrollment.
+func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
+	e.life.Lock()
+	defer e.life.Unlock()
 	epoch := uint32(e.keyAuth.Epoch())
 	km, err := e.keyMaterial(epoch)
 	if err != nil {
 		return nil, err
 	}
+	id := fmt.Sprintf("tds-%05d", len(e.fleet))
 	t := tds.NewWithMaterial(id, db, km, e.cfg.Policy, e.authority)
 	t.SetEpoch(int(epoch) + 1)
 	t.Shared = e.planCache
-	return t, nil
-}
-
-// AddTDS enrolls one TDS hosting the given local database. When the
-// extended threat model is active, a deterministic share of devices is
-// marked compromised at enrollment.
-func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
-	e.life.Lock()
-	defer e.life.Unlock()
-	id := fmt.Sprintf("tds-%05d", len(e.fleet))
-	t, err := e.newTDS(id, db)
-	if err != nil {
-		return nil, err
-	}
 	t.Corrupt = e.compromised(id)
 	e.fleet = append(e.fleet, t)
 	return t, nil

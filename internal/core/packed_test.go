@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,32 +17,39 @@ import (
 // of the fleet and nothing else (TestComposedFaults holds the two
 // representations to bit-equal runs).
 
-// TestPackedRotationStaleEpoch: a packed slot enrolled at epoch 0 must
-// keep failing against an epoch-1 query exactly like a stale eager
-// device, and ReenrollAll must restore it by bumping the derived epoch.
-func TestPackedRotationStaleEpoch(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		f := newFixture(t, 12, func(c *Config) { c.PackedFleet = packed })
-		f.eng.RotateKeys()
-		fresh := newQuerierForEngine(t, f.eng, "fresh")
-		got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != 0 || m.CollectErrors != 12 {
-			t.Errorf("packed=%v: stale fleet rows=%d errors=%d, want 0/12",
-				packed, len(got.Rows), m.CollectErrors)
-		}
-		if err := f.eng.ReenrollAll(); err != nil {
-			t.Fatal(err)
-		}
-		got, m, err = runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != 12 || m.CollectErrors != 0 {
-			t.Errorf("packed=%v: after re-enrollment rows=%d errors=%d", packed, len(got.Rows), m.CollectErrors)
-		}
+// TestPackedRotationStaleEpoch: packed slots strand and heal exactly
+// like eager devices (TestKeyRotationLocksOutStaleFleet).
+func TestPackedRotationStaleEpoch(t *testing.T) { checkStrandedFleetHeals(t, true) }
+
+// checkStrandedFleetHeals: a fleet stranded on epoch 0 (no device
+// received the rotation's bundle) fails every epoch-1 query, and the next
+// rotation heals it: the stranded devices open its broadcast and migrate.
+func checkStrandedFleetHeals(t *testing.T, packed bool) {
+	f := newFixture(t, 12, func(c *Config) { c.PackedFleet = packed })
+	strandFleet(f.eng)
+	fresh := newQuerierForEngine(t, f.eng, "fresh")
+	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 0 || m.CollectErrors != 12 {
+		t.Errorf("packed=%v: stale fleet rows=%d errors=%d, want 0/12",
+			packed, len(got.Rows), m.CollectErrors)
+	}
+	// An aggregate has phase work no stale device can open: a typed abort.
+	if _, _, err := runQuery(f.eng, fresh, countSQL, protocol.KindSAgg, protocol.Params{}); !errors.Is(err, ErrNoEligibleTDS) {
+		t.Errorf("packed=%v: S_Agg over the stale fleet: %v, want ErrNoEligibleTDS", packed, err)
+	}
+	if err := f.eng.RevokeAndRotate(); err != nil {
+		t.Fatal(err)
+	}
+	healed := newQuerierForEngine(t, f.eng, "healed")
+	got, m, err = runQuery(f.eng, healed, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 12 || m.CollectErrors != 0 {
+		t.Errorf("packed=%v: after the rotation rows=%d errors=%d", packed, len(got.Rows), m.CollectErrors)
 	}
 }
 

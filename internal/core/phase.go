@@ -137,22 +137,19 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	// this query's epoch — drawing it as a worker would turn a staged
 	// rollout into a phase failure, so the draw pool is epoch-aware. The
 	// live set holds fleet slots, not devices — packed slots materialize
-	// only when actually drawn. A fully stale fleet (hard cutover, nobody
-	// re-enrolled) still runs the protocol and fails per-device, exactly
-	// like collection did: the epoch filter (the first pass) only narrows
-	// the pool while a mix of epochs is live, as during a staged rotation.
+	// only when actually drawn. When no device holds the posted epoch's
+	// keys (a fleet a rotation's bundle has not reached yet), a phase with
+	// work cannot run: any worker drawn would fail to open the query.
 	live := make([]int, 0, len(e.fleet))
 	e.life.RLock() // one hold for the whole set, not three per slot
-	for pass := 0; pass < 2 && len(live) == 0; pass++ {
-		for slot := range e.fleet {
-			if !e.revoked[e.deviceIDLocked(slot)] && (pass == 1 || e.slotServesLocked(slot, post.Epoch)) {
-				live = append(live, slot)
-			}
+	for slot := range e.fleet {
+		if !e.revoked[e.deviceIDLocked(slot)] && e.slotServesLocked(slot, post.Epoch) {
+			live = append(live, slot)
 		}
 	}
 	e.life.RUnlock()
-	if len(live) == 0 {
-		return nil, stats, fmt.Errorf("%w: every device is revoked", ErrNoEligibleTDS)
+	if len(live) == 0 && len(partitions) > 0 {
+		return nil, stats, fmt.Errorf("%w: no unrevoked device holds the query's epoch keys", ErrNoEligibleTDS)
 	}
 	replicas := min(max(e.cfg.AuditReplicas, 1), len(live))
 

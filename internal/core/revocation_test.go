@@ -140,8 +140,9 @@ func TestRevocationPopulationSemantics(t *testing.T) {
 	if err := f.eng.RevokeAndRotate("tds-99999"); err == nil {
 		t.Error("unknown device accepted")
 	}
-	if err := f.eng.RevokeAndRotate(); err == nil {
-		t.Error("empty revocation accepted")
+	// An empty list is a plain rotation: it succeeds and expels nobody new.
+	if err := f.eng.RevokeAndRotate(); err != nil || len(f.eng.RevokedDevices()) != len(victims) {
+		t.Errorf("plain rotation: err %v, revoked %v", err, f.eng.RevokedDevices())
 	}
 }
 
@@ -165,9 +166,9 @@ func TestRevokedDeviceCannotRejoin(t *testing.T) {
 }
 
 // TestRevocationIsAllOrNothing: a revocation list naming an unknown device
-// is refused before anyone is expelled — through the cutover and through
-// the staged rotation alike. Nobody is revoked, the epoch does not move,
-// and the device named before the unknown one keeps depositing.
+// is refused before anyone is expelled — through RevokeAndRotate and
+// through the staged rotation alike. Nobody is revoked, the epoch does
+// not move, and the device named before the unknown one keeps depositing.
 func TestRevocationIsAllOrNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -12,13 +12,10 @@ import (
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
-// Live key lifecycle: rotating and revoking while queries are in flight.
-//
-// RotateKeys + ReenrollAll is a hard cutover — fine between queries,
-// fatal under traffic: every in-flight query posted at the old epoch
-// would lose the rest of its collection the instant the fleet migrates.
-// The live path decomposes the cutover into a coordinated sequence the
-// fleet can absorb mid-query:
+// Keys change one way: a broadcast rotation (the paper's "these keys may
+// change over time", Section 3.1, distributed as footnote 7's broadcast
+// encryption). It runs as a coordinated sequence the fleet absorbs
+// mid-query:
 //
 //  1. BeginRotation rotates the authority, publishes one signed
 //     tdscrypto.TrustBundle (new epoch + revocation set + the new ring
@@ -35,42 +32,29 @@ import (
 //  3. CompleteRotation applies any remaining waves, closes the grace
 //     window on the SSI and the devices, and retires the rotation.
 //
-// The wave schedule is a pure function of (engine seed, target epoch,
-// device ID) — never of slot order, worker count, goroutine scheduling or
-// time — so a rotation scripted at a deterministic trigger point yields
+// Between queries RevokeAndRotate is the same sequence as one call;
+// mid-query a fault plan's RotationScript drives it. The wave schedule
+// is a pure function of (engine seed, target epoch, device ID) — never
+// of slot order, worker count, goroutine scheduling or time — so a
+// rotation scripted at a deterministic trigger point yields
 // bit-identical runs for every CollectWorkers setting, which is what the
 // composed-fault generator's cross-axis clause pins.
 
 // rotationState is the coordinator state of one in-progress rotation,
 // guarded by Engine.life.
 type rotationState struct {
-	prevEpoch uint32 // key-authority epoch the fleet migrates away from
-	newEpoch  uint32 // key-authority epoch the bundle carries
-	version   uint64 // trust-bundle distribution counter of this rotation
-	bundle    []byte // the signed bundle, as published to the SSI
-	waves     [][]int
-	nextWave  int // waves[:nextWave] have been applied
+	newEpoch uint32 // key-authority epoch the bundle carries
+	version  uint64 // trust-bundle distribution counter of this rotation
+	bundle   []byte // the signed bundle, as published to the SSI
+	waves    [][]int
+	nextWave int // waves[:nextWave] have been applied
 }
-
-// bundleDelivery is how one rollout wave receives (or fails to receive)
-// the trust bundle.
-type bundleDelivery int
-
-const (
-	deliverBundle bundleDelivery = iota
-	// dropBundle: the SSI loses the bundle; nobody in the wave migrates.
-	dropBundle
-	// replayStaleBundle: the SSI replays the previous distribution's
-	// (validly signed) bundle; every device rejects it on the version
-	// counter and stays unmigrated.
-	replayStaleBundle
-)
 
 // rotationWave assigns one device to a rollout wave: rng.Hash over the
 // engine seed (8 bytes, little-endian), the target epoch (4 bytes,
-// little-endian) and the device ID, mod the wave count. Exported behavior
-// (RolloutSchedule) depends only on these inputs, so the schedule is
-// bit-identical across runs, engines and worker counts.
+// little-endian) and the device ID, mod the wave count. The schedule
+// depends only on these inputs, so it is bit-identical across runs,
+// engines and worker counts.
 func rotationWave(seed int64, epoch uint32, id string, waves int) int {
 	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 12+len(id)), uint64(seed))
 	b = binary.LittleEndian.AppendUint32(b, epoch)
@@ -110,7 +94,6 @@ func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 			return err
 		}
 	}
-	prevEpoch := uint32(e.keyAuth.Epoch())
 	e.rotateKeysLocked()
 	newEpoch := uint32(e.keyAuth.Epoch())
 	msg, err := e.bcast.BroadcastRing(e.keys)
@@ -134,10 +117,7 @@ func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 		w := rotationWave(e.cfg.Seed, newEpoch, id, waves)
 		schedule[w] = append(schedule[w], slot)
 	}
-	e.rot = &rotationState{
-		prevEpoch: prevEpoch, newEpoch: newEpoch,
-		version: e.bundleSeq, bundle: bundle, waves: schedule,
-	}
+	e.rot = &rotationState{newEpoch: newEpoch, version: e.bundleSeq, bundle: bundle, waves: schedule}
 	e.pushEpochPolicyLocked(true) // grace: epoch e and e-1 both admit
 	return nil
 }
@@ -147,10 +127,13 @@ func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 // applied (the rollout is complete; the grace window stays open until
 // CompleteRotation).
 func (e *Engine) AdvanceRotationWave() (bool, error) {
-	return e.advanceRotationWave(deliverBundle)
+	return e.advanceRotationWave(true)
 }
 
-func (e *Engine) advanceRotationWave(mode bundleDelivery) (bool, error) {
+// advanceRotationWave applies the next wave. With delivered false the
+// SSI lost the bundle: nobody in the wave migrates, and the grace window
+// keeps the old epoch serviceable.
+func (e *Engine) advanceRotationWave(delivered bool) (bool, error) {
 	e.life.Lock()
 	defer e.life.Unlock()
 	rot := e.rot
@@ -162,24 +145,9 @@ func (e *Engine) advanceRotationWave(mode bundleDelivery) (bool, error) {
 	}
 	slots := rot.waves[rot.nextWave]
 	rot.nextWave++
-	switch mode {
-	case deliverBundle:
+	if delivered {
 		if err := e.migrateSlotsLocked(rot, slots); err != nil {
 			return false, err
-		}
-	case dropBundle:
-		// The bundle never reached this wave; its devices stay on the
-		// old epoch, which the grace window keeps serviceable.
-	case replayStaleBundle:
-		// The SSI replays last distribution's bundle. Its signature is
-		// genuine, so the version counter is the only defense — every
-		// device must reject it and stay unmigrated.
-		stale := tdscrypto.SignTrustBundle(&tdscrypto.TrustBundle{
-			Version: rot.version - 1, Epoch: uint64(rot.prevEpoch),
-		}, tdscrypto.BundleSigner(e.cfg.MasterKey))
-		pub := tdscrypto.BundleVerifier(e.cfg.MasterKey)
-		if _, err := tdscrypto.AcceptTrustBundle(stale, pub, rot.version-1); err == nil {
-			return false, fmt.Errorf("core: a replayed stale trust bundle was accepted")
 		}
 	}
 	return rot.nextWave >= len(rot.waves), nil
@@ -216,7 +184,7 @@ func (e *Engine) migrateSlotsLocked(rot *rotationState, slots []int) error {
 		if err != nil {
 			return fmt.Errorf("core: device %s rejected the trust bundle: %w", id, err)
 		}
-		dk, err := e.deviceKeysLocked(slot)
+		dk, err := e.bcast.DeviceKeys(slot)
 		if err != nil {
 			return err
 		}
@@ -280,39 +248,6 @@ func (e *Engine) rotationInProgress() bool {
 	return e.rot != nil
 }
 
-// RolloutSchedule returns the device IDs of each rollout wave of the
-// in-progress rotation, in wave order — a pure function of (engine seed,
-// target epoch, device ID), identical across worker counts. Nil when no
-// rotation is in progress.
-func (e *Engine) RolloutSchedule() [][]string {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	if e.rot == nil {
-		return nil
-	}
-	out := make([][]string, len(e.rot.waves))
-	for w, slots := range e.rot.waves {
-		ids := make([]string, len(slots))
-		for i, s := range slots {
-			ids[i] = e.deviceIDLocked(s)
-		}
-		out[w] = ids
-	}
-	return out
-}
-
-// TrustBundleBytes returns the signed bundle of the in-progress rotation
-// (nil outside one) — what a real deployment would publish through the
-// SSI for devices to fetch.
-func (e *Engine) TrustBundleBytes() []byte {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	if e.rot == nil {
-		return nil
-	}
-	return append([]byte(nil), e.rot.bundle...)
-}
-
 // scriptedRotation drives a fault plan's RotationScript from one commit
 // point of the collection walk: it counts committed envelopes, fires
 // BeginRotation at the scripted count, and advances rollout waves every
@@ -351,13 +286,6 @@ func (e *Engine) scriptedRotation(rs *runState, now time.Time) error {
 // the script's delivery faults, honoring a torn rollout by never applying
 // the final wave.
 func (e *Engine) scriptedWaves(rs *runState, sc *faultplan.RotationScript, now time.Time, n int) error {
-	mode := deliverBundle
-	switch {
-	case sc.DropBundle:
-		mode = dropBundle
-	case sc.ReplayStale:
-		mode = replayStaleBundle
-	}
 	for n != 0 {
 		if e.pendingWaves() == 0 {
 			return nil // rollout already fully applied; nothing to record
@@ -365,7 +293,7 @@ func (e *Engine) scriptedWaves(rs *runState, sc *faultplan.RotationScript, now t
 		if sc.TornRollout && e.pendingWaves() <= 1 {
 			return nil // the last wave never lands; the fleet stays split
 		}
-		done, err := e.advanceRotationWave(mode)
+		done, err := e.advanceRotationWave(!sc.DropBundle)
 		if err != nil {
 			return err
 		}
@@ -392,67 +320,31 @@ func (e *Engine) pendingWaves() int {
 	return len(e.rot.waves) - e.rot.nextWave
 }
 
-// RotateKeys advances the fleet key epoch (the paper notes k1/k2 may
-// change over time). Queriers built with the new K1 and TDSs enrolled
-// after rotation use the new ring; devices still holding the previous
-// epoch's keys can no longer decrypt new queries and drop out of
-// collection (counted in Metrics.CollectErrors) until re-enrolled. This
-// is the hard cutover; BeginRotation (rotation.go) is the live path that
-// migrates a fleet under traffic.
-func (e *Engine) RotateKeys() {
-	e.life.Lock()
-	defer e.life.Unlock()
-	e.rotateKeysLocked()
-}
-
-// rotateKeysLocked advances the epoch under an already-held lifecycle
-// lock.
+// rotateKeysLocked advances the authority one epoch under an
+// already-held lifecycle lock. Queriers built afterwards and devices
+// enrolled afterwards use the new ring; nobody else holds it until the
+// rotation's bundle reaches them.
 func (e *Engine) rotateKeysLocked() {
 	e.keyAuth.Rotate()
 	e.keys = e.keyAuth.Ring()
 	e.verifier = tdscrypto.NewCommitter(e.keys.K2)
 }
 
-// ReenrollAll re-provisions every enrolled TDS with the current key ring,
-// as a fleet-wide firmware/key update would. Compromised devices remain
-// compromised — re-enrollment changes keys, not silicon.
-func (e *Engine) ReenrollAll() error {
-	e.life.Lock()
-	defer e.life.Unlock()
-	for i, old := range e.fleet {
-		if old == nil {
-			// A packed slot re-enrolls by recording the new epoch; the
-			// ring is derived from it when the device next wakes.
-			e.packed.epoch[i] = uint32(e.keyAuth.Epoch())
-			continue
-		}
-		t, err := e.newTDS(old.ID, old.DB)
-		if err != nil {
-			return err
-		}
-		t.Corrupt = old.Corrupt
-		e.fleet[i] = t
-	}
-	return nil
-}
-
-// RevokeAndRotate expels the given devices from the fleet as one hard
-// cutover: a single-wave rotation (rotation.go) begun and completed under
-// one hold of the lifecycle lock. It revokes their broadcast slots,
-// rotates the key ring, and distributes the new ring with the
-// complete-subtree broadcast scheme (footnote 7). Every non-revoked device
-// opens the broadcast and migrates; the revoked ones cannot decrypt it,
-// stay on the dead epoch, and drop out of every future query
-// (Metrics.CollectErrors). Feed it the repeat offenders from
-// Metrics.Suspects to close the audit loop: detect, revoke, rotate.
+// RevokeAndRotate is a rotation between queries: a single-wave rotation
+// begun and completed under one hold of the lifecycle lock. It revokes
+// the given devices' broadcast slots (none for a plain rotation), rotates
+// the key ring, and distributes the new ring with the complete-subtree
+// broadcast scheme (footnote 7). Every non-revoked device opens the
+// broadcast and migrates — a device stranded on an older epoch included;
+// the revoked ones cannot decrypt it, stay on the dead epoch, and drop
+// out of every future query (Metrics.CollectErrors). Feed it the repeat
+// offenders from Metrics.Suspects to close the audit loop: detect,
+// revoke, rotate.
 func (e *Engine) RevokeAndRotate(ids ...string) error {
-	if len(ids) == 0 {
-		return fmt.Errorf("core: RevokeAndRotate needs at least one device ID")
-	}
 	e.life.Lock()
 	defer e.life.Unlock()
 	if e.rot != nil {
-		return fmt.Errorf("core: a live rotation is in progress; complete it before the hard cutover")
+		return fmt.Errorf("core: a live rotation is in progress; complete it first")
 	}
 	if err := e.beginRotationLocked(1, ids); err != nil {
 		return err
@@ -460,39 +352,30 @@ func (e *Engine) RevokeAndRotate(ids ...string) error {
 	return e.completeRotationLocked()
 }
 
-// ensureBroadcastLocked lazily stands up the broadcast tree. On real
-// hardware the path keys are installed at enrollment; the simulation
-// issues them retroactively (and on demand) from the fleet roster.
+// ensureBroadcastLocked stands up the broadcast tree over the current
+// fleet, and rebuilds it, the revoked slots revoked again, once the fleet
+// has outgrown it. On real hardware the path keys are installed at
+// enrollment; the simulation issues them on demand from the fleet roster.
 func (e *Engine) ensureBroadcastLocked() error {
-	if e.bcast != nil {
+	if e.bcast != nil && e.bcast.Capacity() >= len(e.fleet) {
 		return nil
 	}
 	bc, err := tdscrypto.NewBroadcastAuthority(e.cfg.MasterKey, len(e.fleet))
 	if err != nil {
 		return err
 	}
+	for slot := range e.fleet {
+		if e.revoked[e.deviceIDLocked(slot)] {
+			if err := bc.Revoke(slot); err != nil {
+				return err
+			}
+		}
+	}
 	e.bcast = bc
-	e.deviceKeys = make(map[string]tdscrypto.DeviceKeySet)
 	if e.revoked == nil {
 		e.revoked = make(map[string]bool)
 	}
 	return nil
-}
-
-// deviceKeysLocked derives (and caches) one slot's broadcast path keys.
-// Lazy derivation keeps million-device fleets from paying a full-tree
-// key issue up front.
-func (e *Engine) deviceKeysLocked(slot int) (tdscrypto.DeviceKeySet, error) {
-	id := e.deviceIDLocked(slot)
-	if dk, ok := e.deviceKeys[id]; ok {
-		return dk, nil
-	}
-	dk, err := e.bcast.DeviceKeys(slot)
-	if err != nil {
-		return tdscrypto.DeviceKeySet{}, err
-	}
-	e.deviceKeys[id] = dk
-	return dk, nil
 }
 
 // revokeSlotsLocked expels the named devices: broadcast-tree revocation

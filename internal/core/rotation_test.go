@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/storage"
 )
 
 func newQuerierForEngine(t *testing.T, eng *Engine, id string) *querier.Querier {
@@ -19,42 +21,22 @@ func newQuerierForEngine(t *testing.T, eng *Engine, id string) *querier.Querier 
 	return q
 }
 
-func TestKeyRotationLocksOutStaleFleet(t *testing.T) {
-	f := newFixture(t, 12, nil)
-
-	// Rotate: the fleet still holds epoch-0 keys; a querier on the new K1
-	// posts a query no enrolled device can open.
-	f.eng.RotateKeys()
-	fresh := newQuerierForEngine(t, f.eng, "fresh")
-	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 0 {
-		t.Fatalf("stale fleet produced %d rows", len(got.Rows))
-	}
-	if m.CollectErrors != f.eng.FleetSize() {
-		t.Errorf("CollectErrors = %d, want the whole fleet (%d)", m.CollectErrors, f.eng.FleetSize())
-	}
-
-	// Re-enrollment restores service.
-	if err := f.eng.ReenrollAll(); err != nil {
-		t.Fatal(err)
-	}
-	got, m, err = runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != f.eng.FleetSize() || m.CollectErrors != 0 {
-		t.Errorf("after re-enrollment: rows=%d errors=%d", len(got.Rows), m.CollectErrors)
-	}
+// strandFleet advances the key epoch with no device told: the state a
+// rotation whose trust bundle reached nobody leaves.
+func strandFleet(e *Engine) {
+	e.life.Lock()
+	defer e.life.Unlock()
+	e.rotateKeysLocked()
 }
+
+// TestKeyRotationLocksOutStaleFleet: an eager fleet left on the old
+// epoch serves no epoch-1 query until a rotation reaches it.
+func TestKeyRotationLocksOutStaleFleet(t *testing.T) { checkStrandedFleetHeals(t, false) }
 
 func TestStaleQuerierAgainstRotatedFleet(t *testing.T) {
 	f := newFixture(t, 8, nil)
 	stale := f.q // built with epoch-0 K1
-	f.eng.RotateKeys()
-	if err := f.eng.ReenrollAll(); err != nil {
+	if err := f.eng.RevokeAndRotate(); err != nil {
 		t.Fatal(err)
 	}
 	got, m, err := runQuery(f.eng, stale, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
@@ -67,6 +49,40 @@ func TestStaleQuerierAgainstRotatedFleet(t *testing.T) {
 	}
 	if m.CollectErrors != f.eng.FleetSize() {
 		t.Errorf("CollectErrors = %d", m.CollectErrors)
+	}
+}
+
+// TestRotationAfterFleetGrowth: the broadcast tree is sized at the first
+// rotation; a rotation after the fleet has outgrown it must rebuild the
+// tree, keep the earlier revocation, and leave no rotation half-applied.
+func TestRotationAfterFleetGrowth(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		f := newFixture(t, 8, func(c *Config) { c.PackedFleet = packed })
+		if err := f.eng.RevokeAndRotate("tds-00001"); err != nil {
+			t.Fatal(err)
+		}
+		err := f.eng.ProvisionFleet(4, func(i int) *storage.LocalDB { return householdDB(f.eng.Schema(), 8+i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.eng.RevokeAndRotate("tds-00009"); err != nil {
+			t.Errorf("packed=%v: rotation after growth: %v", packed, err)
+		}
+		if f.eng.rotationInProgress() {
+			t.Fatalf("packed=%v: the rotation was left half-applied", packed)
+		}
+		fresh := newQuerierForEngine(t, f.eng, "fresh")
+		got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != 10 || m.CollectErrors != 2 {
+			t.Errorf("packed=%v: rows=%d errors=%d, want the 10 survivors and the 2 revoked",
+				packed, len(got.Rows), m.CollectErrors)
+		}
+		if got := f.eng.RevokedDevices(); !reflect.DeepEqual(got, []string{"tds-00001", "tds-00009"}) {
+			t.Errorf("packed=%v: revoked = %v", packed, got)
+		}
 	}
 }
 

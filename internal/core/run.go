@@ -435,24 +435,19 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 
 	if len(out) == 0 && forceEmpty {
 		// Global aggregate over an empty covering result still returns one
-		// row (COUNT = 0, others NULL); one live TDS synthesizes it.
-		// A fully stale fleet falls back to any live device (the second
-		// pass), as the phase draws do — the synthesis fails per-device
-		// rather than aborting the engine.
+		// row (COUNT = 0, others NULL); one live TDS holding the posted
+		// epoch's keys synthesizes it.
 		var w *tds.TDS
-		order := rng.Perm(len(e.fleet))
-		for pass := 0; pass < 2 && w == nil; pass++ {
-			for _, idx := range order {
-				if !e.isRevoked(e.deviceID(idx)) && (pass == 1 || e.slotServes(idx, post.Epoch)) {
-					if w, err = e.runDevice(rs, idx); err != nil {
-						return nil, err
-					}
-					break
+		for _, idx := range rng.Perm(len(e.fleet)) {
+			if !e.isRevoked(e.deviceID(idx)) && e.slotServes(idx, post.Epoch) {
+				if w, err = e.runDevice(rs, idx); err != nil {
+					return nil, err
 				}
+				break
 			}
 		}
 		if w == nil {
-			return nil, fmt.Errorf("%w: every device is revoked", ErrNoEligibleTDS)
+			return nil, fmt.Errorf("%w: no unrevoked device holds the query's epoch keys", ErrNoEligibleTDS)
 		}
 		synth, err := w.FinalizeGroups(post, nil, true)
 		if err != nil {

@@ -155,8 +155,9 @@ func (s *SSIScript) Scripts(b SSIMisbehavior) bool {
 	return false
 }
 
-// RotationScript schedules a live key rotation at a deterministic point
-// inside one query's collection phase. The trigger counts committed
+// RotationScript schedules the engine's one key-change mechanism, the
+// broadcast rotation, at a deterministic point inside one query's
+// collection phase. The trigger counts committed
 // connections — never wall time or goroutine scheduling — so the rotation
 // fires at the same logical instant for every CollectWorkers setting and
 // the run stays bit-identical across worker counts. The zero value of
@@ -180,11 +181,9 @@ type RotationScript struct {
 	// DropBundle scripts the SSI losing the trust bundle: no device in
 	// any wave migrates, the whole fleet stays on the old epoch, and
 	// only the grace window (which admits it) keeps collection going.
+	// An SSI replaying an older, validly signed bundle has the same
+	// effect: every device rejects it on the version counter.
 	DropBundle bool
-	// ReplayStale scripts the SSI replaying the previous distribution's
-	// (perfectly signed) bundle instead of the new one; devices reject
-	// it on the version counter and stay unmigrated, as with DropBundle.
-	ReplayStale bool
 	// TornRollout leaves the rollout unfinished: the wave schedule stops
 	// advancing before the last wave, so the query ends with the fleet
 	// split across two epochs and the grace window still open.

@@ -102,7 +102,7 @@ func (a *KeyAuthority) RingAt(epoch uint64) KeyRing {
 }
 
 // Rotate advances the key epoch; the paper notes keys may change over time.
-// Devices that re-enroll receive the new ring.
+// Devices receive the new ring through the rotation's broadcast.
 func (a *KeyAuthority) Rotate() { a.epoch++ }
 
 // Epoch returns the current key epoch.
