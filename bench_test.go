@@ -10,7 +10,6 @@
 package tcq
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -22,11 +21,9 @@ import (
 	"github.com/trustedcells/tcq/internal/costmodel"
 	"github.com/trustedcells/tcq/internal/exposure"
 	"github.com/trustedcells/tcq/internal/figures"
-	"github.com/trustedcells/tcq/internal/flashstore"
 	"github.com/trustedcells/tcq/internal/netsim"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
-	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 	"github.com/trustedcells/tcq/internal/workload"
 )
@@ -365,60 +362,6 @@ func BenchmarkEndToEndAudited(b *testing.B) {
 		detections = resp.Metrics.AuditDetections
 	}
 	b.ReportMetric(float64(detections), "detections")
-}
-
-// BenchmarkEnrollment measures the ECDH key-provisioning handshake of the
-// open-context deployment (footnote 7).
-func BenchmarkEnrollment(b *testing.B) {
-	ring := tdscrypto.NewKeyAuthority(tdscrypto.DeriveKey(tdscrypto.Key{}, "m")).Ring()
-	auth, err := tdscrypto.NewEnrollmentAuthority(ring)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev, err := tdscrypto.NewDeviceEnrollment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		wrapped, err := auth.WrapRing(dev.PublicKey())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dev.UnwrapRing(auth.PublicKey(), wrapped); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFlashstoreAppendReplay measures the protected mass storage area
-// of Fig. 1: sealing one 100-record block to flash and verifying it back.
-func BenchmarkFlashstoreAppendReplay(b *testing.B) {
-	key := tdscrypto.DeriveKey(tdscrypto.Key{}, "flash-bench")
-	records := make([]flashstore.Record, 100)
-	for i := range records {
-		records[i] = flashstore.Record{Table: "Power", Row: storage.Row{
-			storage.Int(int64(i)), storage.Float(float64(i))}}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var flash bytes.Buffer
-		st, err := flashstore.New(key, &flash)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Append(records); err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		if _, err := flashstore.Replay(key, bytes.NewReader(flash.Bytes()),
-			func(flashstore.Record) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != 100 {
-			b.Fatal("lost records")
-		}
-	}
 }
 
 // BenchmarkBroadcastRevocation measures key distribution to a 1024-device

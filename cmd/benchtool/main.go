@@ -4,6 +4,8 @@
 //
 // Usage:
 //
+//	benchtool -fig 7         # Fig 7 IC-table exposure of the Accounts example
+//	benchtool -fig 8         # Fig 8 exposure among protocols (Zipf, G=500, n=100000, -seed)
 //	benchtool -fig 8h        # Fig 8 exposure sweep over h (8nf: over nf)
 //	benchtool -fig 9b        # unit-test partition breakdown
 //	benchtool -fig 10a       # one Fig 10 panel (a-j)
@@ -38,11 +40,11 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 8h, 8nf, 9b, 10, 10a..10j, 11, phases, validate, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 7, 8, 8h, 8nf, 9b, 10, 10a..10j, 11, phases, validate, all")
 	replicas := flag.Int("audit", 1, "phases: audit replication factor")
 	fleet := flag.Int("fleet", 150, "validate: live fleet size")
 	groups := flag.Int("groups", 10, "validate: number of districts (G)")
-	seed := flag.Int64("seed", 7, "validate: RNG seed")
+	seed := flag.Int64("seed", 7, "8, 8h, 8nf, validate: RNG seed")
 	flag.Parse()
 	if err := run(*fig, *replicas, *fleet, *groups, *seed, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtool:", err)
@@ -54,6 +56,19 @@ func main() {
 // "all") to out.
 func run(fig string, replicas, fleet, groups int, seed int64, out io.Writer) error {
 	switch {
+	case fig == "7":
+		fmt.Fprintln(out, "Fig 7 — IC-table exposure of the Accounts example (after [12])")
+		for _, r := range figures.Fig7() {
+			fmt.Fprintf(out, "  %-10s Ԑ = %.6f   %s\n", r.Scheme, r.Epsilon, r.Note)
+		}
+	case fig == "8":
+		// The EXPERIMENTS.md operating point.
+		const groups, tuples = 500, 100000
+		fmt.Fprintf(out, "Fig 8 — information exposure among protocols (Zipf, G=%d, n=%d)\n", groups, tuples)
+		for _, r := range figures.Fig8(groups, tuples, seed) {
+			fmt.Fprintf(out, "  %-20s Ԑ = %.6f\n", r.Protocol, r.Epsilon)
+		}
+		fmt.Fprintln(out, "  (worst — most exposed — first; S_Agg/C_Noise sit at the Π 1/N_j floor)")
 	case fig == "8h":
 		fmt.Fprint(out, figures.Fig8HSweep(200, 40000, seed).Render())
 	case fig == "8nf":
@@ -82,7 +97,7 @@ func run(fig string, replicas, fleet, groups int, seed int64, out io.Writer) err
 	case fig == "11":
 		print11(out)
 	default:
-		return fmt.Errorf("unknown figure %q (want 8h, 8nf, 9b, 10, 10a..10j, 11, phases, validate, all)", fig)
+		return fmt.Errorf("unknown figure %q (want 7, 8, 8h, 8nf, 9b, 10, 10a..10j, 11, phases, validate, all)", fig)
 	}
 	return nil
 }

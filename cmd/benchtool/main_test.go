@@ -5,6 +5,38 @@ import (
 	"testing"
 )
 
+// TestRun pins the Fig 7 and Fig 8 exposure values that EXPERIMENTS.md
+// quotes, byte for byte.
+func TestRun(t *testing.T) {
+	for _, tc := range []struct{ name, fig, want string }{
+		{"fig7", "7", `Fig 7 — IC-table exposure of the Accounts example (after [12])
+  Plaintext  Ԑ = 1.000000   every association certain
+  Det_Enc    Ԑ = 0.533333   <Alice,200> inferred with certainty
+  nDet_Enc   Ԑ = 0.083333   uniform guessing: Π 1/N_j
+`},
+		{"fig8", "8", `Fig 8 — information exposure among protocols (Zipf, G=500, n=100000)
+  Cleartext            Ԑ = 1.000000
+  Det_Enc (R0_Noise)   Ԑ = 0.916440
+  R2_Noise             Ԑ = 0.787504
+  ED_Hist (h=5)        Ԑ = 0.695274
+  R1000_Noise          Ԑ = 0.550950
+  C_Noise              Ԑ = 0.002000
+  S_Agg                Ԑ = 0.002000
+  (worst — most exposed — first; S_Agg/C_Noise sit at the Π 1/N_j floor)
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b strings.Builder
+			if err := run(tc.fig, 1, 0, 0, 7, &b); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != tc.want {
+				t.Errorf("-fig %s:\n%s\nwant:\n%s", tc.fig, b.String(), tc.want)
+			}
+		})
+	}
+}
+
 func TestRunAllFigures(t *testing.T) {
 	var b strings.Builder
 	if err := run("all", 1, 0, 0, 0, &b); err != nil {
@@ -38,6 +70,19 @@ func TestRunUnknownFigure(t *testing.T) {
 	}
 	if err := run("10z", 1, 0, 0, 0, &b); err == nil {
 		t.Error("unknown panel accepted")
+	}
+}
+
+// TestRunRejectsBadInput covers the inputs the retired exposure command
+// refused: figure 9 has no exposure panel, and a validate run over an
+// empty fleet has nothing to measure.
+func TestRunRejectsBadInput(t *testing.T) {
+	var b strings.Builder
+	if err := run("9", 1, 0, 0, 0, &b); err == nil {
+		t.Error("unknown figure accepted")
+	}
+	if err := run("validate", 1, 0, 5, 3, &b); err == nil {
+		t.Error("degenerate parameters accepted")
 	}
 }
 

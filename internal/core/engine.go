@@ -39,7 +39,8 @@ type Config struct {
 	Calibration netsim.Calibration
 	// AvailableFraction is the share of the fleet connected during the
 	// aggregation and filtering phases (the paper sweeps 1%, 10%, 100%).
-	// 0 selects the paper's default of 10%.
+	// 0 selects the paper's default of 10%; NewEngine refuses values
+	// outside [0, 1].
 	AvailableFraction float64
 	// ConnectionInterval is the simulated time between two successive TDS
 	// connections in the collection phase. With seldom-connected devices
@@ -158,7 +159,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Calibration == (netsim.Calibration{}) {
 		cfg.Calibration = netsim.DefaultCalibration()
 	}
-	if cfg.AvailableFraction <= 0 || cfg.AvailableFraction > 1 {
+	if cfg.AvailableFraction < 0 || cfg.AvailableFraction > 1 {
+		return nil, fmt.Errorf("core: Config.AvailableFraction %v outside [0, 1]", cfg.AvailableFraction)
+	}
+	if cfg.AvailableFraction == 0 {
 		cfg.AvailableFraction = 0.10
 	}
 	auth := accessctl.NewAuthority(cfg.AuthorityKey)

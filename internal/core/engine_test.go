@@ -12,6 +12,7 @@ import (
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/sqlexec"
 	"github.com/trustedcells/tcq/internal/sqlparse"
+	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
@@ -437,6 +438,45 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, _, err := runQuery(eng, q, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{}); err == nil {
 		t.Error("empty fleet accepted")
+	}
+}
+
+// TestAvailableFractionRange: a fraction outside [0, 1] is refused, not
+// silently run at the 10% default; 0 still selects that default.
+func TestAvailableFractionRange(t *testing.T) {
+	for _, tc := range []struct {
+		in, want float64 // want < 0: NewEngine must refuse
+	}{{-0.1, -1}, {0, 0.10}, {0.5, 0.5}, {1, 1}, {1.5, -1}} {
+		eng, err := NewEngine(Config{Schema: meterSchema(),
+			Policy: &accessctl.Policy{Rules: []accessctl.Rule{{Role: "r"}}}, AvailableFraction: tc.in})
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("AvailableFraction %v accepted (runs at %v)", tc.in, eng.cfg.AvailableFraction)
+		case tc.want >= 0 && err != nil:
+			t.Errorf("AvailableFraction %v: %v", tc.in, err)
+		case tc.want >= 0 && eng.cfg.AvailableFraction != tc.want:
+			t.Errorf("AvailableFraction %v runs at %v, want %v", tc.in, eng.cfg.AvailableFraction, tc.want)
+		}
+	}
+}
+
+// TestNegativeNfRejected: Execute refuses n_f < 0 before posting, instead
+// of running a query whose conformance model multiplies by n_f + 1 = 0.
+func TestNegativeNfRejected(t *testing.T) {
+	svc := &postingSSI{SSI: ssi.NewSharded(0)}
+	f := newFixture(t, 10, func(c *Config) { c.SSI = svc })
+	for _, tc := range []struct {
+		nf int
+		ok bool
+	}{{-1, false}, {0, true}, {2, true}} {
+		before := svc.posted.Load()
+		_, _, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindRnfNoise, protocol.Params{Nf: tc.nf})
+		if (err == nil) != tc.ok {
+			t.Errorf("Nf %d: err = %v, want ok=%v", tc.nf, err, tc.ok)
+		}
+		if posted := svc.posted.Load() - before; !tc.ok && posted != 0 {
+			t.Errorf("Nf %d: posted %d times, want 0", tc.nf, posted)
+		}
 	}
 }
 

@@ -105,6 +105,9 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
 	if req.SQL == "" {
 		return nil, fmt.Errorf("core: Request.SQL is required")
 	}
+	if req.Params.Nf < 0 {
+		return nil, fmt.Errorf("core: Request.Params.Nf %d is negative", req.Params.Nf)
+	}
 	return e.run(ctx, req)
 }
 

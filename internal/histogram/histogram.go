@@ -14,7 +14,6 @@
 package histogram
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -150,75 +149,4 @@ func (h *Histogram) Skew() float64 {
 		}
 	}
 	return float64(max) / ideal
-}
-
-// Encode serializes the histogram for distribution to the fleet.
-func (h *Histogram) Encode() []byte {
-	var dst []byte
-	dst = binary.AppendUvarint(dst, uint64(len(h.buckets)))
-	for _, b := range h.buckets {
-		dst = appendString(dst, b.ID)
-		dst = binary.AppendVarint(dst, b.Depth)
-		dst = binary.AppendUvarint(dst, uint64(len(b.Keys)))
-		for _, k := range b.Keys {
-			dst = appendString(dst, k)
-		}
-	}
-	return dst
-}
-
-// Decode reconstructs a histogram serialized by Encode.
-func Decode(b []byte) (*Histogram, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 || n == 0 || n > uint64(len(b)) {
-		return nil, fmt.Errorf("histogram: bad header")
-	}
-	h := &Histogram{buckets: make([]Bucket, n), byKey: make(map[string]int)}
-	off := used
-	for i := uint64(0); i < n; i++ {
-		id, c, err := decodeString(b[off:])
-		if err != nil {
-			return nil, fmt.Errorf("histogram: bucket %d id: %w", i, err)
-		}
-		off += c
-		depth, c2 := binary.Varint(b[off:])
-		if c2 <= 0 {
-			return nil, fmt.Errorf("histogram: bucket %d depth", i)
-		}
-		off += c2
-		nk, c3 := binary.Uvarint(b[off:])
-		if c3 <= 0 || nk > uint64(len(b)) {
-			return nil, fmt.Errorf("histogram: bucket %d key count", i)
-		}
-		off += c3
-		bk := Bucket{ID: id, Depth: depth}
-		for j := uint64(0); j < nk; j++ {
-			k, c4, err := decodeString(b[off:])
-			if err != nil {
-				return nil, fmt.Errorf("histogram: bucket %d key %d: %w", i, j, err)
-			}
-			off += c4
-			bk.Keys = append(bk.Keys, k)
-			h.byKey[k] = int(i)
-		}
-		h.buckets[i] = bk
-		h.total += depth
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("histogram: %d trailing bytes", len(b)-off)
-	}
-	return h, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func decodeString(b []byte) (string, int, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", 0, fmt.Errorf("short string")
-	}
-	return string(b[n : n+int(l)]), n + int(l), nil
 }

@@ -153,43 +153,6 @@ func TestUnknownValueFallback(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	dist := zipfDist(60, 5000, 4)
-	h := MustBuild(dist, 6)
-	dec, err := Decode(h.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NumBuckets() != h.NumBuckets() || dec.Total() != h.Total() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
-			dec.NumBuckets(), dec.Total(), h.NumBuckets(), h.Total())
-	}
-	for k := range dist {
-		a, aok := h.BucketOf(k)
-		b, bok := dec.BucketOf(k)
-		if a != b || aok != bok {
-			t.Errorf("value %q maps to %q/%v after decode, was %q/%v", k, b, bok, a, aok)
-		}
-	}
-}
-
-func TestDecodeCorruption(t *testing.T) {
-	h := MustBuild(uniformDist(10, 5), 3)
-	enc := h.Encode()
-	if _, err := Decode(enc[:len(enc)-2]); err == nil {
-		t.Error("truncation accepted")
-	}
-	if _, err := Decode(append(enc, 9)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if _, err := Decode([]byte{0}); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 // Property: every bucket depth is within one heaviest-value of the ideal
 // depth (the LPT bound), for random distributions.
 func TestLPTBoundQuick(t *testing.T) {

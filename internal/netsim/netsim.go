@@ -53,37 +53,6 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// Device profiles. The paper's TDSs span "secure smart phones, set-top
-// boxes, plug computers or secure portable tokens"; client-side secure
-// hardware is always low power, but the classes differ in link and clock.
-// The unit-test board (DefaultCalibration) is the secure-token class.
-
-// SecureTokenProfile is the tamper-resistant smart token of the unit test:
-// USB full speed, 120 MHz microcontroller. The paper's low end.
-func SecureTokenProfile() Calibration { return DefaultCalibration() }
-
-// SmartMeterProfile models a Linky-class meter: permanently attached to a
-// power-line-communication uplink (slower than USB) but with the same
-// secure microcontroller class.
-func SmartMeterProfile() Calibration {
-	c := DefaultCalibration()
-	c.TransferBitsPerSec = 1e6 // PLC-class uplink
-	return c
-}
-
-// SetTopBoxProfile models a set-top box or plug computer: broadband
-// uplink and a faster applications processor with a TrustZone TEE.
-func SetTopBoxProfile() Calibration {
-	return Calibration{
-		CPUHz:              1e9,
-		AESCyclesPerBlock:  40, // ARMv8 crypto extensions
-		CPUCyclesPerByte:   10,
-		TransferBitsPerSec: 50e6,
-		TupleSize:          16,
-		PartitionSize:      16384,
-	}
-}
-
 // TransferTime is the link time to move n bytes in either direction.
 func (c Calibration) TransferTime(n int) time.Duration {
 	if n <= 0 {

@@ -137,37 +137,6 @@ func TestMakespanProperties(t *testing.T) {
 	}
 }
 
-func TestDeviceProfiles(t *testing.T) {
-	token := SecureTokenProfile()
-	meter := SmartMeterProfile()
-	stb := SetTopBoxProfile()
-	if token != DefaultCalibration() {
-		t.Error("token profile must equal the unit-test board")
-	}
-	// The meter's PLC uplink is slower than the token's USB.
-	if meter.TransferTime(4096) <= token.TransferTime(4096) {
-		t.Error("PLC must be slower than USB full speed")
-	}
-	// The set-top box beats the token on every cost component.
-	if stb.TransferTime(4096) >= token.TransferTime(4096) {
-		t.Error("broadband must beat USB full speed")
-	}
-	if stb.CryptoTime(4096) >= token.CryptoTime(4096) {
-		t.Error("ARMv8 crypto must beat the co-processor")
-	}
-	if stb.CPUTime(4096) >= token.CPUTime(4096) {
-		t.Error("GHz-class CPU must beat 120 MHz")
-	}
-	// Transfer still dominates on every class (the Fig. 9b conclusion
-	// generalizes across profiles).
-	for _, c := range []Calibration{token, meter, stb} {
-		b := c.PartitionBreakdown(c.PartitionSize, 64)
-		if b.Transfer <= b.Decrypt+b.CPU+b.Encrypt {
-			t.Errorf("transfer no longer dominates: %v", b)
-		}
-	}
-}
-
 func TestMakespanDoesNotMutateInput(t *testing.T) {
 	tasks := []time.Duration{1, 5, 3}
 	Makespan(tasks, 2)

@@ -274,15 +274,6 @@ func CommitTuples(leaf *tdscrypto.FoldStream, tuples []WireTuple) {
 	}
 }
 
-// Size returns the bytes the deposit's tuples occupy.
-func (d *Deposit) Size() int {
-	n := 0
-	for _, w := range d.Tuples {
-		n += w.Size()
-	}
-	return n
-}
-
 // EncodePayload prepends the marker to a body.
 func EncodePayload(m MarkerByte, body []byte) []byte {
 	out := make([]byte, 0, 1+len(body))

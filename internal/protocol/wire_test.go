@@ -201,6 +201,24 @@ func TestDepositChecksumFramesLengths(t *testing.T) {
 	}
 }
 
+// fuzzCommitter is the fixed k2 committer of the sealed-deposit fixture.
+func fuzzCommitter() *tdscrypto.Committer {
+	return tdscrypto.NewCommitter(tdscrypto.DeriveKey(tdscrypto.Key{}, "fuzz-k2"))
+}
+
+// sealedDeposit builds a genuine committed envelope whose fields span
+// empty, sub-word, padded-tail and whole-word lengths.
+func sealedDeposit(c *tdscrypto.Committer) *Deposit {
+	tuples := []WireTuple{
+		{Tag: []byte("tag-a"), Ciphertext: []byte("ciphertext-one"), Digest: []byte("0123456789abcdef")},
+		{Ciphertext: []byte("ct2")},
+		{Tag: []byte{0}, Ciphertext: []byte{0xff, 0x00, 0x7f}},
+	}
+	d := NewDeposit("q-000042", "tds-00007", 3, 2, tuples)
+	d.Commit = DepositCommitment(c, d.QueryID, d.DeviceID, d.Attempt, d.Epoch, d.Tuples)
+	return d
+}
+
 // TestChecksumGoldenVectors pins the word-wise sum (vectors computed by an
 // independent implementation): a device and the SSI that admits its
 // deposit must agree on it, byte order and tail padding included.
@@ -304,16 +322,6 @@ func TestDepositSlabCarriesTheSealedSum(t *testing.T) {
 		slab.New("q", "tds-2", 1, 2, tuples, 0)
 	}); n != 0 {
 		t.Errorf("a wave inside the slab allocates %v times", n)
-	}
-}
-
-func TestDepositSize(t *testing.T) {
-	d := NewDeposit("q", "", 0, 0, []WireTuple{
-		{Tag: []byte("ab"), Ciphertext: make([]byte, 10), Digest: []byte("xyz")},
-		{Ciphertext: make([]byte, 5)},
-	})
-	if got := d.Size(); got != 20 {
-		t.Fatalf("Size = %d, want 20", got)
 	}
 }
 

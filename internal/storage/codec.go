@@ -178,37 +178,3 @@ func (d *RowDecoder) Decode(b []byte) (Row, int, error) {
 	}
 	return d.row, off, nil
 }
-
-// EncodeRows encodes a batch of rows.
-func EncodeRows(rows []Row) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(rows)))
-	for _, r := range rows {
-		out = AppendRow(out, r)
-	}
-	return out
-}
-
-// DecodeRows decodes a batch of rows produced by EncodeRows.
-func DecodeRows(b []byte) ([]Row, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
-		return nil, fmt.Errorf("storage: bad batch header")
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("storage: implausible batch size %d", n)
-	}
-	rows := make([]Row, 0, n)
-	off := used
-	for i := uint64(0); i < n; i++ {
-		r, c, err := DecodeRow(b[off:])
-		if err != nil {
-			return nil, fmt.Errorf("storage: row %d: %w", i, err)
-		}
-		rows = append(rows, r)
-		off += c
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("storage: %d trailing bytes after batch", len(b)-off)
-	}
-	return rows, nil
-}
