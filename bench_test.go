@@ -443,9 +443,9 @@ func benchProvisionFleet(b *testing.B, packed bool) {
 func BenchmarkProvisionFleetPacked(b *testing.B) { benchProvisionFleet(b, true) }
 func BenchmarkProvisionFleetEager(b *testing.B)  { benchProvisionFleet(b, false) }
 
-// BenchmarkPackedCollection runs one full collection wave over a packed
+// BenchmarkPackedCollection runs one full collection walk over a packed
 // 20k-device fleet: devices materialize per connection, deposit through
-// the wave arena and slab, and are dropped again.
+// the worker arenas and the window slots, and are dropped again.
 func BenchmarkPackedCollection(b *testing.B) {
 	const fleet = 20_000
 	w := workload.DefaultSmartMeter(9)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
@@ -22,26 +24,22 @@ import (
 // how much of the fleet gets to answer. Personal-querybox posts are only
 // offered to their targets.
 //
-// There is one walk, whatever CollectWorkers says. It takes the pre-drawn
-// connection order a wave at a time. A wave is waveChunk devices per
-// worker — its width is not the worker count — cut down to what is left
-// of a SIZE tuple budget. The workers are the run's crew and share
-// the wave out among themselves; each runs its devices' own work — the
-// admission lookup, local execution, tuple encryption, the deposit MAC —
-// against a speculative clock: wave start plus the connection intervals
-// of the earlier members expected to spend a slot. The commit thread
-// (worker 0, which collects like the others) then settles the wave
-// strictly in connection order. What happens to a device is decided in
-// one place, resolve, at its commit point: dropped, refused because
-// revoked, stale, failed, or committed. A member whose speculative clock
-// turns out wrong — an earlier one failed, so simulated time advanced less
-// than predicted — re-bases the rest of the wave: it is speculated again
-// from the actual clock, now predicting that what failed fails again.
-// Collect is deterministic given (device, post, clock), its RNG stream
-// being a function of (Seed, device ID, query ID), so whatever is redone
-// yields exactly what a one-device-at-a-time engine would have produced:
-// metrics, observations, ledger, trace and decrypted results are
-// bit-identical for every CollectWorkers setting.
+// There is one walk, whatever CollectWorkers says. It streams the
+// pre-drawn connection order through a window of result slots, waveChunk
+// per worker. The run's crew claims positions in connection order, no
+// further ahead than the settled front plus the window (or a SIZE tuple
+// budget), and runs each device's own work in its slot — the admission
+// lookup, local execution, tuple encryption, the deposit MAC — against a
+// predicted clock: the last settlement plus the intervals of the devices
+// claimed since. The commit thread (worker 0, which claims like the
+// others) settles the front strictly in connection order. What happens to
+// a device is decided in one place, resolve, at its commit point:
+// dropped, refused because revoked, stale, failed, or committed. A slot
+// collected against a clock that turns out wrong — an earlier device
+// failed and spent no slot — is redone there. Collect is deterministic
+// given (device, post, clock), its RNG stream being a function of (Seed,
+// device ID, query ID), so metrics, observations, ledger, trace and
+// decrypted results are bit-identical for every CollectWorkers setting.
 //
 // Fault plans ride the same machinery: a Behavior depends only on
 // (fault seed, device ID, query ID). Offline devices are filtered out
@@ -49,12 +47,11 @@ import (
 // (the device did connect) and advance the clock by the device's interval,
 // while a collect error is booked as never having connected at all.
 
-// waveChunk is how many devices a wave holds per worker. A wave's results
-// stay live until it settles, so its width is what the phase adds to the
-// heap; the hand-off and barrier each wave costs is what a wider one
-// saves. On the benchmark's 2-core box 64 takes 13 % more off the
-// 2000-device query than 16 does, and adds 35 % to the peak heap of the
-// 300-tuples-per-device one.
+// waveChunk is how many result slots the window holds per worker. Slots
+// stay live until they settle, so the window is what the phase adds to the
+// heap. On the benchmark's 2-core box waves of 64 per worker took 13 % more
+// off the 2000-device query than 16, and added 35 % to the peak heap of
+// the 300-tuples-per-device one.
 const waveChunk = 16
 
 // collectWorkers resolves Config.CollectWorkers: 0 means GOMAXPROCS,
@@ -80,7 +77,7 @@ func (e *Engine) collectOne(c *collector, t *tds.TDS, post *protocol.QueryPost,
 
 // collectDevice is one eligible, non-offline device with its scripted
 // behavior for this query. In a packed fleet t stays nil: the device is
-// materialized into its wave slot and dropped with it, so the walk never
+// materialized into its window slot and dropped with it, so the walk never
 // accumulates devices. Everything decided before that instant — slot
 // order, fault behavior, trace identity — needs only the ID.
 type collectDevice struct {
@@ -118,12 +115,11 @@ const (
 	fateCommit
 )
 
-// collectResult is one wave slot: what a worker's speculative collection
-// step left there, and what the commit thread resolved it to.
+// collectResult is one window slot: what a worker's collection step at a
+// predicted clock left there, and what the commit thread resolved it to.
 type collectResult struct {
 	t       *tds.TDS  // the device that answered (a packed slot, materialized)
-	specNow time.Time // the clock the slot was speculated against
-	skip    bool      // expected to deposit nothing: no Collect was launched
+	specNow time.Time // the clock the slot was collected against
 	ran     bool      // tuples, stats and err are Collect's outcome at specNow
 	tuples  []protocol.WireTuple
 	stats   tds.CollectStats
@@ -132,6 +128,7 @@ type collectResult struct {
 	commit  []byte // the device's deposit MAC over tuples; nil until computed
 	epoch   int    // the wire epoch commit binds
 	fate    fate
+	dep     protocol.Deposit // the envelope, which the SSI does not keep
 }
 
 // collectionPhase drives the collection phase of one query and settles the
@@ -170,19 +167,21 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 		devices = append(devices, d)
 	}
 
+	n := int64(len(devices)) // how many can deposit, each deposit holding a tuple or more
+	if limit := post.Size.MaxTuples; limit > 0 {
+		n = min(n, limit)
+	}
 	if r := e.cfg.TraceSampleRate; r > 0 && r < 1 {
 		rs.roll = &collectRollup{}
+	} else {
+		e.obs.tracer.Reserve(post.ID, int(n)) // about one event each
 	}
-	if rs.verify { // one record per deposit of at least one tuple
-		n := int64(len(devices))
-		if limit := post.Size.MaxTuples; limit > 0 {
-			n = min(n, limit)
-		}
+	if rs.verify {
 		rs.integ.records = make([]depositRecord, 0, n)
 	}
 
-	w := e.newCollectWalk(rs, cfgTpl, len(devices))
-	end, err := w.run(ctx, devices, start)
+	w := e.newCollectWalk(rs, cfgTpl, devices)
+	end, err := w.run(ctx, start)
 	if err == nil && len(rs.staleQ) > 0 {
 		// Devices a torn rollout caught on the wrong epoch get one retried
 		// connection each, after the walk, in their original order.
@@ -356,95 +355,157 @@ func (rs *runState) revokedAllowed() bool {
 }
 
 // collectWalk is the state of one query's collection walk: the workers'
-// collectors and the wave slots.
+// collectors, the window, and what claiming from it shares.
 type collectWalk struct {
-	e      *Engine
-	rs     *runState
-	cfgTpl tds.CollectConfig
-	// cols holds one collector per worker of the run's crew. cols[0] is the
-	// commit thread's: it serves worker 0's share of a wave, every
-	// commit-point redo and the stale retries, none of which overlap.
+	e       *Engine
+	rs      *runState
+	cfgTpl  tds.CollectConfig
+	devices []collectDevice // the connection order
+	// cols holds a collector per worker; cols[0], the commit thread's, also
+	// serves every commit-point redo and the stale retries.
 	cols []*collector
-	res  []collectResult
+	res  []collectResult // the window
+	done []atomic.Int64  // one past the last position collected in each slot
 	deps []*protocol.Deposit
+
+	mu      sync.Mutex
+	room    sync.Cond // helpers wait on it for the window to move
+	ready   sync.Cond // the commit thread waits on it for a claimed slot
+	next    int       // the next position to claim
+	horizon int       // positions below it may be claimed
+	spec    time.Time // the clock predicted for position next
+	stop    bool      // the walk has ended
 }
 
-// newCollectWalk readies a walk over n devices.
-func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, n int) *collectWalk {
-	workers := max(min(rs.crew.n, n), 1)
-	w := &collectWalk{e: e, rs: rs, cfgTpl: cfgTpl,
+// newCollectWalk readies a walk over the devices, in connection order.
+func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, devices []collectDevice) *collectWalk {
+	workers := max(min(rs.crew.n, len(devices)), 1)
+	window := max(min(workers*waveChunk, len(devices)), 1)
+	w := &collectWalk{e: e, rs: rs, cfgTpl: cfgTpl, devices: devices,
 		cols: make([]*collector, workers),
-		res:  make([]collectResult, min(workers*waveChunk, n)),
+		res:  make([]collectResult, window),
+		done: make([]atomic.Int64, window),
 	}
+	w.room.L, w.ready.L = &w.mu, &w.mu
 	for k := range w.cols {
 		w.cols[k] = newCollector()
 	}
 	return w
 }
 
-// width is how many devices the next wave takes: every worker's chunk,
-// capped by the tuples a SIZE clause still admits. Each deposit carries at
-// least one tuple, so devices beyond that budget could not all be reached
-// and collecting them would be wasted.
-func (w *collectWalk) width() int {
-	n := len(w.res)
-	if limit := w.rs.post.Size.MaxTuples; limit > 0 {
-		n = int(max(min(int64(n), limit-w.rs.metrics.Nt), 1))
-	}
-	return n
+// slot is position p's result slot.
+func (w *collectWalk) slot(p int) *collectResult { return &w.res[p%len(w.res)] }
+
+// finished reports whether position p has been collected.
+func (w *collectWalk) finished(p int) bool { return w.done[p%len(w.res)].Load() == int64(p+1) }
+
+// run walks the devices in connection order from the simulated instant
+// now and returns the instant the walk ended: the commit thread settles
+// while the crew's helpers collect ahead of it.
+func (w *collectWalk) run(ctx context.Context, now time.Time) (time.Time, error) {
+	w.spec = now
+	w.publish(0, 0)
+	var err error
+	w.rs.crew.all(len(w.cols), func(k int) {
+		if k == 0 {
+			now, err = w.commit(ctx, now)
+		}
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if k == 0 {
+			w.stop = true // the helpers leave at their next claim
+			w.room.Broadcast()
+		}
+		w.work(w.cols[k], &w.room, func() bool { return w.stop || w.next == len(w.devices) })
+	})
+	return now, err
 }
 
-// run walks the devices in connection order and returns the simulated
-// instant the walk ended.
-func (w *collectWalk) run(ctx context.Context, devices []collectDevice, now time.Time) (time.Time, error) {
+// commit is the commit thread: it settles the window's front in runs, in
+// connection order.
+func (w *collectWalk) commit(ctx context.Context, now time.Time) (time.Time, error) {
 	rs := w.rs
-	// With a zero interval and no scripted rotation nothing a commit does
-	// can change what the next device meets: the clock stands still (so
-	// the DURATION window cannot expire between two deposits) and no
-	// rotation fires at a commit point. The whole wave then settles under
-	// one SSI lock acquisition; otherwise it settles a device at a time.
-	batch := w.e.cfg.ConnectionInterval == 0 && rs.rotScript == nil
-	for base := 0; base < len(devices); {
+	// With a zero interval and no scripted rotation no commit can change
+	// what the next device meets: the clock stands still and no rotation
+	// fires. A run then settles under one SSI lock acquisition: half the
+	// window or more (all of it for a lone commit thread) and what is ready
+	// behind that. Otherwise a run is one device.
+	target, batch := 1, w.e.cfg.ConnectionInterval == 0 && rs.rotScript == nil
+	if batch {
+		target = max(len(w.res)/2, waveChunk)
+	}
+	for front := 0; front < len(w.devices); {
 		if rs.ssi.CollectionDone(rs.post.ID, now) {
 			break
 		}
 		if err := ctxErr(ctx); err != nil {
 			return now, err
 		}
-		wave := devices[base:min(base+w.width(), len(devices))]
-		base += len(wave)
-		res := w.res[:len(wave)]
-		for j := range res { // a slot keeps its tuple buffer: the settled wave's deposits were copied
-			res[j] = collectResult{tuples: res[j].tuples[:0]}
+		w.mu.Lock()
+		end := min(front+target, w.horizon)
+		for p := front; p < end; p++ {
+			w.work(w.cols[0], &w.ready, func() bool { return w.finished(p) })
 		}
-		for j := 0; j < len(wave); {
-			w.speculate(wave[j:], res[j:], now)
-			// Settle in connection order. A member whose speculative clock
-			// is not the actual one ends the pass: the rest of the wave is
-			// re-based, speculated again from here.
-			for j < len(wave) && res[j].specNow.Equal(now) {
-				end := len(wave)
-				if !batch {
-					if rs.ssi.CollectionDone(rs.post.ID, now) {
-						return now, nil
-					}
-					end = j + 1
-				}
-				for k := j; k < end; k++ {
-					var err error
-					if res[k].fate, err = w.resolve(wave[k], &res[k], now, 1); err != nil {
-						return now, err
-					}
-				}
-				step, done, err := w.settle(wave[j:end], res[j:end], now, 1)
-				if err != nil || done {
-					return now, err
-				}
-				now, j = now.Add(step), end
+		w.mu.Unlock()
+		for batch && end < len(w.devices) && w.finished(end) {
+			end++
+		}
+		var pred time.Duration
+		for p := front; p < end; p++ {
+			r := w.slot(p)
+			pred += w.devices[p].step(w.e.cfg.ConnectionInterval)
+			var err error
+			if r.fate, err = w.resolve(w.devices[p], r, now, 1); err != nil {
+				return now, err
 			}
 		}
+		step, done, err := w.settle(w.devices[front:end], front, now, 1)
+		if err != nil || done {
+			return now, err
+		}
+		now, front = now.Add(step), end
+		w.publish(front, step-pred)
 	}
 	return now, nil
+}
+
+// publish opens the window behind a settled front, no further than the
+// tuples a SIZE clause still admits could reach (a deposit carries one or
+// more), and corrects the clock predicted for later claims by drift.
+func (w *collectWalk) publish(front int, drift time.Duration) {
+	ahead := int64(len(w.res))
+	if limit := w.rs.post.Size.MaxTuples; limit > 0 {
+		ahead = max(min(ahead, limit-w.rs.metrics.Nt), 1)
+	}
+	w.mu.Lock()
+	w.horizon = min(front+int(ahead), len(w.devices))
+	w.spec = w.spec.Add(drift)
+	w.room.Broadcast()
+	w.mu.Unlock()
+}
+
+// work claims positions in order and collects them with c until enough,
+// waiting on wait while nothing below the horizon is left. A claimed slot
+// keeps only its tuple buffer and is stamped with its predicted clock
+// (every device is predicted to spend its slot). w.mu is held, but not
+// while collecting.
+func (w *collectWalk) work(c *collector, wait *sync.Cond, enough func() bool) {
+	for !enough() {
+		p := w.next
+		if w.stop || p >= w.horizon {
+			wait.Wait()
+			continue
+		}
+		r := w.slot(p)
+		*r = collectResult{specNow: w.spec, tuples: r.tuples[:0]}
+		w.next++
+		w.spec = w.spec.Add(w.devices[p].step(w.e.cfg.ConnectionInterval))
+		w.mu.Unlock()
+		w.collectSlot(c, p)
+		w.mu.Lock()
+		w.done[p%len(w.res)].Store(int64(p + 1))
+		w.ready.Signal()
+	}
 }
 
 // refused reports whether the SSI refuses the device's connection
@@ -454,30 +515,6 @@ func (w *collectWalk) refused(d collectDevice, attempt int) bool {
 	return w.e.isRevoked(d.id) && (attempt > 1 || !w.rs.revokedAllowed())
 }
 
-// speculate runs the collection step of every wave member expected to
-// deposit, across the workers, each member against its predicted clock.
-// A member is predicted to spend its connection slot unless it is refused
-// or its previous speculation in this wave failed.
-func (w *collectWalk) speculate(wave []collectDevice, res []collectResult, now time.Time) {
-	interval := w.e.cfg.ConnectionInterval
-	spec := now
-	for j, d := range wave {
-		failed := res[j].ran && res[j].err != nil
-		refused := !d.b.DropDeposit && w.refused(d, 1)
-		// Dropped deposits occupy their slot but never produce tuples.
-		res[j] = collectResult{specNow: spec, skip: d.b.DropDeposit || refused, tuples: res[j].tuples[:0]}
-		if !refused && !failed {
-			spec = spec.Add(d.step(interval))
-		}
-	}
-	w.rs.crew.each(len(wave), func(k, j int) error {
-		if !res[j].skip {
-			w.collectSlot(w.cols[k], wave[j], &res[j])
-		}
-		return nil
-	})
-}
-
 // seal computes what the device attaches to the tuples it uploads: the
 // transport checksum and its MAC.
 func (r *collectResult) seal(post *protocol.QueryPost, attempt int) {
@@ -485,10 +522,15 @@ func (r *collectResult) seal(post *protocol.QueryPost, attempt int) {
 	r.commit, r.epoch = r.t.CommitDeposit(post, attempt, r.tuples)
 }
 
-// collectSlot is a worker's whole job for one device: wake a packed slot,
+// collectSlot is a worker's whole job for position p: wake a packed slot,
 // collect, and seal the deposit — all of it the device's own work, none of
-// it the commit thread's.
-func (w *collectWalk) collectSlot(c *collector, d collectDevice, r *collectResult) {
+// it the commit thread's. A device expected to deposit nothing — it drops
+// its deposit, or the SSI refuses it — is not collected.
+func (w *collectWalk) collectSlot(c *collector, p int) {
+	d, r := w.devices[p], w.slot(p)
+	if d.b.DropDeposit || w.refused(d, 1) {
+		return
+	}
 	t := d.t
 	if t == nil {
 		var err error
@@ -520,7 +562,7 @@ func (w *collectWalk) collect(c *collector, r *collectResult, now time.Time) {
 // leaves a slot that resolves to fateCommit holding exactly what a
 // one-device-at-a-time walk would deposit: tuples collected at now by the
 // device in its commit-point state, sealed under the epoch it is on. The
-// speculative outcome is used when it is that; otherwise the step is
+// claimed step's outcome is used when it is that; otherwise the step is
 // redone here. It books nothing.
 func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, attempt int) (fate, error) {
 	e, rs := w.e, w.rs
@@ -536,8 +578,8 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	}
 	if r.t == nil || (rs.rotScript != nil && e.deviceAt(d.slot) == nil) {
 		// A packed slot nobody woke — or one a scripted rotation, which
-		// fires at commit points, may have migrated since its wave
-		// speculated: rebuild it in its commit-point state.
+		// fires at commit points, may have migrated since it was claimed:
+		// rebuild it in its commit-point state.
 		t, err := e.materializeDevice(d.slot)
 		if err != nil {
 			return 0, err
@@ -551,8 +593,8 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 		return fateStale, nil
 	}
 	if !r.ran || !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
-		// Never speculated, speculated against another clock, or failed
-		// in what may have been the device's pre-migration state.
+		// Never collected, collected against another clock, or failed in
+		// what may have been the device's pre-migration state.
 		w.collect(w.cols[0], r, now)
 	}
 	if r.err != nil {
@@ -568,7 +610,8 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	return fateCommit, nil
 }
 
-// settle books a run of resolved slots whose devices all connect at now:
+// settle books a run of resolved devices, whose slots start at position
+// first and which all connect at now:
 // the envelopes of those that deposit go through the SSI in one call, and
 // every outcome is booked in connection order — through the device whose
 // deposit hit the SIZE cap and no further, exactly the devices a
@@ -577,22 +620,21 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 // the same logical instant at any worker count. It returns the simulated
 // time the run's connection slots spent and whether the collection
 // completed.
-func (w *collectWalk) settle(run []collectDevice, res []collectResult, now time.Time,
+func (w *collectWalk) settle(run []collectDevice, first int, now time.Time,
 	attempt int) (time.Duration, bool, error) {
 	e, rs := w.e, w.rs
-	rs.slab.Grow(len(run))
 	deps := w.deps[:0]
 	for j, d := range run {
-		if r := &res[j]; r.fate == fateCommit {
+		if r := w.slot(first + j); r.fate == fateCommit {
 			// The envelope declares the epoch the device's MAC binds —
 			// during a rotation grace window that may be the previous
 			// epoch, which the SSI's grace policy admits.
-			dep := rs.slab.New(rs.post.ID, d.id, attempt, r.epoch, r.tuples, r.sum)
-			dep.Commit = r.commit
+			r.dep = protocol.Deposit{QueryID: rs.post.ID, DeviceID: d.id, Attempt: attempt,
+				Epoch: r.epoch, Tuples: r.tuples, Sum: r.sum, Commit: r.commit}
 			if d.b.CorruptDeposit {
-				dep.Sum ^= 0x1 // one flipped transport bit; the checksum catches it
+				r.dep.Sum ^= 0x1 // one flipped transport bit; the checksum catches it
 			}
-			deps = append(deps, dep)
+			deps = append(deps, &r.dep)
 		}
 	}
 	w.deps = deps
@@ -600,14 +642,13 @@ func (w *collectWalk) settle(run []collectDevice, res []collectResult, now time.
 	if err != nil {
 		return 0, false, err
 	}
-	interval := e.cfg.ConnectionInterval
 	var spent time.Duration
 	b := 0 // the next envelope to book
 	for j, d := range run {
 		if done && b > doneAt {
 			break // doneAt is -1 when the collection was complete before the run
 		}
-		switch r := &res[j]; r.fate {
+		switch r := w.slot(first + j); r.fate {
 		case fateDrop:
 			e.recordDropped(rs, d, now)
 		case fateStale:
@@ -627,7 +668,7 @@ func (w *collectWalk) settle(run []collectDevice, res []collectResult, now time.
 				return spent, done, err
 			}
 		}
-		spent += d.step(interval) // the device did connect
+		spent += d.step(w.e.cfg.ConnectionInterval) // the device did connect
 	}
 	return spent, done, nil
 }
@@ -672,7 +713,7 @@ func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time,
 			Kind: "deposit-retry", Phase: "collection", Device: queue[i].id,
 			Attempt: 2, Wait: billed, At: now,
 		})
-		step, done, err := w.settle(queue[i:i+1], w.res[:1], now, 2)
+		step, done, err := w.settle(queue[i:i+1], 0, now, 2)
 		if err != nil {
 			return now, err
 		}

@@ -77,7 +77,7 @@ type Config struct {
 	// TraceSampleRate bounds per-device trace volume at fleet scale: each
 	// device's collection events (deposit, offline fault, collect error)
 	// are traced only when a stable hash of its ID falls under the rate.
-	// Sampled-out activity is still folded into per-wave rollup spans
+	// Sampled-out activity is still folded into windowed rollup spans
 	// carrying counts and exact quantiles, and the recovery-ledger mirror
 	// is never sampled, so the trace stays deterministic and auditable at
 	// any rate. 0 (and anything >= 1) traces every device — the golden

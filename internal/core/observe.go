@@ -116,7 +116,6 @@ type runState struct {
 	devs map[int]*tds.TDS
 	// slab recycles deposit envelopes across collection waves instead of
 	// allocating one per device.
-	slab protocol.DepositSlab
 	// Live-rotation context. rotScript is the fault plan's scripted
 	// rotation (nil when none); commits counts committed deposit envelopes
 	// in connection order — the worker-count-independent trigger clock the
@@ -132,7 +131,7 @@ type runState struct {
 	rotStarted int
 	staleQ     []collectDevice
 	verifier   *tdscrypto.Committer
-	// roll accumulates the per-wave trace rollups when TraceSampleRate is
+	// roll accumulates the windowed trace rollups when TraceSampleRate is
 	// fractional; nil at the full-tracing default.
 	roll *collectRollup
 }

@@ -33,9 +33,9 @@ type phaseStats struct {
 
 // crew is a run's host parallelism: the run's goroutine and up to n-1
 // helpers, started when first needed and alive until stop, so a helper's
-// stack grows once per query. The collection waves, the verifier's leaf
-// MACs and the phases run on it, the run's goroutine making one call to
-// each at a time, so a call's state lives here.
+// stack grows once per query. The collection walk, the verifier's leaf
+// MACs and the phases run on it, the run's goroutine making one call at a
+// time, so a call's state lives here.
 type crew struct {
 	n, helpers int // Config.CollectWorkers resolved; helpers started so far
 	work       chan func()
@@ -56,7 +56,7 @@ func (c *crew) each(n int, f func(k, i int) error) error {
 	c.next.Store(0)
 	c.failed.Store(false)
 	c.first, c.err = n, nil
-	claim := func(k int) {
+	c.all(n, func(k int) {
 		for !c.failed.Load() {
 			i := int(c.next.Add(1)) - 1
 			if i >= n {
@@ -71,7 +71,13 @@ func (c *crew) each(n int, f func(k, i int) error) error {
 				c.mu.Unlock()
 			}
 		}
-	}
+	})
+	return c.err
+}
+
+// all runs f(k) once on each of min(n, crew size) workers at once — k = 0
+// on the caller — and returns when every one has.
+func (c *crew) all(n int, f func(k int)) {
 	helpers := min(c.n, n) - 1
 	for ; c.helpers < helpers; c.helpers++ {
 		if c.work == nil {
@@ -89,12 +95,11 @@ func (c *crew) each(n int, f func(k, i int) error) error {
 		c.busy.Add(1)
 		c.work <- func() {
 			defer c.busy.Done()
-			claim(k)
+			f(k)
 		}
 	}
-	claim(0)
+	f(0)
 	c.busy.Wait()
-	return c.err
 }
 
 // stop ends the helpers and waits for them to leave.

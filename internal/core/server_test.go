@@ -291,7 +291,7 @@ func TestServerFairness(t *testing.T) {
 	}
 }
 
-// heldSSI parks every collection wave until released, and signals when
+// heldSSI parks every collection run until released, and signals when
 // the first one arrives: a run is then inside its collection phase, its
 // query posted and its journal stream open.
 type heldSSI struct {

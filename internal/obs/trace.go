@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -161,6 +162,20 @@ func (t *Tracer) Event(id string, e Event) {
 	}
 	s := qt.stack[len(qt.stack)-1]
 	s.Events = append(s.Events, e)
+}
+
+// Reserve makes room for n more events in the innermost open span of query
+// id, so a phase that knows how many it is about to record grows it once.
+func (t *Tracer) Reserve(id string, n int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if qt := t.active[id]; qt != nil && len(qt.stack) > 0 {
+		s := qt.stack[len(qt.stack)-1]
+		s.Events = slices.Grow(s.Events, n)
+	}
 }
 
 // SSIEvent records an SSI-visible event. The CipherFacts-only signature

@@ -174,44 +174,6 @@ func NewDeposit(queryID, deviceID string, attempt, epoch int, tuples []WireTuple
 		Epoch: epoch, Tuples: tuples, Sum: Checksum(tuples)}
 }
 
-// DepositSlab recycles Deposit envelopes across collection waves: one
-// backing array serves a whole wave, so committing a 1,000-device wave
-// costs one slab ensure instead of 1,000 envelope allocations. Grow
-// reserves capacity up front and New never appends past it, so pointers
-// handed out during a wave stay valid for that wave. The receivers of a
-// deposit (SSI, adversary wrapper) consume the envelope synchronously and
-// never retain it, which is what makes reuse across waves safe.
-type DepositSlab struct {
-	buf []Deposit
-}
-
-// Grow readies the slab for a wave of up to n envelopes, reusing the
-// backing array when it is already large enough.
-func (s *DepositSlab) Grow(n int) {
-	if cap(s.buf) < n {
-		s.buf = make([]Deposit, 0, n)
-	}
-	s.buf = s.buf[:0]
-}
-
-// New assembles an envelope inside the slab around tuples already sealed
-// with sum, their Checksum — the depositing device computes it in its
-// collection worker, beside the MAC, and not here on the commit thread. If
-// the wave outgrows the reserved capacity the envelope falls back to its
-// own allocation rather than invalidating earlier pointers.
-func (s *DepositSlab) New(queryID, deviceID string, attempt, epoch int, tuples []WireTuple, sum uint64) *Deposit {
-	var d *Deposit
-	if len(s.buf) < cap(s.buf) {
-		s.buf = s.buf[:len(s.buf)+1]
-		d = &s.buf[len(s.buf)-1]
-	} else {
-		d = new(Deposit)
-	}
-	*d = Deposit{QueryID: queryID, DeviceID: deviceID, Attempt: attempt,
-		Epoch: epoch, Tuples: tuples, Sum: sum}
-	return d
-}
-
 // Checksum is the transport checksum of a deposit's tuples: an FNV-1a
 // style xor-multiply chain that takes each field eight bytes at a time
 // (little-endian words, the last one zero-padded), after the field's

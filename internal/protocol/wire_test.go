@@ -299,32 +299,6 @@ func TestChecksumFramesEmptyFields(t *testing.T) {
 	}
 }
 
-// TestDepositSlabCarriesTheSealedSum: the slab does not seal — it wraps
-// tuples in the sum their device computed, so a wrong sum stays wrong for
-// the SSI to catch — and outgrowing it leaves earlier envelopes intact.
-func TestDepositSlabCarriesTheSealedSum(t *testing.T) {
-	tuples := sealedDeposit(fuzzCommitter()).Tuples
-	var slab DepositSlab
-	slab.Grow(2)
-	a := slab.New("q", "tds-1", 1, 2, tuples, Checksum(tuples))
-	b := slab.New("q", "tds-2", 1, 2, tuples, Checksum(tuples)^1)
-	c := slab.New("q", "tds-3", 2, 2, nil, Checksum(nil)) // past the reserved two
-	if !a.IntegrityOK() || b.IntegrityOK() || !c.IntegrityOK() {
-		t.Errorf("IntegrityOK = %v, %v, %v; want true, false, true",
-			a.IntegrityOK(), b.IntegrityOK(), c.IntegrityOK())
-	}
-	if a.DeviceID != "tds-1" || b.DeviceID != "tds-2" || c.DeviceID != "tds-3" || c.Attempt != 2 {
-		t.Errorf("envelopes = %+v, %+v, %+v", a, b, c)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		slab.Grow(2)
-		slab.New("q", "tds-1", 1, 2, tuples, 0)
-		slab.New("q", "tds-2", 1, 2, tuples, 0)
-	}); n != 0 {
-		t.Errorf("a wave inside the slab allocates %v times", n)
-	}
-}
-
 // TestDepositCommitmentGoldenVectors pins the deposit leaf's bytes under a
 // fixed key (vectors generated before the leaf was streamed): devices seal
 // it, the verifier recomputes it, so its encoding never changes. The

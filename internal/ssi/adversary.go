@@ -104,7 +104,7 @@ func (a *Adversary) DepositEnvelope(id string, dep *protocol.Deposit, now time.T
 	return accepted, done, err
 }
 
-// DepositEnvelopeBatch is DepositEnvelope over a committed wave; strike
+// DepositEnvelopeBatch is DepositEnvelope over a committed run; strike
 // indices advance in batch order, matching the sequential pipeline.
 func (a *Adversary) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) ([]DepositOutcome, int, bool, error) {
 	fwd := make([]*protocol.Deposit, len(deps))

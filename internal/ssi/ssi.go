@@ -138,10 +138,10 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 // model. Keeping the engine on this interface is what makes the integrity
 // layer meaningful: the verifier must not care which one it is talking to.
 //
-// A deposit's tuple slice is the depositor's again once DepositEnvelope or
-// DepositEnvelopeBatch returns: an implementation copies the tuples it
+// A deposit's envelope and tuple slice are the depositor's again once
+// DepositEnvelope(Batch) returns: an implementation copies the tuples it
 // keeps (the bytes they point to are immutable and may be shared), so the
-// collection walk refills one buffer per wave slot.
+// collection walk refills one envelope and buffer per window slot.
 type Service interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)
@@ -199,7 +199,7 @@ type LedgerEntry struct {
 	At time.Time
 }
 
-// DepositOutcome is one envelope's fate inside a committed wave batch.
+// DepositOutcome is one envelope's fate inside a committed run.
 type DepositOutcome struct {
 	Accepted int
 	Err      error // nil, ErrStaleDeposit or ErrCorruptDeposit
@@ -337,20 +337,11 @@ func (s *SSI) PostQuery(post *protocol.QueryPost, now time.Time) error {
 // (ErrRevokedDeposit / ErrStaleDeposit / ErrCorruptDeposit) and nothing is
 // stored — the collection stays open.
 func (s *SSI) DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
-		return 0, false, fmt.Errorf("ssi: unknown query %q", id)
+	out, _, done, err := s.DepositEnvelopeBatch(id, []*protocol.Deposit{dep}, now)
+	if err != nil {
+		return 0, false, err
 	}
-	if st.Done {
-		return 0, true, nil
-	}
-	if err := s.policy.Load().admit(st, dep); err != nil {
-		return 0, st.Done, err
-	}
-	return s.depositLocked(st, dep.Tuples, now), st.Done, nil
+	return out[0].Accepted, done, out[0].Err
 }
 
 // admit runs the revocation, replay, epoch and integrity checks of one
@@ -391,8 +382,8 @@ func (p *admitPolicy) graceAdmits(depEpoch, postEpoch int) bool {
 	return in(depEpoch) && in(postEpoch)
 }
 
-// DepositEnvelopeBatch is DepositEnvelope over a whole committed wave,
-// under one lock acquisition. Envelopes are admitted in order; a rejected
+// DepositEnvelopeBatch is DepositEnvelope over a committed run of
+// envelopes, under one lock acquisition. Envelopes are admitted in order; a rejected
 // envelope gets its typed error in out[i].Err and the walk continues (a
 // bad deposit cannot complete a collection), while the walk stops at the
 // envelope whose deposit reaches the SIZE condition, exactly as the

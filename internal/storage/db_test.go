@@ -24,8 +24,13 @@ func powerSchema() *Schema {
 func TestSchemaLookupCaseInsensitive(t *testing.T) {
 	s := powerSchema()
 	for _, name := range []string{"power", "POWER", "Power"} {
-		if _, ok := s.Table(name); !ok {
-			t.Errorf("Table(%q) not found", name)
+		// A device resolves its plan's tables by name on every query.
+		if n := testing.AllocsPerRun(20, func() {
+			if _, ok := s.Table(name); !ok {
+				t.Fatalf("Table(%q) not found", name)
+			}
+		}); n != 0 {
+			t.Errorf("Table(%q) allocates %v times", name, n)
 		}
 	}
 	if _, ok := s.Table("nope"); ok {

@@ -69,9 +69,13 @@ func (s *Schema) AddTable(def TableDef) error {
 	return nil
 }
 
-// Table returns the definition of the named table (case-insensitive).
+// Table returns the definition of the named table (case-insensitive). An
+// ASCII name is folded without allocating.
 func (s *Schema) Table(name string) (*TableDef, bool) {
-	t, ok := s.tables[strings.ToLower(name)]
+	t, ok := s.tables[lower(name)]
+	if !ok { // a non-ASCII letter folds the Unicode way
+		t, ok = s.tables[strings.ToLower(name)]
+	}
 	return t, ok
 }
 

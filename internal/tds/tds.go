@@ -274,6 +274,9 @@ func (c *PlanCache) putTag(id string, km *KeyMaterial, group, tag []byte) {
 
 // admission returns the record of one key, inserted undecided on first use.
 func (c *PlanCache) admission(id string, k admissionKey) *admission {
+	if c == nil { // no fleet to share with: the caller decides alone
+		return new(admission)
+	}
 	c.mu.RLock()
 	a := c.queries[id].admissions[k]
 	c.mu.RUnlock()
@@ -295,10 +298,7 @@ func (c *PlanCache) admission(id string, k admissionKey) *admission {
 // it — decided here or by the first device that held the same key, with the
 // whole of step 3 under that material's own k1: a stale epoch fails here.
 func (t *TDS) admit(m *KeyMaterial, post *protocol.QueryPost) (*sqlexec.Plan, bool, error) {
-	a := new(admission)
-	if t.Shared != nil {
-		a = t.Shared.admission(post.ID, admissionKey{post, m, t.DB.Schema(), t.Authority, t.Policy})
-	}
+	a := t.Shared.admission(post.ID, admissionKey{post, m, t.DB.Schema(), t.Authority, t.Policy})
 	a.once.Do(func() {
 		stmt, err := post.OpenQuery(m.K1)
 		if err == nil {
@@ -328,7 +328,7 @@ type CollectConfig struct {
 	// Collect calls.
 	Arena *tdscrypto.Arena
 	// Out is the buffer the call's tuples are appended to, from its start
-	// (a wave slot's buffer of last wave); nil allocates one.
+	// (a window slot's buffer, from its last device); nil allocates one.
 	Out []protocol.WireTuple
 }
 

@@ -635,7 +635,7 @@ func TestCollectNoiseAllocBudget(t *testing.T) {
 		d := newTDS(t, row(1, "district-03", 10), row(1, "district-07", 20))
 		d.Shared = shared
 		return testing.AllocsPerRun(20, func() {
-			c.Arena = &tdscrypto.Arena{} // as the engine does per worker: blocks amortize over a wave
+			c.Arena = &tdscrypto.Arena{} // as the engine does per worker: blocks amortize over its devices
 			tuples, stats, err := d.Collect(post, c)
 			if err != nil || len(tuples) != 2*domainSize || stats.Fake != 2*(domainSize-1) {
 				t.Fatalf("collected %d tuples, stats %+v: %v", len(tuples), stats, err)

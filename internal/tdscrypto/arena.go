@@ -7,10 +7,10 @@ import "crypto/rand"
 // ciphertext allocations into one malloc.
 const arenaBlockSize = 64 << 10
 
-// Arena is a bump allocator for the small byte slices a collection wave
+// Arena is a bump allocator for the small byte slices a collection worker
 // produces in bulk: ciphertexts, tags and deposit payloads. Alloc carves
 // zero-length slices with exact capacity out of append-only blocks, so a
-// wave's worth of per-tuple allocations collapses into a handful of block
+// walk's worth of per-tuple allocations collapses into a handful of block
 // mallocs. There is no Reset — allocated slices are retained by the SSI
 // for the lifetime of the query, so blocks simply stay reachable through
 // the tuples that live in them. An Arena is not safe for concurrent use;

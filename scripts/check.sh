@@ -92,12 +92,18 @@ fi
 # A gate's -run pattern must keep selecting tests, or renaming or deleting
 # one silently empties the gate: every package listed must have a test the
 # pattern selects, and every |-alternative must select one in some package.
+# With -bench first, the pattern must select benchmarks instead.
 selects() {
+    kinds='Test|Fuzz'
+    if [ "$1" = "-bench" ]; then
+        kinds=Benchmark
+        shift
+    fi
     pattern=$1
     shift
     names=""
     for pkg in "$@"; do
-        listed=$(go test -list "$pattern" "$pkg" | grep -E '^(Test|Fuzz)' || true)
+        listed=$(go test -list "$pattern" "$pkg" | grep -E "^($kinds)" || true)
         if [ -z "$listed" ]; then
             echo "-run '$pattern' selects no test in $pkg" >&2
             exit 1
@@ -136,6 +142,20 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -count=1 ./internal/core
     GOMAXPROCS=$procs go test -count=1 -run 'AllocBudget|DoesNotAllocate' $budgets
 done
+
+# The collection walk's window: eight workers claiming slots a window
+# ahead of the commit thread, three times over under the race detector,
+# on fleets of more than three windows (a slot reused before it settled
+# shows as a race or a failed deposit commitment, a lost wake-up as the
+# timeout); and the phase benchmark once at every worker count, so a walk
+# that deadlocks or loses a device at one of them fails here rather than
+# in a benchmark run.
+echo "==> collection window (GOMAXPROCS=8, -race -count=3) and phase benchmark smoke"
+selects 'CollectWorkersDeterminismWalk|JournalFleetByteBudget' ./internal/core
+GOMAXPROCS=8 go test -race -count=3 -timeout 5m \
+    -run 'CollectWorkersDeterminismWalk|JournalFleetByteBudget' ./internal/core
+selects -bench 'CollectionPhase' ./internal/core
+go test -run '^$' -bench 'CollectionPhase' -benchtime 1x ./internal/core
 
 echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
