@@ -35,10 +35,9 @@
 // Observability flags:
 //
 //	-trace-out q.jsonl    write the query's span tree (simulated-clock
-//	                      timestamps, per-device events) as JSON lines
+//	                      timestamps, one event per device the collection
+//	                      reached) as JSON lines
 //	-trace-summary        render the span tree as an ASCII summary
-//	-trace-sample 0.01    deterministic per-device trace sampling with
-//	                      per-wave rollup spans (fleet-scale traces)
 //	-metrics-out m.prom   write the engine's metrics registry in
 //	                      Prometheus text format
 //	-journal-out q.jsonl  write the structured query journal as JSON lines
@@ -114,7 +113,6 @@ type options struct {
 	traceSummary bool
 	metricsOut   string
 	journalOut   string
-	traceSample  float64
 }
 
 // faultPlan assembles the scripted churn and SSI misbehavior, or nil when
@@ -241,8 +239,6 @@ func parseFlags(args []string) options {
 	fs.BoolVar(&o.traceSummary, "trace-summary", false, "print the query trace as an ASCII span tree")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry (Prometheus text) to this file")
 	fs.StringVar(&o.journalOut, "journal-out", "", "write the structured query journal (JSON lines) to this file")
-	fs.Float64Var(&o.traceSample, "trace-sample", 0,
-		"deterministic per-device trace sampling rate in (0,1); 0 or >=1 traces every device")
 	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 	return o
 }
@@ -289,7 +285,6 @@ func runOpts(o options) error {
 		AuditReplicas:       o.audit,
 		CompromisedFraction: o.compromised,
 		Seed:                o.seed,
-		TraceSampleRate:     o.traceSample,
 	})
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,9 +157,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 			// connects, so it occupies no connection slot at all. The
 			// engine knows its fault script hit; the SSI never saw it.
 			metrics.OfflineDevices++
-			if e.sampled(d.id) {
-				e.obs.tracer.EngineEvent(post.ID, "fault-"+d.b.Label(), d.id, start, obs.CipherFacts{})
-			}
+			e.obs.tracer.EngineEvent(post.ID, "fault-"+d.b.Label(), d.id, start, obs.CipherFacts{})
 			e.obs.devices.With("offline").Inc()
 			continue
 		}
@@ -171,11 +168,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	if limit := post.Size.MaxTuples; limit > 0 {
 		n = min(n, limit)
 	}
-	if r := e.cfg.TraceSampleRate; r > 0 && r < 1 {
-		rs.roll = &collectRollup{}
-	} else {
-		e.obs.tracer.Reserve(post.ID, int(n)) // about one event each
-	}
+	e.obs.tracer.Reserve(post.ID, int(n)) // about one event each
 	if rs.verify {
 		rs.integ.records = make([]depositRecord, 0, n)
 	}
@@ -190,7 +183,6 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	if err != nil {
 		return err
 	}
-	e.flushRollup(rs, end)
 	rs.clock.AdvanceTo(end)
 
 	if metrics.EligibleDevices > 0 {
@@ -217,11 +209,8 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, 
 	rs.metrics.DepositedDevices++
 	rs.metrics.CollectBytes += int64(sentBytes)
 	rs.recordDepositCommit(d.id, r, accepted, attempt)
-	if e.sampled(d.id) {
-		e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
-			obs.CipherFacts{Tuples: accepted, Bytes: int64(sentBytes), Attempt: attempt})
-	}
-	e.noteRollup(rs, true, accepted, int64(sentBytes), now)
+	e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
+		obs.CipherFacts{Tuples: accepted, Bytes: int64(sentBytes), Attempt: attempt})
 	e.obs.devices.With("accepted").Inc()
 	e.obs.tuples.With("accepted").Add(float64(accepted))
 	if accepted == sent {
@@ -248,7 +237,6 @@ func (e *Engine) recordRejected(rs *runState, d collectDevice, now time.Time, er
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: kind, Phase: "collection", Device: d.id, Attempt: attempt, At: now,
 	})
-	e.noteRollup(rs, false, 0, 0, now)
 	e.obs.devices.With(outcome).Inc()
 }
 
@@ -263,7 +251,6 @@ func (e *Engine) recordStaleDevice(rs *runState, d collectDevice, now time.Time)
 		Kind: "deposit-stale", Phase: "collection", Device: d.id, Attempt: 1, At: now,
 	})
 	rs.staleQ = append(rs.staleQ, d)
-	e.noteRollup(rs, false, 0, 0, now)
 	e.obs.devices.With("stale").Inc()
 }
 
@@ -278,73 +265,8 @@ func (e *Engine) recordDropped(rs *runState, d collectDevice, now time.Time) {
 		Kind: "deposit-timeout", Phase: "collection", Device: d.id,
 		Attempt: 1, Wait: wait, At: now,
 	})
-	e.noteRollup(rs, false, 0, 0, now)
 	e.obs.devices.With("dropped").Inc()
 	e.obs.retryWait.Add(wait.Seconds())
-}
-
-// rollupWindow is how many committed connections one rollup span covers
-// when trace sampling is fractional. 4096 keeps a million-device walk at
-// a few hundred rollup spans.
-const rollupWindow = 4096
-
-// collectRollup accumulates one window's worth of collection outcomes, in
-// commit order, so the sampled trace still accounts every device: counts,
-// ciphertext volume, and exact per-deposit tuple quantiles.
-type collectRollup struct {
-	devices  int
-	deposits int
-	tuples   int
-	bytes    int64
-	samples  []float64 // tuples per accepted deposit
-	start    time.Time
-	seq      int
-}
-
-// noteRollup folds one committed connection into the open rollup window
-// and flushes the window when it fills. Commit order is identical for
-// every CollectWorkers setting, so rollup spans are too.
-func (e *Engine) noteRollup(rs *runState, accepted bool, tuples int, bytes int64, now time.Time) {
-	r := rs.roll
-	if r == nil {
-		return
-	}
-	if r.devices == 0 {
-		r.start = now
-	}
-	r.devices++
-	if accepted {
-		r.deposits++
-		r.tuples += tuples
-		r.bytes += bytes
-		r.samples = append(r.samples, float64(tuples))
-	}
-	if r.devices >= rollupWindow {
-		e.flushRollup(rs, now)
-	}
-}
-
-// flushRollup closes the open rollup window as an immediately-ended child
-// span of the collect span. No-op without an open window.
-func (e *Engine) flushRollup(rs *runState, now time.Time) {
-	r := rs.roll
-	if r == nil || r.devices == 0 {
-		return
-	}
-	r.seq++
-	sp := e.obs.tracer.StartChild(rs.post.ID, fmt.Sprintf("collect-rollup-%03d", r.seq),
-		obs.PartyEngine, r.start)
-	sp.SetAttr("devices", strconv.Itoa(r.devices)).
-		SetAttr("deposits", strconv.Itoa(r.deposits)).
-		SetAttr("tuples", strconv.Itoa(r.tuples)).
-		SetAttr("bytes", strconv.FormatInt(r.bytes, 10))
-	if len(r.samples) > 0 {
-		sp.SetAttr("tuples_p50", strconv.FormatFloat(obs.Quantile(r.samples, 0.5), 'f', 1, 64)).
-			SetAttr("tuples_p99", strconv.FormatFloat(obs.Quantile(r.samples, 0.99), 'f', 1, 64))
-	}
-	e.obs.tracer.EndSpan(rs.post.ID, now)
-	r.devices, r.deposits, r.tuples, r.bytes = 0, 0, 0, 0
-	r.samples = r.samples[:0]
 }
 
 // revokedAllowed reports whether the fault plan scripts revoked devices

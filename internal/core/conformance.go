@@ -89,8 +89,7 @@ func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 	if st <= 0 {
 		st = float64(e.cal.TupleSize)
 	}
-	stBytes := int(st + 0.5)
-	tt := e.cal.TransferTime(stBytes) + e.cal.CryptoTime(stBytes) + e.cal.CPUTime(stBytes)
+	tt := e.cal.TupleTime(int(st + 0.5))
 	g := float64(m.Groups) // unused for Basic: costmodel.Full walks the covering result there
 	if g < 1 {
 		g = 1

@@ -74,15 +74,6 @@ type Config struct {
 	// one mutex. Tests and the benchmark inject instrumented decorators;
 	// the engine only ever talks through the ssi.Service interface.
 	SSI ssi.Service
-	// TraceSampleRate bounds per-device trace volume at fleet scale: each
-	// device's collection events (deposit, offline fault, collect error)
-	// are traced only when a stable hash of its ID falls under the rate.
-	// Sampled-out activity is still folded into windowed rollup spans
-	// carrying counts and exact quantiles, and the recovery-ledger mirror
-	// is never sampled, so the trace stays deterministic and auditable at
-	// any rate. 0 (and anything >= 1) traces every device — the golden
-	// traces pin that default.
-	TraceSampleRate float64
 	// PackedFleet provisions the fleet in the packed representation:
 	// ProvisionFleet serializes each device's database into one shared
 	// blob and materializes a live TDS only while the device is

@@ -114,8 +114,6 @@ type runState struct {
 	// materialized from a packed fleet, so repeated worker draws pay the
 	// unpack once per run. Collection never touches it.
 	devs map[int]*tds.TDS
-	// slab recycles deposit envelopes across collection waves instead of
-	// allocating one per device.
 	// Live-rotation context. rotScript is the fault plan's scripted
 	// rotation (nil when none); commits counts committed deposit envelopes
 	// in connection order — the worker-count-independent trigger clock the
@@ -131,9 +129,6 @@ type runState struct {
 	rotStarted int
 	staleQ     []collectDevice
 	verifier   *tdscrypto.Committer
-	// roll accumulates the windowed trace rollups when TraceSampleRate is
-	// fractional; nil at the full-tracing default.
-	roll *collectRollup
 }
 
 // beginPhaseScope opens one phase's span/journal pair at the current
@@ -265,16 +260,6 @@ func abortReason(err error) string {
 // event is engine-side only.
 func (e *Engine) recordCollectError(rs *runState, d collectDevice, now time.Time) {
 	rs.metrics.CollectErrors++
-	if e.sampled(d.id) {
-		e.obs.tracer.EngineEvent(rs.post.ID, "collect-error", d.id, now, obs.CipherFacts{Attempt: 1})
-	}
-	e.noteRollup(rs, false, 0, 0, now)
+	e.obs.tracer.EngineEvent(rs.post.ID, "collect-error", d.id, now, obs.CipherFacts{Attempt: 1})
 	e.obs.devices.With("error").Inc()
-}
-
-// sampled decides whether one device's collection events enter the trace:
-// a pure function of (device ID, Config.TraceSampleRate), so the sampled
-// trace is as deterministic as the full one. Rate 0 keeps everything.
-func (e *Engine) sampled(device string) bool {
-	return obs.SampleDevice(device, e.cfg.TraceSampleRate)
 }

@@ -344,7 +344,7 @@ func digestKey(out []protocol.WireTuple) string {
 // output.
 func (e *Engine) meterUnit(in, out []protocol.WireTuple) time.Duration {
 	var m netsim.Meter
-	inBytes, outBytes := tupleBytes(in), tupleBytes(out)
+	inBytes, outBytes := protocol.TotalSize(in), protocol.TotalSize(out)
 	m.AddDownload(e.cal, inBytes)
 	m.AddDecrypt(e.cal, inBytes)
 	m.AddCompute(e.cal, inBytes)
@@ -352,8 +352,6 @@ func (e *Engine) meterUnit(in, out []protocol.WireTuple) time.Duration {
 	m.AddUpload(e.cal, outBytes)
 	return m.Total()
 }
-
-func tupleBytes(ws []protocol.WireTuple) int { return protocol.TotalSize(ws) }
 
 // collectOutputs flattens phase outputs in deterministic partition order.
 func collectOutputs(units []workUnit) []protocol.WireTuple {

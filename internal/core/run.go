@@ -405,7 +405,7 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 	finals []protocol.WireTuple) ([]protocol.WireTuple, error) {
 	post, metrics, rng := rs.post, rs.metrics, rs.rng
 	parts, err := e.buildVerified(rs, "filtering", finals, func() [][]protocol.WireTuple {
-		avg := (tupleBytes(finals) + len(finals)) / max(len(finals), 1) // mean size + 1; 0 for none
+		avg := (protocol.TotalSize(finals) + len(finals)) / max(len(finals), 1) // mean size + 1; 0 for none
 		return rs.ssi.PartitionRandom(post.ID, finals, e.perPartitionTuples(post.Params, avg), rng)
 	})
 	if err != nil {

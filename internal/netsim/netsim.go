@@ -81,9 +81,9 @@ func (c Calibration) CPUTime(n int) time.Duration {
 }
 
 // TupleTime is T_t of the cost model: the full cost (transfer, crypto,
-// CPU) of handling one encrypted tuple of TupleSize bytes.
-func (c Calibration) TupleTime() time.Duration {
-	return c.TransferTime(c.TupleSize) + c.CryptoTime(c.TupleSize) + c.CPUTime(c.TupleSize)
+// CPU) of handling one encrypted tuple of n bytes.
+func (c Calibration) TupleTime(n int) time.Duration {
+	return c.TransferTime(n) + c.CryptoTime(n) + c.CPUTime(n)
 }
 
 // Breakdown is the internal time consumption of handling one partition,

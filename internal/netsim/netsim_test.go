@@ -66,7 +66,7 @@ func TestTupleTimeOrderOfMagnitude(t *testing.T) {
 	// T_t in the paper is 16 µs for a 16-byte tuple; ours lands in the
 	// same ballpark (transfer-dominated).
 	c := DefaultCalibration()
-	tt := c.TupleTime()
+	tt := c.TupleTime(c.TupleSize)
 	if tt < 10*time.Microsecond || tt > 40*time.Microsecond {
 		t.Errorf("TupleTime = %v, want tens of µs", tt)
 	}

@@ -126,37 +126,6 @@ func TestCheckJournalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSampleDeviceDeterministicAndProportional(t *testing.T) {
-	// Off (0) and full (1) keep everything.
-	for _, rate := range []float64{0, 1, 1.5, -0.2} {
-		if !SampleDevice("tds-000042", rate) {
-			t.Fatalf("rate %v dropped a device", rate)
-		}
-	}
-	kept := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		id := "tds-" + strings.Repeat("0", 3) + string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('0'+(i/10)%10)) + string(rune('0'+(i/100)%10))
-		if SampleDevice(id, 0.1) != SampleDevice(id, 0.1) {
-			t.Fatal("sampling decision not deterministic")
-		}
-		if SampleDevice(id, 0.1) {
-			kept++
-		}
-	}
-	// FNV over structured IDs is not perfectly uniform; accept a loose band.
-	if kept < n/100 || kept > n/3 {
-		t.Fatalf("rate 0.1 kept %d of %d devices", kept, n)
-	}
-	// A device kept at a low rate is kept at every higher rate.
-	for i := 0; i < 100; i++ {
-		id := "meter-" + strings.Repeat("x", i%7)
-		if SampleDevice(id, 0.05) && !SampleDevice(id, 0.5) {
-			t.Fatalf("device %q kept at 0.05 but dropped at 0.5", id)
-		}
-	}
-}
-
 func TestGraftAppendsAtEnd(t *testing.T) {
 	qt := buildTrace(t)
 	var before bytes.Buffer

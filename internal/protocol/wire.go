@@ -287,13 +287,8 @@ func TruePayload(row storage.Row) []byte {
 	return AppendRowPayload(nil, MarkerTrue, row)
 }
 
-// FakePayload wraps an encoded row as a noise tuple payload.
-func FakePayload(row storage.Row) []byte {
-	return AppendRowPayload(nil, MarkerFake, row)
-}
-
 // AppendRowPayload appends marker + encoded row to dst and returns the
-// result — the zero-copy form of TruePayload/FakePayload for hot loops that
+// result — the zero-copy form of TruePayload for hot loops that
 // reuse one scratch buffer across tuples.
 func AppendRowPayload(dst []byte, m MarkerByte, row storage.Row) []byte {
 	dst = append(dst, byte(m))

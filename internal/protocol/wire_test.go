@@ -35,7 +35,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		marker  MarkerByte
 	}{
 		{TruePayload(row), MarkerTrue},
-		{FakePayload(row), MarkerFake},
+		{AppendRowPayload(nil, MarkerFake, row), MarkerFake},
 		{DummyPayload(32), MarkerDummy},
 		{EncodePayload(MarkerPartial, []byte("blob")), MarkerPartial},
 	} {

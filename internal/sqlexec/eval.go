@@ -308,10 +308,3 @@ func (ctx *evalContext) predicateTrue(e sqlparse.Expr) (bool, error) {
 	}
 	return !v.IsNull() && v.AsBool(), nil
 }
-
-// EvalConstExpr evaluates an expression that references no columns or
-// aggregates (used by tests and by HAVING-over-constants edge cases).
-func EvalConstExpr(e sqlparse.Expr) (storage.Value, error) {
-	ctx := &evalContext{plan: &Plan{Stmt: &sqlparse.SelectStmt{}}, row: storage.Row{}}
-	return ctx.evalExpr(e)
-}

@@ -158,14 +158,6 @@ func TestEvalOrderingErrorOnIncomparable(t *testing.T) {
 	}
 }
 
-func TestEvalConstExpr(t *testing.T) {
-	stmt := sqlparse.MustParse(`SELECT a FROM T WHERE 1 + 2 * 3 = 7`)
-	v, err := EvalConstExpr(stmt.Where)
-	if err != nil || !v.AsBool() {
-		t.Errorf("const eval = %v, %v", v, err)
-	}
-}
-
 func TestPredicateTrueTreatsNullAsFalse(t *testing.T) {
 	p := compile(t, `SELECT cid FROM Power WHERE cons / 0 = 1`)
 	ctx := &evalContext{plan: p, row: storage.Row{storage.Int(1), storage.Float(2), storage.Int(0)}}

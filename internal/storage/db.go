@@ -40,16 +40,6 @@ func (db *LocalDB) Insert(table string, row Row) error {
 	return nil
 }
 
-// InsertAll adds a batch of tuples, stopping at the first invalid one.
-func (db *LocalDB) InsertAll(table string, rows []Row) error {
-	for i, r := range rows {
-		if err := db.Insert(table, r); err != nil {
-			return fmt.Errorf("storage: row %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Scan calls fn for every tuple of the table. fn must not retain the row.
 // Returning false from fn stops the scan early.
 func (db *LocalDB) Scan(table string, fn func(Row) bool) error {

@@ -139,21 +139,6 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-func TestInsertAllStopsAtFirstBad(t *testing.T) {
-	db := NewLocalDB(powerSchema())
-	rows := []Row{
-		{Int(1), Float(1), Int(1)},
-		{Str("bad"), Float(1), Int(1)},
-		{Int(3), Float(1), Int(1)},
-	}
-	if err := db.InsertAll("Power", rows); err == nil {
-		t.Fatal("bad batch must fail")
-	}
-	if db.Count("Power") != 1 {
-		t.Errorf("count after failed batch = %d, want 1", db.Count("Power"))
-	}
-}
-
 // TestRowsIsSnapshot: Rows hands out the stored rows themselves, so the
 // contract that makes that safe is checked here — Insert keeps its own copy
 // of the caller's row, and a snapshot is closed to later Inserts, including

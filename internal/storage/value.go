@@ -44,24 +44,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a schema type name into a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "INT", "INTEGER", "BIGINT":
-		return KindInt, nil
-	case "FLOAT", "REAL", "DOUBLE":
-		return KindFloat, nil
-	case "TEXT", "STRING", "VARCHAR", "CHAR":
-		return KindString, nil
-	case "BOOL", "BOOLEAN":
-		return KindBool, nil
-	case "NULL":
-		return KindNull, nil
-	default:
-		return KindNull, fmt.Errorf("storage: unknown type %q", s)
-	}
-}
-
 // Value is a dynamically typed SQL value. The zero Value is NULL.
 //
 // Values are small (no pointers besides the string header) and are passed

@@ -21,24 +21,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	ok := map[string]Kind{
-		"int": KindInt, "INTEGER": KindInt, "bigint": KindInt,
-		"float": KindFloat, "REAL": KindFloat, "double": KindFloat,
-		"text": KindString, "VARCHAR": KindString, " string ": KindString,
-		"bool": KindBool, "BOOLEAN": KindBool, "null": KindNull,
-	}
-	for in, want := range ok {
-		got, err := ParseKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseKind("blob"); err == nil {
-		t.Error("ParseKind(blob) should fail")
-	}
-}
-
 func TestZeroValueIsNull(t *testing.T) {
 	var v Value
 	if !v.IsNull() || v.Kind() != KindNull {

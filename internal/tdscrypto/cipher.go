@@ -161,11 +161,6 @@ func BucketHash(k Key, bucketID []byte) []byte {
 	return mac.Sum(nil)[:16]
 }
 
-// BucketHashString is BucketHash for string identifiers.
-func BucketHashString(k Key, bucketID string) string {
-	return string(BucketHash(k, []byte(bucketID)))
-}
-
 // BucketHasher is BucketHash with a recycled HMAC state: a TDS tagging one
 // collection tuple per fleet member pays the HMAC key schedule once instead
 // of per tuple. Safe for concurrent use.

@@ -153,17 +153,6 @@ func TestKeyAuthorityRotation(t *testing.T) {
 	}
 }
 
-func TestFingerprintNonSecret(t *testing.T) {
-	k := MustRandomKey()
-	if Fingerprint(k) != Fingerprint(k) {
-		t.Fatal("fingerprint must be stable")
-	}
-	k2 := MustRandomKey()
-	if Fingerprint(k) == Fingerprint(k2) {
-		t.Log("fingerprint collision (possible but 2^-32 unlikely)")
-	}
-}
-
 func TestBucketHash(t *testing.T) {
 	k := MustRandomKey()
 	a := BucketHash(k, []byte("b0"))
@@ -181,9 +170,6 @@ func TestBucketHash(t *testing.T) {
 	k2 := MustRandomKey()
 	if bytes.Equal(a, BucketHash(k2, []byte("b0"))) {
 		t.Fatal("hash must be keyed")
-	}
-	if BucketHashString(k, "b0") != string(a) {
-		t.Fatal("string variant must agree")
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -107,11 +106,3 @@ func (a *KeyAuthority) Rotate() { a.epoch++ }
 
 // Epoch returns the current key epoch.
 func (a *KeyAuthority) Epoch() uint64 { return a.epoch }
-
-// Fingerprint returns a short non-secret identifier of a key, usable in
-// logs and wire headers to detect epoch mismatches without revealing the
-// key.
-func Fingerprint(k Key) uint32 {
-	sum := sha256.Sum256(append([]byte("fp/"), k[:]...))
-	return binary.BigEndian.Uint32(sum[:4])
-}
