@@ -139,10 +139,6 @@ type verifyStore struct {
 
 func (s *verifyStore) CollectedCount(string) int { return len(s.tuples) }
 
-func (s *verifyStore) CollectedTuples(id string) []protocol.WireTuple {
-	return s.CollectedRange(id, 0, len(s.tuples))
-}
-
 func (s *verifyStore) CollectedRange(_ string, start, end int) []protocol.WireTuple {
 	out := append([]protocol.WireTuple(nil), s.tuples[start:end]...)
 	if i := s.tamper - start; s.tamper >= 0 && i >= 0 && i < len(out) {
@@ -213,9 +209,10 @@ func BenchmarkVerifyCollection(b *testing.B) {
 // — the check and the digest fold — over 24 000 tuples deposited 300 at a
 // time, built the two ways the protocols build the covering result:
 // deposit-order windows (Basic, S_Agg's first step: an identity walk) and
-// per-tag chunks of a shuffled input (the noise protocols: a multiset
-// check that visits the index table in no order at all); and the latter
-// again as relayed partials, whose partition leaves MAC their bytes.
+// per-tag chunks of a shuffled input (the noise protocols: a position
+// check that visits the views in no order at all); and the latter again
+// as relayed partials, whose multiset check runs and whose partition
+// leaves MAC their bytes.
 func BenchmarkVerifyBuild(b *testing.B) {
 	input := benchTuples(24000, 50)
 	var views, windows [][]protocol.WireTuple
@@ -236,6 +233,7 @@ func BenchmarkVerifyBuild(b *testing.B) {
 			tagged = append(tagged, ws[off:min(off+64, len(ws))])
 		}
 	}
+	pos := positionsOf(input, tagged)
 	for _, shape := range []struct {
 		name     string
 		parts    [][]protocol.WireTuple
@@ -248,7 +246,7 @@ func BenchmarkVerifyBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !rs.foldBuild("bench", shape.covering, input, shape.parts) {
+				if !rs.foldBuild("bench", shape.covering, input, shape.parts, pos) {
 					b.Fatal("honest build rejected")
 				}
 			}
@@ -261,45 +259,36 @@ func BenchmarkVerifyBuild(b *testing.B) {
 // 300 (deep_device), over 50 tags.
 var ssiShapes = []struct{ deposits, per int }{{480, 50}, {100, 300}}
 
-// BenchmarkTagPartitions times the SSI's per-tag build of the first
-// aggregation step, 64 tuples to a partition.
-func BenchmarkTagPartitions(b *testing.B) {
-	for _, shape := range ssiShapes {
-		b.Run(fmt.Sprintf("deposits=%dx%d", shape.deposits, shape.per), func(b *testing.B) {
-			input := benchTuples(shape.deposits*shape.per, 50)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if parts := ssi.TagPartitions(input, 64); len(parts) < 50 {
-					b.Fatalf("%d partitions", len(parts))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamBuild times the deposit-order build over a stored
-// collection, stash included: windows inside a chunk are views, the few
-// that straddle a chunk boundary are copied.
+// BenchmarkStreamBuild times the first-step build over a stored
+// collection, stash included: deposit-order windows for an S_Agg post
+// (views; the few that straddle a chunk boundary are copied), and for a
+// tagged one the per-tag grouping read in place, 64 tuples to a
+// partition, with its store positions.
 func BenchmarkStreamBuild(b *testing.B) {
 	for _, shape := range ssiShapes {
-		b.Run(fmt.Sprintf("deposits=%dx%d", shape.deposits, shape.per), func(b *testing.B) {
-			store, input := ssi.New(), benchTuples(shape.deposits*shape.per, 50)
-			must(store.PostQuery(&protocol.QueryPost{ID: "q"}, time.Unix(1700000000, 0)))
-			for d := 0; d < shape.deposits; d++ {
-				dep := protocol.NewDeposit("q", "", 0, 0, input[d*shape.per:(d+1)*shape.per])
-				if _, _, err := store.DepositEnvelope("q", dep, time.Unix(1700000000, 0)); err != nil {
-					b.Fatal(err)
-				}
+		for _, kind := range []protocol.Kind{protocol.KindSAgg, protocol.KindCNoise} {
+			name := fmt.Sprintf("deposits=%dx%d", shape.deposits, shape.per)
+			if kind == protocol.KindCNoise {
+				name = "tagged/" + name
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if parts := store.StreamBuild("q", 64); len(parts) != (len(input)+63)/64 {
-					b.Fatalf("%d partitions", len(parts))
+			b.Run(name, func(b *testing.B) {
+				store, input := ssi.New(), benchTuples(shape.deposits*shape.per, 50)
+				must(store.PostQuery(&protocol.QueryPost{ID: "q", Kind: kind}, time.Unix(1700000000, 0)))
+				for d := 0; d < shape.deposits; d++ {
+					dep := protocol.NewDeposit("q", "", 0, 0, input[d*shape.per:(d+1)*shape.per])
+					if _, _, err := store.DepositEnvelope("q", dep, time.Unix(1700000000, 0)); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if parts, _ := store.StreamBuild("q", 64); len(parts) < (len(input)+63)/64 {
+						b.Fatalf("%d partitions", len(parts))
+					}
+				}
+			})
+		}
 	}
 }
 

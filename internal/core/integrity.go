@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math/bits"
-	"slices"
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -53,9 +52,12 @@ type integrityState struct {
 	deposits int    // deposit commitments verified
 	phases   int    // partition builds verified
 	// head and next are multisetEqual's index table, reused across the
-	// run's builds; after a passing check head[:n] holds the input
-	// position of every build tuple, in build order.
+	// run's builds of relayed partials.
 	head, next []int32
+	// The position check's scratch, sized at the run's first positioned
+	// build: verified position p is views[v][p-viewStart[v]], v = viewOf[p].
+	viewOf, viewStart []int32
+	seen              []uint64
 }
 
 // IntegrityReport summarizes the verification of one run. The digest is
@@ -236,27 +238,26 @@ func (e *Engine) committerFor(wireEpoch int) *tdscrypto.Committer {
 	return c
 }
 
-// buildVerified obtains one partition build and verifies it is a
-// permutation of its input before any TDS processes it. The run's first
-// build partitions the covering result — step 9 of every protocol does —
-// and is checked against the views verifyCollection kept (input, when
-// not nil, is the covering result as one slice, already checked against
-// them); every later build partitions the relayed partials in input. A
-// failed check quarantines the build and retries once through the SSI's
-// stashed (pre-tamper) build — the graceful-degradation path, which
-// recovers the honest result bit-for-bit because the stash needed no
-// fresh RNG draws. A retry that fails again aborts the run with the typed
-// error.
+// buildVerified obtains one partition build and verifies it before any
+// TDS processes it. The run's first build partitions the covering result
+// — step 9 of every protocol does — and is checked against the views
+// verifyCollection kept, through the store positions the build names when
+// it is not in deposit order; every later build partitions the relayed
+// partials in input. A failed check quarantines the build and retries
+// once through the SSI's stashed (pre-tamper) build — the
+// graceful-degradation path, which recovers the honest result bit-for-bit
+// because the stash needed no fresh RNG draws. A retry that fails again
+// aborts the run with the typed error.
 func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.WireTuple,
-	build func() [][]protocol.WireTuple) ([][]protocol.WireTuple, error) {
-	parts := build()
+	build func() ([][]protocol.WireTuple, []int32)) ([][]protocol.WireTuple, error) {
+	parts, pos := build()
 	if !rs.verify {
 		return parts, nil
 	}
 	covering := rs.integ.phases == 0
 	rs.integ.phases++
 	e.noteCheck(rs)
-	if rs.foldBuild(phase, covering, input, parts) {
+	if rs.foldBuild(phase, covering, input, parts, pos) {
 		return parts, nil
 	}
 	verr := e.integrityViolation(rs, "partition-multiset", phase)
@@ -265,9 +266,9 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: "integrity-quarantine", Phase: phase, At: rs.clock.Now(),
 	})
-	retry := rs.ssi.Repartition(rs.post.ID)
+	retry, pos := rs.ssi.Repartition(rs.post.ID)
 	e.noteCheck(rs)
-	if retry != nil && rs.foldBuild(phase, covering, input, retry) {
+	if retry != nil && rs.foldBuild(phase, covering, input, retry, pos) {
 		rs.metrics.IntegrityRecovered++
 		e.obs.integrity.With("recovered").Inc()
 		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
@@ -285,14 +286,14 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 // every one, in deposit order:
 //   - in that order (a deposit-order build), an identity walk against the
 //     views proves it, and the partition boundaries fix the grouping;
-//   - in any other order, the multiset check against the covering result
-//     proves it, and each partition's leaf commits the input positions of
-//     its tuples, each naming a tuple the root commits.
+//   - in any other order, pos must name each verified position once, each
+//     holding the build tuple at that index, and each partition's leaf
+//     commits those positions, each naming a tuple the root commits.
 //
-// Relayed partials are pinned by nothing else, so each partition's leaf
-// commits its tuples' bytes.
+// Relayed partials (in input) are pinned by nothing else, so a multiset
+// check proves them and each partition's leaf commits its tuples' bytes.
 func (rs *runState) foldBuild(phase string, covering bool, input []protocol.WireTuple,
-	parts [][]protocol.WireTuple) bool {
+	parts [][]protocol.WireTuple, pos []int32) bool {
 	st, c := rs.integ, rs.verifier
 	if covering && st.inOrder(parts) {
 		fold, end := c.StartFold("bounds/"+phase), 0
@@ -304,13 +305,10 @@ func (rs *runState) foldBuild(phase string, covering bool, input []protocol.Wire
 		st.digest = fold.Sum()
 		return true
 	}
-	if covering && input == nil {
-		input = rs.covering()
-	}
-	if !st.multisetEqual(input, parts) {
+	if covering && !st.positionsMatch(parts, pos) || !covering && !st.multisetEqual(input, parts) {
 		return false
 	}
-	fold, domain, pos := c.StartFold("phase/"+phase), "partition/"+phase, st.head
+	fold, domain := c.StartFold("phase/"+phase), "partition/"+phase
 	if covering {
 		domain = "positions/" + phase
 	}
@@ -331,17 +329,45 @@ func (rs *runState) foldBuild(phase string, covering bool, input []protocol.Wire
 	return true
 }
 
-// covering returns the covering result as one slice, for a build that
-// takes it whole (PartitionByTag) or a check that indexes it: the store's
-// own — a view while it fits one chunk — once an identity walk finds it
-// tuple for tuple the one verified, else the verified views
-// concatenated.
-func (rs *runState) covering() []protocol.WireTuple {
-	flat := rs.ssi.CollectedTuples(rs.post.ID)
-	if rs.verify && !rs.integ.inOrder([][]protocol.WireTuple{flat}) {
-		flat = slices.Concat(rs.integ.views...)
+// positionsMatch reports whether pos names, for each build tuple in
+// order, a distinct verified position holding a byte-identical tuple, and
+// every position once. A warm check allocates nothing.
+func (st *integrityState) positionsMatch(parts [][]protocol.WireTuple, pos []int32) bool {
+	n, built := 0, 0
+	for _, v := range st.views {
+		n += len(v)
 	}
-	return flat
+	for _, p := range parts {
+		built += len(p)
+	}
+	if len(pos) != n || built != n {
+		return false
+	}
+	if st.viewOf == nil {
+		st.viewOf, st.viewStart, st.seen = make([]int32, 0, n), make([]int32, len(st.views)), make([]uint64, (n+63)/64)
+		for v, view := range st.views {
+			st.viewStart[v] = int32(len(st.viewOf))
+			for range view {
+				st.viewOf = append(st.viewOf, int32(v)) // within capacity
+			}
+		}
+	}
+	clear(st.seen)
+	k := 0
+	for _, part := range parts {
+		for j := range part {
+			i := uint32(pos[k]) // a negative position wraps past n
+			if i >= uint32(n) || st.seen[i/64]&(1<<(i%64)) != 0 {
+				return false
+			}
+			st.seen[i/64] |= 1 << (i % 64)
+			if v := st.viewOf[i]; !sameTuple(&st.views[v][i-uint32(st.viewStart[v])], &part[j]) {
+				return false
+			}
+			k++
+		}
+	}
+	return true
 }
 
 // inOrder reports whether parts hold the verified covering result in
@@ -407,10 +433,8 @@ func sameTuple(a, b *protocol.WireTuple) bool {
 // holding 1-based input positions, 0 ending the chain); each partition
 // tuple must find a byte-identical input tuple on its bucket's chain and
 // unlink it, so with the counts equal nothing was dropped, duplicated or
-// substituted. An unlinked input's next slot is free, and records which
-// build tuple took it; a passing check inverts that into head[:n], the
-// input position of every build tuple in build order. The table is the
-// run's scratch: a warm call allocates nothing.
+// substituted. The table is the run's scratch: a warm call allocates
+// nothing.
 func (st *integrityState) multisetEqual(input []protocol.WireTuple, parts [][]protocol.WireTuple) bool {
 	n := 0
 	for _, p := range parts {
@@ -429,7 +453,6 @@ func (st *integrityState) multisetEqual(input []protocol.WireTuple, parts [][]pr
 		b := tupleHash(&input[i]) & mask
 		next[i], head[b] = head[b], int32(i+1)
 	}
-	taken := int32(0) // build tuples matched so far
 	for _, p := range parts {
 		for k := range p {
 			link := &head[tupleHash(&p[k])&mask]
@@ -439,13 +462,8 @@ func (st *integrityState) multisetEqual(input []protocol.WireTuple, parts [][]pr
 			if *link == 0 {
 				return false
 			}
-			i := *link - 1
-			*link, next[i] = next[i], taken
-			taken++
+			*link = next[*link-1]
 		}
-	}
-	for i, k := range next[:n] {
-		head[k] = int32(i)
 	}
 	return true
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,118 +17,123 @@ import (
 	"github.com/trustedcells/tcq/internal/ssi"
 )
 
-// coveringLiar serves one query's covering result honestly through
-// CollectedRange — the read the collection verifier checks against the
-// deposit commitments — but drops its first tuple from CollectedTuples and
-// the first tuple of the query's first partition build; persistent, it
-// drops it again from the build's re-issue. Both lies tell every other
-// reader the same story.
+// coveringLiar serves the collection verifier honestly but lies about
+// one query's first build and, persistent, its re-issue, in one way:
+// "drop" its first tuple, or lie about a positioned build's positions —
+// "swap" two, "repeat" the first for the last (its tuple too), put one
+// "out-of-range", return one too "few", or "nil" ones. It records whether
+// the honest first build named each of its tuples' positions.
 type coveringLiar struct {
 	ssi.Service
-	id         string
+	id, lie    string
 	persistent bool
-	builds     int // partition builds of the query so far
+	positioned bool // pos[k] held build tuple k, for every k
 }
 
-func (l *coveringLiar) CollectedTuples(id string) []protocol.WireTuple {
-	ws := l.Service.CollectedTuples(id)
-	if id == l.id && len(ws) > 0 {
-		ws = ws[1:]
+func (l *coveringLiar) StreamBuild(id string, per int) ([][]protocol.WireTuple, []int32) {
+	parts, pos := l.Service.StreamBuild(id, per)
+	if id == l.id {
+		l.positioned = refPositions(l.Service.CollectedRange(id, 0, l.Service.CollectedCount(id)), parts, pos)
 	}
-	return ws
+	return l.tell(id, parts, pos, true)
 }
 
-func (l *coveringLiar) StreamBuild(id string, per int) [][]protocol.WireTuple {
-	return l.lie(id, l.Service.StreamBuild(id, per), true)
+func (l *coveringLiar) Repartition(id string) ([][]protocol.WireTuple, []int32) {
+	parts, pos := l.Service.Repartition(id)
+	return l.tell(id, parts, pos, false)
 }
 
-func (l *coveringLiar) PartitionByTag(id string, ws []protocol.WireTuple, maxPer int) [][]protocol.WireTuple {
-	return l.lie(id, l.Service.PartitionByTag(id, ws, maxPer), true)
-}
-
-func (l *coveringLiar) PartitionRandom(id string, ws []protocol.WireTuple, per int, r *rand.Rand) [][]protocol.WireTuple {
-	return l.lie(id, l.Service.PartitionRandom(id, ws, per, r), true)
-}
-
-func (l *coveringLiar) Repartition(id string) [][]protocol.WireTuple {
-	return l.lie(id, l.Service.Repartition(id), false)
-}
-
-// lie drops the first tuple of the first partition of the query's first
-// build (fresh), or of its re-issue when persistent.
-func (l *coveringLiar) lie(id string, parts [][]protocol.WireTuple, fresh bool) [][]protocol.WireTuple {
-	if id != l.id {
-		return parts
+func (l *coveringLiar) tell(id string, parts [][]protocol.WireTuple, pos []int32, fresh bool) ([][]protocol.WireTuple, []int32) {
+	if id != l.id || (!fresh && !l.persistent) || len(parts) == 0 || len(parts[0]) == 0 {
+		return parts, pos
 	}
-	if fresh {
-		l.builds++
+	switch pos = slices.Clone(pos); l.lie {
+	case "drop":
+		parts = append([][]protocol.WireTuple{parts[0][1:]}, parts[1:]...)
+	case "swap":
+		pos[0], pos[1] = pos[1], pos[0]
+	case "repeat": // each tuple still equals its named one: only the once-each check sees it
+		last := len(parts) - 1
+		parts = append(parts[:last:last], append(slices.Clone(parts[last][:len(parts[last])-1]), parts[0][0]))
+		pos[len(pos)-1] = pos[0]
+	case "out-of-range":
+		pos[0] = int32(len(pos))
+	case "few":
+		pos = pos[:len(pos)-1]
+	case "nil":
+		pos = nil
 	}
-	if l.builds != 1 || (!fresh && !l.persistent) || len(parts) == 0 || len(parts[0]) == 0 {
-		return parts
-	}
-	out := append([][]protocol.WireTuple(nil), parts...)
-	out[0] = out[0][1:]
-	return out
+	return parts, pos
 }
 
-// TestIntegrityReferenceIsWhatWasVerified closes the gap between what the
-// collection verifier checks and what a build is checked against: an SSI
-// that serves the verifier honestly but drops one tuple from every other
-// read of the covering result, and from the first build, must not get a
-// build one tuple short past the multiset check. Every protocol, at one
-// worker and at eight: the build is quarantined and the honest rows come
-// back through the re-issue, or — the lie persisting — the run ends in a
-// typed abort.
+// TestIntegrityReferenceIsWhatWasVerified: an SSI that serves the
+// collection verifier honestly but lies about the first build — one tuple
+// short, or positions that do not name its tuples — must not get it past
+// the build check. Every protocol, at one worker and at eight: the build
+// is quarantined and the honest rows come back through the re-issue, or —
+// the lie persisting — the run ends in a typed abort. An honest tagged
+// first build names every tuple's index in the verified covering result.
 func TestIntegrityReferenceIsWhatWasVerified(t *testing.T) {
 	const id = "q-liar"
 	for _, sc := range churnScenarios {
-		f := newFixture(t, 20, nil)
+		tagged, params := sc.kind != protocol.KindBasic && sc.kind != protocol.KindSAgg, sc.params
+		if sc.kind == protocol.KindEDHist {
+			params.NumBuckets = 5 // one bucket per district: one is a build in deposit order
+		}
+		reference := &coveringLiar{Service: ssi.New(), id: id}
+		f := newFixture(t, 20, func(c *Config) { c.SSI = reference })
 		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params, QueryID: id,
+			Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: params, QueryID: id,
 		})
-		if err != nil {
-			t.Fatalf("%v: honest reference failed: %v", sc.kind, err)
+		if err != nil || reference.positioned != tagged {
+			t.Fatalf("%v: honest reference failed (%v), or named its positions: %v", sc.kind, err, reference.positioned)
 		}
 		honest := sortedRows(resp.Result)
-		for _, persistent := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/persistent=%v", sc.kind, persistent), func(t *testing.T) {
-				var first Metrics
-				for _, workers := range []int{1, 8} {
-					f := newFixture(t, 20, func(c *Config) {
-						c.CollectWorkers = workers
-						c.SSI = &coveringLiar{Service: ssi.New(), id: id, persistent: persistent}
-					})
-					resp, err := f.eng.Execute(context.Background(), Request{
-						Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params, QueryID: id,
-					})
-					if resp == nil || resp.Integrity == nil {
-						t.Fatalf("workers=%d: no verified response (err=%v)", workers, err)
+		for _, lie := range []string{"drop", "swap", "repeat", "out-of-range", "few", "nil"} {
+			if lie != "drop" && !tagged {
+				continue // only a tagged first build has positions to lie about
+			}
+			name := strings.TrimSuffix(sc.kind.String()+"/"+lie, "/drop")
+			for _, persistent := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/persistent=%v", name, persistent), func(t *testing.T) {
+					var first Metrics
+					for _, workers := range []int{1, 8} {
+						f := newFixture(t, 20, func(c *Config) {
+							c.CollectWorkers = workers
+							c.SSI = &coveringLiar{Service: ssi.New(), id: id, lie: lie, persistent: persistent}
+						})
+						resp, err := f.eng.Execute(context.Background(), Request{
+							Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: params, QueryID: id,
+						})
+						if resp == nil || resp.Integrity == nil {
+							t.Fatalf("workers=%d: no verified response (err=%v)", workers, err)
+						}
+						rep := resp.Integrity
+						if rep.Violations != 1 || rep.Quarantines != 1 {
+							t.Errorf("workers=%d: the lie was not caught: %+v", workers, rep)
+						}
+						var mis *ErrSSIMisbehavior
+						switch {
+						case persistent && (!errors.As(err, &mis) || mis.Kind != "partition-multiset"):
+							t.Errorf("workers=%d: err = %v, want a partition-multiset abort", workers, err)
+						case persistent && resp.Result != nil:
+							t.Errorf("workers=%d: aborted run still returned rows", workers)
+						case !persistent && err != nil:
+							t.Errorf("workers=%d: recoverable lie aborted the run: %v", workers, err)
+						case !persistent && (rep.Recovered != 1 || !reflect.DeepEqual(sortedRows(resp.Result), honest)):
+							t.Errorf("workers=%d: recovered %d, rows %v, want the honest %v",
+								workers, rep.Recovered, sortedRows(resp.Result), honest)
+						}
+						m := *resp.Metrics
+						m.TLocal = 0
+						if workers == 1 {
+							first = m
+						} else if !reflect.DeepEqual(first, m) {
+							t.Errorf("metrics diverge across workers:\n1: %+v\n8: %+v", first, m)
+						}
 					}
-					rep := resp.Integrity
-					if rep.Violations != 1 || rep.Quarantines != 1 {
-						t.Errorf("workers=%d: the short build was not caught: %+v", workers, rep)
-					}
-					var mis *ErrSSIMisbehavior
-					switch {
-					case persistent && (!errors.As(err, &mis) || mis.Kind != "partition-multiset"):
-						t.Errorf("workers=%d: err = %v, want a partition-multiset abort", workers, err)
-					case persistent && resp.Result != nil:
-						t.Errorf("workers=%d: aborted run still returned rows", workers)
-					case !persistent && err != nil:
-						t.Errorf("workers=%d: recoverable lie aborted the run: %v", workers, err)
-					case !persistent && (rep.Recovered != 1 || !reflect.DeepEqual(sortedRows(resp.Result), honest)):
-						t.Errorf("workers=%d: recovered %d, rows %v, want the honest %v",
-							workers, rep.Recovered, sortedRows(resp.Result), honest)
-					}
-					m := *resp.Metrics
-					m.TLocal = 0
-					if workers == 1 {
-						first = m
-					} else if !reflect.DeepEqual(first, m) {
-						t.Errorf("metrics diverge across workers:\n1: %+v\n8: %+v", first, m)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -232,8 +238,8 @@ func assertRegistryHas(t *testing.T, e *Engine, want string) {
 // must be the ones the one-shot Commit and Fold produce (what the verifier
 // computed before its leaves were streamed and fanned out) — the
 // collection root over the deposit leaves, a covering build over its
-// partition boundaries in deposit order or over its tuples' input
-// positions permuted, a build over relayed partials over its bytes — and a
+// partition boundaries in deposit order or over the store positions it
+// names permuted, a build over relayed partials over its bytes — and a
 // tampered stored tuple must end the walk at the same check, with the same
 // typed violation, wherever it sits and whoever computed its leaf.
 func TestIntegrityWorkersAgree(t *testing.T) {
@@ -277,15 +283,12 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 			bounds = append(bounds, be64(end))
 		}
 		parts := shuffledParts(store.tuples, 77, rand.New(rand.NewSource(5)))
-		at := make(map[string]int) // ciphertext -> input position; benchTuples are distinct
-		for i, w := range store.tuples {
-			at[string(w.Ciphertext)] = i
-		}
-		positions, relayed := [][]byte{root}, [][]byte{root}
+		pos := positionsOf(store.tuples, parts)
+		positions, relayed, k := [][]byte{root}, [][]byte{root}, 0
 		for _, p := range parts {
 			var segs [][]byte
-			for _, w := range p {
-				segs = append(segs, be64(at[string(w.Ciphertext)]))
+			for range p {
+				segs, k = append(segs, be64(int(pos[k]))), k+1
 			}
 			positions = append(positions, c.Commit("positions/step", segs...))
 			relayed = append(relayed, c.Commit("partition/step", segsOf(p)...))
@@ -293,16 +296,17 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 		for _, b := range []struct {
 			name     string
 			covering bool
-			input    []protocol.WireTuple // nil: the covering result, read through the store
+			input    []protocol.WireTuple // relayed partials; a covering build is checked against the views
 			parts    [][]protocol.WireTuple
+			pos      []int32
 			want     []byte
 		}{
-			{"in order", true, nil, windows, c.Fold("bounds/step", bounds...)},
-			{"permuted", true, nil, parts, c.Fold("phase/step", positions...)},
-			{"relayed", false, store.tuples, parts, c.Fold("phase/step", relayed...)},
+			{"in order", true, nil, windows, nil, c.Fold("bounds/step", bounds...)},
+			{"permuted", true, nil, parts, pos, c.Fold("phase/step", positions...)},
+			{"relayed", false, store.tuples, parts, nil, c.Fold("phase/step", relayed...)},
 		} {
 			rs.integ.digest = root
-			if !rs.foldBuild("step", b.covering, b.input, b.parts) {
+			if !rs.foldBuild("step", b.covering, b.input, b.parts, b.pos) {
 				t.Fatalf("workers=%d: honest %s build rejected", workers, b.name)
 			}
 			if !bytes.Equal(rs.integ.digest, b.want) {

@@ -17,23 +17,14 @@ import (
 // compare against: one length-framed string key per tuple, counted in a
 // map.
 func refMultisetEqual(input []protocol.WireTuple, parts [][]protocol.WireTuple) bool {
-	key := func(w protocol.WireTuple) string {
-		b := make([]byte, 0, 16+w.Size())
-		b = binary.AppendUvarint(b, uint64(len(w.Tag)))
-		b = append(b, w.Tag...)
-		b = binary.AppendUvarint(b, uint64(len(w.Ciphertext)))
-		b = append(b, w.Ciphertext...)
-		b = append(b, w.Digest...)
-		return string(b)
-	}
 	m := make(map[string]int, len(input))
 	for _, w := range input {
-		m[key(w)]++
+		m[tupleKey(w)]++
 	}
 	n := 0
 	for _, p := range parts {
 		for _, w := range p {
-			k := key(w)
+			k := tupleKey(w)
 			if m[k] == 0 {
 				return false
 			}
@@ -42,6 +33,44 @@ func refMultisetEqual(input []protocol.WireTuple, parts [][]protocol.WireTuple) 
 		}
 	}
 	return n == len(input)
+}
+
+// tupleKey frames a tuple's fields into one string.
+func tupleKey(w protocol.WireTuple) string {
+	b := make([]byte, 0, 16+w.Size())
+	b = binary.AppendUvarint(b, uint64(len(w.Tag)))
+	b = append(b, w.Tag...)
+	b = binary.AppendUvarint(b, uint64(len(w.Ciphertext)))
+	b = append(b, w.Ciphertext...)
+	b = append(b, w.Digest...)
+	return string(b)
+}
+
+// refPositions is the covering-build check's reference: pos names every
+// input position once, and each holds a tuple equal to the one naming it.
+func refPositions(input []protocol.WireTuple, parts [][]protocol.WireTuple, pos []int32) bool {
+	flat, named := slices.Concat(parts...), make(map[int32]bool)
+	for k := 0; k < len(flat) && k < len(pos); k++ {
+		if i := int(pos[k]); i < 0 || i >= len(input) || named[pos[k]] || tupleKey(input[i]) != tupleKey(flat[k]) {
+			return false
+		}
+		named[pos[k]] = true
+	}
+	return len(flat) == len(input) && len(pos) == len(input)
+}
+
+// positionsOf names the input position of every tuple of an honest build,
+// in build order; equal tuples take their positions in input order.
+func positionsOf(input []protocol.WireTuple, parts [][]protocol.WireTuple) (pos []int32) {
+	at := make(map[string][]int32)
+	for i, w := range input {
+		at[tupleKey(w)] = append(at[tupleKey(w)], int32(i))
+	}
+	for _, w := range slices.Concat(parts...) {
+		q := at[tupleKey(w)]
+		pos, at[tupleKey(w)] = append(pos, q[0]), q[1:]
+	}
+	return pos
 }
 
 func wt(tag, ct, digest string) protocol.WireTuple {
@@ -117,7 +146,8 @@ func TestMultisetEqualScratchReuse(t *testing.T) {
 }
 
 // TestMultisetEqualAllocs pins the allocation-free property: with the
-// scratch warm, a call allocates nothing, whatever N.
+// scratch warm, a call allocates nothing, whatever N. Nor does a warm
+// position check of a permuted covering build.
 func TestMultisetEqualAllocs(t *testing.T) {
 	st := &integrityState{}
 	rng := rand.New(rand.NewSource(2))
@@ -133,6 +163,11 @@ func TestMultisetEqualAllocs(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("N=%d: %.0f allocations per warm call, want 0", n, got)
 		}
+	}
+	rs, parts := digestRun(big[:1000], big[1000:]), shuffledParts(big, 50, rng)
+	pos := positionsOf(big, parts)
+	if got := testing.AllocsPerRun(10, func() { rs.integ.positionsMatch(parts, pos) }); got != 0 || !rs.integ.positionsMatch(parts, pos) {
+		t.Errorf("%.0f allocations per warm position check, want 0 and a pass", got)
 	}
 }
 
@@ -206,8 +241,9 @@ func digestRun(views ...[]protocol.WireTuple) *runState {
 // TestIntegrityDigestPinsGrouping holds a build's digest to its grouping,
 // not just its multiset: the same tuples cut or ordered differently fold
 // to a different digest, whether the fold commits partition boundaries
-// (the covering result in deposit order), input positions (permuted) or
-// bytes (relayed partials); the same build folds to the same digest.
+// (the covering result in deposit order), the store positions the build
+// names (permuted) or bytes (relayed partials); the same build folds to
+// the same digest.
 func TestIntegrityDigestPinsGrouping(t *testing.T) {
 	a, b, c, d := wt("t", "ct-a", "d"), wt("t", "ct-b", "d"), wt("", "ct-c", ""), wt("u", "ct-d", "e")
 	input := []protocol.WireTuple{a, b, c, d}
@@ -226,11 +262,8 @@ func TestIntegrityDigestPinsGrouping(t *testing.T) {
 		{"relayed, reordered", false, parts{{a, b}, {c, d}}, parts{{b, a}, {c, d}}},
 	} {
 		digest := func(p parts) []byte {
-			rs, in := digestRun(input[:1], input[1:]), input
-			if tc.covering {
-				in = nil // read through the store
-			}
-			if !rs.foldBuild("step", tc.covering, in, p) {
+			rs := digestRun(input[:1], input[1:]) // a covering build is checked against its views
+			if !rs.foldBuild("step", tc.covering, input, p, positionsOf(input, p)) {
 				t.Fatalf("%s: honest build %v rejected", tc.name, p)
 			}
 			return rs.integ.digest
@@ -251,10 +284,10 @@ func TestIntegrityDigestPinsGrouping(t *testing.T) {
 // of the input, regrouped, or deposit-order windows of it, their bytes
 // shared with the input or copied into arrays of their own; the input is
 // also the covering result of a run, verified in deposits of seeded
-// sizes. The build check over the covering result — the identity walk in
-// order, the multiset check and its input positions otherwise — must
-// accept exactly what the reference accepts, and a passing multiset check
-// must name, for each build tuple, a distinct input position holding it.
+// sizes, and the build names its honest tuples' positions (two swapped,
+// or one repeated, if the seed says so). The covering-build check must accept exactly the
+// builds in deposit order and the permutations whose every position names
+// an equal verified tuple.
 func FuzzMultisetEqual(f *testing.F) {
 	f.Add([]byte{0x15, 'a', 'b', 'a', 0x15, 'a', 'b', 'a', 0x06, 'b', 'a', 'a'}, []byte{}, int64(1), uint8(0), uint8(2))
 	f.Add([]byte{0x06, 'a', 'b', 'c'}, []byte{0x09, 'a', 'b', 'c'}, int64(2), uint8(5), uint8(0))
@@ -262,6 +295,8 @@ func FuzzMultisetEqual(f *testing.F) {
 	f.Add([]byte{}, []byte{}, int64(4), uint8(1), uint8(3))
 	f.Add([]byte{0x15, 'a', 'b', 'a', 0x2a, 'b', 'a', 'a', 'b', 0x06, 'b', 'a'}, []byte{}, int64(5), uint8(6), uint8(1))
 	f.Add([]byte{0x15, 'a', 'b', 'a', 0x2a, 'b', 'a', 'a', 'b', 0x06, 'b', 'a'}, []byte{}, int64(6), uint8(19), uint8(4))
+	// A repeated position over equal tuples: only the once-each check rejects it.
+	f.Add([]byte("000000000"), []byte("0"), int64(-83), uint8(52), uint8(0))
 	st := &integrityState{} // one state for the whole run: scratch reuse is part of what is fuzzed
 	f.Fuzz(func(t *testing.T, data, foreign []byte, seed int64, tamper, per uint8) {
 		input := fuzzTuples(data)
@@ -285,6 +320,10 @@ func FuzzMultisetEqual(f *testing.F) {
 					p[i] = wt(string(p[i].Tag), string(p[i].Ciphertext), string(p[i].Digest))
 				}
 			}
+		}
+		pos := positionsOf(input, parts)
+		if last, lie := len(pos)-1, int(tamper/24%3); last > 0 && lie > 0 { // 1 swaps the first and last, 2 repeats the first
+			pos[0], pos[last] = pos[[]int{last, 0}[lie-1]], pos[0]
 		}
 		pick := func() *protocol.WireTuple {
 			p := parts[rng.Intn(len(parts))]
@@ -315,23 +354,12 @@ func FuzzMultisetEqual(f *testing.F) {
 		if got := st.multisetEqual(input, parts); got != want {
 			t.Fatalf("multisetEqual = %v, reference = %v\ninput %q\nparts %q", got, want, input, parts)
 		}
-		if want {
-			taken, k := make([]bool, len(input)), 0
-			for _, p := range parts {
-				for j := range p {
-					i := st.head[k]
-					if taken[i] || !sameTuple(&input[i], &p[j]) {
-						t.Fatalf("build tuple %d named input position %d\ninput %q\nparts %q", k, i, input, parts)
-					}
-					taken[i], k = true, k+1
-				}
-			}
-		}
+		want = refPositions(input, parts, pos) || slices.EqualFunc(slices.Concat(parts...), input,
+			func(a, b protocol.WireTuple) bool { return tupleKey(a) == tupleKey(b) })
 		rs := digestRun(views...)
-		rs.integ.head, rs.integ.next = st.head, st.next
-		if got := rs.foldBuild("fuzz", true, nil, parts); got != want {
-			t.Fatalf("covering build check = %v, reference = %v\ninput %q\nviews %q\nparts %q",
-				got, want, input, views, parts)
+		if got := rs.foldBuild("fuzz", true, nil, parts, pos); got != want {
+			t.Fatalf("covering build check = %v, reference = %v\ninput %q\nviews %q\nparts %q\npos %v",
+				got, want, input, views, parts, pos)
 		}
 		if tamper%6 == 0 && tamper/6%2 == 1 && !rs.integ.inOrder(parts) {
 			t.Fatalf("an honest deposit-order build missed the identity walk\nviews %q\nparts %q", views, parts)

@@ -253,7 +253,7 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		// itself a random permutation of the fleet walk, so the windows
 		// need no explicit shuffle.
 		per := e.perPartitionTuples(post.Params, e.cal.TupleSize)
-		parts, err := e.buildVerified(rs, "filter-sfw", nil, func() [][]protocol.WireTuple {
+		parts, err := e.buildVerified(rs, "filter-sfw", nil, func() ([][]protocol.WireTuple, []int32) {
 			return rs.ssi.StreamBuild(post.ID, per)
 		})
 		if err != nil {
@@ -300,16 +300,16 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 	per := max(min(e.perPartitionTuples(post.Params, e.cal.TupleSize), int(alpha*float64(groupCountHint(stmt)))), 2)
 	var units []protocol.WireTuple
 	n := rs.ssi.CollectedCount(post.ID)
-	if n <= 1 { // nothing to reduce: the covering result goes to filtering
-		units = rs.covering()
+	if n <= 1 { // nothing to reduce: the covering result goes to filtering, whose build is checked
+		units = rs.ssi.CollectedRange(post.ID, 0, n)
 	}
 	for first, forced := true, false; n > 1; first = false {
 		name := fmt.Sprintf("s_agg-step-%d", len(metrics.Phases)+1)
-		parts, err := e.buildVerified(rs, name, units, func() [][]protocol.WireTuple {
+		parts, err := e.buildVerified(rs, name, units, func() ([][]protocol.WireTuple, []int32) {
 			if first {
 				return rs.ssi.StreamBuild(post.ID, per)
 			}
-			return rs.ssi.PartitionRandom(post.ID, units, per, rs.rng)
+			return rs.ssi.PartitionRandom(post.ID, units, per, rs.rng), nil
 		})
 		if err != nil {
 			return nil, err
@@ -357,10 +357,10 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	per := e.perPartitionTuples(post.Params, e.cal.TupleSize)
 
 	// First aggregation step: partitions hold tuples of one tag; large
-	// groups split across n_NB partitions processed in parallel.
-	collected := rs.covering()
-	parts, err := e.buildVerified(rs, "aggregate-1", collected, func() [][]protocol.WireTuple {
-		return rs.ssi.PartitionByTag(post.ID, collected, per)
+	// groups split across n_NB partitions processed in parallel. The SSI
+	// groups the store in place and names each build tuple's position.
+	parts, err := e.buildVerified(rs, "aggregate-1", nil, func() ([][]protocol.WireTuple, []int32) {
+		return rs.ssi.StreamBuild(post.ID, per)
 	})
 	if err != nil {
 		return nil, err
@@ -378,8 +378,8 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 
 	// Second aggregation step: per-group partitions (each tag is now
 	// Det_Enc of one exact group) merged to completion.
-	parts, err = e.buildVerified(rs, "aggregate-2", partials, func() [][]protocol.WireTuple {
-		return rs.ssi.PartitionByTag(post.ID, partials, 0)
+	parts, err = e.buildVerified(rs, "aggregate-2", partials, func() ([][]protocol.WireTuple, []int32) {
+		return rs.ssi.PartitionByTag(post.ID, partials, 0), nil
 	})
 	if err != nil {
 		return nil, err
@@ -404,9 +404,9 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt,
 	finals []protocol.WireTuple) ([]protocol.WireTuple, error) {
 	post, metrics, rng := rs.post, rs.metrics, rs.rng
-	parts, err := e.buildVerified(rs, "filtering", finals, func() [][]protocol.WireTuple {
+	parts, err := e.buildVerified(rs, "filtering", finals, func() ([][]protocol.WireTuple, []int32) {
 		avg := (protocol.TotalSize(finals) + len(finals)) / max(len(finals), 1) // mean size + 1; 0 for none
-		return rs.ssi.PartitionRandom(post.ID, finals, e.perPartitionTuples(post.Params, avg), rng)
+		return rs.ssi.PartitionRandom(post.ID, finals, e.perPartitionTuples(post.Params, avg), rng), nil
 	})
 	if err != nil {
 		return nil, err

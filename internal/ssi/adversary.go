@@ -29,7 +29,8 @@ import (
 type Adversary struct {
 	// Service is the honest implementation: the adversary follows the
 	// protocol wherever no attack is scripted, so every method it does not
-	// override below is the inner one.
+	// override below is the inner one — DepositEnvelope too, as the engine
+	// only sends batches.
 	Service
 	script *faultplan.SSIScript
 
@@ -90,22 +91,12 @@ func (a *Adversary) strikeForge() bool {
 	return a.envelopes == a.forgeAt
 }
 
-// DepositEnvelope forwards the envelope, forging coverage at the struck
-// index: the tuples are discarded before they reach storage while the
-// device's claimed acceptance is reported upstream in full. The commitment
-// rides along untouched — the adversary cannot rewrite it without k2,
-// which is exactly how the verifier catches the forgery.
-func (a *Adversary) DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (int, bool, error) {
-	fwd, claim := a.maybeForge(dep)
-	accepted, done, err := a.Service.DepositEnvelope(id, fwd, now)
-	if err == nil && claim >= 0 {
-		accepted = claim
-	}
-	return accepted, done, err
-}
-
-// DepositEnvelopeBatch is DepositEnvelope over a committed run; strike
-// indices advance in batch order, matching the sequential pipeline.
+// DepositEnvelopeBatch forwards a committed run of envelopes, forging
+// coverage at the struck index (strike indices advance in batch order):
+// the tuples are discarded before they reach storage while the device's
+// claimed acceptance is reported upstream in full. The commitment rides
+// along untouched — the adversary cannot rewrite it without k2, which is
+// exactly how the verifier catches the forgery.
 func (a *Adversary) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) ([]DepositOutcome, int, bool, error) {
 	fwd := make([]*protocol.Deposit, len(deps))
 	claims := make([]int, len(deps))
@@ -153,18 +144,20 @@ func (a *Adversary) PartitionByTag(id string, tuples []protocol.WireTuple, maxPe
 
 // StreamBuild is a partition build like any other: built honestly by the
 // inner SSI (which stashes it for the quarantine retry), then tampered on
-// the way out.
-func (a *Adversary) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
-	return a.tampered(id, a.Service.StreamBuild(id, perPartition))
+// the way out. The positions pass through as built: a tampered build
+// no longer matches them.
+func (a *Adversary) StreamBuild(id string, perPartition int) ([][]protocol.WireTuple, []int32) {
+	parts, pos := a.Service.StreamBuild(id, perPartition)
+	return a.tampered(id, parts), pos
 }
 
 // Repartition re-issues the inner SSI's honest stash — and, when the
 // script is persistent, tampers with it again: the degradation path.
-func (a *Adversary) Repartition(id string) [][]protocol.WireTuple {
-	parts := a.Service.Repartition(id)
+func (a *Adversary) Repartition(id string) ([][]protocol.WireTuple, []int32) {
+	parts, pos := a.Service.Repartition(id)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.tamperLocked(parts, fmt.Sprintf("rebuild-%d", a.builds))
+	return a.tamperLocked(parts, fmt.Sprintf("rebuild-%d", a.builds)), pos
 }
 
 // tampered advances the build counter, applies the armed partition

@@ -66,7 +66,7 @@ func TestAdversaryTampersEveryPartitionBehavior(t *testing.T) {
 		}
 		// Quarantine path: the re-issued build must be clean again once the
 		// one-shot behavior has fired.
-		if re := a.Repartition("q-adv"); !reflect.DeepEqual(multiset(re), honest) {
+		if re, _ := a.Repartition("q-adv"); !reflect.DeepEqual(multiset(re), honest) {
 			t.Errorf("%s: re-issued build still tampered: %v", b, multiset(re))
 		}
 	}
@@ -108,11 +108,11 @@ func TestAdversaryForgesCoverage(t *testing.T) {
 	for i, w := range tuples {
 		dep := protocol.NewDeposit("q-adv", string(rune('a'+i)), 1, 0, []protocol.WireTuple{w})
 		dep.Commit = []byte("commitment-of-" + dep.DeviceID)
-		acc, _, err := a.DepositEnvelope("q-adv", dep, now)
-		if err != nil {
-			t.Fatal(err)
+		out, _, _, err := a.DepositEnvelopeBatch("q-adv", []*protocol.Deposit{dep}, now)
+		if err != nil || out[0].Err != nil {
+			t.Fatal(err, out)
 		}
-		claimed += acc
+		claimed += out[0].Accepted
 	}
 	stored := len(s.CollectedTuples("q-adv"))
 	if claimed != len(tuples) {
@@ -136,7 +136,7 @@ func TestAdversaryDeterministic(t *testing.T) {
 		now := time.Unix(0, 0)
 		for i, w := range tuples {
 			dep := protocol.NewDeposit("q-adv", string(rune('a'+i)), 1, 0, []protocol.WireTuple{w})
-			if _, _, err := a.DepositEnvelope("q-adv", dep, now); err != nil {
+			if _, _, _, err := a.DepositEnvelopeBatch("q-adv", []*protocol.Deposit{dep}, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -164,7 +164,7 @@ func TestAdversaryPersistentRestrikes(t *testing.T) {
 	}, 21, "q-adv")
 	honest := multiset([][]protocol.WireTuple{tuples})
 	a.PartitionRandom("q-adv", tuples, 2, rand.New(rand.NewSource(1)))
-	if re := a.Repartition("q-adv"); reflect.DeepEqual(multiset(re), honest) {
+	if re, _ := a.Repartition("q-adv"); reflect.DeepEqual(multiset(re), honest) {
 		t.Fatal("persistent adversary handed out an honest re-issue")
 	}
 	if len(a.Strikes()) != 2 {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +72,7 @@ type QueryState struct {
 	attempts  map[string]int    // device -> highest committed deposit attempt
 	ledger    []LedgerEntry
 	lastBuild [][]protocol.WireTuple // most recent partition build, for Repartition
+	lastPos   []int32                // its store positions, when StreamBuild grouped it by tag
 }
 
 // tupleChunk is the tupleStore chunk size. 4096 tuples per chunk keeps a
@@ -142,6 +144,8 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 // DepositEnvelope(Batch) returns: an implementation copies the tuples it
 // keeps (the bytes they point to are immutable and may be shared), so the
 // collection walk refills one envelope and buffer per window slot.
+// CollectedTuples and DepositEnvelope have no engine caller: they stay for
+// bench/spans.go, which forwards them by name.
 type Service interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)
@@ -162,13 +166,10 @@ type Service interface {
 	SetEpochPolicy(EpochPolicy)
 	PartitionRandom(id string, tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple
 	PartitionByTag(id string, tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple
-	Repartition(id string) [][]protocol.WireTuple
-	// StreamBuild turns the whole chunked store into the canonical
-	// deposit-order build. Deposit order is itself a uniform random
-	// permutation of the fleet, so a deposit-order window is exactly the
-	// "random partition" of step 9 — which is what makes that build
-	// protocol-equivalent to RandomPartitions.
-	StreamBuild(id string, perPartition int) [][]protocol.WireTuple
+	Repartition(id string) ([][]protocol.WireTuple, []int32)
+	// StreamBuild is every protocol's first-step build, over the store in
+	// place; pos[k] is build tuple k's store position when it groups by tag.
+	StreamBuild(id string, perPartition int) (parts [][]protocol.WireTuple, pos []int32)
 }
 
 var _ Service = (*SSI)(nil)
@@ -599,50 +600,66 @@ func (s *SSI) Drop(id string) {
 	delete(sp.queries, id)
 }
 
-// PartitionRandom is RandomPartitions as a querybox operation: the build
-// is remembered so Repartition can re-issue it. This is the method the
-// engine's verified path calls; the free function remains for callers
-// outside a query's lifecycle.
+// PartitionRandom splits tuples into partitions of at most perPartition
+// entries, in random order — all the SSI can do when every ciphertext is
+// non-deterministic (S_Agg, basic protocol): partitions are uninterpreted
+// chunks of bytes (step 9 of Fig. 2). The build is remembered so
+// Repartition can re-issue it.
 func (s *SSI) PartitionRandom(id string, tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple {
-	parts := RandomPartitions(tuples, perPartition, rng)
+	var parts [][]protocol.WireTuple
+	if len(tuples) > 0 {
+		shuffled, per := slices.Clone(tuples), max(perPartition, 1)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for start := 0; start < len(shuffled); start += per {
+			end := min(start+per, len(shuffled))
+			parts = append(parts, shuffled[start:end:end])
+		}
+	}
 	s.stashBuild(id, parts)
 	return parts
 }
 
-// PartitionByTag is TagPartitions as a querybox operation, remembered for
-// Repartition like PartitionRandom.
+// PartitionByTag assembles tuples with equal tags into the same partitions
+// (the Det_Enc / h(bucketId) grouping of the noise and histogram
+// protocols). Groups larger than maxPerPartition split across several
+// partitions so that several TDSs can share one group's load (the n_NB
+// fan-in of the cost model). Tuples without a tag cannot be routed and are
+// sprinkled round-robin. The build is remembered for Repartition.
 func (s *SSI) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple {
-	parts := TagPartitions(tuples, maxPerPartition)
+	parts, _ := tagBuild([][]protocol.WireTuple{tuples}, len(tuples), maxPerPartition)
 	s.stashBuild(id, parts)
 	return parts
 }
 
-// StreamBuild is the canonical build of the first step over the covering
-// result: the whole collection store chunked into deposit-order windows
-// of perPartition tuples, stashed for Repartition and subject to the
-// same multiset verification as any other build.
-func (s *SSI) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
+// StreamBuild is the first step's build over the covering result, read in
+// place from the chunked store and stashed for Repartition. For a tagged
+// post (Rnf_Noise, C_Noise, ED_Hist) it is PartitionByTag's grouping, and
+// pos[k] — shared, never written — is the store position of build tuple k,
+// which lets the trusted side check it against what it verified. For
+// Basic and S_Agg it is deposit-order windows of perPartition tuples and
+// pos is nil: deposit order is itself a uniform random permutation of the
+// fleet, so a window is exactly the "random partition" of step 9.
+func (s *SSI) StreamBuild(id string, perPartition int) ([][]protocol.WireTuple, []int32) {
 	sp := s.stripeOf(id)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	st, ok := sp.queries[id]
 	if !ok || st.tuples.n == 0 {
-		return nil
+		return nil, nil
 	}
-	if perPartition <= 0 {
-		perPartition = 1
-	}
-	n := st.tuples.n
-	parts := make([][]protocol.WireTuple, 0, (n+perPartition-1)/perPartition)
-	for start := 0; start < n; start += perPartition {
-		end := start + perPartition
-		if end > n {
-			end = n
+	n, parts, pos := st.tuples.n, [][]protocol.WireTuple(nil), []int32(nil)
+	switch st.Post.Kind {
+	case protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist:
+		parts, pos = tagBuild(st.tuples.chunks, n, perPartition)
+	default:
+		per := max(perPartition, 1)
+		parts = make([][]protocol.WireTuple, 0, (n+per-1)/per)
+		for start := 0; start < n; start += per {
+			parts = append(parts, st.tuples.slice(start, start+per))
 		}
-		parts = append(parts, st.tuples.slice(start, end))
 	}
-	st.lastBuild = viewBuild(parts)
-	return parts
+	st.lastBuild, st.lastPos = viewBuild(parts), pos
+	return parts, pos
 }
 
 // Repartition re-issues the most recent partition build of a query — what
@@ -650,18 +667,18 @@ func (s *SSI) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
 // The honest SSI's stash is a private outer slice taken at build time, so
 // the re-issue is exactly the build it originally computed, whatever was
 // done to the outer slice it handed out.
-func (s *SSI) Repartition(id string) [][]protocol.WireTuple {
+func (s *SSI) Repartition(id string) ([][]protocol.WireTuple, []int32) {
 	sp := s.stripeOf(id)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	st, ok := sp.queries[id]
 	if !ok || st.lastBuild == nil {
-		return nil
+		return nil, nil
 	}
-	return viewBuild(st.lastBuild)
+	return viewBuild(st.lastBuild), st.lastPos
 }
 
-// stashBuild snapshots a partition build for Repartition.
+// stashBuild snapshots a build of the caller's tuples for Repartition.
 func (s *SSI) stashBuild(id string, parts [][]protocol.WireTuple) {
 	sp := s.stripeOf(id)
 	sp.mu.Lock()
@@ -670,7 +687,7 @@ func (s *SSI) stashBuild(id string, parts [][]protocol.WireTuple) {
 	if !ok {
 		return
 	}
-	st.lastBuild = viewBuild(parts)
+	st.lastBuild, st.lastPos = viewBuild(parts), nil
 }
 
 // viewBuild returns a private outer slice over the build's partitions,
@@ -685,71 +702,42 @@ func viewBuild(parts [][]protocol.WireTuple) [][]protocol.WireTuple {
 	return out
 }
 
-// RandomPartitions splits tuples into partitions of at most perPartition
-// entries, in random order — all the SSI can do when every ciphertext is
-// non-deterministic (S_Agg, basic protocol): partitions are uninterpreted
-// chunks of bytes (step 9 of Fig. 2).
-func RandomPartitions(tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple {
-	if len(tuples) == 0 {
-		return nil
-	}
-	if perPartition <= 0 {
-		perPartition = 1
-	}
-	shuffled := make([]protocol.WireTuple, len(tuples))
-	copy(shuffled, tuples)
-	rng.Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	var out [][]protocol.WireTuple
-	for start := 0; start < len(shuffled); start += perPartition {
-		end := start + perPartition
-		if end > len(shuffled) {
-			end = len(shuffled)
-		}
-		out = append(out, shuffled[start:end:end])
-	}
-	return out
-}
-
-// TagPartitions assembles tuples with equal tags into the same partitions
-// (the Det_Enc / h(bucketId) grouping of the noise and histogram
-// protocols). Groups larger than maxPerPartition split across several
-// partitions so that several TDSs can share one group's load (the n_NB
-// fan-in of the cost model). Tuples without a tag cannot be routed and are
-// sprinkled round-robin.
-func TagPartitions(tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple {
-	if len(tuples) == 0 {
-		return nil
+// tagBuild is PartitionByTag's grouping of the n tuples in chunks (the
+// store's, or one slice), in place; pos[k] is build tuple k's position.
+func tagBuild(chunks [][]protocol.WireTuple, n, maxPerPartition int) ([][]protocol.WireTuple, []int32) {
+	if n == 0 {
+		return nil, nil
 	}
 	if maxPerPartition <= 0 {
-		maxPerPartition = len(tuples)
+		maxPerPartition = n
 	}
 	// Count: number each tag by first appearance (the deterministic
 	// partition order) and remember every tuple's group, -1 for untagged.
-	groupOf := make([]int32, len(tuples))
+	groupOf := make([]int32, 0, n)
 	index := make(map[string]int32)
-	var counts []int     // tuples per group
-	var sprinkle []int32 // positions of the untagged tuples
-	for i := range tuples {
-		tag := tuples[i].Tag
-		if len(tag) == 0 {
-			groupOf[i] = -1
-			sprinkle = append(sprinkle, int32(i))
-			continue
+	counts, untagged := []int(nil), 0 // tuples per group, untagged tuples
+	for _, c := range chunks {
+		for i := range c {
+			tag := c[i].Tag
+			if len(tag) == 0 {
+				groupOf = append(groupOf, -1)
+				untagged++
+				continue
+			}
+			g, seen := index[string(tag)]
+			if !seen {
+				g = int32(len(counts))
+				index[string(tag)] = g
+				counts = append(counts, 0)
+			}
+			groupOf = append(groupOf, g)
+			counts[g]++
 		}
-		g, seen := index[string(tag)]
-		if !seen {
-			g = int32(len(counts))
-			index[string(tag)] = g
-			counts = append(counts, 0)
-		}
-		groupOf[i] = g
-		counts[g]++
 	}
 	// Carve: group g owns ceil(count/max) consecutive partitions from
 	// first[g], each a clipped window of one flat array sized for its tagged
-	// tuples plus its share of the untagged; next[p] becomes its cursor.
+	// tuples plus its share of the untagged; next[p] becomes its cursor and
+	// tail[p] the cursor of its untagged share, behind the tagged tuples.
 	first := make([]int, len(counts))
 	var next []int
 	for g, c := range counts {
@@ -761,8 +749,8 @@ func TagPartitions(tuples []protocol.WireTuple, maxPerPartition int) [][]protoco
 	if len(next) == 0 {
 		next = []int{0} // nothing tagged: one partition of sprinkles
 	}
-	nparts, untagged := len(next), len(sprinkle)
-	flat := make([]protocol.WireTuple, len(tuples))
+	nparts := len(next)
+	flat, tail := make([]protocol.WireTuple, n), make([]int, nparts)
 	out := make([][]protocol.WireTuple, nparts)
 	start := 0
 	for p := range out {
@@ -770,23 +758,28 @@ func TagPartitions(tuples []protocol.WireTuple, maxPerPartition int) [][]protoco
 		if p < untagged%nparts {
 			size++
 		}
-		out[p], next[p] = flat[start:start+size:start+size], start
+		out[p], next[p], tail[p] = flat[start:start+size:start+size], start, start+next[p]
 		start += size
 	}
-	// Place: a group fills its partitions in order of appearance; the
-	// untagged tuples then go round-robin behind the tagged ones.
+	// Place: a group fills its partitions in order of appearance, the
+	// untagged tuples go round-robin.
+	pos := make([]int32, n)
 	clear(counts) // now: tuples of each group placed so far
-	for i := range tuples {
-		if g := groupOf[i]; g >= 0 {
-			p := first[g] + counts[g]/maxPerPartition
-			counts[g]++
-			flat[next[p]] = tuples[i]
-			next[p]++
+	i, sprinkled := int32(0), 0
+	for _, c := range chunks {
+		for j := range c {
+			var at *int
+			if g := groupOf[i]; g >= 0 {
+				at = &next[first[g]+counts[g]/maxPerPartition]
+				counts[g]++
+			} else {
+				at = &tail[sprinkled%nparts]
+				sprinkled++
+			}
+			flat[*at], pos[*at] = c[j], i
+			*at++
+			i++
 		}
 	}
-	for k, i := range sprinkle {
-		flat[next[k%nparts]] = tuples[i]
-		next[k%nparts]++
-	}
-	return out
+	return out, pos
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -152,25 +154,21 @@ func TestRandomPartitions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tuples = append(tuples, tuple(fmt.Sprint(i), 4))
 	}
-	parts := RandomPartitions(tuples, 3, rng)
+	parts := New().PartitionRandom("", tuples, 3, rng)
 	if len(parts) != 4 {
 		t.Fatalf("partitions = %d", len(parts))
 	}
-	total := 0
-	seen := map[string]bool{}
-	for _, p := range parts {
-		total += len(p)
-		for _, w := range p {
-			seen[string(w.Tag)] = true
-		}
+	flat, seen := slices.Concat(parts...), map[string]bool{}
+	for _, w := range flat {
+		seen[string(w.Tag)] = true
 	}
-	if total != 10 || len(seen) != 10 {
-		t.Errorf("coverage broken: %d tuples, %d distinct", total, len(seen))
+	if len(flat) != 10 || len(seen) != 10 {
+		t.Errorf("coverage broken: %d tuples, %d distinct", len(flat), len(seen))
 	}
-	if RandomPartitions(nil, 3, rng) != nil {
+	if New().PartitionRandom("", nil, 3, rng) != nil {
 		t.Error("empty input must yield nil")
 	}
-	if got := RandomPartitions(tuples, 0, rng); len(got) != 10 {
+	if got := New().PartitionRandom("", tuples, 0, rng); len(got) != 10 {
 		t.Errorf("perPartition=0 must clamp to 1: %d", len(got))
 	}
 }
@@ -179,7 +177,7 @@ func TestTagPartitionsGroupsByTag(t *testing.T) {
 	tuples := []protocol.WireTuple{
 		tuple("a", 4), tuple("b", 4), tuple("a", 4), tuple("a", 4), tuple("b", 4),
 	}
-	parts := TagPartitions(tuples, 0)
+	parts := New().PartitionByTag("", tuples, 0)
 	if len(parts) != 2 {
 		t.Fatalf("partitions = %d, want one per tag", len(parts))
 	}
@@ -198,7 +196,7 @@ func TestTagPartitionsSplitsLargeGroups(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tuples = append(tuples, tuple("big", 4))
 	}
-	parts := TagPartitions(tuples, 4)
+	parts := New().PartitionByTag("", tuples, 4)
 	if len(parts) != 3 {
 		t.Fatalf("partitions = %d, want ceil(10/4)", len(parts))
 	}
@@ -208,35 +206,24 @@ func TestTagPartitionsSprinklesUntagged(t *testing.T) {
 	tuples := []protocol.WireTuple{
 		tuple("a", 4), {Ciphertext: make([]byte, 4)}, {Ciphertext: make([]byte, 4)},
 	}
-	parts := TagPartitions(tuples, 0)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != 3 {
+	parts := New().PartitionByTag("", tuples, 0)
+	if total := len(slices.Concat(parts...)); total != 3 {
 		t.Errorf("tuples lost: %d", total)
 	}
 	// Only untagged input still produces one partition.
-	parts = TagPartitions([]protocol.WireTuple{{Ciphertext: []byte{1}}}, 0)
+	parts = New().PartitionByTag("", []protocol.WireTuple{{Ciphertext: []byte{1}}}, 0)
 	if len(parts) != 1 || len(parts[0]) != 1 {
 		t.Errorf("untagged-only = %v", parts)
 	}
-	if TagPartitions(nil, 0) != nil {
+	if New().PartitionByTag("", nil, 0) != nil {
 		t.Error("empty input must yield nil")
 	}
 }
 
 func TestTagPartitionsDeterministicOrder(t *testing.T) {
 	tuples := []protocol.WireTuple{tuple("x", 4), tuple("y", 4), tuple("x", 4)}
-	a := TagPartitions(tuples, 0)
-	b := TagPartitions(tuples, 0)
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic partition count")
-	}
-	for i := range a {
-		if string(a[i][0].Tag) != string(b[i][0].Tag) {
-			t.Error("nondeterministic partition order")
-		}
+	if a, b := New().PartitionByTag("", tuples, 0), New().PartitionByTag("", tuples, 0); !reflect.DeepEqual(a, b) {
+		t.Errorf("nondeterministic build: %v, then %v", a, b)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
@@ -101,7 +102,7 @@ func TestStoreViewsAreSnapshots(t *testing.T) {
 		want[i] = append([]protocol.WireTuple(nil), ref[w.start:w.end]...)
 	}
 	all := s.CollectedTuples("q1") // one chunk: a view too
-	build := s.StreamBuild("q1", 1000)
+	build, _ := s.StreamBuild("q1", 1000)
 
 	// Later deposits land in the same chunk, then in new ones, while a
 	// reader keeps walking the early views.
@@ -233,7 +234,7 @@ func TestTagPartitionsMatchesReference(t *testing.T) {
 			}
 		}
 		for _, per := range []int{0, 1, 7, n} {
-			got, want := TagPartitions(tuples, per), tagPartitionsReference(tuples, per)
+			got, want := New().PartitionByTag("", tuples, per), tagPartitionsReference(tuples, per)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (n=%d tags=%d untagged=%.1f per=%d):\ngot  %v\nwant %v",
 					trial, n, tags, untaggedShare, per, partLens(got), partLens(want))
@@ -260,7 +261,8 @@ func TestRepartitionAfterOuterTamper(t *testing.T) {
 			return s.PartitionByTag("q1", in, 4)
 		},
 		"stream": func(s *SSI, _ []protocol.WireTuple) [][]protocol.WireTuple {
-			return s.StreamBuild("q1", 4)
+			parts, _ := s.StreamBuild("q1", 4)
+			return parts
 		},
 	}
 	for name, build := range builds {
@@ -282,14 +284,14 @@ func TestRepartitionAfterOuterTamper(t *testing.T) {
 		parts[0], parts[1] = parts[1], nil
 		parts[2] = append(parts[2], tuple("intruder", 1)) // must reallocate, not spill into parts[3]
 		parts = append(parts[:3], parts[4:]...)
-		if re := s.Repartition("q1"); !reflect.DeepEqual(re, honest) {
+		if re, _ := s.Repartition("q1"); !reflect.DeepEqual(re, honest) {
 			t.Errorf("%s: re-issue differs from the honest build: %v, want %v", name, partLens(re), partLens(honest))
 		}
 		// The re-issue is itself only an outer copy: tampering with it
 		// must not reach the next one either.
-		re := s.Repartition("q1")
+		re, _ := s.Repartition("q1")
 		re[0] = nil
-		if again := s.Repartition("q1"); !reflect.DeepEqual(again, honest) {
+		if again, _ := s.Repartition("q1"); !reflect.DeepEqual(again, honest) {
 			t.Errorf("%s: second re-issue differs from the honest build", name)
 		}
 	}
@@ -360,16 +362,10 @@ func TestDepositDoesNotRetainTuples(t *testing.T) {
 		}
 		svc.StreamBuild("q1", 4) // the inner SSI stashes the build, the adversary its stale copy
 		scribble()
-		flat := func(parts [][]protocol.WireTuple) (out []protocol.WireTuple) {
-			for _, p := range parts {
-				out = append(out, p...)
-			}
-			return out
-		}
-		if !reflect.DeepEqual(flat(inner.Repartition("q1")), want) {
+		if re, _ := inner.Repartition("q1"); !reflect.DeepEqual(slices.Concat(re...), want) {
 			t.Errorf("%s: the stashed build reads the caller's overwritten slice", name)
 		}
-		if a, ok := svc.(*Adversary); ok && !reflect.DeepEqual(flat(a.prev), want) {
+		if a, ok := svc.(*Adversary); ok && !reflect.DeepEqual(slices.Concat(a.prev...), want) {
 			t.Errorf("%s: the adversary's stale stash reads the caller's overwritten slice", name)
 		}
 	}

@@ -1,7 +1,10 @@
 package ssi
 
 import (
+	"encoding/binary"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,20 +49,16 @@ func TestStreamerWindows(t *testing.T) {
 
 	// StreamBuild chunks the whole store in deposit order, trailing
 	// partial included, and its concatenation is exactly the store.
-	parts := s.StreamBuild("q-str", per)
+	parts, _ := s.StreamBuild("q-str", per)
 	if len(parts) != 3 || len(parts[0]) != per || len(parts[1]) != per || len(parts[2]) != 2 {
 		t.Fatalf("StreamBuild shape = %v", partLens(parts))
 	}
-	var flat []protocol.WireTuple
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	if !reflect.DeepEqual(flat, all) {
+	if flat := slices.Concat(parts...); !reflect.DeepEqual(flat, all) {
 		t.Fatalf("StreamBuild reordered the store:\ngot:  %v\nwant: %v", flat, all)
 	}
 
 	// The build is stashed: the quarantine retry re-issues it.
-	if re := s.Repartition("q-str"); !reflect.DeepEqual(re, parts) {
+	if re, _ := s.Repartition("q-str"); !reflect.DeepEqual(re, parts) {
 		t.Fatalf("Repartition does not re-issue the stream build:\ngot:  %v\nwant: %v", re, parts)
 	}
 }
@@ -70,13 +69,13 @@ func TestStreamerEmpty(t *testing.T) {
 	if err := s.PostQuery(&protocol.QueryPost{ID: "q-mt", PostedAt: now}, now); err != nil {
 		t.Fatal(err)
 	}
-	if parts := s.StreamBuild("q-mt", 4); parts != nil {
+	if parts, _ := s.StreamBuild("q-mt", 4); parts != nil {
 		t.Errorf("empty StreamBuild = %v, want nil", parts)
 	}
-	if parts := s.StreamBuild("q-none", 4); parts != nil {
+	if parts, _ := s.StreamBuild("q-none", 4); parts != nil {
 		t.Errorf("unknown query StreamBuild = %v, want nil", parts)
 	}
-	if re := s.Repartition("q-mt"); re != nil {
+	if re, _ := s.Repartition("q-mt"); re != nil {
 		t.Errorf("empty build left a stash: %v", re)
 	}
 }
@@ -98,11 +97,11 @@ func TestShardedStreamer(t *testing.T) {
 	}
 	for i, id := range []string{"q-a", "q-b"} {
 		want := all[i*3 : i*3+3]
-		parts := s.StreamBuild(id, 3)
+		parts, _ := s.StreamBuild(id, 3)
 		if len(parts) != 1 || !reflect.DeepEqual(parts[0], want) {
 			t.Errorf("%s StreamBuild = %v, want [%v]", id, parts, want)
 		}
-		if re := s.Repartition(id); !reflect.DeepEqual(re, parts) {
+		if re, _ := s.Repartition(id); !reflect.DeepEqual(re, parts) {
 			t.Errorf("%s Repartition = %v, want %v", id, re, parts)
 		}
 	}
@@ -124,7 +123,7 @@ func TestAdversaryStreamBuild(t *testing.T) {
 	a := NewAdversary(s, script(faultplan.SSIDropTuple), 21, "q-adv")
 
 	honest := multiset([][]protocol.WireTuple{all})
-	got := a.StreamBuild("q-adv", 3)
+	got, _ := a.StreamBuild("q-adv", 3)
 	if reflect.DeepEqual(multiset(got), honest) {
 		t.Fatalf("scripted adversary handed out an honest stream build; strikes %v", a.Strikes())
 	}
@@ -132,8 +131,43 @@ func TestAdversaryStreamBuild(t *testing.T) {
 		t.Fatalf("strikes = %v, want exactly one", a.Strikes())
 	}
 	// Recovery: the re-issue comes from the honest stash.
-	if re := a.Repartition("q-adv"); !reflect.DeepEqual(multiset(re), honest) {
+	if re, _ := a.Repartition("q-adv"); !reflect.DeepEqual(multiset(re), honest) {
 		t.Fatalf("re-issued stream build still tampered: %v", multiset(re))
+	}
+}
+
+// TestStreamBuildByTag: on a tagged post StreamBuild groups the store in
+// place — across chunk boundaries, untagged tuples sprinkled — into
+// exactly PartitionByTag's build over the flat copy, and names each build
+// tuple's store position; the re-issue and the adversary hand the same
+// positions on.
+func TestStreamBuildByTag(t *testing.T) {
+	s, all := New(), make([]protocol.WireTuple, 2*tupleChunk+37)
+	must(t, s.PostQuery(&protocol.QueryPost{ID: "q-tag", Kind: protocol.KindCNoise}, t0))
+	for i := range all {
+		all[i] = tuple(fmt.Sprintf("g%d", i%13), 4)
+		binary.BigEndian.PutUint32(all[i].Ciphertext, uint32(i))
+		if i%17 == 0 {
+			all[i].Tag = nil
+		}
+	}
+	_, _, err := deposit(s, "q-tag", all, t0)
+	must(t, err)
+	parts, pos := s.StreamBuild("q-tag", 64)
+	if want := s.PartitionByTag("q-ref", s.CollectedTuples("q-tag"), 64); !reflect.DeepEqual(parts, want) || len(pos) != len(all) {
+		t.Fatalf("store build %v with %d positions, want PartitionByTag's %v", partLens(parts), len(pos), partLens(want))
+	}
+	for k, w := range slices.Concat(parts...) {
+		if got := s.CollectedRange("q-tag", int(pos[k]), int(pos[k])+1); !reflect.DeepEqual(got[0], w) {
+			t.Fatalf("build tuple %d: position %d holds %v, not %v", k, pos[k], got[0], w)
+		}
+	}
+	if re, rpos := s.Repartition("q-tag"); !reflect.DeepEqual(re, parts) || !reflect.DeepEqual(rpos, pos) {
+		t.Error("the re-issue is not the build and its positions")
+	}
+	a := NewAdversary(s, script(faultplan.SSIDropTuple), 21, "q-tag")
+	if got, apos := a.StreamBuild("q-tag", 64); reflect.DeepEqual(got, parts) || !reflect.DeepEqual(apos, pos) {
+		t.Errorf("the adversary must tamper with the build and hand its positions on; strikes %v", a.Strikes())
 	}
 }
 

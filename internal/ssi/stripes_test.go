@@ -68,8 +68,9 @@ func runStripeScript(t *testing.T, s *SSI, ids []string) map[string]*queryRecord
 		all := s.CollectedTuples(id)
 		r.Builds = append(r.Builds, s.PartitionRandom(id, all, 2, rand.New(rand.NewSource(int64(i)))))
 		r.Builds = append(r.Builds, s.PartitionByTag(id, all, 2))
-		r.Builds = append(r.Builds, s.StreamBuild(id, 3))
-		r.Builds = append(r.Builds, s.Repartition(id))
+		stream, _ := s.StreamBuild(id, 3)
+		re, _ := s.Repartition(id)
+		r.Builds = append(r.Builds, stream, re)
 		if !reflect.DeepEqual(r.Builds[3], r.Builds[2]) {
 			t.Errorf("%s: Repartition differs from the last build", id)
 		}
@@ -82,7 +83,7 @@ func runStripeScript(t *testing.T, s *SSI, ids []string) map[string]*queryRecord
 			t.Errorf("%s: count %d, collected %d", id, s.CollectedCount(id), len(r.Collected))
 		}
 		s.Drop(id)
-		if s.BytesStored(id) != 0 || s.CollectedCount(id) != 0 || s.Repartition(id) != nil {
+		if re, _ := s.Repartition(id); s.BytesStored(id) != 0 || s.CollectedCount(id) != 0 || re != nil {
 			t.Errorf("%s: drop left state behind", id)
 		}
 	}

@@ -95,6 +95,14 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude
     exit 1
 fi
 
+# One read path: the engine reads the covering result through the store
+# views it verified and StreamBuild's positions, never as one flat copy.
+echo "==> no CollectedTuples in internal/core"
+if grep -rn --include='*.go' --exclude='*_test.go' 'CollectedTuples' internal/core; then
+    echo "internal/core must read the store through CollectedRange / StreamBuild" >&2
+    exit 1
+fi
+
 # A gate's -run pattern must keep selecting tests, or renaming or deleting
 # one silently empties the gate: every package listed must have a test the
 # pattern selects, and every |-alternative must select one in some package.
@@ -155,13 +163,14 @@ done
 # shows as a race or a failed deposit commitment, a lost wake-up as the
 # timeout); and the phase benchmark once at every worker count, so a walk
 # that deadlocks or loses a device at one of them fails here rather than
-# in a benchmark run.
-echo "==> collection window (GOMAXPROCS=8, -race -count=3) and phase benchmark smoke"
+# in a benchmark run. The first-step build benchmark rides along, its
+# deposit-order and tagged builds both.
+echo "==> collection window (GOMAXPROCS=8, -race -count=3) and phase and build benchmark smoke"
 selects 'CollectWorkersDeterminismWalk|JournalFleetByteBudget' ./internal/core
 GOMAXPROCS=8 go test -race -count=3 -timeout 5m \
     -run 'CollectWorkersDeterminismWalk|JournalFleetByteBudget' ./internal/core
-selects -bench 'CollectionPhase' ./internal/core
-go test -run '^$' -bench 'CollectionPhase' -benchtime 1x ./internal/core
+selects -bench 'CollectionPhase|StreamBuild' ./internal/core
+go test -run '^$' -bench 'CollectionPhase|StreamBuild' -benchtime 1x ./internal/core
 
 echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
@@ -227,8 +236,8 @@ if [ "$short" -eq 0 ]; then
     fuzz '^FuzzDecrypt$' ./internal/tdscrypto
     fuzz '^FuzzTrustBundleDecode$' ./internal/tdscrypto
     # The exact multiset check against its map-of-framed-strings reference,
-    # and the covering-build check (identity walk in deposit order, input
-    # positions permuted) accepting exactly what the reference accepts.
+    # and the covering-build check (identity walk in deposit order, named
+    # store positions permuted) accepting exactly what its reference does.
     fuzz '^FuzzMultisetEqual$' ./internal/core
 fi
 
