@@ -213,66 +213,46 @@ func (r *Rule) authorize(stmt *sqlparse.SelectStmt) error {
 			aliasToTable[strings.ToLower(ref.Alias)] = ref.Name
 		}
 	}
-	var denied *sqlparse.ColumnRef
-	forEachColumn(stmt, func(ref *sqlparse.ColumnRef) {
+	var denied error
+	visit := func(e sqlparse.Expr) bool {
 		if denied != nil {
-			return
+			return false
 		}
-		table := ""
-		if ref.Table != "" {
-			table = aliasToTable[strings.ToLower(ref.Table)]
-			if table == "" {
-				table = ref.Table
-			}
-		}
-		if r.deniesColumn(table, ref.Name, fromTables) {
-			denied = ref
-		}
-	})
-	if denied != nil {
-		return fmt.Errorf("%w: column %q", ErrDenied, denied)
-	}
-	return nil
-}
-
-// forEachColumn visits every column reference of the statement.
-func forEachColumn(stmt *sqlparse.SelectStmt, fn func(*sqlparse.ColumnRef)) {
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
 		switch n := e.(type) {
-		case nil:
 		case *sqlparse.ColumnRef:
-			fn(n)
-		case *sqlparse.BinaryExpr:
-			walk(n.Left)
-			walk(n.Right)
-		case *sqlparse.UnaryExpr:
-			walk(n.Expr)
-		case *sqlparse.InExpr:
-			walk(n.Expr)
-			for _, it := range n.List {
-				walk(it)
+			table := ""
+			if n.Table != "" {
+				table = aliasToTable[strings.ToLower(n.Table)]
+				if table == "" {
+					table = n.Table
+				}
 			}
-		case *sqlparse.BetweenExpr:
-			walk(n.Expr)
-			walk(n.Lo)
-			walk(n.Hi)
-		case *sqlparse.IsNullExpr:
-			walk(n.Expr)
-		case *sqlparse.FuncCall:
-			if !n.Star {
-				walk(n.Arg)
+			if r.deniesColumn(table, n.Name, fromTables) {
+				denied = fmt.Errorf("%w: column %q", ErrDenied, n)
 			}
+		case *sqlparse.Literal, *sqlparse.BinaryExpr, *sqlparse.NotExpr, *sqlparse.InExpr,
+			*sqlparse.BetweenExpr, *sqlparse.IsNullExpr, *sqlparse.FuncCall:
+		default:
+			// A node this check does not know may hide a column: deny.
+			denied = fmt.Errorf("%w: unchecked expression %s", ErrDenied, e)
 		}
+		return denied == nil
 	}
 	for _, it := range stmt.Select {
-		if !it.Star {
-			walk(it.Expr)
+		if it.Star {
+			// Without the schema, * may name any column: a rule that
+			// denies one denies *.
+			if len(r.DeniedColumns) > 0 {
+				return fmt.Errorf("%w: * under column denials", ErrDenied)
+			}
+			continue
 		}
+		sqlparse.Walk(it.Expr, visit)
 	}
-	walk(stmt.Where)
+	sqlparse.Walk(stmt.Where, visit)
 	for _, g := range stmt.GroupBy {
-		fn(g)
+		sqlparse.Walk(g, visit)
 	}
-	walk(stmt.Having)
+	sqlparse.Walk(stmt.Having, visit)
+	return denied
 }

@@ -317,7 +317,10 @@ func newDeepDevice(b *testing.B) (*Engine, *tds.TDS, *protocol.QueryPost) {
 // compile-time column binding and the in-place scan apply.
 func BenchmarkCollectLocal(b *testing.B) {
 	_, t, _ := newDeepDevice(b)
-	plan := sqlexec.MustCompile(sqlparse.MustParse(benchAggSQL), t.DB.Schema())
+	plan, err := sqlexec.Compile(sqlparse.MustParse(benchAggSQL), t.DB.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

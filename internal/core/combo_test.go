@@ -11,24 +11,6 @@ import (
 // Combination tests: features exercised together, the way a deployment
 // would actually stack them.
 
-func TestBasicSFWWithScalarsAndLike(t *testing.T) {
-	f := newFixture(t, 20, nil)
-	sql := `SELECT UPPER(district), LENGTH(district), cid FROM Consumer ` +
-		`WHERE district LIKE 'L%' AND accommodation NOT LIKE '%flat%' ` +
-		`ORDER BY 3 LIMIT 5`
-	want := f.reference(t, sql)
-	got, _, err := runQuery(f.eng, f.q, sql, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, got, want)
-	for _, row := range got.Rows {
-		if row[0].AsString() != "LILLE" && row[0].AsString() != "LYON" {
-			t.Errorf("row = %v", row)
-		}
-	}
-}
-
 func TestTargetedNoiseProtocol(t *testing.T) {
 	f := newFixture(t, 24, nil)
 	targets := []string{"tds-00001", "tds-00004", "tds-00009", "tds-00014"}

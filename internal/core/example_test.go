@@ -68,7 +68,7 @@ func Example() {
 
 	resp, err := eng.Execute(context.Background(), core.Request{
 		Querier: q,
-		SQL:     `SELECT district, AVG(cons) FROM Power GROUP BY district ORDER BY district`,
+		SQL:     `SELECT district, AVG(cons) FROM Power GROUP BY district`,
 		Kind:    protocol.KindSAgg,
 	})
 	if err != nil {

@@ -107,29 +107,6 @@ func TestDurationWindowBoundsCollection(t *testing.T) {
 	}
 }
 
-func TestOrderByLimitThroughProtocol(t *testing.T) {
-	f := newFixture(t, 30, nil)
-	sql := `SELECT C.district, AVG(P.cons) AS mean FROM Power P, Consumer C ` +
-		`WHERE C.cid = P.cid GROUP BY C.district ORDER BY mean DESC LIMIT 3`
-	got, _, err := runQuery(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 3 {
-		t.Fatalf("LIMIT through protocol: %d rows", len(got.Rows))
-	}
-	for i := 1; i < len(got.Rows); i++ {
-		prev, _ := got.Rows[i-1][1].AsFloat()
-		cur, _ := got.Rows[i][1].AsFloat()
-		if cur > prev {
-			t.Errorf("rows not descending: %v", got.Rows)
-		}
-	}
-	// Matches the reference executor (which applies the same clauses).
-	want := f.reference(t, sql)
-	assertSameResult(t, got, want)
-}
-
 func TestDurationAndTupleBoundTogether(t *testing.T) {
 	f := newFixture(t, 30, func(c *Config) { c.ConnectionInterval = time.Minute })
 	// Whichever bound hits first stops collection; SIZE 3 wins here.

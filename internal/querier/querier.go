@@ -83,11 +83,6 @@ func (q *Querier) DecryptResult(post *protocol.QueryPost, tuples []protocol.Wire
 		}
 		res.Rows = append(res.Rows, row.Clone())
 	}
-	// ORDER BY / LIMIT are presentation concerns applied after decryption;
-	// the fleet and the SSI never see them act.
-	if err := sqlexec.ApplyPresentation(stmt, res); err != nil {
-		return nil, fmt.Errorf("querier %s: %w", q.ID, err)
-	}
 	res.Rows = slices.Clone(res.Rows) // the answer outlives the run: no append slack
 	return res, nil
 }

@@ -38,18 +38,18 @@ var corpus = []string{
 	`SELECT * FROM Power`,
 	`SELECT * FROM Power P, Consumer C WHERE C.cid = P.cid`,
 	`SELECT cid, cons FROM Power WHERE cons > 15 AND NOT period = 0`,
-	`SELECT P.cons * 2 + 1 AS twice, -P.period FROM Power P WHERE P.cons BETWEEN 10 AND 40 OR P.cid IN (9, 11)`,
-	`SELECT UPPER(district), LENGTH(accommodation) FROM Consumer WHERE district LIKE 'P%' AND cid IS NOT NULL`,
+	`SELECT P.cons AS c, P.period FROM Power P WHERE P.cons BETWEEN 10 AND 40 OR P.cid IN (9, 11)`,
+	`SELECT district, accommodation FROM Consumer WHERE district NOT IN ('Lyon') AND cid IS NOT NULL AND cid > -1`,
 	`SELECT C.district, AVG(P.cons) FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district`,
 	`SELECT district, accommodation, COUNT(*), MAX(P.cons) FROM Power P, Consumer C ` +
 		`WHERE C.cid = P.cid GROUP BY district, accommodation`,
-	`SELECT C.district, SUM(P.cons) / COUNT(*) AS mean, MEDIAN(P.cons), MIN(ABS(P.cons - 25)) ` +
+	`SELECT C.district, SUM(P.cons), COUNT(*) AS n, MEDIAN(P.cons), MIN(P.cons) ` +
 		`FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district ` +
 		`HAVING COUNT(DISTINCT C.cid) > 1 AND C.district <> 'Lyon'`,
-	`SELECT period % 2, VARIANCE(cons), STDDEV(cons) FROM Power GROUP BY period HAVING period % 2 = 0 OR COUNT(*) > 2`,
+	`SELECT period, VARIANCE(cons), STDDEV(cons) FROM Power GROUP BY period HAVING period IN (0, 2) OR COUNT(*) > 2`,
 	`SELECT COUNT(*), COUNT(cons), AVG(cons), SUM(period) FROM Power WHERE cons NOT BETWEEN 0 AND 5`,
 	`SELECT COUNT(*) FROM Power WHERE cons > 1000`,
-	`SELECT C.cid, C.district FROM Consumer C WHERE C.accommodation = 'flat' ORDER BY 1 DESC LIMIT 2`,
+	`SELECT C.cid, C.district FROM Consumer C WHERE C.accommodation = 'flat'`,
 }
 
 func corpusDBs(t *testing.T) []*storage.LocalDB {
@@ -63,8 +63,9 @@ func corpusDBs(t *testing.T) []*storage.LocalDB {
 
 // TestBindingIsComplete: after Compile every column reference of the
 // statement is bound — the evaluator has nothing else to look a column up
-// in — and Standalone's answers over the corpus are the ones the per-row
-// resolver gave (the digest was taken at the commit before the change).
+// in — and Standalone's answers over the corpus are the ones the evaluator
+// gave before the dialect was cut to the paper's (the digest was taken over
+// this corpus at the commit before that change).
 func TestBindingIsComplete(t *testing.T) {
 	dbs := corpusDBs(t)
 	h := sha256.New()
@@ -82,11 +83,14 @@ func TestBindingIsComplete(t *testing.T) {
 		}
 		refs := 0
 		for _, e := range exprs {
-			walkColumns(e, func(c *sqlparse.ColumnRef) {
-				refs++
-				if _, ok := p.colPos[c]; !ok {
-					t.Errorf("%s: column %s is not bound", q, c)
+			sqlparse.Walk(e, func(n sqlparse.Expr) bool {
+				if c, ok := n.(*sqlparse.ColumnRef); ok {
+					refs++
+					if _, ok := p.colPos[c]; !ok {
+						t.Errorf("%s: column %s is not bound", q, c)
+					}
 				}
+				return true
 			})
 		}
 		if refs != len(p.colPos) {
@@ -98,7 +102,7 @@ func TestBindingIsComplete(t *testing.T) {
 		}
 		h.Write([]byte(q + "\n" + res.String()))
 	}
-	const want = "5d22c69d837fc7a517666cd4d4dad3c35418bcbdda3862e909b4e513bb00be2f"
+	const want = "371e73561bf09a90b027ed3443fadd59cbe7dd687b8857b61d9f45cde3a31977"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("corpus digest = %s, want %s", got, want)
 	}

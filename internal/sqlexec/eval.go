@@ -2,8 +2,6 @@ package sqlexec
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/storage"
@@ -52,18 +50,12 @@ func (ctx *evalContext) evalExpr(e sqlparse.Expr) (storage.Value, error) {
 		}
 		return ctx.aggResults[idx], nil
 
-	case *sqlparse.UnaryExpr:
+	case *sqlparse.NotExpr:
 		v, err := ctx.evalExpr(n.Expr)
-		if err != nil {
+		if err != nil || v.IsNull() {
 			return storage.Null(), err
 		}
-		if n.Op == "NOT" {
-			if v.IsNull() {
-				return storage.Null(), nil
-			}
-			return storage.Bool(!v.AsBool()), nil
-		}
-		return storage.Neg(v)
+		return storage.Bool(!v.AsBool()), nil
 
 	case *sqlparse.BinaryExpr:
 		return ctx.evalBinary(n)
@@ -123,59 +115,8 @@ func (ctx *evalContext) evalExpr(e sqlparse.Expr) (storage.Value, error) {
 		}
 		return storage.Bool(v.IsNull() != n.Negate), nil
 
-	case *sqlparse.ScalarCall:
-		v, err := ctx.evalExpr(n.Arg)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return evalScalar(n.Func, v)
-
 	default:
 		return storage.Null(), fmt.Errorf("sqlexec: unsupported expression %T", e)
-	}
-}
-
-// evalScalar applies a scalar function. NULL propagates through every
-// function.
-func evalScalar(fn sqlparse.ScalarFunc, v storage.Value) (storage.Value, error) {
-	if v.IsNull() {
-		return storage.Null(), nil
-	}
-	switch fn {
-	case sqlparse.ScalarAbs:
-		if v.Kind() == storage.KindInt {
-			i, _ := v.AsInt()
-			if i < 0 {
-				i = -i
-			}
-			return storage.Int(i), nil
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return storage.Null(), fmt.Errorf("sqlexec: ABS: %w", err)
-		}
-		return storage.Float(math.Abs(f)), nil
-	case sqlparse.ScalarRound, sqlparse.ScalarFloor, sqlparse.ScalarCeil:
-		f, err := v.AsFloat()
-		if err != nil {
-			return storage.Null(), fmt.Errorf("sqlexec: %s: %w", fn, err)
-		}
-		switch fn {
-		case sqlparse.ScalarRound:
-			return storage.Float(math.Round(f)), nil
-		case sqlparse.ScalarFloor:
-			return storage.Float(math.Floor(f)), nil
-		default:
-			return storage.Float(math.Ceil(f)), nil
-		}
-	case sqlparse.ScalarUpper:
-		return storage.Str(strings.ToUpper(v.AsString())), nil
-	case sqlparse.ScalarLower:
-		return storage.Str(strings.ToLower(v.AsString())), nil
-	case sqlparse.ScalarLength:
-		return storage.Int(int64(len(v.AsString()))), nil
-	default:
-		return storage.Null(), fmt.Errorf("sqlexec: unknown scalar function %q", fn)
 	}
 }
 
@@ -219,21 +160,6 @@ func (ctx *evalContext) evalBinary(n *sqlparse.BinaryExpr) (storage.Value, error
 		return storage.Null(), err
 	}
 	switch n.Op {
-	case "+":
-		return storage.Add(l, r)
-	case "-":
-		return storage.Sub(l, r)
-	case "*":
-		return storage.Mul(l, r)
-	case "/":
-		return storage.Div(l, r)
-	case "%":
-		return storage.Mod(l, r)
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return storage.Null(), nil
-		}
-		return storage.Bool(likeMatch(l.AsString(), r.AsString())), nil
 	case "=", "<>", "<", "<=", ">", ">=":
 		if l.IsNull() || r.IsNull() {
 			return storage.Null(), nil
@@ -268,33 +194,6 @@ func (ctx *evalContext) evalBinary(n *sqlparse.BinaryExpr) (storage.Value, error
 	default:
 		return storage.Null(), fmt.Errorf("sqlexec: unknown operator %q", n.Op)
 	}
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (any single byte),
-// case-sensitive, via iterative backtracking on the last %.
-func likeMatch(s, pattern string) bool {
-	var si, pi int
-	star, match := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star, match = pi, si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			match++
-			si = match
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
 }
 
 // predicateTrue evaluates a boolean expression, treating NULL as false.

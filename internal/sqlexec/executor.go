@@ -2,10 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
-	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/storage"
 )
 
@@ -45,11 +42,7 @@ func (p *Plan) ScanLocal(db *storage.LocalDB, fn func(row storage.Row) error) er
 					row = append(row, storage.Int(1))
 					continue
 				}
-				v, err := ctx.evalExpr(spec.Arg)
-				if err != nil {
-					return fmt.Errorf("sqlexec: %s: %w", spec, err)
-				}
-				row = append(row, v)
+				row = append(row, combined[p.colPos[spec.Arg]])
 			}
 			return fn(row)
 		}
@@ -145,74 +138,7 @@ func Standalone(p *Plan, dbs ...*storage.LocalDB) (*Result, error) {
 		}
 	}
 	if p.IsAggregate() {
-		var err error
-		if res, err = acc.Finalize(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ApplyPresentation(p.Stmt, res); err != nil {
-		return nil, err
+		return acc.Finalize()
 	}
 	return res, nil
-}
-
-// ApplyPresentation applies the ORDER BY and LIMIT clauses to a final
-// result. It runs on the querier after decryption: row order and
-// truncation are presentation concerns with no bearing on what the SSI or
-// the TDSs see, so the protocols ignore them entirely.
-func ApplyPresentation(stmt *sqlparse.SelectStmt, res *Result) error {
-	if len(stmt.OrderBy) > 0 {
-		keys := make([]int, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
-			idx, err := resolveOrderItem(o, res.Columns)
-			if err != nil {
-				return err
-			}
-			keys[i] = idx
-		}
-		var sortErr error
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for i, idx := range keys {
-				c, err := storage.Compare(res.Rows[a][idx], res.Rows[b][idx])
-				if err != nil {
-					if sortErr == nil {
-						sortErr = err
-					}
-					return false
-				}
-				if c == 0 {
-					continue
-				}
-				if stmt.OrderBy[i].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		if sortErr != nil {
-			return fmt.Errorf("sqlexec: ORDER BY: %w", sortErr)
-		}
-	}
-	if stmt.Limit > 0 && int64(len(res.Rows)) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
-	}
-	return nil
-}
-
-// resolveOrderItem maps an ORDER BY key to an output column index.
-func resolveOrderItem(o sqlparse.OrderItem, columns []string) (int, error) {
-	if o.Position > 0 {
-		if o.Position > len(columns) {
-			return 0, fmt.Errorf("sqlexec: ORDER BY position %d exceeds %d output columns",
-				o.Position, len(columns))
-		}
-		return o.Position - 1, nil
-	}
-	for i, c := range columns {
-		if strings.EqualFold(c, o.Name) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("sqlexec: ORDER BY references unknown output column %q", o.Name)
 }

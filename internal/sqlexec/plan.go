@@ -37,7 +37,7 @@ type colBinding struct {
 // AggSpec is one compiled aggregate function application.
 type AggSpec struct {
 	Func     sqlparse.AggFunc
-	Arg      sqlparse.Expr // nil for COUNT(*)
+	Arg      *sqlparse.ColumnRef // nil for COUNT(*)
 	Star     bool
 	Distinct bool
 }
@@ -121,7 +121,7 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 	if stmt.IsAggregate() {
 		for _, call := range stmt.Aggregates() {
 			if !call.Star {
-				if err := p.checkExprColumns(call.Arg); err != nil {
+				if _, err := p.resolve(call.Arg); err != nil {
 					return nil, fmt.Errorf("sqlexec: %s: %w", call, err)
 				}
 			}
@@ -167,15 +167,6 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 	return p, nil
 }
 
-// MustCompile is Compile for tests and examples.
-func MustCompile(stmt *sqlparse.SelectStmt, schema *storage.Schema) *Plan {
-	p, err := Compile(stmt, schema)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // resolve binds a column reference to a combined-row position and records
 // the binding. It runs at compile time only.
 func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
@@ -204,14 +195,14 @@ func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
 
 // checkExprColumns resolves all column references inside e.
 func (p *Plan) checkExprColumns(e sqlparse.Expr) error {
-	ok := true
-	var firstErr error
-	walkColumns(e, func(c *sqlparse.ColumnRef) {
-		if _, err := p.resolve(c); err != nil && ok {
-			ok, firstErr = false, err
+	var err error
+	sqlparse.Walk(e, func(n sqlparse.Expr) bool {
+		if c, ok := n.(*sqlparse.ColumnRef); ok && err == nil {
+			_, err = p.resolve(c)
 		}
+		return err == nil
 	})
-	return firstErr
+	return err
 }
 
 // checkGroupedColumns verifies that bare columns in an aggregate query's
@@ -219,81 +210,27 @@ func (p *Plan) checkExprColumns(e sqlparse.Expr) error {
 // exempt).
 func (p *Plan) checkGroupedColumns(e sqlparse.Expr) error {
 	var err error
-	walkNonAggColumns(e, func(c *sqlparse.ColumnRef) {
+	sqlparse.Walk(e, func(n sqlparse.Expr) bool {
 		if err != nil {
-			return
+			return false
+		}
+		c, ok := n.(*sqlparse.ColumnRef)
+		if !ok {
+			_, agg := n.(*sqlparse.FuncCall)
+			return !agg // an aggregate's argument is aggregated
 		}
 		b, rerr := p.resolve(c)
 		if rerr != nil {
 			err = fmt.Errorf("sqlexec: %w", rerr)
-			return
+			return false
 		}
 		for _, g := range p.GroupCols {
 			if g.pos == b.pos {
-				return
+				return true
 			}
 		}
 		err = fmt.Errorf("sqlexec: column %q must appear in GROUP BY or inside an aggregate", c)
+		return false
 	})
 	return err
-}
-
-// walkColumns visits every ColumnRef in e, including aggregate arguments.
-func walkColumns(e sqlparse.Expr, fn func(*sqlparse.ColumnRef)) {
-	switch n := e.(type) {
-	case nil:
-	case *sqlparse.ColumnRef:
-		fn(n)
-	case *sqlparse.BinaryExpr:
-		walkColumns(n.Left, fn)
-		walkColumns(n.Right, fn)
-	case *sqlparse.UnaryExpr:
-		walkColumns(n.Expr, fn)
-	case *sqlparse.InExpr:
-		walkColumns(n.Expr, fn)
-		for _, it := range n.List {
-			walkColumns(it, fn)
-		}
-	case *sqlparse.BetweenExpr:
-		walkColumns(n.Expr, fn)
-		walkColumns(n.Lo, fn)
-		walkColumns(n.Hi, fn)
-	case *sqlparse.IsNullExpr:
-		walkColumns(n.Expr, fn)
-	case *sqlparse.FuncCall:
-		if !n.Star {
-			walkColumns(n.Arg, fn)
-		}
-	case *sqlparse.ScalarCall:
-		walkColumns(n.Arg, fn)
-	}
-}
-
-// walkNonAggColumns visits ColumnRefs outside aggregate calls.
-func walkNonAggColumns(e sqlparse.Expr, fn func(*sqlparse.ColumnRef)) {
-	switch n := e.(type) {
-	case nil:
-	case *sqlparse.ColumnRef:
-		fn(n)
-	case *sqlparse.BinaryExpr:
-		walkNonAggColumns(n.Left, fn)
-		walkNonAggColumns(n.Right, fn)
-	case *sqlparse.UnaryExpr:
-		walkNonAggColumns(n.Expr, fn)
-	case *sqlparse.InExpr:
-		walkNonAggColumns(n.Expr, fn)
-		for _, it := range n.List {
-			walkNonAggColumns(it, fn)
-		}
-	case *sqlparse.BetweenExpr:
-		walkNonAggColumns(n.Expr, fn)
-		walkNonAggColumns(n.Lo, fn)
-		walkNonAggColumns(n.Hi, fn)
-	case *sqlparse.IsNullExpr:
-		walkNonAggColumns(n.Expr, fn)
-	case *sqlparse.FuncCall:
-		// stop: the argument is aggregated
-	case *sqlparse.ScalarCall:
-		walkNonAggColumns(n.Arg, fn)
-	}
 }

@@ -47,7 +47,7 @@ func (c *ColumnRef) String() string {
 }
 
 // BinaryExpr applies an infix operator. Op is one of
-// = <> < <= > >= + - * / % AND OR LIKE.
+// = <> < <= > >= AND OR.
 type BinaryExpr struct {
 	Op          string
 	Left, Right Expr
@@ -59,20 +59,14 @@ func (b *BinaryExpr) String() string {
 	return "(" + b.Left.String() + " " + b.Op + " " + b.Right.String() + ")"
 }
 
-// UnaryExpr applies NOT or unary minus.
-type UnaryExpr struct {
-	Op   string // "NOT" or "-"
+// NotExpr negates a condition.
+type NotExpr struct {
 	Expr Expr
 }
 
-func (*UnaryExpr) exprNode() {}
+func (*NotExpr) exprNode() {}
 
-func (u *UnaryExpr) String() string {
-	if u.Op == "NOT" {
-		return "(NOT " + u.Expr.String() + ")"
-	}
-	return "(" + u.Op + u.Expr.String() + ")"
-}
+func (n *NotExpr) String() string { return "(NOT " + n.Expr.String() + ")" }
 
 // InExpr tests membership in a literal list.
 type InExpr struct {
@@ -150,12 +144,12 @@ var aggFuncs = map[string]AggFunc{
 	"VARIANCE": AggVar, "VAR": AggVar, "STDDEV": AggStddev,
 }
 
-// FuncCall is an aggregate function application. Star is COUNT(*);
-// Distinct is COUNT(DISTINCT x) (and is accepted, though unusual, for the
-// other functions too).
+// FuncCall is an aggregate function application to one column. Star is
+// COUNT(*); Distinct is COUNT(DISTINCT x) (and is accepted, though unusual,
+// for the other functions too).
 type FuncCall struct {
 	Func     AggFunc
-	Arg      Expr // nil when Star
+	Arg      *ColumnRef // nil when Star
 	Star     bool
 	Distinct bool
 }
@@ -173,43 +167,9 @@ func (f *FuncCall) String() string {
 	return string(f.Func) + "(" + inner + ")"
 }
 
-// ScalarFunc enumerates the scalar (per-tuple) functions of the dialect.
-type ScalarFunc string
-
-// Supported scalar functions.
-const (
-	ScalarAbs    ScalarFunc = "ABS"
-	ScalarRound  ScalarFunc = "ROUND"
-	ScalarFloor  ScalarFunc = "FLOOR"
-	ScalarCeil   ScalarFunc = "CEIL"
-	ScalarUpper  ScalarFunc = "UPPER"
-	ScalarLower  ScalarFunc = "LOWER"
-	ScalarLength ScalarFunc = "LENGTH"
-)
-
-// scalarFuncs recognizes scalar function names during parsing, with their
-// accepted arity.
-var scalarFuncs = map[string]ScalarFunc{
-	"ABS": ScalarAbs, "ROUND": ScalarRound, "FLOOR": ScalarFloor,
-	"CEIL": ScalarCeil, "UPPER": ScalarUpper, "LOWER": ScalarLower,
-	"LENGTH": ScalarLength,
-}
-
-// ScalarCall applies a scalar function to one argument.
-type ScalarCall struct {
-	Func ScalarFunc
-	Arg  Expr
-}
-
-func (*ScalarCall) exprNode() {}
-
-func (s *ScalarCall) String() string {
-	return string(s.Func) + "(" + s.Arg.String() + ")"
-}
-
 // SelectItem is one projection of the SELECT list.
 type SelectItem struct {
-	Expr  Expr   // nil when Star
+	Expr  Expr   // a *ColumnRef or *FuncCall; nil when Star
 	Alias string // optional AS alias
 	Star  bool   // bare *
 }
@@ -264,26 +224,6 @@ func (s SizeClause) String() string {
 	}
 }
 
-// OrderItem is one ORDER BY key: a 1-based output column position or an
-// output column name, optionally descending. Ordering is applied by the
-// querier after decryption — it concerns presentation, not privacy.
-type OrderItem struct {
-	Position int    // 1-based; 0 when Name is used
-	Name     string // output column name/alias; "" when Position is used
-	Desc     bool
-}
-
-func (o OrderItem) String() string {
-	s := o.Name
-	if o.Position > 0 {
-		s = fmt.Sprintf("%d", o.Position)
-	}
-	if o.Desc {
-		s += " DESC"
-	}
-	return s
-}
-
 // SelectStmt is a parsed query.
 type SelectStmt struct {
 	Select  []SelectItem
@@ -291,8 +231,6 @@ type SelectStmt struct {
 	Where   Expr // nil if absent
 	GroupBy []*ColumnRef
 	Having  Expr // nil if absent
-	OrderBy []OrderItem
-	Limit   int64 // 0 = no limit
 	Size    SizeClause
 }
 
@@ -313,29 +251,43 @@ func (s *SelectStmt) Aggregates() []*FuncCall {
 }
 
 func collectAggs(e Expr, acc []*FuncCall) []*FuncCall {
-	switch n := e.(type) {
-	case nil:
-		return acc
-	case *FuncCall:
-		return append(acc, n)
-	case *BinaryExpr:
-		return collectAggs(n.Right, collectAggs(n.Left, acc))
-	case *UnaryExpr:
-		return collectAggs(n.Expr, acc)
-	case *InExpr:
-		acc = collectAggs(n.Expr, acc)
-		for _, it := range n.List {
-			acc = collectAggs(it, acc)
+	Walk(e, func(n Expr) bool {
+		if f, ok := n.(*FuncCall); ok {
+			acc = append(acc, f)
+			return false
 		}
-		return acc
+		return true
+	})
+	return acc
+}
+
+// Walk calls visit on e and, while visit returns true, on every node below
+// it, depth first and left to right. A nil e is not visited.
+func Walk(e Expr, visit func(Expr) bool) {
+	if e == nil || !visit(e) {
+		return
+	}
+	switch n := e.(type) {
+	case *BinaryExpr:
+		Walk(n.Left, visit)
+		Walk(n.Right, visit)
+	case *NotExpr:
+		Walk(n.Expr, visit)
+	case *InExpr:
+		Walk(n.Expr, visit)
+		for _, it := range n.List {
+			Walk(it, visit)
+		}
 	case *BetweenExpr:
-		return collectAggs(n.Hi, collectAggs(n.Lo, collectAggs(n.Expr, acc)))
+		Walk(n.Expr, visit)
+		Walk(n.Lo, visit)
+		Walk(n.Hi, visit)
 	case *IsNullExpr:
-		return collectAggs(n.Expr, acc)
-	case *ScalarCall:
-		return collectAggs(n.Arg, acc)
-	default:
-		return acc
+		Walk(n.Expr, visit)
+	case *FuncCall:
+		if n.Arg != nil {
+			Walk(n.Arg, visit)
+		}
 	}
 }
 
@@ -383,18 +335,6 @@ func (s *SelectStmt) String() string {
 	}
 	if s.Having != nil {
 		b.WriteString(" HAVING " + s.Having.String())
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.String())
-		}
-	}
-	if s.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
 	if !s.Size.IsZero() {
 		b.WriteString(" " + s.Size.String())

@@ -11,10 +11,16 @@ func FuzzParse(f *testing.F) {
 		"SELECT a FROM t",
 		"SELECT AVG(Cons) FROM Power P, Consumer C WHERE C.cid = P.cid " +
 			"GROUP BY C.district HAVING COUNT(DISTINCT C.cid) > 100 SIZE 50000",
-		"SELECT * FROM t WHERE a IN (1,2) AND b BETWEEN 0 AND 9 OR NOT c LIKE 'x%'",
+		"SELECT * FROM t WHERE a IN (1,2) AND b BETWEEN 0 AND 9 OR NOT c IS NULL",
 		"SELECT a AS b FROM t SIZE 5 DURATION '2m'",
 		"select medIan(x) from t group by y having min(x) is not null",
-		"SELECT 'it''s', 1e9, -2.5, TRUE FROM t",
+		"SELECT a FROM t WHERE b IN ('it''s', 1e9, -2.5, -0.0, TRUE)",
+		// Outside the dialect: each must stay a parse error.
+		"SELECT a FROM t ORDER BY a LIMIT 5",
+		"SELECT a FROM t LIMIT",
+		"SELECT a FROM t WHERE a LIKE 'x%'",
+		"SELECT UPPER(a) FROM t",
+		"SELECT a FROM t WHERE a + 1 > -a",
 		"SELECT a FROM t -- comment\nWHERE a = 1",
 		"",
 		"SELECT",

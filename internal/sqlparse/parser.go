@@ -140,32 +140,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 		stmt.Having = e
 	}
-	if p.accept(tokKeyword, "ORDER") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			item, err := p.parseOrderItem()
-			if err != nil {
-				return nil, err
-			}
-			stmt.OrderBy = append(stmt.OrderBy, item)
-			if !p.accept(tokOp, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(tokKeyword, "LIMIT") {
-		t, err := p.expect(tokNumber, "")
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("sqlparse: column %d: LIMIT wants a positive integer, got %q", t.pos, t.text)
-		}
-		stmt.Limit = n
-	}
 	if p.accept(tokKeyword, "SIZE") {
 		size, err := p.parseSizeClause()
 		if err != nil {
@@ -179,11 +153,19 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
+// parseSelectItem parses *, a column or an aggregate, with an optional
+// alias.
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	if p.accept(tokOp, "*") {
 		return SelectItem{Star: true}, nil
 	}
-	e, err := p.parseExpr()
+	var e Expr
+	var err error
+	if p.atAggregate() {
+		e, err = p.parseAggregate()
+	} else {
+		e, err = p.parseColumnRef()
+	}
 	if err != nil {
 		return SelectItem{}, err
 	}
@@ -211,31 +193,6 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		ref.Alias = p.next().text
 	}
 	return ref, nil
-}
-
-// parseOrderItem parses one ORDER BY key: a 1-based output position or an
-// output column name, with an optional ASC/DESC suffix.
-func (p *parser) parseOrderItem() (OrderItem, error) {
-	var item OrderItem
-	switch {
-	case p.at(tokNumber, ""):
-		t := p.next()
-		n, err := strconv.ParseInt(t.text, 10, 32)
-		if err != nil || n <= 0 {
-			return item, fmt.Errorf("sqlparse: column %d: ORDER BY position must be a positive integer", t.pos)
-		}
-		item.Position = int(n)
-	case p.at(tokIdent, ""):
-		item.Name = p.next().text
-	default:
-		return item, p.errorf("ORDER BY wants a column name or position")
-	}
-	if p.accept(tokKeyword, "DESC") {
-		item.Desc = true
-	} else {
-		p.accept(tokKeyword, "ASC")
-	}
-	return item, nil
 }
 
 // parseSizeClause parses: SIZE [<int> [TUPLES]] [DURATION '<go duration>'].
@@ -273,11 +230,8 @@ func (p *parser) parseSizeClause() (SizeClause, error) {
 //	expr    := and { OR and }
 //	and     := not { AND not }
 //	not     := [NOT] pred
-//	pred    := add [cmp add | IN (...) | BETWEEN .. AND .. | LIKE add | IS [NOT] NULL]
-//	add     := mul { (+|-) mul }
-//	mul     := unary { (*|/|%) unary }
-//	unary   := [-] primary
-//	primary := literal | funcCall | columnRef | ( expr )
+//	pred    := operand [cmp operand | [NOT] IN (...) | [NOT] BETWEEN .. AND .. | IS [NOT] NULL]
+//	operand := literal | aggregate | columnRef | ( expr )
 func (p *parser) parseExpr() (Expr, error) {
 	left, err := p.parseAnd()
 	if err != nil {
@@ -314,13 +268,13 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "NOT", Expr: e}, nil
+		return &NotExpr{Expr: e}, nil
 	}
 	return p.parsePredicate()
 }
 
 func (p *parser) parsePredicate() (Expr, error) {
-	left, err := p.parseAdditive()
+	left, err := p.parseOperand()
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +282,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 	for _, op := range []string{"=", "<>", "!=", "<=", ">=", "<", ">"} {
 		if p.at(tokOp, op) {
 			p.next()
-			right, err := p.parseAdditive()
+			right, err := p.parseOperand()
 			if err != nil {
 				return nil, err
 			}
@@ -340,11 +294,11 @@ func (p *parser) parsePredicate() (Expr, error) {
 	}
 	negate := false
 	if p.at(tokKeyword, "NOT") {
-		// lookahead for NOT IN / NOT BETWEEN / NOT LIKE
+		// lookahead for NOT IN / NOT BETWEEN
 		save := p.pos
 		p.next()
 		switch {
-		case p.at(tokKeyword, "IN"), p.at(tokKeyword, "BETWEEN"), p.at(tokKeyword, "LIKE"):
+		case p.at(tokKeyword, "IN"), p.at(tokKeyword, "BETWEEN"):
 			negate = true
 		default:
 			p.pos = save
@@ -358,7 +312,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		}
 		var list []Expr
 		for {
-			item, err := p.parseAdditive()
+			item, err := p.parseOperand()
 			if err != nil {
 				return nil, err
 			}
@@ -372,28 +326,18 @@ func (p *parser) parsePredicate() (Expr, error) {
 		}
 		return &InExpr{Expr: left, List: list, Negate: negate}, nil
 	case p.accept(tokKeyword, "BETWEEN"):
-		lo, err := p.parseAdditive()
+		lo, err := p.parseOperand()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(tokKeyword, "AND"); err != nil {
 			return nil, err
 		}
-		hi, err := p.parseAdditive()
+		hi, err := p.parseOperand()
 		if err != nil {
 			return nil, err
 		}
 		return &BetweenExpr{Expr: left, Lo: lo, Hi: hi, Negate: negate}, nil
-	case p.accept(tokKeyword, "LIKE"):
-		pat, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		like := Expr(&BinaryExpr{Op: "LIKE", Left: left, Right: pat})
-		if negate {
-			like = &UnaryExpr{Op: "NOT", Expr: like}
-		}
-		return like, nil
 	case p.accept(tokKeyword, "IS"):
 		neg := p.accept(tokKeyword, "NOT")
 		if _, err := p.expect(tokKeyword, "NULL"); err != nil {
@@ -404,89 +348,20 @@ func (p *parser) parsePredicate() (Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(tokOp, "+"):
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: "+", Left: left, Right: right}
-		case p.accept(tokOp, "-"):
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: "-", Left: left, Right: right}
-		default:
-			return left, nil
-		}
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokOp, "*"):
-			op = "*"
-		case p.accept(tokOp, "/"):
-			op = "/"
-		case p.accept(tokOp, "%"):
-			op = "%"
-		default:
-			return left, nil
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.accept(tokOp, "-") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", Expr: e}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (Expr, error) {
+// parseOperand parses one side of a predicate. A '-' is accepted only
+// before a number, and folds into the literal.
+func (p *parser) parseOperand() (Expr, error) {
 	t := p.peek()
 	switch {
+	case p.accept(tokOp, "-"):
+		num, err := p.expect(tokNumber, "")
+		if err != nil {
+			return nil, err
+		}
+		return numberLiteral(num, "-")
 	case t.kind == tokNumber:
 		p.next()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.text)
-			}
-			return &Literal{Value: storage.Float(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			// overflow into float
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, p.errorf("bad number %q", t.text)
-			}
-			return &Literal{Value: storage.Float(f)}, nil
-		}
-		return &Literal{Value: storage.Int(n)}, nil
+		return numberLiteral(t, "")
 	case t.kind == tokString:
 		p.next()
 		return &Literal{Value: storage.Str(t.text)}, nil
@@ -509,45 +384,64 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, err
 		}
 		return e, nil
+	case p.atAggregate():
+		return p.parseAggregate()
 	case t.kind == tokIdent:
-		// function call or column reference
-		if fn, isScalar := scalarFuncs[strings.ToUpper(t.text)]; isScalar && p.toks[p.pos+1].kind == tokOp && p.toks[p.pos+1].text == "(" {
-			p.next() // name
-			p.next() // (
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokOp, ")"); err != nil {
-				return nil, err
-			}
-			return &ScalarCall{Func: fn, Arg: arg}, nil
-		}
-		if fn, isAgg := aggFuncs[strings.ToUpper(t.text)]; isAgg && p.toks[p.pos+1].kind == tokOp && p.toks[p.pos+1].text == "(" {
-			p.next() // name
-			p.next() // (
-			call := &FuncCall{Func: fn}
-			if p.accept(tokOp, "*") {
-				if fn != AggCount {
-					return nil, p.errorf("%s(*) is only valid for COUNT", fn)
-				}
-				call.Star = true
-			} else {
-				call.Distinct = p.accept(tokKeyword, "DISTINCT")
-				arg, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				call.Arg = arg
-			}
-			if _, err := p.expect(tokOp, ")"); err != nil {
-				return nil, err
-			}
-			return call, nil
-		}
 		return p.parseColumnRef()
 	}
 	return nil, p.errorf("unexpected %s", t)
+}
+
+// numberLiteral converts a number token, prefixed by sign, to a literal:
+// an INT when it is integral and fits, a FLOAT otherwise.
+func numberLiteral(t token, sign string) (Expr, error) {
+	text := sign + t.text
+	if !strings.ContainsAny(text, ".eE") {
+		if n, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return &Literal{Value: storage.Int(n)}, nil
+		}
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return nil, fmt.Errorf("sqlparse: column %d: bad number %q", t.pos, text)
+	}
+	if f == 0 {
+		f = 0 // -0 is 0, and renders so
+	}
+	return &Literal{Value: storage.Float(f)}, nil
+}
+
+// atAggregate reports whether an aggregate call starts at the current
+// token: an aggregate's name followed by '('. The name alone is a column.
+func (p *parser) atAggregate() bool {
+	if !p.at(tokIdent, "") || p.toks[p.pos+1].kind != tokOp || p.toks[p.pos+1].text != "(" {
+		return false
+	}
+	_, isAgg := aggFuncs[strings.ToUpper(p.peek().text)]
+	return isAgg
+}
+
+// parseAggregate parses FUNC(*) (COUNT only) or FUNC([DISTINCT] column).
+func (p *parser) parseAggregate() (*FuncCall, error) {
+	call := &FuncCall{Func: aggFuncs[strings.ToUpper(p.next().text)]}
+	p.next() // (
+	if p.accept(tokOp, "*") {
+		if call.Func != AggCount {
+			return nil, p.errorf("%s(*) is only valid for COUNT", call.Func)
+		}
+		call.Star = true
+	} else {
+		call.Distinct = p.accept(tokKeyword, "DISTINCT")
+		arg, err := p.parseColumnRef()
+		if err != nil {
+			return nil, err
+		}
+		call.Arg = arg
+	}
+	if _, err := p.expect(tokOp, ")"); err != nil {
+		return nil, err
+	}
+	return call, nil
 }
 
 func (p *parser) parseColumnRef() (*ColumnRef, error) {

@@ -29,8 +29,7 @@ const (
 	tokKeyword
 	tokNumber
 	tokString
-	tokOp    // operators and punctuation
-	tokParam // ? placeholders (reserved for future use)
+	tokOp // operators and punctuation
 )
 
 // token is a lexical token with its source position (1-based column).
@@ -47,14 +46,17 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// keywords of the dialect. GROUP/ORDER BY handled pairwise in the parser.
+// keywords of the dialect. GROUP BY is handled pairwise in the parser.
+// ORDER, LIMIT and LIKE are not in the dialect but stay reserved, so that
+// a query using them fails to parse instead of reading one as an alias
+// (FROM T LIMIT would otherwise name T "LIMIT").
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
 	"HAVING": true, "SIZE": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "BETWEEN": true, "LIKE": true, "IS": true,
+	"NOT": true, "IN": true, "BETWEEN": true, "IS": true,
 	"NULL": true, "TRUE": true, "FALSE": true, "DISTINCT": true,
-	"TUPLES": true, "DURATION": true, "ASC": true, "DESC": true,
-	"ORDER": true, "LIMIT": true,
+	"TUPLES": true, "DURATION": true,
+	"ORDER": true, "LIMIT": true, "LIKE": true,
 }
 
 // lexer turns query text into tokens.
@@ -196,13 +198,9 @@ func (l *lexer) lexOp(start int) error {
 	}
 	c := l.src[l.pos]
 	switch c {
-	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.':
+	case '=', '<', '>', '-', '*', '(', ')', ',', '.':
 		l.pos++
 		l.toks = append(l.toks, token{kind: tokOp, text: string(c), pos: start + 1})
-		return nil
-	case '?':
-		l.pos++
-		l.toks = append(l.toks, token{kind: tokParam, text: "?", pos: start + 1})
 		return nil
 	}
 	return fmt.Errorf("sqlparse: unexpected character %q at column %d", c, start+1)

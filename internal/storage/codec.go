@@ -91,42 +91,6 @@ func decodeValue(b []byte, strs map[string]string) (Value, int, error) {
 	}
 }
 
-// EncodedValueSize returns the exact number of bytes AppendValue emits
-// for v, so encoders can size buffers up front instead of growing them.
-func EncodedValueSize(v Value) int {
-	switch v.kind {
-	case KindInt:
-		return 1 + uvarintLen(uint64(v.i)<<1^uint64(v.i>>63)) // zig-zag
-	case KindFloat:
-		return 1 + 8
-	case KindString:
-		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
-	case KindBool:
-		return 1 + 1
-	default: // KindNull
-		return 1
-	}
-}
-
-// EncodedRowSize returns the exact number of bytes AppendRow emits for r.
-func EncodedRowSize(r Row) int {
-	n := uvarintLen(uint64(len(r)))
-	for _, v := range r {
-		n += EncodedValueSize(v)
-	}
-	return n
-}
-
-// uvarintLen is the encoded length of a uvarint.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 // AppendRow appends the encoding of r to dst and returns the result.
 func AppendRow(dst []byte, r Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r)))
@@ -135,9 +99,6 @@ func AppendRow(dst []byte, r Row) []byte {
 	}
 	return dst
 }
-
-// EncodeRow encodes a row into a fresh, exactly sized buffer.
-func EncodeRow(r Row) []byte { return AppendRow(make([]byte, 0, EncodedRowSize(r)), r) }
 
 // DecodeRow decodes one row from b and returns it with the number of bytes
 // consumed.

@@ -23,7 +23,7 @@ func sampleRows() []Row {
 
 func TestRowCodecRoundTrip(t *testing.T) {
 	for i, row := range sampleRows() {
-		enc := EncodeRow(row)
+		enc := AppendRow(nil, row)
 		dec, n, err := DecodeRow(enc)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
@@ -65,7 +65,7 @@ func rowsEqual(a, b Row) bool {
 }
 
 func TestDecodeCorruption(t *testing.T) {
-	enc := EncodeRow(Row{Int(1), Str("abc"), Float(2.5)})
+	enc := AppendRow(nil, Row{Int(1), Str("abc"), Float(2.5)})
 	// Truncations at every byte position must fail or consume fewer bytes,
 	// never panic.
 	for cut := 0; cut < len(enc); cut++ {
@@ -93,7 +93,7 @@ func TestEncodingDeterministic(t *testing.T) {
 	f := func(i int64, s string, b bool) bool {
 		r1 := Row{Int(i), Str(s), Bool(b)}
 		r2 := Row{Int(i), Str(s), Bool(b)}
-		return bytes.Equal(EncodeRow(r1), EncodeRow(r2))
+		return bytes.Equal(AppendRow(nil, r1), AppendRow(nil, r2))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -125,7 +125,7 @@ func TestRowCodecQuick(t *testing.T) {
 		for i := range row {
 			row[i] = randomValue()
 		}
-		enc := EncodeRow(row)
+		enc := AppendRow(nil, row)
 		dec, n, err := DecodeRow(enc)
 		if err != nil || n != len(enc) || !rowsEqual(row, dec) {
 			t.Fatalf("trial %d: row %v enc %x dec %v err %v", trial, row, enc, dec, err)
@@ -189,9 +189,9 @@ func TestRowStringRendering(t *testing.T) {
 // distinct texts; values copied out of a decoded row survive the next.
 func TestRowDecoderReusesRowSharesText(t *testing.T) {
 	encs := [][]byte{
-		EncodeRow(Row{Str("Paris"), Float(1.5), Null()}),
-		EncodeRow(Row{Str("Lyon"), Int(2), Bool(true)}),
-		EncodeRow(Row{Str("Paris"), Float(3.5), Str("")}),
+		AppendRow(nil, Row{Str("Paris"), Float(1.5), Null()}),
+		AppendRow(nil, Row{Str("Lyon"), Int(2), Bool(true)}),
+		AppendRow(nil, Row{Str("Paris"), Float(3.5), Str("")}),
 	}
 	var dec RowDecoder
 	var kept []Value

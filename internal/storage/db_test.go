@@ -59,14 +59,6 @@ func TestSchemaRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestSchemaTablesOrder(t *testing.T) {
-	s := powerSchema()
-	tabs := s.Tables()
-	if len(tabs) != 2 || tabs[0].Name != "Power" || tabs[1].Name != "Consumer" {
-		t.Errorf("Tables() order wrong: %v", tabs)
-	}
-}
-
 func TestColumnIndex(t *testing.T) {
 	s := powerSchema()
 	p, _ := s.Table("Power")

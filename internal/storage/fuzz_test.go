@@ -6,8 +6,8 @@ import "testing"
 // panic, and anything it accepts must re-encode to a decodable form with
 // an identical grouping key (the protocols rely on that stability).
 func FuzzDecodeRow(f *testing.F) {
-	f.Add(EncodeRow(Row{Int(1), Str("a"), Float(2.5), Bool(true), Null()}))
-	f.Add(EncodeRow(Row{}))
+	f.Add(AppendRow(nil, Row{Int(1), Str("a"), Float(2.5), Bool(true), Null()}))
+	f.Add(AppendRow(nil, Row{}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
 	f.Add([]byte{1, 1, 0})
@@ -19,7 +19,7 @@ func FuzzDecodeRow(f *testing.F) {
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		re := EncodeRow(row)
+		re := AppendRow(nil, row)
 		row2, _, err := DecodeRow(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

@@ -33,7 +33,6 @@ func (t *TableDef) ColumnIndex(name string) int {
 // TDS (Section 2.1 of the paper).
 type Schema struct {
 	tables map[string]*TableDef
-	order  []string
 }
 
 // NewSchema returns an empty schema.
@@ -65,7 +64,6 @@ func (s *Schema) AddTable(def TableDef) error {
 	cp := def
 	cp.Columns = append([]Column(nil), def.Columns...)
 	s.tables[key] = &cp
-	s.order = append(s.order, key)
 	return nil
 }
 
@@ -77,15 +75,6 @@ func (s *Schema) Table(name string) (*TableDef, bool) {
 		t, ok = s.tables[strings.ToLower(name)]
 	}
 	return t, ok
-}
-
-// Tables returns the table definitions in declaration order.
-func (s *Schema) Tables() []*TableDef {
-	out := make([]*TableDef, 0, len(s.order))
-	for _, k := range s.order {
-		out = append(out, s.tables[k])
-	}
-	return out
 }
 
 // MustSchema builds a schema from table definitions, panicking on invalid

@@ -162,7 +162,7 @@ func (v Value) AsBool() bool {
 	}
 }
 
-// numeric reports whether the value participates in arithmetic.
+// numeric reports whether the value is a number.
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Compare orders two values. NULLs sort first; numeric kinds compare by
@@ -216,120 +216,6 @@ func Compare(a, b Value) (int, error) {
 func Equal(a, b Value) bool {
 	c, err := Compare(a, b)
 	return err == nil && c == 0 && !(a.IsNull() != b.IsNull())
-}
-
-// Add returns a+b with SQL numeric promotion (string concatenation for two
-// strings). NULL propagates.
-func Add(a, b Value) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	if a.kind == KindString && b.kind == KindString {
-		return Str(a.s + b.s), nil
-	}
-	return arith(a, b, '+')
-}
-
-// Sub returns a-b. NULL propagates.
-func Sub(a, b Value) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	return arith(a, b, '-')
-}
-
-// Mul returns a*b. NULL propagates.
-func Mul(a, b Value) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	return arith(a, b, '*')
-}
-
-// Div returns a/b. Integer operands use integer division; division by zero
-// yields NULL as in most SQL engines.
-func Div(a, b Value) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	if a.kind == KindInt && b.kind == KindInt {
-		if b.i == 0 {
-			return Null(), nil
-		}
-		return Int(a.i / b.i), nil
-	}
-	af, err := a.AsFloat()
-	if err != nil {
-		return Null(), err
-	}
-	bf, err := b.AsFloat()
-	if err != nil {
-		return Null(), err
-	}
-	if bf == 0 {
-		return Null(), nil
-	}
-	return Float(af / bf), nil
-}
-
-// Mod returns a%b for integers. Division by zero yields NULL.
-func Mod(a, b Value) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	ai, err := a.AsInt()
-	if err != nil {
-		return Null(), err
-	}
-	bi, err := b.AsInt()
-	if err != nil {
-		return Null(), err
-	}
-	if bi == 0 {
-		return Null(), nil
-	}
-	return Int(ai % bi), nil
-}
-
-// Neg returns -a.
-func Neg(a Value) (Value, error) {
-	switch a.kind {
-	case KindNull:
-		return Null(), nil
-	case KindInt:
-		return Int(-a.i), nil
-	case KindFloat:
-		return Float(-a.f), nil
-	default:
-		return Null(), fmt.Errorf("storage: cannot negate %s", a.kind)
-	}
-}
-
-func arith(a, b Value, op byte) (Value, error) {
-	if !a.numeric() || !b.numeric() {
-		return Null(), fmt.Errorf("storage: arithmetic on %s and %s", a.kind, b.kind)
-	}
-	if a.kind == KindInt && b.kind == KindInt {
-		switch op {
-		case '+':
-			return Int(a.i + b.i), nil
-		case '-':
-			return Int(a.i - b.i), nil
-		case '*':
-			return Int(a.i * b.i), nil
-		}
-	}
-	af, _ := a.AsFloat()
-	bf, _ := b.AsFloat()
-	switch op {
-	case '+':
-		return Float(af + bf), nil
-	case '-':
-		return Float(af - bf), nil
-	case '*':
-		return Float(af * bf), nil
-	}
-	return Null(), fmt.Errorf("storage: unknown operator %c", op)
 }
 
 // Key returns a canonical comparable representation of the value, suitable

@@ -156,84 +156,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestArithmetic(t *testing.T) {
-	mustV := func(v Value, err error) Value {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	if got := mustV(Add(Int(2), Int(3))); !Equal(got, Int(5)) {
-		t.Errorf("2+3 = %v", got)
-	}
-	if got := mustV(Add(Int(2), Float(0.5))); !Equal(got, Float(2.5)) {
-		t.Errorf("2+0.5 = %v", got)
-	}
-	if got := mustV(Add(Str("ab"), Str("cd"))); !Equal(got, Str("abcd")) {
-		t.Errorf("concat = %v", got)
-	}
-	if got := mustV(Sub(Int(2), Int(5))); !Equal(got, Int(-3)) {
-		t.Errorf("2-5 = %v", got)
-	}
-	if got := mustV(Mul(Float(1.5), Int(4))); !Equal(got, Float(6)) {
-		t.Errorf("1.5*4 = %v", got)
-	}
-	if got := mustV(Div(Int(7), Int(2))); !Equal(got, Int(3)) {
-		t.Errorf("7/2 = %v", got)
-	}
-	if got := mustV(Div(Float(7), Int(2))); !Equal(got, Float(3.5)) {
-		t.Errorf("7.0/2 = %v", got)
-	}
-	if got := mustV(Mod(Int(7), Int(3))); !Equal(got, Int(1)) {
-		t.Errorf("7%%3 = %v", got)
-	}
-	if got := mustV(Neg(Int(7))); !Equal(got, Int(-7)) {
-		t.Errorf("-7 = %v", got)
-	}
-	if got := mustV(Neg(Float(1.5))); !Equal(got, Float(-1.5)) {
-		t.Errorf("-1.5 = %v", got)
-	}
-}
-
-func TestArithmeticNullPropagation(t *testing.T) {
-	ops := []func(a, b Value) (Value, error){Add, Sub, Mul, Div, Mod}
-	for i, op := range ops {
-		v, err := op(Null(), Int(1))
-		if err != nil || !v.IsNull() {
-			t.Errorf("op %d: NULL lhs -> %v, %v", i, v, err)
-		}
-		v, err = op(Int(1), Null())
-		if err != nil || !v.IsNull() {
-			t.Errorf("op %d: NULL rhs -> %v, %v", i, v, err)
-		}
-	}
-	if v, err := Neg(Null()); err != nil || !v.IsNull() {
-		t.Errorf("neg NULL -> %v, %v", v, err)
-	}
-}
-
-func TestDivModByZero(t *testing.T) {
-	if v, err := Div(Int(1), Int(0)); err != nil || !v.IsNull() {
-		t.Errorf("1/0 = %v, %v; want NULL", v, err)
-	}
-	if v, err := Div(Float(1), Float(0)); err != nil || !v.IsNull() {
-		t.Errorf("1.0/0.0 = %v, %v; want NULL", v, err)
-	}
-	if v, err := Mod(Int(1), Int(0)); err != nil || !v.IsNull() {
-		t.Errorf("1%%0 = %v, %v; want NULL", v, err)
-	}
-}
-
-func TestArithmeticTypeErrors(t *testing.T) {
-	if _, err := Add(Str("a"), Int(1)); err == nil {
-		t.Error("string+int must fail")
-	}
-	if _, err := Neg(Str("a")); err == nil {
-		t.Error("-string must fail")
-	}
-}
-
 func TestValueKeyDistinguishes(t *testing.T) {
 	vals := []Value{Null(), Int(0), Int(1), Float(1.5), Str(""), Str("0"),
 		Str("a"), Bool(true), Bool(false)}
@@ -260,24 +182,6 @@ func TestCompareProperties(t *testing.T) {
 		aa, err3 := Compare(va, va)
 		return err1 == nil && err2 == nil && err3 == nil &&
 			ab == -ba && aa == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Add/Sub round trip for ints (modular arithmetic is fine).
-func TestAddSubRoundTrip(t *testing.T) {
-	f := func(a, b int64) bool {
-		s, err := Add(Int(a), Int(b))
-		if err != nil {
-			return false
-		}
-		d, err := Sub(s, Int(b))
-		if err != nil {
-			return false
-		}
-		return Equal(d, Int(a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

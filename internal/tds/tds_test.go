@@ -683,7 +683,7 @@ func TestDetTagTable(t *testing.T) {
 		return tag
 	}
 	want := func(km *KeyMaterial) []byte {
-		tag, err := km.K2.DetEncrypt(storage.EncodeRow(group), post.AAD())
+		tag, err := km.K2.DetEncrypt(storage.AppendRow(nil, group), post.AAD())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -725,7 +725,7 @@ func TestDetTagTable(t *testing.T) {
 			sc := collectScratch{m: km}
 			for i := 0; i < 200; i++ {
 				grp := storage.Row{storage.Int(int64(i % 20))}
-				want, _ := km.K2.DetEncrypt(storage.EncodeRow(grp), post.AAD())
+				want, _ := km.K2.DetEncrypt(storage.AppendRow(nil, grp), post.AAD())
 				if got, err := d.groupTag(post, grp, &sc); err != nil || !bytes.Equal(got, want) {
 					t.Errorf("concurrent tag of group %d: %x, want %x (%v)", i%20, got, want, err)
 					return
