@@ -127,11 +127,13 @@ type benchFixture struct {
 	q   *querier.Querier
 }
 
-func newBenchFixture(b *testing.B, fleet int) *benchFixture {
+// newBenchFixture provisions a smart-meter fleet behind an engine whose
+// default config edit (nil for none) adjusts.
+func newBenchFixture(b *testing.B, fleet int, edit func(*core.Config)) *benchFixture {
 	b.Helper()
 	w := workload.DefaultSmartMeter(9)
 	w.Districts = 10
-	eng, err := core.NewEngine(core.Config{
+	cfg := core.Config{
 		Schema: w.Schema(),
 		Policy: &accessctl.Policy{Rules: []accessctl.Rule{
 			{Role: "energy-analyst", AggregateOnly: true},
@@ -140,7 +142,11 @@ func newBenchFixture(b *testing.B, fleet int) *benchFixture {
 		MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
 		AvailableFraction: 0.5,
 		Seed:              9,
-	})
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +173,7 @@ const benchSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 	`WHERE C.cid = P.cid GROUP BY C.district`
 
 func benchEndToEnd(b *testing.B, kind protocol.Kind, params protocol.Params) {
-	f := newBenchFixture(b, 60)
+	f := newBenchFixture(b, 60, nil)
 	// Warm the discovery cache so tagged protocols measure the query, not
 	// the one-time discovery.
 	if _, err := benchExec(f.eng, f.q, benchSQL, protocol.KindSAgg, protocol.Params{}); err != nil {
@@ -205,7 +211,7 @@ func BenchmarkEndToEndEDHist(b *testing.B) {
 }
 
 func BenchmarkEndToEndBasicSFW(b *testing.B) {
-	f := newBenchFixture(b, 60)
+	f := newBenchFixture(b, 60, nil)
 	sql := `SELECT C.cid, C.district FROM Consumer C WHERE C.accommodation = 'flat'`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -326,32 +332,10 @@ func BenchmarkAblationAuditReplicas(b *testing.B) {
 // BenchmarkEndToEndAudited runs the live audited protocol: three replicas
 // per partition over a 20%-compromised fleet, still exact.
 func BenchmarkEndToEndAudited(b *testing.B) {
-	w := workload.DefaultSmartMeter(9)
-	w.Districts = 10
-	eng, err := core.NewEngine(core.Config{
-		Schema: w.Schema(),
-		Policy: &accessctl.Policy{Rules: []accessctl.Rule{
-			{Role: "energy-analyst", AggregateOnly: true},
-		}},
-		AuthorityKey:        tdscrypto.DeriveKey(tdscrypto.Key{}, "auth"),
-		MasterKey:           tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
-		AvailableFraction:   0.5,
-		AuditReplicas:       3,
-		CompromisedFraction: 0.2,
-		Seed:                9,
+	f := newBenchFixture(b, 60, func(c *core.Config) {
+		c.AuditReplicas, c.CompromisedFraction = 3, 0.2
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.ProvisionFleet(60, w.HouseholdDB); err != nil {
-		b.Fatal(err)
-	}
-	cred := eng.Authority().Issue("edf", []string{"energy-analyst"},
-		time.Unix(1700000000, 0).Add(24*time.Hour))
-	q, err := querier.New("edf", eng.K1(), cred, eng.Schema())
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng, q := f.eng, f.q
 	b.ResetTimer()
 	var detections int
 	for i := 0; i < b.N; i++ {
@@ -447,33 +431,10 @@ func BenchmarkProvisionFleetEager(b *testing.B)  { benchProvisionFleet(b, false)
 // 20k-device fleet: devices materialize per connection, deposit through
 // the worker arenas and the window slots, and are dropped again.
 func BenchmarkPackedCollection(b *testing.B) {
-	const fleet = 20_000
-	w := workload.DefaultSmartMeter(9)
-	w.Districts = 10
-	eng, err := core.NewEngine(core.Config{
-		Schema: w.Schema(),
-		Policy: &accessctl.Policy{Rules: []accessctl.Rule{
-			{Role: "energy-analyst", AggregateOnly: true},
-		}},
-		AuthorityKey:      tdscrypto.DeriveKey(tdscrypto.Key{}, "auth"),
-		MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
-		AvailableFraction: 0.5,
-		CollectWorkers:    1,
-		Seed:              9,
-		PackedFleet:       true,
+	f := newBenchFixture(b, 20_000, func(c *core.Config) {
+		c.CollectWorkers, c.PackedFleet = 1, true
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.ProvisionFleet(fleet, w.HouseholdDB); err != nil {
-		b.Fatal(err)
-	}
-	cred := eng.Authority().Issue("edf", []string{"energy-analyst"},
-		time.Unix(1700000000, 0).Add(24*time.Hour))
-	q, err := querier.New("edf", eng.K1(), cred, eng.Schema())
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng, q := f.eng, f.q
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/trustedcells/tcq/internal/protocol"
@@ -31,17 +32,7 @@ func TestCompromisedFleetWithoutAuditIsWrong(t *testing.T) {
 		t.Errorf("no auditing requested but detections = %d", m.AuditDetections)
 	}
 	// With half the fleet dropping work, the unaudited result diverges.
-	g, w := sortedRows(got), sortedRows(want)
-	same := len(g) == len(w)
-	if same {
-		for i := range g {
-			if g[i] != w[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if slices.Equal(sortedRows(got), sortedRows(want)) {
 		t.Error("a 50% compromised fleet still produced the exact result — corruption inert")
 	}
 }

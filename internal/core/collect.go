@@ -158,7 +158,6 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 			// engine knows its fault script hit; the SSI never saw it.
 			metrics.OfflineDevices++
 			e.obs.tracer.EngineEvent(post.ID, "fault-"+d.b.Label(), d.id, start, obs.CipherFacts{})
-			e.obs.devices.With("offline").Inc()
 			continue
 		}
 		devices = append(devices, d)
@@ -196,9 +195,9 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 }
 
 // acceptDeposit folds one accepted deposit into the metrics, the trace,
-// the registry, and the verification records. The byte volume billed is
-// the envelope's full ciphertext — what the SSI actually watched arrive,
-// whether or not the SIZE cap truncated the accepted count.
+// the deposit-size histogram, and the verification records. The byte
+// volume billed is the envelope's full ciphertext — what the SSI actually
+// watched arrive, whether or not the SIZE cap truncated the accepted count.
 func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, accepted int,
 	now time.Time, attempt int) {
 	sent, sentBytes := len(r.tuples), protocol.TotalSize(r.tuples)
@@ -211,12 +210,6 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, 
 	rs.recordDepositCommit(d.id, r, accepted, attempt)
 	e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
 		obs.CipherFacts{Tuples: accepted, Bytes: int64(sentBytes), Attempt: attempt})
-	e.obs.devices.With("accepted").Inc()
-	e.obs.tuples.With("accepted").Add(float64(accepted))
-	if accepted == sent {
-		e.obs.tuples.With("true").Add(float64(r.stats.True))
-	}
-	e.obs.bytes.With("collect_up").Add(float64(sentBytes))
 	e.obs.depositTuples.Observe(float64(accepted))
 }
 
@@ -226,18 +219,17 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, 
 // keep depositing past its expulsion — the SSI's admit gate is the line
 // of defense, and the "deposit-revoked" ledger entry proves it held.
 func (e *Engine) recordRejected(rs *runState, d collectDevice, now time.Time, err error, attempt int) {
-	kind, outcome := "deposit-stale", "stale"
+	kind := "deposit-stale"
 	switch {
 	case errors.Is(err, ssi.ErrCorruptDeposit):
-		kind, outcome = "deposit-corrupt", "corrupt"
+		kind = "deposit-corrupt"
 		rs.metrics.CorruptDeposits++
 	case errors.Is(err, ssi.ErrRevokedDeposit):
-		kind, outcome = "deposit-revoked", "revoked"
+		kind = "deposit-revoked"
 	}
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: kind, Phase: "collection", Device: d.id, Attempt: attempt, At: now,
 	})
-	e.obs.devices.With(outcome).Inc()
 }
 
 // recordStaleDevice accounts a device that connected while a torn rollout
@@ -251,22 +243,17 @@ func (e *Engine) recordStaleDevice(rs *runState, d collectDevice, now time.Time)
 		Kind: "deposit-stale", Phase: "collection", Device: d.id, Attempt: 1, At: now,
 	})
 	rs.staleQ = append(rs.staleQ, d)
-	e.obs.devices.With("stale").Inc()
 }
 
 // recordDropped accounts a device that connected but vanished
-// mid-transfer; the SSI discards the partial deposit after DepositTimeout.
+// mid-transfer; the SSI discards the partial deposit after DepositTimeout,
+// a timeout and a wait that settle reads off the ledger entry.
 func (e *Engine) recordDropped(rs *runState, d collectDevice, now time.Time) {
-	wait := rs.faults.DepositWait()
 	rs.metrics.DroppedDeposits++
-	rs.metrics.Timeouts++
-	rs.metrics.RetryWait += wait
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: "deposit-timeout", Phase: "collection", Device: d.id,
-		Attempt: 1, Wait: wait, At: now,
+		Attempt: 1, Wait: rs.faults.DepositWait(), At: now,
 	})
-	e.obs.devices.With("dropped").Inc()
-	e.obs.retryWait.Add(wait.Seconds())
 }
 
 // revokedAllowed reports whether the fault plan scripts revoked devices
@@ -625,8 +612,6 @@ func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time,
 		if r.ran {
 			// The retry went ahead; one that cannot proceed bills no backoff.
 			billed = wait
-			rs.metrics.RetryWait += wait
-			w.e.obs.retryWait.Add(wait.Seconds())
 			now = now.Add(wait)
 		}
 		// The device is booked by how this connection ends, not by the

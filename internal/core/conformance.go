@@ -74,7 +74,7 @@ func phaseFamily(name string) string {
 
 // conformance builds the report for a finished run; nil when the run
 // collected nothing.
-func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
+func (e *Engine) conformance(rs *runState) *ConformanceReport {
 	m := rs.metrics
 	if m.Nt == 0 {
 		return nil
@@ -105,7 +105,7 @@ func (e *Engine) conformance(rs *runState, req Request) *ConformanceReport {
 		H:         rs.post.Params.CollisionFactor,
 	}
 	// The cost model spells its protocols as protocol.Kind prints them.
-	fc, err := costmodel.Full(req.Kind.String(), p, e.cfg.AuditReplicas)
+	fc, err := costmodel.Full(rs.post.Kind.String(), p, e.cfg.AuditReplicas)
 	if err != nil {
 		return nil
 	}

@@ -524,13 +524,11 @@ func TestPhaseTimings(t *testing.T) {
 	if last.Name != "filtering" {
 		t.Errorf("last phase = %s", last.Name)
 	}
-	var sum, totalUnits = int64(0), 0
-	var dur time.Duration
+	totalUnits, dur := 0, time.Duration(0)
 	for _, p := range m.Phases {
 		if p.Duration <= 0 || p.Units <= 0 {
 			t.Errorf("degenerate phase %+v", p)
 		}
-		sum += p.Bytes
 		totalUnits += p.Units
 		dur += p.Duration
 	}

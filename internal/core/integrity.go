@@ -73,8 +73,8 @@ type IntegrityReport struct {
 	Deposits int
 	// Phases is how many partition builds were verified.
 	Phases int
-	// Checks, Violations, Quarantines and Recovered mirror the Metrics
-	// counters of the same names.
+	// Checks, Violations, Quarantines and Recovered are the verifier's
+	// tallies, which Metrics reports under the same names.
 	Checks, Violations, Quarantines, Recovered int
 	// Digest is the folded k2 commitment over the collection root and
 	// every verified partition build.
@@ -117,18 +117,11 @@ func (rs *runState) recordDepositCommit(device string, r *collectResult, accepte
 	})
 }
 
-// noteCheck accounts one verification step.
-func (e *Engine) noteCheck(rs *runState) {
-	rs.metrics.IntegrityChecks++
-	e.obs.integrity.With("check").Inc()
-}
-
 // integrityViolation accounts one failed check and returns the typed
 // detection error. The ledger entry makes the detection visible in
 // Metrics.Ledger and, through the SSI's trace mirror, in Response.Trace.
 func (e *Engine) integrityViolation(rs *runState, kind, phase string) *ErrSSIMisbehavior {
 	rs.metrics.IntegrityViolations++
-	e.obs.integrity.With("violation").Inc()
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: "integrity-violation", Phase: phase, At: rs.clock.Now(),
 	})
@@ -163,7 +156,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 		off += r.accepted
 		size += protocol.TotalSize(st.views[i])
 	}
-	e.noteCheck(rs)
+	rs.metrics.IntegrityChecks++
 	if off != rs.ssi.CollectedCount(id) {
 		return e.integrityViolation(rs, "covering-count", "collection")
 	}
@@ -186,7 +179,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 	})
 	fold := rs.verifier.StartFold("collection-root")
 	for i := range st.records {
-		e.noteCheck(rs)
+		rs.metrics.IntegrityChecks++
 		if !ok[i] {
 			fold.Discard()
 			return e.integrityViolation(rs, "deposit-commitment", "collection")
@@ -207,7 +200,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 			corrupt++
 		}
 	}
-	e.noteCheck(rs)
+	rs.metrics.IntegrityChecks++
 	if timeouts != rs.metrics.DroppedDeposits || corrupt != rs.metrics.CorruptDeposits {
 		fold.Discard()
 		return e.integrityViolation(rs, "coverage-account", "collection")
@@ -256,21 +249,19 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 	}
 	covering := rs.integ.phases == 0
 	rs.integ.phases++
-	e.noteCheck(rs)
+	rs.metrics.IntegrityChecks++
 	if rs.foldBuild(phase, covering, input, parts, pos) {
 		return parts, nil
 	}
 	verr := e.integrityViolation(rs, "partition-multiset", phase)
 	rs.metrics.IntegrityQuarantines++
-	e.obs.integrity.With("quarantine").Inc()
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: "integrity-quarantine", Phase: phase, At: rs.clock.Now(),
 	})
 	retry, pos := rs.ssi.Repartition(rs.post.ID)
-	e.noteCheck(rs)
+	rs.metrics.IntegrityChecks++
 	if retry != nil && rs.foldBuild(phase, covering, input, retry, pos) {
 		rs.metrics.IntegrityRecovered++
-		e.obs.integrity.With("recovered").Inc()
 		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 			Kind: "integrity-recovered", Phase: phase, At: rs.clock.Now(),
 		})

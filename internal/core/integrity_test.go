@@ -185,7 +185,9 @@ func (c *fuseCtx) Err() error {
 
 // TestAbortTimeoutObservability cancels the context mid-collection and
 // requires the same full observability as any other abort: typed error,
-// settled metrics, abort ledger entry, failure counter.
+// settled metrics, abort ledger entry, failure counter, and a journal that
+// ends in the abort — possibly with the collect phase still open, which
+// the schema checker permits for aborts — with no stream left open.
 func TestAbortTimeoutObservability(t *testing.T) {
 	f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = 1 })
 	resp, err := f.eng.Execute(&fuseCtx{Context: context.Background(), fuse: 3}, Request{
@@ -206,6 +208,8 @@ func TestAbortTimeoutObservability(t *testing.T) {
 		t.Fatal("canceled run returned no trace")
 	}
 	assertRegistryHas(t, f.eng, `tcq_queries_failed_total{reason="timeout"} 1`)
+	assertAbortJournal(t, resp, "timeout")
+	assertRegistryHas(t, f.eng, `tcq_journal_open_streams 0`)
 }
 
 // assertLedgerHas requires one recovery-ledger entry of the given kind (and

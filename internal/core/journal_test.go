@@ -62,23 +62,6 @@ func assertAbortJournal(t *testing.T, resp *Response, reason string) {
 	}
 }
 
-// TestAbortTimeoutJournal: cancellation mid-collection leaves an
-// abort-terminated journal, possibly with the collect phase still open —
-// exactly what the schema checker permits for aborts.
-func TestAbortTimeoutJournal(t *testing.T) {
-	f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = 1 })
-	ctx := &fuseCtx{Context: context.Background(), fuse: 3}
-	resp, err := f.eng.Execute(ctx, Request{
-		Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-		Params: protocol.Params{PartitionTuples: 4},
-	})
-	if !errors.Is(err, ErrQueryTimeout) {
-		t.Fatalf("err = %v, want ErrQueryTimeout", err)
-	}
-	assertAbortJournal(t, resp, "timeout")
-	assertRegistryHas(t, f.eng, `tcq_journal_open_streams 0`)
-}
-
 // TestServerQueuedCancelJournalNoLeak is the withdrawn-query lifecycle
 // gate: a request cancelled while still queued must not leave an open
 // journal stream behind, and Close must settle whatever remains.

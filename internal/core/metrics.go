@@ -3,16 +3,16 @@ package core
 import (
 	"time"
 
-	"github.com/trustedcells/tcq/internal/netsim"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
 )
 
 // Metrics reports what one protocol run cost, in the units of the paper's
-// evaluation (Section 6.1). It is the per-run compatibility snapshot of
-// the observability layer: the same quantities accumulate across runs in
-// the registry behind Engine.Registry, and the per-event detail lives in
-// Response.Trace.
+// evaluation (Section 6.1). It is the run's one account: the engine tallies
+// what only it knows along the way, and settle derives the rest once, at
+// the end — PTDS, TQ, TLocal and LoadBytes from Phases, the recovery
+// counters from Ledger — then feeds the registry behind Engine.Registry
+// from it. The per-event detail lives in Response.Trace.
 type Metrics struct {
 	Protocol protocol.Kind
 	// Nt is the number of wire tuples deposited during the collection
@@ -40,7 +40,8 @@ type Metrics struct {
 	// TLocal is the average simulated busy time per TDS participation.
 	TLocal time.Duration
 	// Reassignments counts partitions re-issued after their assignee's
-	// scripted crash; each is also a timeout in Timeouts and RetryWait.
+	// scripted crash: the ledger's reassign entries less its
+	// partition-abandoned ones. Each is also a timeout in Timeouts.
 	Reassignments int
 	// CollectErrors counts TDSs that connected but could not answer
 	// (stale key epoch, local fault); the protocol proceeds without them.
@@ -73,18 +74,24 @@ type Metrics struct {
 	// discarded each after the plan's DepositTimeout.
 	DroppedDeposits int
 	// CorruptDeposits counts envelopes the SSI rejected on their transport
-	// checksum.
+	// checksum. It and DroppedDeposits stay engine tallies, not ledger
+	// counts: verifyCollection holds the ledger to them.
 	CorruptDeposits int
 	// Timeouts counts every SSI-side timeout the run absorbed: dropped
-	// deposits plus phase assignments that had to be re-issued.
+	// deposits plus every crashed phase assignment, re-issued or abandoned
+	// (the ledger's reassign entries) — including those of a phase the run
+	// aborted in, which has no Phases entry.
 	Timeouts int
 	// RetryWait is the total simulated time the SSI spent waiting out
-	// timeouts and backoffs. The share incurred in aggregation/filtering
-	// phases is also folded into TQ; collection-phase deposit timeouts are
-	// not (collection time is excluded from TQ, as in the paper).
+	// timeouts and backoffs: the sum of the ledger's waits. The share
+	// incurred in aggregation/filtering phases that completed is also
+	// folded into TQ; that of a phase the run aborted in is not, nor are
+	// collection-phase deposit timeouts (collection time is excluded from
+	// TQ, as in the paper).
 	RetryWait time.Duration
 	// PartitionsAbandoned counts partitions dropped after the fault plan's
-	// MaxAttempts re-issues — graceful degradation instead of livelock.
+	// MaxAttempts re-issues — graceful degradation instead of livelock —
+	// as the ledger's partition-abandoned entries.
 	PartitionsAbandoned int
 	// IntegrityChecks counts verification steps of the verified execution
 	// path: one per acknowledged deposit, per covering-count and
@@ -99,7 +106,8 @@ type Metrics struct {
 	IntegrityQuarantines int
 	// IntegrityRecovered counts quarantined builds whose verified retry
 	// passed — graceful degradation that still delivered the honest
-	// result.
+	// result. The four Integrity counters are the verifier's own tallies,
+	// never read back from what the SSI stores.
 	IntegrityRecovered int
 	// Observation is the honest-but-curious SSI ledger for the run.
 	Observation ssi.Observation
@@ -121,34 +129,41 @@ type PhaseTiming struct {
 	Bytes    int64
 }
 
-// applyPhaseStats folds a phase's incident counters into the metrics.
-func (m *Metrics) applyPhaseStats(ps phaseStats) {
-	m.Reassignments += ps.Reassigned
-	m.AuditDetections += ps.Detections
-	m.Suspects = append(m.Suspects, ps.Suspects...)
-	m.Timeouts += ps.Reassigned + ps.Abandoned // every crash the SSI timed out ended as one or the other
-	m.RetryWait += ps.Wait
-	m.PartitionsAbandoned += ps.Abandoned
-}
-
-// addNamedPhase folds one phase's work-unit durations into the metrics and
-// records its timing entry. wait is the phase's timeout + backoff bill; it
-// extends both the phase duration and TQ (the SSI cannot hand out the next
-// phase's partitions while it is still waiting out this one's stragglers).
-func (m *Metrics) addNamedPhase(name string, units []time.Duration, workers int, bytes int64, wait time.Duration) {
-	dur := netsim.Makespan(units, workers) + wait
-	m.PTDS += len(units)
-	m.TQ += dur
-	for _, u := range units {
-		m.TLocal += u // converted to a mean in finish()
+// settle closes the run's account, once, on every exit path: it takes the
+// SSI's observation, stored volume and ledger, derives the totals from
+// Phases and the recovery counters from the ledger, and feeds the
+// registry. Nothing else writes a derived field.
+func (rs *runState) settle(o *engineObs) {
+	m, id := rs.metrics, rs.post.ID
+	m.Observation = rs.ssi.ObservationFor(id)
+	m.Ledger = rs.ssi.LedgerFor(id)
+	m.LoadBytes = rs.ssi.BytesStored(id)
+	for _, p := range m.Phases {
+		m.PTDS += p.Units
+		m.TQ += p.Duration
+		m.LoadBytes += p.Bytes
 	}
-	m.Phases = append(m.Phases, PhaseTiming{
-		Name: name, Duration: dur, Units: len(units), Bytes: bytes,
-	})
-}
-
-func (m *Metrics) finish() {
 	if m.PTDS > 0 {
-		m.TLocal /= time.Duration(m.PTDS)
+		m.TLocal = rs.busy / time.Duration(m.PTDS)
 	}
+	// Every crash the SSI timed out is a reassign entry; those it gave up
+	// on are followed by a partition-abandoned one.
+	m.Timeouts = m.DroppedDeposits
+	stale, revoked := 0, 0
+	for _, le := range m.Ledger {
+		m.RetryWait += le.Wait
+		switch le.Kind {
+		case "reassign":
+			m.Reassignments++
+			m.Timeouts++
+		case "partition-abandoned":
+			m.Reassignments--
+			m.PartitionsAbandoned++
+		case "deposit-stale":
+			stale++
+		case "deposit-revoked":
+			revoked++
+		}
+	}
+	o.observe(m, stale, revoked)
 }

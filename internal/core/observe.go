@@ -3,12 +3,15 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
+	"github.com/trustedcells/tcq/internal/netsim"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/sqlexec"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/tds"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
@@ -16,8 +19,8 @@ import (
 
 // engineObs bundles the engine's observability surface: the tracer that
 // records one span tree per query, and the registry-backed instruments
-// that accumulate across queries. core.Metrics stays the per-run
-// compatibility snapshot; the registry is the cumulative view.
+// that accumulate across queries. The instruments with a Metrics source
+// are fed once per run, by observe; the rest count events as they happen.
 type engineObs struct {
 	tracer  *obs.Tracer
 	journal *obs.Journal
@@ -87,18 +90,19 @@ func newEngineObs() *engineObs {
 }
 
 // runState carries one query run's mutable context through the phases:
-// the post, the run RNG, the metrics snapshot being built, the fault
-// plan, and the simulated clock that timestamps every span, event and
-// ledger entry. All of it is a pure function of the request and the
-// seeds, so everything derived from it is deterministic.
+// the post, the run RNG, the Metrics being built, the fault plan, and the
+// simulated clock that timestamps every span, event and ledger entry. All
+// of it is a pure function of the request and the seeds, so everything
+// derived from it is deterministic.
 type runState struct {
 	post    *protocol.QueryPost
 	rng     *rand.Rand
 	metrics *Metrics
 	faults  *faultplan.Plan
 	clock   *obs.SimClock
-	workers int   // TDSs connected during aggregation/filtering phases (simulated P_TDS)
-	crew    *crew // the goroutines the run's waves, leaf MACs and phases execute on
+	workers int           // TDSs connected during aggregation/filtering phases (simulated P_TDS)
+	crew    *crew         // the goroutines the run's waves, leaf MACs and phases execute on
+	busy    time.Duration // summed busy time of the phases' work units; settle takes the mean
 
 	// ssi is the service this run talks to: the engine's honest SSI, or
 	// the per-query Adversary wrapping it when the fault plan scripts
@@ -170,24 +174,61 @@ func (e *Engine) startPhase(rs *runState, name string, parts [][]protocol.WireTu
 	return sp
 }
 
-// notePhase settles one finished phase: folds its stats into the
-// metrics snapshot, advances the simulated clock by the phase makespan
-// (work + retry waits), closes the phase span at the new instant, and
-// feeds the registry.
+// notePhase settles one finished phase: records its timing entry (work +
+// retry waits; the SSI cannot hand out the next phase's partitions while
+// it is still waiting out this one's stragglers), advances the simulated
+// clock by its makespan, and closes the phase span at the new instant.
 func (e *Engine) notePhase(rs *runState, name string, units []workUnit, ps phaseStats) {
-	rs.metrics.applyPhaseStats(ps)
+	m := rs.metrics
+	m.AuditDetections += ps.Detections
+	m.Suspects = append(m.Suspects, ps.Suspects...)
 	down, up := unitBytesInOut(units)
-	rs.metrics.addNamedPhase(name, unitDurations(units), rs.workers, down+up, ps.Wait)
-	rs.metrics.LoadBytes += down + up
-	dur := rs.metrics.Phases[len(rs.metrics.Phases)-1].Duration
+	durs := make([]time.Duration, len(units))
+	for i, u := range units {
+		durs[i] = u.busy
+		rs.busy += u.busy
+	}
+	dur := netsim.Makespan(durs, rs.workers) + ps.Wait
+	m.Phases = append(m.Phases, PhaseTiming{Name: name, Duration: dur, Units: len(units), Bytes: down + up})
 	rs.clock.Advance(dur)
 	e.endPhaseScope(rs, name, obs.PartyEngine, obs.CipherFacts{Count: len(units), Bytes: down + up})
-	e.obs.phaseSeconds.With(phaseLabel(name)).Observe(dur.Seconds())
 	e.obs.bytes.With("phase_down").Add(float64(down))
 	e.obs.bytes.With("phase_up").Add(float64(up))
-	e.obs.retryWait.Add(ps.Wait.Seconds())
-	e.obs.reassigns.Add(float64(ps.Reassigned))
-	e.obs.abandoned.Add(float64(ps.Abandoned))
+}
+
+// observe feeds the registry one settled run: every instrument whose
+// count Metrics or its ledger holds (stale and revoked are the ledger's
+// deposit-stale and deposit-revoked entries, which settle counts). An
+// outcome series is touched only when it has something to add, so none
+// renders a count no event made; every accepted deposit adds its tuple
+// and byte counts, zero or not.
+func (o *engineObs) observe(m *Metrics, stale, revoked int) {
+	for _, c := range []struct {
+		v     *obs.CounterVec
+		label string
+		n     int
+	}{
+		{o.devices, "accepted", m.DepositedDevices}, {o.devices, "offline", m.OfflineDevices},
+		{o.devices, "error", m.CollectErrors}, {o.devices, "dropped", m.DroppedDeposits},
+		{o.devices, "corrupt", m.CorruptDeposits}, {o.devices, "stale", stale}, {o.devices, "revoked", revoked},
+		{o.integrity, "check", m.IntegrityChecks}, {o.integrity, "violation", m.IntegrityViolations},
+		{o.integrity, "quarantine", m.IntegrityQuarantines}, {o.integrity, "recovered", m.IntegrityRecovered},
+	} {
+		if c.n != 0 {
+			c.v.With(c.label).Add(float64(c.n))
+		}
+	}
+	if m.DepositedDevices > 0 {
+		o.tuples.With("accepted").Add(float64(m.Nt))
+		o.tuples.With("true").Add(float64(m.TrueTuples))
+		o.bytes.With("collect_up").Add(float64(m.CollectBytes))
+	}
+	o.retryWait.Add(m.RetryWait.Seconds())
+	o.reassigns.Add(float64(m.Reassignments))
+	o.abandoned.Add(float64(m.PartitionsAbandoned))
+	for _, p := range m.Phases {
+		o.phaseSeconds.With(phaseLabel(p.Name)).Observe(p.Duration.Seconds())
+	}
 }
 
 // phaseLabel bounds metric label cardinality: the iterative S_Agg steps
@@ -214,31 +255,36 @@ func unitBytesInOut(units []workUnit) (down, up int64) {
 // with WriteText for Prometheus-format scraping or -metrics-out files.
 func (e *Engine) Registry() *obs.Registry { return e.obs.reg }
 
-// abortRun settles a run that failed after execution started: the abort
-// reason lands in the failure counter and the recovery ledger, the
-// metrics snapshot is completed from the SSI's state, and every open
-// span is closed so the returned trace is well-formed. The Response it
-// returns carries no rows but full observability — Execute hands both
-// the Response and the error to the caller.
-func (e *Engine) abortRun(rs *runState, err error) (*Response, error) {
+// finishRun is every exit of a run that started executing: it settles
+// the run, closes every span still open at the run's last instant, ends
+// the journal and returns the Response. A failed run (err != nil) carries
+// no rows but full observability: its reason lands in the failure counter
+// and ends the ledger and the journal. A run that delivered rows gets its
+// conformance report, also on the root span.
+func (e *Engine) finishRun(rs *runState, root *obs.Span, res *sqlexec.Result, err error) (*Response, error) {
 	id := rs.post.ID
-	reason := abortReason(err)
-	e.obs.queriesFailed.With(reason).Inc()
-	rs.ssi.Record(id, ssi.LedgerEntry{Kind: "query-abort", Phase: reason, At: rs.clock.Now()})
-	rs.metrics.Observation = rs.ssi.ObservationFor(id)
-	rs.metrics.LoadBytes += rs.ssi.BytesStored(id)
-	rs.metrics.Ledger = rs.ssi.LedgerFor(id)
-	e.obs.tracer.CloseAll(id, rs.clock.Now())
-	e.obs.journal.Emit(id, obs.JournalEvent{
-		Kind: obs.JournalAbort, Party: obs.PartyEngine, Detail: reason,
-		At: rs.clock.Now(),
-	})
-	return &Response{
-		Metrics:   rs.metrics,
-		Trace:     e.obs.tracer.Take(id),
-		Integrity: rs.integrityReport(),
-		Journal:   e.obs.journal.Take(id),
-	}, err
+	end := obs.JournalEvent{Kind: obs.JournalQueryEnd, Party: obs.PartyEngine, Detail: "ok"}
+	if err != nil {
+		end.Kind, end.Detail = obs.JournalAbort, abortReason(err)
+		e.obs.queriesFailed.With(end.Detail).Inc()
+		rs.ssi.Record(id, ssi.LedgerEntry{Kind: "query-abort", Phase: end.Detail, At: rs.clock.Now()})
+	}
+	rs.settle(e.obs)
+	var conf *ConformanceReport
+	if res != nil {
+		end.Facts.Count = len(res.Rows)
+		if conf = e.conformance(rs); conf != nil {
+			// Deterministic model check: predicted T_Q and the
+			// measured/predicted ratio, both pure functions of the run.
+			root.SetAttr("tq_model", conf.PredictedTQ.String()).
+				SetAttr("tq_ratio", strconv.FormatFloat(conf.Ratio, 'f', 3, 64))
+		}
+	}
+	end.At = rs.clock.Now()
+	e.obs.tracer.CloseAll(id, end.At)
+	e.obs.journal.Emit(id, end)
+	return &Response{Result: res, Metrics: rs.metrics, Trace: e.obs.tracer.Take(id),
+		Integrity: rs.integrityReport(), Journal: e.obs.journal.Take(id), Conformance: conf}, err
 }
 
 // abortReason classifies an abort for the failure counter's label.
@@ -261,5 +307,4 @@ func abortReason(err error) string {
 func (e *Engine) recordCollectError(rs *runState, d collectDevice, now time.Time) {
 	rs.metrics.CollectErrors++
 	e.obs.tracer.EngineEvent(rs.post.ID, "collect-error", d.id, now, obs.CipherFacts{Attempt: 1})
-	e.obs.devices.With("error").Inc()
 }

@@ -28,7 +28,6 @@ type phaseStats struct {
 	Detections int           // replicas outvoted by the audit (compromised-TDS ext.)
 	Suspects   []string      // IDs of the outvoted devices
 	Wait       time.Duration // timeout + backoff bill of the crashes
-	Abandoned  int           // partitions dropped after MaxAttempts, not re-sent
 }
 
 // crew is a run's host parallelism: the run's goroutine and up to n-1
@@ -221,7 +220,6 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				Attempt: t.attempt, Wait: wait, At: at,
 			})
 			if max := faults.MaxAttempts; max > 0 && t.attempt >= max {
-				stats.Abandoned++
 				rs.ssi.Record(post.ID, ssi.LedgerEntry{
 					Kind: "partition-abandoned", Phase: phase,
 					Device: ws[0].ID, Attempt: t.attempt,

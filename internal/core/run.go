@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/trustedcells/tcq/internal/histogram"
 	"github.com/trustedcells/tcq/internal/netsim"
@@ -117,7 +116,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 
 	e.beginPhaseScope(rs, "collect", obs.PartyEngine, obs.CipherFacts{})
 	if err := e.collectionPhase(ctx, rs, cfgTpl); err != nil {
-		return e.abortRun(rs, err)
+		return e.finishRun(rs, root, nil, err)
 	}
 	e.endPhaseScope(rs, "collect", obs.PartyEngine,
 		obs.CipherFacts{Tuples: int(metrics.Nt), Bytes: metrics.CollectBytes})
@@ -129,29 +128,16 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	// The covering result is settled: verify it against the deposit
 	// commitments before any TDS aggregates a single tuple.
 	if err := e.verifyCollection(rs); err != nil {
-		return e.abortRun(rs, err)
-	}
-
-	snapshot := func() {
-		metrics.Observation = rs.ssi.ObservationFor(post.ID)
-		metrics.LoadBytes += rs.ssi.BytesStored(post.ID)
-		metrics.Ledger = rs.ssi.LedgerFor(post.ID)
+		return e.finishRun(rs, root, nil, err)
 	}
 
 	if req.CollectOnly {
-		snapshot()
-		tr.EndSpan(post.ID, rs.clock.Now()) // root
-		jr.Emit(post.ID, obs.JournalEvent{
-			Kind: obs.JournalQueryEnd, Party: obs.PartyEngine, Detail: "ok",
-			At: rs.clock.Now(),
-		})
-		return &Response{Metrics: metrics, Trace: tr.Take(post.ID),
-			Integrity: rs.integrityReport(), Journal: jr.Take(post.ID)}, nil
+		return e.finishRun(rs, root, nil, nil)
 	}
 
 	finalTuples, err := e.aggregateAndFilter(ctx, rs, stmt)
 	if err != nil {
-		return e.abortRun(rs, err)
+		return e.finishRun(rs, root, nil, err)
 	}
 
 	// Final delivery: the querier downloads and decrypts the result. The
@@ -160,7 +146,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	dspan := e.beginPhaseScope(rs, "deliver", obs.PartyQuerier, obs.CipherFacts{})
 	res, err := req.Querier.DecryptResult(post, finalTuples)
 	if err != nil {
-		return e.abortRun(rs, err)
+		return e.finishRun(rs, root, nil, err)
 	}
 	outBytes := protocol.TotalSize(finalTuples)
 	var mtr netsim.Meter
@@ -173,22 +159,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		obs.CipherFacts{Count: len(res.Rows), Bytes: int64(outBytes)})
 	e.obs.bytes.With("deliver_down").Add(float64(outBytes))
 
-	snapshot()
-	metrics.finish()
-	conf := e.conformance(rs, req)
-	if conf != nil {
-		// Deterministic model check on the root span: predicted T_Q and
-		// the measured/predicted ratio, both pure functions of the run.
-		root.SetAttr("tq_model", conf.PredictedTQ.String()).
-			SetAttr("tq_ratio", strconv.FormatFloat(conf.Ratio, 'f', 3, 64))
-	}
-	tr.EndSpan(post.ID, rs.clock.Now()) // root
-	jr.Emit(post.ID, obs.JournalEvent{
-		Kind: obs.JournalQueryEnd, Party: obs.PartyEngine, Detail: "ok",
-		At: rs.clock.Now(), Facts: obs.CipherFacts{Count: len(res.Rows)},
-	})
-	return &Response{Result: res, Metrics: metrics, Trace: tr.Take(post.ID),
-		Integrity: rs.integrityReport(), Journal: jr.Take(post.ID), Conformance: conf}, nil
+	return e.finishRun(rs, root, res, nil)
 }
 
 // collectInputs assembles the per-protocol collection-phase inputs: the
@@ -466,14 +437,6 @@ func countGroups(units []workUnit) int {
 		n += len(u.partition)
 	}
 	return n
-}
-
-func unitDurations(units []workUnit) []time.Duration {
-	out := make([]time.Duration, len(units))
-	for i, u := range units {
-		out[i] = u.busy
-	}
-	return out
 }
 
 // groupCountHint guesses G for partition sizing: the engine cannot know G

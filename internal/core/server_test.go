@@ -194,6 +194,17 @@ func waitStats(t *testing.T, srv *Server, inflight, queued int) {
 
 const countSQL = `SELECT COUNT(*) FROM Power`
 
+// submitAsync submits req in the background; its error arrives on the
+// returned channel.
+func submitAsync(ctx context.Context, srv *Server, req Request) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(ctx, req)
+		errc <- err
+	}()
+	return errc
+}
+
 // TestServerBackpressure fills the bounded admission queue and requires
 // the overflow submission to fail fast with ErrServerBusy while every
 // admitted request still completes.
@@ -205,12 +216,9 @@ func TestServerBackpressure(t *testing.T) {
 	defer gate.release()
 
 	req := Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg}
-	results := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			_, err := srv.Submit(context.Background(), req)
-			results <- err
-		}()
+	var results [3]<-chan error
+	for i := range results {
+		results[i] = submitAsync(context.Background(), srv, req)
 		waitStats(t, srv, 1, i) // 1 executing (held at the gate), i queued
 	}
 
@@ -220,8 +228,8 @@ func TestServerBackpressure(t *testing.T) {
 	}
 
 	gate.release()
-	for i := 0; i < 3; i++ {
-		if err := <-results; err != nil {
+	for _, errc := range results {
+		if err := <-errc; err != nil {
 			t.Errorf("admitted request failed: %v", err)
 		}
 	}
@@ -370,19 +378,11 @@ func TestServerQueuedCancel(t *testing.T) {
 	defer gate.release()
 
 	req := Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg}
-	first := make(chan error, 1)
-	go func() {
-		_, err := srv.Submit(context.Background(), req)
-		first <- err
-	}()
+	first := submitAsync(context.Background(), srv, req)
 	waitStats(t, srv, 1, 0)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	second := make(chan error, 1)
-	go func() {
-		_, err := srv.Submit(ctx, req)
-		second <- err
-	}()
+	second := submitAsync(ctx, srv, req)
 	waitStats(t, srv, 1, 1)
 
 	cancel()
@@ -406,17 +406,9 @@ func TestServerClosed(t *testing.T) {
 	defer gate.release()
 
 	req := Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg}
-	first := make(chan error, 1)
-	go func() {
-		_, err := srv.Submit(context.Background(), req)
-		first <- err
-	}()
+	first := submitAsync(context.Background(), srv, req)
 	waitStats(t, srv, 1, 0)
-	queuedErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Submit(context.Background(), req)
-		queuedErr <- err
-	}()
+	queuedErr := submitAsync(context.Background(), srv, req)
 	waitStats(t, srv, 1, 1)
 
 	// Close must fail the queued request, wait out the in-flight one,

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/obs"
 )
 
@@ -131,17 +133,72 @@ func TestSSIVisibilityAudit(t *testing.T) {
 }
 
 // TestRegistryExportAfterRuns renders the engine's metrics registry after
-// a churned run and requires well-formed Prometheus text: parseable by
-// the bundled checker, with the core series present.
+// churned runs, a coverage-floor abort, a misbehaviour abort, a run
+// cancelled inside its first phase after a crash, and a collect-only run,
+// and requires well-formed Prometheus text, every series fed from Metrics
+// equal to its sum over the returned Responses, and no labelled counter at
+// 0. A run's recovery counters are its ledger's, so the cancelled run's
+// crash counts although its phase never completed.
 func TestRegistryExportAfterRuns(t *testing.T) {
-	f := newFixture(t, 40, nil)
-	for _, sc := range churnScenarios[:2] {
-		_, err := f.eng.Execute(context.Background(), Request{
-			Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params, Faults: churnPlan(),
+	// One collection worker fixes the walk's context checks, so the fuse
+	// trips at the same point of the first phase at any GOMAXPROCS.
+	f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = 1 })
+	basic, sagg := churnScenarios[0], churnScenarios[1]
+	drop := &faultplan.SSIScript{Persistent: true, Behaviors: []faultplan.SSIMisbehavior{faultplan.SSIDropTuple}}
+	want := map[string]float64{}
+	for _, run := range []struct {
+		name string // an abort's name ends in "abort"
+		req  Request
+		fuse int // context checks before a cancellation; 0 for none
+	}{
+		{"churned-basic", Request{SQL: basic.sql, Kind: basic.kind, Faults: churnPlan()}, 0},
+		{"churned-s_agg", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params, Faults: churnPlan()}, 0},
+		{"floor-abort", Request{SQL: sagg.sql, Kind: sagg.kind,
+			Faults: &faultplan.Plan{Seed: 2, OfflineFraction: 0.9, CoverageFloor: 0.5}}, 0},
+		{"misbehaviour-abort", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params,
+			Faults: &faultplan.Plan{Seed: 21, SSI: drop}}, 0},
+		{"mid-phase-abort", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params,
+			Faults: &faultplan.Plan{Seed: 21, CrashFraction: 0.3}}, 9},
+		{"collect-only", Request{SQL: sagg.sql, Kind: sagg.kind, CollectOnly: true, Faults: churnPlan()}, 0},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			var ctx context.Context = context.Background()
+			if run.fuse > 0 {
+				ctx = &fuseCtx{Context: ctx, fuse: run.fuse}
+			}
+			run.req.Querier = f.q
+			resp, err := f.eng.Execute(ctx, run.req)
+			if (err != nil) != strings.HasSuffix(run.name, "abort") || resp == nil {
+				t.Fatal(err)
+			}
+			if m := resp.Metrics; run.fuse > 0 && (len(m.Phases) > 0 || m.Reassignments == 0) {
+				t.Fatalf("the cancellation missed the first phase's crashes: %+v", m)
+			}
+			m := resp.Metrics
+			for family, byLabel := range map[string]map[string]int{
+				`tcq_collect_devices_total{outcome=`: {"accepted": m.DepositedDevices, "offline": m.OfflineDevices,
+					"error": m.CollectErrors, "dropped": m.DroppedDeposits, "corrupt": m.CorruptDeposits,
+					"stale": ledgerCount(m, "deposit-stale"), "revoked": ledgerCount(m, "deposit-revoked")},
+				`tcq_collect_tuples_total{kind=`: {"accepted": int(m.Nt), "true": int(m.TrueTuples)},
+				`tcq_integrity_events_total{kind=`: {"check": m.IntegrityChecks, "violation": m.IntegrityViolations,
+					"quarantine": m.IntegrityQuarantines, "recovered": m.IntegrityRecovered},
+				`tcq_bytes_total{flow=`: {"collect_up": int(m.CollectBytes)},
+			} {
+				for label, n := range byLabel {
+					want[family+strconv.Quote(label)+"}"] += float64(n)
+				}
+			}
+			want[`tcq_queries_total{protocol="`+run.req.Kind.String()+`"}`]++
+			want["tcq_deposit_tuples_sum"] += float64(m.Nt)
+			want["tcq_coverage_ratio"] = m.CoverageRatio // the last run's collection completes
+			want["tcq_retry_wait_seconds_total"] += m.RetryWait.Seconds()
+			want["tcq_reassignments_total"] += float64(m.Reassignments)
+			want["tcq_partitions_abandoned_total"] += float64(m.PartitionsAbandoned)
+			for _, p := range m.Phases {
+				want[`tcq_phase_seconds_count{phase="`+phaseLabel(p.Name)+`"}`]++
+				want[`tcq_phase_seconds_sum{phase="`+phaseLabel(p.Name)+`"}`] += p.Duration.Seconds()
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	var buf bytes.Buffer
 	if err := f.eng.Registry().WriteText(&buf); err != nil {
@@ -150,12 +207,21 @@ func TestRegistryExportAfterRuns(t *testing.T) {
 	if err := obs.CheckText(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("registry text fails the checker: %v\n%s", err, buf.String())
 	}
-	for _, want := range []string{
-		"tcq_queries_total", "tcq_collect_devices_total", "tcq_bytes_total",
-		"tcq_coverage_ratio", "tcq_phase_seconds_bucket", "tcq_deposit_tuples_sum",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("registry text missing %q", want)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		series, v, _ := strings.Cut(line, " ")
+		if strings.Contains(series, "{") && !strings.Contains(series, "le=") && v == "0" {
+			t.Errorf("labelled series %s renders 0", series)
+		}
+		if n, ok := want[series]; ok {
+			if x, err := strconv.ParseFloat(v, 64); err != nil || x != n {
+				t.Errorf("%s renders %s, want %v (summed over the Responses)", series, v, n)
+			}
+			delete(want, series)
+		}
+	}
+	for series, n := range want {
+		if n != 0 || !strings.Contains(series, "{") {
+			t.Errorf("registry text has no %s", series)
 		}
 	}
 }

@@ -38,18 +38,17 @@ echo "==> bench/ (go vet + go test)"
 (cd bench && go vet ./... && go test ./...)
 
 # ROADMAP's "number to push down", ratcheted rather than remembered: Go
-# lines may not grow past what the last simplifying PR reached (rounded up
-# to the next 50), test lines included. Lower the ceilings when a PR lowers
-# the counts.
+# lines may not grow past what the last simplifying PR reached, test lines
+# included. Lower the ceilings when a PR lowers the counts.
 echo "==> line budget"
 core_ssi=$(find internal/core internal/ssi -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*.go' -not -name '*_test.go' -print | xargs cat | wc -l)
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 5150); repo outside bench/: $repo (ceiling 15600);" \
-    "tests outside bench/: $tests (ceiling 15350)"
-if [ "$core_ssi" -gt 5150 ] || [ "$repo" -gt 15600 ] || [ "$tests" -gt 15350 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 5145); repo outside bench/: $repo (ceiling 15587);" \
+    "tests outside bench/: $tests (ceiling 15341)"
+if [ "$core_ssi" -gt 5145 ] || [ "$repo" -gt 15587 ] || [ "$tests" -gt 15341 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
@@ -76,12 +75,16 @@ fi
 # every command, example and bench/ with coverage, runs them, and prints
 # the share of each package's statements they reach. The SQL front end,
 # the evaluator and the value layer may not fall below the share they
-# reached when the dialect was cut to the paper's; raise a floor when a
-# PR raises the share.
+# reached when the dialect was cut to the paper's, nor the engine and the
+# observability layer below theirs when a run became one account; raise a
+# floor when a PR raises the share. The engine's share moves by a few
+# tenths from run to run (whether a SIZE cut lands inside a batched commit
+# run depends on which slots the helpers finished first; 79.2-79.4 % on a
+# 2-core box), so its floor sits below that spread.
 echo "==> reach (programs, not tests)"
 reach=$(scripts/reach.sh)
 echo "$reach"
-for floor in internal/sqlexec=75.0 internal/sqlparse=58.5 internal/storage=52.5; do
+for floor in internal/sqlexec=75.0 internal/sqlparse=58.5 internal/storage=52.5 internal/obs=58.5 internal/core=79.0; do
     pkg=${floor%=*}
     min=${floor#*=}
     got=$(echo "$reach" | awk -v pkg="$pkg" '$1 == "reach" && $2 == pkg { print $3 }')
@@ -119,6 +122,17 @@ fi
 echo "==> no CollectedTuples in internal/core"
 if grep -rn --include='*.go' --exclude='*_test.go' 'CollectedTuples' internal/core; then
     echo "internal/core must read the store through CollectedRange / StreamBuild" >&2
+    exit 1
+fi
+
+# One account per run: the registry instruments with a Metrics or ledger
+# source are fed once, from the settled Metrics, by observe.go — never
+# along the run path, where they would be a second copy to keep in step.
+echo "==> Metrics-sourced instruments only in internal/core/observe.go"
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'obs\.(devices|tuples|retryWait|reassigns|abandoned|integrity|phaseSeconds)\b' internal/core |
+    grep -v '^internal/core/observe\.go:'; then
+    echo "feed these instruments from Metrics in observe, not per event" >&2
     exit 1
 fi
 
