@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,26 +105,31 @@ func BenchmarkCollectionPhase(b *testing.B) {
 
 // BenchmarkCollectOneTDS isolates a single device's collection step — the
 // hot path of the phase: plan lookup, policy check, local execution, row
-// encoding and tuple encryption.
+// encoding and tuple encryption — for S_Agg, and for C_Noise at G = 50
+// (noise_tagged's shape: 49 tagged fakes per true tuple).
 func BenchmarkCollectOneTDS(b *testing.B) {
-	eng, q := newBenchEngine(b, 1, 1)
-	post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := eng.fleet[0]
-	now := time.Unix(1700000000, 0)
-	col := newCollector()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tuples, _, err := eng.collectOne(col, t, post, tds.CollectConfig{}, now)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tuples) == 0 {
-			b.Fatal("no tuples")
-		}
+	for _, kind := range []protocol.Kind{protocol.KindSAgg, protocol.KindCNoise} {
+		b.Run(kind.String(), func(b *testing.B) {
+			eng, q := newBenchEngine(b, 1, 1)
+			post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, kind, protocol.Params{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var cfg tds.CollectConfig // the device's own group, then Paris-1 … Paris-49
+			for g := 0; kind == protocol.KindCNoise && g < 50; g++ {
+				cfg.Domain = append(cfg.Domain, storage.Row{storage.Str(strings.TrimSuffix(fmt.Sprint(districts[0], "-", g), "-0"))})
+			}
+			t := eng.fleet[0]
+			now := time.Unix(1700000000, 0)
+			col := newCollector()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tuples, _, err := eng.collectOne(col, t, post, cfg, now); err != nil || len(tuples) == 0 {
+					b.Fatalf("%d tuples: %v", len(tuples), err)
+				}
+			}
+		})
 	}
 }
 

@@ -163,23 +163,22 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 }
 
 // collectInputs assembles the per-protocol collection-phase inputs: the
-// A_G domain for the noise protocols, the equi-depth histogram for
-// ED_Hist. Both come from the distribution-discovery process
-// (Section 4.4), run once and cached.
+// A_G domain for the tagged protocols (ED_Hist's per-group emission reads
+// its Det_Enc tag table), and the equi-depth histogram for ED_Hist. Both
+// come from the distribution-discovery process (Section 4.4), run once
+// and cached.
 func (e *Engine) collectInputs(ctx context.Context, q *querier.Querier, stmt *sqlparse.SelectStmt,
 	kind protocol.Kind, params protocol.Params) (tds.CollectConfig, error) {
 	var cfgTpl tds.CollectConfig
 	switch kind {
-	case protocol.KindRnfNoise, protocol.KindCNoise:
+	case protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist:
 		disc, err := e.discoverDistribution(ctx, q, stmt)
 		if err != nil {
 			return cfgTpl, err
 		}
 		cfgTpl.Domain = disc.domain
-	case protocol.KindEDHist:
-		disc, err := e.discoverDistribution(ctx, q, stmt)
-		if err != nil {
-			return cfgTpl, err
+		if kind != protocol.KindEDHist {
+			break
 		}
 		m := params.NumBuckets
 		if m <= 0 {

@@ -8,7 +8,6 @@
 package tds
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
@@ -40,7 +39,7 @@ type TDS struct {
 	// A device holding another key — a stale epoch, dropped grace material —
 	// meets only its own record and keeps failing at the open. Expiry is
 	// each device's own clock against the post, never shared. Det_Enc tags
-	// are shared per expanded key (groupTag). Nil computes on every call.
+	// are one table per expanded key and domain (tagTable). Nil shares none.
 	Shared *PlanCache
 
 	// Corrupt marks a compromised device for the extended threat model
@@ -199,12 +198,12 @@ func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []prot
 
 // PlanCache shares across a fleet, for the life of one query, what every
 // device would compute identically: one table per query ID, holding the
-// admission records and the Det_Enc tags. Each is keyed by every input of
-// its value — an admission by (post, key material, schema, authority,
-// policy), a tag by (key material, encoded group), Det_Enc being a function
-// of k2, the query's AAD and the plaintext, and a *KeyMaterial one expanded
-// ring — so a device only ever reads what a device holding exactly its own
-// inputs computed. Safe for concurrent use.
+// admission records and the Det_Enc tag tables. Each is keyed by every
+// input of its value — an admission by (post, key material, schema,
+// authority, policy), a tag table by (key material, domain), Det_Enc being
+// a function of k2, the query's AAD and the plaintext, and a *KeyMaterial
+// one expanded ring — so a device only ever reads what a device holding
+// exactly its own inputs computed. Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.RWMutex
 	queries map[string]queryTable // by query ID; a missing table reads as empty
@@ -212,7 +211,7 @@ type PlanCache struct {
 
 type queryTable struct {
 	admissions map[admissionKey]*admission
-	tags       map[tagKey][]byte
+	tags       map[domainKey]*tagTable
 }
 
 type admissionKey struct {
@@ -223,9 +222,11 @@ type admissionKey struct {
 	policy    *accessctl.Policy
 }
 
-type tagKey struct {
-	km    *KeyMaterial
-	group string // storage.AppendRow of the grouping values
+// domainKey names a tag table: its material and its A_G domain by identity.
+type domainKey struct {
+	km     *KeyMaterial
+	first  *storage.Row
+	groups int
 }
 
 // admission is step 3 of Fig. 2 decided for one key: the compiled plan of
@@ -238,6 +239,31 @@ type admission struct {
 	granted bool
 }
 
+// tagTable is a query's Det_Enc tags by domain position, built by the
+// first build (with the m it is keyed by) and only read after, with no
+// lock: tags[i] is Det_Enc_k2 of storage.AppendRow(domain[i]) under the
+// post's AAD, and pos maps each encoded group to its position.
+type tagTable struct {
+	once   sync.Once
+	domain []storage.Row
+	tags   [][]byte
+	pos    map[string]int
+	err    error
+}
+
+func (tt *tagTable) build(m *KeyMaterial, post *protocol.QueryPost) ([][]byte, map[string]int, error) {
+	tt.once.Do(func() {
+		tt.tags, tt.pos = make([][]byte, len(tt.domain)), make(map[string]int, len(tt.domain))
+		var enc []byte
+		for i := 0; i < len(tt.domain) && tt.err == nil; i++ {
+			enc = storage.AppendRow(enc[:0], tt.domain[i])
+			tt.pos[string(enc)] = i
+			tt.tags[i], tt.err = m.K2.DetEncrypt(enc, post.AAD())
+		}
+	})
+	return tt.tags, tt.pos, tt.err
+}
+
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
 	return &PlanCache{queries: make(map[string]queryTable)}
@@ -246,7 +272,7 @@ func NewPlanCache() *PlanCache {
 // table returns a query's table, created on first use; c.mu is held.
 func (c *PlanCache) table(id string) queryTable {
 	if _, ok := c.queries[id]; !ok {
-		c.queries[id] = queryTable{make(map[admissionKey]*admission), make(map[tagKey][]byte)}
+		c.queries[id] = queryTable{make(map[admissionKey]*admission), make(map[domainKey]*tagTable)}
 	}
 	return c.queries[id]
 }
@@ -258,39 +284,56 @@ func (c *PlanCache) Drop(id string) {
 	delete(c.queries, id)
 }
 
-// tag returns the shared Det_Enc tag of one encoded group, nil on a miss.
-// A key literal in the index expression converts group without allocating.
-func (c *PlanCache) tag(id string, km *KeyMaterial, group []byte) []byte {
+// entry returns the value under k in one of a query's maps, made by mk on
+// first use: a hit takes only the read lock, an insert the write lock. With
+// no fleet to share with (a nil cache) the caller gets a value of its own.
+func entry[K comparable, V any](c *PlanCache, id string, k K, in func(queryTable) map[K]*V, mk func() *V) *V {
+	if c == nil {
+		return mk()
+	}
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.queries[id].tags[tagKey{km, string(group)}]
-}
-
-func (c *PlanCache) putTag(id string, km *KeyMaterial, group, tag []byte) {
+	v := in(c.queries[id])[k]
+	c.mu.RUnlock()
+	if v != nil {
+		return v
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.table(id).tags[tagKey{km, string(group)}] = tag
+	m := in(c.table(id))
+	if v = m[k]; v == nil {
+		v = mk()
+		m[k] = v
+	}
+	return v
 }
 
 // admission returns the record of one key, inserted undecided on first use.
 func (c *PlanCache) admission(id string, k admissionKey) *admission {
-	if c == nil { // no fleet to share with: the caller decides alone
-		return new(admission)
+	return entry(c, id, k, func(q queryTable) map[admissionKey]*admission { return q.admissions },
+		func() *admission { return new(admission) })
+}
+
+// tagTableFor returns the query's tag table over a non-empty domain under
+// km, inserted unbuilt on first use.
+func (c *PlanCache) tagTableFor(id string, km *KeyMaterial, domain []storage.Row) *tagTable {
+	return entry(c, id, domainKey{km, &domain[0], len(domain)},
+		func(q queryTable) map[domainKey]*tagTable { return q.tags },
+		func() *tagTable { return &tagTable{domain: domain} })
+}
+
+// tagTableOf returns a tag table of the query under km, over whichever
+// domain its collection was handed; nil if there is none.
+func (c *PlanCache) tagTableOf(id string, km *KeyMaterial) (tt *tagTable) {
+	if c != nil {
+		c.mu.RLock()
+		for k, v := range c.queries[id].tags {
+			if k.km == km {
+				tt = v
+			}
+		}
+		c.mu.RUnlock()
 	}
-	c.mu.RLock()
-	a := c.queries[id].admissions[k]
-	c.mu.RUnlock()
-	if a != nil {
-		return a
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	q := c.table(id)
-	if a = q.admissions[k]; a == nil {
-		a = new(admission)
-		q.admissions[k] = a
-	}
-	return a
+	return tt
 }
 
 // admit returns this device's admission of the post under the material
@@ -322,7 +365,7 @@ type CollectConfig struct {
 	Rng *rand.Rand
 	// Now is the simulated wall-clock time for credential expiry checks.
 	Now time.Time
-	// Arena optionally slab-allocates the ciphertexts and tags this call
+	// Arena optionally slab-allocates the ciphertexts this call
 	// produces. Nil means plain allocations; output bytes are identical
 	// either way. The caller must not share one arena across concurrent
 	// Collect calls.
@@ -340,17 +383,19 @@ type CollectStats struct {
 }
 
 // collectScratch holds buffers reused across one call's tuple loop, plus
-// the key material the call resolved — one resolve per call, so a
-// rotation landing mid-call cannot split it across epochs. The encryption
-// schemes copy plaintexts into fresh ciphertext buffers, so reusing the
-// plaintext scratch across tuples is safe.
+// the key material and tag table the call resolved — one resolve per
+// call, so a rotation landing mid-call cannot split it across epochs. The
+// encryption schemes copy plaintexts into fresh ciphertext buffers, so
+// reusing the plaintext scratch across tuples is safe.
 type collectScratch struct {
 	m       *KeyMaterial     // material serving this call
+	tags    [][]byte         // Det_Enc tag by domain position
+	pos     map[string]int   // domain position by encoded group
+	at      int              // the last groupTag's position, -1 outside the domain
 	payload []byte           // marker + encoded row plaintext
 	tag     []byte           // encoded grouping values / bucket identifier
-	key     []byte           // controlledFakes: the true group's key, then a candidate's
 	row     storage.Row      // assembled fake row
-	arena   *tdscrypto.Arena // optional slab for ciphertexts and tags
+	arena   *tdscrypto.Arena // optional slab for ciphertexts
 }
 
 // Collect performs the collection-phase work of this TDS: admit the query
@@ -371,6 +416,19 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 	stats.Denied = !authorized
 
 	sc := collectScratch{m: m, arena: cfg.Arena}
+	noise := post.Kind == protocol.KindRnfNoise || post.Kind == protocol.KindCNoise
+	switch {
+	case noise && len(cfg.Domain) == 0:
+		return nil, stats, fmt.Errorf("tds %s: %v requires the A_G domain", t.ID, post.Kind)
+	case noise:
+		if sc.tags, sc.pos, err = t.Shared.tagTableFor(post.ID, m, cfg.Domain).build(m, post); err != nil {
+			return nil, stats, err
+		}
+	case post.Kind == protocol.KindEDHist && cfg.Hist == nil:
+		return nil, stats, fmt.Errorf("tds %s: ED_Hist requires a histogram", t.ID)
+	case post.Kind == protocol.KindEDHist && len(cfg.Domain) > 0 && t.Shared != nil:
+		t.Shared.tagTableFor(post.ID, m, cfg.Domain) // the per-group emission builds it
+	}
 	out := cfg.Out[:0]
 	if authorized {
 		// Each row is tagged, encrypted and joined by its fakes as the scan yields it.
@@ -387,11 +445,8 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 			n := len(out)
 			out = append(out, w)
 			stats.True++
-			switch post.Kind { // noise injection
-			case protocol.KindRnfNoise:
-				out, err = t.randomFakes(post, plan, cfg, post.Params.Nf, out, &sc)
-			case protocol.KindCNoise:
-				out, err = t.controlledFakes(post, plan, cfg, row, out, &sc)
+			if sc.tags != nil { // noise injection
+				out, err = t.fakes(post, plan, cfg, out, &sc)
 			}
 			stats.Fake += len(out) - n - 1
 			return err
@@ -404,12 +459,8 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 		// Dummy sized like a plausible tuple of this plan. In the tagged
 		// protocols the dummy carries a plausible random tag, otherwise its
 		// taglessness would let the SSI single it out.
-		tag, err := t.dummyTag(post, cfg, &sc)
-		if err != nil {
-			return nil, stats, err
-		}
 		sc.payload = protocol.AppendDummyPayload(sc.payload[:0], t.sampleBodySize(plan))
-		w, err := t.encryptTuple(m, post, sc.payload, tag, sc.arena)
+		w, err := t.encryptTuple(m, post, sc.payload, t.dummyTag(post, cfg, &sc), sc.arena)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -434,23 +485,16 @@ func (t *TDS) sampleBodySize(plan *sqlexec.Plan) int {
 
 // dummyTag picks a plausible routing tag for a dummy tuple so the SSI
 // cannot distinguish it from true traffic.
-func (t *TDS) dummyTag(post *protocol.QueryPost, cfg CollectConfig, sc *collectScratch) ([]byte, error) {
+func (t *TDS) dummyTag(post *protocol.QueryPost, cfg CollectConfig, sc *collectScratch) []byte {
 	switch post.Kind {
 	case protocol.KindRnfNoise, protocol.KindCNoise:
-		if len(cfg.Domain) == 0 {
-			return nil, fmt.Errorf("tds %s: %v requires the A_G domain", t.ID, post.Kind)
-		}
-		return t.groupTag(post, cfg.Domain[cfg.Rng.Intn(len(cfg.Domain))], sc)
+		return sc.tags[cfg.Rng.Intn(len(sc.tags))]
 	case protocol.KindEDHist:
-		if cfg.Hist == nil {
-			return nil, fmt.Errorf("tds %s: ED_Hist requires a histogram", t.ID)
-		}
 		buckets := cfg.Hist.Buckets()
-		b := buckets[cfg.Rng.Intn(len(buckets))]
-		sc.tag = append(sc.tag[:0], b.ID...)
-		return sc.m.BucketHash.Sum(sc.tag), nil
+		sc.tag = append(sc.tag[:0], buckets[cfg.Rng.Intn(len(buckets))].ID...)
+		return sc.m.BucketHash.Sum(sc.tag)
 	default:
-		return nil, nil
+		return nil
 	}
 }
 
@@ -462,12 +506,9 @@ func (t *TDS) collectionTag(post *protocol.QueryPost, plan *sqlexec.Plan,
 	case protocol.KindBasic, protocol.KindSAgg:
 		return nil, nil
 	case protocol.KindRnfNoise, protocol.KindCNoise:
-		return t.groupTag(post, groupValues(plan, row), sc)
+		return t.groupTag(post, row[:len(plan.GroupCols)], sc)
 	case protocol.KindEDHist:
-		if cfg.Hist == nil {
-			return nil, fmt.Errorf("tds %s: ED_Hist requires a histogram", t.ID)
-		}
-		bucket, _ := cfg.Hist.BucketOf(groupValues(plan, row).Key())
+		bucket, _ := cfg.Hist.BucketOf(row[:len(plan.GroupCols)].Key())
 		sc.tag = append(sc.tag[:0], bucket...)
 		return sc.m.BucketHash.Sum(sc.tag), nil
 	default:
@@ -475,91 +516,52 @@ func (t *TDS) collectionTag(post *protocol.QueryPost, plan *sqlexec.Plan,
 	}
 }
 
-// groupValues extracts the A_G prefix of a collection row.
-func groupValues(plan *sqlexec.Plan, row storage.Row) storage.Row {
-	return row[:len(plan.GroupCols)]
-}
-
 // groupTag is Det_Enc_k2 over the encoded grouping values, bound to the
-// query by its AAD. The encoding goes through the scratch buffer. The tag
-// is one value per (query, material, group), so it is looked up in the
-// fleet-shared table and computed, with the serving material's own k2,
-// only on a miss; like every tuple field it is never written again.
+// query by its AAD: read from the call's tag table at the group's
+// position, which it leaves in sc.at, or — for a group outside the
+// domain, or a call without a table — computed with the serving
+// material's own k2. Like every tuple field the tag is never written.
 func (t *TDS) groupTag(post *protocol.QueryPost, group storage.Row, sc *collectScratch) ([]byte, error) {
 	sc.tag = storage.AppendRow(sc.tag[:0], group)
-	if t.Shared != nil {
-		if tag := t.Shared.tag(post.ID, sc.m, sc.tag); tag != nil {
-			return tag, nil
-		}
+	i, ok := sc.pos[string(sc.tag)]
+	if !ok {
+		sc.at = -1
+		return sc.m.K2.DetEncrypt(sc.tag, post.AAD())
 	}
-	tag, err := sc.m.K2.DetEncryptArena(sc.tag, post.AAD(), sc.arena)
-	if err == nil && t.Shared != nil {
-		t.Shared.putTag(post.ID, sc.m, sc.tag, tag)
-	}
-	return tag, err
+	sc.at = i
+	return sc.tags[i], nil
 }
 
-// randomFakes appends nf fake tuples whose A_G values are drawn uniformly
-// from the domain (Rnf_Noise). The aggregate inputs are random too; the
-// fake marker inside the ciphertext lets honest TDSs discard them.
-func (t *TDS) randomFakes(post *protocol.QueryPost, plan *sqlexec.Plan,
-	cfg CollectConfig, nf int, out []protocol.WireTuple, sc *collectScratch) ([]protocol.WireTuple, error) {
-	if len(cfg.Domain) == 0 {
-		return nil, fmt.Errorf("tds %s: Rnf_Noise requires the A_G domain", t.ID)
+// fakes appends the fake tuples joining one true tuple: Nf whose A_G
+// values are drawn uniformly from the domain (Rnf_Noise), or one per domain
+// position other than the true tuple's, which its tag lookup left in sc.at
+// (C_Noise: the tag distribution is flat by construction). The aggregate
+// inputs are random too; the fake marker inside the ciphertext lets honest
+// TDSs discard them. The row is assembled in the scratch buffer.
+func (t *TDS) fakes(post *protocol.QueryPost, plan *sqlexec.Plan,
+	cfg CollectConfig, out []protocol.WireTuple, sc *collectScratch) ([]protocol.WireTuple, error) {
+	random, n := post.Kind == protocol.KindRnfNoise, len(cfg.Domain)
+	if random {
+		n = post.Params.Nf
 	}
-	for i := 0; i < nf; i++ {
-		g := cfg.Domain[cfg.Rng.Intn(len(cfg.Domain))]
-		w, err := t.encryptFake(post, t.fakeRow(plan, cfg, g, sc), g, sc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
-// controlledFakes appends one fake per domain value different from the true
-// tuple's group (C_Noise): the resulting tag distribution is flat by
-// construction.
-func (t *TDS) controlledFakes(post *protocol.QueryPost, plan *sqlexec.Plan,
-	cfg CollectConfig, trueRow storage.Row, out []protocol.WireTuple, sc *collectScratch) ([]protocol.WireTuple, error) {
-	if len(cfg.Domain) == 0 {
-		return nil, fmt.Errorf("tds %s: C_Noise requires the A_G domain", t.ID)
-	}
-	sc.key = groupValues(plan, trueRow).AppendKey(sc.key[:0])
-	n := len(sc.key)
-	for _, g := range cfg.Domain {
-		sc.key = g.AppendKey(sc.key[:n])
-		if bytes.Equal(sc.key[n:], sc.key[:n]) {
+	for i := range n {
+		if random {
+			i = cfg.Rng.Intn(len(cfg.Domain))
+		} else if i == sc.at {
 			continue
 		}
-		w, err := t.encryptFake(post, t.fakeRow(plan, cfg, g, sc), g, sc)
+		sc.row = append(sc.row[:0], cfg.Domain[i]...)
+		for range plan.Aggs {
+			sc.row = append(sc.row, storage.Float(cfg.Rng.NormFloat64()*100))
+		}
+		sc.payload = protocol.AppendRowPayload(sc.payload[:0], protocol.MarkerFake, sc.row)
+		w, err := t.encryptTuple(sc.m, post, sc.payload, sc.tags[i], sc.arena)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-// fakeRow assembles a full fake collection row for group g, reusing the
-// scratch row buffer (the row is encoded and discarded before the next
-// fake is built).
-func (t *TDS) fakeRow(plan *sqlexec.Plan, cfg CollectConfig, g storage.Row, sc *collectScratch) storage.Row {
-	sc.row = append(sc.row[:0], g...)
-	for range plan.Aggs {
-		sc.row = append(sc.row, storage.Float(cfg.Rng.NormFloat64()*100))
-	}
-	return sc.row
-}
-
-func (t *TDS) encryptFake(post *protocol.QueryPost, row storage.Row, group storage.Row, sc *collectScratch) (protocol.WireTuple, error) {
-	tag, err := t.groupTag(post, group, sc)
-	if err != nil {
-		return protocol.WireTuple{}, err
-	}
-	sc.payload = protocol.AppendRowPayload(sc.payload[:0], protocol.MarkerFake, row)
-	return t.encryptTuple(sc.m, post, sc.payload, tag, sc.arena)
 }
 
 func (t *TDS) encryptTuple(m *KeyMaterial, post *protocol.QueryPost, payload, tag []byte, ar *tdscrypto.Arena) (protocol.WireTuple, error) {
@@ -711,6 +713,11 @@ func (t *TDS) Aggregate(post *protocol.QueryPost, partition []protocol.WireTuple
 		groups := acc.Groups()
 		out := make([]protocol.WireTuple, 0, len(groups))
 		sc := collectScratch{m: m}
+		if tt := t.Shared.tagTableOf(post.ID, m); tt != nil {
+			if sc.tags, sc.pos, err = tt.build(m, post); err != nil {
+				return nil, err
+			}
+		}
 		var enc []byte
 		for _, g := range groups {
 			tag, err := t.groupTag(post, g.Values, &sc)

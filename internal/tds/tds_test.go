@@ -2,6 +2,7 @@ package tds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -114,57 +115,71 @@ func TestCollectDeniedYieldsDummy(t *testing.T) {
 
 func TestCollectNoiseTagsAndFakes(t *testing.T) {
 	domain := []storage.Row{{storage.Str("Paris")}, {storage.Str("Lyon")}, {storage.Str("Metz")}}
-	d := newTDS(t, row(1, "Paris", 10))
-
-	c := cfg()
-	c.Domain = domain
-	post := makePost(t, aggSQL, protocol.KindRnfNoise, protocol.Params{Nf: 4})
-	tuples, stats, err := d.Collect(post, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.True != 1 || stats.Fake != 4 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if len(tuples) != 5 {
-		t.Errorf("tuples = %d", len(tuples))
-	}
-	for _, w := range tuples {
-		if len(w.Tag) == 0 {
-			t.Error("noise tuples must carry Det_Enc tags")
+	d := newTDS(t, row(1, "Paris", 10), row(1, "Metz", 20))
+	// Every tuple's tag is Det_Enc of the group its plaintext carries: a
+	// tag read from the wrong domain position would route it to another
+	// group's partition, which no count below can see.
+	k2 := tdscrypto.MustSuite(ring.K2)
+	checkTags := func(post *protocol.QueryPost, ws []protocol.WireTuple) {
+		t.Helper()
+		for _, w := range ws {
+			pt, err := k2.Decrypt(w.Ciphertext, post.AAD())
+			if err != nil {
+				t.Fatal(err)
+			}
+			marker, body, _ := protocol.DecodePayload(pt)
+			if marker == protocol.MarkerPartial {
+				_, n := binary.Uvarint(body) // a per-group partial: one group
+				body = body[n:]
+			}
+			row, _, err := storage.DecodeRow(body)
+			want, _ := k2.DetEncrypt(storage.AppendRow(nil, row[:1]), post.AAD())
+			if err != nil || !bytes.Equal(w.Tag, want) {
+				t.Errorf("%v: marker %d tuple of group %v tagged %x, want %x (%v)", post.Kind, marker, row[:1], w.Tag, want, err)
+			}
 		}
 	}
 
-	// C_Noise: one fake per other domain value.
-	post = makePost(t, aggSQL, protocol.KindCNoise, protocol.Params{})
-	tuples, stats, err = d.Collect(post, c)
+	// Rnf_Noise draws Nf fakes per true tuple, C_Noise one per other domain
+	// value; the latter's tuples stay for the flatness check.
+	c := cfg()
+	c.Domain = domain
+	var tuples []protocol.WireTuple
+	for _, tc := range []struct {
+		kind  protocol.Kind
+		fakes int
+	}{{protocol.KindRnfNoise, 2 * 4}, {protocol.KindCNoise, 2 * (len(domain) - 1)}} {
+		post := makePost(t, aggSQL, tc.kind, protocol.Params{Nf: 4})
+		var stats CollectStats
+		var err error
+		if tuples, stats, err = d.Collect(post, c); err != nil || stats.True != 2 || stats.Fake != tc.fakes {
+			t.Fatalf("%v: %d tuples, stats %+v, want %d fakes: %v", tc.kind, len(tuples), stats, tc.fakes, err)
+		}
+		checkTags(post, tuples)
+	}
+	// Tags must cover the full domain (flat by construction).
+	tags := map[string]int{}
+	for _, w := range tuples {
+		tags[string(w.Tag)]++
+	}
+	if len(tags) != len(domain) || tags[string(tuples[0].Tag)] != 2 {
+		t.Errorf("tag counts %v, want %d tags twice each", tags, len(domain))
+	}
+
+	// ED_Hist: the per-group emission reads the table its collection
+	// was handed the domain for.
+	post := makePost(t, aggSQL, protocol.KindEDHist, protocol.Params{})
+	c.Hist = histogram.MustBuild(map[string]int64{domain[0].Key(): 1, domain[2].Key(): 1}, 1)
+	d.Shared = NewPlanCache()
+	tuples, _, err := d.Collect(post, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Fake != len(domain)-1 {
-		t.Errorf("C_Noise fakes = %d, want %d", stats.Fake, len(domain)-1)
+	partials, err := d.Aggregate(post, tuples, EmitPerGroup)
+	if err != nil || len(partials) != 2 || len(d.Shared.queries[post.ID].tags) != 1 {
+		t.Fatalf("%d partials, %d tag tables: %v", len(partials), len(d.Shared.queries[post.ID].tags), err)
 	}
-	// Tags must cover the full domain (flat by construction).
-	tags := map[string]bool{}
-	for _, w := range tuples {
-		tags[string(w.Tag)] = true
-	}
-	if len(tags) != len(domain) {
-		t.Errorf("distinct tags = %d, want %d", len(tags), len(domain))
-	}
-}
-
-func TestCollectNoiseRequiresDomain(t *testing.T) {
-	d := newTDS(t, row(1, "Paris", 10))
-	post := makePost(t, aggSQL, protocol.KindRnfNoise, protocol.Params{Nf: 1})
-	if _, _, err := d.Collect(post, cfg()); err == nil {
-		t.Error("Rnf_Noise without domain accepted")
-	}
-	// A dataless TDS needs the domain too (tagged dummy).
-	empty := newTDS(t)
-	if _, _, err := empty.Collect(post, cfg()); err == nil {
-		t.Error("dummy without domain accepted")
-	}
+	checkTags(post, partials)
 }
 
 func TestCollectEDHist(t *testing.T) {
@@ -182,11 +197,6 @@ func TestCollectEDHist(t *testing.T) {
 	}
 	if len(tuples) != 1 || len(tuples[0].Tag) != 16 {
 		t.Errorf("tuples = %v", tuples)
-	}
-	// Without a histogram the protocol cannot run.
-	post = makePost(t, aggSQL, protocol.KindEDHist, protocol.Params{})
-	if _, _, err := d.Collect(post, cfg()); err == nil {
-		t.Error("ED_Hist without histogram accepted")
 	}
 }
 
@@ -410,15 +420,21 @@ func TestDummyTagsPerProtocol(t *testing.T) {
 	}
 }
 
-func TestDummyTagRequiresProtocolInputs(t *testing.T) {
-	empty := newTDS(t)
-	post := makePost(t, aggSQL, protocol.KindEDHist, protocol.Params{})
-	if _, _, err := empty.Collect(post, cfg()); err == nil {
-		t.Error("ED_Hist dummy without histogram accepted")
-	}
-	post = makePost(t, aggSQL, protocol.KindCNoise, protocol.Params{})
-	if _, _, err := empty.Collect(post, cfg()); err == nil {
-		t.Error("C_Noise dummy without domain accepted")
+// TestCollectNoiseRequiresDomain: a device with true tuples refuses a tagged
+// protocol without its input (the A_G domain, ED_Hist's histogram) before the scan.
+func TestCollectNoiseRequiresDomain(t *testing.T) {
+	requireProtocolInputs(t, newTDS(t, row(1, "Paris", 10)))
+}
+
+// TestDummyTagRequiresProtocolInputs: so does a dataless device, whose only tag is a dummy's.
+func TestDummyTagRequiresProtocolInputs(t *testing.T) { requireProtocolInputs(t, newTDS(t)) }
+
+func requireProtocolInputs(t *testing.T, d *TDS) {
+	t.Helper()
+	for _, kind := range []protocol.Kind{protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist} {
+		if _, _, err := d.Collect(makePost(t, aggSQL, kind, protocol.Params{Nf: 1}), cfg()); err == nil {
+			t.Errorf("%v without its input accepted on a device of %d rows", kind, d.DB.Count("Power"))
+		}
 	}
 }
 
@@ -621,9 +637,9 @@ func TestAggregateFoldAllocBudget(t *testing.T) {
 }
 
 // TestCollectNoiseAllocBudget: a C_Noise collection allocates per call,
-// not per fake — the output is sized once, group keys are compared in a
-// scratch buffer, tags come from the shared table and ciphertexts from
-// the arena. Five times the domain must cost the same.
+// not per fake — tags are read by domain position from the query's shared
+// table, with one index read per true row, and ciphertexts come from the
+// arena. Five times the domain must cost the same.
 func TestCollectNoiseAllocBudget(t *testing.T) {
 	post := makePost(t, aggSQL, protocol.KindCNoise, protocol.Params{})
 	shared := NewPlanCache()
@@ -642,106 +658,88 @@ func TestCollectNoiseAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	// Measured at 21 and 21: the arena and its block, the output, the
-	// scratch buffers, the local rows and the policy check. The slack is
-	// for pooled MAC states a GC or the race detector drops; one Key()
-	// string per domain value per row would alone add 100.
+	// Measured at 18 and 20: the arena and its block, the output (which
+	// doubles twice more for 100 tuples than for 20), the scratch buffers,
+	// the local rows and the policy check. The slack is for pooled MAC
+	// states a GC or the race detector drops; one Key() string per domain
+	// value per row would alone add 100.
 	small, large := collect(10), collect(50)
-	if large > small+4 || large > 28 {
-		t.Errorf("Collect allocates %v times at |domain| 10 and %v at 50; budget 28, and no growth", small, large)
+	if large > small+4 || large > 27 {
+		t.Errorf("Collect allocates %v times at |domain| 10 and %v at 50; budget 27, and no growth", small, large)
 	}
 }
 
-// TestDetTagTable: the shared table hands out exactly Det_Enc's bytes,
-// and only ever to devices whose serving material computed them.
+// TestDetTagTable: the shared table hands out exactly Det_Enc's bytes by
+// domain position, and only ever to devices whose serving material
+// computed them.
 func TestDetTagTable(t *testing.T) {
-	auth := tdscrypto.NewKeyAuthority(tdscrypto.DeriveKey(tdscrypto.Key{}, "m"))
-	km1, err := NewKeyMaterial(auth.RingAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	km2, err := NewKeyMaterial(auth.RingAt(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := NewPlanCache()
+	f, shared := newAdmissionFleet(t), NewPlanCache()
 	device := func(id string, epoch int, km *KeyMaterial) *TDS {
-		d := NewWithMaterial(id, storage.NewLocalDB(schema()), km, nil, nil)
-		d.SetEpoch(epoch)
-		d.Shared = shared
-		return d
+		return f.device(t, id, epoch, km, f.allow, shared)
 	}
 	post := makePost(t, aggSQL, protocol.KindCNoise, protocol.Params{})
 	post.Epoch = 1
-	group := storage.Row{storage.Str("Paris")}
-	tagOf := func(d *TDS) []byte {
-		sc := collectScratch{m: d.matFor(post)}
-		tag, err := d.groupTag(post, group, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tag
+	var domain []storage.Row
+	for i := 0; i < 20; i++ {
+		domain = append(domain, storage.Row{storage.Int(int64(i))})
 	}
-	want := func(km *KeyMaterial) []byte {
-		tag, err := km.K2.DetEncrypt(storage.AppendRow(nil, group), post.AAD())
-		if err != nil {
-			t.Fatal(err)
+	// tagsOf is what a Collect fetches once per call; every tag must be
+	// DetEncrypt's under the material's k2, at its group's position.
+	tagsOf := func(d *TDS, km *KeyMaterial) [][]byte {
+		m := d.matFor(post)
+		tags, pos, err := d.Shared.tagTableFor(post.ID, m, domain).build(m, post)
+		for i, g := range domain {
+			want, _ := km.K2.DetEncrypt(storage.AppendRow(nil, g), post.AAD())
+			if at := pos[string(storage.AppendRow(nil, g))]; err != nil || at != i || !bytes.Equal(tags[i], want) {
+				t.Errorf("%s: group %d at %d, tag %x, want %x under its material's k2 (%v)", d.ID, i, at, tags[i], want, err)
+				break
+			}
 		}
-		return tag
+		return tags
 	}
 
-	first, second := device("a", 1, km1), device("b", 1, km1)
-	miss, hit := tagOf(first), tagOf(second)
-	if !bytes.Equal(miss, want(km1)) || !bytes.Equal(hit, want(km1)) {
-		t.Fatal("table tag differs from DetEncrypt under the same k2")
-	}
-	if &miss[0] != &hit[0] {
-		t.Error("second device of the epoch recomputed the tag instead of sharing it")
+	first := tagsOf(device("a", 1, f.km1), f.km1)
+	if second := tagsOf(device("b", 1, f.km1), f.km1); &second[3][0] != &first[3][0] {
+		t.Error("second device of the epoch recomputed the table instead of sharing it")
 	}
 	// A migrated device serves the epoch-1 post through its grace
-	// material, so it shares epoch 1's tags — and its own epoch's tags
-	// once the post is at epoch 2.
-	migrated := device("c", 1, km1)
-	migrated.Migrate(2, km2)
-	if got := tagOf(migrated); &got[0] != &miss[0] {
-		t.Error("grace material did not resolve its own epoch's table entry")
+	// material, so it shares epoch 1's table.
+	migrated := device("c", 1, f.km1)
+	migrated.Migrate(2, f.km2)
+	if got := tagsOf(migrated, f.km1); &got[3][0] != &first[3][0] {
+		t.Error("grace material did not resolve its own epoch's table")
 	}
 	// A device stuck on another epoch computes and reads only its own.
-	stale := device("d", 2, km2)
-	if got := tagOf(stale); !bytes.Equal(got, want(km2)) || bytes.Equal(got, miss) {
+	if got := tagsOf(device("d", 2, f.km2), f.km2); bytes.Equal(got[3], first[3]) {
 		t.Error("a device on another epoch must get tags under its own k2")
 	}
 	if n := len(shared.queries[post.ID].tags); n != 2 {
-		t.Errorf("table holds %d tags, want one per material", n)
+		t.Errorf("%d tag tables, want one per material", n)
 	}
-	// A wave of devices of both epochs filling and reading the table at
-	// once (run under -race by check.sh).
+	// A wave of devices of both epochs filling and reading the tables at
+	// once, from empty (run under -race by check.sh).
+	shared.Drop(post.ID)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
-		km := []*KeyMaterial{km1, km2}[g%2]
+		km := []*KeyMaterial{f.km1, f.km2}[g%2]
 		wg.Add(1)
 		go func(d *TDS) {
 			defer wg.Done()
-			sc := collectScratch{m: km}
-			for i := 0; i < 200; i++ {
-				grp := storage.Row{storage.Int(int64(i % 20))}
-				want, _ := km.K2.DetEncrypt(storage.AppendRow(nil, grp), post.AAD())
-				if got, err := d.groupTag(post, grp, &sc); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("concurrent tag of group %d: %x, want %x (%v)", i%20, got, want, err)
-					return
-				}
-			}
+			tagsOf(d, km)
 		}(device(fmt.Sprint("w", g), 1+g%2, km))
 	}
 	wg.Wait()
+	if n := len(shared.queries[post.ID].tags); n != 2 {
+		t.Errorf("%d tag tables after the wave, want one per material", n)
+	}
 	shared.Drop(post.ID)
 	if len(shared.queries) != 0 {
 		t.Errorf("%d query tables outlive the query", len(shared.queries))
 	}
 	// No shared cache: every call computes, same bytes.
-	alone := device("e", 1, km1)
+	alone := device("e", 1, f.km1)
 	alone.Shared = nil
-	if a, b := tagOf(alone), tagOf(alone); !bytes.Equal(a, miss) || &a[0] == &b[0] {
+	if a, b := tagsOf(alone, f.km1), tagsOf(alone, f.km1); &a[3][0] == &b[3][0] {
 		t.Error("Shared == nil must still tag, freshly each time")
 	}
 }

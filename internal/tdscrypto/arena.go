@@ -8,7 +8,7 @@ import "crypto/rand"
 const arenaBlockSize = 64 << 10
 
 // Arena is a bump allocator for the small byte slices a collection worker
-// produces in bulk: ciphertexts, tags and deposit payloads. Alloc carves
+// produces in bulk: ciphertexts and deposit payloads. Alloc carves
 // zero-length slices with exact capacity out of append-only blocks, so a
 // walk's worth of per-tuple allocations collapses into a handful of block
 // mallocs. There is no Reset — allocated slices are retained by the SSI

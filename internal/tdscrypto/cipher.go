@@ -107,22 +107,13 @@ func (s *Suite) NDetEncryptArena(plaintext, aad []byte, a *Arena) ([]byte, error
 // tuples of one group into one partition — and it is exactly what the
 // frequency attack of Section 5 exploits, hence the noise protocols.
 func (s *Suite) DetEncrypt(plaintext, aad []byte) ([]byte, error) {
-	return s.DetEncryptArena(plaintext, aad, nil)
-}
-
-// DetEncryptArena is DetEncrypt with the output carved from the arena.
-// A nil arena falls back to a plain allocation; the ciphertext bytes are
-// identical either way (Det_Enc is deterministic per key and plaintext).
-func (s *Suite) DetEncryptArena(plaintext, aad []byte, a *Arena) ([]byte, error) {
 	mac := s.detMAC.Get()
 	mac.Write(aad)
 	mac.Write(sepZero)
 	mac.Write(plaintext)
 	var sum [sha256.Size]byte
 	synthetic := mac.Sum(sum[:0])[:nonceSize]
-	out := a.Alloc(nonceSize + len(plaintext) + s.aead.Overhead())
-	out = out[:nonceSize]
-	copy(out, synthetic)
+	out := append(make([]byte, 0, nonceSize+len(plaintext)+s.aead.Overhead()), synthetic...)
 	s.detMAC.Put(mac)
 	return s.aead.Seal(out, out[:nonceSize], plaintext, aad), nil
 }

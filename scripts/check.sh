@@ -46,9 +46,9 @@ repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*.go' -not -name '*_test.go' -print | xargs cat | wc -l)
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 5145); repo outside bench/: $repo (ceiling 15587);" \
-    "tests outside bench/: $tests (ceiling 15341)"
-if [ "$core_ssi" -gt 5145 ] || [ "$repo" -gt 15587 ] || [ "$tests" -gt 15341 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 5144); repo outside bench/: $repo (ceiling 15584);" \
+    "tests outside bench/: $tests (ceiling 15334)"
+if [ "$core_ssi" -gt 5144 ] || [ "$repo" -gt 15584 ] || [ "$tests" -gt 15334 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
