@@ -302,38 +302,64 @@ func BenchmarkStreamBuild(b *testing.B) {
 const benchAggSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 	`WHERE C.cid = P.cid GROUP BY C.district`
 
-// newDeepDevice is the repo benchmark's deep_device shape cut down to one
-// device: a consumer with 300 readings, and the S_Agg query posted.
-func newDeepDevice(b *testing.B) (*Engine, *tds.TDS, *protocol.QueryPost) {
-	eng, q := newBenchEngine(b, 1, 1)
+// newDevice is one device of the repo benchmark's shapes, with the S_Agg
+// query posted: fleet device 0's consumer with 300 readings (deep_device)
+// or 2 (wide_fleet).
+func newDevice(tb testing.TB, readings int) (*Engine, *tds.TDS, *protocol.QueryPost) {
+	eng, q := newBenchEngine(tb, 1, 1)
 	t := eng.fleet[0]
-	for p := t.DB.Count("Power"); p < 300; p++ {
-		must(t.DB.Insert("Power", storage.Row{
-			storage.Int(0), storage.Float(50 + float64(p%40)), storage.Int(int64(p))}))
+	consumer, _ := t.DB.Rows("Consumer")
+	t.DB = storage.NewLocalDB(t.DB.Schema())
+	must(t.DB.Insert("Consumer", consumer[0]))
+	for p := 0; p < readings; p++ {
+		must(t.DB.Insert("Power", storage.Row{storage.Int(0), storage.Float(50 + float64(p%40)), storage.Int(int64(p))}))
 	}
 	post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return eng, t, post
 }
 
 // BenchmarkCollectLocal isolates the plaintext half of a device's
 // collection step — scan, join, WHERE, collection tuples — which is where
-// compile-time column binding and the in-place scan apply.
+// the compiled evaluator and the in-place scan apply, on both shapes.
 func BenchmarkCollectLocal(b *testing.B) {
-	_, t, _ := newDeepDevice(b)
-	plan, err := sqlexec.Compile(sqlparse.MustParse(benchAggSQL), t.DB.Schema())
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range []struct {
+		name     string
+		readings int
+	}{{"deep", 300}, {"wide", 2}} {
+		b.Run(shape.name, func(b *testing.B) {
+			_, t, _ := newDevice(b, shape.readings)
+			plan, err := sqlexec.Compile(sqlparse.MustParse(benchAggSQL), t.DB.Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rows, err := plan.CollectLocal(t.DB); err != nil || len(rows) != shape.readings {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := plan.CollectLocal(t.DB)
-		if err != nil || len(rows) != 300 {
-			b.Fatalf("%d rows, %v", len(rows), err)
+}
+
+// TestCollectOneAllocBudget: one device's S_Agg collection step allocates
+// what leaves it and the payload scratch. Measured at 3 (8 before the scan
+// read rows in place and the payload was sized once): the scratch, and the
+// output growing to its 2 tuples. The slack is for pooled states a GC or
+// the race detector drops.
+func TestCollectOneAllocBudget(t *testing.T) {
+	eng, dev, post := newDevice(t, 2)
+	col, now := newCollector(), time.Unix(1700000000, 0)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, _, err := eng.collectOne(col, dev, post, tds.CollectConfig{}, now); err != nil {
+			t.Fatal(err)
 		}
+	}); got > 5 {
+		t.Errorf("collectOne allocates %v times, budget 5", got)
 	}
 }
 
@@ -341,7 +367,7 @@ func BenchmarkCollectLocal(b *testing.B) {
 // shape: a TDS opening and folding a partition of 300 collection tuples,
 // all of one group.
 func BenchmarkAggregateFold(b *testing.B) {
-	eng, t, post := newDeepDevice(b)
+	eng, t, post := newDevice(b, 300)
 	partition, _, err := eng.collectOne(newCollector(), t, post, tds.CollectConfig{}, time.Unix(1700000000, 0))
 	if err != nil || len(partition) != 300 {
 		b.Fatalf("%d tuples, %v", len(partition), err)

@@ -173,8 +173,8 @@ func (e *Engine) verifyCollection(rs *runState) error {
 		if r.epoch != rs.post.Epoch {
 			comm = e.committerFor(r.epoch)
 		}
-		ok[i] = tdscrypto.CommitEqual(r.commit,
-			protocol.DepositCommitment(comm, id, r.device, r.attempt, r.epoch, st.views[i]))
+		var leaf [tdscrypto.CommitSize]byte // the recomputed leaf stays on this stack
+		ok[i] = tdscrypto.CommitEqual(r.commit, protocol.SumDepositCommitment(&leaf, comm, id, r.device, r.attempt, r.epoch, st.views[i]))
 		return nil
 	})
 	fold := rs.verifier.StartFold("collection-root")

@@ -215,13 +215,20 @@ func (d *Deposit) IntegrityOK() bool { return d.Sum == Checksum(d.Tuples) }
 // comparison.
 func DepositCommitment(c *tdscrypto.Committer, queryID, deviceID string,
 	attempt, epoch int, tuples []WireTuple) []byte {
+	return SumDepositCommitment(new([tdscrypto.CommitSize]byte), c, queryID, deviceID, attempt, epoch, tuples)
+}
+
+// SumDepositCommitment is DepositCommitment into the caller's array: a
+// verifier that only compares the leaf keeps it on its stack.
+func SumDepositCommitment(dst *[tdscrypto.CommitSize]byte, c *tdscrypto.Committer,
+	queryID, deviceID string, attempt, epoch int, tuples []WireTuple) []byte {
 	leaf := c.StartCommit("deposit")
 	leaf.AddString(queryID)
 	leaf.AddString(deviceID)
 	leaf.AddUint64(uint64(attempt))
 	leaf.AddUint64(uint64(epoch))
 	CommitTuples(leaf, tuples)
-	return leaf.Sum()
+	return leaf.SumTo(dst)
 }
 
 // CommitTuples absorbs every field of every tuple, in order, into a

@@ -23,7 +23,13 @@ type Group struct {
 type Accumulator struct {
 	plan   *Plan
 	groups map[string]*Group
-	key    []byte // scratch for group's lookups
+	key    []byte             // scratch for group lookups
+	dec    storage.RowDecoder // MergeEncoded's grouping values
+	// A new group is carved from these slabs.
+	slab   []Group
+	vals   []storage.Value
+	states []AggState
+	stateSlabs
 }
 
 // NewAccumulator returns an empty accumulator for the plan.
@@ -35,19 +41,36 @@ func NewAccumulator(plan *Plan) *Accumulator {
 func (a *Accumulator) NumGroups() int { return len(a.groups) }
 
 // group returns (creating if needed) the bucket for the grouping values.
-// The lookup goes through the scratch key, so a key string is allocated
-// only when a group is first seen.
+// The lookup goes through the scratch key. A new group's key string is
+// the one allocation of its own: its values, states and the Group itself
+// are carved from the accumulator's slabs.
 func (a *Accumulator) group(groupVals storage.Row) *Group {
 	a.key = groupVals.AppendKey(a.key[:0])
 	g, ok := a.groups[string(a.key)]
 	if !ok {
-		g = &Group{Values: groupVals.Clone(), States: make([]AggState, len(a.plan.Aggs))}
+		k := len(a.groups)
+		g = &carve(&a.slab, 1, k)[0]
+		g.Values = carve(&a.vals, len(groupVals), k)
+		copy(g.Values, groupVals)
+		g.States = carve(&a.states, len(a.plan.Aggs), k)
 		for i, spec := range a.plan.Aggs {
-			g.States[i] = NewAggState(spec)
+			g.States[i] = a.next(spec, k)
 		}
 		a.groups[string(a.key)] = g
 	}
 	return g
+}
+
+// carve returns n zero elements cut from the slab. A short slab is
+// replaced by a chunk of n per group so far (k), so a slab doubles with
+// the groups; what it handed out stays where it is.
+func carve[T any](slab *[]T, n, k int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, n*max(k, 1))
+	}
+	s := *slab
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
 }
 
 // AddCollectionRow folds one collection tuple — the raw unit produced in
@@ -63,20 +86,6 @@ func (a *Accumulator) AddCollectionRow(row storage.Row) error {
 	for i := range a.plan.Aggs {
 		if err := g.States[i].Add(row[ng+i]); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// Merge folds another accumulator into this one (⊕ between partial
-// aggregations).
-func (a *Accumulator) Merge(other *Accumulator) error {
-	for _, og := range other.groups {
-		g := a.group(og.Values)
-		for i := range g.States {
-			if err := g.States[i].Merge(og.States[i]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -114,15 +123,9 @@ func (a *Accumulator) Encode() []byte {
 	return dst
 }
 
-// EncodeGroup serializes a single group in the same per-group layout used
-// by Encode. The noise and histogram protocols ship one group (or bucket)
-// at a time.
-func EncodeGroup(plan *Plan, g *Group) []byte {
-	return AppendGroup(nil, plan, g)
-}
-
-// AppendGroup appends the single-group encoding of EncodeGroup to dst and
-// returns the result, so per-group emit loops can reuse one scratch buffer.
+// AppendGroup appends a single group to dst in the per-group layout of
+// Encode, so per-group emit loops (the noise and histogram protocols ship
+// one group, or bucket, at a time) can reuse one scratch buffer.
 func AppendGroup(dst []byte, _ *Plan, g *Group) []byte {
 	dst = binary.AppendUvarint(dst, 1)
 	dst = storage.AppendRow(dst, g.Values)
@@ -132,7 +135,9 @@ func AppendGroup(dst []byte, _ *Plan, g *Group) []byte {
 	return dst
 }
 
-// MergeEncoded decodes a serialized partial aggregation and merges it.
+// MergeEncoded decodes a serialized partial aggregation and merges it:
+// the grouping values through the accumulator's one decoder, each state
+// straight into its group's own.
 func (a *Accumulator) MergeEncoded(b []byte) error {
 	n, used := binary.Uvarint(b)
 	if used <= 0 {
@@ -143,7 +148,7 @@ func (a *Accumulator) MergeEncoded(b []byte) error {
 	}
 	off := used
 	for i := uint64(0); i < n; i++ {
-		groupVals, c, err := storage.DecodeRow(b[off:])
+		groupVals, c, err := a.dec.Decode(b[off:])
 		if err != nil {
 			return fmt.Errorf("sqlexec: group %d values: %w", i, err)
 		}
@@ -152,15 +157,14 @@ func (a *Accumulator) MergeEncoded(b []byte) error {
 				i, len(groupVals), len(a.plan.GroupCols))
 		}
 		off += c
-		g := a.group(groupVals)
-		for j, spec := range a.plan.Aggs {
-			st, c, err := DecodeAggState(spec, b[off:])
-			if err != nil {
+		for j, st := range a.group(groupVals).States {
+			switch c, err := st.decodeMerge(b[off:]); {
+			case err == nil:
+				off += c
+			case c == 0:
 				return fmt.Errorf("sqlexec: group %d state %d: %w", i, j, err)
-			}
-			off += c
-			if err := g.States[j].Merge(st); err != nil {
-				return err
+			default:
+				return err // MIN/MAX across kinds: the fold's own error
 			}
 		}
 	}
@@ -200,34 +204,37 @@ func (r *Result) String() string {
 
 // Finalize applies HAVING and evaluates the SELECT list over every group —
 // the filtering phase work of the generic protocol (step 11 eliminates
-// groups that do not satisfy HAVING).
+// groups that do not satisfy HAVING) — through the plan's compiled
+// post-grouping form.
 func (a *Accumulator) Finalize() (*Result, error) {
+	if !a.plan.IsAggregate() { // no post-grouping form to evaluate
+		return nil, fmt.Errorf("sqlexec: finalize of a query without aggregation")
+	}
 	// A global aggregate (no GROUP BY) yields exactly one row even over an
 	// empty input: COUNT is 0, the other functions are NULL.
 	if len(a.plan.GroupCols) == 0 && len(a.groups) == 0 {
 		a.group(storage.Row{})
 	}
-	res := &Result{Columns: a.plan.OutputNames}
-	for _, g := range a.Groups() {
-		aggResults := make([]storage.Value, len(g.States))
+	res, groups := &Result{Columns: a.plan.OutputNames}, a.Groups()
+	s := &scope{aggs: make([]storage.Value, len(a.plan.Aggs))}
+	rows := make([]storage.Value, 0, len(groups)*len(a.plan.result)) // the result rows' one slab
+	for _, g := range groups {
 		for i, st := range g.States {
-			aggResults[i] = st.Result()
+			s.aggs[i] = st.Result()
 		}
-		ctx := &evalContext{plan: a.plan, groupRow: g.Values, aggResults: aggResults}
-		keep, err := ctx.predicateTrue(a.plan.Stmt.Having)
+		s.group = g.Values
+		keep, err := a.plan.having(s)
 		if err != nil {
 			return nil, fmt.Errorf("sqlexec: HAVING: %w", err)
 		}
-		if !keep {
+		if keep.IsNull() || !keep.AsBool() {
 			continue
 		}
-		row := make(storage.Row, 0, len(a.plan.Stmt.Select))
-		for _, it := range a.plan.Stmt.Select {
-			v, err := ctx.evalExpr(it.Expr)
-			if err != nil {
-				return nil, fmt.Errorf("sqlexec: SELECT %s: %w", it.Expr, err)
+		row := carve(&rows, len(a.plan.result), 0)
+		for i, f := range a.plan.result {
+			if row[i], err = f(s); err != nil {
+				return nil, fmt.Errorf("sqlexec: SELECT %s: %w", a.plan.Stmt.Select[i].Expr, err)
 			}
-			row = append(row, v)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // AggState is a mergeable partial aggregate — the unit of work of the
-// aggregation phase. Any TDS can Add raw inputs, Merge another TDS's
-// partial state (the ⊕ operator of the S_Agg algorithm, Fig. 4) and
-// finally produce the aggregate Result.
+// aggregation phase. Any TDS can Add raw inputs, merge another TDS's
+// encoded partial state (the ⊕ operator of the S_Agg algorithm, Fig. 4)
+// and finally produce the aggregate Result.
 //
 // States serialize to a deterministic byte encoding so they can be
 // encrypted with k2 and relayed through the SSI between aggregation steps.
@@ -21,56 +21,57 @@ type AggState interface {
 	// Add folds one raw input value into the state. NULL inputs are
 	// ignored except by COUNT(*).
 	Add(v storage.Value) error
-	// Merge folds another state of the same spec into this one.
-	Merge(other AggState) error
 	// Result returns the aggregate value (NULL over an empty input).
 	Result() storage.Value
 	// AppendEncode appends the wire encoding of the state to dst.
 	AppendEncode(dst []byte) []byte
+	// decodeMerge is ⊕: it folds the state of the same spec encoded at
+	// the head of b into this one, in place, and returns the bytes read —
+	// 0 when they do not decode, all of them when they decode but do not
+	// fold in (MIN/MAX across kinds).
+	decodeMerge(b []byte) (int, error)
 }
 
-// NewAggState creates the empty state for a spec. DISTINCT wraps any
-// function with value de-duplication (the paper's holistic case — COUNT
-// DISTINCT is what the flagship query uses in HAVING).
-func NewAggState(spec AggSpec) AggState {
-	var base AggState
+// stateSlabs carves empty states from chunks, one slab per state type: n
+// states cost O(log n) allocations, not n.
+type stateSlabs struct {
+	counts  []countState
+	sums    []sumState
+	avgs    []avgState
+	exts    []extremumState
+	medians []medianState
+	vars    []varianceState
+}
+
+// next returns an empty state for spec, where k is the number of groups
+// so far (see carve). DISTINCT wraps any function with value
+// de-duplication (the paper's holistic case — COUNT DISTINCT is what the
+// flagship query uses in HAVING).
+func (s *stateSlabs) next(spec AggSpec, k int) AggState {
+	var st AggState
 	switch spec.Func {
 	case sqlparse.AggCount:
-		base = &countState{star: spec.Star}
+		c := &carve(&s.counts, 1, k)[0]
+		c.star, st = spec.Star, c
 	case sqlparse.AggSum:
-		base = &sumState{}
+		st = &carve(&s.sums, 1, k)[0]
 	case sqlparse.AggAvg:
-		base = &avgState{}
-	case sqlparse.AggMin:
-		base = &extremumState{min: true}
-	case sqlparse.AggMax:
-		base = &extremumState{}
+		st = &carve(&s.avgs, 1, k)[0]
+	case sqlparse.AggMin, sqlparse.AggMax:
+		e := &carve(&s.exts, 1, k)[0]
+		e.min, st = spec.Func == sqlparse.AggMin, e
 	case sqlparse.AggMedian:
-		base = &medianState{}
-	case sqlparse.AggVar:
-		base = &varianceState{}
-	case sqlparse.AggStddev:
-		base = &varianceState{stddev: true}
+		st = &carve(&s.medians, 1, k)[0]
+	case sqlparse.AggVar, sqlparse.AggStddev:
+		v := &carve(&s.vars, 1, k)[0]
+		v.stddev, st = spec.Func == sqlparse.AggStddev, v
 	default:
 		panic(fmt.Sprintf("sqlexec: unknown aggregate %q", spec.Func))
 	}
 	if spec.Distinct {
-		return &distinctState{spec: spec, inner: base, seen: make(map[string]storage.Value)}
+		return &distinctState{inner: st, seen: make(map[string]storage.Value)}
 	}
-	return base
-}
-
-// DecodeAggState decodes one state for spec from b, returning the bytes
-// consumed.
-func DecodeAggState(spec AggSpec, b []byte) (AggState, int, error) {
-	st := NewAggState(spec)
-	n, err := st.(interface {
-		decode(b []byte) (int, error)
-	}).decode(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return st, n, nil
+	return st
 }
 
 // ---- COUNT ----
@@ -87,27 +88,18 @@ func (s *countState) Add(v storage.Value) error {
 	return nil
 }
 
-func (s *countState) Merge(other AggState) error {
-	o, ok := other.(*countState)
-	if !ok {
-		return fmt.Errorf("sqlexec: merging %T into COUNT", other)
-	}
-	s.n += o.n
-	return nil
-}
-
 func (s *countState) Result() storage.Value { return storage.Int(s.n) }
 
 func (s *countState) AppendEncode(dst []byte) []byte {
 	return binary.AppendVarint(dst, s.n)
 }
 
-func (s *countState) decode(b []byte) (int, error) {
+func (s *countState) decodeMerge(b []byte) (int, error) {
 	n, used := binary.Varint(b)
 	if used <= 0 {
 		return 0, fmt.Errorf("sqlexec: bad COUNT state")
 	}
-	s.n = n
+	s.n += n
 	return used, nil
 }
 
@@ -142,18 +134,6 @@ func (s *sumState) Add(v storage.Value) error {
 	return nil
 }
 
-func (s *sumState) Merge(other AggState) error {
-	o, ok := other.(*sumState)
-	if !ok {
-		return fmt.Errorf("sqlexec: merging %T into SUM", other)
-	}
-	s.isum += o.isum
-	s.fsum += o.fsum
-	s.anyFloat = s.anyFloat || o.anyFloat
-	s.n += o.n
-	return nil
-}
-
 func (s *sumState) Result() storage.Value {
 	switch {
 	case s.n == 0:
@@ -178,19 +158,19 @@ func (s *sumState) AppendEncode(dst []byte) []byte {
 	return binary.AppendVarint(dst, s.n)
 }
 
-func (s *sumState) decode(b []byte) (int, error) {
+func (s *sumState) decodeMerge(b []byte) (int, error) {
 	isum, u1 := binary.Varint(b)
 	if u1 <= 0 || len(b) < u1+9 {
 		return 0, fmt.Errorf("sqlexec: bad SUM state")
 	}
-	s.isum = isum
-	s.fsum = math.Float64frombits(binary.BigEndian.Uint64(b[u1 : u1+8]))
-	s.anyFloat = b[u1+8] != 0
 	n, u2 := binary.Varint(b[u1+9:])
 	if u2 <= 0 {
 		return 0, fmt.Errorf("sqlexec: bad SUM count")
 	}
-	s.n = n
+	s.isum += isum
+	s.fsum += math.Float64frombits(binary.BigEndian.Uint64(b[u1 : u1+8]))
+	s.anyFloat = s.anyFloat || b[u1+8] != 0
+	s.n += n
 	return u1 + 9 + u2, nil
 }
 
@@ -216,16 +196,6 @@ func (s *avgState) Add(v storage.Value) error {
 	return nil
 }
 
-func (s *avgState) Merge(other AggState) error {
-	o, ok := other.(*avgState)
-	if !ok {
-		return fmt.Errorf("sqlexec: merging %T into AVG", other)
-	}
-	s.sum += o.sum
-	s.n += o.n
-	return nil
-}
-
 func (s *avgState) Result() storage.Value {
 	if s.n == 0 {
 		return storage.Null()
@@ -240,16 +210,16 @@ func (s *avgState) AppendEncode(dst []byte) []byte {
 	return binary.AppendVarint(dst, s.n)
 }
 
-func (s *avgState) decode(b []byte) (int, error) {
+func (s *avgState) decodeMerge(b []byte) (int, error) {
 	if len(b) < 9 {
 		return 0, fmt.Errorf("sqlexec: bad AVG state")
 	}
-	s.sum = math.Float64frombits(binary.BigEndian.Uint64(b[:8]))
 	n, u := binary.Varint(b[8:])
 	if u <= 0 {
 		return 0, fmt.Errorf("sqlexec: bad AVG count")
 	}
-	s.n = n
+	s.sum += math.Float64frombits(binary.BigEndian.Uint64(b[:8]))
+	s.n += n
 	return 8 + u, nil
 }
 
@@ -278,27 +248,18 @@ func (s *extremumState) Add(v storage.Value) error {
 	return nil
 }
 
-func (s *extremumState) Merge(other AggState) error {
-	o, ok := other.(*extremumState)
-	if !ok || o.min != s.min {
-		return fmt.Errorf("sqlexec: merging %T into MIN/MAX", other)
-	}
-	return s.Add(o.cur)
-}
-
 func (s *extremumState) Result() storage.Value { return s.cur }
 
 func (s *extremumState) AppendEncode(dst []byte) []byte {
 	return storage.AppendValue(dst, s.cur)
 }
 
-func (s *extremumState) decode(b []byte) (int, error) {
+func (s *extremumState) decodeMerge(b []byte) (int, error) {
 	v, n, err := storage.DecodeValue(b)
 	if err != nil {
 		return 0, fmt.Errorf("sqlexec: bad MIN/MAX state: %w", err)
 	}
-	s.cur = v
-	return n, nil
+	return n, s.Add(v)
 }
 
 // ---- MEDIAN (holistic) ----
@@ -319,15 +280,6 @@ func (s *medianState) Add(v storage.Value) error {
 		return fmt.Errorf("sqlexec: MEDIAN: %w", err)
 	}
 	s.vals = append(s.vals, f)
-	return nil
-}
-
-func (s *medianState) Merge(other AggState) error {
-	o, ok := other.(*medianState)
-	if !ok {
-		return fmt.Errorf("sqlexec: merging %T into MEDIAN", other)
-	}
-	s.vals = append(s.vals, o.vals...)
 	return nil
 }
 
@@ -354,15 +306,14 @@ func (s *medianState) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-func (s *medianState) decode(b []byte) (int, error) {
+func (s *medianState) decodeMerge(b []byte) (int, error) {
 	n, u := binary.Uvarint(b)
 	if u <= 0 || uint64(len(b)-u) < n*8 {
 		return 0, fmt.Errorf("sqlexec: bad MEDIAN state")
 	}
-	s.vals = make([]float64, n)
 	off := u
-	for i := range s.vals {
-		s.vals[i] = math.Float64frombits(binary.BigEndian.Uint64(b[off : off+8]))
+	for range n {
+		s.vals = append(s.vals, math.Float64frombits(binary.BigEndian.Uint64(b[off:off+8])))
 		off += 8
 	}
 	return off, nil
@@ -394,17 +345,6 @@ func (s *varianceState) Add(v storage.Value) error {
 	return nil
 }
 
-func (s *varianceState) Merge(other AggState) error {
-	o, ok := other.(*varianceState)
-	if !ok || o.stddev != s.stddev {
-		return fmt.Errorf("sqlexec: merging %T into VARIANCE/STDDEV", other)
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.sumSq += o.sumSq
-	return nil
-}
-
 func (s *varianceState) Result() storage.Value {
 	if s.n == 0 {
 		return storage.Null()
@@ -429,24 +369,23 @@ func (s *varianceState) AppendEncode(dst []byte) []byte {
 	return append(dst, buf[:]...)
 }
 
-func (s *varianceState) decode(b []byte) (int, error) {
+func (s *varianceState) decodeMerge(b []byte) (int, error) {
 	n, u := binary.Varint(b)
 	if u <= 0 || len(b) < u+16 {
 		return 0, fmt.Errorf("sqlexec: bad VARIANCE state")
 	}
-	s.n = n
-	s.sum = math.Float64frombits(binary.BigEndian.Uint64(b[u : u+8]))
-	s.sumSq = math.Float64frombits(binary.BigEndian.Uint64(b[u+8 : u+16]))
+	s.n += n
+	s.sum += math.Float64frombits(binary.BigEndian.Uint64(b[u : u+8]))
+	s.sumSq += math.Float64frombits(binary.BigEndian.Uint64(b[u+8 : u+16]))
 	return u + 16, nil
 }
 
 // ---- DISTINCT wrapper (holistic) ----
 
-// distinctState de-duplicates inputs before feeding the wrapped state.
-// Merging unions the value sets and rebuilds the inner state, keeping
-// DISTINCT semantics exact across arbitrary merge trees.
+// distinctState de-duplicates inputs before feeding the wrapped state; a
+// merge feeds it only the values it has not seen, keeping DISTINCT exact
+// across arbitrary merge trees.
 type distinctState struct {
-	spec  AggSpec
 	inner AggState
 	seen  map[string]storage.Value
 }
@@ -461,23 +400,6 @@ func (s *distinctState) Add(v storage.Value) error {
 	}
 	s.seen[k] = v
 	return s.inner.Add(v)
-}
-
-func (s *distinctState) Merge(other AggState) error {
-	o, ok := other.(*distinctState)
-	if !ok {
-		return fmt.Errorf("sqlexec: merging %T into DISTINCT", other)
-	}
-	for k, v := range o.seen {
-		if _, dup := s.seen[k]; dup {
-			continue
-		}
-		s.seen[k] = v
-		if err := s.inner.Add(v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (s *distinctState) Result() storage.Value { return s.inner.Result() }
@@ -495,7 +417,7 @@ func (s *distinctState) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-func (s *distinctState) decode(b []byte) (int, error) {
+func (s *distinctState) decodeMerge(b []byte) (int, error) {
 	n, u := binary.Uvarint(b)
 	if u <= 0 || n > uint64(len(b)) {
 		return 0, fmt.Errorf("sqlexec: bad DISTINCT state")

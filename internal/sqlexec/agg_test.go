@@ -24,9 +24,25 @@ func feed(t *testing.T, s AggState, vals ...storage.Value) {
 	}
 }
 
+// newAggState is the empty state for a spec, as a new group gets it.
+func newAggState(sp AggSpec) AggState { return new(stateSlabs).next(sp, 0) }
+
+// merge is ⊕ as the aggregation phase applies it: b's encoding folded
+// into a.
+func merge(a, b AggState) error {
+	_, err := a.decodeMerge(b.AppendEncode(nil))
+	return err
+}
+
+// decode is a state's wire decoding: its encoding folded into an empty one.
+func decode(sp AggSpec, b []byte) (AggState, int, error) {
+	st := newAggState(sp)
+	n, err := st.decodeMerge(b)
+	return st, n, err
+}
+
 func TestCountStarVsColumn(t *testing.T) {
-	star := NewAggState(spec(sqlparse.AggCount, false, true))
-	col := NewAggState(spec(sqlparse.AggCount, false, false))
+	star, col := newAggState(spec(sqlparse.AggCount, false, true)), newAggState(spec(sqlparse.AggCount, false, false))
 	vals := []storage.Value{storage.Int(1), storage.Null(), storage.Int(3)}
 	feed(t, star, vals...)
 	feed(t, col, vals...)
@@ -39,7 +55,7 @@ func TestCountStarVsColumn(t *testing.T) {
 }
 
 func TestSumIntegerPreservation(t *testing.T) {
-	s := NewAggState(spec(sqlparse.AggSum, false, false))
+	s := newAggState(spec(sqlparse.AggSum, false, false))
 	feed(t, s, storage.Int(2), storage.Int(3))
 	if s.Result().Kind() != storage.KindInt {
 		t.Errorf("all-int SUM kind = %v", s.Result().Kind())
@@ -57,11 +73,10 @@ func TestSumIntegerPreservation(t *testing.T) {
 }
 
 func TestAvgAlgebraicMerge(t *testing.T) {
-	a := NewAggState(spec(sqlparse.AggAvg, false, false))
-	b := NewAggState(spec(sqlparse.AggAvg, false, false))
+	a, b := newAggState(spec(sqlparse.AggAvg, false, false)), newAggState(spec(sqlparse.AggAvg, false, false))
 	feed(t, a, storage.Int(10)) // avg 10 over 1
 	feed(t, b, storage.Int(1), storage.Int(2), storage.Int(3))
-	if err := a.Merge(b); err != nil {
+	if err := merge(a, b); err != nil {
 		t.Fatal(err)
 	}
 	// Correct algebraic merge: (10+6)/4 = 4, not avg-of-avgs (10+2)/2 = 6.
@@ -71,8 +86,7 @@ func TestAvgAlgebraicMerge(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	min := NewAggState(spec(sqlparse.AggMin, false, false))
-	max := NewAggState(spec(sqlparse.AggMax, false, false))
+	min, max := newAggState(spec(sqlparse.AggMin, false, false)), newAggState(spec(sqlparse.AggMax, false, false))
 	vals := []storage.Value{storage.Float(3), storage.Null(), storage.Float(-1), storage.Float(7)}
 	feed(t, min, vals...)
 	feed(t, max, vals...)
@@ -83,7 +97,7 @@ func TestMinMax(t *testing.T) {
 		t.Errorf("MAX = %g", f)
 	}
 	// Strings order too.
-	smin := NewAggState(spec(sqlparse.AggMin, false, false))
+	smin := newAggState(spec(sqlparse.AggMin, false, false))
 	feed(t, smin, storage.Str("pear"), storage.Str("apple"))
 	if smin.Result().AsString() != "apple" {
 		t.Errorf("string MIN = %v", smin.Result())
@@ -95,7 +109,7 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestMedianOddEvenAndMerge(t *testing.T) {
-	m := NewAggState(spec(sqlparse.AggMedian, false, false))
+	m := newAggState(spec(sqlparse.AggMedian, false, false))
 	feed(t, m, storage.Int(5), storage.Int(1), storage.Int(9))
 	if f, _ := m.Result().AsFloat(); f != 5 {
 		t.Errorf("odd MEDIAN = %g", f)
@@ -104,9 +118,9 @@ func TestMedianOddEvenAndMerge(t *testing.T) {
 	if f, _ := m.Result().AsFloat(); f != 6 {
 		t.Errorf("even MEDIAN = %g", f)
 	}
-	other := NewAggState(spec(sqlparse.AggMedian, false, false))
+	other := newAggState(spec(sqlparse.AggMedian, false, false))
 	feed(t, other, storage.Int(100))
-	if err := m.Merge(other); err != nil {
+	if err := merge(m, other); err != nil {
 		t.Fatal(err)
 	}
 	if f, _ := m.Result().AsFloat(); f != 7 {
@@ -115,12 +129,12 @@ func TestMedianOddEvenAndMerge(t *testing.T) {
 }
 
 func TestDistinctWrapping(t *testing.T) {
-	cd := NewAggState(spec(sqlparse.AggCount, true, false))
+	cd := newAggState(spec(sqlparse.AggCount, true, false))
 	feed(t, cd, storage.Int(1), storage.Int(1), storage.Int(2), storage.Null(), storage.Int(2))
 	if n, _ := cd.Result().AsInt(); n != 2 {
 		t.Errorf("COUNT(DISTINCT) = %d", n)
 	}
-	sd := NewAggState(spec(sqlparse.AggSum, true, false))
+	sd := newAggState(spec(sqlparse.AggSum, true, false))
 	feed(t, sd, storage.Int(5), storage.Int(5), storage.Int(3))
 	if n, _ := sd.Result().AsInt(); n != 8 {
 		t.Errorf("SUM(DISTINCT) = %d", n)
@@ -128,11 +142,10 @@ func TestDistinctWrapping(t *testing.T) {
 }
 
 func TestDistinctMergeUnions(t *testing.T) {
-	a := NewAggState(spec(sqlparse.AggCount, true, false))
-	b := NewAggState(spec(sqlparse.AggCount, true, false))
+	a, b := newAggState(spec(sqlparse.AggCount, true, false)), newAggState(spec(sqlparse.AggCount, true, false))
 	feed(t, a, storage.Int(1), storage.Int(2))
 	feed(t, b, storage.Int(2), storage.Int(3))
-	if err := a.Merge(b); err != nil {
+	if err := merge(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := a.Result().AsInt(); n != 3 {
@@ -140,21 +153,24 @@ func TestDistinctMergeUnions(t *testing.T) {
 	}
 }
 
+// A partial aggregation is decoded with the receiving plan's functions:
+// one encoded by another function, or grouped otherwise, must fail. (MIN
+// and MAX, like VARIANCE and STDDEV, share one encoding.)
 func TestMergeTypeMismatches(t *testing.T) {
-	count := NewAggState(spec(sqlparse.AggCount, false, false))
-	sum := NewAggState(spec(sqlparse.AggSum, false, false))
-	avg := NewAggState(spec(sqlparse.AggAvg, false, false))
-	med := NewAggState(spec(sqlparse.AggMedian, false, false))
-	min := NewAggState(spec(sqlparse.AggMin, false, false))
-	max := NewAggState(spec(sqlparse.AggMax, false, false))
-	dis := NewAggState(spec(sqlparse.AggCount, true, false))
-	pairs := [][2]AggState{
-		{count, sum}, {sum, avg}, {avg, med}, {med, min}, {min, max},
-		{dis, count}, {max, min},
-	}
-	for i, p := range pairs {
-		if err := p[0].Merge(p[1]); err == nil {
-			t.Errorf("pair %d: mismatched merge accepted", i)
+	q := func(agg string) string { return `SELECT ` + agg + ` FROM Power GROUP BY period` }
+	for _, pair := range [][2]string{
+		{q("COUNT(cons)"), q("SUM(cons)")}, {q("SUM(cons)"), q("AVG(cons)")}, {q("AVG(cons)"), q("MEDIAN(cons)")},
+		{q("MEDIAN(cons)"), q("MIN(cons)")}, {q("COUNT(DISTINCT cons)"), q("COUNT(cons)")},
+		{q("MAX(cons)"), q("VARIANCE(cons)")}, {q("COUNT(*)"), `SELECT COUNT(*) FROM Power GROUP BY cid, period`},
+	} {
+		src := NewAccumulator(compile(t, pair[0]))
+		for _, v := range []float64{10, 2.5} {
+			if err := src.AddCollectionRow(storage.Row{storage.Int(3), storage.Float(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := NewAccumulator(compile(t, pair[1])).MergeEncoded(src.Encode()); err == nil {
+			t.Errorf("%s: partial merged into %s", pair[0], pair[1])
 		}
 	}
 }
@@ -171,7 +187,7 @@ func TestAggStateEncodeRoundTrip(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, sp := range specs {
-		s := NewAggState(sp)
+		s := newAggState(sp)
 		for i := 0; i < 50; i++ {
 			v := storage.Value(storage.Float(rng.NormFloat64() * 10))
 			if rng.Intn(5) == 0 {
@@ -182,7 +198,7 @@ func TestAggStateEncodeRoundTrip(t *testing.T) {
 			}
 		}
 		enc := s.AppendEncode(nil)
-		dec, n, err := DecodeAggState(sp, enc)
+		dec, n, err := decode(sp, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", sp, err)
 		}
@@ -212,25 +228,26 @@ func TestAggStateDecodeCorruption(t *testing.T) {
 		spec(sqlparse.AggAvg, false, false),
 		spec(sqlparse.AggMin, false, false),
 		spec(sqlparse.AggMedian, false, false),
+		spec(sqlparse.AggVar, false, false),
 	}
 	for _, sp := range specs {
-		s := NewAggState(sp)
+		s := newAggState(sp)
 		feed(t, s, storage.Float(1), storage.Float(2))
 		enc := s.AppendEncode(nil)
 		for cut := 0; cut < len(enc); cut++ {
 			// Truncations must fail or consume <= cut — never panic.
-			if st, n, err := DecodeAggState(sp, enc[:cut]); err == nil && n > cut {
+			if st, n, err := decode(sp, enc[:cut]); err == nil && n > cut {
 				t.Errorf("%s cut %d: consumed %d, have %d (%v)", sp, cut, n, cut, st)
 			}
 		}
 	}
 	// Implausible MEDIAN length header.
-	if _, _, err := DecodeAggState(spec(sqlparse.AggMedian, false, false),
+	if _, _, err := decode(spec(sqlparse.AggMedian, false, false),
 		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}); err == nil {
 		t.Error("giant MEDIAN header accepted")
 	}
 	// Implausible DISTINCT count.
-	if _, _, err := DecodeAggState(spec(sqlparse.AggCount, true, false),
+	if _, _, err := decode(spec(sqlparse.AggCount, true, false),
 		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
 		t.Error("giant DISTINCT header accepted")
 	}
@@ -250,9 +267,9 @@ func TestMergeEquivalenceQuick(t *testing.T) {
 	} {
 		sp := sp
 		f := func(xs, ys []int16) bool {
-			split := NewAggState(sp)
-			other := NewAggState(sp)
-			whole := NewAggState(sp)
+			split := newAggState(sp)
+			other := newAggState(sp)
+			whole := newAggState(sp)
 			for _, x := range xs {
 				v := storage.Int(int64(x))
 				if split.Add(v) != nil || whole.Add(v) != nil {
@@ -265,7 +282,7 @@ func TestMergeEquivalenceQuick(t *testing.T) {
 					return false
 				}
 			}
-			if split.Merge(other) != nil {
+			if merge(split, other) != nil {
 				return false
 			}
 			a, b := split.Result(), whole.Result()
@@ -288,5 +305,5 @@ func TestNewAggStatePanicsOnUnknown(t *testing.T) {
 			t.Error("unknown aggregate must panic (programmer error)")
 		}
 	}()
-	NewAggState(AggSpec{Func: "BOGUS"})
+	newAggState(AggSpec{Func: "BOGUS"})
 }

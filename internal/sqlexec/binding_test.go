@@ -1,8 +1,10 @@
 package sqlexec
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,40 +63,61 @@ func corpusDBs(t *testing.T) []*storage.LocalDB {
 	}
 }
 
-// TestBindingIsComplete: after Compile every column reference of the
-// statement is bound — the evaluator has nothing else to look a column up
-// in — and Standalone's answers over the corpus are the ones the evaluator
-// gave before the dialect was cut to the paper's (the digest was taken over
-// this corpus at the commit before that change).
+// TestBindingIsComplete: every SELECT, GROUP BY and aggregate-argument
+// column's compiled form, evaluated over rows holding a distinct sentinel
+// at every (FROM level, column), reads the column the reference names; and
+// Standalone's answers over the corpus are the ones the evaluator gave
+// before the dialect was cut to the paper's (the digest was taken over
+// this corpus at the commit before that change, and held through the
+// interpreter's replacement by the compiled form).
 func TestBindingIsComplete(t *testing.T) {
 	dbs := corpusDBs(t)
 	h := sha256.New()
 	for _, q := range corpus {
-		p := compile(t, q)
-		var exprs []sqlparse.Expr
-		for _, it := range p.Stmt.Select {
-			if !it.Star {
-				exprs = append(exprs, it.Expr)
+		p, s := compile(t, q), &scope{}
+		var all storage.Row // every sentinel, in the order * expands
+		for _, tb := range p.tables {
+			var row storage.Row
+			for _, c := range tb.def.Columns {
+				row = append(row, storage.Str(strings.ToLower(cmp.Or(tb.ref.Alias, tb.ref.Name)+"|"+tb.def.Name+"|"+c.Name)))
 			}
+			s.rows, all = append(s.rows, row), append(all, row...)
 		}
-		exprs = append(exprs, p.Stmt.Where, p.Stmt.Having)
-		for _, g := range p.Stmt.GroupBy {
-			exprs = append(exprs, g)
+		reads := func(f evalFn, e sqlparse.Expr) storage.Value {
+			ref, ok := e.(*sqlparse.ColumnRef)
+			if !ok || ref == nil { // nil: COUNT(*)
+				return storage.Null()
+			}
+			v, err := f(s)
+			at := strings.Split(v.AsString(), "|")
+			if err != nil || len(at) != 3 || !strings.EqualFold(at[2], ref.Name) ||
+				ref.Table != "" && !strings.EqualFold(at[0], ref.Table) && !strings.EqualFold(at[1], ref.Table) {
+				t.Errorf("%s: column %s reads %v, %v", q, ref, v, err)
+			}
+			return v
 		}
-		refs := 0
-		for _, e := range exprs {
-			sqlparse.Walk(e, func(n sqlparse.Expr) bool {
-				if c, ok := n.(*sqlparse.ColumnRef); ok {
-					refs++
-					if _, ok := p.colPos[c]; !ok {
-						t.Errorf("%s: column %s is not bound", q, c)
+		out := p.out
+		for i, g := range p.Stmt.GroupBy {
+			s.group = append(s.group, reads(out[i], g))
+		}
+		for j, a := range p.Aggs {
+			reads(out[len(p.GroupCols)+j], a.Arg)
+		}
+		for i, it := range p.Stmt.Select {
+			switch {
+			case p.IsAggregate():
+				reads(p.result[i], it.Expr)
+			case it.Star:
+				for k, want := range all {
+					if got, _ := out[k](s); got != want {
+						t.Errorf("%s: * column %d reads %v, want %v", q, k, got, want)
 					}
 				}
-				return true
-			})
-		}
-		if refs != len(p.colPos) {
-			t.Errorf("%s: %d references reachable, %d bound", q, refs, len(p.colPos))
+				out = out[len(all):]
+			default:
+				reads(out[0], it.Expr)
+				out = out[1:]
+			}
 		}
 		res, err := Standalone(p, dbs...)
 		if err != nil {
@@ -171,49 +194,66 @@ func TestCollectLocalSeesSnapshot(t *testing.T) {
 }
 
 // The allocation budgets below guard what compile-time binding, the
-// in-place scan and the scratch group key bought; a per-row or per-
-// reference allocation anywhere on these paths fails them.
+// in-place scan, its pooled buffers and the accumulator's slabs bought; a
+// per-row or per-reference allocation anywhere on these paths fails them.
 
 func TestCollectLocalAllocBudget(t *testing.T) {
-	cons := make([]float64, 300)
-	for i := range cons {
-		cons[i] = float64(i)
+	db := oneHousehold(t, 7, "Paris", "flat")
+	for i := range 300 {
+		insert(t, db, "Power", storage.Row{storage.Int(7), storage.Float(float64(i)), storage.Int(int64(i))})
 	}
-	db := oneHousehold(t, 7, "Paris", "flat", cons...)
 	for q, budget := range map[string]float64{
-		// Measured at 6, 6 and 3 (2416, 2716 and 904 before): the output's
-		// slab and row index, and a fixed handful for the scan itself.
-		`SELECT C.district, AVG(P.cons) FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district`: 8,
-		`SELECT * FROM Power P, Consumer C WHERE C.cid = P.cid AND P.cons >= 0`:                           8,
-		`SELECT P.cons FROM Power P WHERE P.cons < 0`:                                                     4,
+		// Measured at 2, 2 and 0 (6, 6 and 3 before the compiled form):
+		// the output's slab and row index; a warm scan allocates nothing.
+		`SELECT C.district, AVG(P.cons) FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district`: 4,
+		`SELECT * FROM Power P, Consumer C WHERE C.cid = P.cid AND P.cons >= 0`:                           4,
+		`SELECT P.cons FROM Power P WHERE P.cons < 0`:                                                     1,
 	} {
-		p := compile(t, q)
-		got := testing.AllocsPerRun(20, func() {
-			if _, err := p.CollectLocal(db); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got > budget {
-			t.Errorf("%s: %v allocations over 300 rows, budget %v", q, got, budget)
+		p, scan := compile(t, q), func(storage.Row) error { return nil }
+		var err, scanErr error
+		got := testing.AllocsPerRun(20, func() { _, err = p.CollectLocal(db) })
+		warm := testing.AllocsPerRun(20, func() { scanErr = p.ScanLocal(db, scan) })
+		if got > budget || warm != 0 || err != nil || scanErr != nil {
+			t.Errorf("%s: %v allocations over 300 rows, budget %v; a warm ScanLocal %v, want 0 (%v, %v)",
+				q, got, budget, warm, err, scanErr)
 		}
 	}
 }
 
+// A row or an encoded partial folded into an existing group allocates
+// nothing; a new group costs its key, and a share of the slabs.
 func TestAddCollectionRowAllocBudget(t *testing.T) {
 	p := compile(t, `SELECT C.district, period, AVG(P.cons), COUNT(*), SUM(P.cons), MAX(P.cons) `+
 		`FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district, period`)
 	acc := NewAccumulator(p)
 	row := storage.Row{storage.Str("Paris"), storage.Int(3),
 		storage.Float(1.5), storage.Int(1), storage.Float(1.5), storage.Float(1.5)}
-	if err := acc.AddCollectionRow(row); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(100, func() {
+	add := func() {
 		if err := acc.AddCollectionRow(row); err != nil {
 			t.Fatal(err)
 		}
+	}
+	add()
+	got, enc := testing.AllocsPerRun(100, add), acc.Encode()
+	merged := testing.AllocsPerRun(100, func() {
+		if err := acc.MergeEncoded(enc); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if got != 0 || acc.NumGroups() != 1 {
-		t.Errorf("AddCollectionRow on an existing group: %v allocations, %d groups", got, acc.NumGroups())
+	if got != 0 || merged != 0 || acc.NumGroups() != 1 {
+		t.Errorf("into an existing group: AddCollectionRow %v allocations, MergeEncoded %v; %d groups",
+			got, merged, acc.NumGroups())
+	}
+	next := int64(100)
+	fresh := testing.AllocsPerRun(1, func() {
+		for range 64 {
+			row[1], next = storage.Int(next), next+1
+			add()
+		}
+	})
+	// Measured at 73: a key each, and the slabs and the map doubling once.
+	// Built piece by piece, the 64 groups would cost 512.
+	if fresh > 80 {
+		t.Errorf("64 new groups: %v allocations, budget 80", fresh)
 	}
 }

@@ -15,61 +15,104 @@ import (
 //
 // The row is the scan's one buffer, overwritten by the next: fn must Clone
 // what it keeps. The caller (the TDS protocol layer) encrypts each row
-// before anything leaves the secure device.
+// before anything leaves the secure device. The stored rows are read in
+// place and the scan's own buffers come from the plan's free list, so a
+// warm scan allocates nothing.
 func (p *Plan) ScanLocal(db *storage.LocalDB, fn func(row storage.Row) error) error {
-	agg, width := p.IsAggregate(), len(p.OutputNames)
-	if agg {
-		width = p.CollectionWidth()
+	s, err := p.begin(db)
+	defer p.end(s)
+	if err != nil {
+		return err
 	}
-	row := make(storage.Row, 0, width)
-	ctx := &evalContext{plan: p}
-	return p.scanJoin(db, func(combined storage.Row) error {
-		ctx.row = combined
-		keep, err := ctx.predicateTrue(p.Stmt.Where)
+	return s.join(p, 0, fn)
+}
+
+// begin takes an idle scan from the plan's free list, or makes one, and
+// points each FROM level at its table's rows as of the call.
+func (p *Plan) begin(db *storage.LocalDB) (*scan, error) {
+	var s *scan
+	select {
+	case s = <-p.scans:
+	default:
+		s = &scan{scope: scope{rows: make([]storage.Row, len(p.tables))},
+			tables: make([][]storage.Row, len(p.tables)), out: make(storage.Row, 0, len(p.out))}
+	}
+	for i, tb := range p.tables {
+		rows, err := db.TableRows(tb.def)
+		if err != nil {
+			return s, err
+		}
+		s.tables[i] = rows
+	}
+	return s, nil
+}
+
+// end returns s to the free list.
+func (p *Plan) end(s *scan) {
+	clear(s.rows) // no stored row outlives the scan
+	clear(s.tables)
+	select {
+	case p.scans <- s:
+	default: // as many idle scans are kept as there are cores
+	}
+}
+
+// scan is one ScanLocal's state: the current row of each FROM level, the
+// level's rows as of the call, and the output row.
+type scan struct {
+	scope
+	tables [][]storage.Row
+	out    storage.Row
+}
+
+// join binds each row of a FROM level in turn, and once every level's row
+// is bound tests WHERE and emits the output row: a nested-loop join, the
+// right tool over one household's small tables. Stored rows are
+// immutable, so nothing is copied.
+func (s *scan) join(p *Plan, level int, fn func(row storage.Row) error) error {
+	if level < len(s.tables) {
+		for _, r := range s.tables[level] {
+			s.rows[level] = r
+			if err := s.join(p, level+1, fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if p.where != nil {
+		v, err := p.where(&s.scope)
 		if err != nil {
 			return fmt.Errorf("sqlexec: WHERE: %w", err)
 		}
-		if !keep {
+		if v.IsNull() || !v.AsBool() {
 			return nil
 		}
-		row = row[:0]
-		if agg {
-			for _, g := range p.GroupCols {
-				row = append(row, combined[g.pos])
-			}
-			for _, spec := range p.Aggs {
-				if spec.Star {
-					row = append(row, storage.Int(1))
-					continue
-				}
-				row = append(row, combined[p.colPos[spec.Arg]])
-			}
-			return fn(row)
+	}
+	s.out = s.out[:0]
+	for _, f := range p.out {
+		v, err := f(&s.scope)
+		if err != nil {
+			return err
 		}
-		for _, it := range p.Stmt.Select {
-			if it.Star {
-				row = append(row, combined...)
-				continue
-			}
-			v, err := ctx.evalExpr(it.Expr)
-			if err != nil {
-				return fmt.Errorf("sqlexec: SELECT %s: %w", it.Expr, err)
-			}
-			row = append(row, v)
-		}
-		return fn(row)
-	})
+		s.out = append(s.out, v)
+	}
+	return fn(s.out)
 }
 
 // CollectLocal is ScanLocal with every row cloned into one array, first
 // sized for the join's product, capped lest a selective WHERE reserve it all.
 func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
+	s, err := p.begin(db)
+	defer p.end(s)
+	if err != nil {
+		return nil, err
+	}
 	var flat []storage.Value
 	n, bound := 0, 1
-	for _, tb := range p.tables {
-		bound = min(bound*db.Count(tb.def.Name), 512)
+	for _, rows := range s.tables {
+		bound = min(bound*len(rows), 512)
 	}
-	err := p.ScanLocal(db, func(row storage.Row) error {
+	err = s.join(p, 0, func(row storage.Row) error {
 		if flat == nil {
 			flat = make([]storage.Value, 0, bound*len(row))
 		}
@@ -84,39 +127,6 @@ func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
 		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out, nil
-}
-
-// scanJoin enumerates the cartesian product of the FROM tables of the
-// local database, invoking fn with each combined row. WHERE predicates
-// restrict it to the intended internal join. TDS databases are small (one
-// household's data), so a nested-loop join is the right tool. The tables
-// are read in place, as of the call: stored rows are immutable, so there
-// is nothing to copy.
-func (p *Plan) scanJoin(db *storage.LocalDB, fn func(combined storage.Row) error) error {
-	tables := make([][]storage.Row, len(p.tables))
-	for i, tb := range p.tables {
-		rows, err := db.Rows(tb.def.Name)
-		if err != nil {
-			return err
-		}
-		tables[i] = rows
-	}
-	combined := make(storage.Row, p.width)
-	var rec func(level int) error
-	rec = func(level int) error {
-		if level == len(tables) {
-			return fn(combined)
-		}
-		tb := p.tables[level]
-		for _, r := range tables[level] {
-			copy(combined[tb.offset:], r)
-			if err := rec(level + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
 }
 
 // Standalone executes the query over the union of the given local

@@ -28,17 +28,20 @@ func testSchema() *storage.Schema {
 func oneHousehold(t *testing.T, cid int64, district, acc string, cons ...float64) *storage.LocalDB {
 	t.Helper()
 	db := storage.NewLocalDB(testSchema())
-	if err := db.Insert("Consumer", storage.Row{
-		storage.Int(cid), storage.Str(district), storage.Str(acc)}); err != nil {
-		t.Fatal(err)
-	}
+	insert(t, db, "Consumer", storage.Row{storage.Int(cid), storage.Str(district), storage.Str(acc)})
 	for i, c := range cons {
-		if err := db.Insert("Power", storage.Row{
-			storage.Int(cid), storage.Float(c), storage.Int(int64(i))}); err != nil {
+		insert(t, db, "Power", storage.Row{storage.Int(cid), storage.Float(c), storage.Int(int64(i))})
+	}
+	return db
+}
+
+func insert(t *testing.T, db *storage.LocalDB, table string, rows ...storage.Row) {
+	t.Helper()
+	for _, r := range rows {
+		if err := db.Insert(table, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return db
 }
 
 func compile(t *testing.T, q string) *Plan {
@@ -52,6 +55,27 @@ func compile(t *testing.T, q string) *Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// collect is CollectLocal of the compiled query over db.
+func collect(t *testing.T, q string, db *storage.LocalDB) (*Plan, []storage.Row) {
+	t.Helper()
+	p := compile(t, q)
+	rows, err := p.CollectLocal(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, rows
+}
+
+// standalone is Standalone of the compiled query over dbs.
+func standalone(t *testing.T, q string, dbs ...*storage.LocalDB) *Result {
+	t.Helper()
+	res, err := Standalone(compile(t, q), dbs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -80,68 +104,35 @@ func TestCompileErrors(t *testing.T) {
 
 func TestSFWProjection(t *testing.T) {
 	db := oneHousehold(t, 7, "Paris", "detached house", 10, 20)
-	p := compile(t, `SELECT cid, cons FROM Power WHERE cons > 15`)
-	rows, err := p.CollectLocal(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if got, _ := rows[0][1].AsFloat(); got != 20 {
-		t.Errorf("cons = %g", got)
-	}
-	if p.OutputNames[0] != "cid" || p.OutputNames[1] != "cons" {
-		t.Errorf("columns = %v", p.OutputNames)
+	p, rows := collect(t, `SELECT cid, cons FROM Power WHERE cons > 15`, db)
+	if len(rows) != 1 || rows[0][1] != storage.Float(20) || p.OutputNames[0] != "cid" || p.OutputNames[1] != "cons" {
+		t.Errorf("rows = %v, columns = %v", rows, p.OutputNames)
 	}
 }
 
 func TestSFWStar(t *testing.T) {
 	db := oneHousehold(t, 7, "Paris", "flat", 10)
-	p := compile(t, `SELECT * FROM Power`)
-	rows, err := p.CollectLocal(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || len(rows[0]) != 3 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if len(p.OutputNames) != 3 {
-		t.Errorf("columns = %v", p.OutputNames)
+	if p, rows := collect(t, `SELECT * FROM Power`, db); len(rows) != 1 || len(rows[0]) != 3 || len(p.OutputNames) != 3 {
+		t.Errorf("rows = %v, columns = %v", rows, p.OutputNames)
 	}
 }
 
 func TestInternalJoin(t *testing.T) {
 	db := oneHousehold(t, 7, "Paris", "detached house", 10, 20, 30)
-	p := compile(t, `SELECT P.cons FROM Power P, Consumer C `+
-		`WHERE C.cid = P.cid AND C.accommodation = 'detached house'`)
-	rows, err := p.CollectLocal(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("join returned %d rows, want 3", len(rows))
-	}
 	// A mismatched accommodation filters everything.
-	p = compile(t, `SELECT P.cons FROM Power P, Consumer C `+
-		`WHERE C.cid = P.cid AND C.accommodation = 'flat'`)
-	rows, err = p.CollectLocal(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("rows = %v", rows)
+	for acc, want := range map[string]int{"detached house": 3, "flat": 0} {
+		_, rows := collect(t, `SELECT P.cons FROM Power P, Consumer C `+
+			`WHERE C.cid = P.cid AND C.accommodation = '`+acc+`'`, db)
+		if len(rows) != want {
+			t.Errorf("%s: join returned %d rows, want %d", acc, len(rows), want)
+		}
 	}
 }
 
 func TestCollectionTuplesForAggregate(t *testing.T) {
 	db := oneHousehold(t, 7, "Paris", "detached house", 10, 20)
-	p := compile(t, `SELECT AVG(P.cons) FROM Power P, Consumer C `+
-		`WHERE C.cid = P.cid GROUP BY C.district`)
-	rows, err := p.CollectLocal(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, rows := collect(t, `SELECT AVG(P.cons) FROM Power P, Consumer C `+
+		`WHERE C.cid = P.cid GROUP BY C.district`, db)
 	if len(rows) != 2 {
 		t.Fatalf("collection tuples = %v", rows)
 	}
@@ -221,14 +212,9 @@ func TestStandaloneFlagshipQuery(t *testing.T) {
 		oneHousehold(t, 6, "Lyon", "detached house", 50),
 		oneHousehold(t, 7, "Lyon", "detached house", 70),
 	}
-	q := `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
-		`WHERE C.accommodation = 'detached house' AND C.cid = P.cid ` +
-		`GROUP BY C.district HAVING COUNT(DISTINCT C.cid) >= 2`
-	p := compile(t, q)
-	res, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := standalone(t, `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C `+
+		`WHERE C.accommodation = 'detached house' AND C.cid = P.cid `+
+		`GROUP BY C.district HAVING COUNT(DISTINCT C.cid) >= 2`, dbs...)
 	if len(res.Rows) != 2 {
 		t.Fatalf("result = %v", res)
 	}
@@ -247,17 +233,10 @@ func TestStandaloneHavingFilters(t *testing.T) {
 		oneHousehold(t, 2, "Lyon", "detached house", 50),
 		oneHousehold(t, 3, "Lyon", "detached house", 70),
 	}
-	p := compile(t, `SELECT C.district, COUNT(DISTINCT C.cid) FROM Power P, Consumer C `+
-		`WHERE C.cid = P.cid GROUP BY C.district HAVING COUNT(DISTINCT C.cid) > 1`)
-	res, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "Lyon" {
-		t.Fatalf("result = %v", res.Rows)
-	}
-	if n, _ := res.Rows[0][1].AsInt(); n != 2 {
-		t.Errorf("count distinct = %d", n)
+	res := standalone(t, `SELECT C.district, COUNT(DISTINCT C.cid) FROM Power P, Consumer C `+
+		`WHERE C.cid = P.cid GROUP BY C.district HAVING COUNT(DISTINCT C.cid) > 1`, dbs...)
+	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "Lyon" || res.Rows[0][1] != storage.Int(2) {
+		t.Fatalf("result = %v, want Lyon with a count distinct of 2", res.Rows)
 	}
 }
 
@@ -266,22 +245,16 @@ func TestGlobalAggregateNoGroupBy(t *testing.T) {
 		oneHousehold(t, 1, "Paris", "x", 10),
 		oneHousehold(t, 2, "Lyon", "x", 30),
 	}
-	p := compile(t, `SELECT AVG(cons), COUNT(*), SUM(cons), MIN(cons), MAX(cons) FROM Power`)
-	if !p.IsAggregate() {
+	const q = `SELECT AVG(cons), COUNT(*), SUM(cons), MIN(cons), MAX(cons) FROM Power`
+	if !compile(t, q).IsAggregate() {
 		t.Fatal("global aggregate misclassified")
 	}
-	res, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := standalone(t, q, dbs...)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	row := res.Rows[0]
-	checks := []float64{20, 2, 40, 10, 30}
-	for i, want := range checks {
-		got, _ := row[i].AsFloat()
-		if got != want {
+	for i, want := range []float64{20, 2, 40, 10, 30} {
+		if got, _ := res.Rows[0][i].AsFloat(); got != want {
 			t.Errorf("col %d (%s) = %g, want %g", i, res.Columns[i], got, want)
 		}
 	}
@@ -293,33 +266,17 @@ func TestMedianHolistic(t *testing.T) {
 		oneHousehold(t, 2, "P", "x", 5),
 		oneHousehold(t, 3, "P", "x", 3, 7),
 	}
-	p := compile(t, `SELECT MEDIAN(cons) FROM Power`)
-	res, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := res.Rows[0][0].AsFloat(); got != 5 {
-		t.Errorf("median = %g, want 5", got)
-	}
-	// Even count: mean of the middle two.
-	p = compile(t, `SELECT MEDIAN(cons) FROM Power WHERE cons < 9`)
-	res, err = Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := res.Rows[0][0].AsFloat(); got != 4 {
-		t.Errorf("median = %g, want 4", got)
+	// An even count gives the mean of the middle two.
+	for q, want := range map[string]float64{`SELECT MEDIAN(cons) FROM Power`: 5, `SELECT MEDIAN(cons) FROM Power WHERE cons < 9`: 4} {
+		if got, _ := standalone(t, q, dbs...).Rows[0][0].AsFloat(); got != want {
+			t.Errorf("%s: median = %g, want %g", q, got, want)
+		}
 	}
 }
 
 func TestAggregateOverEmptyInput(t *testing.T) {
-	db := storage.NewLocalDB(testSchema())
-	p := compile(t, `SELECT COUNT(*), SUM(cons), AVG(cons), MIN(cons), MEDIAN(cons) FROM Power`)
-	res, err := Standalone(p, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
+	row := standalone(t, `SELECT COUNT(*), SUM(cons), AVG(cons), MIN(cons), MEDIAN(cons) FROM Power`,
+		storage.NewLocalDB(testSchema())).Rows[0]
 	if n, _ := row[0].AsInt(); n != 0 {
 		t.Errorf("count = %d", n)
 	}
@@ -332,23 +289,10 @@ func TestAggregateOverEmptyInput(t *testing.T) {
 
 func TestGroupByMultipleColumns(t *testing.T) {
 	db := storage.NewLocalDB(testSchema())
-	data := []struct {
-		cid    int64
-		cons   float64
-		period int64
-	}{{1, 10, 1}, {1, 20, 1}, {1, 5, 2}, {2, 8, 1}}
-	for _, d := range data {
-		if err := db.Insert("Power", storage.Row{
-			storage.Int(d.cid), storage.Float(d.cons), storage.Int(d.period)}); err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range [][3]float64{{1, 10, 1}, {1, 20, 1}, {1, 5, 2}, {2, 8, 1}} { // cid, cons, period
+		insert(t, db, "Power", storage.Row{storage.Int(int64(d[0])), storage.Float(d[1]), storage.Int(int64(d[2]))})
 	}
-	p := compile(t, `SELECT cid, period, SUM(cons) FROM Power GROUP BY cid, period`)
-	res, err := Standalone(p, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
+	if res := standalone(t, `SELECT cid, period, SUM(cons) FROM Power GROUP BY cid, period`, db); len(res.Rows) != 3 {
 		t.Fatalf("groups = %v", res.Rows)
 	}
 }
@@ -369,10 +313,7 @@ func TestAccumulatorEncodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc := a1
-		if i%2 == 1 {
-			acc = a2
-		}
+		acc := [2]*Accumulator{a1, a2}[i%2]
 		for _, r := range rows {
 			if err := acc.AddCollectionRow(r); err != nil {
 				t.Fatal(err)
@@ -380,21 +321,10 @@ func TestAccumulatorEncodeRoundTrip(t *testing.T) {
 		}
 	}
 	merged := NewAccumulator(p)
-	if err := merged.MergeEncoded(a1.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.MergeEncoded(a2.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := merged.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
+	err := errors.Join(merged.MergeEncoded(a1.Encode()), merged.MergeEncoded(a2.Encode()))
+	got, ferr := merged.Finalize()
+	err = errors.Join(err, ferr)
+	if want := standalone(t, p.Stmt.String(), dbs...); err != nil || got.String() != want.String() {
 		t.Errorf("merged:\n%s\nstandalone:\n%s", got, want)
 	}
 }
@@ -422,8 +352,7 @@ func TestMergeEncodedRejectsCorruption(t *testing.T) {
 func TestAccumulatorArityCheck(t *testing.T) {
 	p := compile(t, `SELECT district, COUNT(*) FROM Power P, Consumer C `+
 		`WHERE C.cid = P.cid GROUP BY district`)
-	acc := NewAccumulator(p)
-	if err := acc.AddCollectionRow(storage.Row{storage.Str("P")}); err == nil {
+	if err := NewAccumulator(p).AddCollectionRow(storage.Row{storage.Str("P")}); err == nil {
 		t.Error("short collection row accepted")
 	}
 }
@@ -437,7 +366,7 @@ func TestEncodeGroupSingle(t *testing.T) {
 	}
 	g := acc.Groups()[0]
 	dst := NewAccumulator(p)
-	if err := dst.MergeEncoded(EncodeGroup(p, g)); err != nil {
+	if err := dst.MergeEncoded(AppendGroup(nil, p, g)); err != nil {
 		t.Fatal(err)
 	}
 	if dst.NumGroups() != 1 {
@@ -447,8 +376,7 @@ func TestEncodeGroupSingle(t *testing.T) {
 
 func TestResultStringRendering(t *testing.T) {
 	r := &Result{Columns: []string{"a", "b"}, Rows: []storage.Row{{storage.Int(1), storage.Str("x")}}}
-	want := "a | b\n1 | x\n"
-	if r.String() != want {
-		t.Errorf("String() = %q", r.String())
+	if want := "a | b\n1 | x\n"; r.String() != want {
+		t.Errorf("String() = %q, want %q", r.String(), want)
 	}
 }

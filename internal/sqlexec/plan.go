@@ -9,30 +9,34 @@
 //
 // Partial aggregates are mergeable (the ⊕ of Fig. 4): distributive
 // (COUNT, SUM, MIN, MAX), algebraic (AVG as sum+count) and holistic
-// (MEDIAN, COUNT DISTINCT) functions all expose Add, Merge, Result and a
-// deterministic wire encoding so that any TDS can continue any other TDS's
-// work on a partition.
+// (MEDIAN, COUNT DISTINCT) functions all expose Add, Result and a
+// deterministic wire encoding that any TDS can fold into its own state,
+// so that it can continue any other TDS's work on a partition.
 package sqlexec
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/storage"
 )
 
-// tableBinding places one FROM entry inside the combined row.
+// tableBinding is one FROM entry, scanned at its level of the nested loop.
 type tableBinding struct {
-	ref    sqlparse.TableRef
-	def    *storage.TableDef
-	offset int // first column position in the combined row
+	ref sqlparse.TableRef
+	def *storage.TableDef
 }
 
-// colBinding is a resolved column reference.
+// colBinding is a resolved column reference: the FROM level that binds it
+// and the column's position in that level's rows.
 type colBinding struct {
-	pos int // position in the combined row
+	level, col int
 }
+
+// read is the compiled form of the column while scanning.
+func (b colBinding) read(s *scope) (storage.Value, error) { return s.rows[b.level][b.col], nil }
 
 // AggSpec is one compiled aggregate function application.
 type AggSpec struct {
@@ -42,7 +46,6 @@ type AggSpec struct {
 	Distinct bool
 }
 
-// String renders the spec like the original SQL.
 func (s AggSpec) String() string {
 	inner := "*"
 	if !s.Star {
@@ -61,18 +64,22 @@ type Plan struct {
 	Schema *storage.Schema
 
 	tables []tableBinding
-	width  int // combined row width
-	// colPos holds every column reference of the statement, bound to its
-	// combined-row position by Compile; evaluation only looks it up.
-	colPos map[*sqlparse.ColumnRef]int
 
 	// Aggregate query artifacts (empty for plain SFW):
 	GroupCols []colBinding
 	Aggs      []AggSpec
-	aggIndex  map[*sqlparse.FuncCall]int
 
 	// Output column names, in SELECT order (Star expands).
 	OutputNames []string
+
+	// The compiled query. Every column is read at a position fixed by
+	// Compile: (FROM level, column) while scanning, a grouping value's or
+	// an aggregate's index after grouping.
+	where  evalFn     // nil without WHERE; tested once every FROM level's row is bound
+	out    []evalFn   // a scan's output row: the SELECT list, or a collection tuple
+	having evalFn     // true without HAVING
+	result []evalFn   // an aggregate query's SELECT list over one group
+	scans  chan *scan // idle scans, a core's worth: unlike a sync.Pool's, kept under -race too
 }
 
 // IsAggregate reports whether the plan needs the aggregation phase.
@@ -83,10 +90,13 @@ func (p *Plan) IsAggregate() bool { return p.Stmt.IsAggregate() }
 // aggregate.
 func (p *Plan) CollectionWidth() int { return len(p.GroupCols) + len(p.Aggs) }
 
-// Compile type-checks and binds a statement against the schema.
+// Compile type-checks and binds a statement against the schema, and
+// turns each of its expressions into an evalFn.
 func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
-	p := &Plan{Stmt: stmt, Schema: schema, aggIndex: make(map[*sqlparse.FuncCall]int),
-		colPos: make(map[*sqlparse.ColumnRef]int)}
+	if len(stmt.From) == 0 {
+		return nil, fmt.Errorf("sqlexec: no FROM table")
+	}
+	p := &Plan{Stmt: stmt, Schema: schema, scans: make(chan *scan, runtime.GOMAXPROCS(0))}
 	seenAlias := make(map[string]bool)
 	for _, ref := range stmt.From {
 		def, ok := schema.Table(ref.Name)
@@ -101,14 +111,15 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 			return nil, fmt.Errorf("sqlexec: duplicate table name/alias %q", key)
 		}
 		seenAlias[key] = true
-		p.tables = append(p.tables, tableBinding{ref: ref, def: def, offset: p.width})
-		p.width += len(def.Columns)
+		p.tables = append(p.tables, tableBinding{ref: ref, def: def})
 	}
 
-	// Resolve every column reference up front so execution cannot fail on
-	// binding.
-	if err := p.checkExprColumns(stmt.Where); err != nil {
-		return nil, fmt.Errorf("sqlexec: WHERE: %w", err)
+	// Every column is resolved here, so execution cannot fail on binding.
+	if stmt.Where != nil {
+		var err error
+		if p.where, err = (&compiler{p: p}).expr(stmt.Where); err != nil {
+			return nil, fmt.Errorf("sqlexec: WHERE: %w", err)
+		}
 	}
 	for _, g := range stmt.GroupBy {
 		b, err := p.resolve(g)
@@ -116,40 +127,60 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 			return nil, fmt.Errorf("sqlexec: GROUP BY: %w", err)
 		}
 		p.GroupCols = append(p.GroupCols, b)
+		p.out = append(p.out, b.read)
 	}
 
 	if stmt.IsAggregate() {
+		grouped := &compiler{p: p, aggs: make(map[*sqlparse.FuncCall]int)}
 		for _, call := range stmt.Aggregates() {
+			in := constant(storage.Int(1)) // COUNT(*) counts rows
 			if !call.Star {
-				if _, err := p.resolve(call.Arg); err != nil {
+				b, err := p.resolve(call.Arg)
+				if err != nil {
 					return nil, fmt.Errorf("sqlexec: %s: %w", call, err)
 				}
+				in = b.read
 			}
-			p.aggIndex[call] = len(p.Aggs)
+			grouped.aggs[call] = len(p.Aggs)
 			p.Aggs = append(p.Aggs, AggSpec{
 				Func: call.Func, Arg: call.Arg, Star: call.Star, Distinct: call.Distinct,
 			})
+			p.out = append(p.out, in)
 		}
 		// Non-aggregated SELECT/HAVING columns must be grouping columns.
 		for _, it := range stmt.Select {
 			if it.Star {
 				return nil, fmt.Errorf("sqlexec: SELECT * is invalid in an aggregate query")
 			}
-			if err := p.checkGroupedColumns(it.Expr); err != nil {
-				return nil, err
+			f, err := grouped.expr(it.Expr)
+			if err != nil {
+				return nil, fmt.Errorf("sqlexec: %w", err)
 			}
+			p.result = append(p.result, f)
 		}
-		if err := p.checkGroupedColumns(stmt.Having); err != nil {
-			return nil, err
+		p.having = constant(storage.Bool(true))
+		if stmt.Having != nil {
+			f, err := grouped.expr(stmt.Having)
+			if err != nil {
+				return nil, fmt.Errorf("sqlexec: %w", err)
+			}
+			p.having = f
 		}
 	} else {
 		for _, it := range stmt.Select {
 			if it.Star {
+				for level, tb := range p.tables {
+					for col := range tb.def.Columns {
+						p.out = append(p.out, colBinding{level, col}.read)
+					}
+				}
 				continue
 			}
-			if err := p.checkExprColumns(it.Expr); err != nil {
+			f, err := (&compiler{p: p}).expr(it.Expr)
+			if err != nil {
 				return nil, fmt.Errorf("sqlexec: SELECT: %w", err)
 			}
+			p.out = append(p.out, f)
 		}
 	}
 
@@ -167,11 +198,11 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 	return p, nil
 }
 
-// resolve binds a column reference to a combined-row position and records
-// the binding. It runs at compile time only.
+// resolve binds a column reference to its FROM level and column. It runs
+// at compile time only.
 func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
 	var found []colBinding
-	for _, tb := range p.tables {
+	for level, tb := range p.tables {
 		if ref.Table != "" &&
 			!strings.EqualFold(ref.Table, tb.ref.Alias) &&
 			!(tb.ref.Alias == "" && strings.EqualFold(ref.Table, tb.ref.Name)) &&
@@ -179,58 +210,15 @@ func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
 			continue
 		}
 		if i := tb.def.ColumnIndex(ref.Name); i >= 0 {
-			found = append(found, colBinding{pos: tb.offset + i})
+			found = append(found, colBinding{level, i})
 		}
 	}
 	switch len(found) {
 	case 0:
 		return colBinding{}, fmt.Errorf("unknown column %q", ref)
 	case 1:
-		p.colPos[ref] = found[0].pos
 		return found[0], nil
 	default:
 		return colBinding{}, fmt.Errorf("ambiguous column %q", ref)
 	}
-}
-
-// checkExprColumns resolves all column references inside e.
-func (p *Plan) checkExprColumns(e sqlparse.Expr) error {
-	var err error
-	sqlparse.Walk(e, func(n sqlparse.Expr) bool {
-		if c, ok := n.(*sqlparse.ColumnRef); ok && err == nil {
-			_, err = p.resolve(c)
-		}
-		return err == nil
-	})
-	return err
-}
-
-// checkGroupedColumns verifies that bare columns in an aggregate query's
-// SELECT/HAVING expression appear in GROUP BY (aggregate arguments are
-// exempt).
-func (p *Plan) checkGroupedColumns(e sqlparse.Expr) error {
-	var err error
-	sqlparse.Walk(e, func(n sqlparse.Expr) bool {
-		if err != nil {
-			return false
-		}
-		c, ok := n.(*sqlparse.ColumnRef)
-		if !ok {
-			_, agg := n.(*sqlparse.FuncCall)
-			return !agg // an aggregate's argument is aggregated
-		}
-		b, rerr := p.resolve(c)
-		if rerr != nil {
-			err = fmt.Errorf("sqlexec: %w", rerr)
-			return false
-		}
-		for _, g := range p.GroupCols {
-			if g.pos == b.pos {
-				return true
-			}
-		}
-		err = fmt.Errorf("sqlexec: column %q must appear in GROUP BY or inside an aggregate", c)
-		return false
-	})
-	return err
 }

@@ -14,11 +14,7 @@ func TestVarianceAndStddev(t *testing.T) {
 		oneHousehold(t, 1, "P", "x", 2, 4),
 		oneHousehold(t, 2, "P", "x", 4, 6),
 	}
-	p := compile(t, `SELECT VARIANCE(cons), STDDEV(cons), AVG(cons) FROM Power`)
-	res, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := standalone(t, `SELECT VARIANCE(cons), STDDEV(cons), AVG(cons) FROM Power`, dbs...)
 	// Population of {2,4,4,6}: mean 4, variance 2, stddev √2.
 	v, _ := res.Rows[0][0].AsFloat()
 	sd, _ := res.Rows[0][1].AsFloat()
@@ -32,23 +28,15 @@ func TestVarianceAndStddev(t *testing.T) {
 
 func TestVarianceEmptyAndSingle(t *testing.T) {
 	db := storage.NewLocalDB(testSchema())
-	p := compile(t, `SELECT VARIANCE(cons), STDDEV(cons) FROM Power`)
-	res, err := Standalone(p, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Rows[0][0].IsNull() || !res.Rows[0][1].IsNull() {
+	const q = `SELECT VARIANCE(cons), STDDEV(cons) FROM Power`
+	if res := standalone(t, q, db); !res.Rows[0][0].IsNull() || !res.Rows[0][1].IsNull() {
 		t.Errorf("empty input: %v", res.Rows[0])
 	}
 	// A single value has zero variance.
 	if err := db.Insert("Power", storage.Row{storage.Int(1), storage.Float(5), storage.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = Standalone(p, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := res.Rows[0][0].AsFloat(); v != 0 {
+	if v, _ := standalone(t, q, db).Rows[0][0].AsFloat(); v != 0 {
 		t.Errorf("single-value variance = %g", v)
 	}
 }
@@ -62,34 +50,29 @@ func TestVarianceParserAliases(t *testing.T) {
 	}
 }
 
+// A VARIANCE plan decodes a partial as VARIANCE states: one of another
+// shape fails. (A STDDEV partial is encoded as a VARIANCE one.)
 func TestVarianceMergeTypeGuard(t *testing.T) {
-	v := NewAggState(spec(sqlparse.AggVar, false, false))
-	sd := NewAggState(spec(sqlparse.AggStddev, false, false))
-	if err := v.Merge(sd); err == nil {
-		t.Error("VARIANCE merged a STDDEV state")
+	avg := NewAccumulator(compile(t, `SELECT AVG(cons) FROM Power`))
+	if err := avg.AddCollectionRow(storage.Row{storage.Float(2)}); err != nil {
+		t.Fatal(err)
 	}
+	if err := NewAccumulator(compile(t, `SELECT VARIANCE(cons) FROM Power`)).MergeEncoded(avg.Encode()); err == nil {
+		t.Error("VARIANCE merged an AVG partial")
+	}
+	v := newAggState(spec(sqlparse.AggVar, false, false))
 	if err := v.Add(storage.Str("x")); err == nil {
 		t.Error("VARIANCE over text accepted")
 	}
 }
 
 func TestVarianceEncodeRoundTrip(t *testing.T) {
-	sp := spec(sqlparse.AggVar, false, false)
-	s := NewAggState(sp)
-	feed(t, s, storage.Float(1), storage.Float(2), storage.Float(3), storage.Null())
-	enc := s.AppendEncode(nil)
-	dec, n, err := DecodeAggState(sp, enc)
-	if err != nil || n != len(enc) {
-		t.Fatalf("decode: %d/%d %v", n, len(enc), err)
-	}
-	a, _ := s.Result().AsFloat()
-	b, _ := dec.Result().AsFloat()
-	if math.Abs(a-b) > 1e-12 {
-		t.Errorf("round trip %g vs %g", a, b)
-	}
-	for cut := 0; cut < len(enc); cut++ {
-		if st, used, err := DecodeAggState(sp, enc[:cut]); err == nil && used > cut {
-			t.Errorf("cut %d over-consumed (%v)", cut, st)
+	for _, f := range []sqlparse.AggFunc{sqlparse.AggVar, sqlparse.AggStddev} {
+		s := newAggState(spec(f, false, false))
+		feed(t, s, storage.Float(1), storage.Float(2), storage.Float(3), storage.Null())
+		enc := s.AppendEncode(nil)
+		if dec, n, err := decode(spec(f, false, false), enc); err != nil || n != len(enc) || dec.Result() != s.Result() {
+			t.Errorf("%s: decoded %v (%d of %d bytes, %v), want %v", f, dec.Result(), n, len(enc), err, s.Result())
 		}
 	}
 }
@@ -98,7 +81,7 @@ func TestVarianceEncodeRoundTrip(t *testing.T) {
 func TestVarianceMergeEquivalence(t *testing.T) {
 	sp := spec(sqlparse.AggVar, false, false)
 	f := func(xs, ys []int16) bool {
-		a, b, whole := NewAggState(sp), NewAggState(sp), NewAggState(sp)
+		a, b, whole := newAggState(sp), newAggState(sp), newAggState(sp)
 		for _, x := range xs {
 			v := storage.Int(int64(x))
 			if a.Add(v) != nil || whole.Add(v) != nil {
@@ -111,7 +94,7 @@ func TestVarianceMergeEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		if a.Merge(b) != nil {
+		if merge(a, b) != nil {
 			return false
 		}
 		ra, rb := a.Result(), whole.Result()

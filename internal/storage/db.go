@@ -14,12 +14,12 @@ import (
 type LocalDB struct {
 	mu     sync.RWMutex
 	schema *Schema
-	rows   map[string][]Row
+	tables [][]Row // by schema ordinal; nil for a table never written
 }
 
 // NewLocalDB returns an empty database conforming to schema.
 func NewLocalDB(schema *Schema) *LocalDB {
-	return &LocalDB{schema: schema, rows: make(map[string][]Row)}
+	return &LocalDB{schema: schema, tables: make([][]Row, len(schema.defs))}
 }
 
 // Schema returns the common schema of the database.
@@ -36,7 +36,10 @@ func (db *LocalDB) Insert(table string, row Row) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.rows[lower(def.Name)] = append(db.rows[lower(def.Name)], row.Clone())
+	for len(db.tables) <= def.ord { // a table added to the schema since
+		db.tables = append(db.tables, nil)
+	}
+	db.tables[def.ord] = append(db.tables[def.ord], row.Clone())
 	return nil
 }
 
@@ -61,17 +64,29 @@ func (db *LocalDB) Rows(table string) ([]Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown table %q", table)
 	}
+	return db.TableRows(def)
+}
+
+// TableRows is Rows for a table definition. One of this database's own
+// schema is found by its ordinal, with no name folded or looked up; one
+// of another schema is looked up by its name.
+func (db *LocalDB) TableRows(def *TableDef) ([]Row, error) {
+	if def.ord >= len(db.schema.defs) || db.schema.defs[def.ord] != def {
+		return db.Rows(def.Name)
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	rows := db.rows[lower(def.Name)]
+	if def.ord >= len(db.tables) {
+		return nil, nil
+	}
+	rows := db.tables[def.ord]
 	return rows[:len(rows):len(rows)], nil
 }
 
 // Count returns the number of tuples in the table (0 for unknown tables).
 func (db *LocalDB) Count(table string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.rows[lower(table)])
+	rows, _ := db.Rows(table)
+	return len(rows)
 }
 
 func lower(s string) string {

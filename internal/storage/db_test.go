@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -73,24 +74,18 @@ func TestColumnIndex(t *testing.T) {
 func TestInsertAndScan(t *testing.T) {
 	db := NewLocalDB(powerSchema())
 	for i := 0; i < 5; i++ {
-		err := db.Insert("Power", Row{Int(int64(i)), Float(float64(i) * 1.5), Int(1)})
-		if err != nil {
+		if err := db.Insert("Power", Row{Int(int64(i)), Float(float64(i) * 1.5), Int(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if db.Count("Power") != 5 {
-		t.Fatalf("count = %d", db.Count("Power"))
-	}
 	var sum float64
-	if err := db.Scan("Power", func(r Row) bool {
+	err := db.Scan("Power", func(r Row) bool {
 		f, _ := r[1].AsFloat()
 		sum += f
 		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 15 {
-		t.Errorf("sum = %g, want 15", sum)
+	})
+	if err != nil || sum != 15 || db.Count("Power") != 5 {
+		t.Errorf("sum = %g, count %d; want 15 and 5 (%v)", sum, db.Count("Power"), err)
 	}
 }
 
@@ -102,11 +97,8 @@ func TestScanEarlyStop(t *testing.T) {
 		}
 	}
 	n := 0
-	if err := db.Scan("Power", func(Row) bool { n++; return n < 3 }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("scan visited %d rows, want 3", n)
+	if err := db.Scan("Power", func(Row) bool { n++; return n < 3 }); err != nil || n != 3 {
+		t.Errorf("scan visited %d rows, want 3 (%v)", n, err)
 	}
 }
 
@@ -164,6 +156,20 @@ func TestRowsIsSnapshot(t *testing.T) {
 	}
 	if _, err := db.Rows("nope"); err == nil {
 		t.Error("unknown table must fail")
+	}
+}
+
+// Count and Rows resolve a name through the same lookup, the Unicode fold
+// included, and so does a packed database's table.
+func TestCountAgreesWithRows(t *testing.T) {
+	db := NewLocalDB(MustSchema(TableDef{Name: "Énergie", Columns: []Column{{Name: "kwh", Kind: KindInt}}}))
+	err := db.Insert("Énergie", Row{Int(1)})
+	unpacked, unpackErr := UnpackDB(db.Schema(), PackDB(db))
+	err = errors.Join(err, unpackErr)
+	for _, d := range []*LocalDB{db, unpacked} {
+		if rows, _ := d.Rows("énergie"); err != nil || len(rows) != 1 || d.Count("énergie") != 1 || d.Count("nope") != 0 {
+			t.Errorf("Rows %d, Count %d; want 1 and 1 (%v)", len(rows), d.Count("énergie"), err)
+		}
 	}
 }
 

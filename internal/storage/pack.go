@@ -19,16 +19,18 @@ import (
 func PackDB(db *LocalDB) []byte {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.rows))
-	for name := range db.rows {
-		names = append(names, name)
+	var defs []*TableDef // of the tables written to, by name
+	for ord, rows := range db.tables {
+		if rows != nil {
+			defs = append(defs, db.schema.defs[ord])
+		}
 	}
-	sort.Strings(names)
-	out := binary.AppendUvarint(nil, uint64(len(names)))
-	for _, name := range names {
+	sort.Slice(defs, func(i, j int) bool { return lower(defs[i].Name) < lower(defs[j].Name) })
+	out := binary.AppendUvarint(nil, uint64(len(defs)))
+	for _, def := range defs {
+		name, rows := lower(def.Name), db.tables[def.ord]
 		out = binary.AppendUvarint(out, uint64(len(name)))
 		out = append(out, name...)
-		rows := db.rows[name]
 		out = binary.AppendUvarint(out, uint64(len(rows)))
 		for _, r := range rows {
 			out = AppendRow(out, r)
@@ -57,6 +59,10 @@ func UnpackDB(schema *Schema, blob []byte) (*LocalDB, error) {
 		off += n
 		name := string(blob[off : off+int(l)])
 		off += int(l)
+		def, ok := schema.Table(name)
+		if !ok {
+			return nil, fmt.Errorf("storage: packed table %q is not in the schema", name)
+		}
 		nRows, n := binary.Uvarint(blob[off:])
 		if n <= 0 || nRows > uint64(len(blob)) {
 			return nil, fmt.Errorf("storage: bad packed row count for %q", name)
@@ -71,7 +77,7 @@ func UnpackDB(schema *Schema, blob []byte) (*LocalDB, error) {
 			rows = append(rows, r)
 			off += c
 		}
-		db.rows[name] = rows
+		db.tables[def.ord] = rows
 	}
 	if off != len(blob) {
 		return nil, fmt.Errorf("storage: %d trailing bytes after packed db", len(blob)-off)

@@ -15,6 +15,7 @@ type Column struct {
 type TableDef struct {
 	Name    string
 	Columns []Column
+	ord     int // position in its schema's definition order
 }
 
 // ColumnIndex returns the position of the named column (case-insensitive),
@@ -33,6 +34,7 @@ func (t *TableDef) ColumnIndex(name string) int {
 // TDS (Section 2.1 of the paper).
 type Schema struct {
 	tables map[string]*TableDef
+	defs   []*TableDef // by ordinal: a LocalDB holds its tables in this order
 }
 
 // NewSchema returns an empty schema.
@@ -63,7 +65,9 @@ func (s *Schema) AddTable(def TableDef) error {
 	}
 	cp := def
 	cp.Columns = append([]Column(nil), def.Columns...)
+	cp.ord = len(s.defs)
 	s.tables[key] = &cp
+	s.defs = append(s.defs, &cp)
 	return nil
 }
 

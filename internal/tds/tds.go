@@ -415,7 +415,8 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 	authorized := granted && !cfg.Now.After(post.Credential.Expiry) // this device's own clock
 	stats.Denied = !authorized
 
-	sc := collectScratch{m: m, arena: cfg.Arena}
+	// The payload scratch is sized once, with room for a row of short texts.
+	sc := collectScratch{m: m, arena: cfg.Arena, payload: make([]byte, 0, 2*t.sampleBodySize(plan))}
 	noise := post.Kind == protocol.KindRnfNoise || post.Kind == protocol.KindCNoise
 	switch {
 	case noise && len(cfg.Domain) == 0:

@@ -173,13 +173,15 @@ func (f *FoldStream) AddUint64(v uint64) {
 // Sum finishes the stream and returns the commitment, equal to
 // Fold(domain, children...) or Commit(domain, segments...) over what was
 // Added, in order.
-func (f *FoldStream) Sum() []byte {
+func (f *FoldStream) Sum() []byte { return f.SumTo(new([CommitSize]byte)) }
+
+// SumTo is Sum into the caller's array, which may live on its stack.
+func (f *FoldStream) SumTo(dst *[CommitSize]byte) []byte {
 	st := f.st
 	st.flush()
-	out := make([]byte, CommitSize)
-	copy(out, st.mac.Sum(st.buf[:0])) // the flushed buffer is free: no escaping local
+	copy(dst[:], st.mac.Sum(st.buf[:0])) // the flushed buffer is free: no escaping local
 	f.Discard()
-	return out
+	return dst[:]
 }
 
 // Discard abandons the stream without producing a commitment, recycling

@@ -46,9 +46,9 @@ repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*.go' -not -name '*_test.go' -print | xargs cat | wc -l)
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 5144); repo outside bench/: $repo (ceiling 15584);" \
-    "tests outside bench/: $tests (ceiling 15334)"
-if [ "$core_ssi" -gt 5144 ] || [ "$repo" -gt 15584 ] || [ "$tests" -gt 15334 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 5144); repo outside bench/: $repo (ceiling 15550);" \
+    "tests outside bench/: $tests (ceiling 15333)"
+if [ "$core_ssi" -gt 5144 ] || [ "$repo" -gt 15550 ] || [ "$tests" -gt 15333 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
@@ -84,7 +84,7 @@ fi
 echo "==> reach (programs, not tests)"
 reach=$(scripts/reach.sh)
 echo "$reach"
-for floor in internal/sqlexec=75.0 internal/sqlparse=58.5 internal/storage=52.5 internal/obs=58.5 internal/core=79.0; do
+for floor in internal/sqlexec=76.2 internal/sqlparse=58.5 internal/storage=52.5 internal/obs=58.5 internal/core=79.0; do
     pkg=${floor%=*}
     min=${floor#*=}
     got=$(echo "$reach" | awk -v pkg="$pkg" '$1 == "reach" && $2 == pkg { print $3 }')
