@@ -13,6 +13,7 @@ import (
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/tds"
 )
 
@@ -42,6 +43,36 @@ var churnScenarios = []struct {
 	{protocol.KindRnfNoise, flagshipSQL, protocol.Params{PartitionTuples: 4}},
 	{protocol.KindCNoise, flagshipSQL, protocol.Params{PartitionTuples: 4}},
 	{protocol.KindEDHist, flagshipSQL, protocol.Params{PartitionTuples: 4}},
+}
+
+// TestChurnDecoratedSSIRecord: an injected SSI needs nothing outside
+// ssi.Service for its runs to be fully recorded. For every protocol, a
+// churned run behind a struct{ ssi.Service } decorator mirrors each ledger
+// entry in its journal and returns the journal and trace bytes of the same
+// run on the default SSI.
+func TestChurnDecoratedSSIRecord(t *testing.T) {
+	for _, sc := range churnScenarios {
+		t.Run(sc.kind.String(), func(t *testing.T) {
+			var want [2][]byte
+			for i, svc := range []ssi.Service{nil, struct{ ssi.Service }{ssi.NewSharded(0)}} {
+				f := newFixture(t, 40, func(c *Config) { c.SSI = svc })
+				resp, err := f.eng.Execute(context.Background(), Request{Querier: f.q, SQL: sc.sql,
+					Kind: sc.kind, Params: sc.params, QueryID: "decorated", Faults: churnPlan()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := resp.Journal.Counts()[obs.JournalLedger]; n == 0 || n != len(resp.Metrics.Ledger) {
+					t.Errorf("SSI %T: %d ledger records in the journal, %d entries on the ledger",
+						svc, n, len(resp.Metrics.Ledger))
+				}
+				got := [2][]byte{resp.Journal.Bytes(), traceJSONL(t, resp.Trace)}
+				if i > 0 && (!bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1])) {
+					t.Error("the decorated SSI's run is not recorded as the default SSI's")
+				}
+				want = got
+			}
+		})
+	}
 }
 
 // TestPhaseErrorDeterminism: a phase in which every assignment fails

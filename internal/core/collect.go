@@ -227,7 +227,7 @@ func (e *Engine) recordRejected(rs *runState, d collectDevice, now time.Time, er
 	case errors.Is(err, ssi.ErrRevokedDeposit):
 		kind = "deposit-revoked"
 	}
-	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+	e.record(rs, ssi.LedgerEntry{
 		Kind: kind, Phase: "collection", Device: d.id, Attempt: attempt, At: now,
 	})
 }
@@ -239,7 +239,7 @@ func (e *Engine) recordRejected(rs *runState, d collectDevice, now time.Time, er
 // one backoff-billed retry after the walk, by which time the rollout may
 // have reached it. The ledger entry makes the degradation auditable.
 func (e *Engine) recordStaleDevice(rs *runState, d collectDevice, now time.Time) {
-	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+	e.record(rs, ssi.LedgerEntry{
 		Kind: "deposit-stale", Phase: "collection", Device: d.id, Attempt: 1, At: now,
 	})
 	rs.staleQ = append(rs.staleQ, d)
@@ -250,7 +250,7 @@ func (e *Engine) recordStaleDevice(rs *runState, d collectDevice, now time.Time)
 // a timeout and a wait that settle reads off the ledger entry.
 func (e *Engine) recordDropped(rs *runState, d collectDevice, now time.Time) {
 	rs.metrics.DroppedDeposits++
-	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+	e.record(rs, ssi.LedgerEntry{
 		Kind: "deposit-timeout", Phase: "collection", Device: d.id,
 		Attempt: 1, Wait: rs.faults.DepositWait(), At: now,
 	})
@@ -616,7 +616,7 @@ func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time,
 		}
 		// The device is booked by how this connection ends, not by the
 		// provisional deposit-stale mark it queued with: the ledger says so.
-		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+		w.e.record(rs, ssi.LedgerEntry{
 			Kind: "deposit-retry", Phase: "collection", Device: queue[i].id,
 			Attempt: 2, Wait: billed, At: now,
 		})

@@ -308,7 +308,8 @@ const benchAggSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 func newDevice(tb testing.TB, readings int) (*Engine, *tds.TDS, *protocol.QueryPost) {
 	eng, q := newBenchEngine(tb, 1, 1)
 	t := eng.fleet[0]
-	consumer, _ := t.DB.Rows("Consumer")
+	def, _ := t.DB.Schema().Table("Consumer")
+	consumer := t.DB.TableRows(def)
 	t.DB = storage.NewLocalDB(t.DB.Schema())
 	must(t.DB.Insert("Consumer", consumer[0]))
 	for p := 0; p < readings; p++ {

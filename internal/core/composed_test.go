@@ -353,8 +353,8 @@ func (c *composition) runCell(t *testing.T, cl cell, twin *observed) *observed {
 	t.Helper()
 	f := newFixture(t, c.fleet, func(cfg *Config) {
 		cfg.CollectWorkers, cfg.PackedFleet = cl.workers, cl.packed
-		if cl.stripe1 {
-			cfg.SSI = ssi.NewSharded(1)
+		if cl.stripe1 { // behind a decorator, like every SSI a test injects
+			cfg.SSI = struct{ ssi.Service }{ssi.NewSharded(1)}
 		}
 		cfg.AvailableFraction, cfg.ConnectionInterval = c.available, c.interval
 		cfg.CompromisedFraction, cfg.AuditReplicas = c.compromised, c.replicas
@@ -551,11 +551,10 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 		assertRegistryHas(t, f.eng, fmt.Sprintf(`tcq_integrity_events_total{kind="quarantine"} %d`, q))
 	}
 
-	// 6. The journal passes the schema check, and no stream is left open.
+	// 6. The journal passes the schema check.
 	if err := obs.CheckJournal(bytes.NewReader(o.journal)); err != nil {
 		t.Errorf("%+v: journal fails the schema check: %v", cl, err)
 	}
-	assertRegistryHas(t, f.eng, `tcq_journal_open_streams 0`)
 }
 
 // strikes says whether an SSI script finds its opportunity in a run whose

@@ -17,7 +17,6 @@ import (
 
 	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/netsim"
-	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
@@ -72,7 +71,9 @@ type Config struct {
 	// stripe count (ssi.NewSharded(0)), whose per-query state stripes over
 	// independent lock domains so concurrent queries never serialize on
 	// one mutex. Tests and the benchmark inject instrumented decorators;
-	// the engine only ever talks through the ssi.Service interface.
+	// the engine only ever talks through the ssi.Service interface, and
+	// writes every run's trace and journal itself, so an injected SSI
+	// carries nothing outside that interface.
 	SSI ssi.Service
 	// PackedFleet provisions the fleet in the packed representation:
 	// ProvisionFleet serializes each device's database into one shared
@@ -158,18 +159,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	auth := accessctl.NewAuthority(cfg.AuthorityKey)
 	keyAuth := tdscrypto.NewKeyAuthority(cfg.MasterKey)
-	eo := newEngineObs()
 	svc := cfg.SSI
 	if svc == nil {
 		svc = ssi.NewSharded(0)
-	}
-	// The SSI mirrors ledger events into the trace and the structured
-	// journal when it knows how.
-	if tw, ok := svc.(interface{ WithTracer(*obs.Tracer) }); ok {
-		tw.WithTracer(eo.tracer)
-	}
-	if jw, ok := svc.(interface{ WithJournal(*obs.Journal) }); ok {
-		jw.WithJournal(eo.journal)
 	}
 	ring := keyAuth.Ring()
 	return &Engine{
@@ -181,7 +173,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		keys:      ring,
 		cal:       cfg.Calibration,
 		planCache: tds.NewPlanCache(),
-		obs:       eo,
+		obs:       newEngineObs(),
 		verifier:  tdscrypto.NewCommitter(ring.K2),
 		discovery: make(map[string]*discovered),
 	}, nil

@@ -119,10 +119,10 @@ func (rs *runState) recordDepositCommit(device string, r *collectResult, accepte
 
 // integrityViolation accounts one failed check and returns the typed
 // detection error. The ledger entry makes the detection visible in
-// Metrics.Ledger and, through the SSI's trace mirror, in Response.Trace.
+// Metrics.Ledger and, through the engine's mirror, in Response.Trace.
 func (e *Engine) integrityViolation(rs *runState, kind, phase string) *ErrSSIMisbehavior {
 	rs.metrics.IntegrityViolations++
-	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+	e.record(rs, ssi.LedgerEntry{
 		Kind: "integrity-violation", Phase: phase, At: rs.clock.Now(),
 	})
 	return &ErrSSIMisbehavior{Kind: kind, Phase: phase}
@@ -255,14 +255,14 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 	}
 	verr := e.integrityViolation(rs, "partition-multiset", phase)
 	rs.metrics.IntegrityQuarantines++
-	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+	e.record(rs, ssi.LedgerEntry{
 		Kind: "integrity-quarantine", Phase: phase, At: rs.clock.Now(),
 	})
 	retry, pos := rs.ssi.Repartition(rs.post.ID)
 	rs.metrics.IntegrityChecks++
 	if retry != nil && rs.foldBuild(phase, covering, input, retry, pos) {
 		rs.metrics.IntegrityRecovered++
-		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+		e.record(rs, ssi.LedgerEntry{
 			Kind: "integrity-recovered", Phase: phase, At: rs.clock.Now(),
 		})
 		return retry, nil

@@ -15,34 +15,6 @@ import (
 	"github.com/trustedcells/tcq/internal/querier"
 )
 
-// TestJournalServerPrologue: a query routed through the Server carries
-// the scheduler's admission and dispatch events ahead of the engine's
-// own stream, and the whole journal still passes the schema check.
-func TestJournalServerPrologue(t *testing.T) {
-	f := newFixture(t, 8, nil)
-	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 1, QueueDepth: 1})
-	defer srv.Close()
-	resp, err := srv.Submit(context.Background(), Request{
-		Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "prologue",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := resp.Journal.Bytes()
-	if err := obs.CheckJournal(bytes.NewReader(b)); err != nil {
-		t.Fatalf("server journal fails schema check: %v\n%s", err, b)
-	}
-	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) < 3 ||
-		!strings.Contains(lines[0], `"kind":"admission"`) ||
-		!strings.Contains(lines[1], `"kind":"dispatch"`) {
-		t.Fatalf("journal does not open with admission+dispatch:\n%s", b)
-	}
-	if !strings.Contains(lines[0], `"detail":"edf"`) {
-		t.Errorf("admission event does not carry the querier: %s", lines[0])
-	}
-}
-
 // abortJournal asserts the shape every failed run must leave behind: a
 // schema-valid journal whose terminal event is an abort with the given
 // reason.
@@ -62,45 +34,51 @@ func assertAbortJournal(t *testing.T, resp *Response, reason string) {
 	}
 }
 
-// TestServerQueuedCancelJournalNoLeak is the withdrawn-query lifecycle
-// gate: a request cancelled while still queued must not leave an open
-// journal stream behind, and Close must settle whatever remains.
+// TestServerQueuedCancelJournalNoLeak: a request withdrawn while queued
+// leaves no journal stream behind and frees its QueryID, so the same
+// pinned query submitted again is queued, runs, and returns the journal
+// of its direct run.
 func TestServerQueuedCancelJournalNoLeak(t *testing.T) {
 	gate := newGatedSSI()
 	f := newFixture(t, 8, func(c *Config) { c.SSI = gate })
-	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 1, QueueDepth: 4})
+	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 1})
+	defer srv.Close()
+	defer gate.release()
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.Submit(context.Background(), Request{
-			Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "blocker",
-		})
-	}()
+	blocker := submitAsync(context.Background(), srv, Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg})
 	waitStats(t, srv, 1, 0)
-
+	req := Request{Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "withdrawn"}
 	ctx, cancel := context.WithCancel(context.Background())
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := srv.Submit(ctx, Request{
-			Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "withdrawn",
-		})
-		if !errors.Is(err, ErrQueryTimeout) {
-			t.Errorf("withdrawn query: err = %v, want ErrQueryTimeout", err)
-		}
-	}()
+	withdrawn := submitAsync(ctx, srv, req)
 	waitStats(t, srv, 1, 1)
-	cancel() // withdraw while queued: the journal stream must be discarded
-
-	gate.release()
-	wg.Wait()
-	srv.Close()
-	if n := f.eng.obs.journal.OpenStreams(); n != 0 {
-		t.Errorf("open journal streams after Close = %d, want 0", n)
+	cancel()
+	if err := <-withdrawn; !errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("withdrawn query: err = %v, want ErrQueryTimeout", err)
 	}
-	assertRegistryHas(t, f.eng, `tcq_journal_open_streams 0`)
+	if f.eng.obs.journal.Take("withdrawn") != nil {
+		t.Error("a request withdrawn from the queue left a journal stream")
+	}
+
+	again := make(chan *Response, 1)
+	go func() {
+		resp, err := srv.Submit(context.Background(), req)
+		if err != nil {
+			t.Errorf("resubmitted query: %v", err)
+		}
+		again <- resp
+	}()
+	waitStats(t, srv, 1, 1) // queued, not rejected as a duplicate
+	gate.release()
+	if err := <-blocker; err != nil {
+		t.Errorf("in-flight request failed: %v", err)
+	}
+	resp := <-again
+	direct := newFixture(t, 8, nil)
+	want, err := direct.eng.Execute(context.Background(), Request{
+		Querier: direct.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "withdrawn"})
+	if err != nil || resp == nil || !bytes.Equal(resp.Journal.Bytes(), want.Journal.Bytes()) {
+		t.Fatalf("the resubmitted run's journal is not the direct run's (%v)", err)
+	}
 }
 
 // TestMixedTenantRegistryAndJournal drives two tenants through one
@@ -154,7 +132,6 @@ func TestMixedTenantRegistryAndJournal(t *testing.T) {
 		`tcq_server_completed_total{outcome="ok",querier="engie"} 3`,
 		`tcq_server_query_seconds_count{querier="edf"} 3`,
 		`tcq_server_query_seconds_count{querier="engie"} 3`,
-		`tcq_journal_open_streams 0`,
 	} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("registry missing %q", want)

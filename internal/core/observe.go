@@ -44,12 +44,9 @@ type engineObs struct {
 
 func newEngineObs() *engineObs {
 	reg := obs.NewRegistry()
-	journal := obs.NewJournal()
-	journal.SetOpenGauge(reg.Gauge("tcq_journal_open_streams",
-		"journal streams begun but not yet taken or discarded"))
 	return &engineObs{
 		tracer:  obs.NewTracer(),
-		journal: journal,
+		journal: obs.NewJournal(),
 		reg:     reg,
 		queries: reg.CounterVec("tcq_queries_total",
 			"queries executed, by protocol", "protocol"),
@@ -156,6 +153,31 @@ func (e *Engine) endPhaseScope(rs *runState, name string, party obs.Party, facts
 	e.obs.journal.Emit(rs.post.ID, obs.JournalEvent{
 		Kind: obs.JournalPhaseEnd, Phase: name, Party: party,
 		At: rs.clock.Now(), Facts: facts,
+	})
+}
+
+// record appends le to the query's ledger at the SSI and mirrors it, at
+// the same point in the run, as an SSI-party trace event and a ledger
+// journal record with the same fields. Every ledger entry of a run passes
+// through here, so the engine alone writes a query's record.
+func (e *Engine) record(rs *runState, le ssi.LedgerEntry) {
+	id := rs.post.ID
+	rs.ssi.Record(id, le)
+	facts := obs.CipherFacts{Attempt: le.Attempt, Wait: le.Wait}
+	e.obs.tracer.SSIEvent(id, le.Kind, le.Device, le.At, facts)
+	e.obs.journal.Emit(id, obs.JournalEvent{
+		Kind: obs.JournalLedger, Phase: le.Phase, Party: obs.PartySSI,
+		Device: le.Device, Detail: le.Kind, At: le.At, Facts: facts,
+	})
+}
+
+// relay shows the SSI the tuples it relays between two phases and traces
+// their ciphertext volume as an SSI-party event.
+func (e *Engine) relay(rs *runState, tuples []protocol.WireTuple) {
+	now := rs.clock.Now()
+	rs.ssi.ObserveRelay(rs.post.ID, tuples, now)
+	e.obs.tracer.SSIEvent(rs.post.ID, "relay", "", now, obs.CipherFacts{
+		Tuples: len(tuples), Bytes: int64(protocol.TotalSize(tuples)),
 	})
 }
 
@@ -267,7 +289,7 @@ func (e *Engine) finishRun(rs *runState, root *obs.Span, res *sqlexec.Result, er
 	if err != nil {
 		end.Kind, end.Detail = obs.JournalAbort, abortReason(err)
 		e.obs.queriesFailed.With(end.Detail).Inc()
-		rs.ssi.Record(id, ssi.LedgerEntry{Kind: "query-abort", Phase: end.Detail, At: rs.clock.Now()})
+		e.record(rs, ssi.LedgerEntry{Kind: "query-abort", Phase: end.Detail, At: rs.clock.Now()})
 	}
 	rs.settle(e.obs)
 	var conf *ConformanceReport

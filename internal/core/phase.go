@@ -215,12 +215,12 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			wait := faults.RetryWait(t.attempt)
 			at := phaseStart.Add(stats.Wait) // instant the SSI starts waiting this one out
 			stats.Wait += wait
-			rs.ssi.Record(post.ID, ssi.LedgerEntry{
+			e.record(rs, ssi.LedgerEntry{
 				Kind: "reassign", Phase: phase, Device: ws[0].ID,
 				Attempt: t.attempt, Wait: wait, At: at,
 			})
 			if max := faults.MaxAttempts; max > 0 && t.attempt >= max {
-				rs.ssi.Record(post.ID, ssi.LedgerEntry{
+				e.record(rs, ssi.LedgerEntry{
 					Kind: "partition-abandoned", Phase: phase,
 					Device: ws[0].ID, Attempt: t.attempt,
 					At: phaseStart.Add(stats.Wait),

@@ -267,7 +267,7 @@ func (e *Engine) scriptedRotation(rs *runState, now time.Time) error {
 			return err
 		}
 		rs.rotStarted = rs.commits
-		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+		e.record(rs, ssi.LedgerEntry{
 			Kind: "rotation-begin", Phase: "collection", At: now,
 		})
 		if sc.WaveEvery <= 0 {
@@ -297,7 +297,7 @@ func (e *Engine) scriptedWaves(rs *runState, sc *faultplan.RotationScript, now t
 		if err != nil {
 			return err
 		}
-		rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
+		e.record(rs, ssi.LedgerEntry{
 			Kind: "rotation-wave", Phase: "collection", At: now,
 		})
 		if done {

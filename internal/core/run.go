@@ -103,9 +103,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	root := tr.StartQuery(post.ID, "execute", rs.clock.Now())
 	root.SetAttr("protocol", req.Kind.String())
 	defer tr.Discard(post.ID) // no-op when the trace was taken
-	// The journal stream may predate this run: a Server begins it at
-	// admission so the scheduler's events lead the stream. Begin is
-	// idempotent-keep, so both entry paths share one canonical stream.
 	jr.Begin(post.ID)
 	jr.Emit(post.ID, obs.JournalEvent{
 		Kind: obs.JournalQueryStart, Party: obs.PartyEngine,
@@ -293,7 +290,7 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 		}
 		e.notePhase(rs, name, stepUnits, ps)
 		next := collectOutputs(stepUnits)
-		rs.ssi.ObserveRelay(post.ID, next, rs.clock.Now())
+		e.relay(rs, next)
 		if len(next) > 0 {
 			// The round's achieved reduction factor — the protocol's
 			// effective alpha, histogrammed across rounds and runs.
@@ -344,7 +341,7 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	}
 	e.notePhase(rs, "aggregate-1", step1, ps)
 	partials := collectOutputs(step1)
-	rs.ssi.ObserveRelay(post.ID, partials, rs.clock.Now())
+	e.relay(rs, partials)
 
 	// Second aggregation step: per-group partitions (each tag is now
 	// Det_Enc of one exact group) merged to completion.
@@ -363,7 +360,7 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	}
 	e.notePhase(rs, "aggregate-2", step2, ps)
 	finals := collectOutputs(step2)
-	rs.ssi.ObserveRelay(post.ID, finals, rs.clock.Now())
+	e.relay(rs, finals)
 
 	return e.filterFinal(ctx, rs, stmt, finals)
 }

@@ -30,10 +30,13 @@ import (
 //     fleet's devices are materialized per query, never shared.
 //
 // Determinism survives multi-tenancy: a Request that pins its QueryID
-// produces bit-identical rows, metrics, ledgers and traces no matter
-// what else is in flight, because every RNG on its path is seeded from
-// (engine seed, device ID, query ID) and its SSI state is keyed by its
-// own ID. The scheduler changes who waits, never what anyone computes.
+// produces bit-identical rows, metrics, ledgers, traces and journals no
+// matter what else is in flight, because every RNG on its path is seeded
+// from (engine seed, device ID, query ID) and its SSI state is keyed by
+// its own ID. The scheduler changes who waits, never what anyone
+// computes, and writes nothing into a query's record: a submitted query
+// returns the bytes Engine.Execute returns for it. Its own account is the
+// registry's tcq_server_* series.
 var (
 	// ErrServerClosed rejects submissions to a closed server.
 	ErrServerClosed = errors.New("core: server closed")
@@ -65,11 +68,8 @@ type Server struct {
 	queues   map[string][]*pending // waiting requests, by querier ID
 	order    []string              // round-robin ring of querier IDs, arrival order
 	next     int                   // ring position the next scan starts at
+	ids      map[string]bool       // query IDs queued or in flight
 	wg       sync.WaitGroup
-
-	admitted  int64
-	rejected  int64
-	completed int64
 
 	gInflight  *obs.Gauge
 	gQueued    *obs.Gauge
@@ -106,6 +106,7 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 		eng:    eng,
 		cfg:    cfg,
 		queues: make(map[string][]*pending),
+		ids:    make(map[string]bool),
 		gInflight: reg.Gauge("tcq_server_inflight",
 			"queries currently executing"),
 		gQueued: reg.Gauge("tcq_server_queued",
@@ -127,10 +128,6 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	}
 }
 
-// journal is the engine's structured query journal; the scheduler begins
-// each stream at admission so its events lead the engine's.
-func (s *Server) journal() *obs.Journal { return s.eng.obs.journal }
-
 // Submit runs one request through the scheduler and blocks until it
 // completes or is rejected. Rejections are immediate: ErrServerClosed,
 // ErrServerBusy (queue full), or an error naming a QueryID that is still
@@ -144,8 +141,8 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	if req.Querier == nil {
 		return nil, fmt.Errorf("core: Request.Querier is required")
 	}
-	// The journal stream is keyed by query ID and begins at admission, so
-	// an unpinned request gets its ID here rather than inside the engine.
+	// An unpinned request gets its ID here, so admission can refuse a
+	// second request under an ID still queued or in flight.
 	if req.QueryID == "" {
 		req.QueryID = s.eng.nextQueryID()
 	}
@@ -167,21 +164,15 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d requests queued", ErrServerBusy, s.queued)
 	}
-	// An open stream under this ID belongs to a run still queued or in
-	// flight: admitting a second one would write into, and on its failed
-	// post discard, that run's journal.
-	if !s.journal().Begin(req.QueryID) {
+	if s.ids[req.QueryID] {
 		s.rejectLocked("duplicate", who)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: query %s is already queued or in flight", req.QueryID)
 	}
+	s.ids[req.QueryID] = true
 	s.queues[who] = append(s.queues[who], p)
 	s.queued++
 	s.gQueued.Set(float64(s.queued))
-	s.journal().Emit(req.QueryID, obs.JournalEvent{
-		Kind: obs.JournalAdmission, Party: obs.PartyEngine,
-		Detail: who, At: obs.SimOrigin(),
-	})
 	s.dispatchLocked()
 	s.mu.Unlock()
 
@@ -211,9 +202,7 @@ func (s *Server) Close() {
 		s.closed = true
 		for _, id := range s.order {
 			for _, p := range s.queues[id] {
-				// The stream begun at admission never reached the engine;
-				// drop it so no open stream outlives the server.
-				s.journal().Discard(p.req.QueryID)
+				delete(s.ids, p.req.QueryID)
 				p.err = ErrServerClosed
 				close(p.done)
 			}
@@ -226,37 +215,12 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// ServerStats is a point-in-time snapshot of the scheduler.
-type ServerStats struct {
-	InFlight  int   // queries currently executing
-	Queued    int   // requests waiting for admission
-	Admitted  int64 // cumulative admissions
-	Rejected  int64 // cumulative rejections (busy, duplicate, closed)
-	Completed int64 // cumulative finished queries
-}
-
-// Stats snapshots the scheduler counters.
-func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return ServerStats{
-		InFlight:  s.inflight,
-		Queued:    s.queued,
-		Admitted:  s.admitted,
-		Rejected:  s.rejected,
-		Completed: s.completed,
-	}
-}
-
 // rejectLocked records one admission rejection.
 func (s *Server) rejectLocked(reason, querier string) {
-	s.rejected++
 	s.cRejected.With(reason, querier).Inc()
 }
 
-// withdrawLocked removes a still-queued request whose context expired,
-// discarding the journal stream admission opened for it: a withdrawn
-// request must leak neither a started span nor an open stream.
+// withdrawLocked removes a still-queued request whose context expired.
 func (s *Server) withdrawLocked(p *pending) {
 	who := p.req.Querier.ID
 	for i, q := range s.queues[who] {
@@ -264,7 +228,7 @@ func (s *Server) withdrawLocked(p *pending) {
 			s.queues[who] = append(s.queues[who][:i], s.queues[who][i+1:]...)
 			s.queued--
 			s.gQueued.Set(float64(s.queued))
-			s.journal().Discard(p.req.QueryID)
+			delete(s.ids, p.req.QueryID)
 			return
 		}
 	}
@@ -282,18 +246,13 @@ func (s *Server) dispatchLocked() {
 		p.started = true
 		s.inflight++
 		s.queued--
-		s.admitted++
 		s.gInflight.Set(float64(s.inflight))
 		s.gQueued.Set(float64(s.queued))
 		s.cAdmitted.With(p.req.Querier.ID).Inc()
 		// Queue wait is a wall-clock quantity: simulated time never moves
 		// while a request queues, so it lives only in metrics — never in
-		// the trace or journal.
+		// the trace or journal, which the engine alone writes.
 		s.hQueueWait.With(p.req.Querier.ID).Observe(obs.Wall().Sub(p.enqueued).Seconds())
-		s.journal().Emit(p.req.QueryID, obs.JournalEvent{
-			Kind: obs.JournalDispatch, Party: obs.PartyEngine,
-			Detail: p.req.Querier.ID, At: obs.SimOrigin(),
-		})
 		s.wg.Add(1)
 		go s.runOne(p)
 	}
@@ -324,28 +283,10 @@ func (s *Server) runOne(p *pending) {
 	if p.err != nil {
 		outcome = "error"
 	}
-	if p.resp == nil {
-		// Execute failed before the engine adopted the journal stream the
-		// scheduler began at admission; drop it so nothing leaks.
-		s.journal().Discard(p.req.QueryID)
-	} else if p.resp.Trace != nil {
-		// Stitch the scheduler's account onto the engine trace as the last
-		// child of the root, keeping the engine-only trace a byte prefix of
-		// the server trace. Every scheduler span sits at the simulated
-		// origin with zero duration: the scheduler changes who waits in
-		// wall time, never what anything costs in simulated time.
-		at := obs.SimOrigin()
-		if srv := p.resp.Trace.Graft(nil, "server", obs.PartyEngine, at, at); srv != nil {
-			srv.SetAttr("querier", p.req.Querier.ID).SetAttr("outcome", outcome)
-			p.resp.Trace.Graft(srv, "admit", obs.PartyEngine, at, at)
-			p.resp.Trace.Graft(srv, "queue-wait", obs.PartyEngine, at, at)
-			p.resp.Trace.Graft(srv, "dispatch", obs.PartyEngine, at, at)
-		}
-	}
 
 	s.mu.Lock()
 	s.inflight--
-	s.completed++
+	delete(s.ids, p.req.QueryID)
 	s.gInflight.Set(float64(s.inflight))
 	s.cCompleted.With(outcome, p.req.Querier.ID).Inc()
 	if p.resp != nil && p.resp.Metrics != nil {

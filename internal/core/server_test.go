@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -18,8 +17,8 @@ import (
 
 // queryOutcome fingerprints everything a query's determinism contract
 // covers: result rows, the full metrics snapshot (which embeds the SSI's
-// recovery ledger), the serialized trace — scheduler spans included —
-// and the serialized structured journal.
+// recovery ledger), the serialized trace and the serialized structured
+// journal.
 type queryOutcome struct {
 	rows    string
 	metrics Metrics
@@ -46,10 +45,11 @@ func outcomeOf(t *testing.T, req Request, resp *Response) queryOutcome {
 
 // TestConcurrentQueryDeterminism is the multi-tenant determinism
 // contract: a query with a pinned QueryID produces bit-identical rows,
-// metrics, ledger and trace whether it runs alone on a fresh engine or
-// interleaved with 15 other queries (mixed protocols, churn on, verify
-// on) over one shared fleet behind a Server. Run under -race it doubles
-// as the scheduler's data-race gate.
+// metrics, ledger, trace and journal whether Engine.Execute runs it alone
+// on a fresh engine or a Server interleaves it with 15 other queries
+// (mixed protocols, churn on, verify on) over one shared fleet: the
+// scheduler writes nothing into a query's record. Run under -race it
+// doubles as the scheduler's data-race gate.
 func TestConcurrentQueryDeterminism(t *testing.T) {
 	type spec struct {
 		id     string
@@ -81,16 +81,12 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("Q=%d", q), func(t *testing.T) {
 			specs := mkSpecs(q)
 
-			// Solo baselines: each spec alone behind a one-slot server on
-			// its own fresh engine, so the baseline carries the same
-			// scheduler spans and journal prologue as the concurrent run.
+			// Solo baselines: each spec run directly on its own fresh engine.
 			want := make([]queryOutcome, len(specs))
 			for i, sp := range specs {
 				f := newFixture(t, 40, nil)
-				solo := NewServer(f.eng, ServerConfig{MaxInFlight: 1, QueueDepth: 1})
 				req := reqOf(f, sp)
-				resp, err := solo.Submit(context.Background(), req)
-				solo.Close()
+				resp, err := f.eng.Execute(context.Background(), req)
 				if err != nil {
 					t.Fatalf("solo %s: %v", sp.id, err)
 				}
@@ -177,19 +173,19 @@ func (g *gatedSSI) admitted() []string {
 	return append([]string(nil), g.order...)
 }
 
-// waitStats polls until the scheduler reaches the wanted shape.
+// waitStats polls the tcq_server_inflight and tcq_server_queued gauges
+// until the scheduler reaches the wanted shape.
 func waitStats(t *testing.T, srv *Server, inflight, queued int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		st := srv.Stats()
-		if st.InFlight == inflight && st.Queued == queued {
+		if srv.gInflight.Value() == float64(inflight) && srv.gQueued.Value() == float64(queued) {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("scheduler never reached inflight=%d queued=%d (now %+v)",
-		inflight, queued, srv.Stats())
+	t.Fatalf("scheduler never reached inflight=%d queued=%d (now %v / %v)",
+		inflight, queued, srv.gInflight.Value(), srv.gQueued.Value())
 }
 
 const countSQL = `SELECT COUNT(*) FROM Power`
@@ -233,9 +229,10 @@ func TestServerBackpressure(t *testing.T) {
 			t.Errorf("admitted request failed: %v", err)
 		}
 	}
-	st := srv.Stats()
-	if st.Completed != 3 || st.Rejected != 1 || st.InFlight != 0 || st.Queued != 0 {
-		t.Errorf("stats = %+v, want 3 completed / 1 rejected / drained", st)
+	for _, want := range []string{`tcq_server_completed_total{outcome="ok",querier="edf"} 3`,
+		`tcq_server_rejected_total{reason="busy",querier="edf"} 1`,
+		"tcq_server_inflight 0", "tcq_server_queued 0"} {
+		assertRegistryHas(t, f.eng, want)
 	}
 }
 
@@ -317,9 +314,9 @@ func (h *heldSSI) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now 
 }
 
 // TestServerDuplicateQueryID: a request pinning the ID of a run still in
-// flight is rejected at admission, before it can write into that run's
-// journal stream or discard it, and the first run's journal comes back
-// whole.
+// flight is rejected at admission, a direct Execute of it by the SSI's
+// duplicate post, and the first run's journal is the one the same query
+// returns run directly.
 func TestServerDuplicateQueryID(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -347,21 +344,17 @@ func TestServerDuplicateQueryID(t *testing.T) {
 			if _, err := srv.Submit(context.Background(), req); err == nil {
 				t.Error("second run under an in-flight QueryID was admitted")
 			}
+			if _, err := f.eng.Execute(context.Background(), req); err == nil {
+				t.Error("a direct run under an in-flight QueryID was posted")
+			}
 
 			held.release()
 			resp := <-first
-			if resp == nil || resp.Journal == nil {
-				t.Fatal("first run lost its journal to the duplicate")
-			}
-			if err := obs.CheckJournal(bytes.NewReader(resp.Journal.Bytes())); err != nil {
-				t.Errorf("first run's journal fails schema check: %v", err)
-			}
-			if n := resp.Journal.Counts()[obs.JournalAdmission]; n != 1 {
-				t.Errorf("first run's journal has %d admission events, want 1", n)
-			}
-			srv.Close()
-			if n := f.eng.obs.journal.OpenStreams(); n != 0 {
-				t.Errorf("open journal streams after Close = %d, want 0", n)
+			direct := newFixture(t, 8, func(c *Config) { c.CollectWorkers = workers })
+			want, err := direct.eng.Execute(context.Background(), Request{
+				Querier: direct.q, SQL: countSQL, Kind: protocol.KindSAgg, QueryID: "dup"})
+			if err != nil || resp == nil || !bytes.Equal(resp.Journal.Bytes(), want.Journal.Bytes()) {
+				t.Fatalf("first run's journal is not the direct run's (%v)", err)
 			}
 			assertRegistryHas(t, f.eng, `tcq_server_rejected_total{reason="duplicate",querier="edf"} 1`)
 		})

@@ -12,24 +12,22 @@ import (
 )
 
 // The query journal is the structured, append-only companion of the span
-// trace: one flat stream of canonical lifecycle events per query
-// (admission, dispatch, phase boundaries, recovery-ledger entries,
-// aborts, completion) with a stable JSONL schema. Where the trace is a
-// tree meant for flame views, the journal is a log meant for ingestion —
-// and, like the trace, it is stamped exclusively with simulated time so
-// equal runs produce byte-identical files at any worker count.
+// trace: one flat stream of canonical lifecycle events per query (run
+// start, phase boundaries, recovery-ledger entries, aborts, completion)
+// with a stable JSONL schema. Where the trace is a tree meant for flame
+// views, the journal is a log meant for ingestion — and, like the trace,
+// it is stamped exclusively with simulated time so equal runs produce
+// byte-identical files at any worker count.
 //
 // Leakage discipline: journal events carry the same payload shape as
 // SSI-visible trace events (CipherFacts) plus a Detail string drawn from
-// a bounded vocabulary (ledger kinds, abort reasons, protocol names,
-// querier identifiers — all of which the SSI observes anyway). Never put
+// a bounded vocabulary (ledger kinds, abort reasons, protocol names — all
+// of which the SSI observes anyway). Never put
 // query text or plaintext values in Detail.
 
 // Canonical journal event kinds, in the order they appear in a healthy
 // stream. CheckJournal validates against this vocabulary.
 const (
-	JournalAdmission  = "admission"   // server accepted the request into the queue
-	JournalDispatch   = "dispatch"    // scheduler moved the request into flight
 	JournalQueryStart = "query-start" // engine opened the run
 	JournalPhaseStart = "phase-start" // a protocol phase began
 	JournalPhaseEnd   = "phase-end"   // a protocol phase completed
@@ -44,7 +42,7 @@ type JournalEvent struct {
 	Phase  string // protocol phase name, "" when not phase-scoped
 	Party  Party
 	Device string // TDS identifier, "" when not device-scoped
-	Detail string // bounded vocabulary: ledger kind, abort reason, protocol, querier
+	Detail string // bounded vocabulary: ledger kind, abort reason, protocol
 	At     time.Time
 	Facts  CipherFacts
 }
@@ -55,15 +53,11 @@ type QueryJournal struct {
 	Events  []JournalEvent
 }
 
-// Journal records journal streams keyed by query ID. Like Tracer, all
-// methods are safe on a nil receiver (they no-op) and safe for
-// concurrent use across queries. An optional gauge tracks the number of
-// open streams, so tests can assert that withdrawn or failed requests
-// do not leak journal state.
+// Journal records journal streams keyed by query ID, safe for concurrent
+// use across queries.
 type Journal struct {
 	mu     sync.Mutex
 	active map[string]*QueryJournal
-	open   *Gauge
 }
 
 // NewJournal returns an empty journal.
@@ -71,43 +65,17 @@ func NewJournal() *Journal {
 	return &Journal{active: make(map[string]*QueryJournal)}
 }
 
-// SetOpenGauge registers a gauge that mirrors the number of open
-// streams. Call before any Begin; nil-safe.
-func (j *Journal) SetOpenGauge(g *Gauge) {
-	if j == nil {
-		return
-	}
+// Begin opens an empty stream for query id, replacing any stream under
+// the same id.
+func (j *Journal) Begin(id string) {
 	j.mu.Lock()
-	j.open = g
-	j.mu.Unlock()
-}
-
-// Begin opens a stream for query id and reports whether it did. An
-// already-open stream is kept (false), so the server can open at
-// admission and the engine can re-open harmlessly at run start (or open
-// fresh for direct Execute calls that never passed through a server).
-func (j *Journal) Begin(id string) bool {
-	if j == nil {
-		return false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.active[id]; ok {
-		return false
-	}
 	j.active[id] = &QueryJournal{QueryID: id}
-	if j.open != nil {
-		j.open.Add(1)
-	}
-	return true
+	j.mu.Unlock()
 }
 
 // Emit appends an event to query id's stream; no-op when no stream is
 // open (so emission sites never need lifecycle checks).
 func (j *Journal) Emit(id string, e JournalEvent) {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	qj := j.active[id]
@@ -120,44 +88,18 @@ func (j *Journal) Emit(id string, e JournalEvent) {
 // Take removes and returns the finished stream for query id, or nil if
 // none is open.
 func (j *Journal) Take(id string) *QueryJournal {
-	if j == nil {
-		return nil
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	qj := j.active[id]
-	if qj != nil {
-		delete(j.active, id)
-		if j.open != nil {
-			j.open.Add(-1)
-		}
-	}
+	delete(j.active, id)
 	return qj
 }
 
-// Discard drops any stream for query id (withdrawn or failed requests).
+// Discard drops any stream for query id (runs that never reached Take).
 func (j *Journal) Discard(id string) {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.active[id]; ok {
-		delete(j.active, id)
-		if j.open != nil {
-			j.open.Add(-1)
-		}
-	}
-}
-
-// OpenStreams reports how many streams are currently open.
-func (j *Journal) OpenStreams() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.active)
+	delete(j.active, id)
+	j.mu.Unlock()
 }
 
 // journalLine is the JSONL wire form. Version first, then a per-stream
@@ -221,7 +163,6 @@ func (qj *QueryJournal) Counts() map[string]int {
 }
 
 var journalKinds = map[string]bool{
-	JournalAdmission: true, JournalDispatch: true,
 	JournalQueryStart: true, JournalPhaseStart: true, JournalPhaseEnd: true,
 	JournalLedger: true, JournalAbort: true, JournalQueryEnd: true,
 }

@@ -91,18 +91,6 @@ func TestSSISpanRefusesAttrs(t *testing.T) {
 	}
 }
 
-func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
-	tr.StartQuery("q", "execute", SimOrigin()).SetAttr("k", "v")
-	tr.StartChild("q", "x", PartyEngine, SimOrigin())
-	tr.SSIEvent("q", "deposit", "d", SimOrigin(), CipherFacts{})
-	tr.EndSpan("q", SimOrigin())
-	if tr.Take("q") != nil {
-		t.Fatal("nil tracer returned a trace")
-	}
-	tr.Discard("q")
-}
-
 // TestTraceEventAllocBudget: the 2000 events of a span that reserved room
 // for them go into one array, where growing the span as they arrive
 // re-allocates it at every step of append's growth — 14 times, some four

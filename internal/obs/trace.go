@@ -87,9 +87,8 @@ type QueryTrace struct {
 	nextID int
 }
 
-// Tracer records span trees keyed by query ID. All methods are safe on
-// a nil receiver (they no-op), so call sites never need nil checks, and
-// safe for concurrent use across queries.
+// Tracer records span trees keyed by query ID, safe for concurrent use
+// across queries.
 type Tracer struct {
 	mu     sync.Mutex
 	active map[string]*QueryTrace
@@ -103,9 +102,6 @@ func NewTracer() *Tracer {
 // StartQuery opens the root span for query id at the given simulated
 // instant, replacing any stale trace under the same id.
 func (t *Tracer) StartQuery(id, name string, at time.Time) *Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	root := &Span{ID: 1, Name: name, Party: PartyEngine, Start: at}
@@ -116,9 +112,6 @@ func (t *Tracer) StartQuery(id, name string, at time.Time) *Span {
 // StartChild opens a child span under the innermost open span of query
 // id.
 func (t *Tracer) StartChild(id, name string, party Party, at time.Time) *Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	qt := t.active[id]
@@ -135,9 +128,6 @@ func (t *Tracer) StartChild(id, name string, party Party, at time.Time) *Span {
 
 // EndSpan closes the innermost open span of query id.
 func (t *Tracer) EndSpan(id string, at time.Time) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	qt := t.active[id]
@@ -151,9 +141,6 @@ func (t *Tracer) EndSpan(id string, at time.Time) {
 
 // Event attaches e to the innermost open span of query id.
 func (t *Tracer) Event(id string, e Event) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	qt := t.active[id]
@@ -167,9 +154,6 @@ func (t *Tracer) Event(id string, e Event) {
 // Reserve makes room for n more events in the innermost open span of query
 // id, so a phase that knows how many it is about to record grows it once.
 func (t *Tracer) Reserve(id string, n int) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if qt := t.active[id]; qt != nil && len(qt.stack) > 0 {
@@ -194,9 +178,6 @@ func (t *Tracer) EngineEvent(id, name, device string, at time.Time, f CipherFact
 // the abort path, where a failure deep inside a phase must still leave a
 // well-formed span tree for the returned trace.
 func (t *Tracer) CloseAll(id string, at time.Time) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	qt := t.active[id]
@@ -212,9 +193,6 @@ func (t *Tracer) CloseAll(id string, at time.Time) {
 // Take removes and returns the finished trace for query id, or nil if
 // none is active.
 func (t *Tracer) Take(id string) *QueryTrace {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	qt := t.active[id]
@@ -224,43 +202,9 @@ func (t *Tracer) Take(id string) *QueryTrace {
 
 // Discard drops any trace state for query id (error paths).
 func (t *Tracer) Discard(id string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	delete(t.active, id)
 	t.mu.Unlock()
-}
-
-// Graft appends an already-closed span under parent (or under the root
-// when parent is nil), minting its ID from the trace's retained
-// counter. It exists for layers that annotate a *finished* trace — the
-// multi-tenant scheduler stitches its admit/queue-wait/dispatch spans
-// onto the engine's tree after Take — and, because WriteJSONL walks
-// depth-first in creation order, grafting a new last child of the root
-// appends lines at the end of the file: the engine-only trace stays a
-// byte prefix of the server trace. Nil-safe; not safe for concurrent
-// use (the trace has been taken out of the tracer by then).
-func (qt *QueryTrace) Graft(parent *Span, name string, party Party, start, end time.Time) *Span {
-	if qt == nil || qt.Root == nil {
-		return nil
-	}
-	if parent == nil {
-		parent = qt.Root
-	}
-	if qt.nextID < 2 {
-		max := 0
-		qt.Walk(func(s *Span) {
-			if s.ID > max {
-				max = s.ID
-			}
-		})
-		qt.nextID = max + 1
-	}
-	s := &Span{ID: qt.nextID, Parent: parent.ID, Name: name, Party: party, Start: start, End: end}
-	qt.nextID++
-	parent.Children = append(parent.Children, s)
-	return s
 }
 
 // spanLine and eventLine are the JSONL wire forms. Timestamps are

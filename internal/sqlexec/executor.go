@@ -19,17 +19,14 @@ import (
 // place and the scan's own buffers come from the plan's free list, so a
 // warm scan allocates nothing.
 func (p *Plan) ScanLocal(db *storage.LocalDB, fn func(row storage.Row) error) error {
-	s, err := p.begin(db)
+	s := p.begin(db)
 	defer p.end(s)
-	if err != nil {
-		return err
-	}
 	return s.join(p, 0, fn)
 }
 
 // begin takes an idle scan from the plan's free list, or makes one, and
 // points each FROM level at its table's rows as of the call.
-func (p *Plan) begin(db *storage.LocalDB) (*scan, error) {
+func (p *Plan) begin(db *storage.LocalDB) *scan {
 	var s *scan
 	select {
 	case s = <-p.scans:
@@ -38,13 +35,9 @@ func (p *Plan) begin(db *storage.LocalDB) (*scan, error) {
 			tables: make([][]storage.Row, len(p.tables)), out: make(storage.Row, 0, len(p.out))}
 	}
 	for i, tb := range p.tables {
-		rows, err := db.TableRows(tb.def)
-		if err != nil {
-			return s, err
-		}
-		s.tables[i] = rows
+		s.tables[i] = db.TableRows(tb.def)
 	}
-	return s, nil
+	return s
 }
 
 // end returns s to the free list.
@@ -102,17 +95,14 @@ func (s *scan) join(p *Plan, level int, fn func(row storage.Row) error) error {
 // CollectLocal is ScanLocal with every row cloned into one array, first
 // sized for the join's product, capped lest a selective WHERE reserve it all.
 func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
-	s, err := p.begin(db)
+	s := p.begin(db)
 	defer p.end(s)
-	if err != nil {
-		return nil, err
-	}
 	var flat []storage.Value
 	n, bound := 0, 1
 	for _, rows := range s.tables {
 		bound = min(bound*len(rows), 512)
 	}
-	err = s.join(p, 0, func(row storage.Row) error {
+	err := s.join(p, 0, func(row storage.Row) error {
 		if flat == nil {
 			flat = make([]storage.Value, 0, bound*len(row))
 		}

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/rng"
 )
@@ -139,6 +138,9 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 // Adversary wraps it with scripted misbehavior for the upgraded threat
 // model. Keeping the engine on this interface is what makes the integrity
 // layer meaningful: the verifier must not care which one it is talking to.
+// It is also all an implementation carries: the engine writes a query's
+// trace and journal itself, so an injected Service needs nothing outside
+// this interface for its runs to be fully recorded.
 //
 // A deposit's envelope and tuple slice are the depositor's again once
 // DepositEnvelope(Batch) returns: an implementation copies the tuples it
@@ -252,12 +254,9 @@ type admitPolicy struct {
 // domains selected by a stable hash of the query ID, so N in-flight
 // queries never serialize on one mutex: the paper's SSI is "powerful and
 // highly available" (Section 2.1) precisely because it serves many
-// queriers at once. Tracer, journal and epoch policy are fleet-wide and
-// held once.
+// queriers at once. The epoch policy is fleet-wide and held once.
 type SSI struct {
 	stripes []stripe
-	trace   *obs.Tracer  // nil-safe; mirrors ledger events as SSI-party trace events
-	journal *obs.Journal // nil-safe; mirrors ledger events as SSI-party journal records
 	policy  atomic.Pointer[admitPolicy]
 }
 
@@ -282,18 +281,6 @@ func NewSharded(n int) *SSI {
 func (s *SSI) stripeOf(id string) *stripe {
 	return &s.stripes[rng.Hash(id)%uint32(len(s.stripes))]
 }
-
-// WithTracer mirrors every recorded ledger event and relay observation
-// into tr as SSI-party trace events. The CipherFacts-only event payload
-// guarantees the mirror carries ciphertext volumes and timings, nothing
-// else — exactly the honest-but-curious view.
-func (s *SSI) WithTracer(tr *obs.Tracer) { s.trace = tr }
-
-// WithJournal mirrors every recorded ledger event into j as an SSI-party
-// journal record. The Detail field carries only the ledger entry's kind —
-// a closed vocabulary the SSI itself minted — so the journal leaks
-// nothing beyond the ledger the SSI already keeps.
-func (s *SSI) WithJournal(j *obs.Journal) { s.journal = j }
 
 // SetEpochPolicy installs the rotation admit policy, atomically for every
 // stripe. The rotation coordinator calls it at the grace boundaries; a
@@ -432,13 +419,6 @@ func (s *SSI) Record(id string, e LedgerEntry) {
 		return
 	}
 	st.ledger = append(st.ledger, e)
-	s.trace.SSIEvent(id, e.Kind, e.Device, e.At,
-		obs.CipherFacts{Attempt: e.Attempt, Wait: e.Wait})
-	s.journal.Emit(id, obs.JournalEvent{
-		Kind: obs.JournalLedger, Phase: e.Phase, Party: obs.PartySSI,
-		Device: e.Device, Detail: e.Kind, At: e.At,
-		Facts: obs.CipherFacts{Attempt: e.Attempt, Wait: e.Wait},
-	})
 }
 
 // LedgerFor returns a copy of the recovery ledger of a query.
@@ -491,9 +471,9 @@ func (s *SSI) observe(st *QueryState, w *protocol.WireTuple) {
 }
 
 // ObserveRelay records intermediate tuples the SSI relays during the
-// aggregation phase at the given simulated instant; they feed the same
-// curious ledger, and the relay's ciphertext volume lands in the trace.
-func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, at time.Time) {
+// aggregation phase; they feed the same curious record. The instant is
+// the engine's to trace; the SSI keeps no clock of its own.
+func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, _ time.Time) {
 	sp := s.stripeOf(id)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -504,9 +484,6 @@ func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, at time.Time)
 	for i := range tuples {
 		s.observe(st, &tuples[i])
 	}
-	s.trace.SSIEvent(id, "relay", "", at, obs.CipherFacts{
-		Tuples: len(tuples), Bytes: int64(protocol.TotalSize(tuples)),
-	})
 }
 
 // CollectionDone reports whether the SIZE condition has been reached.

@@ -43,50 +43,20 @@ func (db *LocalDB) Insert(table string, row Row) error {
 	return nil
 }
 
-// Scan calls fn for every tuple of the table. fn must not retain the row.
-// Returning false from fn stops the scan early.
-func (db *LocalDB) Scan(table string, fn func(Row) bool) error {
-	rows, err := db.Rows(table)
-	for _, r := range rows {
-		if !fn(r) {
-			break
-		}
-	}
-	return err
-}
-
-// Rows returns a snapshot of the table without copying it: the tuples
-// stored at the time of the call, however many Inserts follow. Stored rows
-// are immutable — Insert clones on the way in and nothing writes to a row
-// afterwards — so the caller must only read them.
-func (db *LocalDB) Rows(table string) ([]Row, error) {
-	def, ok := db.schema.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown table %q", table)
-	}
-	return db.TableRows(def)
-}
-
-// TableRows is Rows for a table definition. One of this database's own
-// schema is found by its ordinal, with no name folded or looked up; one
-// of another schema is looked up by its name.
-func (db *LocalDB) TableRows(def *TableDef) ([]Row, error) {
-	if def.ord >= len(db.schema.defs) || db.schema.defs[def.ord] != def {
-		return db.Rows(def.Name)
-	}
+// TableRows returns a snapshot of the table without copying it: the
+// tuples stored at the time of the call, however many Inserts follow.
+// Stored rows are immutable — Insert clones on the way in and nothing
+// writes to a row afterwards — so the caller must only read them. def is
+// a table of this database's schema (Schema().Table), found by its
+// ordinal with no name folded or looked up.
+func (db *LocalDB) TableRows(def *TableDef) []Row {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if def.ord >= len(db.tables) {
-		return nil, nil
+		return nil
 	}
 	rows := db.tables[def.ord]
-	return rows[:len(rows):len(rows)], nil
-}
-
-// Count returns the number of tuples in the table (0 for unknown tables).
-func (db *LocalDB) Count(table string) int {
-	rows, _ := db.Rows(table)
-	return len(rows)
+	return rows[:len(rows):len(rows)]
 }
 
 func lower(s string) string {

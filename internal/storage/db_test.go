@@ -71,6 +71,16 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
+// rowsOf reads a table through the schema's name lookup.
+func rowsOf(t *testing.T, db *LocalDB, table string) []Row {
+	t.Helper()
+	def, ok := db.Schema().Table(table)
+	if !ok {
+		t.Fatalf("no table %q", table)
+	}
+	return db.TableRows(def)
+}
+
 func TestInsertAndScan(t *testing.T) {
 	db := NewLocalDB(powerSchema())
 	for i := 0; i < 5; i++ {
@@ -79,26 +89,13 @@ func TestInsertAndScan(t *testing.T) {
 		}
 	}
 	var sum float64
-	err := db.Scan("Power", func(r Row) bool {
+	rows := rowsOf(t, db, "Power")
+	for _, r := range rows {
 		f, _ := r[1].AsFloat()
 		sum += f
-		return true
-	})
-	if err != nil || sum != 15 || db.Count("Power") != 5 {
-		t.Errorf("sum = %g, count %d; want 15 and 5 (%v)", sum, db.Count("Power"), err)
 	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	db := NewLocalDB(powerSchema())
-	for i := 0; i < 10; i++ {
-		if err := db.Insert("Power", Row{Int(int64(i)), Float(1), Int(1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := 0
-	if err := db.Scan("Power", func(Row) bool { n++; return n < 3 }); err != nil || n != 3 {
-		t.Errorf("scan visited %d rows, want 3 (%v)", n, err)
+	if sum != 15 || len(rows) != 5 {
+		t.Errorf("sum = %g, count %d; want 15 and 5", sum, len(rows))
 	}
 }
 
@@ -123,7 +120,7 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-// TestRowsIsSnapshot: Rows hands out the stored rows themselves, so the
+// TestRowsIsSnapshot: TableRows hands out the stored rows themselves, so the
 // contract that makes that safe is checked here — Insert keeps its own copy
 // of the caller's row, and a snapshot is closed to later Inserts, including
 // through its spare capacity.
@@ -134,10 +131,7 @@ func TestRowsIsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	mine[0] = Int(999)
-	snap, err := db.Rows("Power")
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := rowsOf(t, db, "Power")
 	if v, _ := snap[0][0].AsInt(); v != 1 {
 		t.Error("Insert must keep its own copy of the row")
 	}
@@ -150,31 +144,34 @@ func TestRowsIsSnapshot(t *testing.T) {
 		t.Errorf("snapshot has len %d cap %d after later inserts, want 1 and 1", len(snap), cap(snap))
 	}
 	_ = append(snap, Row{Int(-1), Float(-1), Int(-1)})
-	now, _ := db.Rows("Power")
+	now := rowsOf(t, db, "Power")
 	if v, _ := now[1][0].AsInt(); len(now) != 9 || v != 2 {
 		t.Errorf("appending to a snapshot reached the table: %v", now)
 	}
-	if _, err := db.Rows("nope"); err == nil {
-		t.Error("unknown table must fail")
-	}
 }
 
-// Count and Rows resolve a name through the same lookup, the Unicode fold
-// included, and so does a packed database's table.
+// A table name folds the Unicode way on the read path, in a packed
+// database's copy too, and an unknown name finds no table.
 func TestCountAgreesWithRows(t *testing.T) {
 	db := NewLocalDB(MustSchema(TableDef{Name: "Énergie", Columns: []Column{{Name: "kwh", Kind: KindInt}}}))
 	err := db.Insert("Énergie", Row{Int(1)})
 	unpacked, unpackErr := UnpackDB(db.Schema(), PackDB(db))
-	err = errors.Join(err, unpackErr)
+	if err = errors.Join(err, unpackErr); err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range []*LocalDB{db, unpacked} {
-		if rows, _ := d.Rows("énergie"); err != nil || len(rows) != 1 || d.Count("énergie") != 1 || d.Count("nope") != 0 {
-			t.Errorf("Rows %d, Count %d; want 1 and 1 (%v)", len(rows), d.Count("énergie"), err)
+		if rows := rowsOf(t, d, "énergie"); len(rows) != 1 {
+			t.Errorf("%d rows, want 1", len(rows))
 		}
+	}
+	if _, ok := db.Schema().Table("nope"); ok {
+		t.Error("unknown table found")
 	}
 }
 
 func TestConcurrentInsertScan(t *testing.T) {
 	db := NewLocalDB(powerSchema())
+	def, _ := db.Schema().Table("Power")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -190,13 +187,15 @@ func TestConcurrentInsertScan(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_ = db.Scan("Power", func(Row) bool { return true })
+				for _, r := range db.TableRows(def) {
+					_ = r[0]
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if db.Count("Power") != 800 {
-		t.Errorf("count = %d, want 800", db.Count("Power"))
+	if n := len(rowsOf(t, db, "Power")); n != 800 {
+		t.Errorf("count = %d, want 800", n)
 	}
 }
 

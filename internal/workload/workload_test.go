@@ -6,16 +6,22 @@ import (
 	"github.com/trustedcells/tcq/internal/storage"
 )
 
+// rowsOf reads a table of db by name.
+func rowsOf(db *storage.LocalDB, table string) []storage.Row {
+	def, _ := db.Schema().Table(table)
+	return db.TableRows(def)
+}
+
 func TestSmartMeterDeterministic(t *testing.T) {
 	w1 := DefaultSmartMeter(5)
 	w2 := DefaultSmartMeter(5)
-	a, _ := w1.HouseholdDB(3).Rows("Consumer")
-	b, _ := w2.HouseholdDB(3).Rows("Consumer")
+	a := rowsOf(w1.HouseholdDB(3), "Consumer")
+	b := rowsOf(w2.HouseholdDB(3), "Consumer")
 	if a[0].String() != b[0].String() {
 		t.Errorf("same seed, same household differ: %v vs %v", a[0], b[0])
 	}
 	w3 := DefaultSmartMeter(6)
-	c, _ := w3.HouseholdDB(3).Rows("Consumer")
+	c := rowsOf(w3.HouseholdDB(3), "Consumer")
 	if a[0].String() == c[0].String() {
 		t.Error("different seeds should usually differ")
 	}
@@ -24,13 +30,13 @@ func TestSmartMeterDeterministic(t *testing.T) {
 func TestSmartMeterShape(t *testing.T) {
 	w := DefaultSmartMeter(1)
 	db := w.HouseholdDB(0)
-	if db.Count("Consumer") != 1 {
-		t.Errorf("consumers = %d", db.Count("Consumer"))
+	if n := len(rowsOf(db, "Consumer")); n != 1 {
+		t.Errorf("consumers = %d", n)
 	}
-	if db.Count("Power") != w.Readings {
-		t.Errorf("readings = %d, want %d", db.Count("Power"), w.Readings)
+	rows := rowsOf(db, "Power")
+	if len(rows) != w.Readings {
+		t.Errorf("readings = %d, want %d", len(rows), w.Readings)
 	}
-	rows, _ := db.Rows("Power")
 	for _, r := range rows {
 		cons, err := r[1].AsFloat()
 		if err != nil || cons <= 0 {
@@ -45,10 +51,7 @@ func TestDistrictDistributionMatchesFleet(t *testing.T) {
 	want := w.DistrictDistribution(n)
 	got := map[string]int64{}
 	for i := 0; i < n; i++ {
-		rows, err := w.HouseholdDB(i).Rows("Consumer")
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := rowsOf(w.HouseholdDB(i), "Consumer")
 		got[rows[0][1].AsString()]++
 	}
 	if len(got) != len(want) {
@@ -90,10 +93,10 @@ func TestSmartMeterSkewProducesZipfHead(t *testing.T) {
 func TestHealthWorkload(t *testing.T) {
 	h := DefaultHealth(9)
 	db := h.PatientDB(4)
-	if db.Count("Patient") != 1 || db.Count("Visit") != h.Visits {
-		t.Errorf("counts = %d/%d", db.Count("Patient"), db.Count("Visit"))
+	rows := rowsOf(db, "Patient")
+	if visits := len(rowsOf(db, "Visit")); len(rows) != 1 || visits != h.Visits {
+		t.Errorf("counts = %d/%d", len(rows), visits)
 	}
-	rows, _ := db.Rows("Patient")
 	age, err := rows[0][1].AsInt()
 	if err != nil || age < 1 || age > 100 {
 		t.Errorf("age = %v", rows[0][1])

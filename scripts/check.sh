@@ -46,9 +46,9 @@ repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*.go' -not -name '*_test.go' -print | xargs cat | wc -l)
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 5144); repo outside bench/: $repo (ceiling 15550);" \
-    "tests outside bench/: $tests (ceiling 15333)"
-if [ "$core_ssi" -gt 5144 ] || [ "$repo" -gt 15550 ] || [ "$tests" -gt 15333 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 5073); repo outside bench/: $repo (ceiling 15322);" \
+    "tests outside bench/: $tests (ceiling 15277)"
+if [ "$core_ssi" -gt 5073 ] || [ "$repo" -gt 15322 ] || [ "$tests" -gt 15277 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
@@ -84,7 +84,7 @@ fi
 echo "==> reach (programs, not tests)"
 reach=$(scripts/reach.sh)
 echo "$reach"
-for floor in internal/sqlexec=76.2 internal/sqlparse=58.5 internal/storage=52.5 internal/obs=58.5 internal/core=79.0; do
+for floor in internal/sqlexec=76.4 internal/sqlparse=58.5 internal/storage=52.5 internal/obs=59.1 internal/core=79.0; do
     pkg=${floor%=*}
     min=${floor#*=}
     got=$(echo "$reach" | awk -v pkg="$pkg" '$1 == "reach" && $2 == pkg { print $3 }')
@@ -122,6 +122,15 @@ fi
 echo "==> no CollectedTuples in internal/core"
 if grep -rn --include='*.go' --exclude='*_test.go' 'CollectedTuples' internal/core; then
     echo "internal/core must read the store through CollectedRange / StreamBuild" >&2
+    exit 1
+fi
+
+# One writer of a query's record: the engine writes its trace and journal,
+# so the SSI — the adversary's side of the run — cannot import the layer
+# that would let it write them again.
+echo "==> internal/ssi does not import internal/obs"
+if grep -rln --include='*.go' --exclude='*_test.go' '"github.com/trustedcells/tcq/internal/obs"' internal/ssi; then
+    echo "the engine writes a query's trace and journal, not the SSI" >&2
     exit 1
 fi
 
