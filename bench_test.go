@@ -382,10 +382,10 @@ func BenchmarkBroadcastRevocation(b *testing.B) {
 
 // ---- Fleet-scale memory model (DESIGN.md §10) ----
 
-// benchProvisionFleet measures fleet enrollment and reports how much live
-// heap one enrolled device costs, packed or eager. The budget on the same
-// figure is core's TestPackedMemoryFootprint (100k devices, packed).
-func benchProvisionFleet(b *testing.B, packed bool) {
+// BenchmarkProvisionFleetPacked measures fleet enrollment and reports how
+// much live heap one enrolled device costs. The budget on the same figure
+// is core's TestPackedMemoryFootprint (100k devices).
+func BenchmarkProvisionFleetPacked(b *testing.B) {
 	const fleet = 10_000
 	w := workload.DefaultSmartMeter(9)
 	w.Districts = 10
@@ -404,7 +404,6 @@ func benchProvisionFleet(b *testing.B, packed bool) {
 			AuthorityKey: tdscrypto.DeriveKey(tdscrypto.Key{}, "auth"),
 			MasterKey:    tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
 			Seed:         9,
-			PackedFleet:  packed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -424,16 +423,12 @@ func benchProvisionFleet(b *testing.B, packed bool) {
 	runtime.KeepAlive(eng)
 }
 
-func BenchmarkProvisionFleetPacked(b *testing.B) { benchProvisionFleet(b, true) }
-func BenchmarkProvisionFleetEager(b *testing.B)  { benchProvisionFleet(b, false) }
-
-// BenchmarkPackedCollection runs one full collection walk over a packed
-// 20k-device fleet: devices materialize per connection, deposit through
-// the worker arenas and the window slots, and are dropped again.
+// BenchmarkPackedCollection runs one full collection walk over a
+// 20k-device fleet: each device wakes into a window slot's device,
+// deposits through the worker arenas and the window slots, and is left
+// for the next.
 func BenchmarkPackedCollection(b *testing.B) {
-	f := newBenchFixture(b, 20_000, func(c *core.Config) {
-		c.CollectWorkers, c.PackedFleet = 1, true
-	})
+	f := newBenchFixture(b, 20_000, func(c *core.Config) { c.CollectWorkers = 1 })
 	eng, q := f.eng, f.q
 	ctx := context.Background()
 	b.ReportAllocs()

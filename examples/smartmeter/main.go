@@ -17,6 +17,7 @@ import (
 	"github.com/trustedcells/tcq/internal/core"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 	"github.com/trustedcells/tcq/internal/workload"
 )
@@ -110,4 +111,23 @@ func main() {
 	fmt.Println("\nquery:", profile)
 	fmt.Println()
 	fmt.Print(resp.Result)
+
+	// Section 2.3's continuous query: one complete run per window, each
+	// over the data present at that point. Between the two windows every
+	// meter records one more reading.
+	const readings = `SELECT COUNT(*) FROM Power`
+	fmt.Println("\ncontinuous windows:", readings)
+	for window := 0; window < 2; window++ {
+		for i := 0; window > 0 && i < eng.FleetSize(); i++ {
+			row := storage.Row{storage.Int(int64(i)), storage.Float(40), storage.Int(int64(w.Readings))}
+			if err := eng.Insert(fmt.Sprintf("tds-%05d", i), "Power", row); err != nil {
+				log.Fatal(err)
+			}
+		}
+		resp, err := eng.Execute(context.Background(), core.Request{Querier: q, SQL: readings, Kind: protocol.KindSAgg})
+		if err != nil {
+			log.Fatalf("window %d failed: %v", window, err)
+		}
+		fmt.Printf("  window %d: %v readings\n", window, resp.Result.Rows[0][0])
+	}
 }

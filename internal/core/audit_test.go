@@ -10,8 +10,8 @@ import (
 // countCorrupt reports how many enrolled devices the threat model marked.
 func countCorrupt(e *Engine) int {
 	n := 0
-	for _, t := range e.fleet {
-		if t.Corrupt {
+	for _, c := range e.fleet.corrupt {
+		if c {
 			n++
 		}
 	}

@@ -75,15 +75,14 @@ func (e *Engine) collectOne(c *collector, t *tds.TDS, post *protocol.QueryPost,
 }
 
 // collectDevice is one eligible, non-offline device with its scripted
-// behavior for this query. In a packed fleet t stays nil: the device is
-// materialized into its window slot and dropped with it, so the walk never
-// accumulates devices. Everything decided before that instant — slot
-// order, fault behavior, trace identity — needs only the ID.
+// behavior for this query. It is woken into its window slot's device and
+// leaves with it, so the walk never accumulates devices. Everything decided
+// before that instant — slot order, fault behavior, trace identity — needs
+// only the ID.
 type collectDevice struct {
 	slot int
 	id   string
 	b    faultplan.Behavior
-	t    *tds.TDS // nil for a packed slot
 }
 
 // step is the simulated time this device's connection slot occupies: the
@@ -117,7 +116,8 @@ const (
 // collectResult is one window slot: what a worker's collection step at a
 // predicted clock left there, and what the commit thread resolved it to.
 type collectResult struct {
-	t       *tds.TDS  // the device that answered (a packed slot, materialized)
+	t       *tds.TDS  // the window slot's device, for the walk's whole life
+	awake   bool      // t is aimed at the position's fleet slot, rows loaded
 	specNow time.Time // the clock the slot was collected against
 	ran     bool      // tuples, stats and err are Collect's outcome at specNow
 	tuples  []protocol.WireTuple
@@ -137,12 +137,11 @@ type collectResult struct {
 func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig) error {
 	post, metrics, faults := rs.post, rs.metrics, rs.faults
 	start := rs.clock.Now()
-	order := rs.rng.Perm(len(e.fleet))
-	// One lifecycle read-lock for IDs and slots; revocation can change mid-walk, so resolve asks that.
+	order := rs.rng.Perm(e.fleet.size())
 	all := make([]collectDevice, len(order))
 	e.life.RLock()
 	for i, idx := range order {
-		all[i] = collectDevice{slot: idx, id: e.deviceIDLocked(idx), t: e.fleet[idx]}
+		all[i] = collectDevice{slot: idx, id: e.fleet.ids[idx]}
 	}
 	e.life.RUnlock()
 	devices := all[:0] // filtered in place
@@ -173,6 +172,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	}
 
 	w := e.newCollectWalk(rs, cfgTpl, devices)
+	defer e.putDevices(w.res)
 	end, err := w.run(ctx, start)
 	if err == nil && len(rs.staleQ) > 0 {
 		// Devices a torn rollout caught on the wrong epoch get one retried
@@ -273,7 +273,7 @@ type collectWalk struct {
 	// cols holds a collector per worker; cols[0], the commit thread's, also
 	// serves every commit-point redo and the stale retries.
 	cols []*collector
-	res  []collectResult // the window
+	res  []collectResult // the window; each slot holds a device of its own
 	done []atomic.Int64  // one past the last position collected in each slot
 	deps []*protocol.Deposit
 
@@ -299,6 +299,7 @@ func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, devices 
 	for k := range w.cols {
 		w.cols[k] = newCollector()
 	}
+	e.takeDevices(w.res)
 	return w
 }
 
@@ -406,7 +407,7 @@ func (w *collectWalk) work(c *collector, wait *sync.Cond, enough func() bool) {
 			continue
 		}
 		r := w.slot(p)
-		*r = collectResult{specNow: w.spec, tuples: r.tuples[:0]}
+		*r = collectResult{t: r.t, specNow: w.spec, tuples: r.tuples[:0]}
 		w.next++
 		w.spec = w.spec.Add(w.devices[p].step(w.e.cfg.ConnectionInterval))
 		w.mu.Unlock()
@@ -431,23 +432,19 @@ func (r *collectResult) seal(post *protocol.QueryPost, attempt int) {
 	r.commit, r.epoch = r.t.CommitDeposit(post, attempt, r.tuples)
 }
 
-// collectSlot is a worker's whole job for position p: wake a packed slot,
+// collectSlot is a worker's whole job for position p: wake the device,
 // collect, and seal the deposit — all of it the device's own work, none of
 // it the commit thread's. A device expected to deposit nothing — it drops
-// its deposit, or the SSI refuses it — is not collected.
+// its deposit, or the SSI refuses it — is not woken.
 func (w *collectWalk) collectSlot(c *collector, p int) {
 	d, r := w.devices[p], w.slot(p)
 	if d.b.DropDeposit || w.refused(d, 1) {
 		return
 	}
-	t := d.t
-	if t == nil {
-		var err error
-		if t, err = w.e.materializeDevice(d.slot); err != nil {
-			return // resolve tries again at the commit point and reports it in walk order
-		}
+	if w.e.wake(r.t, d.slot) != nil {
+		return // resolve tries again at the commit point and reports it in walk order
 	}
-	r.t = t
+	r.awake = true
 	w.collect(c, r, r.specNow)
 	if r.err == nil {
 		r.seal(w.rs.post, 1)
@@ -482,18 +479,15 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	case w.refused(d, attempt):
 		return fateRefused, nil
 	}
-	if r.t == nil {
-		r.t = d.t
-	}
-	if r.t == nil || (rs.rotScript != nil && e.deviceAt(d.slot) == nil) {
-		// A packed slot nobody woke — or one a scripted rotation, which
-		// fires at commit points, may have migrated since it was claimed:
-		// rebuild it in its commit-point state.
-		t, err := e.materializeDevice(d.slot)
-		if err != nil {
+	if r.awake && rs.rotScript != nil {
+		// A scripted rotation fires at commit points, so it may have
+		// migrated the slot since it was claimed: re-key it.
+		e.aim(r.t, d.slot)
+	} else if !r.awake {
+		if err := e.wake(r.t, d.slot); err != nil {
 			return 0, err
 		}
-		r.t = t
+		r.awake = true
 	}
 	if (attempt > 1 || (rs.rotScript != nil && e.rotationInProgress())) && !r.t.ServesEpoch(post.Epoch) {
 		if attempt > 1 {
@@ -601,9 +595,8 @@ func (w *collectWalk) retryStale(ctx context.Context, now time.Time) (time.Time,
 		if err := ctxErr(ctx); err != nil {
 			return now, err
 		}
-		queue[i].t = nil // the rollout may have reached the slot since it queued
-		r := &w.res[0]
-		*r = collectResult{tuples: r.tuples[:0]}
+		r := &w.res[0] // woken afresh: the rollout may have reached the slot since it queued
+		*r = collectResult{t: r.t, tuples: r.tuples[:0]}
 		var err error
 		if r.fate, err = w.resolve(queue[i], r, now.Add(wait), 2); err != nil {
 			return now, err

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
@@ -19,39 +18,12 @@ import (
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
-	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
 func newBenchEngine(b testing.TB, fleet, workers int) (*Engine, *querier.Querier) {
 	b.Helper()
-	schema := meterSchema()
-	eng, err := NewEngine(Config{
-		Schema: schema,
-		Policy: &accessctl.Policy{Rules: []accessctl.Rule{
-			{Role: "energy-analyst", AggregateOnly: true},
-		}},
-		AuthorityKey:      tdscrypto.DeriveKey(tdscrypto.Key{}, "authority"),
-		MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
-		AvailableFraction: 0.5,
-		CollectWorkers:    workers,
-		Seed:              7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	err = eng.ProvisionFleet(fleet, func(i int) *storage.LocalDB {
-		return householdDB(schema, i)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cred := eng.Authority().Issue("edf", []string{"energy-analyst"},
-		time.Unix(1700000000, 0).Add(365*24*time.Hour))
-	q, err := querier.New("edf", eng.K1(), cred, schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng, q
+	eng := newTestEngine(b, fleet, func(c *Config) { c.CollectWorkers = workers }, nil)
+	return eng, newQuerierForEngine(b, eng, "edf")
 }
 
 // benchCollectionPhase measures the collection phase alone — post a query,
@@ -119,7 +91,7 @@ func BenchmarkCollectOneTDS(b *testing.B) {
 			for g := 0; kind == protocol.KindCNoise && g < 50; g++ {
 				cfg.Domain = append(cfg.Domain, storage.Row{storage.Str(strings.TrimSuffix(fmt.Sprint(districts[0], "-", g), "-0"))})
 			}
-			t := eng.fleet[0]
+			t := wokenDevice(b, eng, 0)
 			now := time.Unix(1700000000, 0)
 			col := newCollector()
 			b.ReportAllocs()
@@ -278,7 +250,7 @@ func BenchmarkStreamBuild(b *testing.B) {
 				name = "tagged/" + name
 			}
 			b.Run(name, func(b *testing.B) {
-				store, input := ssi.New(), benchTuples(shape.deposits*shape.per, 50)
+				store, input := ssi.NewSharded(1), benchTuples(shape.deposits*shape.per, 50)
 				must(store.PostQuery(&protocol.QueryPost{ID: "q", Kind: kind}, time.Unix(1700000000, 0)))
 				for d := 0; d < shape.deposits; d++ {
 					dep := protocol.NewDeposit("q", "", 0, 0, input[d*shape.per:(d+1)*shape.per])
@@ -298,6 +270,16 @@ func BenchmarkStreamBuild(b *testing.B) {
 	}
 }
 
+// wokenDevice wakes a fleet slot, rows and all, into a device of its own,
+// as a collection walk's window slot does.
+func wokenDevice(tb testing.TB, eng *Engine, slot int) *tds.TDS {
+	t := eng.newShell(storage.NewLocalDB(eng.Schema()))
+	if err := eng.wake(t, slot); err != nil {
+		tb.Fatal(err)
+	}
+	return t
+}
+
 // benchAggSQL is the repo benchmark's aggregate query.
 const benchAggSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 	`WHERE C.cid = P.cid GROUP BY C.district`
@@ -307,7 +289,7 @@ const benchAggSQL = `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 // or 2 (wide_fleet).
 func newDevice(tb testing.TB, readings int) (*Engine, *tds.TDS, *protocol.QueryPost) {
 	eng, q := newBenchEngine(tb, 1, 1)
-	t := eng.fleet[0]
+	t := wokenDevice(tb, eng, 0)
 	def, _ := t.DB.Schema().Table("Consumer")
 	consumer := t.DB.TableRows(def)
 	t.DB = storage.NewLocalDB(t.DB.Schema())

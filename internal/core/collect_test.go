@@ -17,10 +17,12 @@ import (
 // through: a revoked device in a run that commits as one batch, a SIZE
 // cut-off inside a run and inside a deposit, collect errors behind which
 // clocks were mispredicted, and these again over more than three windows,
-// where slots are reused. Each runs at CollectWorkers 1, 2 and 8 on both
-// fleet representations; rows, metrics with their ledger, trace and
-// journal must be identical, and every stored deposit must verify.
+// where slots are reused, and over devices whose databases Insert moved.
+// Each runs at CollectWorkers 1, 2 and 8; rows, metrics with their
+// ledger, trace and journal must be identical, and every stored deposit
+// must verify.
 func TestCollectWorkersDeterminismWalk(t *testing.T) {
+	var powerRows int64 // the fleet's Power rows, counted by inserted-slots' prepare
 	scenarios := []struct {
 		name    string
 		fleet   int
@@ -122,43 +124,64 @@ func TestCollectWorkersDeterminismWalk(t *testing.T) {
 				t.Errorf("CollectErrors = %d, dropped = %d, deposited = %d", m.CollectErrors, m.DroppedDeposits, m.DepositedDevices)
 			}
 		},
+	}, {
+		// Every seventh of 300 devices takes two Power rows through
+		// Insert, so its database sits past every other slot's region and
+		// is larger than the one it replaced: a window slot that wakes it
+		// must read the new region, however its buffers were sized before.
+		name: "inserted-slots", fleet: 300,
+		prepare: func(t *testing.T, f *fixture, _ *Request) {
+			for slot := 0; slot < 300; slot += 7 {
+				for p := range 2 {
+					f.insert(t, slot, "Power", storage.Row{storage.Int(int64(slot)), storage.Float(30), storage.Int(int64(60 + p))})
+				}
+			}
+			power, _ := f.eng.Schema().Table("Power")
+			powerRows = 0
+			for _, db := range f.dbs {
+				powerRows += int64(len(db.TableRows(power)))
+			}
+		},
+		sql: `SELECT COUNT(*) FROM Power`, kind: protocol.KindSAgg,
+		check: func(t *testing.T, m *Metrics) {
+			if m.Nt != powerRows || m.CollectErrors != 0 {
+				t.Errorf("Nt = %d with %d collect errors, want all %d Power rows", m.Nt, m.CollectErrors, powerRows)
+			}
+		},
 	}}
 	for _, sc := range scenarios {
-		for _, packed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/packed=%v", sc.name, packed), func(t *testing.T) {
-				var want queryOutcome
-				for _, workers := range []int{1, 2, 8} {
-					f := newFixture(t, sc.fleet, func(c *Config) {
-						c.CollectWorkers = workers
-						c.PackedFleet = packed
-						if sc.edit != nil {
-							sc.edit(c)
-						}
-					})
-					req := Request{Querier: f.q, SQL: sc.sql, Kind: sc.kind, Faults: sc.faults,
-						QueryID: "walk-" + sc.name}
-					if sc.prepare != nil {
-						sc.prepare(t, f, &req)
-						req.Querier = newQuerierForEngine(t, f.eng, "edf") // re-keyed to the rotated ring
+		t.Run(sc.name, func(t *testing.T) {
+			var want queryOutcome
+			for _, workers := range []int{1, 2, 8} {
+				f := newFixture(t, sc.fleet, func(c *Config) {
+					c.CollectWorkers = workers
+					if sc.edit != nil {
+						sc.edit(c)
 					}
-					resp, err := f.eng.Execute(context.Background(), req)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					sc.check(t, resp.Metrics)
-					if m := resp.Metrics; m.IntegrityViolations != 0 || m.IntegrityChecks < m.DepositedDevices {
-						t.Errorf("workers=%d: %d violations, %d checks of %d deposits", workers,
-							m.IntegrityViolations, m.IntegrityChecks, m.DepositedDevices)
-					}
-					got := outcomeOf(t, req, resp)
-					if workers == 1 {
-						want = got
-					} else if !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d diverges from workers=1:\n  got:  %+v\n  want: %+v", workers, got, want)
-					}
+				})
+				req := Request{Querier: f.q, SQL: sc.sql, Kind: sc.kind, Faults: sc.faults,
+					QueryID: "walk-" + sc.name}
+				if sc.prepare != nil {
+					sc.prepare(t, f, &req)
+					req.Querier = newQuerierForEngine(t, f.eng, "edf") // re-keyed to the rotated ring
 				}
-			})
-		}
+				resp, err := f.eng.Execute(context.Background(), req)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				sc.check(t, resp.Metrics)
+				if m := resp.Metrics; m.IntegrityViolations != 0 || m.IntegrityChecks < m.DepositedDevices {
+					t.Errorf("workers=%d: %d violations, %d checks of %d deposits", workers,
+						m.IntegrityViolations, m.IntegrityChecks, m.DepositedDevices)
+				}
+				got := outcomeOf(t, req, resp)
+				if workers == 1 {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d diverges from workers=1:\n  got:  %+v\n  want: %+v", workers, got, want)
+				}
+			}
+		})
 	}
 }
 

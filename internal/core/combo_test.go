@@ -44,11 +44,8 @@ func TestContinuousEDHistWithRefresh(t *testing.T) {
 			// New readings shift the distribution; refresh discovery so
 			// the histogram reflects it (stale histograms stay correct but
 			// drift from equi-depth).
-			for i, db := range f.dbs {
-				if err := db.Insert("Power", storage.Row{
-					storage.Int(int64(i)), storage.Float(55), storage.Int(int64(50 + w))}); err != nil {
-					t.Fatal(err)
-				}
+			for i := range f.dbs {
+				f.insert(t, i, "Power", storage.Row{storage.Int(int64(i)), storage.Float(55), storage.Int(int64(50 + w))})
 			}
 			f.eng.RefreshDiscovery()
 		}
@@ -74,9 +71,7 @@ func TestAuditedTargetedDurationQuery(t *testing.T) {
 		c.ConnectionInterval = time.Minute
 	})
 	targets := make([]string, 0, 12)
-	for _, d := range f.eng.fleet[:12] {
-		targets = append(targets, d.ID)
-	}
+	targets = append(targets, f.eng.fleet.ids[:12]...)
 	sql := `SELECT COUNT(*) FROM Consumer SIZE DURATION '5m'`
 	got, m, err := runTargeted(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{}, targets)
 	if err != nil {

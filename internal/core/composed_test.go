@@ -16,6 +16,7 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/ssi"
+	"github.com/trustedcells/tcq/internal/storage"
 )
 
 // TestComposedFaults draws composedSeeds compositions, and each of
@@ -29,12 +30,12 @@ var composedClasses = strings.Fields(`Basic S_Agg Rnf_Noise C_Noise ED_Hist
 	equivocate-partitioning/false equivocate-partitioning/true
 	rotation/revoke rotation/drop-bundle rotation/torn rotation/revoked-deposits
 	offline drop corrupt slow crash abandoned floor-abort size-cut duration-cut audit-outvoted
-	workers=0 workers=1 workers=2 workers=8 packed stripes=1 skip-verify`)
+	workers=0 workers=1 workers=2 workers=8 stripes=1 skip-verify`)
 
 // cell is one point on the axes a composition must not depend on.
 type cell struct {
-	workers                     int
-	packed, stripe1, skipVerify bool
+	workers             int
+	stripe1, skipVerify bool
 }
 
 // composition is what one seed draws: a protocol and query, a fault plan
@@ -57,6 +58,7 @@ type composition struct {
 	exclude                     map[int]bool
 	offline, deposited, refused int
 	booked                      map[string]string
+	grow                        func(t *testing.T, f *fixture) // data added to the fleet before the run
 }
 
 func (c *composition) String() string {
@@ -113,10 +115,10 @@ func drawComposition(seed int) *composition {
 			// offline or drops.
 			sent, n := 0, 1+r.Intn(2)
 			for _, slot := range connectionOrder(c.qid, c.fleet) {
-				switch b := p.For(packedID(slot), c.qid); {
+				switch b := p.For(slotID(slot), c.qid); {
 				case b.Offline || b.DropDeposit:
 				case sent >= rot.AfterDeposits && !b.CorruptDeposit && len(c.victims) < n:
-					c.victims = append(c.victims, packedID(slot))
+					c.victims = append(c.victims, slotID(slot))
 				default:
 					sent++
 				}
@@ -138,7 +140,9 @@ func drawComposition(seed int) *composition {
 		c.interval = 30 * time.Second
 	}
 	pick := func(skipVerify bool) cell {
-		return cell{[]int{0, 1, 2, 8}[r.Intn(4)], r.Intn(2) == 0, r.Intn(3) == 0, skipVerify}
+		workers := []int{0, 1, 2, 8}[r.Intn(4)]
+		r.Intn(2) // the retired fleet axis, still drawn so the draws after it stay put
+		return cell{workers, r.Intn(3) == 0, skipVerify}
 	}
 	for c.cells = []cell{pick(false)}; len(c.cells) < 2; {
 		if x := pick(false); x != c.cells[0] {
@@ -165,7 +169,7 @@ func (c *composition) settle() *composition {
 	p := &c.plan
 	c.exclude, c.booked = map[int]bool{}, map[string]string{}
 	for slot := 0; slot < c.fleet; slot++ {
-		id, b := packedID(slot), p.For(packedID(slot), c.qid)
+		id, b := slotID(slot), p.For(slotID(slot), c.qid)
 		switch revoked := slices.Contains(c.victims, id); {
 		case b.Offline:
 			c.offline++
@@ -271,7 +275,6 @@ func (c *composition) run(t *testing.T) (classes map[string]bool) {
 	}
 	for _, cl := range c.cells {
 		classes[fmt.Sprintf("workers=%d", cl.workers)] = true
-		classes["packed"] = classes["packed"] || cl.packed
 		classes["stripes=1"] = classes["stripes=1"] || cl.stripe1
 		classes["skip-verify"] = classes["skip-verify"] || cl.skipVerify
 	}
@@ -294,18 +297,33 @@ func TestAdversaryChaosSweep(t *testing.T) {
 
 // TestRotationMidQueryDeterminism pins a rotation that begins after the 8th
 // deposit and rolls out in three waves every five, under every protocol,
-// eager and packed, at one and eight workers: the fault-free rows, no
-// integrity violation, and every wave on the ledger.
+// at one and eight workers: the fault-free rows, no integrity violation,
+// and every wave on the ledger.
 func TestRotationMidQueryDeterminism(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		t.Run(map[bool]string{false: "eager", true: "packed"}[packed], func(t *testing.T) {
-			for i, sc := range churnScenarios {
-				t.Run(sc.kind.String(), func(t *testing.T) {
-					rot := &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
-					pinned(i, 40, faultplan.Plan{Seed: 21, Rotation: rot},
-						cell{workers: 1, packed: packed}, cell{workers: 8, packed: packed}).run(t)
-				})
+	for i, sc := range churnScenarios {
+		t.Run(sc.kind.String(), func(t *testing.T) {
+			rot := &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
+			pinned(i, 40, faultplan.Plan{Seed: 21, Rotation: rot}, cell{workers: 1}, cell{workers: 8}).run(t)
+		})
+	}
+}
+
+// TestRotationOverInsertedSlots pins the same rotation over a fleet a
+// third of which took rows through Engine.Insert, so their databases sit
+// in regions past every other slot's: each must migrate with its newest
+// rows and answer them, as the rest of the fleet does.
+func TestRotationOverInsertedSlots(t *testing.T) {
+	for i, sc := range churnScenarios {
+		t.Run(sc.kind.String(), func(t *testing.T) {
+			rot := &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
+			c := pinned(i, 40, faultplan.Plan{Seed: 21, Rotation: rot}, cell{workers: 1}, cell{workers: 8})
+			c.grow = func(t *testing.T, f *fixture) {
+				for slot := 1; slot < c.fleet; slot += 3 { // detached houses, which flagshipSQL reads
+					f.insert(t, slot, "Power", storage.Row{storage.Int(int64(slot)), storage.Float(44), storage.Int(int64(90 + slot%4))})
+					f.insert(t, slot, "Consumer", storage.Row{storage.Int(int64(1000 + slot)), storage.Str("Brest"), storage.Str("flat")})
+				}
 			}
+			c.run(t)
 		})
 	}
 }
@@ -315,7 +333,7 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 // settled on the ledger, the journal, the trace and the registry.
 func TestAbortCoverageFloorJournal(t *testing.T) {
 	plan := faultplan.Plan{Seed: 2, OfflineFraction: 0.9, CoverageFloor: 0.5}
-	if !pinned(1, 40, plan, cell{}, cell{workers: 8, packed: true}).run(t)["floor-abort"] {
+	if !pinned(1, 40, plan, cell{}, cell{workers: 8}).run(t)["floor-abort"] {
 		t.Error("a fleet nine-tenths offline met the coverage floor")
 	}
 }
@@ -352,13 +370,16 @@ func (c *composition) cut(m *Metrics) bool {
 func (c *composition) runCell(t *testing.T, cl cell, twin *observed) *observed {
 	t.Helper()
 	f := newFixture(t, c.fleet, func(cfg *Config) {
-		cfg.CollectWorkers, cfg.PackedFleet = cl.workers, cl.packed
+		cfg.CollectWorkers = cl.workers
 		if cl.stripe1 { // behind a decorator, like every SSI a test injects
 			cfg.SSI = struct{ ssi.Service }{ssi.NewSharded(1)}
 		}
 		cfg.AvailableFraction, cfg.ConnectionInterval = c.available, c.interval
 		cfg.CompromisedFraction, cfg.AuditReplicas = c.compromised, c.replicas
 	})
+	if c.grow != nil {
+		c.grow(t, f)
+	}
 	plan := c.plan
 	if twin == nil {
 		plan.SSI = nil

@@ -9,7 +9,8 @@ import (
 
 // TestContinuousWindows is Section 2.3's continuous query: Execute in a
 // loop, one complete and independent protocol run per collection window,
-// each aggregating the data present at that point.
+// each aggregating the data present at that point — the rows recorded
+// between windows reach the devices' slots through Engine.Insert.
 func TestContinuousWindows(t *testing.T) {
 	f := newFixture(t, 15, nil)
 	sql := `SELECT COUNT(*) FROM Power`
@@ -18,12 +19,8 @@ func TestContinuousWindows(t *testing.T) {
 		if w > 0 { // the first window sees the provisioned data only
 			// The physical world between windows: every meter records one
 			// fresh reading.
-			for i, db := range f.dbs {
-				err := db.Insert("Power", storage.Row{
-					storage.Int(int64(i)), storage.Float(42), storage.Int(int64(100 + w))})
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i := range f.dbs {
+				f.insert(t, i, "Power", storage.Row{storage.Int(int64(i)), storage.Float(42), storage.Int(int64(100 + w))})
 			}
 		}
 		res, m, err := runQuery(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{})

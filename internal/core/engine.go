@@ -75,16 +75,6 @@ type Config struct {
 	// writes every run's trace and journal itself, so an injected SSI
 	// carries nothing outside that interface.
 	SSI ssi.Service
-	// PackedFleet provisions the fleet in the packed representation:
-	// ProvisionFleet serializes each device's database into one shared
-	// blob and materializes a live TDS only while the device is
-	// connected, with key rings derived on demand per epoch. Memory per
-	// enrolled device drops from a full LocalDB plus key schedules to a
-	// few dozen bytes, which is what makes million-device fleets fit in
-	// a scale test; every query pays an unpack per device it wakes, so
-	// eager is the default. Every observable — rows, metrics, ledgers,
-	// traces — is bit-identical to the eager representation.
-	PackedFleet bool
 	// Seed makes runs reproducible.
 	Seed int64
 }
@@ -93,7 +83,7 @@ type Config struct {
 type Engine struct {
 	cfg       Config
 	schema    *storage.Schema
-	fleet     []*tds.TDS
+	fleet     fleet // the enrolled devices, as packed slots (fleet.go)
 	ssi       ssi.Service
 	authority *accessctl.Authority
 	keyAuth   *tdscrypto.KeyAuthority
@@ -101,26 +91,22 @@ type Engine struct {
 	cal       netsim.Calibration
 	planCache *tds.PlanCache // what a query's devices share; no device holds a plan of its own
 	obs       *engineObs     // tracer + metrics registry
-	// verifier recomputes k2 deposit and partition commitments on the
-	// trusted side of the run — the engine playing the querier's checker
-	// against whatever the SSI claims. Refreshed on key rotation.
-	verifier *tdscrypto.Committer
 
-	// packed backs the nil entries of fleet when Config.PackedFleet is
-	// set; kmCache shares one expanded key ring per epoch across every
-	// device materialized from it.
-	packed  *packedFleet
-	kmMu    sync.Mutex
-	kmCache map[uint32]*tds.KeyMaterial
+	// idle holds the devices collection walks wake slots into between
+	// walks; noRows is the database of the phases' devices, which hold
+	// keys and never rows.
+	idleMu sync.Mutex
+	idle   []*tds.TDS
+	noRows *storage.LocalDB
 
 	mu        sync.Mutex
 	seq       int
 	discovery map[string]*discovered // cached A_G distributions
 
 	// life guards the fleet's enrollment state against live rotation and
-	// revocation: the key authority's epoch, keys/verifier, eager fleet
-	// slot replacement, packed slot epochs, the revocation set, and the
-	// rotation coordinator state. Queries hold it only for pointer-sized
+	// revocation: the key authority's epoch, keys/verifier, the fleet's
+	// slots (epochs, regions, texts), the revocation set, and the rotation
+	// coordinator state. Queries hold it only for pointer-sized
 	// reads on hot paths; lifecycle operations take it exclusively.
 	life sync.RWMutex
 	// rot is the in-progress live rotation (rotation.go); nil otherwise.
@@ -129,10 +115,11 @@ type Engine struct {
 	// the last bundle published, which devices enforce monotonicity
 	// against.
 	bundleSeq uint64
-	// commCache shares one k2 committer per wire epoch for verifying
-	// deposits across a rotation boundary (guarded by kmMu, like
-	// kmCache).
-	commCache map[int]*tdscrypto.Committer
+	// mats is the expanded key material of every key-authority epoch,
+	// expanded once when the epoch begins: every device woken at an epoch
+	// borrows it, and the run verifying a query's commitments uses its
+	// committer.
+	mats []*tds.KeyMaterial
 
 	// Broadcast revocation state (built by the first rotation, rebuilt
 	// by the first one after the fleet outgrows the tree).
@@ -164,6 +151,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		svc = ssi.NewSharded(0)
 	}
 	ring := keyAuth.Ring()
+	km, err := tds.NewKeyMaterial(ring)
+	if err != nil {
+		return nil, err
+	}
 	return &Engine{
 		cfg:       cfg,
 		schema:    cfg.Schema,
@@ -174,8 +165,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cal:       cfg.Calibration,
 		planCache: tds.NewPlanCache(),
 		obs:       newEngineObs(),
-		verifier:  tdscrypto.NewCommitter(ring.K2),
+		mats:      []*tds.KeyMaterial{km},
 		discovery: make(map[string]*discovered),
+		noRows:    storage.NewLocalDB(cfg.Schema),
 	}, nil
 }
 
@@ -194,7 +186,7 @@ func (e *Engine) K1() tdscrypto.Key {
 func (e *Engine) Schema() *storage.Schema { return e.schema }
 
 // FleetSize returns the number of enrolled TDSs.
-func (e *Engine) FleetSize() int { return len(e.fleet) }
+func (e *Engine) FleetSize() int { return e.fleet.size() }
 
 // nextQueryID allocates a unique query identifier.
 func (e *Engine) nextQueryID() string {
@@ -216,7 +208,7 @@ func (e *Engine) wireEpoch() int {
 // availableWorkers is the number of TDSs connected during aggregation and
 // filtering phases: simulated P_TDS, never a goroutine count.
 func (e *Engine) availableWorkers() int {
-	n := int(e.cfg.AvailableFraction * float64(len(e.fleet)))
+	n := int(e.cfg.AvailableFraction * float64(e.fleet.size()))
 	if n < 1 {
 		n = 1
 	}

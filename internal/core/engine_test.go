@@ -11,7 +11,6 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/sqlexec"
-	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
@@ -70,9 +69,19 @@ type fixture struct {
 
 func newFixture(t *testing.T, fleetSize int, cfgEdit func(*Config)) *fixture {
 	t.Helper()
-	schema := meterSchema()
+	f := &fixture{}
+	f.eng = newTestEngine(t, fleetSize, cfgEdit, func(db *storage.LocalDB) { f.dbs = append(f.dbs, db) })
+	f.q = newQuerierForEngine(t, f.eng, "edf")
+	return f
+}
+
+// newTestEngine provisions fleetSize householdDBs behind an engine of the
+// tests' config, which cfgEdit (nil for none) adjusts. keep (nil for none)
+// is handed each database as it is populated; the engine retains none.
+func newTestEngine(t testing.TB, fleetSize int, cfgEdit func(*Config), keep func(*storage.LocalDB)) *Engine {
+	t.Helper()
 	cfg := Config{
-		Schema: schema,
+		Schema: meterSchema(),
 		Policy: &accessctl.Policy{Rules: []accessctl.Rule{{
 			Role: "energy-analyst", AggregateOnly: true,
 		}, {
@@ -90,36 +99,34 @@ func newFixture(t *testing.T, fleetSize int, cfgEdit func(*Config)) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dbs []*storage.LocalDB
-	err = eng.ProvisionFleet(fleetSize, func(i int) *storage.LocalDB {
-		db := householdDB(schema, i)
-		dbs = append(dbs, db)
+	if err := eng.ProvisionFleet(fleetSize, func(i int) *storage.LocalDB {
+		db := householdDB(cfg.Schema, i)
+		if keep != nil {
+			keep(db)
+		}
 		return db
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	cred := eng.Authority().Issue("edf", []string{"energy-analyst", "auditor"},
-		time.Unix(1700000000, 0).Add(365*24*time.Hour))
-	q, err := querier.New("edf", eng.K1(), cred, schema)
-	if err != nil {
+	return eng
+}
+
+// insert records a row on device i: in its slot, through Engine.Insert,
+// and in the copy of its database the reference queries read.
+func (f *fixture) insert(t *testing.T, i int, table string, row storage.Row) {
+	t.Helper()
+	if err := f.eng.Insert(slotID(i), table, row); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{eng: eng, q: q, dbs: dbs}
+	if err := f.dbs[i].Insert(table, row); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // reference runs the query standalone over the union of all databases.
 func (f *fixture) reference(t *testing.T, sql string) *sqlexec.Result {
 	t.Helper()
-	plan, err := sqlexec.Compile(sqlparse.MustParse(sql), f.eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sqlexec.Standalone(plan, f.dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return referenceExcluding(t, f, sql, nil)
 }
 
 // sortedRows canonicalizes result rows for comparison.
@@ -386,15 +393,9 @@ func TestRefreshDiscovery(t *testing.T) {
 	}
 	// New households appear in a brand-new district; the stale histogram
 	// would misroute them until a refresh.
-	for _, db := range f.dbs[:3] {
-		if err := db.Insert("Consumer", storage.Row{
-			storage.Int(900), storage.Str("Bordeaux"), storage.Str("detached house")}); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Insert("Power", storage.Row{
-			storage.Int(900), storage.Float(33), storage.Int(0)}); err != nil {
-			t.Fatal(err)
-		}
+	for i := range 3 {
+		f.insert(t, i, "Consumer", storage.Row{storage.Int(900), storage.Str("Bordeaux"), storage.Str("detached house")})
+		f.insert(t, i, "Power", storage.Row{storage.Int(900), storage.Float(33), storage.Int(0)})
 	}
 	f.eng.RefreshDiscovery()
 	if len(f.eng.discovery) != 0 {

@@ -2,134 +2,117 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
 )
 
-// AddTDS enrolls one eager TDS hosting the given local database at the
-// authority's current epoch, wired to the engine's shared plan cache.
-// Like a packed slot it borrows the epoch's key material: one ring per
-// epoch, expanded once. When the extended threat model is active, a
-// deterministic share of devices is marked compromised at enrollment.
-func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
+// The fleet is kept the way the paper's devices keep their data: in flash,
+// read on demand (Section 2.1). An enrolled device is a slot — its
+// database packed into the fleet's one blob, its key epoch, its
+// compromised-at-enrollment bit and its ID — and no live device stands
+// behind it. A device exists only while it works: waking a slot re-aims a
+// tds.TDS that is already allocated (the collection walk holds one per
+// window slot, a run's phases one per crew worker) at the slot's ID, bit
+// and key epoch, the expanded key material borrowed from the epoch's one
+// expansion. A collection also loads the slot's rows into the device's
+// reused buffers, its texts read from the fleet's one table of the
+// distinct texts packed, so a steady-state wake allocates nothing
+// (TestDeviceWakeDoesNotAllocate). Device identity, RNG seeding,
+// corruption draws and key epochs are all functions of the slot, so what
+// a wake rebuilds is what a device that lived through every enrollment,
+// rotation and insert would hold.
+
+// fleet is the slot-indexed store of the enrolled devices. Slot i's
+// database is blob[start[i]:end[i]]. Regions are only ever appended:
+// Insert re-packs a slot at the blob's end, so a region a wake is reading
+// is never written.
+type fleet struct {
+	ids     []string      // per slot: the device ID, interned at provisioning
+	blob    []byte        // storage.PackDB blobs
+	start   []int64       // per slot: where its region begins
+	end     []int64       // per slot: where its region ends
+	epoch   []uint32      // per slot: key-authority epoch it last enrolled at
+	corrupt []bool        // per slot: compromised at enrollment (extended threat model)
+	texts   storage.Texts // every text packed; replaced, never written, once read
+}
+
+// size is the number of enrolled devices.
+func (f *fleet) size() int { return len(f.ids) }
+
+// region returns slot's packed database.
+func (f *fleet) region(slot int) []byte { return f.blob[f.start[slot]:f.end[slot]] }
+
+// pack points slot at a new packed database, appended to the blob.
+func (f *fleet) pack(slot int, db *storage.LocalDB) {
+	f.texts = f.texts.With(db)
+	f.start[slot] = int64(len(f.blob))
+	f.blob = append(f.blob, storage.PackDB(db)...)
+	f.end[slot] = int64(len(f.blob))
+}
+
+// ProvisionFleet enrolls n TDSs whose databases are produced by populate,
+// at the authority's current epoch; the k-th device enrolled on the engine
+// (from 0) is "tds-%05d" of k. Each database is packed into the
+// fleet's blob during its own enrollment and not referenced afterwards, so
+// the engine retains nothing of populate's scratch state. When the
+// extended threat model is active, a deterministic share of devices is
+// marked compromised at enrollment.
+func (e *Engine) ProvisionFleet(n int, populate func(i int) *storage.LocalDB) error {
 	e.life.Lock()
 	defer e.life.Unlock()
+	f := &e.fleet
 	epoch := uint32(e.keyAuth.Epoch())
-	km, err := e.keyMaterial(epoch)
-	if err != nil {
-		return nil, err
-	}
-	id := fmt.Sprintf("tds-%05d", len(e.fleet))
-	t := tds.NewWithMaterial(id, db, km, e.cfg.Policy, e.authority)
-	t.SetEpoch(int(epoch) + 1)
-	t.Shared = e.planCache
-	t.Corrupt = e.compromised(id)
-	e.fleet = append(e.fleet, t)
-	return t, nil
-}
-
-// compromised is the enrolment draw of the extended threat model: whether
-// the device of this ID belongs to Config.CompromisedFraction, a function
-// of (Seed, ID) so both fleet representations mark the same silicon.
-func (e *Engine) compromised(id string) bool {
-	f := e.cfg.CompromisedFraction
-	return f > 0 && rng.New(e.cfg.Seed, "", rng.Enrol|uint64(rng.Hash(id))).Float64() < f
-}
-
-// ProvisionFleet enrolls n TDSs whose databases are produced by populate.
-// Each database is consumed during its own enrollment and not referenced
-// afterwards: with Config.PackedFleet it is serialized and discarded, and
-// either way the engine retains nothing of populate's scratch state.
-func (e *Engine) ProvisionFleet(n int, populate func(i int) *storage.LocalDB) error {
-	if e.cfg.PackedFleet {
-		return e.provisionPacked(n, populate)
-	}
 	for i := 0; i < n; i++ {
-		if _, err := e.AddTDS(populate(i)); err != nil {
-			return err
-		}
+		slot := f.size()
+		id := fmt.Sprintf("tds-%05d", slot)
+		f.ids = append(f.ids, id)
+		f.start, f.end = append(f.start, 0), append(f.end, 0)
+		f.epoch = append(f.epoch, epoch)
+		f.corrupt = append(f.corrupt, e.compromised(id))
+		f.pack(slot, populate(i))
 	}
 	return nil
 }
 
-// The packed fleet representation (Config.PackedFleet): instead of one
-// live *tds.TDS per enrolled device — a materialized LocalDB, a plans
-// map, and expanded key schedules each — the engine keeps a serialized
-// database blob per device plus a few bytes of enrollment state, and
-// rebuilds a device only for the instants it is actually connected. Key
-// rings are derived on demand from the KeyAuthority (RingAt) and their
-// expanded form is cached per epoch, so an entire connection wave shares
-// one set of AES key schedules and HMAC pools. Device identity, RNG
-// seeding, corruption draws and key epochs are all reproduced exactly,
-// which is what keeps packed and eager fleets bit-identical in every
-// observable: rows, metrics, ledgers and traces.
-
-// packedFleet is the slot-indexed store behind the nil entries of
-// Engine.fleet. Slot i's blob region is blob[end[i-1]:end[i]] (zero
-// length for eagerly enrolled slots), so the whole fleet costs one
-// backing array plus ~13 bytes of bookkeeping per device.
-type packedFleet struct {
-	blob    []byte   // concatenated storage.PackDB blobs, in slot order
-	end     []int64  // per slot: end offset of its blob region
-	epoch   []uint32 // key-authority epoch the slot last enrolled at
-	corrupt []bool   // compromised-at-enrollment flag (extended threat model)
-}
-
-// pad extends the bookkeeping through slot n-1 with zero-length regions,
-// covering slots that were enrolled eagerly via AddTDS.
-func (p *packedFleet) pad(n int) {
-	for len(p.end) < n {
-		p.end = append(p.end, int64(len(p.blob)))
-		p.epoch = append(p.epoch, 0)
-		p.corrupt = append(p.corrupt, false)
+// Insert adds a row to a table of one enrolled device: the physical world
+// between two collection windows (Section 2.3), a meter recording a
+// reading. The row is validated against the schema and the device's slot
+// re-packed with it, so every wake from then on reads it; a query already
+// past the device's wake does not.
+func (e *Engine) Insert(deviceID, table string, row storage.Row) error {
+	e.life.Lock()
+	defer e.life.Unlock()
+	slot, ok := e.slotOf(deviceID)
+	if !ok {
+		return fmt.Errorf("core: unknown device %q", deviceID)
 	}
-}
-
-// addPacked appends one packed slot.
-func (p *packedFleet) addPacked(blob []byte, epoch uint32, corrupt bool) {
-	p.blob = append(p.blob, blob...)
-	p.end = append(p.end, int64(len(p.blob)))
-	p.epoch = append(p.epoch, epoch)
-	p.corrupt = append(p.corrupt, corrupt)
-}
-
-// region returns slot's serialized database.
-func (p *packedFleet) region(slot int) []byte {
-	start := int64(0)
-	if slot > 0 {
-		start = p.end[slot-1]
+	db := storage.NewLocalDB(e.schema)
+	if err := db.Load(e.fleet.region(slot), nil); err != nil {
+		return fmt.Errorf("core: slot %d: %w", slot, err)
 	}
-	return p.blob[start:p.end[slot]]
-}
-
-// packedID is the canonical device ID of a fleet slot — by construction
-// identical to the ID AddTDS would have assigned the same slot.
-func packedID(slot int) string { return fmt.Sprintf("tds-%05d", slot) }
-
-// deviceID names a fleet slot without materializing it.
-func (e *Engine) deviceID(slot int) string {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	return e.deviceIDLocked(slot)
-}
-
-// deviceIDLocked is deviceID for callers already holding the lifecycle
-// lock (rotation and revocation replace eager slots in place, so the
-// slot read needs it).
-func (e *Engine) deviceIDLocked(slot int) string {
-	if t := e.fleet[slot]; t != nil {
-		return t.ID
+	if err := db.Insert(table, row); err != nil {
+		return err
 	}
-	return packedID(slot)
+	e.fleet.pack(slot, db)
+	return nil
 }
 
-// deviceAt reads one fleet slot under the lifecycle lock.
-func (e *Engine) deviceAt(slot int) *tds.TDS {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	return e.fleet[slot]
+// slotOf resolves an enrolled device's ID to its slot.
+func (e *Engine) slotOf(id string) (int, bool) {
+	slot, err := strconv.Atoi(strings.TrimPrefix(id, "tds-"))
+	return slot, err == nil && slot >= 0 && slot < e.fleet.size() && e.fleet.ids[slot] == id
+}
+
+// compromised is the enrolment draw of the extended threat model: whether
+// the device of this ID belongs to Config.CompromisedFraction, a function
+// of (Seed, ID).
+func (e *Engine) compromised(id string) bool {
+	f := e.cfg.CompromisedFraction
+	return f > 0 && rng.New(e.cfg.Seed, "", rng.Enrol|uint64(rng.Hash(id))).Float64() < f
 }
 
 // isRevoked reports whether a device ID has been expelled, under the
@@ -141,130 +124,74 @@ func (e *Engine) isRevoked(id string) bool {
 	return e.revoked[id]
 }
 
-// keyMaterial expands (and caches) the key ring of one epoch. Every
-// device enrolled at the same epoch holds the same ring, so a million
-// packed devices share one AES key schedule, HMAC pool and committer
-// per epoch instead of carrying their own.
-func (e *Engine) keyMaterial(epoch uint32) (*tds.KeyMaterial, error) {
-	e.kmMu.Lock()
-	defer e.kmMu.Unlock()
-	if km, ok := e.kmCache[epoch]; ok {
-		return km, nil
-	}
-	km, err := tds.NewKeyMaterial(e.keyAuth.RingAt(uint64(epoch)))
-	if err != nil {
-		return nil, err
-	}
-	if e.kmCache == nil {
-		e.kmCache = make(map[uint32]*tds.KeyMaterial)
-	}
-	e.kmCache[epoch] = km
-	return km, nil
+// newShell allocates a device for waking slots into: the fleet's policy,
+// authority and plan cache, over db.
+func (e *Engine) newShell(db *storage.LocalDB) *tds.TDS {
+	t := tds.NewWithMaterial("", db, nil, e.cfg.Policy, e.authority)
+	t.Shared = e.planCache
+	return t
 }
 
-// materializeDevice rebuilds one packed slot into a live TDS: unpack the
-// database against the fleet's shared schema (so the shared plan cache
-// keys match), borrow the epoch's expanded key material, and restore the
-// enrollment-time corruption flag. A slot that migrated during a
-// still-open rotation grace window comes back exactly as a device that
-// lived through the migration: new primary material, previous epoch's
-// material held as grace. Safe for concurrent use; the caller owns the
-// returned device and drops it when the connection ends.
-func (e *Engine) materializeDevice(slot int) (*tds.TDS, error) {
-	if t := e.deviceAt(slot); t != nil {
-		return t, nil
-	}
-	db, err := storage.UnpackDB(e.schema, e.packed.region(slot))
-	if err != nil {
-		return nil, fmt.Errorf("core: slot %d: %w", slot, err)
-	}
+// aim re-aims t at a slot: its ID, its compromised bit, and the key
+// material of its epoch, one expansion shared by every device aimed at it
+// (so a million devices share one AES key schedule, HMAC pool and
+// committer per epoch). A slot migrated by a rotation whose grace window
+// is still open also holds the previous epoch's material, as the device
+// that lived through the migration does. Phase work needs no more; aim
+// returns the slot's packed database and the fleet's texts for a wake.
+func (e *Engine) aim(t *tds.TDS, slot int) ([]byte, storage.Texts) {
 	e.life.RLock()
-	epoch := e.packed.epoch[slot]
-	corrupt := e.packed.corrupt[slot]
-	grace := e.rot != nil && epoch == e.rot.newEpoch && epoch > 0
-	e.life.RUnlock()
-	km, err := e.keyMaterial(epoch)
-	if err != nil {
-		return nil, err
+	defer e.life.RUnlock()
+	epoch := e.fleet.epoch[slot]
+	var prev *tds.KeyMaterial
+	if e.rot != nil && epoch == e.rot.newEpoch && epoch > 0 {
+		prev = e.mats[epoch-1]
 	}
-	var t *tds.TDS
-	if grace {
-		// Build the device at its pre-migration epoch, then migrate it —
-		// the same state transition the live rotation performed, so the
-		// rebuilt device keeps serving in-flight old-epoch queries.
-		prevKM, err := e.keyMaterial(epoch - 1)
-		if err != nil {
-			return nil, err
+	t.ID, t.Corrupt = e.fleet.ids[slot], e.fleet.corrupt[slot]
+	t.SetKeys(int(epoch)+1, e.mats[epoch], prev)
+	return e.fleet.region(slot), e.fleet.texts
+}
+
+// wake aims t at a slot and loads the slot's rows into t.DB's buffers.
+func (e *Engine) wake(t *tds.TDS, slot int) error {
+	region, texts := e.aim(t, slot)
+	if err := t.DB.Load(region, texts); err != nil {
+		return fmt.Errorf("core: slot %d: %w", slot, err)
+	}
+	return nil
+}
+
+// takeDevices gives each slot of a collection walk's window a device with
+// a database of its own, idle ones first; putDevices takes them back. A
+// device keeps the buffers its largest slot grew, so the walks of later
+// queries wake into them without allocating.
+func (e *Engine) takeDevices(window []collectResult) {
+	e.idleMu.Lock()
+	defer e.idleMu.Unlock()
+	for i := range window {
+		if n := len(e.idle); n > 0 {
+			window[i].t, e.idle = e.idle[n-1], e.idle[:n-1]
+		} else {
+			window[i].t = e.newShell(storage.NewLocalDB(e.schema))
 		}
-		t = tds.NewWithMaterial(packedID(slot), db, prevKM, e.cfg.Policy, e.authority)
-		t.SetEpoch(int(epoch)) // old wire epoch: (epoch-1)+1
-		t.Migrate(int(epoch)+1, km)
-	} else {
-		t = tds.NewWithMaterial(packedID(slot), db, km, e.cfg.Policy, e.authority)
-		t.SetEpoch(int(epoch) + 1)
 	}
-	t.Shared = e.planCache
-	t.Corrupt = corrupt
-	return t, nil
+}
+
+func (e *Engine) putDevices(window []collectResult) {
+	e.idleMu.Lock()
+	defer e.idleMu.Unlock()
+	for _, r := range window {
+		e.idle = append(e.idle, r.t)
+	}
 }
 
 // slotServes reports whether the device in one fleet slot can open
-// queries posted at the given wire epoch — without materializing packed
-// slots. During a live rotation's grace window a migrated device serves
-// its new epoch and the previous one; an unmigrated device serves only
-// its own. Epoch 0 means "unknown" and matches everything.
+// queries posted at the given wire epoch; the caller holds the lifecycle
+// lock. During a live rotation's grace window a migrated device serves its
+// new epoch and the previous one; an unmigrated device serves only its
+// own. Epoch 0 means "unknown" and matches everything.
 func (e *Engine) slotServes(slot, wireEpoch int) bool {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	return e.slotServesLocked(slot, wireEpoch)
-}
-
-// slotServesLocked is slotServes for callers holding the lifecycle lock.
-func (e *Engine) slotServesLocked(slot, wireEpoch int) bool {
-	if t := e.fleet[slot]; t != nil {
-		return t.ServesEpoch(wireEpoch)
-	}
-	epoch := e.packed.epoch[slot]
+	epoch := e.fleet.epoch[slot]
 	grace := e.rot != nil && epoch == e.rot.newEpoch && epoch > 0
 	return wireEpoch == 0 || int(epoch)+1 == wireEpoch || (grace && int(epoch) == wireEpoch)
-}
-
-// runDevice materializes a slot for the rest of one run, caching the
-// device in the run state so the aggregation/filtering phases — which
-// draw the same workers repeatedly — pay the unpack once. Collection
-// deliberately bypasses this cache: a walk over a million-device fleet
-// must not accumulate a million live devices.
-func (e *Engine) runDevice(rs *runState, slot int) (*tds.TDS, error) {
-	if t := e.deviceAt(slot); t != nil {
-		return t, nil
-	}
-	if t, ok := rs.devs[slot]; ok {
-		return t, nil
-	}
-	t, err := e.materializeDevice(slot)
-	if err != nil {
-		return nil, err
-	}
-	if rs.devs == nil {
-		rs.devs = make(map[int]*tds.TDS)
-	}
-	rs.devs[slot] = t
-	return t, nil
-}
-
-// provisionPacked is ProvisionFleet's packed branch: serialize each
-// populated database into the shared blob and discard the original, so
-// enrollment retains nothing of populate's per-device scratch.
-func (e *Engine) provisionPacked(n int, populate func(i int) *storage.LocalDB) error {
-	if e.packed == nil {
-		e.packed = &packedFleet{}
-	}
-	epoch := uint32(e.keyAuth.Epoch())
-	for i := 0; i < n; i++ {
-		slot := len(e.fleet)
-		e.packed.pad(slot)
-		e.packed.addPacked(storage.PackDB(populate(i)), epoch, e.compromised(packedID(slot)))
-		e.fleet = append(e.fleet, nil)
-	}
-	return nil
 }

@@ -17,6 +17,9 @@ import (
 // books before it returns: a run whose device accounts do not balance is
 // an error.
 
+// slotID is the ID ProvisionFleet enrolls a slot's device under.
+func slotID(slot int) string { return fmt.Sprintf("tds-%05d", slot) }
+
 func runRequest(e *Engine, req Request) (*sqlexec.Result, *Metrics, error) {
 	resp, err := e.Execute(context.Background(), req)
 	if err != nil {

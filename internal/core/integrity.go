@@ -210,25 +210,14 @@ func (e *Engine) verifyCollection(rs *runState) error {
 	return nil
 }
 
-// committerFor returns (and caches) the k2 committer of one wire epoch.
-// RingAt is a pure function of the master key, so a query pinned to the
-// epoch it posted at keeps verifying correctly even after the authority
-// rotates underneath it mid-run.
+// committerFor returns the k2 committer of one wire epoch. An epoch's
+// material outlives the epoch, so a query pinned to the epoch it posted at
+// keeps verifying correctly even after the authority rotates underneath it
+// mid-run.
 func (e *Engine) committerFor(wireEpoch int) *tdscrypto.Committer {
-	if wireEpoch < 1 {
-		wireEpoch = 1
-	}
-	e.kmMu.Lock()
-	defer e.kmMu.Unlock()
-	if c, ok := e.commCache[wireEpoch]; ok {
-		return c
-	}
-	c := tdscrypto.NewCommitter(e.keyAuth.RingAt(uint64(wireEpoch - 1)).K2)
-	if e.commCache == nil {
-		e.commCache = make(map[int]*tdscrypto.Committer)
-	}
-	e.commCache[wireEpoch] = c
-	return c
+	e.life.RLock()
+	defer e.life.RUnlock()
+	return e.mats[max(wireEpoch, 1)-1].Committer
 }
 
 // buildVerified obtains one partition build and verifies it before any

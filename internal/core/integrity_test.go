@@ -80,7 +80,7 @@ func TestIntegrityReferenceIsWhatWasVerified(t *testing.T) {
 		if sc.kind == protocol.KindEDHist {
 			params.NumBuckets = 5 // one bucket per district: one is a build in deposit order
 		}
-		reference := &coveringLiar{Service: ssi.New(), id: id}
+		reference := &coveringLiar{Service: ssi.NewSharded(1), id: id}
 		f := newFixture(t, 20, func(c *Config) { c.SSI = reference })
 		resp, err := f.eng.Execute(context.Background(), Request{
 			Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: params, QueryID: id,
@@ -100,7 +100,7 @@ func TestIntegrityReferenceIsWhatWasVerified(t *testing.T) {
 					for _, workers := range []int{1, 8} {
 						f := newFixture(t, 20, func(c *Config) {
 							c.CollectWorkers = workers
-							c.SSI = &coveringLiar{Service: ssi.New(), id: id, lie: lie, persistent: persistent}
+							c.SSI = &coveringLiar{Service: ssi.NewSharded(1), id: id, lie: lie, persistent: persistent}
 						})
 						resp, err := f.eng.Execute(context.Background(), Request{
 							Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: params, QueryID: id,

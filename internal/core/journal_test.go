@@ -147,15 +147,9 @@ func TestJournalFleetByteBudget(t *testing.T) {
 		t.Skip("100k-device provisioning is too heavy for -short")
 	}
 	const fleet = 100_000
-	eng := newFixtureEngineOnly(t, fleet, true)
-	expiry := time.Unix(1700000000, 0).Add(365 * 24 * time.Hour)
-	cred := eng.Authority().Issue("edf", []string{"energy-analyst"}, expiry)
-	q, err := querier.New("edf", eng.K1(), cred, eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newTestEngine(t, fleet, nil, nil)
 	resp, err := eng.Execute(context.Background(), Request{
-		Querier: q, SQL: countSQL, Kind: protocol.KindSAgg, CollectOnly: true,
+		Querier: newQuerierForEngine(t, eng, "edf"), SQL: countSQL, Kind: protocol.KindSAgg, CollectOnly: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -111,10 +111,8 @@ type runState struct {
 	// integ is the verification context: deposit records, the running
 	// digest, and the check tallies behind the IntegrityReport.
 	integ *integrityState
-	// devs caches the devices the aggregation/filtering phases
-	// materialized from a packed fleet, so repeated worker draws pay the
-	// unpack once per run. Collection never touches it.
-	devs map[int]*tds.TDS
+	// phaseDevs are the phases' devices, one per crew worker (phaseDevices).
+	phaseDevs []*tds.TDS
 	// Live-rotation context. rotScript is the fault plan's scripted
 	// rotation (nil when none); commits counts committed deposit envelopes
 	// in connection order — the worker-count-independent trigger clock the

@@ -1,94 +1,121 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"errors"
-	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
-	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/protocol"
+	"github.com/trustedcells/tcq/internal/sqlexec"
+	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/storage"
-	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
-// The packed-fleet contract: Config.PackedFleet changes the memory shape
-// of the fleet and nothing else (TestComposedFaults holds the two
-// representations to bit-equal runs).
-
-// TestPackedRotationStaleEpoch: packed slots strand and heal exactly
-// like eager devices (TestKeyRotationLocksOutStaleFleet).
-func TestPackedRotationStaleEpoch(t *testing.T) { checkStrandedFleetHeals(t, true) }
-
-// checkStrandedFleetHeals: a fleet stranded on epoch 0 (no device
-// received the rotation's bundle) fails every epoch-1 query, and the next
-// rotation heals it: the stranded devices open its broadcast and migrate.
-func checkStrandedFleetHeals(t *testing.T, packed bool) {
-	f := newFixture(t, 12, func(c *Config) { c.PackedFleet = packed })
-	strandFleet(f.eng)
+// TestPackedRevocation: broadcast revocation expels the named devices,
+// the survivors re-keyed through the broadcast and the revoked slots dead
+// on their old epoch.
+func TestPackedRevocation(t *testing.T) {
+	f := newFixture(t, 16, nil)
+	if err := f.eng.RevokeAndRotate("tds-00003", "tds-00007"); err != nil {
+		t.Fatal(err)
+	}
 	fresh := newQuerierForEngine(t, f.eng, "fresh")
 	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 0 || m.CollectErrors != 12 {
-		t.Errorf("packed=%v: stale fleet rows=%d errors=%d, want 0/12",
-			packed, len(got.Rows), m.CollectErrors)
-	}
-	// An aggregate has phase work no stale device can open: a typed abort.
-	if _, _, err := runQuery(f.eng, fresh, countSQL, protocol.KindSAgg, protocol.Params{}); !errors.Is(err, ErrNoEligibleTDS) {
-		t.Errorf("packed=%v: S_Agg over the stale fleet: %v, want ErrNoEligibleTDS", packed, err)
-	}
-	if err := f.eng.RevokeAndRotate(); err != nil {
-		t.Fatal(err)
-	}
-	healed := newQuerierForEngine(t, f.eng, "healed")
-	got, m, err = runQuery(f.eng, healed, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 12 || m.CollectErrors != 0 {
-		t.Errorf("packed=%v: after the rotation rows=%d errors=%d", packed, len(got.Rows), m.CollectErrors)
+	want := referenceExcluding(t, f, `SELECT cid FROM Consumer`, map[int]bool{3: true, 7: true})
+	if m.CollectErrors != 2 || !slices.Equal(sortedRows(got), sortedRows(want)) {
+		t.Errorf("CollectErrors = %d, rows %v; want the 2 revoked and the 14 survivors' %v",
+			m.CollectErrors, sortedRows(got), sortedRows(want))
 	}
 }
 
-// TestPackedRevocation: broadcast revocation must expel the same devices
-// from a packed fleet, with the survivors re-keyed through the broadcast
-// and the revoked slots dead on their old epoch.
-func TestPackedRevocation(t *testing.T) {
-	type outcome struct {
-		rows []string
-		m    Metrics
-	}
-	run := func(packed bool) outcome {
-		f := newFixture(t, 16, func(c *Config) { c.PackedFleet = packed })
-		if err := f.eng.RevokeAndRotate("tds-00003", "tds-00007"); err != nil {
-			t.Fatalf("packed=%v: %v", packed, err)
-		}
-		fresh := newQuerierForEngine(t, f.eng, "fresh")
-		resp, err := f.eng.Execute(context.Background(), Request{
-			Querier: fresh, SQL: `SELECT cid FROM Consumer`, Kind: protocol.KindBasic,
+// TestEngineInsert: Insert takes a row only for an enrolled device's ID
+// and a row its table admits; a refused row leaves the fleet as it was.
+// An accepted row moves the slot's database to a region appended to the
+// blob and keeps the slot's key epoch and compromised bit.
+func TestEngineInsert(t *testing.T) {
+	power := storage.Row{storage.Int(2), storage.Float(61), storage.Int(77)}
+	for _, tc := range []struct {
+		name, id, table string
+		row             storage.Row
+	}{
+		{"unknown-device", "tds-00004", "Power", power},
+		{"foreign-id", "meter-2", "Power", power},
+		{"unpadded-id", "tds-2", "Power", power},
+		{"negative-slot", "tds--0002", "Power", power},
+		{"unknown-table", "tds-00002", "Tariff", power},
+		{"wrong-arity", "tds-00002", "Power", power[:2]},
+		{"wrong-kind", "tds-00002", "Power", storage.Row{storage.Str("2"), storage.Float(61), storage.Int(77)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 4, nil)
+			fl := &f.eng.fleet
+			blob, start, end := slices.Clone(fl.blob), slices.Clone(fl.start), slices.Clone(fl.end)
+			if err := f.eng.Insert(tc.id, tc.table, tc.row); err == nil {
+				t.Fatalf("Insert(%q, %q, %v) accepted", tc.id, tc.table, tc.row)
+			}
+			if !bytes.Equal(fl.blob, blob) || !slices.Equal(fl.start, start) || !slices.Equal(fl.end, end) {
+				t.Error("a refused row changed the fleet")
+			}
 		})
-		if err != nil {
-			t.Fatalf("packed=%v: %v", packed, err)
+	}
+	t.Run("accepted", func(t *testing.T) {
+		f := newFixture(t, 4, nil)
+		fl := &f.eng.fleet
+		strandFleet(f.eng)
+		fl.corrupt[2] = true
+		epoch, corrupt := slices.Clone(fl.epoch), slices.Clone(fl.corrupt)
+		for range 2 {
+			size := int64(len(fl.blob))
+			f.insert(t, 2, "Power", power)
+			if fl.start[2] != size || fl.end[2] != int64(len(fl.blob)) || !bytes.Equal(fl.region(2), storage.PackDB(f.dbs[2])) {
+				t.Fatalf("slot 2 at [%d, %d), want its database appended at %d", fl.start[2], fl.end[2], size)
+			}
 		}
-		assertDeviceAccounts(t, resp.Metrics, false)
-		m := *resp.Metrics
-		return outcome{rows: sortedRows(resp.Result), m: m}
+		if !slices.Equal(fl.epoch, epoch) || !slices.Equal(fl.corrupt, corrupt) {
+			t.Errorf("epochs %v, compromised %v after Insert; want %v, %v", fl.epoch, fl.corrupt, epoch, corrupt)
+		}
+	})
+}
+
+// TestDeviceWakeDoesNotAllocate: once a device's buffers have grown to
+// the largest slot it meets, waking a slot — ID, keys, rows decoded with
+// texts read from the fleet's table — scanning its rows through the device
+// and re-aiming it at the next slot allocate nothing, and neither does
+// re-keying a phase device, which loads no row. What a wake loads is the
+// slot's database, row for row.
+func TestDeviceWakeDoesNotAllocate(t *testing.T) {
+	f := newFixture(t, 12, nil)
+	plan, err := sqlexec.Compile(sqlparse.MustParse(
+		`SELECT C.district, P.cons FROM Power P, Consumer C WHERE C.cid = P.cid`), f.eng.Schema())
+	if err != nil {
+		t.Fatal(err)
 	}
-	eager, packed := run(false), run(true)
-	if packed.m.CollectErrors != 2 {
-		t.Errorf("revoked packed devices: CollectErrors = %d, want 2", packed.m.CollectErrors)
+	dev, phase := f.eng.newShell(storage.NewLocalDB(f.eng.Schema())), f.eng.newShell(f.eng.noRows)
+	slot, scanned := 0, 0
+	wakeScanNext := func() {
+		err := f.eng.wake(dev, slot)
+		if err == nil {
+			err = plan.ScanLocal(dev.DB, func(storage.Row) error { scanned++; return nil })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.eng.aim(phase, slot)
+		slot = (slot + 1) % f.eng.FleetSize()
 	}
-	if len(packed.rows) != 14 {
-		t.Errorf("rows = %d, want the 14 survivors", len(packed.rows))
+	for want := range f.eng.FleetSize() { // the warm-up checks what each wake loads
+		wakeScanNext()
+		if dev.ID != slotID(want) || !bytes.Equal(storage.PackDB(dev.DB), storage.PackDB(f.dbs[want])) {
+			t.Fatalf("slot %d woke as %s with database %x", want, dev.ID, storage.PackDB(dev.DB))
+		}
 	}
-	if !reflect.DeepEqual(eager.rows, packed.rows) {
-		t.Error("rows diverge between fleet shapes")
-	}
-	if !reflect.DeepEqual(eager.m, packed.m) {
-		t.Error("metrics diverge between fleet shapes")
+	if got := testing.AllocsPerRun(100, wakeScanNext); got != 0 || scanned == 0 {
+		t.Errorf("a warm wake, scan and re-aim allocates %v times over %d rows, want 0", got, scanned)
 	}
 }
 
@@ -100,40 +127,36 @@ func heapInUse() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestPackedMemoryFootprint: each representation holds an enrolled device
-// within its own budget — a packed slot in at most 256 B, an eager device,
-// which keeps a live database but borrows its epoch's key material like a
-// packed one, in at most 1.5 KB at 2 000 devices. Retaining the populate
-// scratch databases, or going back to one expanded key ring per device
-// (~2.2 KB more), blows either budget. The 100k case (check.sh runs it
-// under GOMEMLIMIT=2GiB) also collects once: every device must deposit,
-// and the live heap must be back inside the enrollment budget afterwards,
-// so a walk that keeps the devices it wakes fails here.
+// TestPackedMemoryFootprint: an enrolled device costs at most 256 B of
+// live heap — its packed database, its ID and a few bytes of enrollment
+// state. Retaining the populate scratch databases, or a live device per
+// slot, blows the budget. The 100k case (check.sh runs it under
+// GOMEMLIMIT=2GiB) also collects once: every device must deposit, and the
+// live heap must be back inside the budget afterwards, so a walk that
+// keeps the devices it wakes, or their rows, fails here.
 func TestPackedMemoryFootprint(t *testing.T) {
+	const budget = 256 // bytes per device
 	for _, tc := range []struct {
 		name    string
 		n       int
-		packed  bool
-		budget  int64 // bytes per device
 		collect bool
 	}{
-		{"eager", 2000, false, 1536, false},
-		{"packed", 2000, true, 256, false},
-		{"packed-100k", 100_000, true, 256, true},
+		{"packed", 2000, false},
+		{"packed-100k", 100_000, true},
 	} {
 		if tc.collect && testing.Short() {
 			continue
 		}
 		base := heapInUse()
-		eng := newFixtureEngineOnly(t, tc.n, tc.packed)
+		eng := newTestEngine(t, tc.n, nil, nil)
 		perDevice := func() int64 { return int64(heapInUse()-base) / int64(tc.n) }
 		per := perDevice()
 		t.Logf("%s: %d bytes/device", tc.name, per)
 		if per <= 0 {
 			t.Skip("heap delta too noisy to measure")
 		}
-		if per > tc.budget {
-			t.Errorf("%s fleet retains %d B/device, budget %d", tc.name, per, tc.budget)
+		if per > budget {
+			t.Errorf("%s fleet retains %d B/device, budget %d", tc.name, per, budget)
 		}
 		if tc.collect {
 			resp, err := eng.Execute(context.Background(), Request{
@@ -148,39 +171,11 @@ func TestPackedMemoryFootprint(t *testing.T) {
 			}
 			after := perDevice() // resp is dead here: the trace and journal go too
 			t.Logf("%s: %d bytes/device after one collection pass", tc.name, after)
-			if after > tc.budget {
+			if after > budget {
 				t.Errorf("%s fleet holds %d B/device after a collection pass, budget %d",
-					tc.name, after, tc.budget)
+					tc.name, after, budget)
 			}
 		}
 		runtime.KeepAlive(eng)
 	}
-}
-
-// newFixtureEngineOnly provisions an engine without the fixture's habit
-// of retaining every populated database (which would dominate the heap
-// measurements above).
-func newFixtureEngineOnly(t *testing.T, fleetSize int, packed bool) *Engine {
-	t.Helper()
-	schema := meterSchema()
-	cfg := Config{
-		Schema: schema,
-		Policy: &accessctl.Policy{Rules: []accessctl.Rule{{
-			Role: "energy-analyst", AggregateOnly: true,
-		}}},
-		AuthorityKey: tdscrypto.DeriveKey(tdscrypto.Key{}, "authority"),
-		MasterKey:    tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
-		Seed:         7,
-		PackedFleet:  packed,
-	}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.ProvisionFleet(fleetSize, func(i int) *storage.LocalDB {
-		return householdDB(schema, i)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return eng
 }

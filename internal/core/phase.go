@@ -140,14 +140,15 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	// can a device on the wrong side of a live rotation boundary open
 	// this query's epoch — drawing it as a worker would turn a staged
 	// rollout into a phase failure, so the draw pool is epoch-aware. The
-	// live set holds fleet slots, not devices — packed slots materialize
-	// only when actually drawn. When no device holds the posted epoch's
-	// keys (a fleet a rotation's bundle has not reached yet), a phase with
-	// work cannot run: any worker drawn would fail to open the query.
-	live := make([]int, 0, len(e.fleet))
+	// live set and the plan hold fleet slots: a slot is woken only on the
+	// crew worker processing its assignment. When no device holds the
+	// posted epoch's keys (a fleet a rotation's bundle has not reached
+	// yet), a phase with work cannot run: any worker drawn would fail to
+	// open the query.
+	live := make([]int, 0, e.fleet.size())
 	e.life.RLock() // one hold for the whole set, not three per slot
-	for slot := range e.fleet {
-		if !e.revoked[e.deviceIDLocked(slot)] && e.slotServesLocked(slot, post.Epoch) {
+	for slot, id := range e.fleet.ids {
+		if !e.revoked[id] && e.slotServes(slot, post.Epoch) {
 			live = append(live, slot)
 		}
 	}
@@ -170,7 +171,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	// goroutines do the crypto-heavy processing concurrently.
 	type assignment struct {
 		part    []protocol.WireTuple
-		workers []*tds.TDS // replicas processing the same partition
+		workers []int // the slots of the replicas processing the same partition
 	}
 	var plan []assignment
 	maxReassign := 10 * len(partitions) // safety valve against crash fractions ~ 1
@@ -188,7 +189,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			rounds = 3
 		}
 		want := min(replicas*rounds, len(live))
-		ws := make([]*tds.TDS, 0, want)
+		ws := make([]int, 0, want)
 		var seen map[int]bool // a one-worker draw cannot repeat a slot
 		if want > 1 {
 			seen = make(map[int]bool, want)
@@ -201,14 +202,11 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			if seen != nil {
 				seen[i] = true
 			}
-			w, err := e.runDevice(rs, live[i])
-			if err != nil {
-				return nil, stats, err
-			}
-			ws = append(ws, w)
+			ws = append(ws, live[i])
 		}
+		primary := e.fleet.ids[ws[0]]
 		if faults != nil && stats.Reassigned < maxReassign &&
-			faults.For(ws[0].ID, post.ID).CrashInPhase {
+			faults.For(primary, post.ID).CrashInPhase {
 			// The scripted churn: the primary assignee crashes before
 			// committing. The SSI times out, backs off, and re-issues the
 			// partition to a fresh draw — or abandons it past MaxAttempts.
@@ -216,13 +214,13 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			at := phaseStart.Add(stats.Wait) // instant the SSI starts waiting this one out
 			stats.Wait += wait
 			e.record(rs, ssi.LedgerEntry{
-				Kind: "reassign", Phase: phase, Device: ws[0].ID,
+				Kind: "reassign", Phase: phase, Device: primary,
 				Attempt: t.attempt, Wait: wait, At: at,
 			})
 			if max := faults.MaxAttempts; max > 0 && t.attempt >= max {
 				e.record(rs, ssi.LedgerEntry{
 					Kind: "partition-abandoned", Phase: phase,
-					Device: ws[0].ID, Attempt: t.attempt,
+					Device: primary, Attempt: t.attempt,
 					At: phaseStart.Add(stats.Wait),
 				})
 				continue
@@ -243,10 +241,12 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		suspects []string
 	}
 	results := make([]phaseResult, len(plan))
-	err := rs.crew.each(len(plan), func(_, ai int) error {
-		a := plan[ai]
+	devs := rs.phaseDevices(e)
+	err := rs.crew.each(len(plan), func(k, ai int) error {
+		a, t := plan[ai], devs[k]
 		if replicas == 1 { // no audit: one output, nothing to vote on
-			out, err := process(a.workers[0], a.part)
+			e.aim(t, a.workers[0])
+			out, err := process(t, a.part)
 			results[ai].units = []workUnit{{partition: a.part, out: out, busy: e.meterUnit(a.part, out)}}
 			return err
 		}
@@ -264,8 +264,9 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			batch := a.workers[start:min(start+replicas, len(a.workers))]
 			unanimous := true
 			var firstKey string
-			for i, w := range batch {
-				out, err := process(w, a.part)
+			for i, slot := range batch {
+				e.aim(t, slot)
+				out, err := process(t, a.part)
 				if err != nil {
 					return err
 				}
@@ -277,7 +278,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				}
 				tally[key]++
 				keys = append(keys, key)
-				voters = append(voters, w.ID)
+				voters = append(voters, t.ID)
 				if _, ok := repr[key]; !ok {
 					repr[key] = len(allUnits)
 				}
@@ -324,6 +325,16 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		units = append(units, r.units...)
 	}
 	return units, stats, nil
+}
+
+// phaseDevices returns the run's phase devices, one per crew worker, made
+// on first use. They hold keys and no rows: phase work opens partitions,
+// never a database.
+func (rs *runState) phaseDevices(e *Engine) []*tds.TDS {
+	for len(rs.phaseDevs) < rs.crew.n {
+		rs.phaseDevs = append(rs.phaseDevs, e.newShell(e.noRows))
+	}
+	return rs.phaseDevs
 }
 
 // digestKey canonicalizes an output's semantic digest set for vote

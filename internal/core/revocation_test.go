@@ -20,9 +20,9 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 		c.AuditReplicas = 5
 	})
 	corruptIDs := map[string]bool{}
-	for _, d := range f.eng.fleet {
-		if d.Corrupt {
-			corruptIDs[d.ID] = true
+	for slot, id := range f.eng.fleet.ids {
+		if f.eng.fleet.corrupt[slot] {
+			corruptIDs[id] = true
 		}
 	}
 	if len(corruptIDs) == 0 {
@@ -81,8 +81,8 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 	// survivors' databases (the revoked devices' own readings drop out of
 	// the population by design).
 	remainingCorrupt := 0
-	for _, d := range f.eng.fleet {
-		if d.Corrupt && !f.eng.revoked[d.ID] {
+	for slot, id := range f.eng.fleet.ids {
+		if f.eng.fleet.corrupt[slot] && !f.eng.revoked[id] {
 			remainingCorrupt++
 		}
 	}
@@ -100,8 +100,8 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 			t.Fatal(err)
 		}
 		var survivorDBs []*storage.LocalDB
-		for i, d := range f.eng.fleet {
-			if !f.eng.revoked[d.ID] {
+		for i, id := range f.eng.fleet.ids {
+			if !f.eng.revoked[id] {
 				survivorDBs = append(survivorDBs, f.dbs[i])
 			}
 		}
@@ -150,8 +150,7 @@ func TestRevocationPopulationSemantics(t *testing.T) {
 // cannot decrypt queries posted under the rotated keys.
 func TestRevokedDeviceCannotRejoin(t *testing.T) {
 	f := newFixture(t, 10, nil)
-	victim := f.eng.fleet[3]
-	if err := f.eng.RevokeAndRotate(victim.ID); err != nil {
+	if err := f.eng.RevokeAndRotate(slotID(3)); err != nil {
 		t.Fatal(err)
 	}
 	q2 := newQuerierForEngine(t, f.eng, "edf2")

@@ -9,6 +9,7 @@ import (
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/ssi"
+	"github.com/trustedcells/tcq/internal/tds"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
@@ -94,7 +95,9 @@ func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 			return err
 		}
 	}
-	e.rotateKeysLocked()
+	if err := e.rotateKeysLocked(); err != nil {
+		return err
+	}
 	newEpoch := uint32(e.keyAuth.Epoch())
 	msg, err := e.bcast.BroadcastRing(e.keys)
 	if err != nil {
@@ -109,8 +112,7 @@ func (e *Engine) beginRotationLocked(waves int, revoke []string) error {
 	}, tdscrypto.BundleSigner(e.cfg.MasterKey))
 
 	schedule := make([][]int, waves)
-	for slot := range e.fleet {
-		id := e.deviceIDLocked(slot)
+	for slot, id := range e.fleet.ids {
 		if e.revoked[id] {
 			continue // never scheduled; a revoked device cannot open the bundle
 		}
@@ -154,31 +156,18 @@ func (e *Engine) advanceRotationWave(delivered bool) (bool, error) {
 }
 
 // migrateSlotsLocked applies the current bundle to one wave of fleet
-// slots. Eager devices run the full device-side path each: verify the
-// envelope, enforce version monotonicity, open the broadcast with their
-// own tree keys, install the recovered ring as primary and keep the old
-// material as grace. Packed slots share one representative verification
-// per wave (the path is identical for every non-revoked device) and then
-// record the new epoch; materializeDevice rebuilds them in the migrated
-// state, grace included, while the window is open.
+// slots. Every device runs the device-side path: verify the envelope,
+// enforce version monotonicity, open the broadcast with its own tree keys,
+// and check the recovered ring is the new epoch's. Its slot then records
+// the new epoch; a wake rebuilds it in the migrated state, the old
+// epoch's material held as grace while the window is open.
 func (e *Engine) migrateSlotsLocked(rot *rotationState, slots []int) error {
 	pub := tdscrypto.BundleVerifier(e.cfg.MasterKey)
 	wantRing := e.keyAuth.RingAt(uint64(rot.newEpoch))
-	newWire := int(rot.newEpoch) + 1
-	km, err := e.keyMaterial(rot.newEpoch)
-	if err != nil {
-		return err
-	}
-	verified := false
 	for _, slot := range slots {
-		id := e.deviceIDLocked(slot)
+		id := e.fleet.ids[slot]
 		if e.revoked[id] {
 			continue // revoked after scheduling; cannot open the bundle
-		}
-		t := e.fleet[slot]
-		if t == nil && verified {
-			e.packed.epoch[slot] = rot.newEpoch
-			continue
 		}
 		b, err := tdscrypto.AcceptTrustBundle(rot.bundle, pub, rot.version-1)
 		if err != nil {
@@ -195,12 +184,7 @@ func (e *Engine) migrateSlotsLocked(rot *rotationState, slots []int) error {
 		if ring != wantRing {
 			return fmt.Errorf("core: device %s recovered a ring that is not epoch %d's", id, rot.newEpoch)
 		}
-		if t == nil {
-			e.packed.epoch[slot] = rot.newEpoch
-			verified = true
-			continue
-		}
-		t.Migrate(newWire, km)
+		e.fleet.epoch[slot] = rot.newEpoch
 	}
 	return nil
 }
@@ -218,7 +202,8 @@ func (e *Engine) CompleteRotation() error {
 }
 
 // completeRotationLocked is CompleteRotation under an already-held
-// lifecycle lock.
+// lifecycle lock. With the rotation retired no slot wakes with grace
+// material any more.
 func (e *Engine) completeRotationLocked() error {
 	rot := e.rot
 	if rot == nil {
@@ -229,11 +214,6 @@ func (e *Engine) completeRotationLocked() error {
 			return err
 		}
 		rot.nextWave++
-	}
-	for _, t := range e.fleet {
-		if t != nil {
-			t.DropGrace()
-		}
 	}
 	e.rot = nil
 	e.pushEpochPolicyLocked(false)
@@ -321,13 +301,18 @@ func (e *Engine) pendingWaves() int {
 }
 
 // rotateKeysLocked advances the authority one epoch under an
-// already-held lifecycle lock. Queriers built afterwards and devices
-// enrolled afterwards use the new ring; nobody else holds it until the
-// rotation's bundle reaches them.
-func (e *Engine) rotateKeysLocked() {
+// already-held lifecycle lock, its material expanded first. Queriers built
+// afterwards and devices enrolled afterwards use the new ring; nobody else
+// holds it until the rotation's bundle reaches them.
+func (e *Engine) rotateKeysLocked() error {
+	km, err := tds.NewKeyMaterial(e.keyAuth.RingAt(e.keyAuth.Epoch() + 1))
+	if err != nil {
+		return err
+	}
 	e.keyAuth.Rotate()
 	e.keys = e.keyAuth.Ring()
-	e.verifier = tdscrypto.NewCommitter(e.keys.K2)
+	e.mats = append(e.mats, km)
+	return nil
 }
 
 // RevokeAndRotate is a rotation between queries: a single-wave rotation
@@ -357,15 +342,15 @@ func (e *Engine) RevokeAndRotate(ids ...string) error {
 // has outgrown it. On real hardware the path keys are installed at
 // enrollment; the simulation issues them on demand from the fleet roster.
 func (e *Engine) ensureBroadcastLocked() error {
-	if e.bcast != nil && e.bcast.Capacity() >= len(e.fleet) {
+	if e.bcast != nil && e.bcast.Capacity() >= e.fleet.size() {
 		return nil
 	}
-	bc, err := tdscrypto.NewBroadcastAuthority(e.cfg.MasterKey, len(e.fleet))
+	bc, err := tdscrypto.NewBroadcastAuthority(e.cfg.MasterKey, e.fleet.size())
 	if err != nil {
 		return err
 	}
-	for slot := range e.fleet {
-		if e.revoked[e.deviceIDLocked(slot)] {
+	for slot, id := range e.fleet.ids {
+		if e.revoked[id] {
 			if err := bc.Revoke(slot); err != nil {
 				return err
 			}
@@ -382,13 +367,9 @@ func (e *Engine) ensureBroadcastLocked() error {
 // plus the engine's revocation set. Every ID is resolved before any slot
 // is revoked, so an unknown device refuses the whole list.
 func (e *Engine) revokeSlotsLocked(ids []string) error {
-	slotOf := make(map[string]int, len(e.fleet))
-	for i := range e.fleet {
-		slotOf[e.deviceIDLocked(i)] = i
-	}
 	slots := make([]int, len(ids))
 	for i, id := range ids {
-		slot, ok := slotOf[id]
+		slot, ok := e.slotOf(id)
 		if !ok {
 			return fmt.Errorf("core: unknown device %q", id)
 		}

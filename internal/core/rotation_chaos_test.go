@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,16 +29,6 @@ const basicConsumerSQL = `SELECT C.cid, C.district FROM Consumer C`
 // the scripted rotation point.
 func connectionOrder(qid string, fleetSize int) []int {
 	return rng.New(7, qid, rng.Run).Perm(fleetSize)
-}
-
-// slotOf inverts the "tds-%05d" device naming.
-func slotOf(t *testing.T, id string) int {
-	t.Helper()
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "tds-"))
-	if err != nil {
-		t.Fatalf("device ID %q does not name a fleet slot: %v", id, err)
-	}
-	return n
 }
 
 // referenceExcluding runs the query standalone over every database except
@@ -82,7 +70,7 @@ func rolloutSchedule(e *Engine) [][]string {
 	out := make([][]string, len(e.rot.waves))
 	for w, slots := range e.rot.waves {
 		for _, s := range slots {
-			out[w] = append(out[w], e.deviceIDLocked(s))
+			out[w] = append(out[w], e.fleet.ids[s])
 		}
 	}
 	return out
@@ -110,147 +98,139 @@ type tornOutcome struct {
 //
 // The entire sequence must be identical at any CollectWorkers setting.
 func TestTornRolloutStaleRecovery(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		name := "eager"
-		if packed {
-			name = "packed"
-		}
-		t.Run(name, func(t *testing.T) {
-			runSeq := func(workers int) tornOutcome {
-				const fleetSize = 24
-				f := newFixture(t, fleetSize, func(c *Config) {
-					c.CollectWorkers = workers
-					c.PackedFleet = packed
-				})
-				var out tornOutcome
-				note := func(resp *Response) {
-					assertDeviceAccounts(t, resp.Metrics, false)
-					// The retries run in the walk's first slot, its buffer reused:
-					// every deposit must still answer to its commitment.
-					if in := resp.Integrity; in.Violations != 0 || in.Deposits != resp.Metrics.DepositedDevices {
-						t.Errorf("%d of %d deposits verified, %d violations", in.Deposits, resp.Metrics.DepositedDevices, in.Violations)
-					}
-					out.rows = append(out.rows, sortedRows(resp.Result))
-					out.ledgers = append(out.ledgers, resp.Metrics.Ledger)
-				}
-
-				// q1: old epoch, torn rollout (3 waves, last one never lands).
-				resp, err := f.eng.Execute(context.Background(), Request{
-					Querier: f.q, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q1",
-					Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{
-						AfterDeposits: 6, Waves: 3, WaveEvery: 4, TornRollout: true,
-					}},
-				})
-				if err != nil {
-					t.Fatalf("q1: %v", err)
-				}
-				if got, want := sortedRows(resp.Result), sortedRows(f.reference(t, basicConsumerSQL)); !reflect.DeepEqual(got, want) {
-					t.Errorf("q1: torn rollout cost the old-epoch query coverage:\ngot:  %v\nwant: %v", got, want)
-				}
-				note(resp)
-				if !f.eng.rotationInProgress() || f.eng.pendingWaves() != 1 {
-					t.Fatalf("after q1: pending waves = %d, want exactly the torn final wave", f.eng.pendingWaves())
-				}
-				schedule := rolloutSchedule(f.eng)
-				stranded := schedule[len(schedule)-1]
-				strandedSlots := map[int]bool{}
-				for _, id := range stranded {
-					strandedSlots[slotOf(t, id)] = true
-				}
-
-				// q2: new-epoch query; the stranded wave is stale and stays so.
-				q2 := newQuerierForEngine(t, f.eng, "edf2")
-				resp, err = f.eng.Execute(context.Background(), Request{
-					Querier: q2, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q2",
-					Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{}},
-				})
-				if err != nil {
-					t.Fatalf("q2: %v", err)
-				}
-				if got, want := sortedRows(resp.Result), sortedRows(referenceExcluding(t, f, basicConsumerSQL, strandedSlots)); !reflect.DeepEqual(got, want) {
-					t.Errorf("q2: rows over the migrated subset:\ngot:  %v\nwant: %v", got, want)
-				}
-				if resp.Metrics.CollectErrors != len(stranded) {
-					t.Errorf("q2: CollectErrors = %d, want the %d stranded devices",
-						resp.Metrics.CollectErrors, len(stranded))
-				}
-				staleSeen := map[string]bool{}
-				for _, le := range resp.Metrics.Ledger {
-					if le.Kind != "deposit-stale" {
-						continue
-					}
-					if le.Device == "" || le.At.IsZero() {
-						t.Errorf("q2: deposit-stale entry missing device or timestamp: %+v", le)
-					}
-					staleSeen[le.Device] = true
-				}
-				for _, id := range stranded {
-					if !staleSeen[id] {
-						t.Errorf("q2: stranded device %s left no deposit-stale ledger entry", id)
-					}
-				}
-				if resp.Metrics.RetryWait != 0 {
-					t.Errorf("q2: RetryWait = %v; a retry that cannot proceed must not bill backoff",
-						resp.Metrics.RetryWait)
-				}
-				if resp.Journal == nil || !bytes.Contains(resp.Journal.Bytes(), []byte(`"detail":"deposit-stale"`)) {
-					t.Error("q2: journal does not mirror the deposit-stale ledger entries")
-				}
-				note(resp)
-
-				// q3: the rollout resumes mid-query; stranded devices recover
-				// through the post-walk retry.
-				resp, err = f.eng.Execute(context.Background(), Request{
-					Querier: q2, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q3",
-					Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{WaveEvery: 12}},
-				})
-				if err != nil {
-					t.Fatalf("q3: %v", err)
-				}
-				if got, want := sortedRows(resp.Result), sortedRows(f.reference(t, basicConsumerSQL)); !reflect.DeepEqual(got, want) {
-					t.Errorf("q3: recovered query is not whole:\ngot:  %v\nwant: %v", got, want)
-				}
-				if resp.Metrics.CollectErrors != 0 {
-					t.Errorf("q3: CollectErrors = %d after the wave landed", resp.Metrics.CollectErrors)
-				}
-				if resp.Metrics.RetryWait <= 0 {
-					t.Error("q3: recovered retries billed no RetryWait")
-				}
-				retried := 0
-				for _, le := range resp.Metrics.Ledger {
-					if le.Kind == "deposit-stale" && le.Attempt == 1 {
-						retried++
-					}
-				}
-				if retried == 0 {
-					t.Error("q3: no device was caught stale before the wave landed")
-				}
-				note(resp)
-
-				// q4: CompleteRotation closes the window; a clean query sees all.
-				if err := f.eng.CompleteRotation(); err != nil {
-					t.Fatalf("CompleteRotation: %v", err)
-				}
-				if f.eng.rotationInProgress() {
-					t.Fatal("rotation still in progress after CompleteRotation")
-				}
-				resp, err = f.eng.Execute(context.Background(), Request{
-					Querier: q2, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q4",
-				})
-				if err != nil {
-					t.Fatalf("q4: %v", err)
-				}
-				if got, want := sortedRows(resp.Result), sortedRows(f.reference(t, basicConsumerSQL)); !reflect.DeepEqual(got, want) {
-					t.Errorf("q4: post-rotation query is not whole:\ngot:  %v\nwant: %v", got, want)
-				}
-				note(resp)
-				return out
-			}
-			seq, par := runSeq(1), runSeq(8)
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("torn-rollout sequence diverges across workers:\nW1: %+v\nW8: %+v", seq, par)
-			}
+	runSeq := func(workers int) tornOutcome {
+		const fleetSize = 24
+		f := newFixture(t, fleetSize, func(c *Config) {
+			c.CollectWorkers = workers
 		})
+		var out tornOutcome
+		note := func(resp *Response) {
+			assertDeviceAccounts(t, resp.Metrics, false)
+			// The retries run in the walk's first slot, its buffer reused:
+			// every deposit must still answer to its commitment.
+			if in := resp.Integrity; in.Violations != 0 || in.Deposits != resp.Metrics.DepositedDevices {
+				t.Errorf("%d of %d deposits verified, %d violations", in.Deposits, resp.Metrics.DepositedDevices, in.Violations)
+			}
+			out.rows = append(out.rows, sortedRows(resp.Result))
+			out.ledgers = append(out.ledgers, resp.Metrics.Ledger)
+		}
+
+		// q1: old epoch, torn rollout (3 waves, last one never lands).
+		resp, err := f.eng.Execute(context.Background(), Request{
+			Querier: f.q, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q1",
+			Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{
+				AfterDeposits: 6, Waves: 3, WaveEvery: 4, TornRollout: true,
+			}},
+		})
+		if err != nil {
+			t.Fatalf("q1: %v", err)
+		}
+		if got, want := sortedRows(resp.Result), sortedRows(f.reference(t, basicConsumerSQL)); !reflect.DeepEqual(got, want) {
+			t.Errorf("q1: torn rollout cost the old-epoch query coverage:\ngot:  %v\nwant: %v", got, want)
+		}
+		note(resp)
+		if !f.eng.rotationInProgress() || f.eng.pendingWaves() != 1 {
+			t.Fatalf("after q1: pending waves = %d, want exactly the torn final wave", f.eng.pendingWaves())
+		}
+		schedule := rolloutSchedule(f.eng)
+		stranded := schedule[len(schedule)-1]
+		strandedSlots := map[int]bool{}
+		for _, id := range stranded {
+			slot, _ := f.eng.slotOf(id)
+			strandedSlots[slot] = true
+		}
+
+		// q2: new-epoch query; the stranded wave is stale and stays so.
+		q2 := newQuerierForEngine(t, f.eng, "edf2")
+		resp, err = f.eng.Execute(context.Background(), Request{
+			Querier: q2, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q2",
+			Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{}},
+		})
+		if err != nil {
+			t.Fatalf("q2: %v", err)
+		}
+		if got, want := sortedRows(resp.Result), sortedRows(referenceExcluding(t, f, basicConsumerSQL, strandedSlots)); !reflect.DeepEqual(got, want) {
+			t.Errorf("q2: rows over the migrated subset:\ngot:  %v\nwant: %v", got, want)
+		}
+		if resp.Metrics.CollectErrors != len(stranded) {
+			t.Errorf("q2: CollectErrors = %d, want the %d stranded devices",
+				resp.Metrics.CollectErrors, len(stranded))
+		}
+		staleSeen := map[string]bool{}
+		for _, le := range resp.Metrics.Ledger {
+			if le.Kind != "deposit-stale" {
+				continue
+			}
+			if le.Device == "" || le.At.IsZero() {
+				t.Errorf("q2: deposit-stale entry missing device or timestamp: %+v", le)
+			}
+			staleSeen[le.Device] = true
+		}
+		for _, id := range stranded {
+			if !staleSeen[id] {
+				t.Errorf("q2: stranded device %s left no deposit-stale ledger entry", id)
+			}
+		}
+		if resp.Metrics.RetryWait != 0 {
+			t.Errorf("q2: RetryWait = %v; a retry that cannot proceed must not bill backoff",
+				resp.Metrics.RetryWait)
+		}
+		if resp.Journal == nil || !bytes.Contains(resp.Journal.Bytes(), []byte(`"detail":"deposit-stale"`)) {
+			t.Error("q2: journal does not mirror the deposit-stale ledger entries")
+		}
+		note(resp)
+
+		// q3: the rollout resumes mid-query; stranded devices recover
+		// through the post-walk retry.
+		resp, err = f.eng.Execute(context.Background(), Request{
+			Querier: q2, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q3",
+			Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{WaveEvery: 12}},
+		})
+		if err != nil {
+			t.Fatalf("q3: %v", err)
+		}
+		if got, want := sortedRows(resp.Result), sortedRows(f.reference(t, basicConsumerSQL)); !reflect.DeepEqual(got, want) {
+			t.Errorf("q3: recovered query is not whole:\ngot:  %v\nwant: %v", got, want)
+		}
+		if resp.Metrics.CollectErrors != 0 {
+			t.Errorf("q3: CollectErrors = %d after the wave landed", resp.Metrics.CollectErrors)
+		}
+		if resp.Metrics.RetryWait <= 0 {
+			t.Error("q3: recovered retries billed no RetryWait")
+		}
+		retried := 0
+		for _, le := range resp.Metrics.Ledger {
+			if le.Kind == "deposit-stale" && le.Attempt == 1 {
+				retried++
+			}
+		}
+		if retried == 0 {
+			t.Error("q3: no device was caught stale before the wave landed")
+		}
+		note(resp)
+
+		// q4: CompleteRotation closes the window; a clean query sees all.
+		if err := f.eng.CompleteRotation(); err != nil {
+			t.Fatalf("CompleteRotation: %v", err)
+		}
+		if f.eng.rotationInProgress() {
+			t.Fatal("rotation still in progress after CompleteRotation")
+		}
+		resp, err = f.eng.Execute(context.Background(), Request{
+			Querier: q2, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "torn-q4",
+		})
+		if err != nil {
+			t.Fatalf("q4: %v", err)
+		}
+		if got, want := sortedRows(resp.Result), sortedRows(f.reference(t, basicConsumerSQL)); !reflect.DeepEqual(got, want) {
+			t.Errorf("q4: post-rotation query is not whole:\ngot:  %v\nwant: %v", got, want)
+		}
+		note(resp)
+		return out
+	}
+	seq, par := runSeq(1), runSeq(8)
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("torn-rollout sequence diverges across workers:\nW1: %+v\nW8: %+v", seq, par)
 	}
 }
 
@@ -260,8 +240,8 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 // none, and the lifecycle guards hold.
 func TestRolloutScheduleDeterminism(t *testing.T) {
 	const fleetSize, waves = 64, 4
-	e1 := newFixtureEngineOnly(t, fleetSize, true)
-	e2 := newFixtureEngineOnly(t, fleetSize, true)
+	e1 := newTestEngine(t, fleetSize, nil, nil)
+	e2 := newTestEngine(t, fleetSize, nil, nil)
 	for _, e := range []*Engine{e1, e2} {
 		if err := e.BeginRotation(waves, "tds-00001"); err != nil {
 			t.Fatal(err)
@@ -347,7 +327,7 @@ func (p *postingSSI) waitPosted(t *testing.T, n int32) {
 }
 
 // TestRevocationRaceSharedCache is the -race gate for the lifecycle
-// paths: 16 concurrent queries over one shared packed fleet interleave
+// paths: 16 concurrent queries over one shared fleet interleave
 // with a live rotation that revokes one device, wave by wave — 8 posted
 // at the old epoch before the rotation begins, 8 posted at the new epoch
 // by a re-keyed querier while waves land. Every query must either
@@ -357,7 +337,6 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 	const fleetSize = 24
 	post := &postingSSI{SSI: ssi.NewSharded(0)}
 	f := newFixture(t, fleetSize, func(c *Config) {
-		c.PackedFleet = true
 		c.SSI = post
 	})
 	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 16, QueueDepth: 32})
@@ -434,8 +413,7 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sortedRows(referenceExcluding(t, f, basicConsumerSQL,
-		map[int]bool{slotOf(t, victim): true}))
+	want := sortedRows(referenceExcluding(t, f, basicConsumerSQL, map[int]bool{7: true})) // the victim's slot
 	if got := sortedRows(resp.Result); !reflect.DeepEqual(got, want) {
 		t.Errorf("settled rows:\ngot:  %v\nwant: %v", got, want)
 	}

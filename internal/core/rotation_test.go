@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 	"github.com/trustedcells/tcq/internal/storage"
 )
 
-func newQuerierForEngine(t *testing.T, eng *Engine, id string) *querier.Querier {
+func newQuerierForEngine(t testing.TB, eng *Engine, id string) *querier.Querier {
 	t.Helper()
 	cred := eng.Authority().Issue(id, []string{"energy-analyst", "auditor"},
 		time.Unix(1700000000, 0).Add(365*24*time.Hour))
@@ -26,12 +27,41 @@ func newQuerierForEngine(t *testing.T, eng *Engine, id string) *querier.Querier 
 func strandFleet(e *Engine) {
 	e.life.Lock()
 	defer e.life.Unlock()
-	e.rotateKeysLocked()
+	must(e.rotateKeysLocked())
 }
 
-// TestKeyRotationLocksOutStaleFleet: an eager fleet left on the old
-// epoch serves no epoch-1 query until a rotation reaches it.
-func TestKeyRotationLocksOutStaleFleet(t *testing.T) { checkStrandedFleetHeals(t, false) }
+// TestKeyRotationLocksOutStaleFleet: a fleet stranded on epoch 0 (no
+// device received the rotation's bundle) fails every epoch-1 query, and
+// the next rotation heals it: the stranded devices open its broadcast and
+// migrate, with a row one of them took while stranded.
+func TestKeyRotationLocksOutStaleFleet(t *testing.T) {
+	f := newFixture(t, 12, nil)
+	strandFleet(f.eng)
+	f.insert(t, 5, "Consumer", storage.Row{storage.Int(500), storage.Str("Brest"), storage.Str("flat")})
+	fresh := newQuerierForEngine(t, f.eng, "fresh")
+	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 0 || m.CollectErrors != 12 {
+		t.Errorf("stale fleet rows=%d errors=%d, want 0/12", len(got.Rows), m.CollectErrors)
+	}
+	// An aggregate has phase work no stale device can open: a typed abort.
+	if _, _, err := runQuery(f.eng, fresh, countSQL, protocol.KindSAgg, protocol.Params{}); !errors.Is(err, ErrNoEligibleTDS) {
+		t.Errorf("S_Agg over the stale fleet: %v, want ErrNoEligibleTDS", err)
+	}
+	if err := f.eng.RevokeAndRotate(); err != nil {
+		t.Fatal(err)
+	}
+	healed := newQuerierForEngine(t, f.eng, "healed")
+	got, m, err = runQuery(f.eng, healed, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := f.reference(t, `SELECT cid FROM Consumer`); m.CollectErrors != 0 || !reflect.DeepEqual(sortedRows(got), sortedRows(want)) {
+		t.Errorf("after the rotation rows %v, %d errors; want %v", sortedRows(got), m.CollectErrors, sortedRows(want))
+	}
+}
 
 func TestStaleQuerierAgainstRotatedFleet(t *testing.T) {
 	f := newFixture(t, 8, nil)
@@ -56,33 +86,30 @@ func TestStaleQuerierAgainstRotatedFleet(t *testing.T) {
 // rotation; a rotation after the fleet has outgrown it must rebuild the
 // tree, keep the earlier revocation, and leave no rotation half-applied.
 func TestRotationAfterFleetGrowth(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		f := newFixture(t, 8, func(c *Config) { c.PackedFleet = packed })
-		if err := f.eng.RevokeAndRotate("tds-00001"); err != nil {
-			t.Fatal(err)
-		}
-		err := f.eng.ProvisionFleet(4, func(i int) *storage.LocalDB { return householdDB(f.eng.Schema(), 8+i) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.eng.RevokeAndRotate("tds-00009"); err != nil {
-			t.Errorf("packed=%v: rotation after growth: %v", packed, err)
-		}
-		if f.eng.rotationInProgress() {
-			t.Fatalf("packed=%v: the rotation was left half-applied", packed)
-		}
-		fresh := newQuerierForEngine(t, f.eng, "fresh")
-		got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != 10 || m.CollectErrors != 2 {
-			t.Errorf("packed=%v: rows=%d errors=%d, want the 10 survivors and the 2 revoked",
-				packed, len(got.Rows), m.CollectErrors)
-		}
-		if got := f.eng.RevokedDevices(); !reflect.DeepEqual(got, []string{"tds-00001", "tds-00009"}) {
-			t.Errorf("packed=%v: revoked = %v", packed, got)
-		}
+	f := newFixture(t, 8, nil)
+	if err := f.eng.RevokeAndRotate("tds-00001"); err != nil {
+		t.Fatal(err)
+	}
+	err := f.eng.ProvisionFleet(4, func(i int) *storage.LocalDB { return householdDB(f.eng.Schema(), 8+i) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.eng.RevokeAndRotate("tds-00009"); err != nil {
+		t.Errorf("rotation after growth: %v", err)
+	}
+	if f.eng.rotationInProgress() {
+		t.Fatal("the rotation was left half-applied")
+	}
+	fresh := newQuerierForEngine(t, f.eng, "fresh")
+	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 10 || m.CollectErrors != 2 {
+		t.Errorf("rows=%d errors=%d, want the 10 survivors and the 2 revoked", len(got.Rows), m.CollectErrors)
+	}
+	if got := f.eng.RevokedDevices(); !reflect.DeepEqual(got, []string{"tds-00001", "tds-00009"}) {
+		t.Errorf("revoked = %v", got)
 	}
 }
 

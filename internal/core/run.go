@@ -26,7 +26,7 @@ import (
 // per phase, and per-device events — all timestamped with the simulated
 // clock, so the trace is bit-identical across worker counts.
 func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
-	if len(e.fleet) == 0 {
+	if e.fleet.size() == 0 {
 		return nil, fmt.Errorf("%w: the fleet is empty", ErrNoEligibleTDS)
 	}
 	if err := ctxErr(ctx); err != nil {
@@ -405,11 +405,13 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 		// row (COUNT = 0, others NULL); one live TDS holding the posted
 		// epoch's keys synthesizes it.
 		var w *tds.TDS
-		for _, idx := range rng.Perm(len(e.fleet)) {
-			if !e.isRevoked(e.deviceID(idx)) && e.slotServes(idx, post.Epoch) {
-				if w, err = e.runDevice(rs, idx); err != nil {
-					return nil, err
-				}
+		for _, idx := range rng.Perm(e.fleet.size()) {
+			e.life.RLock()
+			live := !e.revoked[e.fleet.ids[idx]] && e.slotServes(idx, post.Epoch)
+			e.life.RUnlock()
+			if live {
+				w = rs.phaseDevices(e)[0]
+				e.aim(w, idx)
 				break
 			}
 		}

@@ -26,8 +26,8 @@ import (
 //     request of one querier, so a heavy tenant cannot starve a light
 //     one. At most ServerConfig.MaxInFlight queries execute concurrently.
 //   - Sharing: in-flight queries run over the same fleet and the same
-//     striped SSI (each query's state lives in its own stripe). A packed
-//     fleet's devices are materialized per query, never shared.
+//     striped SSI (each query's state lives in its own stripe). Each
+//     query wakes the slots it needs into devices of its own.
 //
 // Determinism survives multi-tenancy: a Request that pins its QueryID
 // produces bit-identical rows, metrics, ledgers, traces and journals no

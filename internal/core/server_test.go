@@ -423,11 +423,11 @@ func TestServerClosed(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestServerSharedDeviceCache checks the server over a packed fleet:
-// concurrent queries, each materializing the devices it wakes, return
-// what the same queries return alone on a plain engine.
+// TestServerSharedDeviceCache checks the server over one fleet:
+// concurrent queries, each waking the devices it needs into devices of its
+// own, return what the same queries return alone.
 func TestServerSharedDeviceCache(t *testing.T) {
-	solo := newFixture(t, 24, func(c *Config) { c.PackedFleet = true })
+	solo := newFixture(t, 24, nil)
 	want := make([]string, 4)
 	for i := range want {
 		resp, err := solo.eng.Execute(context.Background(), Request{
@@ -439,7 +439,7 @@ func TestServerSharedDeviceCache(t *testing.T) {
 		want[i] = fmt.Sprintf("%v", resp.Result.Rows)
 	}
 
-	f := newFixture(t, 24, func(c *Config) { c.PackedFleet = true })
+	f := newFixture(t, 24, nil)
 	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 4})
 	defer srv.Close()
 	var wg sync.WaitGroup

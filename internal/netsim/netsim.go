@@ -150,14 +150,6 @@ func (m *Meter) Total() time.Duration {
 	return m.Transfer + m.Decrypt + m.Encrypt + m.CPU
 }
 
-// Merge adds another meter's time into this one.
-func (m *Meter) Merge(o Meter) {
-	m.Transfer += o.Transfer
-	m.Decrypt += o.Decrypt
-	m.Encrypt += o.Encrypt
-	m.CPU += o.CPU
-}
-
 // Makespan computes the completion time of a set of independent tasks on p
 // identical parallel workers using longest-processing-time list scheduling.
 // The protocol engine uses it to turn per-partition costs into a phase

@@ -84,12 +84,6 @@ func TestMeterAccounting(t *testing.T) {
 	if m.Total() != b.Total() {
 		t.Errorf("meter %v != breakdown %v", m.Total(), b.Total())
 	}
-	var m2 Meter
-	m2.Merge(m)
-	m2.Merge(m)
-	if m2.Total() != 2*m.Total() {
-		t.Error("merge must add")
-	}
 }
 
 func TestMakespanBasics(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // small deposited tuple set.
 func advFixture(t *testing.T) (*SSI, []protocol.WireTuple) {
 	t.Helper()
-	s := New()
+	s := NewSharded(1)
 	post := &protocol.QueryPost{ID: "q-adv", PostedAt: time.Unix(0, 0)}
 	if err := s.PostQuery(post, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)

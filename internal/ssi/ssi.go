@@ -260,9 +260,6 @@ type SSI struct {
 	policy  atomic.Pointer[admitPolicy]
 }
 
-// New returns an empty SSI with a single stripe.
-func New() *SSI { return NewSharded(1) }
-
 // NewSharded returns an empty SSI with n stripes (DefaultShards when
 // n <= 0).
 func NewSharded(n int) *SSI {

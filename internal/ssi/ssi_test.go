@@ -47,7 +47,7 @@ func anonymous(id string, batches [][]protocol.WireTuple) []*protocol.Deposit {
 }
 
 func TestPostAndQuerybox(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	p := post("q1", sqlparse.SizeClause{})
 	if err := s.PostQuery(p, t0); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestPostAndQuerybox(t *testing.T) {
 }
 
 func TestDepositRespectsSizeClause(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{MaxTuples: 3}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDepositRespectsSizeClause(t *testing.T) {
 }
 
 func TestDepositDurationBound(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{Duration: time.Minute}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestDepositDurationBound(t *testing.T) {
 }
 
 func TestDepositUnknownQuery(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if _, _, err := deposit(s, "nope", nil, t0); err == nil {
 		t.Error("deposit to unknown query accepted")
 	}
 }
 
 func TestObservationLedger(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestObservationLedger(t *testing.T) {
 }
 
 func TestBytesStoredAndDrop(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRandomPartitions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tuples = append(tuples, tuple(fmt.Sprint(i), 4))
 	}
-	parts := New().PartitionRandom("", tuples, 3, rng)
+	parts := NewSharded(1).PartitionRandom("", tuples, 3, rng)
 	if len(parts) != 4 {
 		t.Fatalf("partitions = %d", len(parts))
 	}
@@ -165,10 +165,10 @@ func TestRandomPartitions(t *testing.T) {
 	if len(flat) != 10 || len(seen) != 10 {
 		t.Errorf("coverage broken: %d tuples, %d distinct", len(flat), len(seen))
 	}
-	if New().PartitionRandom("", nil, 3, rng) != nil {
+	if NewSharded(1).PartitionRandom("", nil, 3, rng) != nil {
 		t.Error("empty input must yield nil")
 	}
-	if got := New().PartitionRandom("", tuples, 0, rng); len(got) != 10 {
+	if got := NewSharded(1).PartitionRandom("", tuples, 0, rng); len(got) != 10 {
 		t.Errorf("perPartition=0 must clamp to 1: %d", len(got))
 	}
 }
@@ -177,7 +177,7 @@ func TestTagPartitionsGroupsByTag(t *testing.T) {
 	tuples := []protocol.WireTuple{
 		tuple("a", 4), tuple("b", 4), tuple("a", 4), tuple("a", 4), tuple("b", 4),
 	}
-	parts := New().PartitionByTag("", tuples, 0)
+	parts := NewSharded(1).PartitionByTag("", tuples, 0)
 	if len(parts) != 2 {
 		t.Fatalf("partitions = %d, want one per tag", len(parts))
 	}
@@ -196,7 +196,7 @@ func TestTagPartitionsSplitsLargeGroups(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tuples = append(tuples, tuple("big", 4))
 	}
-	parts := New().PartitionByTag("", tuples, 4)
+	parts := NewSharded(1).PartitionByTag("", tuples, 4)
 	if len(parts) != 3 {
 		t.Fatalf("partitions = %d, want ceil(10/4)", len(parts))
 	}
@@ -206,23 +206,23 @@ func TestTagPartitionsSprinklesUntagged(t *testing.T) {
 	tuples := []protocol.WireTuple{
 		tuple("a", 4), {Ciphertext: make([]byte, 4)}, {Ciphertext: make([]byte, 4)},
 	}
-	parts := New().PartitionByTag("", tuples, 0)
+	parts := NewSharded(1).PartitionByTag("", tuples, 0)
 	if total := len(slices.Concat(parts...)); total != 3 {
 		t.Errorf("tuples lost: %d", total)
 	}
 	// Only untagged input still produces one partition.
-	parts = New().PartitionByTag("", []protocol.WireTuple{{Ciphertext: []byte{1}}}, 0)
+	parts = NewSharded(1).PartitionByTag("", []protocol.WireTuple{{Ciphertext: []byte{1}}}, 0)
 	if len(parts) != 1 || len(parts[0]) != 1 {
 		t.Errorf("untagged-only = %v", parts)
 	}
-	if New().PartitionByTag("", nil, 0) != nil {
+	if NewSharded(1).PartitionByTag("", nil, 0) != nil {
 		t.Error("empty input must yield nil")
 	}
 }
 
 func TestTagPartitionsDeterministicOrder(t *testing.T) {
 	tuples := []protocol.WireTuple{tuple("x", 4), tuple("y", 4), tuple("x", 4)}
-	if a, b := New().PartitionByTag("", tuples, 0), New().PartitionByTag("", tuples, 0); !reflect.DeepEqual(a, b) {
+	if a, b := NewSharded(1).PartitionByTag("", tuples, 0), NewSharded(1).PartitionByTag("", tuples, 0); !reflect.DeepEqual(a, b) {
 		t.Errorf("nondeterministic build: %v, then %v", a, b)
 	}
 }
@@ -236,7 +236,7 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 		}
 	}
 	// Reference: one envelope per call.
-	ref := New()
+	ref := NewSharded(1)
 	if err := ref.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 		refAccepted = append(refAccepted, n)
 	}
 	// Batched: one call.
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 }
 
 func TestDepositBatchSizeCutoff(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{MaxTuples: 3}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +302,14 @@ func TestDepositBatchSizeCutoff(t *testing.T) {
 }
 
 func TestDepositBatchUnknownQuery(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if _, _, _, err := s.DepositEnvelopeBatch("nope", nil, t0); err == nil {
 		t.Error("batch deposit to unknown query accepted")
 	}
 }
 
 func TestDepositEnvelopeRejectsReplay(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 
 	dep := protocol.NewDeposit("q1", "tds-00001", 1, 0, []protocol.WireTuple{tuple("", 8)})
@@ -340,7 +340,7 @@ func TestDepositEnvelopeRejectsReplay(t *testing.T) {
 }
 
 func TestDepositEnvelopeRejectsWrongEpoch(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	p := post("q1", sqlparse.SizeClause{})
 	p.Epoch = 2
 	must(t, s.PostQuery(p, t0))
@@ -361,7 +361,7 @@ func TestDepositEnvelopeRejectsWrongEpoch(t *testing.T) {
 }
 
 func TestDepositEnvelopeRejectsBadChecksum(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	dep := protocol.NewDeposit("q1", "tds-00001", 1, 0, []protocol.WireTuple{tuple("x", 16)})
 	dep.Sum ^= 0x1
@@ -390,7 +390,7 @@ func TestDepositEnvelopeBatchMatchesSequential(t *testing.T) {
 		return deps
 	}
 
-	seq := New()
+	seq := NewSharded(1)
 	must(t, seq.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	var seqOut []DepositOutcome
 	for _, dep := range mkDeps() {
@@ -398,7 +398,7 @@ func TestDepositEnvelopeBatchMatchesSequential(t *testing.T) {
 		seqOut = append(seqOut, DepositOutcome{Accepted: accepted, Err: err})
 	}
 
-	bat := New()
+	bat := NewSharded(1)
 	must(t, bat.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	batOut, doneAt, done, err := bat.DepositEnvelopeBatch("q1", mkDeps(), t0)
 	if err != nil {
@@ -433,7 +433,7 @@ func unwrapTarget(err error) error {
 }
 
 func TestRecoveryLedger(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	if got := s.LedgerFor("q1"); len(got) != 0 {
 		t.Fatalf("fresh query has ledger %v", got)

@@ -16,7 +16,7 @@ import (
 // flat view across chunk boundaries — counts, windowed ranges and the
 // materialized slice all describe the same sequence, in deposit order.
 func TestTupleStoreChunks(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTupleStoreChunks(t *testing.T) {
 // never reach the store, and windows inside a chunk, ending at its edge
 // and straddling it all equal the reference copy.
 func TestStoreViewsAreSnapshots(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	var ref []protocol.WireTuple // what a copying store would hold
 	deposit := func(n int) {
@@ -234,7 +234,7 @@ func TestTagPartitionsMatchesReference(t *testing.T) {
 			}
 		}
 		for _, per := range []int{0, 1, 7, n} {
-			got, want := New().PartitionByTag("", tuples, per), tagPartitionsReference(tuples, per)
+			got, want := NewSharded(1).PartitionByTag("", tuples, per), tagPartitionsReference(tuples, per)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (n=%d tags=%d untagged=%.1f per=%d):\ngot  %v\nwant %v",
 					trial, n, tags, untaggedShare, per, partLens(got), partLens(want))
@@ -266,7 +266,7 @@ func TestRepartitionAfterOuterTamper(t *testing.T) {
 		},
 	}
 	for name, build := range builds {
-		s := New()
+		s := NewSharded(1)
 		must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 		in := make([]protocol.WireTuple, 30)
 		for i := range in {
@@ -300,7 +300,7 @@ func TestRepartitionAfterOuterTamper(t *testing.T) {
 // TestObserveAllocBudget: the curious ledger counts a tag it has seen
 // before without allocating — the deposit path observes every tuple.
 func TestObserveAllocBudget(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	st := s.stripeOf("q1").queries["q1"]
 	w := tuple("a-repeated-tag", 8)
@@ -325,7 +325,7 @@ func TestDepositDoesNotRetainTuples(t *testing.T) {
 		"honest":    func(s *SSI) Service { return s },
 		"adversary": func(s *SSI) Service { return NewAdversary(s, script(faultplan.SSIReplayStalePartition), 7, "q1") },
 	} {
-		inner := New()
+		inner := NewSharded(1)
 		svc := wrap(inner)
 		must(t, svc.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 		bufs := make([][]protocol.WireTuple, 4)

@@ -32,7 +32,7 @@ func streamTuples(n int) []protocol.WireTuple {
 }
 
 func TestStreamerWindows(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	now := time.Unix(0, 0)
 	if err := s.PostQuery(&protocol.QueryPost{ID: "q-str", PostedAt: now}, now); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestStreamerWindows(t *testing.T) {
 }
 
 func TestStreamerEmpty(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	now := time.Unix(0, 0)
 	if err := s.PostQuery(&protocol.QueryPost{ID: "q-mt", PostedAt: now}, now); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestShardedStreamer(t *testing.T) {
 // like any other partition build, while the inner stash stays honest — the
 // exact shape the engine's quarantine/Repartition recovery relies on.
 func TestAdversaryStreamBuild(t *testing.T) {
-	s := New()
+	s := NewSharded(1)
 	now := time.Unix(0, 0)
 	if err := s.PostQuery(&protocol.QueryPost{ID: "q-adv", PostedAt: now}, now); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestAdversaryStreamBuild(t *testing.T) {
 // tuple's store position; the re-issue and the adversary hand the same
 // positions on.
 func TestStreamBuildByTag(t *testing.T) {
-	s, all := New(), make([]protocol.WireTuple, 2*tupleChunk+37)
+	s, all := NewSharded(1), make([]protocol.WireTuple, 2*tupleChunk+37)
 	must(t, s.PostQuery(&protocol.QueryPost{ID: "q-tag", Kind: protocol.KindCNoise}, t0))
 	for i := range all {
 		all[i] = tuple(fmt.Sprintf("g%d", i%13), 4)

@@ -43,52 +43,64 @@ func AppendValue(dst []byte, v Value) []byte {
 
 // DecodeValue decodes one value from b and returns it with the number of
 // bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b, nil) }
+func DecodeValue(b []byte) (Value, int, error) {
+	var v Value
+	n, err := decodeValue(&v, b, nil, false)
+	return v, n, err
+}
 
-// decodeValue is DecodeValue with text values looked up in, and added to,
-// strs when it is non-nil.
-func decodeValue(b []byte, strs map[string]string) (Value, int, error) {
+// decodeValue is DecodeValue into *v, with text values read from texts,
+// and a text texts lacks added to it when add is set. *v may hold an
+// earlier value: its text is written only when it changes, so a number
+// decoded over a number writes no pointer, and pays no write barrier while
+// the garbage collector runs.
+func decodeValue(v *Value, b []byte, texts Texts, add bool) (int, error) {
 	if len(b) == 0 {
-		return Null(), 0, fmt.Errorf("storage: empty value encoding")
+		return 0, fmt.Errorf("storage: empty value encoding")
 	}
-	kind := Kind(b[0])
-	rest := b[1:]
+	kind, rest, n := Kind(b[0]), b[1:], 1
+	var i int64
+	var f float64
+	var str string
 	switch kind {
 	case KindNull:
-		return Null(), 1, nil
 	case KindInt:
-		i, n := binary.Varint(rest)
-		if n <= 0 {
-			return Null(), 0, fmt.Errorf("storage: bad varint")
+		var c int
+		if i, c = binary.Varint(rest); c <= 0 {
+			return 0, fmt.Errorf("storage: bad varint")
 		}
-		return Int(i), 1 + n, nil
+		n += c
 	case KindFloat:
 		if len(rest) < 8 {
-			return Null(), 0, fmt.Errorf("storage: short float")
+			return 0, fmt.Errorf("storage: short float")
 		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))
-		return Float(f), 9, nil
+		f, n = math.Float64frombits(binary.BigEndian.Uint64(rest[:8])), 9
 	case KindString:
-		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < l {
-			return Null(), 0, fmt.Errorf("storage: bad string length")
+		l, c := binary.Uvarint(rest)
+		if c <= 0 || uint64(len(rest)-c) < l {
+			return 0, fmt.Errorf("storage: bad string length")
 		}
-		str, ok := strs[string(rest[n:n+int(l)])]
-		if !ok {
-			str = string(rest[n : n+int(l)])
-			if strs != nil {
-				strs[str] = str
+		var ok bool
+		if str, ok = texts[string(rest[c:c+int(l)])]; !ok {
+			str = string(rest[c : c+int(l)])
+			if add {
+				texts[str] = str
 			}
 		}
-		return Str(str), 1 + n + int(l), nil
+		n += c + int(l)
 	case KindBool:
 		if len(rest) < 1 {
-			return Null(), 0, fmt.Errorf("storage: short bool")
+			return 0, fmt.Errorf("storage: short bool")
 		}
-		return Bool(rest[0] != 0), 2, nil
+		n++
 	default:
-		return Null(), 0, fmt.Errorf("storage: unknown kind byte %d", b[0])
+		return 0, fmt.Errorf("storage: unknown kind byte %d", b[0])
 	}
+	v.kind, v.i, v.f, v.b = kind, i, f, kind == KindBool && rest[0] != 0
+	if v.s != str {
+		v.s = str
+	}
+	return n, nil
 }
 
 // AppendRow appends the encoding of r to dst and returns the result.
@@ -110,32 +122,47 @@ func DecodeRow(b []byte) (Row, int, error) { return new(RowDecoder).Decode(b) }
 // like any Value — may be kept. The zero RowDecoder is ready to use.
 type RowDecoder struct {
 	row  Row
-	strs map[string]string
+	strs Texts
 }
 
 // Decode is DecodeRow into the decoder's Row.
 func (d *RowDecoder) Decode(b []byte) (Row, int, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("storage: bad row header")
+	if d.row == nil {
+		if n, used := binary.Uvarint(b); used > 0 && n <= uint64(len(b)) {
+			d.row = make(Row, 0, n)
+		}
+	} else if d.strs == nil {
+		d.strs = make(Texts) // a second row: a run worth sharing over
+	}
+	row, off, err := appendRow(d.row[:0], b, d.strs, d.strs != nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	d.row = row
+	return row, off, nil
+}
+
+// appendRow decodes one row from b onto vals, its texts read through
+// decodeValue, and returns vals with the number of bytes consumed.
+func appendRow(vals []Value, b []byte, texts Texts, add bool) ([]Value, int, error) {
+	n, off := binary.Uvarint(b)
+	if off <= 0 {
+		return vals, 0, fmt.Errorf("storage: bad row header")
 	}
 	if n > uint64(len(b)) {
-		return nil, 0, fmt.Errorf("storage: implausible row arity %d", n)
+		return vals, 0, fmt.Errorf("storage: implausible row arity %d", n)
 	}
-	if d.row == nil {
-		d.row = make(Row, 0, n)
-	} else if d.strs == nil {
-		d.strs = make(map[string]string) // a second row: a run worth sharing over
-	}
-	d.row = d.row[:0]
-	off := used
 	for i := uint64(0); i < n; i++ {
-		v, c, err := decodeValue(b[off:], d.strs)
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: value %d: %w", i, err)
+		if len(vals) < cap(vals) {
+			vals = vals[:len(vals)+1] // decodeValue overwrites what it holds
+		} else {
+			vals = append(vals, Value{})
 		}
-		d.row = append(d.row, v)
+		c, err := decodeValue(&vals[len(vals)-1], b[off:], texts, add)
+		if err != nil {
+			return vals[:len(vals)-1], 0, fmt.Errorf("storage: value %d: %w", i, err)
+		}
 		off += c
 	}
-	return d.row, off, nil
+	return vals, off, nil
 }

@@ -15,6 +15,8 @@ type LocalDB struct {
 	mu     sync.RWMutex
 	schema *Schema
 	tables [][]Row // by schema ordinal; nil for a table never written
+	vals   []Value // what Load decodes values into, reused by the next Load
+	rows   []Row   // Load's rows, each a slice of vals
 }
 
 // NewLocalDB returns an empty database conforming to schema.

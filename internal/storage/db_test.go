@@ -155,8 +155,8 @@ func TestRowsIsSnapshot(t *testing.T) {
 func TestCountAgreesWithRows(t *testing.T) {
 	db := NewLocalDB(MustSchema(TableDef{Name: "Énergie", Columns: []Column{{Name: "kwh", Kind: KindInt}}}))
 	err := db.Insert("Énergie", Row{Int(1)})
-	unpacked, unpackErr := UnpackDB(db.Schema(), PackDB(db))
-	if err = errors.Join(err, unpackErr); err != nil {
+	unpacked := NewLocalDB(db.Schema())
+	if err = errors.Join(err, unpacked.Load(PackDB(db), nil)); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []*LocalDB{db, unpacked} {

@@ -51,7 +51,7 @@ func (f admissionFleet) device(t *testing.T, id string, epoch int, km *KeyMateri
 		t.Error(err) // not Fatal: devices are built on the test's goroutines too
 	}
 	d := NewWithMaterial(id, db, km, policy, f.authority)
-	d.SetEpoch(epoch)
+	d.SetKeys(epoch, km, nil)
 	d.Shared = shared
 	return d
 }
@@ -83,9 +83,9 @@ func TestAdmissionTable(t *testing.T) {
 	migrated := func(dropGrace bool) builder {
 		return func(id string, s *PlanCache) *TDS {
 			d := epoch1(id, s)
-			d.Migrate(2, f.km2)
+			d.SetKeys(2, f.km2, f.km1)
 			if dropGrace {
-				d.DropGrace()
+				d.SetKeys(2, f.km2, nil)
 			}
 			return d
 		}

@@ -15,8 +15,8 @@ import (
 // material must be observationally identical to one that expanded the
 // same ring itself — same deterministic tags, same plaintexts under the
 // same keys, same deposit commitments, same audit digests. This is the
-// batching contract of the packed fleet: one KeyMaterial per epoch backs
-// a whole connection wave.
+// batching contract of the fleet: one KeyMaterial per epoch backs every
+// device woken at it.
 func TestKeyMaterialEquivalence(t *testing.T) {
 	mkDB := func() *storage.LocalDB {
 		db := storage.NewLocalDB(schema())

@@ -50,17 +50,13 @@ type TDS struct {
 	// tamper-resistant hardware is assumed to prevent this (Section 2.2).
 	Corrupt bool
 
-	// Key material, guarded by matMu: a live rotation (Migrate) swaps the
-	// primary while collection workers are mid-call, so every access goes
-	// through matFor / a snapshot under the lock. The primary is the
-	// device's enrollment epoch; prev is the previous epoch's material,
-	// retained during a rotation grace window so queries posted before
-	// the boundary still open on a migrated device.
-	matMu     sync.RWMutex
-	epoch     int // primary enrollment epoch, wire numbering (0 = legacy)
-	km        *KeyMaterial
-	prev      *KeyMaterial
-	prevEpoch int
+	// Key material. The primary is the device's enrollment epoch; prev is
+	// the previous epoch's material, held while a rotation's grace window
+	// is open so queries posted before the boundary still open on a
+	// migrated device.
+	epoch int // primary enrollment epoch, wire numbering (0 = legacy)
+	km    *KeyMaterial
+	prev  *KeyMaterial // serves epoch-1; nil outside a grace window
 }
 
 // New creates a TDS with its key ring, database and access policy.
@@ -76,10 +72,10 @@ func New(id string, db *storage.LocalDB, ring tdscrypto.KeyRing,
 // KeyMaterial is the expanded cryptographic state of one key ring: AES key
 // schedules, pooled HMAC states, bucket hasher and committer. Every device
 // enrolled at the same epoch holds an identical ring, so the expansion is
-// identical too — a packed fleet expands a ring once per epoch and shares
-// the result across every device of a connection wave instead of paying
-// the key schedules per device. All components are safe for concurrent
-// use, so one KeyMaterial can back many TDSs at once.
+// identical too — a fleet expands a ring once per epoch and shares the
+// result across every device it wakes instead of paying the key schedules
+// per device. All components are safe for concurrent use, so one
+// KeyMaterial can back many TDSs at once.
 type KeyMaterial struct {
 	K1, K2     *tdscrypto.Suite
 	BucketHash *tdscrypto.BucketHasher
@@ -115,37 +111,17 @@ func NewWithMaterial(id string, db *storage.LocalDB, km *KeyMaterial,
 
 // Epoch returns the device's primary enrollment epoch (wire numbering;
 // 0 on fleets that never set one).
-func (t *TDS) Epoch() int {
-	t.matMu.RLock()
-	defer t.matMu.RUnlock()
-	return t.epoch
-}
+func (t *TDS) Epoch() int { return t.epoch }
 
-// SetEpoch stamps the enrollment epoch at provisioning time.
-func (t *TDS) SetEpoch(epoch int) {
-	t.matMu.Lock()
-	t.epoch = epoch
-	t.matMu.Unlock()
-}
-
-// Migrate installs a new primary key material — the device applied a
-// trust bundle — keeping the old primary as grace material so queries
-// posted at the old epoch keep opening mid-flight. Safe to call while
-// other goroutines are inside Collect/Aggregate: in-progress calls finish
-// on the material they resolved, subsequent calls resolve the new state.
-func (t *TDS) Migrate(epoch int, km *KeyMaterial) {
-	t.matMu.Lock()
-	t.prev, t.prevEpoch = t.km, t.epoch
-	t.km, t.epoch = km, epoch
-	t.matMu.Unlock()
-}
-
-// DropGrace forgets the previous epoch's material — the grace window
-// closed; stale-epoch queries must fail to open from here on.
-func (t *TDS) DropGrace() {
-	t.matMu.Lock()
-	t.prev, t.prevEpoch = nil, 0
-	t.matMu.Unlock()
+// SetKeys installs the device's key material: km as the primary of the
+// given enrollment epoch (wire numbering), and prev, when not nil, as the
+// grace material of the epoch before. A device that applied a rotation's
+// trust bundle holds both while the grace window is open, so queries
+// posted at the old epoch keep opening on it; a nil prev is the window
+// closed, and stale-epoch queries fail to open from there on. A device is
+// not safe to re-key while another goroutine is inside one of its calls.
+func (t *TDS) SetKeys(epoch int, km, prev *KeyMaterial) {
+	t.epoch, t.km, t.prev = epoch, km, prev
 }
 
 // matFor resolves the key material serving one posted query: the grace
@@ -153,9 +129,7 @@ func (t *TDS) DropGrace() {
 // window is still open, the primary otherwise. Epoch 0 posts (legacy
 // fleets) always resolve the primary.
 func (t *TDS) matFor(post *protocol.QueryPost) *KeyMaterial {
-	t.matMu.RLock()
-	defer t.matMu.RUnlock()
-	if t.prev != nil && post.Epoch != 0 && post.Epoch == t.prevEpoch {
+	if t.prev != nil && post.Epoch != 0 && post.Epoch == t.epoch-1 {
 		return t.prev
 	}
 	return t.km
@@ -166,10 +140,8 @@ func (t *TDS) matFor(post *protocol.QueryPost) *KeyMaterial {
 // grace epoch while the window is open, or anything when either side
 // predates epoch stamping (0).
 func (t *TDS) ServesEpoch(epoch int) bool {
-	t.matMu.RLock()
-	defer t.matMu.RUnlock()
 	return epoch == 0 || t.epoch == 0 || t.epoch == epoch ||
-		(t.prev != nil && t.prevEpoch == epoch)
+		(t.prev != nil && t.epoch-1 == epoch)
 }
 
 // CommitDeposit seals a collection deposit with the device's k2-keyed
@@ -184,12 +156,10 @@ func (t *TDS) ServesEpoch(epoch int) bool {
 // verifier can recompute it per deposit from the declared epoch alone,
 // even when a rotation grace window has devices of two epochs answering
 // one query. Devices that never set an epoch bind the posted one, the
-// pre-rotation wire behavior. The bound epoch is returned with the MAC,
-// read under the same lock, so the envelope can never declare another.
+// pre-rotation wire behavior. The bound epoch is returned with the MAC, so
+// the envelope can never declare another.
 func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []protocol.WireTuple) (commit []byte, epoch int) {
-	t.matMu.RLock()
 	c, epoch := t.km.Committer, t.epoch
-	t.matMu.RUnlock()
 	if epoch == 0 {
 		epoch = post.Epoch
 	}
@@ -383,8 +353,7 @@ type CollectStats struct {
 }
 
 // collectScratch holds buffers reused across one call's tuple loop, plus
-// the key material and tag table the call resolved — one resolve per
-// call, so a rotation landing mid-call cannot split it across epochs. The
+// the key material and tag table the call resolved, once per call. The
 // encryption schemes copy plaintexts into fresh ciphertext buffers, so
 // reusing the plaintext scratch across tuples is safe.
 type collectScratch struct {

@@ -707,7 +707,7 @@ func TestDetTagTable(t *testing.T) {
 	// A migrated device serves the epoch-1 post through its grace
 	// material, so it shares epoch 1's table.
 	migrated := device("c", 1, f.km1)
-	migrated.Migrate(2, f.km2)
+	migrated.SetKeys(2, f.km2, f.km1)
 	if got := tagsOf(migrated, f.km1); &got[3][0] != &first[3][0] {
 		t.Error("grace material did not resolve its own epoch's table")
 	}

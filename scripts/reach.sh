@@ -62,6 +62,11 @@ expect 1 tdsnet -fleet 60 -timeout 1ns
 expect 0 tdsnet -fleet 30 -concurrent 2 -metrics-out m.prom -trace-out t.jsonl \
     -journal-out j.jsonl -trace-summary
 expect 0 benchtool -fig all
+# "all" is Figs 9b-11; the exposure figures, their sweeps, the phase
+# decomposition and the live cost-model check run on their own.
+for fig in 7 8 8h 8nf phases validate; do
+    expect 0 benchtool -fig "$fig"
+done
 for dir in examples/*; do
     expect 0 "${dir#*/}"
 done
