@@ -113,13 +113,13 @@ func main() {
 	fmt.Print(resp.Result)
 
 	// Section 2.3's continuous query: one complete run per window, each
-	// over the data present at that point. Between the two windows every
-	// meter records one more reading.
+	// over the data present at that point. Between two windows every meter
+	// records one more reading.
 	const readings = `SELECT COUNT(*) FROM Power`
 	fmt.Println("\ncontinuous windows:", readings)
-	for window := 0; window < 2; window++ {
+	for window := 0; window < 3; window++ {
 		for i := 0; window > 0 && i < eng.FleetSize(); i++ {
-			row := storage.Row{storage.Int(int64(i)), storage.Float(40), storage.Int(int64(w.Readings))}
+			row := storage.Row{storage.Int(int64(i)), storage.Float(40), storage.Int(int64(w.Readings + window - 1))}
 			if err := eng.Insert(fmt.Sprintf("tds-%05d", i), "Power", row); err != nil {
 				log.Fatal(err)
 			}

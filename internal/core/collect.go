@@ -172,7 +172,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	}
 
 	w := e.newCollectWalk(rs, cfgTpl, devices)
-	defer e.putDevices(w.res)
+	defer e.walkers.put(w.devs)
 	end, err := w.run(ctx, start)
 	if err == nil && len(rs.staleQ) > 0 {
 		// Devices a torn rollout caught on the wrong epoch get one retried
@@ -274,6 +274,7 @@ type collectWalk struct {
 	// serves every commit-point redo and the stale retries.
 	cols []*collector
 	res  []collectResult // the window; each slot holds a device of its own
+	devs []*tds.TDS      // the slots' devices, from the engine's walkers
 	done []atomic.Int64  // one past the last position collected in each slot
 	deps []*protocol.Deposit
 
@@ -299,7 +300,10 @@ func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, devices 
 	for k := range w.cols {
 		w.cols[k] = newCollector()
 	}
-	e.takeDevices(w.res)
+	w.devs = e.walkers.take(e, window)
+	for i, t := range w.devs {
+		w.res[i].t = t
+	}
 	return w
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -273,7 +274,7 @@ func BenchmarkStreamBuild(b *testing.B) {
 // wokenDevice wakes a fleet slot, rows and all, into a device of its own,
 // as a collection walk's window slot does.
 func wokenDevice(tb testing.TB, eng *Engine, slot int) *tds.TDS {
-	t := eng.newShell(storage.NewLocalDB(eng.Schema()))
+	t := eng.newShell()
 	if err := eng.wake(t, slot); err != nil {
 		tb.Fatal(err)
 	}
@@ -348,18 +349,33 @@ func TestCollectOneAllocBudget(t *testing.T) {
 
 // BenchmarkAggregateFold measures one first-step aggregation unit of that
 // shape: a TDS opening and folding a partition of 300 collection tuples,
-// all of one group.
+// all of one group, in the scratch its earlier folds left. Every fold must
+// emit what the first did, so a scratch that carries state from one fold
+// into the next fails even a one-iteration run.
 func BenchmarkAggregateFold(b *testing.B) {
 	eng, t, post := newDevice(b, 300)
 	partition, _, err := eng.collectOne(newCollector(), t, post, tds.CollectConfig{}, time.Unix(1700000000, 0))
 	if err != nil || len(partition) != 300 {
 		b.Fatalf("%d tuples, %v", len(partition), err)
 	}
+	var pt []byte // the output's plaintext, then its digest
+	fold := func() []byte {
+		out, err := t.Aggregate(post, partition, tds.EmitWhole)
+		if err == nil && len(out) == 1 {
+			pt, err = eng.mats[0].K2.DecryptTo(pt[:0], out[0].Ciphertext, post.AAD())
+		}
+		if err != nil || len(out) != 1 {
+			b.Fatalf("%d tuples, %v", len(out), err)
+		}
+		pt = append(pt, out[0].Digest...)
+		return pt
+	}
+	want := bytes.Clone(fold())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := t.Aggregate(post, partition, tds.EmitWhole); err != nil {
-			b.Fatal(err)
+		if got := fold(); !bytes.Equal(got, want) {
+			b.Fatalf("fold %d emitted %x, the first %x", i+2, got, want)
 		}
 	}
 }

@@ -92,12 +92,9 @@ type Engine struct {
 	planCache *tds.PlanCache // what a query's devices share; no device holds a plan of its own
 	obs       *engineObs     // tracer + metrics registry
 
-	// idle holds the devices collection walks wake slots into between
-	// walks; noRows is the database of the phases' devices, which hold
-	// keys and never rows.
-	idleMu sync.Mutex
-	idle   []*tds.TDS
-	noRows *storage.LocalDB
+	// The devices runs wake slots into: walkers for collection windows,
+	// folders for phase workers, so no collection device holds a fold scratch.
+	walkers, folders devicePool
 
 	mu        sync.Mutex
 	seq       int
@@ -167,7 +164,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		obs:       newEngineObs(),
 		mats:      []*tds.KeyMaterial{km},
 		discovery: make(map[string]*discovered),
-		noRows:    storage.NewLocalDB(cfg.Schema),
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/trustedcells/tcq/internal/rng"
 	"github.com/trustedcells/tcq/internal/storage"
@@ -29,10 +30,12 @@ import (
 // fleet is the slot-indexed store of the enrolled devices. Slot i's
 // database is blob[start[i]:end[i]]. Regions are only ever appended:
 // Insert re-packs a slot at the blob's end, so a region a wake is reading
-// is never written.
+// is never written. Once dead regions outweigh live ones, the live ones
+// move to a fresh blob; a wake still reading the old one keeps it.
 type fleet struct {
 	ids     []string      // per slot: the device ID, interned at provisioning
 	blob    []byte        // storage.PackDB blobs
+	live    int64         // the bytes of blob some slot's region holds
 	start   []int64       // per slot: where its region begins
 	end     []int64       // per slot: where its region ends
 	epoch   []uint32      // per slot: key-authority epoch it last enrolled at
@@ -49,9 +52,20 @@ func (f *fleet) region(slot int) []byte { return f.blob[f.start[slot]:f.end[slot
 // pack points slot at a new packed database, appended to the blob.
 func (f *fleet) pack(slot int, db *storage.LocalDB) {
 	f.texts = f.texts.With(db)
+	f.live -= f.end[slot] - f.start[slot]
+	f.start[slot], f.end[slot] = 0, 0
+	if dead := int64(len(f.blob)) - f.live; dead > f.live {
+		blob := make([]byte, 0, 2*f.live)
+		for i := range f.start {
+			blob = append(blob, f.region(i)...)
+			f.start[i], f.end[i] = int64(len(blob))-(f.end[i]-f.start[i]), int64(len(blob))
+		}
+		f.blob = blob
+	}
 	f.start[slot] = int64(len(f.blob))
 	f.blob = append(f.blob, storage.PackDB(db)...)
 	f.end[slot] = int64(len(f.blob))
+	f.live += f.end[slot] - f.start[slot]
 }
 
 // ProvisionFleet enrolls n TDSs whose databases are produced by populate,
@@ -125,9 +139,9 @@ func (e *Engine) isRevoked(id string) bool {
 }
 
 // newShell allocates a device for waking slots into: the fleet's policy,
-// authority and plan cache, over db.
-func (e *Engine) newShell(db *storage.LocalDB) *tds.TDS {
-	t := tds.NewWithMaterial("", db, nil, e.cfg.Policy, e.authority)
+// authority and plan cache, over a database of its own.
+func (e *Engine) newShell() *tds.TDS {
+	t := tds.NewWithMaterial("", storage.NewLocalDB(e.schema), nil, e.cfg.Policy, e.authority)
 	t.Shared = e.planCache
 	return t
 }
@@ -161,28 +175,31 @@ func (e *Engine) wake(t *tds.TDS, slot int) error {
 	return nil
 }
 
-// takeDevices gives each slot of a collection walk's window a device with
-// a database of its own, idle ones first; putDevices takes them back. A
-// device keeps the buffers its largest slot grew, so the walks of later
-// queries wake into them without allocating.
-func (e *Engine) takeDevices(window []collectResult) {
-	e.idleMu.Lock()
-	defer e.idleMu.Unlock()
-	for i := range window {
-		if n := len(e.idle); n > 0 {
-			window[i].t, e.idle = e.idle[n-1], e.idle[:n-1]
-		} else {
-			window[i].t = e.newShell(storage.NewLocalDB(e.schema))
-		}
-	}
+// devicePool holds devices between runs with the buffers they grew (a
+// collection device its largest slot's rows, a phase device its fold
+// scratch), so later queries wake into them without allocating.
+type devicePool struct {
+	mu   sync.Mutex
+	idle []*tds.TDS
 }
 
-func (e *Engine) putDevices(window []collectResult) {
-	e.idleMu.Lock()
-	defer e.idleMu.Unlock()
-	for _, r := range window {
-		e.idle = append(e.idle, r.t)
+// take returns n devices, idle ones first; put gives them back.
+func (p *devicePool) take(e *Engine, n int) []*tds.TDS {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := max(len(p.idle)-n, 0)
+	ts := append(make([]*tds.TDS, 0, n), p.idle[k:]...)
+	p.idle = p.idle[:k]
+	for len(ts) < n {
+		ts = append(ts, e.newShell())
 	}
+	return ts
+}
+
+func (p *devicePool) put(ts []*tds.TDS) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = append(p.idle, ts...)
 }
 
 // slotServes reports whether the device in one fleet slot can open

@@ -200,7 +200,7 @@ func (e *Engine) startPhase(rs *runState, name string, parts [][]protocol.WireTu
 // clock by its makespan, and closes the phase span at the new instant.
 func (e *Engine) notePhase(rs *runState, name string, units []workUnit, ps phaseStats) {
 	m := rs.metrics
-	m.AuditDetections += ps.Detections
+	m.AuditDetections += len(ps.Suspects)
 	m.Suspects = append(m.Suspects, ps.Suspects...)
 	down, up := unitBytesInOut(units)
 	durs := make([]time.Duration, len(units))

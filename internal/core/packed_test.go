@@ -35,8 +35,10 @@ func TestPackedRevocation(t *testing.T) {
 
 // TestEngineInsert: Insert takes a row only for an enrolled device's ID
 // and a row its table admits; a refused row leaves the fleet as it was.
-// An accepted row moves the slot's database to a region appended to the
-// blob and keeps the slot's key epoch and compromised bit.
+// An accepted row moves the slot's database to a region at the blob's end,
+// writing no byte of the blob a wake may be reading (a compaction copies
+// the live regions out of it), and keeps the slot's key epoch and
+// compromised bit.
 func TestEngineInsert(t *testing.T) {
 	power := storage.Row{storage.Int(2), storage.Float(61), storage.Int(77)}
 	for _, tc := range []struct {
@@ -69,11 +71,13 @@ func TestEngineInsert(t *testing.T) {
 		strandFleet(f.eng)
 		fl.corrupt[2] = true
 		epoch, corrupt := slices.Clone(fl.epoch), slices.Clone(fl.corrupt)
-		for range 2 {
-			size := int64(len(fl.blob))
+		for range 3 {
+			old := fl.blob
+			was := slices.Clone(old)
 			f.insert(t, 2, "Power", power)
-			if fl.start[2] != size || fl.end[2] != int64(len(fl.blob)) || !bytes.Equal(fl.region(2), storage.PackDB(f.dbs[2])) {
-				t.Fatalf("slot 2 at [%d, %d), want its database appended at %d", fl.start[2], fl.end[2], size)
+			if fl.end[2] != int64(len(fl.blob)) || !bytes.Equal(fl.region(2), storage.PackDB(f.dbs[2])) || !bytes.Equal(old, was) {
+				t.Fatalf("slot 2 at [%d, %d) of %d bytes, want its database at the end, the old blob unwritten",
+					fl.start[2], fl.end[2], len(fl.blob))
 			}
 		}
 		if !slices.Equal(fl.epoch, epoch) || !slices.Equal(fl.corrupt, corrupt) {
@@ -95,7 +99,7 @@ func TestDeviceWakeDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, phase := f.eng.newShell(storage.NewLocalDB(f.eng.Schema())), f.eng.newShell(f.eng.noRows)
+	dev, phase := f.eng.newShell(), f.eng.newShell()
 	slot, scanned := 0, 0
 	wakeScanNext := func() {
 		err := f.eng.wake(dev, slot)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,8 +26,7 @@ type workUnit struct {
 // phaseStats aggregates what a phase cost beyond its work units.
 type phaseStats struct {
 	Reassigned int           // partitions re-sent after their assignee's crash
-	Detections int           // replicas outvoted by the audit (compromised-TDS ext.)
-	Suspects   []string      // IDs of the outvoted devices
+	Suspects   []string      // IDs of the replicas outvoted by the audit (compromised-TDS ext.)
 	Wait       time.Duration // timeout + backoff bill of the crashes
 }
 
@@ -168,48 +168,54 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	}
 
 	// Pre-pick worker TDSs and crash decisions deterministically, then let
-	// goroutines do the crypto-heavy processing concurrently.
+	// goroutines do the crypto-heavy processing concurrently. Every
+	// assignment's workers are drawn into one slab, and its units are filed
+	// into one []workUnit at the same offsets: at most one unit per worker.
 	type assignment struct {
-		part    []protocol.WireTuple
-		workers []int // the slots of the replicas processing the same partition
+		part     []protocol.WireTuple
+		workers  []int // the slots of the replicas processing the same partition
+		at, n    int   // its units: units[at : at+n]
+		suspects []string
 	}
 	var plan []assignment
+	// Pre-draw enough distinct workers for up to three audit rounds: when
+	// a round produces no strict digest majority, the partition is re-sent
+	// to the next batch of fresh devices.
+	rounds := 1
+	if replicas > 1 {
+		rounds = 3
+	}
+	want := min(replicas*rounds, len(live))
+	draws := make([]int, 0, want*len(partitions))
+	seen := make(map[int]bool, want)    // a one-worker draw cannot repeat a slot
 	maxReassign := 10 * len(partitions) // safety valve against crash fractions ~ 1
 	for qi := 0; qi < len(tasks); qi++ {
 		t := tasks[qi]
 		if err := ctxErr(ctx); err != nil {
 			return nil, stats, err
 		}
-		// Pre-draw enough distinct workers for up to three audit rounds:
-		// when a round produces no strict digest majority, the partition
-		// is re-sent to the next batch of fresh devices. The first drawn
-		// is the primary assignee the crash decision below is about.
-		rounds := 1
-		if replicas > 1 {
-			rounds = 3
-		}
-		want := min(replicas*rounds, len(live))
-		ws := make([]int, 0, want)
-		var seen map[int]bool // a one-worker draw cannot repeat a slot
-		if want > 1 {
-			seen = make(map[int]bool, want)
-		}
-		for len(ws) < want {
+		// The first drawn is the primary assignee the crash decision below
+		// is about.
+		from := len(draws)
+		clear(seen)
+		for len(draws)-from < want {
 			i := rng.Intn(len(live))
-			if seen[i] {
+			if want > 1 && seen[i] {
 				continue
 			}
-			if seen != nil {
+			if want > 1 {
 				seen[i] = true
 			}
-			ws = append(ws, live[i])
+			draws = append(draws, live[i])
 		}
+		ws := draws[from:len(draws):len(draws)]
 		primary := e.fleet.ids[ws[0]]
 		if faults != nil && stats.Reassigned < maxReassign &&
 			faults.For(primary, post.ID).CrashInPhase {
 			// The scripted churn: the primary assignee crashes before
 			// committing. The SSI times out, backs off, and re-issues the
 			// partition to a fresh draw — or abandons it past MaxAttempts.
+			draws = draws[:from]
 			wait := faults.RetryWait(t.attempt)
 			at := phaseStart.Add(stats.Wait) // instant the SSI starts waiting this one out
 			stats.Wait += wait
@@ -229,25 +235,21 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
 			continue
 		}
-		plan = append(plan, assignment{part: t.part, workers: ws})
+		plan = append(plan, assignment{part: t.part, workers: ws, at: from})
 	}
 
-	// Each assignment gets its own result slot, and the slots are flattened
-	// in plan order after the crew is through: the phase output is
-	// independent of completion order, so downstream partitioning (and hence
-	// the whole run) is deterministic for any worker count.
-	type phaseResult struct {
-		units    []workUnit
-		suspects []string
-	}
-	results := make([]phaseResult, len(plan))
+	// Each assignment files its units at its own offsets, and they are
+	// gathered in plan order after the crew is through: the phase output
+	// is independent of completion order, so downstream partitioning (and
+	// hence the whole run) is deterministic for any worker count.
+	units := make([]workUnit, len(draws))
 	devs := rs.phaseDevices(e)
 	err := rs.crew.each(len(plan), func(k, ai int) error {
-		a, t := plan[ai], devs[k]
+		a, t := &plan[ai], devs[k]
 		if replicas == 1 { // no audit: one output, nothing to vote on
 			e.aim(t, a.workers[0])
 			out, err := process(t, a.part)
-			results[ai].units = []workUnit{{partition: a.part, out: out, busy: e.meterUnit(a.part, out)}}
+			units[a.at], a.n = workUnit{partition: a.part, out: out, busy: e.meterUnit(a.part, out)}, 1
 			return err
 		}
 		// Audit rounds: process with `replicas` fresh devices per
@@ -255,33 +257,21 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		// case). Otherwise votes accumulate across rounds — the honest
 		// result recurs in every round while independent forgeries
 		// rarely repeat — and the globally most-voted output wins.
-		var allUnits []workUnit
-		var voters []string // worker ID per vote, parallel to keys
-		var keys []string
+		allUnits := units[a.at : a.at : a.at+len(a.workers)]
+		var keys []string // the digest key of each unit, as of each worker
 		tally := make(map[string]int)
-		repr := make(map[string]int) // digest key -> index in allUnits
 		for start := 0; start < len(a.workers); start += replicas {
-			batch := a.workers[start:min(start+replicas, len(a.workers))]
 			unanimous := true
-			var firstKey string
-			for i, slot := range batch {
+			for _, slot := range a.workers[start:min(start+replicas, len(a.workers))] {
 				e.aim(t, slot)
 				out, err := process(t, a.part)
 				if err != nil {
 					return err
 				}
 				key := digestKey(out)
-				if i == 0 {
-					firstKey = key
-				} else if key != firstKey {
-					unanimous = false
-				}
 				tally[key]++
 				keys = append(keys, key)
-				voters = append(voters, t.ID)
-				if _, ok := repr[key]; !ok {
-					repr[key] = len(allUnits)
-				}
+				unanimous = unanimous && key == keys[start]
 				allUnits = append(allUnits, workUnit{
 					partition: a.part,
 					out:       out,
@@ -302,37 +292,34 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				winnerKey, winnerVotes = k, v
 			}
 		}
-		keep := repr[winnerKey]
-		var suspects []string
+		keep := slices.Index(keys, winnerKey)
 		for i := range allUnits {
 			if i != keep {
 				allUnits[i].out = nil
 			}
 			if keys[i] != winnerKey {
-				suspects = append(suspects, voters[i])
+				a.suspects = append(a.suspects, e.fleet.ids[a.workers[i]])
 			}
 		}
-		results[ai] = phaseResult{units: allUnits, suspects: suspects}
+		a.n = len(allUnits)
 		return nil
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	var units []workUnit
-	for _, r := range results {
-		stats.Detections += len(r.suspects)
-		stats.Suspects = append(stats.Suspects, r.suspects...)
-		units = append(units, r.units...)
+	filed := 0 // an assignment's units never start before the last one's end
+	for _, a := range plan {
+		stats.Suspects = append(stats.Suspects, a.suspects...)
+		filed += copy(units[filed:], units[a.at:a.at+a.n])
 	}
-	return units, stats, nil
+	return units[:filed], stats, nil
 }
 
-// phaseDevices returns the run's phase devices, one per crew worker, made
-// on first use. They hold keys and no rows: phase work opens partitions,
-// never a database.
+// phaseDevices returns the run's phase devices, one per crew worker, taken
+// from the engine's folders on first use and given back when the run ends.
 func (rs *runState) phaseDevices(e *Engine) []*tds.TDS {
-	for len(rs.phaseDevs) < rs.crew.n {
-		rs.phaseDevs = append(rs.phaseDevs, e.newShell(e.noRows))
+	if rs.phaseDevs == nil {
+		rs.phaseDevs = e.folders.take(e, rs.crew.n)
 	}
 	return rs.phaseDevs
 }

@@ -83,6 +83,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		rs.rotScript = req.Faults.Rotation
 	}
 	metrics := rs.metrics
+	defer func() { e.folders.put(rs.phaseDevs) }()
 	defer rs.crew.stop()
 
 	if err := rs.ssi.PostQuery(post, rs.clock.Now()); err != nil {

@@ -33,7 +33,6 @@ type Bucket struct {
 type Histogram struct {
 	buckets []Bucket
 	byKey   map[string]int
-	total   int64
 }
 
 // Build constructs a histogram with at most numBuckets buckets over the
@@ -55,13 +54,10 @@ func Build(dist map[string]int64, numBuckets int) (*Histogram, error) {
 		count int64
 	}
 	vals := make([]vc, 0, len(dist))
-	var total int64
 	for k, c := range dist {
-		if c <= 0 {
-			continue
+		if c > 0 {
+			vals = append(vals, vc{k, c})
 		}
-		vals = append(vals, vc{k, c})
-		total += c
 	}
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("histogram: empty distribution")
@@ -79,7 +75,6 @@ func Build(dist map[string]int64, numBuckets int) (*Histogram, error) {
 	h := &Histogram{
 		buckets: make([]Bucket, numBuckets),
 		byKey:   make(map[string]int, len(vals)),
-		total:   total,
 	}
 	for i := range h.buckets {
 		h.buckets[i].ID = fmt.Sprintf("bucket-%04d", i)
@@ -121,9 +116,6 @@ func (h *Histogram) BucketOf(key string) (id string, ok bool) {
 // NumBuckets returns M, the number of buckets.
 func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
-// Total returns the total tuple count of the underlying distribution.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Buckets returns the buckets (shared slice; do not modify).
 func (h *Histogram) Buckets() []Bucket { return h.buckets }
 
@@ -133,20 +125,4 @@ func (h *Histogram) Buckets() []Bucket { return h.buckets }
 // exposure, no partitioning benefit).
 func (h *Histogram) CollisionFactor() float64 {
 	return float64(len(h.byKey)) / float64(len(h.buckets))
-}
-
-// Skew measures equi-depth quality: max bucket depth divided by the ideal
-// depth total/M. 1.0 is perfectly flat.
-func (h *Histogram) Skew() float64 {
-	if h.total == 0 {
-		return 1
-	}
-	ideal := float64(h.total) / float64(len(h.buckets))
-	var max int64
-	for _, b := range h.buckets {
-		if b.Depth > max {
-			max = b.Depth
-		}
-	}
-	return float64(max) / ideal
 }

@@ -47,7 +47,10 @@ func TestBuildCoversAllValues(t *testing.T) {
 			t.Errorf("value %q not mapped", k)
 		}
 	}
-	var depth int64
+	var depth, total int64
+	for _, c := range dist {
+		total += c
+	}
 	seen := map[string]bool{}
 	for _, b := range h.Buckets() {
 		depth += b.Depth
@@ -58,8 +61,8 @@ func TestBuildCoversAllValues(t *testing.T) {
 			seen[k] = true
 		}
 	}
-	if depth != h.Total() {
-		t.Errorf("bucket depths sum %d != total %d", depth, h.Total())
+	if depth != total {
+		t.Errorf("bucket depths sum %d != total %d", depth, total)
 	}
 }
 
@@ -73,34 +76,36 @@ func TestNearlyEquiDepthOnSkewedData(t *testing.T) {
 	// LPT guarantees max depth <= ideal + heaviest single value. A single
 	// value cannot be split across buckets, so skew is bounded by
 	// 1 + maxCount/ideal rather than a constant.
-	var maxCount int64
+	var maxCount, total int64
 	for _, c := range dist {
-		if c > maxCount {
-			maxCount = c
-		}
+		maxCount, total = max(maxCount, c), total+c
 	}
-	ideal := float64(h.Total()) / float64(h.NumBuckets())
-	if s := h.Skew(); s > 1+float64(maxCount)/ideal {
+	ideal := float64(total) / float64(h.NumBuckets())
+	shallowest, deepest := depthRange(h)
+	if s := float64(deepest) / ideal; s > 1+float64(maxCount)/ideal {
 		t.Errorf("skew = %g exceeds LPT bound %g", s, 1+float64(maxCount)/ideal)
 	}
 	// Ignoring the un-splittable head value, the tail must be flat: the
 	// shallowest bucket is within 25%% of ideal.
-	var min int64 = 1 << 62
-	for _, b := range h.Buckets() {
-		if b.Depth < min {
-			min = b.Depth
-		}
-	}
-	if float64(min) < 0.75*ideal {
-		t.Errorf("shallowest bucket %d far below ideal %g", min, ideal)
+	if float64(shallowest) < 0.75*ideal {
+		t.Errorf("shallowest bucket %d far below ideal %g", shallowest, ideal)
 	}
 }
 
 func TestUniformDistributionIsFlat(t *testing.T) {
 	h := MustBuild(uniformDist(100, 50), 10)
-	if s := h.Skew(); s != 1.0 {
-		t.Errorf("uniform input must be perfectly flat, skew = %g", s)
+	if shallowest, deepest := depthRange(h); shallowest != deepest {
+		t.Errorf("uniform input must be perfectly flat, depths %d..%d", shallowest, deepest)
 	}
+}
+
+// depthRange returns the shallowest and the deepest bucket's depth.
+func depthRange(h *Histogram) (shallowest, deepest int64) {
+	shallowest = 1 << 62
+	for _, b := range h.Buckets() {
+		shallowest, deepest = min(shallowest, b.Depth), max(deepest, b.Depth)
+	}
+	return shallowest, deepest
 }
 
 func TestCollisionFactor(t *testing.T) {

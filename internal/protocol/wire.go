@@ -243,13 +243,6 @@ func CommitTuples(leaf *tdscrypto.FoldStream, tuples []WireTuple) {
 	}
 }
 
-// EncodePayload prepends the marker to a body.
-func EncodePayload(m MarkerByte, body []byte) []byte {
-	out := make([]byte, 0, 1+len(body))
-	out = append(out, byte(m))
-	return append(out, body...)
-}
-
 // DecodePayload splits a decrypted payload into marker and body.
 func DecodePayload(b []byte) (MarkerByte, []byte, error) {
 	if len(b) == 0 {
@@ -262,15 +255,10 @@ func DecodePayload(b []byte) (MarkerByte, []byte, error) {
 	return m, b[1:], nil
 }
 
-// DummyPayload builds a dummy payload padded with random bytes so that its
-// ciphertext is indistinguishable in size from a true tuple's.
-func DummyPayload(bodySize int) []byte {
-	return AppendDummyPayload(nil, bodySize)
-}
-
-// AppendDummyPayload appends a dummy payload to dst and returns the result.
-// Encryption copies the payload into the ciphertext, so callers may reuse
-// dst across tuples.
+// AppendDummyPayload appends a dummy payload to dst and returns the
+// result: padded with random bytes, so that its ciphertext is
+// indistinguishable in size from a true tuple's. Encryption copies the
+// payload into the ciphertext, so callers may reuse dst across tuples.
 func AppendDummyPayload(dst []byte, bodySize int) []byte {
 	dst = append(dst, byte(MarkerDummy))
 	start := len(dst)
@@ -289,14 +277,8 @@ func AppendDummyPayload(dst []byte, bodySize int) []byte {
 	return dst
 }
 
-// TruePayload wraps an encoded row as a true tuple payload.
-func TruePayload(row storage.Row) []byte {
-	return AppendRowPayload(nil, MarkerTrue, row)
-}
-
 // AppendRowPayload appends marker + encoded row to dst and returns the
-// result — the zero-copy form of TruePayload for hot loops that
-// reuse one scratch buffer across tuples.
+// result; hot loops reuse one scratch buffer across tuples.
 func AppendRowPayload(dst []byte, m MarkerByte, row storage.Row) []byte {
 	dst = append(dst, byte(m))
 	return storage.AppendRow(dst, row)

@@ -34,10 +34,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 		payload []byte
 		marker  MarkerByte
 	}{
-		{TruePayload(row), MarkerTrue},
+		{AppendRowPayload(nil, MarkerTrue, row), MarkerTrue},
 		{AppendRowPayload(nil, MarkerFake, row), MarkerFake},
-		{DummyPayload(32), MarkerDummy},
-		{EncodePayload(MarkerPartial, []byte("blob")), MarkerPartial},
+		{AppendDummyPayload(nil, 32), MarkerDummy},
+		{append([]byte{byte(MarkerPartial)}, "blob"...), MarkerPartial},
 	} {
 		m, body, err := DecodePayload(tc.payload)
 		if err != nil {
@@ -71,7 +71,7 @@ func TestDecodePayloadRejectsGarbage(t *testing.T) {
 }
 
 func TestDummyPayloadRandomizedPadding(t *testing.T) {
-	a, b := DummyPayload(64), DummyPayload(64)
+	a, b := AppendDummyPayload(nil, 64), AppendDummyPayload(nil, 64)
 	if len(a) != 65 || len(b) != 65 {
 		t.Fatalf("lengths %d/%d", len(a), len(b))
 	}

@@ -60,9 +60,9 @@ func TestDecryptResult(t *testing.T) {
 		return protocol.WireTuple{Ciphertext: ct}
 	}
 	tuples := []protocol.WireTuple{
-		enc(protocol.TruePayload(storage.Row{storage.Int(1), storage.Str("x")})),
-		enc(protocol.DummyPayload(16)), // stray dummy is skipped, not fatal
-		enc(protocol.TruePayload(storage.Row{storage.Int(2), storage.Str("y")})),
+		enc(protocol.AppendRowPayload(nil, protocol.MarkerTrue, storage.Row{storage.Int(1), storage.Str("x")})),
+		enc(protocol.AppendDummyPayload(nil, 16)), // stray dummy is skipped, not fatal
+		enc(protocol.AppendRowPayload(nil, protocol.MarkerTrue, storage.Row{storage.Int(2), storage.Str("y")})),
 	}
 	res, err := q.DecryptResult(post, tuples)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestDecryptResultRejectsWrongKeyTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := tdscrypto.MustSuite(tdscrypto.MustRandomKey())
-	ct, err := other.NDetEncrypt(protocol.TruePayload(storage.Row{storage.Int(1)}), post.AAD())
+	ct, err := other.NDetEncrypt(protocol.AppendRowPayload(nil, protocol.MarkerTrue, storage.Row{storage.Int(1)}), post.AAD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestQuerierCannotOpenK2Intermediates(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2 := tdscrypto.MustSuite(ring.K2)
-	ct, err := k2.NDetEncrypt(protocol.TruePayload(storage.Row{storage.Int(42)}), post.AAD())
+	ct, err := k2.NDetEncrypt(protocol.AppendRowPayload(nil, protocol.MarkerTrue, storage.Row{storage.Int(42)}), post.AAD())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,22 +19,45 @@ type Group struct {
 // from a partition contributes to the current value of the aggregate
 // functions of the group it belongs to. The structure's size grows with
 // the number of distinct groups in the partition — the paper's RAM
-// limiting factor for S_Agg.
+// limiting factor for S_Agg. Like the token's fixed RAM, one accumulator
+// serves partition after partition (Reset).
 type Accumulator struct {
 	plan   *Plan
 	groups map[string]*Group
+	keys   map[string]string  // the group keys interned under plan
 	key    []byte             // scratch for group lookups
+	enc    []byte             // Encode's buffer
+	sorted []string           // Groups' keys
+	order  []*Group           // Groups' result
 	dec    storage.RowDecoder // MergeEncoded's grouping values
 	// A new group is carved from these slabs.
-	slab   []Group
-	vals   []storage.Value
-	states []AggState
+	slab   slab[Group]
+	vals   slab[storage.Value]
+	states slab[AggState]
 	stateSlabs
 }
 
 // NewAccumulator returns an empty accumulator for the plan.
 func NewAccumulator(plan *Plan) *Accumulator {
-	return &Accumulator{plan: plan, groups: make(map[string]*Group)}
+	a := new(Accumulator)
+	a.Reset(plan)
+	return a
+}
+
+// Reset empties the accumulator (a zero one too) for a fold under plan,
+// keeping its slabs and buffers and, for the same plan, its map and keys:
+// a fold over no more groups than the last allocates nothing. Another plan
+// (another query) starts new tables, so none grows across queries.
+// Nothing handed out before a Reset may be used after it.
+func (a *Accumulator) Reset(plan *Plan) {
+	if plan != a.plan {
+		a.plan, a.groups, a.keys, a.dec = plan, make(map[string]*Group), make(map[string]string), storage.RowDecoder{}
+	}
+	clear(a.groups)
+	a.slab.reset()
+	a.vals.reset()
+	a.states.reset()
+	a.stateSlabs.reset()
 }
 
 // NumGroups returns the number of distinct groups accumulated so far.
@@ -42,35 +65,55 @@ func (a *Accumulator) NumGroups() int { return len(a.groups) }
 
 // group returns (creating if needed) the bucket for the grouping values.
 // The lookup goes through the scratch key. A new group's key string is
-// the one allocation of its own: its values, states and the Group itself
-// are carved from the accumulator's slabs.
+// interned, allocated once per plan; its values, states and the Group
+// itself are carved from the accumulator's slabs.
 func (a *Accumulator) group(groupVals storage.Row) *Group {
 	a.key = groupVals.AppendKey(a.key[:0])
 	g, ok := a.groups[string(a.key)]
 	if !ok {
-		k := len(a.groups)
-		g = &carve(&a.slab, 1, k)[0]
-		g.Values = carve(&a.vals, len(groupVals), k)
-		copy(g.Values, groupVals)
-		g.States = carve(&a.states, len(a.plan.Aggs), k)
-		for i, spec := range a.plan.Aggs {
-			g.States[i] = a.next(spec, k)
+		k, ok := a.keys[string(a.key)]
+		if !ok {
+			k = string(a.key)
+			a.keys[k] = k
 		}
-		a.groups[string(a.key)] = g
+		g = &a.slab.carve(1)[0]
+		g.Values = a.vals.carve(len(groupVals))
+		copy(g.Values, groupVals)
+		g.States = a.states.carve(len(a.plan.Aggs))
+		for i, spec := range a.plan.Aggs {
+			g.States[i] = a.next(spec)
+		}
+		a.groups[k] = g
 	}
 	return g
 }
 
-// carve returns n zero elements cut from the slab. A short slab is
-// replaced by a chunk of n per group so far (k), so a slab doubles with
-// the groups; what it handed out stays where it is.
-func carve[T any](slab *[]T, n, k int) []T {
-	if cap(*slab)-len(*slab) < n {
-		*slab = make([]T, 0, n*max(k, 1))
+// slab carves zeroed elements from chunks: n cost O(log n) allocations,
+// and after a reset, none while no more than the last round's.
+type slab[T any] struct {
+	buf  []T
+	used int // elements carved since the reset
+}
+
+// carve returns n zero elements. A short chunk is replaced by one as long
+// as all carved since the reset, so a slab doubles; what it handed out
+// stays where it is, and reset replaces it by one holding them all.
+func (s *slab[T]) carve(n int) []T {
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]T, 0, max(n, s.used))
 	}
-	s := *slab
-	*slab = s[:len(s)+n]
-	return s[len(s) : len(s)+n : len(s)+n]
+	b := s.buf
+	s.buf, s.used = b[:len(b)+n], s.used+n
+	r := b[len(b) : len(b)+n : len(b)+n]
+	clear(r) // a reset slab hands out what it handed out before
+	return r
+}
+
+func (s *slab[T]) reset() {
+	if cap(s.buf) < s.used {
+		s.buf = make([]T, 0, s.used)
+	}
+	s.buf, s.used = s.buf[:0], 0
 }
 
 // AddCollectionRow folds one collection tuple — the raw unit produced in
@@ -91,18 +134,19 @@ func (a *Accumulator) AddCollectionRow(row storage.Row) error {
 	return nil
 }
 
-// Groups returns the buckets sorted by group key (deterministic order).
+// Groups returns the buckets sorted by group key (deterministic order), in
+// a slice the next call overwrites.
 func (a *Accumulator) Groups() []*Group {
-	keys := make([]string, 0, len(a.groups))
+	a.sorted = a.sorted[:0]
 	for k := range a.groups {
-		keys = append(keys, k)
+		a.sorted = append(a.sorted, k)
 	}
-	sort.Strings(keys)
-	out := make([]*Group, len(keys))
-	for i, k := range keys {
-		out[i] = a.groups[k]
+	sort.Strings(a.sorted)
+	a.order = a.order[:0]
+	for _, k := range a.sorted {
+		a.order = append(a.order, a.groups[k])
 	}
-	return out
+	return a.order
 }
 
 // Encode serializes the whole partial aggregation:
@@ -110,17 +154,17 @@ func (a *Accumulator) Groups() []*Group {
 //	uvarint #groups, then per group: group row + each state's encoding.
 //
 // The encoding is deterministic (groups sorted by key), so Det_Enc over a
-// partial aggregation is well-defined.
+// partial aggregation is well-defined. The bytes are the accumulator's
+// buffer, overwritten by the next Encode.
 func (a *Accumulator) Encode() []byte {
-	var dst []byte
-	dst = binary.AppendUvarint(dst, uint64(len(a.groups)))
+	a.enc = binary.AppendUvarint(a.enc[:0], uint64(len(a.groups)))
 	for _, g := range a.Groups() {
-		dst = storage.AppendRow(dst, g.Values)
+		a.enc = storage.AppendRow(a.enc, g.Values)
 		for _, st := range g.States {
-			dst = st.AppendEncode(dst)
+			a.enc = st.AppendEncode(a.enc)
 		}
 	}
-	return dst
+	return a.enc
 }
 
 // AppendGroup appends a single group to dst in the per-group layout of
@@ -215,9 +259,9 @@ func (a *Accumulator) Finalize() (*Result, error) {
 	if len(a.plan.GroupCols) == 0 && len(a.groups) == 0 {
 		a.group(storage.Row{})
 	}
-	res, groups := &Result{Columns: a.plan.OutputNames}, a.Groups()
+	res, groups, w := &Result{Columns: a.plan.OutputNames}, a.Groups(), len(a.plan.result)
 	s := &scope{aggs: make([]storage.Value, len(a.plan.Aggs))}
-	rows := make([]storage.Value, 0, len(groups)*len(a.plan.result)) // the result rows' one slab
+	rows := make([]storage.Value, len(groups)*w) // the result rows' one slab
 	for _, g := range groups {
 		for i, st := range g.States {
 			s.aggs[i] = st.Result()
@@ -230,7 +274,8 @@ func (a *Accumulator) Finalize() (*Result, error) {
 		if keep.IsNull() || !keep.AsBool() {
 			continue
 		}
-		row := carve(&rows, len(a.plan.result), 0)
+		row := rows[:w:w]
+		rows = rows[w:]
 		for i, f := range a.plan.result {
 			if row[i], err = f(s); err != nil {
 				return nil, fmt.Errorf("sqlexec: SELECT %s: %w", a.plan.Stmt.Select[i].Expr, err)

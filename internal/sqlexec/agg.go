@@ -32,38 +32,45 @@ type AggState interface {
 	decodeMerge(b []byte) (int, error)
 }
 
-// stateSlabs carves empty states from chunks, one slab per state type: n
-// states cost O(log n) allocations, not n.
+// stateSlabs carves empty states from slabs, one per state type.
 type stateSlabs struct {
-	counts  []countState
-	sums    []sumState
-	avgs    []avgState
-	exts    []extremumState
-	medians []medianState
-	vars    []varianceState
+	counts  slab[countState]
+	sums    slab[sumState]
+	avgs    slab[avgState]
+	exts    slab[extremumState]
+	medians slab[medianState]
+	vars    slab[varianceState]
 }
 
-// next returns an empty state for spec, where k is the number of groups
-// so far (see carve). DISTINCT wraps any function with value
-// de-duplication (the paper's holistic case — COUNT DISTINCT is what the
-// flagship query uses in HAVING).
-func (s *stateSlabs) next(spec AggSpec, k int) AggState {
+func (s *stateSlabs) reset() {
+	s.counts.reset()
+	s.sums.reset()
+	s.avgs.reset()
+	s.exts.reset()
+	s.medians.reset()
+	s.vars.reset()
+}
+
+// next returns an empty state for spec. DISTINCT wraps any function with
+// value de-duplication (the paper's holistic case — COUNT DISTINCT is what
+// the flagship query uses in HAVING).
+func (s *stateSlabs) next(spec AggSpec) AggState {
 	var st AggState
 	switch spec.Func {
 	case sqlparse.AggCount:
-		c := &carve(&s.counts, 1, k)[0]
+		c := &s.counts.carve(1)[0]
 		c.star, st = spec.Star, c
 	case sqlparse.AggSum:
-		st = &carve(&s.sums, 1, k)[0]
+		st = &s.sums.carve(1)[0]
 	case sqlparse.AggAvg:
-		st = &carve(&s.avgs, 1, k)[0]
+		st = &s.avgs.carve(1)[0]
 	case sqlparse.AggMin, sqlparse.AggMax:
-		e := &carve(&s.exts, 1, k)[0]
+		e := &s.exts.carve(1)[0]
 		e.min, st = spec.Func == sqlparse.AggMin, e
 	case sqlparse.AggMedian:
-		st = &carve(&s.medians, 1, k)[0]
+		st = &s.medians.carve(1)[0]
 	case sqlparse.AggVar, sqlparse.AggStddev:
-		v := &carve(&s.vars, 1, k)[0]
+		v := &s.vars.carve(1)[0]
 		v.stddev, st = spec.Func == sqlparse.AggStddev, v
 	default:
 		panic(fmt.Sprintf("sqlexec: unknown aggregate %q", spec.Func))

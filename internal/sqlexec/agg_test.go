@@ -25,7 +25,7 @@ func feed(t *testing.T, s AggState, vals ...storage.Value) {
 }
 
 // newAggState is the empty state for a spec, as a new group gets it.
-func newAggState(sp AggSpec) AggState { return new(stateSlabs).next(sp, 0) }
+func newAggState(sp AggSpec) AggState { return new(stateSlabs).next(sp) }
 
 // merge is ⊕ as the aggregation phase applies it: b's encoding folded
 // into a.

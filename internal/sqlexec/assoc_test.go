@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +14,10 @@ import (
 // aggregations along an arbitrary tree decided by the SSI's random
 // partitioning. The final result must not depend on the tree shape — for
 // any random binary merge tree over any partitioning of the collection
-// rows, Finalize must produce the same answer as the flat fold.
+// rows, Finalize must produce the same answer as the flat fold. One
+// accumulator, Reset between the leaves and merges as a device's is
+// between partitions, must answer each as a fresh one does: the same
+// Encode bytes and Finalize rows, after larger partitions as well.
 func TestMergeTreeInvariance(t *testing.T) {
 	p := compile(t, `SELECT district, COUNT(*), SUM(P.cons), AVG(P.cons), `+
 		`MIN(P.cons), MAX(P.cons), MEDIAN(P.cons), COUNT(DISTINCT P.cid), `+
@@ -55,6 +60,26 @@ func TestMergeTreeInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// fold runs f on a fresh accumulator and on the Reset one, and returns
+	// the fresh one once both encode and finalize alike.
+	reused, shrank := NewAccumulator(p), 0
+	fold := func(f func(*Accumulator) error) *Accumulator {
+		fresh, before := NewAccumulator(p), reused.NumGroups()
+		reused.Reset(p)
+		if err := errors.Join(f(fresh), f(reused)); err != nil {
+			t.Fatal(err)
+		}
+		if reused.NumGroups() < before {
+			shrank++
+		}
+		got, err1 := reused.Finalize()
+		res, err2 := fresh.Finalize()
+		if err := errors.Join(err1, err2); err != nil || !bytes.Equal(reused.Encode(), fresh.Encode()) || got.String() != res.String() {
+			t.Fatalf("a Reset accumulator encodes %x, finalized\n%s; a fresh one %x,\n%s(%v)", reused.Encode(), got, fresh.Encode(), res, err)
+		}
+		return fresh
+	}
+
 	// 25 random merge trees: random leaf partitioning, then random
 	// pairwise merges through the encoded wire format.
 	for trial := 0; trial < 25; trial++ {
@@ -67,13 +92,15 @@ func TestMergeTreeInvariance(t *testing.T) {
 			if i+n > len(perm) {
 				n = len(perm) - i
 			}
-			acc := NewAccumulator(p)
-			for _, idx := range perm[i : i+n] {
-				if err := acc.AddCollectionRow(collection[idx]); err != nil {
-					t.Fatal(err)
+			rows := perm[i : i+n]
+			leaves = append(leaves, fold(func(acc *Accumulator) error {
+				for _, idx := range rows {
+					if err := acc.AddCollectionRow(collection[idx]); err != nil {
+						return err
+					}
 				}
-			}
-			leaves = append(leaves, acc.Encode())
+				return nil
+			}).Encode())
 			i += n
 		}
 		for len(leaves) > 1 {
@@ -82,14 +109,10 @@ func TestMergeTreeInvariance(t *testing.T) {
 			if a == b {
 				continue
 			}
-			merged := NewAccumulator(p)
-			if err := merged.MergeEncoded(leaves[a]); err != nil {
-				t.Fatal(err)
-			}
-			if err := merged.MergeEncoded(leaves[b]); err != nil {
-				t.Fatal(err)
-			}
-			enc := merged.Encode()
+			x, y := leaves[a], leaves[b]
+			enc := fold(func(merged *Accumulator) error {
+				return errors.Join(merged.MergeEncoded(x), merged.MergeEncoded(y))
+			}).Encode()
 			if a > b {
 				a, b = b, a
 			}
@@ -108,5 +131,8 @@ func TestMergeTreeInvariance(t *testing.T) {
 			t.Fatalf("trial %d: merge tree changed the result:\n%s\nvs\n%s",
 				trial, got, want)
 		}
+	}
+	if shrank == 0 {
+		t.Error("no fold met fewer groups than the one before it")
 	}
 }

@@ -62,13 +62,6 @@ func NewAdversary(inner Service, script *faultplan.SSIScript, seed int64, queryI
 	return a
 }
 
-// Strikes returns the attacks fired so far, in order.
-func (a *Adversary) Strikes() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]string(nil), a.strikes...)
-}
-
 // fired logs one strike and disarms the behavior unless the script is
 // persistent. The caller holds a.mu.
 func (a *Adversary) fired(b faultplan.SSIMisbehavior, at string) {

@@ -61,8 +61,8 @@ func TestAdversaryTampersEveryPartitionBehavior(t *testing.T) {
 		if reflect.DeepEqual(multiset(got), honest) {
 			t.Errorf("%s: tampered build has the honest multiset", b)
 		}
-		if len(a.Strikes()) != 1 {
-			t.Errorf("%s: strikes = %v, want exactly one", b, a.Strikes())
+		if len(a.strikes) != 1 {
+			t.Errorf("%s: strikes = %v, want exactly one", b, a.strikes)
 		}
 		// Quarantine path: the re-issued build must be clean again once the
 		// one-shot behavior has fired.
@@ -80,7 +80,7 @@ func TestAdversaryReplayNeedsStaleMaterial(t *testing.T) {
 	a := NewAdversary(s, script(faultplan.SSIReplayStalePartition), 21, "q-adv")
 	first := a.PartitionRandom("q-adv", tuples, 2, rand.New(rand.NewSource(1)))
 	if !reflect.DeepEqual(multiset(first), multiset([][]protocol.WireTuple{tuples})) {
-		t.Fatalf("replay fired with no stale material: %v", a.Strikes())
+		t.Fatalf("replay fired with no stale material: %v", a.strikes)
 	}
 	// Second build over fresh tuples: the adversary swaps in a partition
 	// from the first build.
@@ -90,10 +90,10 @@ func TestAdversaryReplayNeedsStaleMaterial(t *testing.T) {
 	}
 	second := a.PartitionByTag("q-adv", fresh, 0)
 	if reflect.DeepEqual(multiset(second), multiset([][]protocol.WireTuple{fresh})) {
-		t.Fatalf("replay did not fire on the second build; strikes %v", a.Strikes())
+		t.Fatalf("replay did not fire on the second build; strikes %v", a.strikes)
 	}
-	if len(a.Strikes()) != 1 {
-		t.Fatalf("strikes = %v, want exactly one replay", a.Strikes())
+	if len(a.strikes) != 1 {
+		t.Fatalf("strikes = %v, want exactly one replay", a.strikes)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestAdversaryForgesCoverage(t *testing.T) {
 	if stored != len(tuples)-1 {
 		t.Fatalf("stored %d tuples, want %d: exactly one deposit forged", stored, len(tuples)-1)
 	}
-	if len(a.Strikes()) != 1 {
-		t.Fatalf("strikes = %v, want exactly one forge", a.Strikes())
+	if len(a.strikes) != 1 {
+		t.Fatalf("strikes = %v, want exactly one forge", a.strikes)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestAdversaryDeterministic(t *testing.T) {
 		}
 		a.PartitionRandom("q-adv", tuples, 2, rand.New(rand.NewSource(1)))
 		a.PartitionByTag("q-adv", tuples, 0)
-		return a.Strikes()
+		return a.strikes
 	}
 	first, second := runSeq(21), runSeq(21)
 	if !reflect.DeepEqual(first, second) {
@@ -167,7 +167,7 @@ func TestAdversaryPersistentRestrikes(t *testing.T) {
 	if re, _ := a.Repartition("q-adv"); reflect.DeepEqual(multiset(re), honest) {
 		t.Fatal("persistent adversary handed out an honest re-issue")
 	}
-	if len(a.Strikes()) != 2 {
-		t.Fatalf("strikes = %v, want two (build + rebuild)", a.Strikes())
+	if len(a.strikes) != 2 {
+		t.Fatalf("strikes = %v, want two (build + rebuild)", a.strikes)
 	}
 }

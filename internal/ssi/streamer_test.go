@@ -125,10 +125,10 @@ func TestAdversaryStreamBuild(t *testing.T) {
 	honest := multiset([][]protocol.WireTuple{all})
 	got, _ := a.StreamBuild("q-adv", 3)
 	if reflect.DeepEqual(multiset(got), honest) {
-		t.Fatalf("scripted adversary handed out an honest stream build; strikes %v", a.Strikes())
+		t.Fatalf("scripted adversary handed out an honest stream build; strikes %v", a.strikes)
 	}
-	if len(a.Strikes()) != 1 {
-		t.Fatalf("strikes = %v, want exactly one", a.Strikes())
+	if len(a.strikes) != 1 {
+		t.Fatalf("strikes = %v, want exactly one", a.strikes)
 	}
 	// Recovery: the re-issue comes from the honest stash.
 	if re, _ := a.Repartition("q-adv"); !reflect.DeepEqual(multiset(re), honest) {
@@ -167,7 +167,7 @@ func TestStreamBuildByTag(t *testing.T) {
 	}
 	a := NewAdversary(s, script(faultplan.SSIDropTuple), 21, "q-tag")
 	if got, apos := a.StreamBuild("q-tag", 64); reflect.DeepEqual(got, parts) || !reflect.DeepEqual(apos, pos) {
-		t.Errorf("the adversary must tamper with the build and hand its positions on; strikes %v", a.Strikes())
+		t.Errorf("the adversary must tamper with the build and hand its positions on; strikes %v", a.strikes)
 	}
 }
 

@@ -10,6 +10,7 @@ package tds
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"math/rand"
 	"sync"
 	"time"
@@ -49,6 +50,10 @@ type TDS struct {
 	// well-formed, wrongly valued results. It is a simulation hook; real
 	// tamper-resistant hardware is assumed to prevent this (Section 2.2).
 	Corrupt bool
+
+	// fold is what the device folds partitions in (foldScratch), made on
+	// its first fold: a device is not safe for concurrent folds.
+	fold *foldScratch
 
 	// Key material. The primary is the device's enrollment epoch; prev is
 	// the previous epoch's material, held while a rotation's grace window
@@ -542,19 +547,6 @@ func (t *TDS) encryptTuple(m *KeyMaterial, post *protocol.QueryPost, payload, ta
 	return protocol.WireTuple{Tag: tag, Ciphertext: ct}, nil
 }
 
-// partitionFingerprint hashes the ciphertexts of a partition. Replicas of
-// the same partition compute the same fingerprint; it binds audit digests
-// to one partition so the SSI cannot link equal contents across
-// partitions.
-func partitionFingerprint(partition []protocol.WireTuple) []byte {
-	h := sha256.New()
-	for _, w := range partition {
-		h.Write(w.Tag)
-		h.Write(w.Ciphertext)
-	}
-	return h.Sum(nil)
-}
-
 // corruptDrop decides whether a compromised device silently drops the
 // i-th payload of a partition. The pattern is keyed by the device ID:
 // two independently compromised devices corrupt differently, so their
@@ -569,31 +561,112 @@ func (t *TDS) corruptDrop(i int) bool {
 	return h%2 == 0
 }
 
-// Domain separators of auditDigest, hoisted off the per-call heap.
+// Domain separators of the audit digest (seal), hoisted off the per-call
+// heap, and the semantic outcome of a fold that found only noise.
 var (
 	auditPrefix = []byte("audit/")
 	auditSep    = []byte{0}
+	emptyResult = []byte("empty")
 )
 
-// auditDigest MACs semantic output content under the serving material's
-// k2, bound to the query and the input partition. Honest replicas of one
-// partition produce equal digests for equal semantic results — including
-// across a rotation grace window, where a migrated replica serving
-// through its grace material and an unmigrated one serving through its
-// primary resolve the same epoch's k2. The SSI can compare but not open.
-func (t *TDS) auditDigest(m *KeyMaterial, post *protocol.QueryPost, fingerprint, semantic []byte) []byte {
-	mac := m.AuditMAC.Get()
+// foldScratch is the RAM a device folds every partition it opens in, like
+// the token's one partial-aggregate structure (Section 4.2), so a warm fold
+// allocates only what it emits. That is never scratch: ciphertexts and
+// digests are carved from the append-only arena, so a step's output may
+// feed later steps on the device. Texts and keys are interned per plan.
+type foldScratch struct {
+	plan    *sqlexec.Plan // of the last fold
+	acc     sqlexec.Accumulator
+	dec     storage.RowDecoder // collection rows
+	pt      []byte             // a tuple's plaintext
+	payload []byte             // a result's plaintext
+	sc      collectScratch     // per-group tags
+	fp      hash.Hash          // the partition's fingerprint state
+	fpSum   [sha256.Size]byte  // the partition's fingerprint
+	audit   hash.Hash          // an audit MAC state of auditOf's k2
+	auditOf *KeyMaterial       // the material the scratch last sealed under
+	mac     [sha256.Size]byte  // a digest's MAC, before truncation
+	arena   tdscrypto.Arena
+}
+
+// scratch returns the device's fold scratch, made on first use, with its
+// accumulator reset for plan (nil: a filtering step, which folds nothing).
+func (t *TDS) scratch(plan *sqlexec.Plan) *foldScratch {
+	if t.fold == nil {
+		t.fold = &foldScratch{fp: sha256.New()}
+	}
+	s := t.fold
+	if plan != nil {
+		if plan != s.plan {
+			s.plan, s.dec = plan, storage.RowDecoder{}
+		}
+		s.acc.Reset(plan)
+	}
+	return s
+}
+
+// open fingerprints a partition over every tag and ciphertext byte (its
+// replicas compute one, and audit digests bind it), then opens each tuple
+// into the one plaintext buffer, authenticated by GCM, and hands f the
+// body of each whose marker is in want (bits 1<<marker) unless a
+// compromised device drops it. It returns how many had a wanted marker.
+func (s *foldScratch) open(t *TDS, m *KeyMaterial, post *protocol.QueryPost, partition []protocol.WireTuple,
+	want uint8, f func(protocol.MarkerByte, []byte) error) (int, error) {
+	s.fp.Reset()
+	for _, w := range partition {
+		s.fp.Write(w.Tag)
+		s.fp.Write(w.Ciphertext)
+	}
+	s.fp.Sum(s.fpSum[:0])
+	kept := 0
+	for _, w := range partition {
+		var err error
+		if s.pt, err = m.K2.DecryptTo(s.pt[:0], w.Ciphertext, post.AAD()); err != nil {
+			return kept, fmt.Errorf("tds %s: decrypt partition tuple: %w", t.ID, err)
+		}
+		marker, body, err := protocol.DecodePayload(s.pt)
+		if err != nil {
+			return kept, fmt.Errorf("tds %s: %w", t.ID, err)
+		}
+		if want&(1<<marker) == 0 {
+			continue
+		}
+		kept++
+		if t.Corrupt && t.corruptDrop(kept) {
+			continue // a compromised device silently drops work
+		}
+		if err := f(marker, body); err != nil {
+			return kept, err
+		}
+	}
+	return kept, nil
+}
+
+// seal encrypts the scratch's payload under k (k2 for a step, k1 for the
+// querier) with its audit digest: a MAC of the semantic content under the
+// serving material's k2, bound to the query and the partition's
+// fingerprint. Honest replicas produce equal digests for equal results,
+// across a rotation grace window too (both sides resolve the same epoch's
+// k2). The SSI can compare but not open.
+func (s *foldScratch) seal(t *TDS, m *KeyMaterial, post *protocol.QueryPost, k *tdscrypto.Suite, tag, semantic []byte) (protocol.WireTuple, error) {
+	ct, err := k.NDetEncryptArena(s.payload, post.AAD(), &s.arena)
+	if err != nil {
+		return protocol.WireTuple{}, fmt.Errorf("tds %s: encrypt: %w", t.ID, err)
+	}
+	if s.auditOf != m {
+		s.audit, s.auditOf = m.AuditMAC.Get(), m
+	}
+	mac := s.audit
+	mac.Reset()
 	mac.Write(auditPrefix)
 	mac.Write(post.AAD())
 	mac.Write(auditSep)
-	mac.Write(fingerprint)
+	mac.Write(s.fpSum[:])
 	mac.Write(auditSep)
 	mac.Write(semantic)
-	var sum [sha256.Size]byte
-	out := make([]byte, 16)
-	copy(out, mac.Sum(sum[:0]))
-	m.AuditMAC.Put(mac)
-	return out
+	digest := s.arena.Alloc(16)[:16]
+	copy(digest, mac.Sum(s.mac[:0]))
+	return protocol.WireTuple{Tag: tag, Ciphertext: ct, Digest: digest}, nil
 }
 
 // EmitMode selects what an aggregation step returns.
@@ -611,103 +684,74 @@ const (
 
 // Aggregate performs one aggregation-phase step (steps 6-8 of Fig. 2):
 // download a partition, decrypt it, discard dummy and fake tuples, fold
-// raw collection tuples and partial aggregations into an accumulator, and
-// return the re-encrypted partial result.
+// raw collection tuples and partial aggregations into the device's
+// accumulator, and return the re-encrypted partial result.
 func (t *TDS) Aggregate(post *protocol.QueryPost, partition []protocol.WireTuple, emit EmitMode) ([]protocol.WireTuple, error) {
 	m := t.matFor(post)
 	plan, _, err := t.admit(m, post)
 	if err != nil {
 		return nil, err
 	}
-	fp := partitionFingerprint(partition)
-	acc := sqlexec.NewAccumulator(plan)
-	payloads := 0
-	// One plaintext buffer and one decoded row serve the whole partition:
-	// the accumulator copies what it keeps.
-	var pt []byte
-	var dec storage.RowDecoder
-	for _, w := range partition {
-		if pt, err = m.K2.DecryptTo(pt[:0], w.Ciphertext, post.AAD()); err != nil {
-			return nil, fmt.Errorf("tds %s: decrypt partition tuple: %w", t.ID, err)
-		}
-		marker, body, err := protocol.DecodePayload(pt)
-		if err != nil {
-			return nil, fmt.Errorf("tds %s: %w", t.ID, err)
-		}
-		if marker == protocol.MarkerDummy || marker == protocol.MarkerFake {
-			continue
-		}
-		payloads++
-		if t.Corrupt && t.corruptDrop(payloads) {
-			continue // a compromised device silently drops work
-		}
-		switch marker {
-		case protocol.MarkerTrue:
-			row, n, err := dec.Decode(body)
-			if err != nil || n != len(body) {
-				return nil, fmt.Errorf("tds %s: bad collection row: %v", t.ID, err)
+	s := t.scratch(plan)
+	_, err = s.open(t, m, post, partition, 1<<protocol.MarkerTrue|1<<protocol.MarkerPartial, func(marker protocol.MarkerByte, body []byte) error {
+		if marker == protocol.MarkerPartial {
+			if err := s.acc.MergeEncoded(body); err != nil {
+				return fmt.Errorf("tds %s: merge partial: %w", t.ID, err)
 			}
-			if err := acc.AddCollectionRow(row); err != nil {
-				return nil, fmt.Errorf("tds %s: %w", t.ID, err)
-			}
-		case protocol.MarkerPartial:
-			if err := acc.MergeEncoded(body); err != nil {
-				return nil, fmt.Errorf("tds %s: merge partial: %w", t.ID, err)
-			}
+			return nil
 		}
+		row, n, err := s.dec.Decode(body)
+		if err != nil || n != len(body) {
+			return fmt.Errorf("tds %s: bad collection row: %v", t.ID, err)
+		}
+		if err := s.acc.AddCollectionRow(row); err != nil {
+			return fmt.Errorf("tds %s: %w", t.ID, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	if acc.NumGroups() == 0 {
+	var w protocol.WireTuple
+	switch {
+	case s.acc.NumGroups() == 0:
 		// All input was noise: contribute a dummy so the SSI still sees a
 		// response of plausible size. The audit digest covers the semantic
 		// outcome ("empty"), not the random padding, so honest replicas
 		// still agree.
-		w, err := t.encryptTuple(m, post, protocol.DummyPayload(t.sampleBodySize(plan)), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		w.Digest = t.auditDigest(m, post, fp, []byte("empty"))
-		return []protocol.WireTuple{w}, nil
-	}
-
-	switch emit {
-	case EmitWhole:
-		enc := acc.Encode()
-		w, err := t.encryptTuple(m, post, protocol.EncodePayload(protocol.MarkerPartial, enc), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		w.Digest = t.auditDigest(m, post, fp, enc)
-		return []protocol.WireTuple{w}, nil
-	case EmitPerGroup:
-		groups := acc.Groups()
-		out := make([]protocol.WireTuple, 0, len(groups))
-		sc := collectScratch{m: m}
-		if tt := t.Shared.tagTableOf(post.ID, m); tt != nil {
-			if sc.tags, sc.pos, err = tt.build(m, post); err != nil {
-				return nil, err
-			}
-		}
-		var enc []byte
-		for _, g := range groups {
-			tag, err := t.groupTag(post, g.Values, &sc)
-			if err != nil {
-				return nil, err
-			}
-			enc = sqlexec.AppendGroup(enc[:0], plan, g)
-			sc.payload = append(sc.payload[:0], byte(protocol.MarkerPartial))
-			sc.payload = append(sc.payload, enc...)
-			w, err := t.encryptTuple(m, post, sc.payload, tag, sc.arena)
-			if err != nil {
-				return nil, err
-			}
-			w.Digest = t.auditDigest(m, post, fp, enc)
-			out = append(out, w)
-		}
-		return out, nil
-	default:
+		s.payload = protocol.AppendDummyPayload(s.payload[:0], t.sampleBodySize(plan))
+		w, err = s.seal(t, m, post, m.K2, nil, emptyResult)
+		return []protocol.WireTuple{w}, err
+	case emit == EmitWhole:
+		s.payload = append(append(s.payload[:0], byte(protocol.MarkerPartial)), s.acc.Encode()...)
+		w, err = s.seal(t, m, post, m.K2, nil, s.payload[1:])
+		return []protocol.WireTuple{w}, err
+	case emit != EmitPerGroup:
 		return nil, fmt.Errorf("tds %s: unknown emit mode %d", t.ID, emit)
 	}
+	// One tuple per group, tagged with the group's Det_Enc tag.
+	groups := s.acc.Groups()
+	out := make([]protocol.WireTuple, 0, len(groups))
+	s.sc.m, s.sc.tags, s.sc.pos = m, nil, nil
+	if tt := t.Shared.tagTableOf(post.ID, m); tt != nil {
+		if s.sc.tags, s.sc.pos, err = tt.build(m, post); err != nil {
+			return nil, err
+		}
+	}
+	for _, g := range groups {
+		tag, err := t.groupTag(post, g.Values, &s.sc)
+		if err != nil {
+			return nil, err
+		}
+		s.payload = sqlexec.AppendGroup(append(s.payload[:0], byte(protocol.MarkerPartial)), plan, g)
+		w, err := s.seal(t, m, post, m.K2, tag, s.payload[1:])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
 }
 
 // FilterSFW performs the filtering phase of the basic protocol
@@ -715,36 +759,16 @@ func (t *TDS) Aggregate(post *protocol.QueryPost, partition []protocol.WireTuple
 // re-encrypt the true tuples with k1 for the querier.
 func (t *TDS) FilterSFW(post *protocol.QueryPost, partition []protocol.WireTuple) ([]protocol.WireTuple, error) {
 	m := t.matFor(post)
-	fp := partitionFingerprint(partition)
+	s := t.scratch(nil)
 	var out []protocol.WireTuple
-	var pt, payload []byte // plaintext scratch; re-encryption copies out of it
-	var err error
-	kept := 0
-	for _, w := range partition {
-		if pt, err = m.K2.DecryptTo(pt[:0], w.Ciphertext, post.AAD()); err != nil {
-			return nil, fmt.Errorf("tds %s: decrypt: %w", t.ID, err)
-		}
-		marker, body, err := protocol.DecodePayload(pt)
-		if err != nil {
-			return nil, fmt.Errorf("tds %s: %w", t.ID, err)
-		}
-		if marker != protocol.MarkerTrue {
-			continue
-		}
-		kept++
-		if t.Corrupt && t.corruptDrop(kept) {
-			continue
-		}
-		payload = append(payload[:0], byte(protocol.MarkerTrue))
-		payload = append(payload, body...)
-		ct, err := m.K1.NDetEncrypt(payload, post.AAD())
-		if err != nil {
-			return nil, fmt.Errorf("tds %s: re-encrypt: %w", t.ID, err)
-		}
-		out = append(out, protocol.WireTuple{
-			Ciphertext: ct,
-			Digest:     t.auditDigest(m, post, fp, body),
-		})
+	_, err := s.open(t, m, post, partition, 1<<protocol.MarkerTrue, func(_ protocol.MarkerByte, body []byte) error {
+		s.payload = append(append(s.payload[:0], byte(protocol.MarkerTrue)), body...)
+		w, err := s.seal(t, m, post, m.K1, nil, body)
+		out = append(out, w)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -760,50 +784,28 @@ func (t *TDS) FinalizeGroups(post *protocol.QueryPost, partition []protocol.Wire
 	if err != nil {
 		return nil, err
 	}
-	fp := partitionFingerprint(partition)
-	acc := sqlexec.NewAccumulator(plan)
-	sawPartial := false
-	merged := 0
-	var pt []byte // plaintext scratch; MergeEncoded copies out of it
-	for _, w := range partition {
-		if pt, err = m.K2.DecryptTo(pt[:0], w.Ciphertext, post.AAD()); err != nil {
-			return nil, fmt.Errorf("tds %s: decrypt: %w", t.ID, err)
+	s := t.scratch(plan)
+	partials, err := s.open(t, m, post, partition, 1<<protocol.MarkerPartial, func(_ protocol.MarkerByte, body []byte) error {
+		if err := s.acc.MergeEncoded(body); err != nil {
+			return fmt.Errorf("tds %s: %w", t.ID, err)
 		}
-		marker, body, err := protocol.DecodePayload(pt)
-		if err != nil {
-			return nil, fmt.Errorf("tds %s: %w", t.ID, err)
-		}
-		if marker != protocol.MarkerPartial {
-			continue
-		}
-		sawPartial = true
-		merged++
-		if t.Corrupt && t.corruptDrop(merged) {
-			continue
-		}
-		if err := acc.MergeEncoded(body); err != nil {
-			return nil, fmt.Errorf("tds %s: %w", t.ID, err)
-		}
+		return nil
+	})
+	if err != nil || (partials == 0 && !forceEmpty) {
+		return nil, err
 	}
-	if !sawPartial && !forceEmpty {
-		return nil, nil
-	}
-	res, err := acc.Finalize()
+	res, err := s.acc.Finalize()
 	if err != nil {
 		return nil, fmt.Errorf("tds %s: finalize: %w", t.ID, err)
 	}
 	out := make([]protocol.WireTuple, 0, len(res.Rows))
-	var payload []byte
 	for _, row := range res.Rows {
-		payload = protocol.AppendRowPayload(payload[:0], protocol.MarkerTrue, row)
-		ct, err := m.K1.NDetEncrypt(payload, post.AAD())
+		s.payload = protocol.AppendRowPayload(s.payload[:0], protocol.MarkerTrue, row)
+		w, err := s.seal(t, m, post, m.K1, nil, s.payload[1:])
 		if err != nil {
-			return nil, fmt.Errorf("tds %s: encrypt result: %w", t.ID, err)
+			return nil, err
 		}
-		out = append(out, protocol.WireTuple{
-			Ciphertext: ct,
-			Digest:     t.auditDigest(m, post, fp, payload[1:]),
-		})
+		out = append(out, w)
 	}
 	return out, nil
 }

@@ -102,9 +102,6 @@ func (a *BroadcastAuthority) Revoke(slot int) error {
 	return nil
 }
 
-// Revoked returns the number of revoked slots.
-func (a *BroadcastAuthority) Revoked() int { return len(a.revoked) }
-
 // BroadcastEntry is one cover node's ciphertext.
 type BroadcastEntry struct {
 	Node       uint64

@@ -96,8 +96,8 @@ func TestBroadcastAllRevoked(t *testing.T) {
 	if _, err := a.Broadcast([]byte("x")); err == nil {
 		t.Fatal("broadcast to an empty fleet accepted")
 	}
-	if a.Revoked() != 2 {
-		t.Errorf("revoked = %d", a.Revoked())
+	if len(a.revoked) != 2 {
+		t.Errorf("revoked = %d", len(a.revoked))
 	}
 }
 

@@ -138,23 +138,15 @@ func (s *Suite) DecryptTo(dst, ciphertext, aad []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// bucketPrefix is the domain separator of BucketHash.
+// bucketPrefix is the domain separator of the bucket hash.
 var bucketPrefix = []byte("bucket/")
 
-// BucketHash computes the keyed hash h(bucketId) used by ED_Hist. It is
+// BucketHasher computes the keyed hash h(bucketId) used by ED_Hist. It is
 // deterministic per key, collision-resistant, and reveals nothing about the
 // bucket's position in the attribute domain. The 16-byte truncation keeps
-// wire tuples small (st in the cost model).
-func BucketHash(k Key, bucketID []byte) []byte {
-	mac := hmac.New(sha256.New, k[:])
-	mac.Write(bucketPrefix)
-	mac.Write(bucketID)
-	return mac.Sum(nil)[:16]
-}
-
-// BucketHasher is BucketHash with a recycled HMAC state: a TDS tagging one
-// collection tuple per fleet member pays the HMAC key schedule once instead
-// of per tuple. Safe for concurrent use.
+// wire tuples small (st in the cost model). The HMAC states are recycled:
+// a TDS tagging one collection tuple per fleet member pays the HMAC key
+// schedule once instead of per tuple. Safe for concurrent use.
 type BucketHasher struct {
 	macs *MACPool
 }
@@ -164,8 +156,7 @@ func NewBucketHasher(k Key) *BucketHasher {
 	return &BucketHasher{macs: NewMACPool(k)}
 }
 
-// Sum returns the 16-byte keyed bucket hash, equal to BucketHash for the
-// same key and bucketID.
+// Sum returns the 16-byte keyed bucket hash of bucketID.
 func (h *BucketHasher) Sum(bucketID []byte) []byte {
 	mac := h.macs.Get()
 	mac.Write(bucketPrefix)

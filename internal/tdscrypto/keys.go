@@ -7,7 +7,7 @@
 //   - Det_Enc: deterministic authenticated encryption. One plaintext always
 //     maps to one ciphertext under a key, letting the SSI group tuples of
 //     the same group without decrypting them (Noise_based protocols).
-//   - BucketHash: a keyed hash h(bucketId) used by ED_Hist; it reveals
+//   - BucketHasher: a keyed hash h(bucketId) used by ED_Hist; it reveals
 //     nothing about the position of the bucket in the domain and is cheaper
 //     than Det_Enc for the TDS.
 //
