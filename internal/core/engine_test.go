@@ -129,6 +129,17 @@ func (f *fixture) reference(t *testing.T, sql string) *sqlexec.Result {
 	return referenceExcluding(t, f, sql, nil)
 }
 
+// run is runQuery through the fixture's engine and querier, failing the
+// test on an error.
+func (f *fixture) run(t *testing.T, sql string, kind protocol.Kind, params protocol.Params) (*sqlexec.Result, *Metrics) {
+	t.Helper()
+	got, m, err := runQuery(f.eng, f.q, sql, kind, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, m
+}
+
 // sortedRows canonicalizes result rows for comparison.
 func sortedRows(r *sqlexec.Result) []string {
 	out := make([]string, len(r.Rows))
@@ -182,10 +193,7 @@ func TestAllProtocolsMatchReference(t *testing.T) {
 	for _, pc := range aggProtocols() {
 		name := fmt.Sprintf("%v/nf=%d/m=%d", pc.kind, pc.params.Nf, pc.params.NumBuckets)
 		t.Run(name, func(t *testing.T) {
-			got, m, err := runQuery(f.eng, f.q, flagshipSQL, pc.kind, pc.params)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, m := f.run(t, flagshipSQL, pc.kind, pc.params)
 			assertSameResult(t, got, want)
 			if m.Nt == 0 || m.PTDS == 0 || m.TQ <= 0 || m.LoadBytes <= 0 {
 				t.Errorf("suspicious metrics: %+v", m)
@@ -198,10 +206,7 @@ func TestBasicSFWProtocol(t *testing.T) {
 	f := newFixture(t, 25, nil)
 	sql := `SELECT C.cid, C.district FROM Consumer C WHERE C.accommodation = 'flat'`
 	want := f.reference(t, sql)
-	got, m, err := runQuery(f.eng, f.q, sql, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, m := f.run(t, sql, protocol.KindBasic, protocol.Params{})
 	assertSameResult(t, got, want)
 	if m.PTDS == 0 {
 		t.Error("filtering phase mobilized no TDS")
@@ -216,10 +221,7 @@ func TestBasicSFWProtocol(t *testing.T) {
 func TestSizeClauseStopsCollection(t *testing.T) {
 	f := newFixture(t, 30, nil)
 	sql := `SELECT C.cid, C.district FROM Consumer C SIZE 5`
-	got, m, err := runQuery(f.eng, f.q, sql, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, m := f.run(t, sql, protocol.KindBasic, protocol.Params{})
 	if m.Nt != 5 {
 		t.Errorf("Nt = %d, want exactly 5 (SIZE clause)", m.Nt)
 	}
@@ -232,20 +234,14 @@ func TestGlobalAggregate(t *testing.T) {
 	f := newFixture(t, 20, nil)
 	sql := `SELECT COUNT(*), AVG(cons), MIN(cons), MAX(cons), MEDIAN(cons) FROM Power`
 	want := f.reference(t, sql)
-	got, _, err := runQuery(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := f.run(t, sql, protocol.KindSAgg, protocol.Params{})
 	assertSameResult(t, got, want)
 }
 
 func TestGlobalAggregateOverNoMatches(t *testing.T) {
 	f := newFixture(t, 10, nil)
 	sql := `SELECT COUNT(*), SUM(cons) FROM Power WHERE cons < 0`
-	got, _, err := runQuery(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := f.run(t, sql, protocol.KindSAgg, protocol.Params{})
 	if len(got.Rows) != 1 {
 		t.Fatalf("rows = %v, want the single empty-aggregate row", got.Rows)
 	}
@@ -261,10 +257,7 @@ func TestGroupedAggregateOverNoMatches(t *testing.T) {
 	f := newFixture(t, 10, nil)
 	sql := `SELECT district, COUNT(*) FROM Power P, Consumer C ` +
 		`WHERE C.cid = P.cid AND cons < 0 GROUP BY district`
-	got, _, err := runQuery(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := f.run(t, sql, protocol.KindSAgg, protocol.Params{})
 	if len(got.Rows) != 0 {
 		t.Fatalf("rows = %v, want empty", got.Rows)
 	}
@@ -328,20 +321,14 @@ func TestSSISeesNoPlaintextAndFlatTags(t *testing.T) {
 	f := newFixture(t, 40, nil)
 
 	// S_Agg: no tags at all — nothing for a frequency attack to chew on.
-	_, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, m := f.run(t, flagshipSQL, protocol.KindSAgg, protocol.Params{})
 	if m.Observation.TaggedTuples != 0 {
 		t.Errorf("S_Agg leaked %d tagged tuples", m.Observation.TaggedTuples)
 	}
 
 	// C_Noise: every A_G ciphertext appears with (near) equal frequency in
 	// the collection phase by construction.
-	_, m, err = runQuery(f.eng, f.q, flagshipSQL, protocol.KindCNoise, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, m = f.run(t, flagshipSQL, protocol.KindCNoise, protocol.Params{})
 	if m.Observation.TaggedTuples == 0 {
 		t.Fatal("C_Noise produced no tags")
 	}
@@ -349,14 +336,8 @@ func TestSSISeesNoPlaintextAndFlatTags(t *testing.T) {
 
 func TestMetricsPlausibility(t *testing.T) {
 	f := newFixture(t, 40, nil)
-	_, mS, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, mN, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindRnfNoise, protocol.Params{Nf: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, mS := f.run(t, flagshipSQL, protocol.KindSAgg, protocol.Params{})
+	_, mN := f.run(t, flagshipSQL, protocol.KindRnfNoise, protocol.Params{Nf: 10})
 	// Noise inflates collection volume and total load (Fig. 10c/d).
 	if mN.Nt <= mS.Nt {
 		t.Errorf("noise Nt %d should exceed S_Agg Nt %d", mN.Nt, mS.Nt)
@@ -368,16 +349,12 @@ func TestMetricsPlausibility(t *testing.T) {
 
 func TestDistributionDiscoveryCached(t *testing.T) {
 	f := newFixture(t, 20, nil)
-	if _, _, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindCNoise, protocol.Params{}); err != nil {
-		t.Fatal(err)
-	}
+	f.run(t, flagshipSQL, protocol.KindCNoise, protocol.Params{})
 	if len(f.eng.discovery) != 1 {
 		t.Fatalf("discovery cache size = %d, want 1", len(f.eng.discovery))
 	}
 	// Second run with a protocol needing the same discovery reuses it.
-	if _, _, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindEDHist, protocol.Params{}); err != nil {
-		t.Fatal(err)
-	}
+	f.run(t, flagshipSQL, protocol.KindEDHist, protocol.Params{})
 	if len(f.eng.discovery) != 1 {
 		t.Fatalf("discovery cache size = %d after reuse, want 1", len(f.eng.discovery))
 	}
@@ -385,9 +362,7 @@ func TestDistributionDiscoveryCached(t *testing.T) {
 
 func TestRefreshDiscovery(t *testing.T) {
 	f := newFixture(t, 15, nil)
-	if _, _, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindCNoise, protocol.Params{}); err != nil {
-		t.Fatal(err)
-	}
+	f.run(t, flagshipSQL, protocol.KindCNoise, protocol.Params{})
 	if len(f.eng.discovery) != 1 {
 		t.Fatalf("cache = %d", len(f.eng.discovery))
 	}
@@ -402,10 +377,7 @@ func TestRefreshDiscovery(t *testing.T) {
 		t.Fatal("cache not cleared")
 	}
 	want := f.reference(t, flagshipSQL)
-	got, _, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindCNoise, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := f.run(t, flagshipSQL, protocol.KindCNoise, protocol.Params{})
 	assertSameResult(t, got, want)
 	// The rediscovered domain includes the new district.
 	found := false
@@ -514,10 +486,7 @@ func TestPhaseTimings(t *testing.T) {
 	f := newFixture(t, 30, nil)
 
 	// S_Agg: iterative steps then one filtering phase, names in order.
-	_, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, m := f.run(t, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
 	if len(m.Phases) < 2 {
 		t.Fatalf("phases = %v", m.Phases)
 	}
@@ -541,10 +510,7 @@ func TestPhaseTimings(t *testing.T) {
 	}
 
 	// Tagged protocols: aggregate-1, aggregate-2, filtering.
-	_, m, err = runQuery(f.eng, f.q, flagshipSQL, protocol.KindEDHist, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, m = f.run(t, flagshipSQL, protocol.KindEDHist, protocol.Params{})
 	names := []string{}
 	for _, p := range m.Phases {
 		names = append(names, p.Name)
