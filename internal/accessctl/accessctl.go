@@ -84,20 +84,10 @@ func (a *Authority) Issue(querierID string, roles []string, expiry time.Time) Cr
 	return c
 }
 
-// Signed reports whether this authority signed the credential as it stands:
-// the half of Verify that asks no clock, so a fleet can take it once per post.
+// Signed reports whether this authority signed the credential as it stands.
+// It asks no clock, so a fleet can take it once per post; each device
+// checks the expiry against its own clock.
 func (a *Authority) Signed(c *Credential) bool { return hmac.Equal(a.sign(c), c.Signature) }
-
-// Verify checks the credential signature and expiry at the given time.
-func (a *Authority) Verify(c Credential, now time.Time) error {
-	if !a.Signed(&c) {
-		return errors.New("accessctl: invalid credential signature")
-	}
-	if now.After(c.Expiry) {
-		return fmt.Errorf("accessctl: credential expired at %s", c.Expiry.Format(time.RFC3339))
-	}
-	return nil
-}
 
 // Rule grants a role access to tables under restrictions. An empty Tables
 // list means every table. AggregateOnly is the paper's privacy workhorse:

@@ -3,6 +3,7 @@ package accessctl
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,18 @@ var (
 )
 
 func issuer() *Authority { return NewAuthority(tdscrypto.DeriveKey(tdscrypto.Key{}, "authority")) }
+
+// Verify checks the credential's signature and its expiry at now, as a
+// device does in two halves.
+func (a *Authority) Verify(c Credential, now time.Time) error {
+	if !a.Signed(&c) {
+		return errors.New("accessctl: invalid credential signature")
+	}
+	if now.After(c.Expiry) {
+		return fmt.Errorf("accessctl: credential expired at %s", c.Expiry.Format(time.RFC3339))
+	}
+	return nil
+}
 
 func TestCredentialVerify(t *testing.T) {
 	a := issuer()

@@ -25,9 +25,7 @@ func TestCompromisedFleetWithoutAuditIsWrong(t *testing.T) {
 	}
 	want := f.reference(t, flagshipSQL)
 	got, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if m.AuditDetections != 0 {
 		t.Errorf("no auditing requested but detections = %d", m.AuditDetections)
 	}
@@ -52,9 +50,7 @@ func TestAuditReplicasRestoreCorrectness(t *testing.T) {
 	}
 	want := f.reference(t, flagshipSQL)
 	got, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	assertSameResult(t, got, want)
 	if m.AuditDetections == 0 {
 		t.Error("compromised devices processed partitions but were never detected")
@@ -90,9 +86,7 @@ func TestAuditBasicSFW(t *testing.T) {
 	sql := `SELECT C.cid, C.district FROM Consumer C WHERE C.accommodation = 'flat'`
 	want := f.reference(t, sql)
 	got, _, err := runQuery(f.eng, f.q, sql, protocol.KindBasic, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	assertSameResult(t, got, want)
 }
 
@@ -100,13 +94,9 @@ func TestAuditCostsReplicas(t *testing.T) {
 	plain := newFixture(t, 40, nil)
 	audited := newFixture(t, 40, func(c *Config) { c.AuditReplicas = 3 })
 	_, mp, err := runQuery(plain.eng, plain.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	_, ma, err := runQuery(audited.eng, audited.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	// Auditing an honest fleet finds nothing but pays ~3x the work.
 	if ma.AuditDetections != 0 {
 		t.Errorf("honest fleet, detections = %d", ma.AuditDetections)
@@ -122,9 +112,7 @@ func TestAuditDigestsAreOpaqueAndBound(t *testing.T) {
 	// partitions produce different digests (partition binding).
 	f := newFixture(t, 20, func(c *Config) { c.AuditReplicas = 2 })
 	_, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if m.AuditDetections != 0 {
 		t.Errorf("honest fleet flagged %d times", m.AuditDetections)
 	}

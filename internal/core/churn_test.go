@@ -58,9 +58,7 @@ func TestChurnDecoratedSSIRecord(t *testing.T) {
 				f := newFixture(t, 40, func(c *Config) { c.SSI = svc })
 				resp, err := f.eng.Execute(context.Background(), Request{Querier: f.q, SQL: sc.sql,
 					Kind: sc.kind, Params: sc.params, QueryID: "decorated", Faults: churnPlan()})
-				if err != nil {
-					t.Fatal(err)
-				}
+				noErr(t, err)
 				if n := resp.Journal.Counts()[obs.JournalLedger]; n == 0 || n != len(resp.Metrics.Ledger) {
 					t.Errorf("SSI %T: %d ledger records in the journal, %d entries on the ledger",
 						svc, n, len(resp.Metrics.Ledger))
@@ -89,9 +87,7 @@ func TestPhaseErrorDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		f := newFixture(t, 30, func(c *Config) { c.CollectWorkers = workers })
 		post, err := f.q.BuildPost("phase-error", flagshipSQL, protocol.KindSAgg, protocol.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		post.Epoch = f.eng.wireEpoch()
 		defer f.eng.planCache.Drop(post.ID)
 		for rep := 0; rep < 20; rep++ {
@@ -150,13 +146,9 @@ func TestExecuteTraceDeterminism(t *testing.T) {
 		resp, err := f.eng.Execute(context.Background(), Request{
 			Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg, Params: params,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		var buf bytes.Buffer
-		if err := resp.Trace.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, resp.Trace.WriteJSONL(&buf))
 		return buf.Bytes()
 	}
 	if a, b := traceOf(), traceOf(); !bytes.Equal(a, b) {

@@ -14,6 +14,7 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/tds"
+	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
 // The collection phase connects TDSs one by one (in random order, as
@@ -66,11 +67,8 @@ func (e *Engine) collectWorkers() int {
 // clock, with the collector aimed at the device's deterministic RNG
 // stream.
 func (e *Engine) collectOne(c *collector, t *tds.TDS, post *protocol.QueryPost,
-	cfgTpl tds.CollectConfig, now time.Time) ([]protocol.WireTuple, tds.CollectStats, error) {
-	cfg := cfgTpl
-	cfg.Now = now
-	cfg.Arena = &c.arena
-	cfg.Rng = c.deviceRng(e.cfg.Seed, t.ID, post.ID)
+	cfg tds.CollectConfig, now time.Time) ([]protocol.WireTuple, tds.CollectStats, error) {
+	cfg.Now, cfg.Arena, cfg.Scratch, cfg.Rng = now, &c.arena, &c.scratch, c.deviceRng(e.cfg.Seed, t.ID, post.ID)
 	return t.Collect(post, cfg)
 }
 
@@ -123,9 +121,10 @@ type collectResult struct {
 	tuples  []protocol.WireTuple
 	stats   tds.CollectStats
 	err     error
-	sum     uint64 // the transport checksum of tuples, sealed with commit
-	commit  []byte // the device's deposit MAC over tuples; nil until computed
-	epoch   int    // the wire epoch commit binds
+	sum     uint64                     // the transport checksum of tuples, sealed with commit
+	commit  [tdscrypto.CommitSize]byte // the device's deposit MAC over tuples, once sealed
+	sealed  bool                       // commit and epoch were computed over tuples
+	epoch   int                        // the wire epoch commit binds
 	fate    fate
 	dep     protocol.Deposit // the envelope, which the SSI does not keep
 }
@@ -207,7 +206,7 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, 
 	}
 	rs.metrics.DepositedDevices++
 	rs.metrics.CollectBytes += int64(sentBytes)
-	rs.recordDepositCommit(d.id, r, accepted, attempt)
+	rs.recordDepositCommit(d.id, r, accepted, attempt, sentBytes)
 	e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
 		obs.CipherFacts{Tuples: accepted, Bytes: int64(sentBytes), Attempt: attempt})
 	e.obs.depositTuples.Observe(float64(accepted))
@@ -433,7 +432,7 @@ func (w *collectWalk) refused(d collectDevice, attempt int) bool {
 // transport checksum and its MAC.
 func (r *collectResult) seal(post *protocol.QueryPost, attempt int) {
 	r.sum = protocol.Checksum(r.tuples)
-	r.commit, r.epoch = r.t.CommitDeposit(post, attempt, r.tuples)
+	r.epoch, r.sealed = r.t.CommitDeposit(&r.commit, post, attempt, r.tuples), true
 }
 
 // collectSlot is a worker's whole job for position p: wake the device,
@@ -464,7 +463,7 @@ func (w *collectWalk) collect(c *collector, r *collectResult, now time.Time) {
 		cfg.Out = make([]protocol.WireTuple, 0, c.last)
 	}
 	r.tuples, r.stats, r.err = w.e.collectOne(c, r.t, w.rs.post, cfg, now)
-	r.ran, r.specNow, r.commit, c.last = true, now, nil, len(r.tuples)
+	r.ran, r.specNow, r.sealed, c.last = true, now, false, len(r.tuples)
 }
 
 // resolve decides what the walk does with a device at its commit point
@@ -511,7 +510,7 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	if epoch == 0 {
 		epoch = post.Epoch
 	}
-	if r.commit == nil || r.epoch != epoch {
+	if !r.sealed || r.epoch != epoch {
 		r.seal(post, attempt)
 	}
 	return fateCommit, nil
@@ -537,7 +536,7 @@ func (w *collectWalk) settle(run []collectDevice, first int, now time.Time,
 			// during a rotation grace window that may be the previous
 			// epoch, which the SSI's grace policy admits.
 			r.dep = protocol.Deposit{QueryID: rs.post.ID, DeviceID: d.id, Attempt: attempt,
-				Epoch: r.epoch, Tuples: r.tuples, Sum: r.sum, Commit: r.commit}
+				Epoch: r.epoch, Tuples: r.tuples, Sum: r.sum, Commit: r.commit[:]}
 			if d.b.CorruptDeposit {
 				r.dep.Sum ^= 0x1 // one flipped transport bit; the checksum catches it
 			}

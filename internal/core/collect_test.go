@@ -35,9 +35,7 @@ func TestCollectWorkersDeterminismWalk(t *testing.T) {
 	}{{
 		name: "revoked-at-interval-0", fleet: 40,
 		prepare: func(t *testing.T, f *fixture, _ *Request) {
-			if err := f.eng.RevokeAndRotate("tds-00003", "tds-00011", "tds-00020"); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, f.eng.RevokeAndRotate("tds-00003", "tds-00011", "tds-00020"))
 		},
 		sql: `SELECT COUNT(*) FROM Power`, kind: protocol.KindSAgg,
 		check: func(t *testing.T, m *Metrics) {
@@ -95,9 +93,7 @@ func TestCollectWorkersDeterminismWalk(t *testing.T) {
 		name: "window-boundaries", fleet: 400,
 		prepare: func(t *testing.T, f *fixture, req *Request) {
 			order := connectionOrder(req.QueryID, 400)
-			if err := f.eng.RevokeAndRotate(fmt.Sprintf("tds-%05d", order[127])); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, f.eng.RevokeAndRotate(fmt.Sprintf("tds-%05d", order[127])))
 			req.Faults = &faultplan.Plan{DropFraction: 0.05}
 			for !req.Faults.For(fmt.Sprintf("tds-%05d", order[128]), req.QueryID).DropDeposit {
 				req.Faults.Seed++
@@ -139,7 +135,7 @@ func TestCollectWorkersDeterminismWalk(t *testing.T) {
 			power, _ := f.eng.Schema().Table("Power")
 			powerRows = 0
 			for _, db := range f.dbs {
-				powerRows += int64(len(db.TableRows(power)))
+				powerRows += int64(len(db.TableRows(nil, power)[0]))
 			}
 		},
 		sql: `SELECT COUNT(*) FROM Power`, kind: protocol.KindSAgg,

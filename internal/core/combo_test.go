@@ -17,9 +17,7 @@ func TestTargetedNoiseProtocol(t *testing.T) {
 	sql := `SELECT C.district, COUNT(*) FROM Power P, Consumer C ` +
 		`WHERE C.cid = P.cid GROUP BY C.district`
 	got, m, err := runTargeted(f.eng, f.q, sql, protocol.KindCNoise, protocol.Params{}, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	var total int64
 	for _, row := range got.Rows {
 		n, _ := row[1].AsInt()
@@ -74,9 +72,7 @@ func TestAuditedTargetedDurationQuery(t *testing.T) {
 	targets = append(targets, f.eng.fleet.ids[:12]...)
 	sql := `SELECT COUNT(*) FROM Consumer SIZE DURATION '5m'`
 	got, m, err := runTargeted(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{}, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	// The 5-minute window admits at most 6 of the 12 targets.
 	n, _ := got.Rows[0][0].AsInt()
 	if n < 1 || n > 6 {

@@ -4,18 +4,21 @@ import (
 	"math/rand"
 
 	"github.com/trustedcells/tcq/internal/rng"
+	"github.com/trustedcells/tcq/internal/tds"
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
 // collector is what one collection worker brings to every Collect it
-// runs: an arena the ciphertexts are carved from, and one RNG aimed at
-// each device's stream in turn. Neither is safe for concurrent use; the
-// walk gives each worker its own.
+// runs: an arena the ciphertexts are carved from, the scratch it scans
+// and assembles plaintexts in, and one RNG aimed at each device's stream
+// in turn. None is safe for concurrent use; the walk gives each worker
+// its own.
 type collector struct {
-	arena tdscrypto.Arena
-	src   rng.Source
-	rng   *rand.Rand // over src
-	last  int        // tuples of the worker's previous Collect
+	arena   tdscrypto.Arena
+	scratch tds.Scratch
+	src     rng.Source
+	rng     *rand.Rand // over src
+	last    int        // tuples of the worker's previous Collect
 }
 
 func newCollector() *collector {

@@ -96,9 +96,7 @@ func newTestEngine(t testing.TB, fleetSize int, cfgEdit func(*Config), keep func
 		cfgEdit(&cfg)
 	}
 	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if err := eng.ProvisionFleet(fleetSize, func(i int) *storage.LocalDB {
 		db := householdDB(cfg.Schema, i)
 		if keep != nil {
@@ -115,12 +113,8 @@ func newTestEngine(t testing.TB, fleetSize int, cfgEdit func(*Config), keep func
 // and in the copy of its database the reference queries read.
 func (f *fixture) insert(t *testing.T, i int, table string, row storage.Row) {
 	t.Helper()
-	if err := f.eng.Insert(slotID(i), table, row); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.dbs[i].Insert(table, row); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.Insert(slotID(i), table, row))
+	noErr(t, f.dbs[i].Insert(table, row))
 }
 
 // reference runs the query standalone over the union of all databases.
@@ -134,9 +128,7 @@ func (f *fixture) reference(t *testing.T, sql string) *sqlexec.Result {
 func (f *fixture) run(t *testing.T, sql string, kind protocol.Kind, params protocol.Params) (*sqlexec.Result, *Metrics) {
 	t.Helper()
 	got, m, err := runQuery(f.eng, f.q, sql, kind, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	return got, m
 }
 
@@ -268,16 +260,12 @@ func TestAccessControlDeniedQuerier(t *testing.T) {
 	cred := f.eng.Authority().Issue("mallory", []string{"energy-analyst"},
 		time.Unix(1700000000, 0).Add(time.Hour))
 	mallory, err := querier.New("mallory", f.eng.K1(), cred, f.eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	// energy-analyst is AggregateOnly: the identifying query must come
 	// back empty — every TDS contributes only dummies (step 4').
 	sql := `SELECT cid, cons FROM Power`
 	got, m, err := runQuery(f.eng, mallory, sql, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if len(got.Rows) != 0 {
 		t.Fatalf("denied query returned %d rows", len(got.Rows))
 	}
@@ -292,13 +280,9 @@ func TestExpiredCredential(t *testing.T) {
 	cred := f.eng.Authority().Issue("edf", []string{"auditor"},
 		time.Unix(1700000000, 0).Add(-time.Hour))
 	stale, err := querier.New("edf", f.eng.K1(), cred, f.eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	got, _, err := runQuery(f.eng, stale, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if len(got.Rows) != 0 {
 		t.Fatalf("expired credential yielded %d rows", len(got.Rows))
 	}
@@ -401,14 +385,10 @@ func TestEngineValidation(t *testing.T) {
 		t.Error("missing policy accepted")
 	}
 	eng, err := NewEngine(Config{Schema: meterSchema(), Policy: &accessctl.Policy{Rules: []accessctl.Rule{{Role: "r"}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	cred := eng.Authority().Issue("q", []string{"r"}, time.Now().Add(time.Hour))
 	q, err := querier.New("q", eng.K1(), cred, eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if _, _, err := runQuery(eng, q, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{}); err == nil {
 		t.Error("empty fleet accepted")
 	}

@@ -177,7 +177,8 @@ func (e *Engine) wake(t *tds.TDS, slot int) error {
 
 // devicePool holds devices between runs with the buffers they grew (a
 // collection device its largest slot's rows, a phase device its fold
-// scratch), so later queries wake into them without allocating.
+// scratch), so later queries wake into them without allocating. A device
+// put back forgets the query it served.
 type devicePool struct {
 	mu   sync.Mutex
 	idle []*tds.TDS
@@ -197,6 +198,9 @@ func (p *devicePool) take(e *Engine, n int) []*tds.TDS {
 }
 
 func (p *devicePool) put(ts []*tds.TDS) {
+	for _, t := range ts {
+		t.Forget()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.idle = append(p.idle, ts...)

@@ -17,6 +17,14 @@ import (
 // books before it returns: a run whose device accounts do not balance is
 // an error.
 
+// noErr fails the test at the caller's line on an error.
+func noErr(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // slotID is the ID ProvisionFleet enrolls a slot's device under.
 func slotID(slot int) string { return fmt.Sprintf("tds-%05d", slot) }
 

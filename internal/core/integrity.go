@@ -39,7 +39,8 @@ type depositRecord struct {
 	// coexist in one covering result; each record verifies against its
 	// own epoch's k2 committer.
 	epoch  int
-	commit []byte
+	commit [tdscrypto.CommitSize]byte
+	bytes  int // the accepted tuples' size at the SSI
 }
 
 // integrityState accumulates one run's verification context.
@@ -98,23 +99,22 @@ func (rs *runState) integrityReport() *IntegrityReport {
 	}
 }
 
-// recordDepositCommit files one acknowledged deposit for collection
-// verification. When the SIZE cap truncated the acceptance, the device
-// re-commits to the accepted prefix (it knows the cutoff from the SSI's
-// acknowledgment), so the record always binds exactly the tuples that
-// should be in storage.
-func (rs *runState) recordDepositCommit(device string, r *collectResult, accepted, attempt int) {
+// recordDepositCommit files one acknowledged deposit, of sent bytes, for
+// collection verification. When the SIZE cap truncated the acceptance, the
+// device re-commits to the accepted prefix (it knows the cutoff from the
+// SSI's acknowledgment), so the record always binds exactly the tuples
+// that should be in storage.
+func (rs *runState) recordDepositCommit(device string, r *collectResult, accepted, attempt, sent int) {
 	if !rs.verify {
 		return
 	}
-	commit := r.commit
+	rec := depositRecord{device: device, attempt: attempt, accepted: accepted, epoch: r.epoch,
+		commit: r.commit, bytes: sent}
 	if accepted < len(r.tuples) {
-		commit, _ = r.t.CommitDeposit(rs.post, attempt, r.tuples[:accepted])
+		r.t.CommitDeposit(&rec.commit, rs.post, attempt, r.tuples[:accepted])
+		rec.bytes = protocol.TotalSize(r.tuples[:accepted])
 	}
-	rs.integ.records = append(rs.integ.records, depositRecord{
-		device: device, attempt: attempt, accepted: accepted, epoch: r.epoch,
-		commit: commit,
-	})
+	rs.integ.records = append(rs.integ.records, rec)
 }
 
 // integrityViolation accounts one failed check and returns the typed
@@ -153,8 +153,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 	off, size := 0, 0
 	for i, r := range st.records {
 		st.views[i] = rs.ssi.CollectedRange(id, off, off+r.accepted)
-		off += r.accepted
-		size += protocol.TotalSize(st.views[i])
+		off, size = off+r.accepted, size+r.bytes
 	}
 	rs.metrics.IntegrityChecks++
 	if off != rs.ssi.CollectedCount(id) {
@@ -174,7 +173,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 			comm = e.committerFor(r.epoch)
 		}
 		var leaf [tdscrypto.CommitSize]byte // the recomputed leaf stays on this stack
-		ok[i] = tdscrypto.CommitEqual(r.commit, protocol.SumDepositCommitment(&leaf, comm, id, r.device, r.attempt, r.epoch, st.views[i]))
+		ok[i] = tdscrypto.CommitEqual(r.commit[:], protocol.SumDepositCommitment(&leaf, comm, id, r.device, r.attempt, r.epoch, st.views[i]))
 		return nil
 	})
 	fold := rs.verifier.StartFold("collection-root")
@@ -184,7 +183,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 			fold.Discard()
 			return e.integrityViolation(rs, "deposit-commitment", "collection")
 		}
-		fold.Add(st.records[i].commit) // equal to the recomputed leaf
+		fold.Add(st.records[i].commit[:]) // equal to the recomputed leaf
 	}
 	st.deposits = len(st.records)
 

@@ -228,9 +228,7 @@ func assertLedgerHas(t *testing.T, ledger []ssi.LedgerEntry, kind, phase string)
 func assertRegistryHas(t *testing.T, e *Engine, want string) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.Registry().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, e.Registry().WriteText(&buf))
 	if !strings.Contains(buf.String(), want) {
 		t.Errorf("registry is missing %q:\n%s", want, buf.String())
 	}
@@ -268,7 +266,7 @@ func TestIntegrityWorkersAgree(t *testing.T) {
 		}
 		var leaves [][]byte
 		for _, r := range rs.integ.records {
-			leaves = append(leaves, r.commit)
+			leaves = append(leaves, r.commit[:])
 		}
 		if want := c.Fold("collection-root", leaves...); !bytes.Equal(rs.integ.digest, want) {
 			t.Errorf("workers=%d: collection root %x, want %x", workers, rs.integ.digest, want)

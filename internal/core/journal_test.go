@@ -94,9 +94,7 @@ func TestMixedTenantRegistryAndJournal(t *testing.T) {
 	expiry := time.Unix(1700000000, 0).Add(365 * 24 * time.Hour)
 	cred := f.eng.Authority().Issue("engie", []string{"energy-analyst"}, expiry)
 	other, err := querier.New("engie", f.eng.K1(), cred, f.eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -119,9 +117,7 @@ func TestMixedTenantRegistryAndJournal(t *testing.T) {
 	wg.Wait()
 
 	var text bytes.Buffer
-	if err := f.eng.Registry().WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.Registry().WriteText(&text))
 	if err := obs.CheckText(bytes.NewReader(text.Bytes())); err != nil {
 		t.Fatalf("registry text fails promcheck: %v", err)
 	}
@@ -151,17 +147,13 @@ func TestJournalFleetByteBudget(t *testing.T) {
 	resp, err := eng.Execute(context.Background(), Request{
 		Querier: newQuerierForEngine(t, eng, "edf"), SQL: countSQL, Kind: protocol.KindSAgg, CollectOnly: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	jb := resp.Journal.Bytes()
 	if err := obs.CheckJournal(bytes.NewReader(jb)); err != nil {
 		t.Fatalf("fleet journal fails schema check: %v", err)
 	}
 	var tb bytes.Buffer
-	if err := resp.Trace.WriteJSONL(&tb); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, resp.Trace.WriteJSONL(&tb))
 	// One deposit event per device, ~122 B each; the journal is a handful
 	// of phase events regardless of fleet size.
 	const traceBudget, journalBudget = 160 * fleet, 8 << 10
@@ -212,9 +204,7 @@ func TestCostModelConformance(t *testing.T) {
 			resp, err := f.eng.Execute(context.Background(), Request{
 				Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, err)
 			rep := resp.Conformance
 			if rep == nil {
 				t.Fatal("no conformance report on a covered protocol")
@@ -236,9 +226,7 @@ func TestCostModelConformance(t *testing.T) {
 			}
 			// The ratio also lands on the root span for ops tooling.
 			var tb bytes.Buffer
-			if err := resp.Trace.WriteJSONL(&tb); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, resp.Trace.WriteJSONL(&tb))
 			if !bytes.Contains(tb.Bytes(), []byte(`"tq_ratio"`)) {
 				t.Error("root span is missing the tq_ratio attribute")
 			}
@@ -270,9 +258,7 @@ func TestConformanceUncoveredConfigs(t *testing.T) {
 	f := newFixture(t, 40, nil)
 	resp, err := f.eng.Execute(context.Background(), Request{
 		Querier: f.q, SQL: countSQL, Kind: protocol.KindSAgg, CollectOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if resp.Conformance != nil {
 		t.Errorf("collect-only produced a report: %+v", resp.Conformance)
 	}

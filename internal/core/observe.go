@@ -181,17 +181,18 @@ func (e *Engine) relay(rs *runState, tuples []protocol.WireTuple) {
 
 // startPhase opens the span of one aggregation/filtering phase and
 // records the SSI-visible partitioning event (the SSI sees how many
-// partitions it built and their ciphertext volume — nothing else).
-func (e *Engine) startPhase(rs *runState, name string, parts [][]protocol.WireTuple) *obs.Span {
-	n, b := 0, 0
-	for _, p := range parts {
-		n += len(p)
-		b += protocol.TotalSize(p)
+// partitions it built and their ciphertext volume — nothing else). It
+// returns the span and each partition's bytes.
+func (e *Engine) startPhase(rs *runState, name string, parts [][]protocol.WireTuple) (*obs.Span, []int) {
+	n, b, sizes := 0, 0, make([]int, len(parts))
+	for i, p := range parts {
+		sizes[i] = protocol.TotalSize(p)
+		n, b = n+len(p), b+sizes[i]
 	}
 	facts := obs.CipherFacts{Count: len(parts), Tuples: n, Bytes: int64(b)}
 	sp := e.beginPhaseScope(rs, name, obs.PartyEngine, facts)
 	e.obs.tracer.SSIEvent(rs.post.ID, "partition", "", rs.clock.Now(), facts)
-	return sp
+	return sp, sizes
 }
 
 // notePhase settles one finished phase: records its timing entry (work +
@@ -202,11 +203,11 @@ func (e *Engine) notePhase(rs *runState, name string, units []workUnit, ps phase
 	m := rs.metrics
 	m.AuditDetections += len(ps.Suspects)
 	m.Suspects = append(m.Suspects, ps.Suspects...)
-	down, up := unitBytesInOut(units)
+	var down, up int64 // what the workers downloaded (partitions in) and uploaded
 	durs := make([]time.Duration, len(units))
 	for i, u := range units {
-		durs[i] = u.busy
-		rs.busy += u.busy
+		durs[i], rs.busy = u.busy, rs.busy+u.busy
+		down, up = down+int64(u.down), up+int64(u.up)
 	}
 	dur := netsim.Makespan(durs, rs.workers) + ps.Wait
 	m.Phases = append(m.Phases, PhaseTiming{Name: name, Duration: dur, Units: len(units), Bytes: down + up})
@@ -259,16 +260,6 @@ func phaseLabel(name string) string {
 		return "s_agg-step"
 	}
 	return name
-}
-
-// unitBytesInOut splits a phase's traffic into what the workers
-// downloaded (partitions in) and uploaded (outputs back to the SSI).
-func unitBytesInOut(units []workUnit) (down, up int64) {
-	for _, u := range units {
-		down += int64(protocol.TotalSize(u.partition))
-		up += int64(protocol.TotalSize(u.out))
-	}
-	return down, up
 }
 
 // Registry exposes the engine's cumulative metrics registry; render it

@@ -18,14 +18,10 @@ import (
 // on their old epoch.
 func TestPackedRevocation(t *testing.T) {
 	f := newFixture(t, 16, nil)
-	if err := f.eng.RevokeAndRotate("tds-00003", "tds-00007"); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate("tds-00003", "tds-00007"))
 	fresh := newQuerierForEngine(t, f.eng, "fresh")
 	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	want := referenceExcluding(t, f, `SELECT cid FROM Consumer`, map[int]bool{3: true, 7: true})
 	if m.CollectErrors != 2 || !slices.Equal(sortedRows(got), sortedRows(want)) {
 		t.Errorf("CollectErrors = %d, rows %v; want the 2 revoked and the 14 survivors' %v",
@@ -96,19 +92,15 @@ func TestDeviceWakeDoesNotAllocate(t *testing.T) {
 	f := newFixture(t, 12, nil)
 	plan, err := sqlexec.Compile(sqlparse.MustParse(
 		`SELECT C.district, P.cons FROM Power P, Consumer C WHERE C.cid = P.cid`), f.eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	dev, phase := f.eng.newShell(), f.eng.newShell()
-	slot, scanned := 0, 0
+	slot, scanned, scan := 0, 0, new(sqlexec.Scan)
 	wakeScanNext := func() {
 		err := f.eng.wake(dev, slot)
 		if err == nil {
-			err = plan.ScanLocal(dev.DB, func(storage.Row) error { scanned++; return nil })
+			err = plan.ScanLocal(scan, dev.DB, func(storage.Row) error { scanned++; return nil })
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		f.eng.aim(phase, slot)
 		slot = (slot + 1) % f.eng.FleetSize()
 	}
@@ -167,9 +159,7 @@ func TestPackedMemoryFootprint(t *testing.T) {
 				Querier: newQuerierForEngine(t, eng, "edf"), SQL: flagshipSQL,
 				Kind: protocol.KindSAgg, CollectOnly: true,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, err)
 			if got := resp.Metrics.DepositedDevices; got != tc.n {
 				t.Errorf("%s: %d of %d devices deposited", tc.name, got, tc.n)
 			}

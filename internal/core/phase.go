@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/netsim"
+	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/tds"
@@ -18,9 +19,10 @@ import (
 
 // workUnit is one partition processed by one TDS in some phase.
 type workUnit struct {
-	partition []protocol.WireTuple
-	out       []protocol.WireTuple
-	busy      time.Duration
+	out      []protocol.WireTuple
+	busy     time.Duration
+	in       int // the partition's tuples
+	down, up int // the partition's and the output's bytes
 }
 
 // phaseStats aggregates what a phase cost beyond its work units.
@@ -28,6 +30,7 @@ type phaseStats struct {
 	Reassigned int           // partitions re-sent after their assignee's crash
 	Suspects   []string      // IDs of the replicas outvoted by the audit (compromised-TDS ext.)
 	Wait       time.Duration // timeout + backoff bill of the crashes
+	span       *obs.Span     // the phase's, which notePhase closes
 }
 
 // crew is a run's host parallelism: the run's goroutine and up to n-1
@@ -109,8 +112,9 @@ func (c *crew) stop() {
 	}
 }
 
-// runPhase distributes partitions over connected TDSs, injecting failures
-// and re-assigning failed partitions; the run's crew does the work.
+// runPhase opens a phase (startPhase) and distributes its partitions over
+// connected TDSs, injecting failures and re-assigning failed partitions;
+// the run's crew does the work. Each partition's bytes are summed once.
 // process runs inside the chosen TDS; it must be pure protocol work.
 //
 // With Config.AuditReplicas > 1, every partition is processed by that many
@@ -135,6 +139,8 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	post, rng, faults := rs.post, rs.rng, rs.faults
 	phaseStart := rs.clock.Now()
 	var stats phaseStats
+	var sizes []int
+	stats.span, sizes = e.startPhase(rs, phase, partitions)
 	// Revoked devices cannot open the current epoch's queries; the SSI
 	// never hands them partitions (the revocation list is public). Nor
 	// can a device on the wrong side of a live rotation boundary open
@@ -159,12 +165,12 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	replicas := min(max(e.cfg.AuditReplicas, 1), len(live))
 
 	type task struct {
-		part    []protocol.WireTuple
+		part    int // its index in partitions
 		attempt int // 1-based assignment count for this partition
 	}
 	tasks := make([]task, 0, len(partitions))
-	for _, p := range partitions {
-		tasks = append(tasks, task{part: p, attempt: 1})
+	for i := range partitions {
+		tasks = append(tasks, task{part: i, attempt: 1})
 	}
 
 	// Pre-pick worker TDSs and crash decisions deterministically, then let
@@ -172,7 +178,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	// assignment's workers are drawn into one slab, and its units are filed
 	// into one []workUnit at the same offsets: at most one unit per worker.
 	type assignment struct {
-		part     []protocol.WireTuple
+		part     int   // its index in partitions
 		workers  []int // the slots of the replicas processing the same partition
 		at, n    int   // its units: units[at : at+n]
 		suspects []string
@@ -246,10 +252,11 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 	devs := rs.phaseDevices(e)
 	err := rs.crew.each(len(plan), func(k, ai int) error {
 		a, t := &plan[ai], devs[k]
+		part, size := partitions[a.part], sizes[a.part]
 		if replicas == 1 { // no audit: one output, nothing to vote on
 			e.aim(t, a.workers[0])
-			out, err := process(t, a.part)
-			units[a.at], a.n = workUnit{partition: a.part, out: out, busy: e.meterUnit(a.part, out)}, 1
+			out, err := process(t, part)
+			units[a.at], a.n = e.unit(len(part), size, out), 1
 			return err
 		}
 		// Audit rounds: process with `replicas` fresh devices per
@@ -264,7 +271,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 			unanimous := true
 			for _, slot := range a.workers[start:min(start+replicas, len(a.workers))] {
 				e.aim(t, slot)
-				out, err := process(t, a.part)
+				out, err := process(t, part)
 				if err != nil {
 					return err
 				}
@@ -272,11 +279,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 				tally[key]++
 				keys = append(keys, key)
 				unanimous = unanimous && key == keys[start]
-				allUnits = append(allUnits, workUnit{
-					partition: a.part,
-					out:       out,
-					busy:      e.meterUnit(a.part, out),
-				})
+				allUnits = append(allUnits, e.unit(len(part), size, out))
 			}
 			if unanimous {
 				break
@@ -295,7 +298,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string,
 		keep := slices.Index(keys, winnerKey)
 		for i := range allUnits {
 			if i != keep {
-				allUnits[i].out = nil
+				allUnits[i].out, allUnits[i].up = nil, 0 // a discarded output is no traffic
 			}
 			if keys[i] != winnerKey {
 				a.suspects = append(a.suspects, e.fleet.ids[a.workers[i]])
@@ -335,18 +338,18 @@ func digestKey(out []protocol.WireTuple) string {
 	return strings.Join(ds, "|")
 }
 
-// meterUnit accounts the simulated device time of processing one
-// partition: download + decrypt + compute the input, encrypt + upload the
-// output.
-func (e *Engine) meterUnit(in, out []protocol.WireTuple) time.Duration {
+// unit is the work unit of a partition of in tuples and down bytes
+// processed into out, metered in simulated device time: download +
+// decrypt + compute the input, encrypt + upload the output.
+func (e *Engine) unit(in, down int, out []protocol.WireTuple) workUnit {
 	var m netsim.Meter
-	inBytes, outBytes := protocol.TotalSize(in), protocol.TotalSize(out)
-	m.AddDownload(e.cal, inBytes)
-	m.AddDecrypt(e.cal, inBytes)
-	m.AddCompute(e.cal, inBytes)
-	m.AddEncrypt(e.cal, outBytes)
-	m.AddUpload(e.cal, outBytes)
-	return m.Total()
+	up := protocol.TotalSize(out)
+	m.AddDownload(e.cal, down)
+	m.AddDecrypt(e.cal, down)
+	m.AddCompute(e.cal, down)
+	m.AddEncrypt(e.cal, up)
+	m.AddUpload(e.cal, up)
+	return workUnit{out: out, busy: m.Total(), in: in, down: down, up: up}
 }
 
 // collectOutputs flattens phase outputs in deterministic partition order.

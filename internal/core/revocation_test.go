@@ -35,9 +35,7 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 	offences := map[string]int{}
 	for i := 0; i < 6; i++ {
 		_, m, err := runQuery(f.eng, f.q, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		for _, id := range m.Suspects {
 			offences[id]++
 		}
@@ -65,9 +63,7 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 	}
 
 	// Phase 2: revoke the offenders and rotate keys via broadcast.
-	if err := f.eng.RevokeAndRotate(repeat...); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate(repeat...))
 	if got := len(f.eng.RevokedDevices()); got != len(repeat) {
 		t.Errorf("revoked = %d, want %d", got, len(repeat))
 	}
@@ -87,18 +83,14 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 		}
 	}
 	got, m, err := runQuery(f.eng, q2, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != len(repeat) {
 		t.Errorf("CollectErrors = %d, want %d revoked devices", m.CollectErrors, len(repeat))
 	}
 	if remainingCorrupt == 0 {
 		plan, err := sqlexec.Compile(sqlparse.MustParse(flagshipSQL), f.eng.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		var survivorDBs []*storage.LocalDB
 		for i, id := range f.eng.fleet.ids {
 			if !f.eng.revoked[id] {
@@ -106,9 +98,7 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 			}
 		}
 		wantSurvivors, err := sqlexec.Standalone(plan, survivorDBs...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		assertSameResult(t, got, wantSurvivors)
 	} else {
 		t.Logf("%d compromised devices not yet flagged; exactness deferred", remainingCorrupt)
@@ -121,14 +111,10 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 func TestRevocationPopulationSemantics(t *testing.T) {
 	f := newFixture(t, 20, nil)
 	victims := []string{"tds-00002", "tds-00005"}
-	if err := f.eng.RevokeAndRotate(victims...); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate(victims...))
 	q2 := newQuerierForEngine(t, f.eng, "edf2")
 	got, m, err := runQuery(f.eng, q2, `SELECT COUNT(*) FROM Consumer`, protocol.KindSAgg, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != 2 {
 		t.Errorf("CollectErrors = %d", m.CollectErrors)
@@ -150,14 +136,10 @@ func TestRevocationPopulationSemantics(t *testing.T) {
 // cannot decrypt queries posted under the rotated keys.
 func TestRevokedDeviceCannotRejoin(t *testing.T) {
 	f := newFixture(t, 10, nil)
-	if err := f.eng.RevokeAndRotate(slotID(3)); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate(slotID(3)))
 	q2 := newQuerierForEngine(t, f.eng, "edf2")
 	_, m, err := runQuery(f.eng, q2, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != 1 {
 		t.Errorf("CollectErrors = %d, want the one revoked device", m.CollectErrors)
@@ -197,22 +179,16 @@ func TestRevocationIsAllOrNothing(t *testing.T) {
 				t.Error("refused revocation left a rotation open")
 			}
 			_, m, err := runQuery(f.eng, f.q, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, err)
 			if m.DepositedDevices != 10 || m.CollectErrors != 0 {
 				t.Errorf("deposited %d of 10 devices, %d collect errors", m.DepositedDevices, m.CollectErrors)
 			}
 			// The refused call must not have burnt the broadcast slot: a
 			// later rotation without revocations reaches tds-00003 too.
-			if err := tc.revoke(f.eng, "tds-00007"); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, tc.revoke(f.eng, "tds-00007"))
 			_, m, err = runQuery(f.eng, newQuerierForEngine(t, f.eng, "edf2"),
 				`SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, err)
 			if m.DepositedDevices != 9 || m.CollectErrors != 1 {
 				t.Errorf("after revoking one device: deposited %d, %d collect errors; want 9 and 1",
 					m.DepositedDevices, m.CollectErrors)

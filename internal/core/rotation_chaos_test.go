@@ -36,9 +36,7 @@ func connectionOrder(qid string, fleetSize int) []int {
 func referenceExcluding(t *testing.T, f *fixture, sql string, exclude map[int]bool) *sqlexec.Result {
 	t.Helper()
 	plan, err := sqlexec.Compile(sqlparse.MustParse(sql), f.eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	var dbs []*storage.LocalDB
 	for i, db := range f.dbs {
 		if !exclude[i] {
@@ -46,9 +44,7 @@ func referenceExcluding(t *testing.T, f *fixture, sql string, exclude map[int]bo
 		}
 	}
 	res, err := sqlexec.Standalone(plan, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	return res
 }
 
@@ -243,9 +239,7 @@ func TestRolloutScheduleDeterminism(t *testing.T) {
 	e1 := newTestEngine(t, fleetSize, nil, nil)
 	e2 := newTestEngine(t, fleetSize, nil, nil)
 	for _, e := range []*Engine{e1, e2} {
-		if err := e.BeginRotation(waves, "tds-00001"); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, e.BeginRotation(waves, "tds-00001"))
 	}
 	s1, s2 := rolloutSchedule(e1), rolloutSchedule(e2)
 	if !reflect.DeepEqual(s1, s2) {
@@ -287,9 +281,7 @@ func TestRolloutScheduleDeterminism(t *testing.T) {
 			t.Errorf("wave %d: done = %v", i, done)
 		}
 	}
-	if err := e1.CompleteRotation(); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, e1.CompleteRotation())
 	if e1.rotationInProgress() {
 		t.Error("rotation state not retired after CompleteRotation")
 	}
@@ -372,24 +364,18 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 	// rotated k1) while the rollout is mid-flight.
 	launch(0, 8, f.q)
 	post.waitPosted(t, 8)
-	if err := f.eng.BeginRotation(4, victim); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.BeginRotation(4, victim))
 	launch(8, 16, newQuerierForEngine(t, f.eng, "edf-new"))
 	for {
 		done, err := f.eng.AdvanceRotationWave()
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		if done {
 			break
 		}
 		time.Sleep(time.Millisecond) // let in-flight queries race the wave
 	}
 	wg.Wait()
-	if err := f.eng.CompleteRotation(); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.CompleteRotation())
 
 	for i := range resps {
 		if err := errs[i]; err != nil {
@@ -410,9 +396,7 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 		Querier: newQuerierForEngine(t, f.eng, "edf-post"),
 		SQL:     basicConsumerSQL, Kind: protocol.KindBasic, QueryID: "rev-race-settled",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	want := sortedRows(referenceExcluding(t, f, basicConsumerSQL, map[int]bool{7: true})) // the victim's slot
 	if got := sortedRows(resp.Result); !reflect.DeepEqual(got, want) {
 		t.Errorf("settled rows:\ngot:  %v\nwant: %v", got, want)

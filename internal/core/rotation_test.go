@@ -16,9 +16,7 @@ func newQuerierForEngine(t testing.TB, eng *Engine, id string) *querier.Querier 
 	cred := eng.Authority().Issue(id, []string{"energy-analyst", "auditor"},
 		time.Unix(1700000000, 0).Add(365*24*time.Hour))
 	q, err := querier.New(id, eng.K1(), cred, eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	return q
 }
 
@@ -40,9 +38,7 @@ func TestKeyRotationLocksOutStaleFleet(t *testing.T) {
 	f.insert(t, 5, "Consumer", storage.Row{storage.Int(500), storage.Str("Brest"), storage.Str("flat")})
 	fresh := newQuerierForEngine(t, f.eng, "fresh")
 	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if len(got.Rows) != 0 || m.CollectErrors != 12 {
 		t.Errorf("stale fleet rows=%d errors=%d, want 0/12", len(got.Rows), m.CollectErrors)
 	}
@@ -50,14 +46,10 @@ func TestKeyRotationLocksOutStaleFleet(t *testing.T) {
 	if _, _, err := runQuery(f.eng, fresh, countSQL, protocol.KindSAgg, protocol.Params{}); !errors.Is(err, ErrNoEligibleTDS) {
 		t.Errorf("S_Agg over the stale fleet: %v, want ErrNoEligibleTDS", err)
 	}
-	if err := f.eng.RevokeAndRotate(); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate())
 	healed := newQuerierForEngine(t, f.eng, "healed")
 	got, m, err = runQuery(f.eng, healed, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if want := f.reference(t, `SELECT cid FROM Consumer`); m.CollectErrors != 0 || !reflect.DeepEqual(sortedRows(got), sortedRows(want)) {
 		t.Errorf("after the rotation rows %v, %d errors; want %v", sortedRows(got), m.CollectErrors, sortedRows(want))
 	}
@@ -66,9 +58,7 @@ func TestKeyRotationLocksOutStaleFleet(t *testing.T) {
 func TestStaleQuerierAgainstRotatedFleet(t *testing.T) {
 	f := newFixture(t, 8, nil)
 	stale := f.q // built with epoch-0 K1
-	if err := f.eng.RevokeAndRotate(); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate())
 	got, m, err := runQuery(f.eng, stale, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
 	if err != nil {
 		// Also acceptable: the querier cannot even decrypt the outcome.
@@ -87,13 +77,9 @@ func TestStaleQuerierAgainstRotatedFleet(t *testing.T) {
 // tree, keep the earlier revocation, and leave no rotation half-applied.
 func TestRotationAfterFleetGrowth(t *testing.T) {
 	f := newFixture(t, 8, nil)
-	if err := f.eng.RevokeAndRotate("tds-00001"); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.RevokeAndRotate("tds-00001"))
 	err := f.eng.ProvisionFleet(4, func(i int) *storage.LocalDB { return householdDB(f.eng.Schema(), 8+i) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if err := f.eng.RevokeAndRotate("tds-00009"); err != nil {
 		t.Errorf("rotation after growth: %v", err)
 	}
@@ -102,9 +88,7 @@ func TestRotationAfterFleetGrowth(t *testing.T) {
 	}
 	fresh := newQuerierForEngine(t, f.eng, "fresh")
 	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if len(got.Rows) != 10 || m.CollectErrors != 2 {
 		t.Errorf("rows=%d errors=%d, want the 10 survivors and the 2 revoked", len(got.Rows), m.CollectErrors)
 	}

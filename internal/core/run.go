@@ -227,7 +227,6 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		if err != nil {
 			return nil, err
 		}
-		e.startPhase(rs, "filter-sfw", parts)
 		units, ps, err := e.runPhase(ctx, rs, "filter-sfw", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 			return w.FilterSFW(post, p)
 		})
@@ -282,7 +281,6 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 		if err != nil {
 			return nil, err
 		}
-		sp := e.startPhase(rs, name, parts)
 		stepUnits, ps, err := e.runPhase(ctx, rs, name, parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 			return w.Aggregate(post, p, tds.EmitWhole)
 		})
@@ -296,7 +294,7 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 			// The round's achieved reduction factor — the protocol's
 			// effective alpha, histogrammed across rounds and runs.
 			e.obs.saggReduction.Observe(float64(n) / float64(len(next)))
-			sp.SetAttr("reduction", fmt.Sprintf("%d->%d", n, len(next)))
+			ps.span.SetAttr("reduction", fmt.Sprintf("%d->%d", n, len(next)))
 		}
 		units, per = next, max(int(alpha+0.5), 2)
 		if len(next) >= n {
@@ -333,7 +331,6 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	if err != nil {
 		return nil, err
 	}
-	e.startPhase(rs, "aggregate-1", parts)
 	step1, ps, err := e.runPhase(ctx, rs, "aggregate-1", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 		return w.Aggregate(post, p, tds.EmitPerGroup)
 	})
@@ -352,7 +349,6 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	if err != nil {
 		return nil, err
 	}
-	e.startPhase(rs, "aggregate-2", parts)
 	step2, ps, err := e.runPhase(ctx, rs, "aggregate-2", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 		return w.Aggregate(post, p, tds.EmitPerGroup)
 	})
@@ -383,7 +379,6 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 		parts = [][]protocol.WireTuple{nil}
 	}
 	forceEmpty := len(stmt.GroupBy) == 0
-	e.startPhase(rs, "filtering", parts)
 	units, ps, err := e.runPhase(ctx, rs, "filtering", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 		return w.FinalizeGroups(post, p, false)
 	})
@@ -433,7 +428,7 @@ func (e *Engine) filterFinal(ctx context.Context, rs *runState, stmt *sqlparse.S
 func countGroups(units []workUnit) int {
 	n := 0
 	for _, u := range units {
-		n += len(u.partition)
+		n += u.in
 	}
 	return n
 }

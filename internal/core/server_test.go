@@ -31,9 +31,7 @@ func outcomeOf(t *testing.T, req Request, resp *Response) queryOutcome {
 	assertDeviceAccounts(t, resp.Metrics, sizeBounded(req))
 	var buf bytes.Buffer
 	if resp.Trace != nil {
-		if err := resp.Trace.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, resp.Trace.WriteJSONL(&buf))
 	}
 	return queryOutcome{
 		rows:    fmt.Sprintf("%v", resp.Result.Rows),
@@ -252,9 +250,7 @@ func TestServerFairness(t *testing.T) {
 		t.Helper()
 		cred := f.eng.Authority().Issue(id, []string{"energy-analyst"}, expiry)
 		q, err := querier.New(id, f.eng.K1(), cred, f.eng.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		return q
 	}
 	alice, bob := mkQuerier("alice"), mkQuerier("bob")
@@ -433,9 +429,7 @@ func TestServerSharedDeviceCache(t *testing.T) {
 		resp, err := solo.eng.Execute(context.Background(), Request{
 			Querier: solo.q, SQL: countSQL, Kind: protocol.KindSAgg,
 			QueryID: fmt.Sprintf("cache-%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		want[i] = fmt.Sprintf("%v", resp.Result.Rows)
 	}
 

@@ -14,9 +14,7 @@ func TestRunTargetedPersonalQuerybox(t *testing.T) {
 	targets := []string{"tds-00003", "tds-00007"}
 	sql := `SELECT cid, cons FROM Power`
 	got, m, err := runTargeted(f.eng, f.q, sql, protocol.KindBasic, protocol.Params{}, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	// Only the targeted households' cids appear.
 	for _, row := range got.Rows {
 		cid, _ := row[0].AsInt()
@@ -38,9 +36,7 @@ func TestRunTargetedAggregate(t *testing.T) {
 	targets := []string{"tds-00001", "tds-00002", "tds-00004"}
 	sql := `SELECT COUNT(*), SUM(cons) FROM Power`
 	got, _, err := runTargeted(f.eng, f.q, sql, protocol.KindSAgg, protocol.Params{}, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if len(got.Rows) != 1 {
 		t.Fatalf("rows = %v", got.Rows)
 	}
@@ -56,9 +52,7 @@ func TestRunTargetedValidation(t *testing.T) {
 	// Empty Targets selects the global querybox: every device answers.
 	_, m0, err := runTargeted(f.eng, f.q, `SELECT cid FROM Consumer`,
 		protocol.KindBasic, protocol.Params{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if m0.EligibleDevices != 4 {
 		t.Errorf("empty target list reached %d devices, want the whole fleet", m0.EligibleDevices)
 	}
@@ -66,9 +60,7 @@ func TestRunTargetedValidation(t *testing.T) {
 	// error (the SSI cannot know which IDs exist).
 	got, m, err := runTargeted(f.eng, f.q, `SELECT cid FROM Consumer`,
 		protocol.KindBasic, protocol.Params{}, []string{"tds-99999"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if len(got.Rows) != 0 || m.Nt != 0 {
 		t.Errorf("ghost target produced rows=%d Nt=%d", len(got.Rows), m.Nt)
 	}
@@ -91,17 +83,13 @@ func TestDurationWindowBoundsCollection(t *testing.T) {
 	f := newFixture(t, 30, func(c *Config) { c.ConnectionInterval = time.Minute })
 	sql := `SELECT cid FROM Consumer SIZE DURATION '10m'`
 	_, m, err := runQuery(f.eng, f.q, sql, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if m.Nt < 5 || m.Nt > 12 {
 		t.Errorf("Nt = %d, want ~11 connections inside the window", m.Nt)
 	}
 	// Without the window every TDS answers.
 	_, m2, err := runQuery(f.eng, f.q, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if m2.Nt != 30 {
 		t.Errorf("unbounded Nt = %d, want 30", m2.Nt)
 	}
@@ -112,9 +100,7 @@ func TestDurationAndTupleBoundTogether(t *testing.T) {
 	// Whichever bound hits first stops collection; SIZE 3 wins here.
 	_, m, err := runQuery(f.eng, f.q, `SELECT cid FROM Consumer SIZE 3 DURATION '1h'`,
 		protocol.KindBasic, protocol.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if m.Nt != 3 {
 		t.Errorf("Nt = %d, want 3", m.Nt)
 	}

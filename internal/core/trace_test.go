@@ -32,9 +32,7 @@ func churnedTrace(t *testing.T, sc int, workers int) *Response {
 func traceJSONL(t *testing.T, qt *obs.QueryTrace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := qt.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, qt.WriteJSONL(&buf))
 	return buf.Bytes()
 }
 
@@ -201,9 +199,7 @@ func TestRegistryExportAfterRuns(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := f.eng.Registry().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, f.eng.Registry().WriteText(&buf))
 	if err := obs.CheckText(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("registry text fails the checker: %v\n%s", err, buf.String())
 	}

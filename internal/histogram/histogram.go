@@ -118,11 +118,3 @@ func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // Buckets returns the buckets (shared slice; do not modify).
 func (h *Histogram) Buckets() []Bucket { return h.buckets }
-
-// CollisionFactor returns the paper's h = G/M, the average number of
-// distinct groups per hash value. h = 1 degenerates to Det_Enc (maximum
-// exposure); h = G means all values collide into one bucket (minimum
-// exposure, no partitioning benefit).
-func (h *Histogram) CollisionFactor() float64 {
-	return float64(len(h.byKey)) / float64(len(h.buckets))
-}

@@ -108,6 +108,10 @@ func depthRange(h *Histogram) (shallowest, deepest int64) {
 	return shallowest, deepest
 }
 
+// CollisionFactor is the paper's h = G/M, the average number of distinct
+// groups per hash value: 1 is Det_Enc (maximum exposure), G one bucket.
+func (h *Histogram) CollisionFactor() float64 { return float64(len(h.byKey)) / float64(len(h.buckets)) }
+
 func TestCollisionFactor(t *testing.T) {
 	h := MustBuild(uniformDist(100, 1), 20)
 	if cf := h.CollisionFactor(); cf != 5 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/trustedcells/tcq/internal/storage"
 )
@@ -24,7 +25,7 @@ type Group struct {
 type Accumulator struct {
 	plan   *Plan
 	groups map[string]*Group
-	keys   map[string]string  // the group keys interned under plan
+	keys   map[string]string  // the group and DISTINCT keys interned under plan
 	key    []byte             // scratch for group lookups
 	enc    []byte             // Encode's buffer
 	sorted []string           // Groups' keys
@@ -52,6 +53,7 @@ func NewAccumulator(plan *Plan) *Accumulator {
 func (a *Accumulator) Reset(plan *Plan) {
 	if plan != a.plan {
 		a.plan, a.groups, a.keys, a.dec = plan, make(map[string]*Group), make(map[string]string), storage.RowDecoder{}
+		a.intern = a.keys
 	}
 	clear(a.groups)
 	a.slab.reset()
@@ -99,14 +101,20 @@ type slab[T any] struct {
 // as all carved since the reset, so a slab doubles; what it handed out
 // stays where it is, and reset replaces it by one holding them all.
 func (s *slab[T]) carve(n int) []T {
+	r := s.take(n)
+	clear(r) // a reset slab hands out what it handed out before
+	return r
+}
+
+// take is carve without the clearing: the elements are as the last round
+// left them, for a state that keeps what it grew to empty itself.
+func (s *slab[T]) take(n int) []T {
 	if cap(s.buf)-len(s.buf) < n {
 		s.buf = make([]T, 0, max(n, s.used))
 	}
 	b := s.buf
 	s.buf, s.used = b[:len(b)+n], s.used+n
-	r := b[len(b) : len(b)+n : len(b)+n]
-	clear(r) // a reset slab hands out what it handed out before
-	return r
+	return b[len(b) : len(b)+n : len(b)+n]
 }
 
 func (s *slab[T]) reset() {
@@ -226,14 +234,7 @@ type Result struct {
 
 // String renders the result as an aligned text table for CLI output.
 func (r *Result) String() string {
-	out := ""
-	for i, c := range r.Columns {
-		if i > 0 {
-			out += " | "
-		}
-		out += c
-	}
-	out += "\n"
+	out := strings.Join(r.Columns, " | ") + "\n"
 	for _, row := range r.Rows {
 		for i, v := range row {
 			if i > 0 {

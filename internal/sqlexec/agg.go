@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/trustedcells/tcq/internal/sqlparse"
@@ -32,14 +33,17 @@ type AggState interface {
 	decodeMerge(b []byte) (int, error)
 }
 
-// stateSlabs carves empty states from slabs, one per state type.
+// stateSlabs carves empty states from slabs, one per state type; a MEDIAN
+// or DISTINCT state keeps what it grew, emptied here.
 type stateSlabs struct {
-	counts  slab[countState]
-	sums    slab[sumState]
-	avgs    slab[avgState]
-	exts    slab[extremumState]
-	medians slab[medianState]
-	vars    slab[varianceState]
+	counts    slab[countState]
+	sums      slab[sumState]
+	avgs      slab[avgState]
+	exts      slab[extremumState]
+	medians   slab[medianState]
+	vars      slab[varianceState]
+	distincts slab[distinctState]
+	intern    map[string]string // DISTINCT's keys, interned under the accumulator's plan
 }
 
 func (s *stateSlabs) reset() {
@@ -49,6 +53,7 @@ func (s *stateSlabs) reset() {
 	s.exts.reset()
 	s.medians.reset()
 	s.vars.reset()
+	s.distincts.reset()
 }
 
 // next returns an empty state for spec. DISTINCT wraps any function with
@@ -68,17 +73,24 @@ func (s *stateSlabs) next(spec AggSpec) AggState {
 		e := &s.exts.carve(1)[0]
 		e.min, st = spec.Func == sqlparse.AggMin, e
 	case sqlparse.AggMedian:
-		st = &s.medians.carve(1)[0]
+		m := &s.medians.take(1)[0]
+		m.vals, st = m.vals[:0], m
 	case sqlparse.AggVar, sqlparse.AggStddev:
 		v := &s.vars.carve(1)[0]
 		v.stddev, st = spec.Func == sqlparse.AggStddev, v
 	default:
 		panic(fmt.Sprintf("sqlexec: unknown aggregate %q", spec.Func))
 	}
-	if spec.Distinct {
-		return &distinctState{inner: st, seen: make(map[string]storage.Value)}
+	if !spec.Distinct {
+		return st
 	}
-	return st
+	d := &s.distincts.take(1)[0]
+	if d.seen == nil {
+		d.seen = make(map[string]storage.Value)
+	}
+	clear(d.seen)
+	d.inner, d.intern = st, s.intern
+	return d
 }
 
 // ---- COUNT ----
@@ -153,10 +165,7 @@ func (s *sumState) Result() storage.Value {
 }
 
 func (s *sumState) AppendEncode(dst []byte) []byte {
-	dst = binary.AppendVarint(dst, s.isum)
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(s.fsum))
-	dst = append(dst, buf[:]...)
+	dst = binary.BigEndian.AppendUint64(binary.AppendVarint(dst, s.isum), math.Float64bits(s.fsum))
 	if s.anyFloat {
 		dst = append(dst, 1)
 	} else {
@@ -211,10 +220,7 @@ func (s *avgState) Result() storage.Value {
 }
 
 func (s *avgState) AppendEncode(dst []byte) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(s.sum))
-	dst = append(dst, buf[:]...)
-	return binary.AppendVarint(dst, s.n)
+	return binary.AppendVarint(binary.BigEndian.AppendUint64(dst, math.Float64bits(s.sum)), s.n)
 }
 
 func (s *avgState) decodeMerge(b []byte) (int, error) {
@@ -305,10 +311,8 @@ func (s *medianState) Result() storage.Value {
 
 func (s *medianState) AppendEncode(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.vals)))
-	var buf [8]byte
 	for _, f := range s.vals {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(f))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 	}
 	return dst
 }
@@ -368,12 +372,8 @@ func (s *varianceState) Result() storage.Value {
 }
 
 func (s *varianceState) AppendEncode(dst []byte) []byte {
-	dst = binary.AppendVarint(dst, s.n)
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(s.sum))
-	dst = append(dst, buf[:]...)
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(s.sumSq))
-	return append(dst, buf[:]...)
+	dst = binary.BigEndian.AppendUint64(binary.AppendVarint(dst, s.n), math.Float64bits(s.sum))
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(s.sumSq))
 }
 
 func (s *varianceState) decodeMerge(b []byte) (int, error) {
@@ -391,19 +391,27 @@ func (s *varianceState) decodeMerge(b []byte) (int, error) {
 
 // distinctState de-duplicates inputs before feeding the wrapped state; a
 // merge feeds it only the values it has not seen, keeping DISTINCT exact
-// across arbitrary merge trees.
+// across arbitrary merge trees. A key string is made once per plan.
 type distinctState struct {
-	inner AggState
-	seen  map[string]storage.Value
+	inner  AggState
+	seen   map[string]storage.Value
+	intern map[string]string
+	key    []byte
+	keys   []string // AppendEncode's
 }
 
 func (s *distinctState) Add(v storage.Value) error {
 	if v.IsNull() {
 		return nil
 	}
-	k := v.Key()
-	if _, dup := s.seen[k]; dup {
+	s.key = v.AppendKey(s.key[:0])
+	if _, dup := s.seen[string(s.key)]; dup {
 		return nil
+	}
+	k, ok := s.intern[string(s.key)]
+	if !ok {
+		k = string(s.key)
+		s.intern[k] = k
 	}
 	s.seen[k] = v
 	return s.inner.Add(v)
@@ -412,13 +420,13 @@ func (s *distinctState) Add(v storage.Value) error {
 func (s *distinctState) Result() storage.Value { return s.inner.Result() }
 
 func (s *distinctState) AppendEncode(dst []byte) []byte {
-	keys := make([]string, 0, len(s.seen))
+	s.keys = s.keys[:0]
 	for k := range s.seen {
-		keys = append(keys, k)
+		s.keys = append(s.keys, k)
 	}
-	sort.Strings(keys) // deterministic encoding
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
+	slices.Sort(s.keys) // deterministic encoding
+	dst = binary.AppendUvarint(dst, uint64(len(s.keys)))
+	for _, k := range s.keys {
 		dst = storage.AppendValue(dst, s.seen[k])
 	}
 	return dst

@@ -18,14 +18,12 @@ func spec(f sqlparse.AggFunc, distinct, star bool) AggSpec {
 func feed(t *testing.T, s AggState, vals ...storage.Value) {
 	t.Helper()
 	for _, v := range vals {
-		if err := s.Add(v); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, s.Add(v))
 	}
 }
 
 // newAggState is the empty state for a spec, as a new group gets it.
-func newAggState(sp AggSpec) AggState { return new(stateSlabs).next(sp) }
+func newAggState(sp AggSpec) AggState { return (&stateSlabs{intern: map[string]string{}}).next(sp) }
 
 // merge is ⊕ as the aggregation phase applies it: b's encoding folded
 // into a.
@@ -76,9 +74,7 @@ func TestAvgAlgebraicMerge(t *testing.T) {
 	a, b := newAggState(spec(sqlparse.AggAvg, false, false)), newAggState(spec(sqlparse.AggAvg, false, false))
 	feed(t, a, storage.Int(10)) // avg 10 over 1
 	feed(t, b, storage.Int(1), storage.Int(2), storage.Int(3))
-	if err := merge(a, b); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, merge(a, b))
 	// Correct algebraic merge: (10+6)/4 = 4, not avg-of-avgs (10+2)/2 = 6.
 	if f, _ := a.Result().AsFloat(); f != 4 {
 		t.Errorf("merged AVG = %g, want 4", f)
@@ -120,9 +116,7 @@ func TestMedianOddEvenAndMerge(t *testing.T) {
 	}
 	other := newAggState(spec(sqlparse.AggMedian, false, false))
 	feed(t, other, storage.Int(100))
-	if err := merge(m, other); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, merge(m, other))
 	if f, _ := m.Result().AsFloat(); f != 7 {
 		t.Errorf("merged MEDIAN = %g", f)
 	}
@@ -145,9 +139,7 @@ func TestDistinctMergeUnions(t *testing.T) {
 	a, b := newAggState(spec(sqlparse.AggCount, true, false)), newAggState(spec(sqlparse.AggCount, true, false))
 	feed(t, a, storage.Int(1), storage.Int(2))
 	feed(t, b, storage.Int(2), storage.Int(3))
-	if err := merge(a, b); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, merge(a, b))
 	if n, _ := a.Result().AsInt(); n != 3 {
 		t.Errorf("union size = %d, want 3", n)
 	}
@@ -165,9 +157,7 @@ func TestMergeTypeMismatches(t *testing.T) {
 	} {
 		src := NewAccumulator(compile(t, pair[0]))
 		for _, v := range []float64{10, 2.5} {
-			if err := src.AddCollectionRow(storage.Row{storage.Int(3), storage.Float(v)}); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, src.AddCollectionRow(storage.Row{storage.Int(3), storage.Float(v)}))
 		}
 		if err := NewAccumulator(compile(t, pair[1])).MergeEncoded(src.Encode()); err == nil {
 			t.Errorf("%s: partial merged into %s", pair[0], pair[1])
@@ -193,9 +183,7 @@ func TestAggStateEncodeRoundTrip(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				v = storage.Null()
 			}
-			if err := s.Add(v); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, s.Add(v))
 		}
 		enc := s.AppendEncode(nil)
 		dec, n, err := decode(sp, enc)

@@ -51,14 +51,10 @@ func TestMergeTreeInvariance(t *testing.T) {
 
 	flat := NewAccumulator(p)
 	for _, cr := range collection {
-		if err := flat.AddCollectionRow(cr); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, flat.AddCollectionRow(cr))
 	}
 	want, err := flat.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 
 	// fold runs f on a fresh accumulator and on the Reset one, and returns
 	// the fresh one once both encode and finalize alike.
@@ -66,9 +62,7 @@ func TestMergeTreeInvariance(t *testing.T) {
 	fold := func(f func(*Accumulator) error) *Accumulator {
 		fresh, before := NewAccumulator(p), reused.NumGroups()
 		reused.Reset(p)
-		if err := errors.Join(f(fresh), f(reused)); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, errors.Join(f(fresh), f(reused)))
 		if reused.NumGroups() < before {
 			shrank++
 		}
@@ -120,13 +114,9 @@ func TestMergeTreeInvariance(t *testing.T) {
 			leaves = append(leaves[:b], leaves[b+1:]...)
 		}
 		final := NewAccumulator(p)
-		if err := final.MergeEncoded(leaves[0]); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, final.MergeEncoded(leaves[0]))
 		got, err := final.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		if got.String() != want.String() {
 			t.Fatalf("trial %d: merge tree changed the result:\n%s\nvs\n%s",
 				trial, got, want)

@@ -76,10 +76,10 @@ func TestBindingIsComplete(t *testing.T) {
 	for _, q := range corpus {
 		p, s := compile(t, q), &scope{}
 		var all storage.Row // every sentinel, in the order * expands
-		for _, tb := range p.tables {
+		for level, def := range p.defs {
 			var row storage.Row
-			for _, c := range tb.def.Columns {
-				row = append(row, storage.Str(strings.ToLower(cmp.Or(tb.ref.Alias, tb.ref.Name)+"|"+tb.def.Name+"|"+c.Name)))
+			for _, c := range def.Columns {
+				row = append(row, storage.Str(strings.ToLower(cmp.Or(p.refs[level].Alias, p.refs[level].Name)+"|"+def.Name+"|"+c.Name)))
 			}
 			s.rows, all = append(s.rows, row), append(all, row...)
 		}
@@ -137,9 +137,7 @@ func TestBoundPlanConcurrentUse(t *testing.T) {
 	p := compile(t, corpus[7])
 	dbs := corpusDBs(t)
 	want, err := Standalone(p, dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -175,9 +173,7 @@ func TestCollectLocalSeesSnapshot(t *testing.T) {
 	}()
 	for last := 0; last < n; {
 		rows, err := p.CollectLocal(db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		if len(rows) < last {
 			t.Fatalf("scan saw %d rows after one saw %d", len(rows), last)
 		}
@@ -203,16 +199,17 @@ func TestCollectLocalAllocBudget(t *testing.T) {
 		insert(t, db, "Power", storage.Row{storage.Int(7), storage.Float(float64(i)), storage.Int(int64(i))})
 	}
 	for q, budget := range map[string]float64{
-		// Measured at 2, 2 and 0 (6, 6 and 3 before the compiled form):
-		// the output's slab and row index; a warm scan allocates nothing.
+		// Measured at 3, 3 and 1 (6, 6 and 3 before the compiled form): the
+		// output's slab and row index, and the call's own Scan; a scan in a
+		// warm Scan allocates nothing.
 		`SELECT C.district, AVG(P.cons) FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY C.district`: 4,
 		`SELECT * FROM Power P, Consumer C WHERE C.cid = P.cid AND P.cons >= 0`:                           4,
 		`SELECT P.cons FROM Power P WHERE P.cons < 0`:                                                     1,
 	} {
-		p, scan := compile(t, q), func(storage.Row) error { return nil }
+		p, scan, s := compile(t, q), func(storage.Row) error { return nil }, new(Scan)
 		var err, scanErr error
 		got := testing.AllocsPerRun(20, func() { _, err = p.CollectLocal(db) })
-		warm := testing.AllocsPerRun(20, func() { scanErr = p.ScanLocal(db, scan) })
+		warm := testing.AllocsPerRun(20, func() { scanErr = p.ScanLocal(s, db, scan) })
 		if got > budget || warm != 0 || err != nil || scanErr != nil {
 			t.Errorf("%s: %v allocations over 300 rows, budget %v; a warm ScanLocal %v, want 0 (%v, %v)",
 				q, got, budget, warm, err, scanErr)
@@ -229,16 +226,12 @@ func TestAddCollectionRowAllocBudget(t *testing.T) {
 	row := storage.Row{storage.Str("Paris"), storage.Int(3),
 		storage.Float(1.5), storage.Int(1), storage.Float(1.5), storage.Float(1.5)}
 	add := func() {
-		if err := acc.AddCollectionRow(row); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, acc.AddCollectionRow(row))
 	}
 	add()
 	got, enc := testing.AllocsPerRun(100, add), acc.Encode()
 	merged := testing.AllocsPerRun(100, func() {
-		if err := acc.MergeEncoded(enc); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, acc.MergeEncoded(enc))
 	})
 	if got != 0 || merged != 0 || acc.NumGroups() != 1 {
 		t.Errorf("into an existing group: AddCollectionRow %v allocations, MergeEncoded %v; %d groups",

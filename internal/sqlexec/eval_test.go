@@ -104,19 +104,31 @@ func TestWhereErrors(t *testing.T) {
 		`P.cons IS NULL OR P.cons BETWEEN 0 AND C.district`: "0" + cmp,
 	} {
 		n, p := 0, compile(t, `SELECT P.cid FROM Power P, Consumer C WHERE `+cond)
-		err := p.ScanLocal(db, func(storage.Row) error { n++; return nil })
+		err := p.ScanLocal(nil, db, func(storage.Row) error { n++; return nil })
 		if got := fmt.Sprint(n, " rows, then ", err); got != want {
 			t.Errorf("%s: %s, want %s", cond, got, want)
 		}
 	}
 	p, none := compile(t, `SELECT COUNT(*) FROM Power WHERE COUNT(*) > 1`), func(storage.Row) error { return nil }
 	const want = "sqlexec: WHERE: sqlexec: aggregate COUNT(*) outside aggregate context"
-	if err := p.ScanLocal(oneHousehold(t, 7, "Paris", "flat", 1), none); fmt.Sprint(err) != want {
+	if err := p.ScanLocal(nil, oneHousehold(t, 7, "Paris", "flat", 1), none); fmt.Sprint(err) != want {
 		t.Errorf("aggregate in WHERE over a row: %v, want %s", err, want)
 	}
-	if err := p.ScanLocal(oneHousehold(t, 7, "Paris", "flat"), none); err != nil {
+	if err := p.ScanLocal(nil, oneHousehold(t, 7, "Paris", "flat"), none); err != nil {
 		t.Errorf("aggregate in WHERE over no row: %v", err)
 	}
+}
+
+// String renders the aggregate call as written.
+func (s AggSpec) String() string {
+	inner := "*"
+	if !s.Star {
+		inner = s.Arg.String()
+		if s.Distinct {
+			inner = "DISTINCT " + inner
+		}
+	}
+	return string(s.Func) + "(" + inner + ")"
 }
 
 func TestAggSpecString(t *testing.T) {

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/trustedcells/tcq/internal/storage"
 )
@@ -16,53 +17,46 @@ import (
 // The row is the scan's one buffer, overwritten by the next: fn must Clone
 // what it keeps. The caller (the TDS protocol layer) encrypts each row
 // before anything leaves the secure device. The stored rows are read in
-// place and the scan's own buffers come from the plan's free list, so a
-// warm scan allocates nothing.
-func (p *Plan) ScanLocal(db *storage.LocalDB, fn func(row storage.Row) error) error {
-	s := p.begin(db)
-	defer p.end(s)
+// place and the scan runs in s, the caller's (nil: a fresh one), so a scan
+// in a warm Scan allocates nothing.
+func (p *Plan) ScanLocal(s *Scan, db *storage.LocalDB, fn func(row storage.Row) error) error {
+	if s == nil {
+		s = new(Scan)
+	}
+	s.bind(p, db)
 	return s.join(p, 0, fn)
 }
 
-// begin takes an idle scan from the plan's free list, or makes one, and
-// points each FROM level at its table's rows as of the call.
-func (p *Plan) begin(db *storage.LocalDB) *scan {
-	var s *scan
-	select {
-	case s = <-p.scans:
-	default:
-		s = &scan{scope: scope{rows: make([]storage.Row, len(p.tables))},
-			tables: make([][]storage.Row, len(p.tables)), out: make(storage.Row, 0, len(p.out))}
-	}
-	for i, tb := range p.tables {
-		s.tables[i] = db.TableRows(tb.def)
-	}
-	return s
-}
-
-// end returns s to the free list.
-func (p *Plan) end(s *scan) {
-	clear(s.rows) // no stored row outlives the scan
-	clear(s.tables)
-	select {
-	case p.scans <- s:
-	default: // as many idle scans are kept as there are cores
-	}
-}
-
-// scan is one ScanLocal's state: the current row of each FROM level, the
-// level's rows as of the call, and the output row.
-type scan struct {
+// Scan is one scan's state: each FROM level's rows and current row, and
+// the output row, held in the Scan itself for up to four FROM tables and
+// eight columns. A worker keeps one for every ScanLocal it runs, of any
+// plan; it is not safe for concurrent use, nor to copy once used.
+type Scan struct {
 	scope
 	tables [][]storage.Row
 	out    storage.Row
+	inline struct {
+		rows   [4]storage.Row
+		tables [4][]storage.Row
+		out    [8]storage.Value
+	}
+}
+
+// bind sizes s for p and points each FROM level at its table's rows, all
+// read at one instant of db.
+func (s *Scan) bind(p *Plan, db *storage.LocalDB) {
+	if s.tables == nil {
+		s.rows, s.tables, s.out = s.inline.rows[:0], s.inline.tables[:0], s.inline.out[:0]
+	}
+	s.rows = slices.Grow(s.rows[:0], len(p.defs))[:len(p.defs)]
+	s.tables, s.out = db.TableRows(s.tables[:0], p.defs...), slices.Grow(s.out[:0], len(p.out))
 }
 
 // join binds each row of a FROM level in turn, and once every level's row
 // is bound tests WHERE and emits the output row: a nested-loop join, the
 // right tool over one household's small tables. Stored rows are
 // immutable, so nothing is copied.
-func (s *scan) join(p *Plan, level int, fn func(row storage.Row) error) error {
+func (s *Scan) join(p *Plan, level int, fn func(row storage.Row) error) error {
 	if level < len(s.tables) {
 		for _, r := range s.tables[level] {
 			s.rows[level] = r
@@ -95,8 +89,8 @@ func (s *scan) join(p *Plan, level int, fn func(row storage.Row) error) error {
 // CollectLocal is ScanLocal with every row cloned into one array, first
 // sized for the join's product, capped lest a selective WHERE reserve it all.
 func (p *Plan) CollectLocal(db *storage.LocalDB) ([]storage.Row, error) {
-	s := p.begin(db)
-	defer p.end(s)
+	s := new(Scan)
+	s.bind(p, db)
 	var flat []storage.Value
 	n, bound := 0, 1
 	for _, rows := range s.tables {
@@ -133,7 +127,7 @@ func Standalone(p *Plan, dbs ...*storage.LocalDB) (*Result, error) {
 		}
 	}
 	for _, db := range dbs {
-		if err := p.ScanLocal(db, fn); err != nil {
+		if err := p.ScanLocal(nil, db, fn); err != nil {
 			return nil, err
 		}
 	}

@@ -35,25 +35,27 @@ func oneHousehold(t *testing.T, cid int64, district, acc string, cons ...float64
 	return db
 }
 
+// noErr fails the test at the caller's line on an error.
+func noErr(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func insert(t *testing.T, db *storage.LocalDB, table string, rows ...storage.Row) {
 	t.Helper()
 	for _, r := range rows {
-		if err := db.Insert(table, r); err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, db.Insert(table, r))
 	}
 }
 
 func compile(t *testing.T, q string) *Plan {
 	t.Helper()
 	stmt, err := sqlparse.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	p, err := Compile(stmt, testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	return p
 }
 
@@ -62,9 +64,7 @@ func collect(t *testing.T, q string, db *storage.LocalDB) (*Plan, []storage.Row)
 	t.Helper()
 	p := compile(t, q)
 	rows, err := p.CollectLocal(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	return p, rows
 }
 
@@ -72,9 +72,7 @@ func collect(t *testing.T, q string, db *storage.LocalDB) (*Plan, []storage.Row)
 func standalone(t *testing.T, q string, dbs ...*storage.LocalDB) *Result {
 	t.Helper()
 	res, err := Standalone(compile(t, q), dbs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	return res
 }
 
@@ -160,17 +158,13 @@ func TestScanLocalStreamsCollectLocal(t *testing.T) {
 	} {
 		p := compile(t, q)
 		want, err := p.CollectLocal(db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		var cloned, kept []storage.Row
-		err = p.ScanLocal(db, func(row storage.Row) error {
+		err = p.ScanLocal(nil, db, func(row storage.Row) error {
 			cloned, kept = append(cloned, row.Clone()), append(kept, row)
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		if len(cloned) != len(want) {
 			t.Fatalf("%s: %d streamed rows, CollectLocal has %d", q, len(cloned), len(want))
 		}
@@ -194,7 +188,7 @@ func TestScanLocalStreamsCollectLocal(t *testing.T) {
 	// An error from the callback ends the scan and comes back as it is.
 	stop := errors.New("stop")
 	calls := 0
-	err := compile(t, `SELECT * FROM Power`).ScanLocal(db, func(storage.Row) error { calls++; return stop })
+	err := compile(t, `SELECT * FROM Power`).ScanLocal(nil, db, func(storage.Row) error { calls++; return stop })
 	if err != stop || calls != 1 {
 		t.Errorf("scan returned %v after %d calls, want the callback's error after one", err, calls)
 	}
@@ -310,14 +304,10 @@ func TestAccumulatorEncodeRoundTrip(t *testing.T) {
 	a1, a2 := NewAccumulator(p), NewAccumulator(p)
 	for i, db := range dbs {
 		rows, err := p.CollectLocal(db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		acc := [2]*Accumulator{a1, a2}[i%2]
 		for _, r := range rows {
-			if err := acc.AddCollectionRow(r); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, acc.AddCollectionRow(r))
 		}
 	}
 	merged := NewAccumulator(p)
@@ -333,9 +323,7 @@ func TestMergeEncodedRejectsCorruption(t *testing.T) {
 	p := compile(t, `SELECT district, COUNT(*) FROM Power P, Consumer C `+
 		`WHERE C.cid = P.cid GROUP BY district`)
 	acc := NewAccumulator(p)
-	if err := acc.AddCollectionRow(storage.Row{storage.Str("P"), storage.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, acc.AddCollectionRow(storage.Row{storage.Str("P"), storage.Int(1)}))
 	enc := acc.Encode()
 	dst := NewAccumulator(p)
 	if err := dst.MergeEncoded(append(enc, 0x7)); err == nil {
@@ -361,14 +349,10 @@ func TestEncodeGroupSingle(t *testing.T) {
 	p := compile(t, `SELECT district, SUM(P.cons) FROM Power P, Consumer C `+
 		`WHERE C.cid = P.cid GROUP BY district`)
 	acc := NewAccumulator(p)
-	if err := acc.AddCollectionRow(storage.Row{storage.Str("P"), storage.Float(4)}); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, acc.AddCollectionRow(storage.Row{storage.Str("P"), storage.Float(4)}))
 	g := acc.Groups()[0]
 	dst := NewAccumulator(p)
-	if err := dst.MergeEncoded(AppendGroup(nil, p, g)); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, dst.MergeEncoded(AppendGroup(nil, p, g)))
 	if dst.NumGroups() != 1 {
 		t.Errorf("groups = %d", dst.NumGroups())
 	}

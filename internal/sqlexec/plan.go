@@ -16,18 +16,11 @@ package sqlexec
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/storage"
 )
-
-// tableBinding is one FROM entry, scanned at its level of the nested loop.
-type tableBinding struct {
-	ref sqlparse.TableRef
-	def *storage.TableDef
-}
 
 // colBinding is a resolved column reference: the FROM level that binds it
 // and the column's position in that level's rows.
@@ -46,24 +39,15 @@ type AggSpec struct {
 	Distinct bool
 }
 
-func (s AggSpec) String() string {
-	inner := "*"
-	if !s.Star {
-		inner = s.Arg.String()
-		if s.Distinct {
-			inner = "DISTINCT " + inner
-		}
-	}
-	return string(s.Func) + "(" + inner + ")"
-}
-
 // Plan is a query compiled against the common schema. A Plan is immutable
 // and safe for concurrent use by many TDS goroutines.
 type Plan struct {
 	Stmt   *sqlparse.SelectStmt
 	Schema *storage.Schema
 
-	tables []tableBinding
+	// The FROM entries, each scanned at its level of the nested loop.
+	refs []sqlparse.TableRef
+	defs []*storage.TableDef
 
 	// Aggregate query artifacts (empty for plain SFW):
 	GroupCols []colBinding
@@ -75,11 +59,10 @@ type Plan struct {
 	// The compiled query. Every column is read at a position fixed by
 	// Compile: (FROM level, column) while scanning, a grouping value's or
 	// an aggregate's index after grouping.
-	where  evalFn     // nil without WHERE; tested once every FROM level's row is bound
-	out    []evalFn   // a scan's output row: the SELECT list, or a collection tuple
-	having evalFn     // true without HAVING
-	result []evalFn   // an aggregate query's SELECT list over one group
-	scans  chan *scan // idle scans, a core's worth: unlike a sync.Pool's, kept under -race too
+	where  evalFn   // nil without WHERE; tested once every FROM level's row is bound
+	out    []evalFn // a scan's output row: the SELECT list, or a collection tuple
+	having evalFn   // true without HAVING
+	result []evalFn // an aggregate query's SELECT list over one group
 }
 
 // IsAggregate reports whether the plan needs the aggregation phase.
@@ -96,7 +79,7 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 	if len(stmt.From) == 0 {
 		return nil, fmt.Errorf("sqlexec: no FROM table")
 	}
-	p := &Plan{Stmt: stmt, Schema: schema, scans: make(chan *scan, runtime.GOMAXPROCS(0))}
+	p := &Plan{Stmt: stmt, Schema: schema}
 	seenAlias := make(map[string]bool)
 	for _, ref := range stmt.From {
 		def, ok := schema.Table(ref.Name)
@@ -111,7 +94,7 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 			return nil, fmt.Errorf("sqlexec: duplicate table name/alias %q", key)
 		}
 		seenAlias[key] = true
-		p.tables = append(p.tables, tableBinding{ref: ref, def: def})
+		p.refs, p.defs = append(p.refs, ref), append(p.defs, def)
 	}
 
 	// Every column is resolved here, so execution cannot fail on binding.
@@ -169,8 +152,8 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 	} else {
 		for _, it := range stmt.Select {
 			if it.Star {
-				for level, tb := range p.tables {
-					for col := range tb.def.Columns {
+				for level, def := range p.defs {
+					for col := range def.Columns {
 						p.out = append(p.out, colBinding{level, col}.read)
 					}
 				}
@@ -186,8 +169,8 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 
 	for _, it := range stmt.Select {
 		if it.Star {
-			for _, tb := range p.tables {
-				for _, c := range tb.def.Columns {
+			for _, def := range p.defs {
+				for _, c := range def.Columns {
 					p.OutputNames = append(p.OutputNames, c.Name)
 				}
 			}
@@ -202,14 +185,14 @@ func Compile(stmt *sqlparse.SelectStmt, schema *storage.Schema) (*Plan, error) {
 // at compile time only.
 func (p *Plan) resolve(ref *sqlparse.ColumnRef) (colBinding, error) {
 	var found []colBinding
-	for level, tb := range p.tables {
+	for level, from := range p.refs {
 		if ref.Table != "" &&
-			!strings.EqualFold(ref.Table, tb.ref.Alias) &&
-			!(tb.ref.Alias == "" && strings.EqualFold(ref.Table, tb.ref.Name)) &&
-			!strings.EqualFold(ref.Table, tb.ref.Name) {
+			!strings.EqualFold(ref.Table, from.Alias) &&
+			!(from.Alias == "" && strings.EqualFold(ref.Table, from.Name)) &&
+			!strings.EqualFold(ref.Table, from.Name) {
 			continue
 		}
-		if i := tb.def.ColumnIndex(ref.Name); i >= 0 {
+		if i := p.defs[level].ColumnIndex(ref.Name); i >= 0 {
 			found = append(found, colBinding{level, i})
 		}
 	}

@@ -33,9 +33,7 @@ func TestVarianceEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty input: %v", res.Rows[0])
 	}
 	// A single value has zero variance.
-	if err := db.Insert("Power", storage.Row{storage.Int(1), storage.Float(5), storage.Int(0)}); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, db.Insert("Power", storage.Row{storage.Int(1), storage.Float(5), storage.Int(0)}))
 	if v, _ := standalone(t, q, db).Rows[0][0].AsFloat(); v != 0 {
 		t.Errorf("single-value variance = %g", v)
 	}
@@ -54,9 +52,7 @@ func TestVarianceParserAliases(t *testing.T) {
 // shape fails. (A STDDEV partial is encoded as a VARIANCE one.)
 func TestVarianceMergeTypeGuard(t *testing.T) {
 	avg := NewAccumulator(compile(t, `SELECT AVG(cons) FROM Power`))
-	if err := avg.AddCollectionRow(storage.Row{storage.Float(2)}); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, avg.AddCollectionRow(storage.Row{storage.Float(2)}))
 	if err := NewAccumulator(compile(t, `SELECT VARIANCE(cons) FROM Power`)).MergeEncoded(avg.Encode()); err == nil {
 		t.Error("VARIANCE merged an AVG partial")
 	}
@@ -122,30 +118,20 @@ func TestVarianceThroughEncodedPartials(t *testing.T) {
 	a1, a2 := NewAccumulator(p), NewAccumulator(p)
 	for i, db := range dbs {
 		rows, err := p.CollectLocal(db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		noErr(t, err)
 		acc := a1
 		if i == 1 {
 			acc = a2
 		}
 		for _, r := range rows {
-			if err := acc.AddCollectionRow(r); err != nil {
-				t.Fatal(err)
-			}
+			noErr(t, acc.AddCollectionRow(r))
 		}
 	}
 	merged := NewAccumulator(p)
-	if err := merged.MergeEncoded(a1.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.MergeEncoded(a2.Encode()); err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, merged.MergeEncoded(a1.Encode()))
+	noErr(t, merged.MergeEncoded(a2.Encode()))
 	res, err := merged.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	noErr(t, err)
 	if sd, _ := res.Rows[0][1].AsFloat(); math.Abs(sd-math.Sqrt2) > 1e-9 {
 		t.Errorf("distributed STDDEV = %g, want √2", sd)
 	}

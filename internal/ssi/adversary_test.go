@@ -16,9 +16,7 @@ func advFixture(t *testing.T) (*SSI, []protocol.WireTuple) {
 	t.Helper()
 	s := NewSharded(1)
 	post := &protocol.QueryPost{ID: "q-adv", PostedAt: time.Unix(0, 0)}
-	if err := s.PostQuery(post, time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post, time.Unix(0, 0)))
 	tuples := make([]protocol.WireTuple, 0, 6)
 	for _, b := range []byte("abcdef") {
 		tuples = append(tuples, protocol.WireTuple{

@@ -142,10 +142,11 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 // trace and journal itself, so an injected Service needs nothing outside
 // this interface for its runs to be fully recorded.
 //
-// A deposit's envelope and tuple slice are the depositor's again once
-// DepositEnvelope(Batch) returns: an implementation copies the tuples it
-// keeps (the bytes they point to are immutable and may be shared), so the
-// collection walk refills one envelope and buffer per window slot.
+// A deposit's envelope, tuple slice and Commit are the depositor's again
+// once DepositEnvelope(Batch) returns: an implementation copies the tuples
+// it keeps (the bytes they point to are immutable and may be shared) and
+// reads Commit only during the call, so the collection walk refills one
+// envelope, buffer and MAC per window slot.
 // CollectedTuples and DepositEnvelope have no engine caller: they stay for
 // bench/spans.go, which forwards them by name.
 type Service interface {

@@ -49,9 +49,7 @@ func anonymous(id string, batches [][]protocol.WireTuple) []*protocol.Deposit {
 func TestPostAndQuerybox(t *testing.T) {
 	s := NewSharded(1)
 	p := post("q1", sqlparse.SizeClause{})
-	if err := s.PostQuery(p, t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(p, t0))
 	if err := s.PostQuery(p, t0); err == nil {
 		t.Error("duplicate post accepted")
 	}
@@ -59,14 +57,10 @@ func TestPostAndQuerybox(t *testing.T) {
 
 func TestDepositRespectsSizeClause(t *testing.T) {
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{MaxTuples: 3}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{MaxTuples: 3}), t0))
 	batch := []protocol.WireTuple{tuple("", 10), tuple("", 10), tuple("", 10), tuple("", 10)}
 	accepted, done, err := deposit(s, "q1", batch, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if accepted != 3 || !done {
 		t.Fatalf("accepted = %d done = %v, want 3/true", accepted, done)
 	}
@@ -82,9 +76,7 @@ func TestDepositRespectsSizeClause(t *testing.T) {
 
 func TestDepositDurationBound(t *testing.T) {
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{Duration: time.Minute}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{Duration: time.Minute}), t0))
 	if _, done, _ := deposit(s, "q1", []protocol.WireTuple{tuple("", 4)}, t0.Add(30*time.Second)); done {
 		t.Error("done before the window closed")
 	}
@@ -105,9 +97,7 @@ func TestDepositUnknownQuery(t *testing.T) {
 
 func TestObservationLedger(t *testing.T) {
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	batch := []protocol.WireTuple{tuple("a", 10), tuple("a", 10), tuple("b", 10), tuple("", 10)}
 	if _, _, err := deposit(s, "q1", batch, t0); err != nil {
 		t.Fatal(err)
@@ -133,9 +123,7 @@ func TestObservationLedger(t *testing.T) {
 
 func TestBytesStoredAndDrop(t *testing.T) {
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	if _, _, err := deposit(s, "q1", []protocol.WireTuple{tuple("ab", 10)}, t0); err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +225,7 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 	}
 	// Reference: one envelope per call.
 	ref := NewSharded(1)
-	if err := ref.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, ref.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	var refAccepted []int
 	for _, b := range mk() {
 		n, done, err := deposit(ref, "q1", b, t0)
@@ -250,13 +236,9 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 	}
 	// Batched: one call.
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", anonymous("q1", mk()), t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if done || doneAt != -1 {
 		t.Errorf("done = %v doneAt = %d, want open collection", done, doneAt)
 	}
@@ -273,18 +255,14 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 
 func TestDepositBatchSizeCutoff(t *testing.T) {
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{MaxTuples: 3}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{MaxTuples: 3}), t0))
 	batches := [][]protocol.WireTuple{
 		{tuple("a", 10)},
 		{tuple("b", 10), tuple("b", 10), tuple("b", 10)}, // cap hits inside this one
 		{tuple("c", 10)}, // never visited
 	}
 	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", anonymous("q1", batches), t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !done || doneAt != 1 {
 		t.Fatalf("done = %v doneAt = %d, want cutoff at batch 1", done, doneAt)
 	}
@@ -401,9 +379,7 @@ func TestDepositEnvelopeBatchMatchesSequential(t *testing.T) {
 	bat := NewSharded(1)
 	must(t, bat.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	batOut, doneAt, done, err := bat.DepositEnvelopeBatch("q1", mkDeps(), t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if done || doneAt != -1 {
 		t.Fatalf("unbounded collection reported done=%v doneAt=%d", done, doneAt)
 	}

@@ -17,9 +17,7 @@ import (
 // materialized slice all describe the same sequence, in deposit order.
 func TestTupleStoreChunks(t *testing.T) {
 	s := NewSharded(1)
-	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
 	// Three deposits straddling the 4096-tuple chunk size.
 	sizes := []int{3000, 3000, 4200}
 	total := 0
@@ -29,9 +27,7 @@ func TestTupleStoreChunks(t *testing.T) {
 			batch[i] = tuple(fmt.Sprintf("t-%d-%d", d, i), 4)
 		}
 		accepted, _, err := deposit(s, "q1", batch, t0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		total += accepted
 	}
 	if got := s.CollectedCount("q1"); got != total {
@@ -315,11 +311,12 @@ func TestObserveAllocBudget(t *testing.T) {
 
 // TestDepositDoesNotRetainTuples pins the clause of the Service contract
 // the collection walk's reused slot buffers rest on: a deposit's tuple
-// slice is the depositor's again once the call returns. The caller
-// overwrites every slice it deposited — after the deposits, after a build
-// and after the adversary stashed one — and the stored sequence, the
-// honest SSI's lastBuild and the Adversary's stale stash still read the
-// tuples as deposited.
+// slice and Commit are the depositor's again once the call returns. The
+// caller overwrites every slice and MAC it deposited — after the deposits,
+// after a build and after the adversary stashed one — and the stored
+// sequence, the honest SSI's lastBuild and the Adversary's stale stash
+// still read the tuples as deposited; nothing the service holds points
+// into the MACs' array.
 func TestDepositDoesNotRetainTuples(t *testing.T) {
 	for name, wrap := range map[string]func(*SSI) Service{
 		"honest":    func(s *SSI) Service { return s },
@@ -328,7 +325,12 @@ func TestDepositDoesNotRetainTuples(t *testing.T) {
 		inner := NewSharded(1)
 		svc := wrap(inner)
 		must(t, svc.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
-		bufs := make([][]protocol.WireTuple, 4)
+		bufs, macs := make([][]protocol.WireTuple, 4), new([4][16]byte)
+		deposit := func(b int) *protocol.Deposit {
+			d := protocol.NewDeposit("q1", fmt.Sprint("d", b), 1, 0, bufs[b])
+			d.Commit = macs[b][:]
+			return d
+		}
 		var want []protocol.WireTuple
 		for b := range bufs {
 			for i := 0; i < 5+b; i++ {
@@ -339,21 +341,19 @@ func TestDepositDoesNotRetainTuples(t *testing.T) {
 			want = append(want, bufs[b]...)
 		}
 		scribble := func() {
-			for _, buf := range bufs {
+			for b, buf := range bufs {
+				macs[b] = [16]byte{0: 0xff}
 				for i := range buf {
 					buf[i] = tuple("overwritten", 3)
 				}
 			}
 		}
-		for b, buf := range bufs[:2] {
-			if _, _, err := svc.DepositEnvelope("q1", protocol.NewDeposit("q1", fmt.Sprint("d", b), 1, 0, buf), t0); err != nil {
+		for b := range 2 {
+			if _, _, err := svc.DepositEnvelope("q1", deposit(b), t0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		deps := []*protocol.Deposit{
-			protocol.NewDeposit("q1", "d2", 1, 0, bufs[2]), protocol.NewDeposit("q1", "d3", 1, 0, bufs[3]),
-		}
-		if _, _, _, err := svc.DepositEnvelopeBatch("q1", deps, t0); err != nil {
+		if _, _, _, err := svc.DepositEnvelopeBatch("q1", []*protocol.Deposit{deposit(2), deposit(3)}, t0); err != nil {
 			t.Fatal(err)
 		}
 		scribble()
@@ -368,5 +368,52 @@ func TestDepositDoesNotRetainTuples(t *testing.T) {
 		if a, ok := svc.(*Adversary); ok && !reflect.DeepEqual(slices.Concat(a.prev...), want) {
 			t.Errorf("%s: the adversary's stale stash reads the caller's overwritten slice", name)
 		}
+		at := reflect.ValueOf(macs).Pointer()
+		if pointsInto(reflect.ValueOf(svc), at, at+uintptr(len(macs)*16), map[uintptr]bool{}) {
+			t.Errorf("%s: the service keeps a deposit's Commit", name)
+		}
 	}
+}
+
+// pointsInto reports whether a pointer or slice reachable from v points
+// into [lo, hi). Arrays and slices of scalars are not walked.
+func pointsInto(v reflect.Value, lo, hi uintptr, seen map[uintptr]bool) bool {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice:
+		p := v.Pointer()
+		if p >= lo && p < hi {
+			return true
+		}
+		if p == 0 || v.Kind() != reflect.Slice && seen[p] {
+			return false
+		}
+		seen[p] = true
+		if v.Kind() == reflect.Pointer {
+			return pointsInto(v.Elem(), lo, hi, seen)
+		}
+		if v.Kind() == reflect.Map {
+			for it := v.MapRange(); it.Next(); {
+				if pointsInto(it.Key(), lo, hi, seen) || pointsInto(it.Value(), lo, hi, seen) {
+					return true
+				}
+			}
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; v.Type().Elem().Kind() >= reflect.Array && i < v.Len(); i++ {
+			if pointsInto(v.Index(i), lo, hi, seen) {
+				return true
+			}
+		}
+	case reflect.Interface:
+		return pointsInto(v.Elem(), lo, hi, seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if pointsInto(v.Field(i), lo, hi, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }

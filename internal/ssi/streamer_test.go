@@ -34,9 +34,7 @@ func streamTuples(n int) []protocol.WireTuple {
 func TestStreamerWindows(t *testing.T) {
 	s := NewSharded(1)
 	now := time.Unix(0, 0)
-	if err := s.PostQuery(&protocol.QueryPost{ID: "q-str", PostedAt: now}, now); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(&protocol.QueryPost{ID: "q-str", PostedAt: now}, now))
 	all := streamTuples(10)
 	const per = 4
 
@@ -66,9 +64,7 @@ func TestStreamerWindows(t *testing.T) {
 func TestStreamerEmpty(t *testing.T) {
 	s := NewSharded(1)
 	now := time.Unix(0, 0)
-	if err := s.PostQuery(&protocol.QueryPost{ID: "q-mt", PostedAt: now}, now); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(&protocol.QueryPost{ID: "q-mt", PostedAt: now}, now))
 	if parts, _ := s.StreamBuild("q-mt", 4); parts != nil {
 		t.Errorf("empty StreamBuild = %v, want nil", parts)
 	}
@@ -87,9 +83,7 @@ func TestShardedStreamer(t *testing.T) {
 	// Two queries on (very likely) different shards: builds must route by
 	// query ID and never bleed across.
 	for i, id := range []string{"q-a", "q-b"} {
-		if err := s.PostQuery(&protocol.QueryPost{ID: id, PostedAt: now}, now); err != nil {
-			t.Fatal(err)
-		}
+		must(t, s.PostQuery(&protocol.QueryPost{ID: id, PostedAt: now}, now))
 		dep := protocol.NewDeposit(id, "dev", 1, 0, all[i*3:i*3+3])
 		if _, _, err := s.DepositEnvelope(id, dep, now); err != nil {
 			t.Fatal(err)
@@ -113,9 +107,7 @@ func TestShardedStreamer(t *testing.T) {
 func TestAdversaryStreamBuild(t *testing.T) {
 	s := NewSharded(1)
 	now := time.Unix(0, 0)
-	if err := s.PostQuery(&protocol.QueryPost{ID: "q-adv", PostedAt: now}, now); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s.PostQuery(&protocol.QueryPost{ID: "q-adv", PostedAt: now}, now))
 	all := streamTuples(6)
 	if _, _, err := deposit(s, "q-adv", all, now); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -45,20 +46,23 @@ func (db *LocalDB) Insert(table string, row Row) error {
 	return nil
 }
 
-// TableRows returns a snapshot of the table without copying it: the
-// tuples stored at the time of the call, however many Inserts follow.
-// Stored rows are immutable — Insert clones on the way in and nothing
-// writes to a row afterwards — so the caller must only read them. def is
-// a table of this database's schema (Schema().Table), found by its
-// ordinal with no name folded or looked up.
-func (db *LocalDB) TableRows(def *TableDef) []Row {
+// TableRows appends to dst a snapshot of each table without copying it:
+// the tuples stored at the one instant of the call, however many Inserts
+// follow. Stored rows are immutable — Insert clones on the way in and
+// nothing writes to a row afterwards — so the caller must only read them.
+// Each def is a table of this database's schema (Schema().Table), found by
+// its ordinal with no name folded or looked up.
+func (db *LocalDB) TableRows(dst [][]Row, defs ...*TableDef) [][]Row {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if def.ord >= len(db.tables) {
-		return nil
+	for _, def := range defs {
+		var rows []Row
+		if def.ord < len(db.tables) {
+			rows = slices.Clip(db.tables[def.ord])
+		}
+		dst = append(dst, rows)
 	}
-	rows := db.tables[def.ord]
-	return rows[:len(rows):len(rows)]
+	return dst
 }
 
 func lower(s string) string {

@@ -78,7 +78,7 @@ func rowsOf(t *testing.T, db *LocalDB, table string) []Row {
 	if !ok {
 		t.Fatalf("no table %q", table)
 	}
-	return db.TableRows(def)
+	return db.TableRows(nil, def)[0]
 }
 
 func TestInsertAndScan(t *testing.T) {
@@ -187,7 +187,7 @@ func TestConcurrentInsertScan(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				for _, r := range db.TableRows(def) {
+				for _, r := range db.TableRows(nil, def)[0] {
 					_ = r[0]
 				}
 			}

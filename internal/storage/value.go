@@ -218,13 +218,10 @@ func Equal(a, b Value) bool {
 	return err == nil && c == 0 && !(a.IsNull() != b.IsNull())
 }
 
-// Key returns a canonical comparable representation of the value, suitable
-// as a map key for grouping. Distinct values yield distinct keys; numeric
-// values that compare equal (1 and 1.0) share a key.
-func (v Value) Key() string { return string(v.AppendKey(nil)) }
-
-// AppendKey appends Key's bytes to dst and returns the result — the one
-// key encoder, in the form hot loops use over a scratch buffer.
+// AppendKey appends the value's key to dst and returns the result — the
+// one key encoder, a canonical comparable representation suitable as a
+// map key for grouping, over the caller's buffer. Distinct values yield
+// distinct keys; numeric values that compare equal (1 and 1.0) share a key.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:

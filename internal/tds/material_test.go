@@ -78,9 +78,8 @@ func TestKeyMaterialEquivalence(t *testing.T) {
 		}
 	}
 
-	ce, ee := eager.CommitDeposit(post, 1, te)
-	cs, es := shared.CommitDeposit(post, 1, te)
-	if !bytes.Equal(ce, cs) || ee != es {
+	var ce, cs [tdscrypto.CommitSize]byte
+	if ee, es := eager.CommitDeposit(&ce, post, 1, te), shared.CommitDeposit(&cs, post, 1, te); ce != cs || ee != es {
 		t.Error("deposit commitments diverge")
 	}
 

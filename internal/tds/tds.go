@@ -8,6 +8,7 @@
 package tds
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -54,6 +55,11 @@ type TDS struct {
 	// fold is what the device folds partitions in (foldScratch), made on
 	// its first fold: a device is not safe for concurrent folds.
 	fold *foldScratch
+
+	// last is the fleet records the device read last: a device re-aimed at
+	// the next slot of the same query reads its admission and tag table
+	// here, not under the table's lock. Forget clears it.
+	last memo
 
 	// Key material. The primary is the device's enrollment epoch; prev is
 	// the previous epoch's material, held while a rotation's grace window
@@ -163,12 +169,13 @@ func (t *TDS) ServesEpoch(epoch int) bool {
 // one query. Devices that never set an epoch bind the posted one, the
 // pre-rotation wire behavior. The bound epoch is returned with the MAC, so
 // the envelope can never declare another.
-func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []protocol.WireTuple) (commit []byte, epoch int) {
+func (t *TDS) CommitDeposit(dst *[tdscrypto.CommitSize]byte, post *protocol.QueryPost, attempt int, tuples []protocol.WireTuple) (epoch int) {
 	c, epoch := t.km.Committer, t.epoch
 	if epoch == 0 {
 		epoch = post.Epoch
 	}
-	return protocol.DepositCommitment(c, post.ID, t.ID, attempt, epoch, tuples), epoch
+	protocol.SumDepositCommitment(dst, c, post.ID, t.ID, attempt, epoch, tuples)
+	return epoch
 }
 
 // PlanCache shares across a fleet, for the life of one query, what every
@@ -180,7 +187,7 @@ func (t *TDS) CommitDeposit(post *protocol.QueryPost, attempt int, tuples []prot
 // one expanded ring — so a device only ever reads what a device holding
 // exactly its own inputs computed. Safe for concurrent use.
 type PlanCache struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	queries map[string]queryTable // by query ID; a missing table reads as empty
 }
 
@@ -260,22 +267,17 @@ func (c *PlanCache) Drop(id string) {
 }
 
 // entry returns the value under k in one of a query's maps, made by mk on
-// first use: a hit takes only the read lock, an insert the write lock. With
-// no fleet to share with (a nil cache) the caller gets a value of its own.
+// first use; a device reads it once per query (its memo). With no fleet to
+// share with (a nil cache) the caller gets a value of its own.
 func entry[K comparable, V any](c *PlanCache, id string, k K, in func(queryTable) map[K]*V, mk func() *V) *V {
 	if c == nil {
 		return mk()
 	}
-	c.mu.RLock()
-	v := in(c.queries[id])[k]
-	c.mu.RUnlock()
-	if v != nil {
-		return v
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := in(c.table(id))
-	if v = m[k]; v == nil {
+	v := m[k]
+	if v == nil {
 		v = mk()
 		m[k] = v
 	}
@@ -300,23 +302,37 @@ func (c *PlanCache) tagTableFor(id string, km *KeyMaterial, domain []storage.Row
 // domain its collection was handed; nil if there is none.
 func (c *PlanCache) tagTableOf(id string, km *KeyMaterial) (tt *tagTable) {
 	if c != nil {
-		c.mu.RLock()
+		c.mu.Lock()
 		for k, v := range c.queries[id].tags {
 			if k.km == km {
 				tt = v
 			}
 		}
-		c.mu.RUnlock()
+		c.mu.Unlock()
 	}
 	return tt
 }
+
+// memo is a device's last admission, of one key, and its tag table.
+type memo struct {
+	key  admissionKey
+	a    *admission
+	dom  domainKey
+	tags *tagTable
+}
+
+// Forget clears the device's memo, so a pooled device retains no post.
+func (t *TDS) Forget() { t.last = memo{} }
 
 // admit returns this device's admission of the post under the material
 // serving it — the plan, whether true tuples are granted, or what stopped
 // it — decided here or by the first device that held the same key, with the
 // whole of step 3 under that material's own k1: a stale epoch fails here.
 func (t *TDS) admit(m *KeyMaterial, post *protocol.QueryPost) (*sqlexec.Plan, bool, error) {
-	a := t.Shared.admission(post.ID, admissionKey{post, m, t.DB.Schema(), t.Authority, t.Policy})
+	if k := (admissionKey{post, m, t.DB.Schema(), t.Authority, t.Policy}); t.Shared == nil || t.last.key != k {
+		t.last = memo{key: k, a: t.Shared.admission(post.ID, k)} // a device alone decides on every call
+	}
+	a := t.last.a
 	a.once.Do(func() {
 		stmt, err := post.OpenQuery(m.K1)
 		if err == nil {
@@ -327,6 +343,15 @@ func (t *TDS) admit(m *KeyMaterial, post *protocol.QueryPost) (*sqlexec.Plan, bo
 			t.Policy.Authorize(post.Credential, stmt) == nil
 	})
 	return a.plan, a.granted, a.err
+}
+
+// tagTable returns the tag table over domain of the post admit last read
+// under m, from the memo.
+func (t *TDS) tagTable(post *protocol.QueryPost, m *KeyMaterial, domain []storage.Row) *tagTable {
+	if dom := (domainKey{m, &domain[0], len(domain)}); t.last.tags == nil || t.last.dom != dom {
+		t.last.dom, t.last.tags = dom, t.Shared.tagTableFor(post.ID, m, domain)
+	}
+	return t.last.tags
 }
 
 // CollectConfig carries per-protocol collection-phase inputs.
@@ -348,6 +373,9 @@ type CollectConfig struct {
 	// Out is the buffer the call's tuples are appended to, from its start
 	// (a window slot's buffer, from its last device); nil allocates one.
 	Out []protocol.WireTuple
+	// Scratch is the collection worker's, reused by every Collect it runs;
+	// nil makes one for the call.
+	Scratch *Scratch
 }
 
 // CollectStats instruments the collection step for the simulation's
@@ -357,11 +385,12 @@ type CollectStats struct {
 	Denied            bool
 }
 
-// collectScratch holds buffers reused across one call's tuple loop, plus
-// the key material and tag table the call resolved, once per call. The
-// encryption schemes copy plaintexts into fresh ciphertext buffers, so
-// reusing the plaintext scratch across tuples is safe.
-type collectScratch struct {
+// Scratch is the RAM a collection worker runs each Collect in — the scan
+// state, the plaintext and tag buffers — and the key material and tag
+// table the call resolved. The encryption schemes copy plaintexts into
+// fresh ciphertexts, so the buffers are reused across tuples and calls.
+type Scratch struct {
+	scan    sqlexec.Scan
 	m       *KeyMaterial     // material serving this call
 	tags    [][]byte         // Det_Enc tag by domain position
 	pos     map[string]int   // domain position by encoded group
@@ -389,26 +418,29 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 	authorized := granted && !cfg.Now.After(post.Credential.Expiry) // this device's own clock
 	stats.Denied = !authorized
 
-	// The payload scratch is sized once, with room for a row of short texts.
-	sc := collectScratch{m: m, arena: cfg.Arena, payload: make([]byte, 0, 2*t.sampleBodySize(plan))}
+	sc := cfg.Scratch
+	if sc == nil { // a call of its own, its payload sized once with room for a row of short texts
+		sc = &Scratch{payload: make([]byte, 0, 2*t.sampleBodySize(plan))}
+	}
+	sc.m, sc.arena, sc.tags, sc.pos = m, cfg.Arena, nil, nil
 	noise := post.Kind == protocol.KindRnfNoise || post.Kind == protocol.KindCNoise
 	switch {
 	case noise && len(cfg.Domain) == 0:
 		return nil, stats, fmt.Errorf("tds %s: %v requires the A_G domain", t.ID, post.Kind)
 	case noise:
-		if sc.tags, sc.pos, err = t.Shared.tagTableFor(post.ID, m, cfg.Domain).build(m, post); err != nil {
+		if sc.tags, sc.pos, err = t.tagTable(post, m, cfg.Domain).build(m, post); err != nil {
 			return nil, stats, err
 		}
 	case post.Kind == protocol.KindEDHist && cfg.Hist == nil:
 		return nil, stats, fmt.Errorf("tds %s: ED_Hist requires a histogram", t.ID)
 	case post.Kind == protocol.KindEDHist && len(cfg.Domain) > 0 && t.Shared != nil:
-		t.Shared.tagTableFor(post.ID, m, cfg.Domain) // the per-group emission builds it
+		t.tagTable(post, m, cfg.Domain) // the per-group emission builds it
 	}
 	out := cfg.Out[:0]
 	if authorized {
 		// Each row is tagged, encrypted and joined by its fakes as the scan yields it.
-		err = plan.ScanLocal(t.DB, func(row storage.Row) error {
-			tag, err := t.collectionTag(post, plan, cfg, row, &sc)
+		err = plan.ScanLocal(&sc.scan, t.DB, func(row storage.Row) error {
+			tag, err := t.collectionTag(post, plan, cfg, row, sc)
 			if err != nil {
 				return err
 			}
@@ -421,7 +453,7 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 			out = append(out, w)
 			stats.True++
 			if sc.tags != nil { // noise injection
-				out, err = t.fakes(post, plan, cfg, out, &sc)
+				out, err = t.fakes(post, plan, cfg, out, sc)
 			}
 			stats.Fake += len(out) - n - 1
 			return err
@@ -435,7 +467,7 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 		// protocols the dummy carries a plausible random tag, otherwise its
 		// taglessness would let the SSI single it out.
 		sc.payload = protocol.AppendDummyPayload(sc.payload[:0], t.sampleBodySize(plan))
-		w, err := t.encryptTuple(m, post, sc.payload, t.dummyTag(post, cfg, &sc), sc.arena)
+		w, err := t.encryptTuple(m, post, sc.payload, t.dummyTag(post, cfg, sc), sc.arena)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -446,21 +478,14 @@ func (t *TDS) Collect(post *protocol.QueryPost, cfg CollectConfig) ([]protocol.W
 }
 
 // sampleBodySize estimates the encoded size of a plausible tuple so
-// dummies blend in.
+// dummies blend in: nine bytes a value, of one value at least.
 func (t *TDS) sampleBodySize(plan *sqlexec.Plan) int {
-	n := plan.CollectionWidth()
-	if n == 0 {
-		n = len(plan.OutputNames)
-	}
-	if n == 0 {
-		n = 1
-	}
-	return 1 + 9*n
+	return 1 + 9*max(cmp.Or(plan.CollectionWidth(), len(plan.OutputNames)), 1)
 }
 
 // dummyTag picks a plausible routing tag for a dummy tuple so the SSI
 // cannot distinguish it from true traffic.
-func (t *TDS) dummyTag(post *protocol.QueryPost, cfg CollectConfig, sc *collectScratch) []byte {
+func (t *TDS) dummyTag(post *protocol.QueryPost, cfg CollectConfig, sc *Scratch) []byte {
 	switch post.Kind {
 	case protocol.KindRnfNoise, protocol.KindCNoise:
 		return sc.tags[cfg.Rng.Intn(len(sc.tags))]
@@ -476,7 +501,7 @@ func (t *TDS) dummyTag(post *protocol.QueryPost, cfg CollectConfig, sc *collectS
 // collectionTag derives the cleartext routing tag of a true collection
 // tuple, per protocol.
 func (t *TDS) collectionTag(post *protocol.QueryPost, plan *sqlexec.Plan,
-	cfg CollectConfig, row storage.Row, sc *collectScratch) ([]byte, error) {
+	cfg CollectConfig, row storage.Row, sc *Scratch) ([]byte, error) {
 	switch post.Kind {
 	case protocol.KindBasic, protocol.KindSAgg:
 		return nil, nil
@@ -496,7 +521,7 @@ func (t *TDS) collectionTag(post *protocol.QueryPost, plan *sqlexec.Plan,
 // position, which it leaves in sc.at, or — for a group outside the
 // domain, or a call without a table — computed with the serving
 // material's own k2. Like every tuple field the tag is never written.
-func (t *TDS) groupTag(post *protocol.QueryPost, group storage.Row, sc *collectScratch) ([]byte, error) {
+func (t *TDS) groupTag(post *protocol.QueryPost, group storage.Row, sc *Scratch) ([]byte, error) {
 	sc.tag = storage.AppendRow(sc.tag[:0], group)
 	i, ok := sc.pos[string(sc.tag)]
 	if !ok {
@@ -514,7 +539,7 @@ func (t *TDS) groupTag(post *protocol.QueryPost, group storage.Row, sc *collectS
 // inputs are random too; the fake marker inside the ciphertext lets honest
 // TDSs discard them. The row is assembled in the scratch buffer.
 func (t *TDS) fakes(post *protocol.QueryPost, plan *sqlexec.Plan,
-	cfg CollectConfig, out []protocol.WireTuple, sc *collectScratch) ([]protocol.WireTuple, error) {
+	cfg CollectConfig, out []protocol.WireTuple, sc *Scratch) ([]protocol.WireTuple, error) {
 	random, n := post.Kind == protocol.KindRnfNoise, len(cfg.Domain)
 	if random {
 		n = post.Params.Nf
@@ -580,7 +605,7 @@ type foldScratch struct {
 	dec     storage.RowDecoder // collection rows
 	pt      []byte             // a tuple's plaintext
 	payload []byte             // a result's plaintext
-	sc      collectScratch     // per-group tags
+	sc      Scratch            // per-group tags
 	fp      hash.Hash          // the partition's fingerprint state
 	fpSum   [sha256.Size]byte  // the partition's fingerprint
 	audit   hash.Hash          // an audit MAC state of auditOf's k2
@@ -656,16 +681,12 @@ func (s *foldScratch) seal(t *TDS, m *KeyMaterial, post *protocol.QueryPost, k *
 	if s.auditOf != m {
 		s.audit, s.auditOf = m.AuditMAC.Get(), m
 	}
-	mac := s.audit
-	mac.Reset()
-	mac.Write(auditPrefix)
-	mac.Write(post.AAD())
-	mac.Write(auditSep)
-	mac.Write(s.fpSum[:])
-	mac.Write(auditSep)
-	mac.Write(semantic)
+	s.audit.Reset()
+	for _, b := range [...][]byte{auditPrefix, post.AAD(), auditSep, s.fpSum[:], auditSep, semantic} {
+		s.audit.Write(b)
+	}
 	digest := s.arena.Alloc(16)[:16]
-	copy(digest, mac.Sum(s.mac[:0]))
+	copy(digest, s.audit.Sum(s.mac[:0]))
 	return protocol.WireTuple{Tag: tag, Ciphertext: ct, Digest: digest}, nil
 }
 

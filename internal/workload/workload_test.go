@@ -9,7 +9,7 @@ import (
 // rowsOf reads a table of db by name.
 func rowsOf(db *storage.LocalDB, table string) []storage.Row {
 	def, _ := db.Schema().Table(table)
-	return db.TableRows(def)
+	return db.TableRows(nil, def)[0]
 }
 
 func TestSmartMeterDeterministic(t *testing.T) {

@@ -47,9 +47,9 @@ repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
 design=$(wc -l <DESIGN.md)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 4961); repo outside bench/: $repo (ceiling 15282);" \
-    "tests outside bench/: $tests (ceiling 15246); DESIGN.md: $design (ceiling 1617)"
-if [ "$core_ssi" -gt 4961 ] || [ "$repo" -gt 15282 ] || [ "$tests" -gt 15246 ] || [ "$design" -gt 1617 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 4956); repo outside bench/: $repo (ceiling 15267);" \
+    "tests outside bench/: $tests (ceiling 15214); DESIGN.md: $design (ceiling 1616)"
+if [ "$core_ssi" -gt 4956 ] || [ "$repo" -gt 15267 ] || [ "$tests" -gt 15214 ] || [ "$design" -gt 1616 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
@@ -85,7 +85,7 @@ fi
 echo "==> reach (programs, not tests)"
 reach=$(scripts/reach.sh)
 echo "$reach"
-for floor in internal/sqlexec=77.4 internal/sqlparse=58.5 internal/storage=69.3 internal/obs=59.1 internal/core=83.5; do
+for floor in internal/sqlexec=77.9 internal/sqlparse=58.5 internal/storage=70.9 internal/obs=59.1 internal/core=83.5; do
     pkg=${floor%=*}
     min=${floor#*=}
     got=$(echo "$reach" | awk -v pkg="$pkg" '$1 == "reach" && $2 == pkg { print $3 }')
@@ -99,8 +99,8 @@ done
 # methods aside). Lower the ceiling when a PR lowers the count.
 unentered=$(echo "$reach" | sed -n '/^unreached functions:/,$p' |
     awk 'NR > 1 && $NF != "String" && $NF != "exprNode" && $NF != "Error"' | wc -l)
-echo "functions no program enters: $unentered (ceiling 27)"
-if [ "$unentered" -gt 27 ]; then
+echo "functions no program enters: $unentered (ceiling 25)"
+if [ "$unentered" -gt 25 ]; then
     echo "more functions unreached by every program than the ceiling" >&2
     exit 1
 fi
@@ -219,13 +219,16 @@ done
 # in a benchmark run. The first-step build benchmark rides along, its
 # deposit-order and tagged builds both, and so does the fold benchmark,
 # whose every fold must emit what the first did: a fold broken by the
-# reused scratch fails here.
-echo "==> collection window (GOMAXPROCS=8, -race -count=3) and phase, build and fold benchmark smoke"
-selects 'CollectWorkersDeterminismWalk|JournalFleetByteBudget' ./internal/core
+# reused scratch fails here. So does one device's collection step, S_Agg
+# and C_Noise, whose first timed step must emit what the step before it
+# did in the same worker's scratch; and a slot's wake, collect and seal in
+# a worker's scratch run under the race detector with the walk.
+echo "==> collection window (GOMAXPROCS=8, -race -count=3) and phase, build, fold and device-step benchmark smoke"
+selects 'CollectWorkersDeterminismWalk|JournalFleetByteBudget|CollectSlotDoesNotAllocate' ./internal/core
 GOMAXPROCS=8 go test -race -count=3 -timeout 5m \
-    -run 'CollectWorkersDeterminismWalk|JournalFleetByteBudget' ./internal/core
-selects -bench 'CollectionPhase|StreamBuild|AggregateFold' ./internal/core
-go test -run '^$' -bench 'CollectionPhase|StreamBuild|AggregateFold' -benchtime 1x ./internal/core
+    -run 'CollectWorkersDeterminismWalk|JournalFleetByteBudget|CollectSlotDoesNotAllocate' ./internal/core
+selects -bench 'CollectionPhase|StreamBuild|AggregateFold|CollectOneTDS' ./internal/core
+go test -run '^$' -bench 'CollectionPhase|StreamBuild|AggregateFold|CollectOneTDS' -benchtime 1x ./internal/core
 
 echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
