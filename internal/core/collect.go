@@ -492,11 +492,16 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 		}
 		r.awake = true
 	}
-	if (attempt > 1 || (rs.rotScript != nil && e.rotationInProgress())) && !r.t.ServesEpoch(post.Epoch) {
-		if attempt > 1 {
+	if attempt > 1 || (rs.rotScript != nil && e.rotationInProgress()) {
+		e.life.RLock()
+		serves := e.slotServes(d.slot, post.Epoch)
+		e.life.RUnlock()
+		switch {
+		case !serves && attempt > 1:
 			return fateError, nil // still stale on its retry
+		case !serves:
+			return fateStale, nil
 		}
-		return fateStale, nil
 	}
 	if !r.ran || !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
 		// Never collected, collected against another clock, or failed in
@@ -506,11 +511,7 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	if r.err != nil {
 		return fateError, nil
 	}
-	epoch := r.t.Epoch()
-	if epoch == 0 {
-		epoch = post.Epoch
-	}
-	if !r.sealed || r.epoch != epoch {
+	if !r.sealed || r.epoch != r.t.Epoch() {
 		r.seal(post, attempt)
 	}
 	return fateCommit, nil

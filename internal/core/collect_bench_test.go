@@ -35,6 +35,7 @@ func newBenchEngine(b testing.TB, fleet, workers int) (*Engine, *querier.Querier
 func newCollectionRun(tb testing.TB, eng *Engine, q *querier.Querier) *runState {
 	post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
 	noErr(tb, err)
+	post.Epoch = eng.wireEpoch()
 	now := time.Unix(1700000000, 0)
 	noErr(tb, eng.ssi.PostQuery(post, now))
 	return &runState{post: post, rng: rng.New(eng.cfg.Seed, post.ID, rng.Run), metrics: &Metrics{},
@@ -90,8 +91,9 @@ func TestCollectSlotDoesNotAllocate(t *testing.T) {
 }
 
 // TestExecuteAllocsPerDevice: what an S_Agg query allocates does not grow
-// with the fleet: over 2000 two-reading devices it allocates less than a
-// tenth of an allocation per device more than over 200 (about 2 before a
+// with the fleet: over 2000 two-reading devices it allocates less than
+// 0.03 of an allocation per device more than over 200 (it reads 0.013; 0.075
+// while each committed run made its outcome slice, about 2 before a
 // device's step ran in its worker's scratch). The query folds in one
 // partition, so the aggregation costs the same at both sizes. The race
 // detector drops pooled MAC states, which a device rebuilds.
@@ -116,8 +118,8 @@ func TestExecuteAllocsPerDevice(t *testing.T) {
 			}
 		})
 	}
-	if small, large := allocs(200), allocs(2000); (large-small)/1800 >= 0.1 {
-		t.Errorf("an S_Agg query allocates %v times over 200 devices and %v over 2000: %.2f per device, want < 0.1",
+	if small, large := allocs(200), allocs(2000); (large-small)/1800 >= 0.03 {
+		t.Errorf("an S_Agg query allocates %v times over 200 devices and %v over 2000: %.3f per device, want < 0.03",
 			small, large, (large-small)/1800)
 	}
 }
@@ -327,7 +329,7 @@ func BenchmarkStreamBuild(b *testing.B) {
 				store, input := ssi.NewSharded(1), benchTuples(shape.deposits*shape.per, 50)
 				must(store.PostQuery(&protocol.QueryPost{ID: "q", Kind: kind}, time.Unix(1700000000, 0)))
 				for d := 0; d < shape.deposits; d++ {
-					dep := protocol.NewDeposit("q", "", 0, 0, input[d*shape.per:(d+1)*shape.per])
+					dep := protocol.NewDeposit("q", slotID(d), 0, 0, input[d*shape.per:(d+1)*shape.per])
 					if _, _, err := store.DepositEnvelope("q", dep, time.Unix(1700000000, 0)); err != nil {
 						b.Fatal(err)
 					}

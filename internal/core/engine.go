@@ -33,9 +33,6 @@ type Config struct {
 	AuthorityKey tdscrypto.Key
 	// MasterKey seeds the k1/k2 key ring of the fleet.
 	MasterKey tdscrypto.Key
-	// Calibration models TDS hardware; zero value selects the unit-test
-	// board of Section 6.2.
-	Calibration netsim.Calibration
 	// AvailableFraction is the share of the fleet connected during the
 	// aggregation and filtering phases (the paper sweeps 1%, 10%, 100%).
 	// 0 selects the paper's default of 10%; NewEngine refuses values
@@ -88,9 +85,9 @@ type Engine struct {
 	authority *accessctl.Authority
 	keyAuth   *tdscrypto.KeyAuthority
 	keys      tdscrypto.KeyRing
-	cal       netsim.Calibration
-	planCache *tds.PlanCache // what a query's devices share; no device holds a plan of its own
-	obs       *engineObs     // tracer + metrics registry
+	cal       netsim.Calibration // the unit-test board of Section 6.2
+	planCache *tds.PlanCache     // what a query's devices share; no device holds a plan of its own
+	obs       *engineObs         // tracer + metrics registry
 
 	// The devices runs wake slots into: walkers for collection windows,
 	// folders for phase workers, so no collection device holds a fold scratch.
@@ -132,9 +129,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("core: Config.Policy is required")
 	}
-	if cfg.Calibration == (netsim.Calibration{}) {
-		cfg.Calibration = netsim.DefaultCalibration()
-	}
 	if cfg.AvailableFraction < 0 || cfg.AvailableFraction > 1 {
 		return nil, fmt.Errorf("core: Config.AvailableFraction %v outside [0, 1]", cfg.AvailableFraction)
 	}
@@ -159,7 +153,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		authority: auth,
 		keyAuth:   keyAuth,
 		keys:      ring,
-		cal:       cfg.Calibration,
+		cal:       netsim.DefaultCalibration(),
 		planCache: tds.NewPlanCache(),
 		obs:       newEngineObs(),
 		mats:      []*tds.KeyMaterial{km},

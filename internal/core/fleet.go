@@ -210,9 +210,9 @@ func (p *devicePool) put(ts []*tds.TDS) {
 // queries posted at the given wire epoch; the caller holds the lifecycle
 // lock. During a live rotation's grace window a migrated device serves its
 // new epoch and the previous one; an unmigrated device serves only its
-// own. Epoch 0 means "unknown" and matches everything.
+// own. It is the engine's one rule for which epoch a slot serves.
 func (e *Engine) slotServes(slot, wireEpoch int) bool {
 	epoch := e.fleet.epoch[slot]
 	grace := e.rot != nil && epoch == e.rot.newEpoch && epoch > 0
-	return wireEpoch == 0 || int(epoch)+1 == wireEpoch || (grace && int(epoch) == wireEpoch)
+	return int(epoch)+1 == wireEpoch || (grace && int(epoch) == wireEpoch)
 }

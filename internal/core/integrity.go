@@ -216,7 +216,7 @@ func (e *Engine) verifyCollection(rs *runState) error {
 func (e *Engine) committerFor(wireEpoch int) *tdscrypto.Committer {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	return e.mats[max(wireEpoch, 1)-1].Committer
+	return e.mats[wireEpoch-1].Committer
 }
 
 // buildVerified obtains one partition build and verifies it before any

@@ -111,7 +111,7 @@ type runState struct {
 	// integ is the verification context: deposit records, the running
 	// digest, and the check tallies behind the IntegrityReport.
 	integ *integrityState
-	// phaseDevs are the phases' devices, one per crew worker (phaseDevices).
+	// phaseDevs are the phases' devices, one per crew worker (runPhase).
 	phaseDevs []*tds.TDS
 	// Live-rotation context. rotScript is the fault plan's scripted
 	// rotation (nil when none); commits counts committed deposit envelopes

@@ -152,7 +152,8 @@ type Deposit struct {
 	// Attempt is the device's 1-based retry counter for this query.
 	Attempt int
 	// Epoch is the 1-based fleet key epoch the depositing device holds;
-	// 0 means unknown (legacy/anonymous deposits skip the epoch check).
+	// the SSI admits it only at the query's posted epoch or inside an open
+	// grace window.
 	Epoch  int
 	Tuples []WireTuple
 	// Sum is the transport checksum over the tuples — see Checksum.
@@ -163,7 +164,7 @@ type Deposit struct {
 	// accidental corruption, Commit is unforgeable without k2: a verifier
 	// holding the fleet key can prove the stored tuples are exactly the
 	// ones this device sealed, in order, nothing dropped, duplicated or
-	// replayed from another context. Empty on legacy/anonymous envelopes.
+	// replayed from another context. Every device seals one.
 	Commit []byte
 }
 
@@ -304,7 +305,7 @@ type QueryPost struct {
 	PostedAt   time.Time
 	// Epoch is the 1-based fleet key epoch the query was posted under; the
 	// SSI rejects deposits sealed under a different epoch as stale
-	// (replays across key rotations). 0 disables the check.
+	// (replays across key rotations).
 	Epoch int
 
 	// aad caches the AAD bytes: every encrypt/decrypt of every tuple

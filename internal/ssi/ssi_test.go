@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,20 +32,25 @@ func tuple(tag string, n int) protocol.WireTuple {
 
 var t0 = time.Unix(1700000000, 0)
 
-// deposit sends tuples through the admit gate in an anonymous envelope:
-// no device ID, so no replay, revocation or epoch check applies.
+// deposit sends tuples through the admit gate in an envelope of a fresh
+// device, at the epoch post leaves unset.
 func deposit(s Service, id string, tuples []protocol.WireTuple, now time.Time) (int, bool, error) {
-	return s.DepositEnvelope(id, protocol.NewDeposit(id, "", 0, 0, tuples), now)
+	return s.DepositEnvelope(id, protocol.NewDeposit(id, freshDevice(), 0, 0, tuples), now)
 }
 
-// anonymous wraps each batch in an anonymous envelope.
-func anonymous(id string, batches [][]protocol.WireTuple) []*protocol.Deposit {
+// envelopes wraps each batch in an envelope of a fresh device.
+func envelopes(id string, batches [][]protocol.WireTuple) []*protocol.Deposit {
 	deps := make([]*protocol.Deposit, len(batches))
 	for i, tuples := range batches {
-		deps[i] = protocol.NewDeposit(id, "", 0, 0, tuples)
+		deps[i] = protocol.NewDeposit(id, freshDevice(), 0, 0, tuples)
 	}
 	return deps
 }
+
+var devices atomic.Int64
+
+// freshDevice names a device no envelope named before.
+func freshDevice() string { return fmt.Sprintf("dev-%d", devices.Add(1)) }
 
 func TestPostAndQuerybox(t *testing.T) {
 	s := NewSharded(1)
@@ -237,7 +243,7 @@ func TestDepositBatchMatchesSequentialDeposits(t *testing.T) {
 	// Batched: one call.
 	s := NewSharded(1)
 	must(t, s.PostQuery(post("q1", sqlparse.SizeClause{}), t0))
-	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", anonymous("q1", mk()), t0)
+	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", envelopes("q1", mk()), t0)
 	must(t, err)
 	if done || doneAt != -1 {
 		t.Errorf("done = %v doneAt = %d, want open collection", done, doneAt)
@@ -261,7 +267,7 @@ func TestDepositBatchSizeCutoff(t *testing.T) {
 		{tuple("b", 10), tuple("b", 10), tuple("b", 10)}, // cap hits inside this one
 		{tuple("c", 10)}, // never visited
 	}
-	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", anonymous("q1", batches), t0)
+	accepted, doneAt, done, err := s.DepositEnvelopeBatch("q1", envelopes("q1", batches), t0)
 	must(t, err)
 	if !done || doneAt != 1 {
 		t.Fatalf("done = %v doneAt = %d, want cutoff at batch 1", done, doneAt)
@@ -273,7 +279,7 @@ func TestDepositBatchSizeCutoff(t *testing.T) {
 		t.Errorf("stored = %d, want the SIZE cap", got)
 	}
 	// A later batch call is a no-op on a done collection.
-	accepted, doneAt, done, err = s.DepositEnvelopeBatch("q1", anonymous("q1", batches[:1]), t0)
+	accepted, doneAt, done, err = s.DepositEnvelopeBatch("q1", envelopes("q1", batches[:1]), t0)
 	if err != nil || !done || doneAt != -1 || accepted[0].Accepted != 0 {
 		t.Errorf("post-done batch: %v %d %v %v", accepted, doneAt, done, err)
 	}
@@ -309,10 +315,11 @@ func TestDepositEnvelopeRejectsReplay(t *testing.T) {
 	if _, _, err := s.DepositEnvelope("q1", retry, t0); err != nil {
 		t.Fatalf("advancing attempt rejected: %v", err)
 	}
-	// Anonymous envelopes are never replay-checked.
+	// An envelope naming no device is replay-checked like any other.
 	for i := 0; i < 2; i++ {
-		if _, _, err := deposit(s, "q1", []protocol.WireTuple{tuple("", 8)}, t0); err != nil {
-			t.Fatalf("anonymous deposit %d rejected: %v", i, err)
+		anon := protocol.NewDeposit("q1", "", 0, 0, []protocol.WireTuple{tuple("", 8)})
+		if _, _, err := s.DepositEnvelope("q1", anon, t0); (i == 1) != errors.Is(err, ErrStaleDeposit) {
+			t.Fatalf("anonymous deposit %d: err = %v, want ErrStaleDeposit on the replay only", i, err)
 		}
 	}
 }
@@ -327,10 +334,10 @@ func TestDepositEnvelopeRejectsWrongEpoch(t *testing.T) {
 	if _, _, err := s.DepositEnvelope("q1", stale, t0); !errors.Is(err, ErrStaleDeposit) {
 		t.Fatalf("wrong-epoch err = %v, want ErrStaleDeposit", err)
 	}
-	// Epoch 0 on either side skips the check.
+	// An envelope declaring epoch 0 is as stale as any other mismatch.
 	anon := protocol.NewDeposit("q1", "tds-00002", 1, 0, []protocol.WireTuple{tuple("", 8)})
-	if _, _, err := s.DepositEnvelope("q1", anon, t0); err != nil {
-		t.Fatalf("epoch-0 envelope rejected: %v", err)
+	if _, _, err := s.DepositEnvelope("q1", anon, t0); !errors.Is(err, ErrStaleDeposit) {
+		t.Fatalf("epoch-0 err = %v, want ErrStaleDeposit", err)
 	}
 	match := protocol.NewDeposit("q1", "tds-00003", 1, 2, []protocol.WireTuple{tuple("", 8)})
 	if _, _, err := s.DepositEnvelope("q1", match, t0); err != nil {

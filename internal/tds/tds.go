@@ -65,7 +65,7 @@ type TDS struct {
 	// the previous epoch's material, held while a rotation's grace window
 	// is open so queries posted before the boundary still open on a
 	// migrated device.
-	epoch int // primary enrollment epoch, wire numbering (0 = legacy)
+	epoch int // primary enrollment epoch, wire numbering (1 at enrollment)
 	km    *KeyMaterial
 	prev  *KeyMaterial // serves epoch-1; nil outside a grace window
 }
@@ -113,15 +113,14 @@ func NewKeyMaterial(ring tdscrypto.KeyRing) (*KeyMaterial, error) {
 }
 
 // NewWithMaterial creates a TDS that borrows already-expanded key
-// material. Behavior is indistinguishable from New over the same ring;
-// only the expansion cost is shared.
+// material, enrolled at wire epoch 1. Behavior is indistinguishable from
+// New over the same ring; only the expansion cost is shared.
 func NewWithMaterial(id string, db *storage.LocalDB, km *KeyMaterial,
 	policy *accessctl.Policy, authority *accessctl.Authority) *TDS {
-	return &TDS{ID: id, DB: db, Policy: policy, Authority: authority, km: km}
+	return &TDS{ID: id, DB: db, Policy: policy, Authority: authority, km: km, epoch: 1}
 }
 
-// Epoch returns the device's primary enrollment epoch (wire numbering;
-// 0 on fleets that never set one).
+// Epoch returns the device's primary enrollment epoch (wire numbering).
 func (t *TDS) Epoch() int { return t.epoch }
 
 // SetKeys installs the device's key material: km as the primary of the
@@ -137,22 +136,12 @@ func (t *TDS) SetKeys(epoch int, km, prev *KeyMaterial) {
 
 // matFor resolves the key material serving one posted query: the grace
 // material when the query predates this device's migration and the
-// window is still open, the primary otherwise. Epoch 0 posts (legacy
-// fleets) always resolve the primary.
+// window is still open, the primary otherwise.
 func (t *TDS) matFor(post *protocol.QueryPost) *KeyMaterial {
-	if t.prev != nil && post.Epoch != 0 && post.Epoch == t.epoch-1 {
+	if t.prev != nil && post.Epoch == t.epoch-1 {
 		return t.prev
 	}
 	return t.km
-}
-
-// ServesEpoch reports whether the device currently holds material able
-// to open queries posted at the given wire epoch: its primary epoch, its
-// grace epoch while the window is open, or anything when either side
-// predates epoch stamping (0).
-func (t *TDS) ServesEpoch(epoch int) bool {
-	return epoch == 0 || t.epoch == 0 || t.epoch == epoch ||
-		(t.prev != nil && t.epoch-1 == epoch)
 }
 
 // CommitDeposit seals a collection deposit with the device's k2-keyed
@@ -166,16 +155,11 @@ func (t *TDS) ServesEpoch(epoch int) bool {
 // enrollment epoch — the epoch the deposit envelope declares — so the
 // verifier can recompute it per deposit from the declared epoch alone,
 // even when a rotation grace window has devices of two epochs answering
-// one query. Devices that never set an epoch bind the posted one, the
-// pre-rotation wire behavior. The bound epoch is returned with the MAC, so
-// the envelope can never declare another.
+// one query. The bound epoch is returned with the MAC, so the envelope
+// can never declare another.
 func (t *TDS) CommitDeposit(dst *[tdscrypto.CommitSize]byte, post *protocol.QueryPost, attempt int, tuples []protocol.WireTuple) (epoch int) {
-	c, epoch := t.km.Committer, t.epoch
-	if epoch == 0 {
-		epoch = post.Epoch
-	}
-	protocol.SumDepositCommitment(dst, c, post.ID, t.ID, attempt, epoch, tuples)
-	return epoch
+	protocol.SumDepositCommitment(dst, t.km.Committer, post.ID, t.ID, attempt, t.epoch, tuples)
+	return t.epoch
 }
 
 // PlanCache shares across a fleet, for the life of one query, what every
