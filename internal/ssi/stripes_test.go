@@ -219,3 +219,35 @@ func TestEpochPolicyOnePerBatch(t *testing.T) {
 	close(stop)
 	toggler.Wait()
 }
+
+// TestStripesConcurrentDepositEnvelope: DepositEnvelope calls of one
+// query from several goroutines each get their own outcome — an accepted
+// count, or a replay's rejection — never another call's.
+func TestStripesConcurrentDepositEnvelope(t *testing.T) {
+	s := NewSharded(1)
+	if err := s.PostQuery(post("q1", sqlparse.SizeClause{}), t0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				dev := fmt.Sprintf("g%d-%d", g, i)
+				tuples := make([]protocol.WireTuple, g)
+				for j := range tuples {
+					tuples[j] = tuple("", 4)
+				}
+				dep := protocol.NewDeposit("q1", dev, 1, 0, tuples)
+				if n, _, err := s.DepositEnvelope("q1", dep, t0); n != g || err != nil {
+					t.Errorf("%s: accepted %d (%v), want %d", dev, n, err, g)
+				}
+				if n, _, err := s.DepositEnvelope("q1", dep, t0); n != 0 || !errors.Is(err, ErrStaleDeposit) {
+					t.Errorf("%s replayed: accepted %d (%v), want a stale rejection", dev, n, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
