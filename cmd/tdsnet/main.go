@@ -363,8 +363,8 @@ func runOpts(o options) error {
 	fmt.Printf("  coverage                   %.1f%% (%d of %d eligible TDSs deposited)\n",
 		m.CoverageRatio*100, m.DepositedDevices, m.EligibleDevices)
 	if plan != nil {
-		fmt.Printf("  churn: offline %d, dropped %d, corrupt %d, timeouts %d, abandoned %d\n",
-			m.OfflineDevices, m.DroppedDeposits, m.CorruptDeposits, m.Timeouts, m.PartitionsAbandoned)
+		fmt.Printf("  churn: offline %d, dropped %d, corrupt %d, timeouts %d\n",
+			m.OfflineDevices, m.DroppedDeposits, m.CorruptDeposits, m.Timeouts)
 		fmt.Printf("  recovery wait (timeouts+backoff)  %v across %d ledger entries\n",
 			m.RetryWait, len(m.Ledger))
 		if plan.Rotation != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -115,23 +116,24 @@ func TestPhaseErrorDeterminism(t *testing.T) {
 	}
 }
 
-// TestChurnAbandonedGlobalAggregate: a global aggregate whose filtering
-// partition is abandoned loses its row, as an abandoned partition loses a
-// group; nothing invents (0, NULL) in its place. The run is the same at
-// one worker and at eight.
-func TestChurnAbandonedGlobalAggregate(t *testing.T) {
-	for _, kind := range []protocol.Kind{protocol.KindSAgg, protocol.KindCNoise} {
+// TestChurnReassignedGlobalAggregate: no partition is abandoned. Under a
+// plan that crashes most assignees, every aggregate protocol re-issues a
+// global aggregate's partitions — its filtering one included — until a
+// device returns them, and answers over every deposited tuple, the same
+// at one worker and at eight.
+func TestChurnReassignedGlobalAggregate(t *testing.T) {
+	for _, kind := range []protocol.Kind{protocol.KindSAgg, protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist} {
 		var want queryOutcome
 		for _, workers := range []int{1, 8} {
 			f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = workers })
 			req := Request{Querier: f.q, SQL: `SELECT COUNT(*), SUM(P.cons) FROM Power P`, Kind: kind,
-				Faults: &faultplan.Plan{Seed: 3, CrashFraction: 0.6, MaxAttempts: 1}}
+				Faults: &faultplan.Plan{Seed: 3, CrashFraction: 0.6}}
 			resp, err := f.eng.Execute(context.Background(), req)
 			noErr(t, err)
-			if len(resp.Result.Rows) != 0 {
-				t.Errorf("%v workers=%d: rows %v, want none", kind, workers, resp.Result.Rows)
+			if got := fmt.Sprint(resp.Result.Rows); got != "[(32, 2447)]" {
+				t.Errorf("%v workers=%d: rows %s, want [(32, 2447)]", kind, workers, got)
 			}
-			assertLedgerHas(t, resp.Metrics.Ledger, "partition-abandoned", "filtering")
+			assertLedgerHas(t, resp.Metrics.Ledger, "reassign", "filtering")
 			got := outcomeOf(t, req, resp)
 			if workers > 1 && !reflect.DeepEqual(got, want) {
 				t.Errorf("%v: the run at %d workers diverges from the one-worker run", kind, workers)

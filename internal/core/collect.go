@@ -171,7 +171,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	}
 
 	w := e.newCollectWalk(rs, cfgTpl, devices)
-	defer e.walkers.put(w.devs)
+	defer w.close()
 	end, err := w.run(ctx, start)
 	if err == nil && len(rs.staleQ) > 0 {
 		// Devices a torn rollout caught on the wrong epoch get one retried
@@ -269,11 +269,10 @@ type collectWalk struct {
 	rs      *runState
 	cfgTpl  tds.CollectConfig
 	devices []collectDevice // the connection order
-	// cols holds a collector per worker; cols[0], the commit thread's, also
-	// serves every commit-point redo and the stale retries.
+	// cols holds a collector per worker (rs.cols); cols[0], the commit
+	// thread's, also serves every commit-point redo and the stale retries.
 	cols []*collector
-	res  []collectResult // the window; each slot holds a device of its own
-	devs []*tds.TDS      // the slots' devices, from the engine's walkers
+	res  []collectResult // the window, from the engine's walkers: each slot a device and a tuple buffer
 	done []atomic.Int64  // one past the last position collected in each slot
 	deps []*protocol.Deposit
 
@@ -291,19 +290,24 @@ func (e *Engine) newCollectWalk(rs *runState, cfgTpl tds.CollectConfig, devices 
 	workers := max(min(rs.crew.n, len(devices)), 1)
 	window := max(min(workers*waveChunk, len(devices)), 1)
 	w := &collectWalk{e: e, rs: rs, cfgTpl: cfgTpl, devices: devices,
-		cols: make([]*collector, workers),
-		res:  make([]collectResult, window),
+		cols: e.collectors.take(workers, newCollector),
+		res:  e.walkers.take(window, func() collectResult { return collectResult{t: e.newShell()} }),
 		done: make([]atomic.Int64, window),
 	}
 	w.room.L, w.ready.L = &w.mu, &w.mu
-	for k := range w.cols {
-		w.cols[k] = newCollector()
-	}
-	w.devs = e.walkers.take(e, window)
-	for i, t := range w.devs {
-		w.res[i].t = t
-	}
+	rs.cols = w.cols
 	return w
+}
+
+// close gives the window's slots back, their devices forgetting the query
+// and their tuple buffers emptied, so an idle slot pins no arena block.
+func (w *collectWalk) close() {
+	for i, r := range w.res {
+		r.t.Forget()
+		clear(r.tuples[:cap(r.tuples)])
+		w.res[i] = collectResult{t: r.t, tuples: r.tuples[:0]}
+	}
+	w.e.walkers.put(w.res)
 }
 
 // slot is position p's result slot.
@@ -454,16 +458,13 @@ func (w *collectWalk) collectSlot(c *collector, p int) {
 	}
 }
 
-// collect runs the slot's device at now, into the slot's own tuple buffer;
-// a slot that has none yet gets one sized for the worker's previous
-// answer, a fleet's devices answering much alike.
+// collect runs the slot's device at now, into the slot's own tuple
+// buffer, which the slot keeps from run to run.
 func (w *collectWalk) collect(c *collector, r *collectResult, now time.Time) {
 	cfg := w.cfgTpl
-	if cfg.Out = r.tuples[:0]; cfg.Out == nil {
-		cfg.Out = make([]protocol.WireTuple, 0, c.last)
-	}
+	cfg.Out = r.tuples[:0]
 	r.tuples, r.stats, r.err = w.e.collectOne(c, r.t, w.rs.post, cfg, now)
-	r.ran, r.specNow, r.sealed, c.last = true, now, false, len(r.tuples)
+	r.ran, r.specNow, r.sealed = true, now, false
 }
 
 // resolve decides what the walk does with a device at its commit point

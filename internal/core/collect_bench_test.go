@@ -56,6 +56,7 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 		rs.crew.stop()
 		eng.ssi.Drop(rs.post.ID)
 		eng.planCache.Drop(rs.post.ID)
+		eng.release(rs)
 	}
 }
 

@@ -29,7 +29,7 @@ var composedClasses = strings.Fields(`Basic S_Agg Rnf_Noise C_Noise ED_Hist
 	replay-stale-partition/false replay-stale-partition/true forge-coverage/false forge-coverage/true
 	equivocate-partitioning/false equivocate-partitioning/true
 	rotation/revoke rotation/drop-bundle rotation/torn rotation/revoked-deposits
-	offline drop corrupt slow crash abandoned floor-abort size-cut duration-cut audit-outvoted
+	offline drop corrupt slow crash floor-abort size-cut duration-cut audit-outvoted
 	workers=0 workers=1 workers=2 workers=8 stripes=1 skip-verify`)
 
 // cell is one point on the axes a composition must not depend on.
@@ -91,7 +91,7 @@ func drawComposition(seed int) *composition {
 	p.OfflineFraction, p.DropFraction, p.CorruptFraction = frac(0.2), frac(0.2), frac(0.2)
 	p.SlowFraction, p.CrashFraction = frac(0.4), frac(0.6)
 	if r.Intn(3) == 0 {
-		p.MaxAttempts = 1 + r.Intn(2)
+		r.Intn(2) // the retired MaxAttempts draw, still drawn so the draws after it stay put
 	}
 	if r.Intn(4) == 0 {
 		p.CoverageFloor = []float64{0.5, 0.8}[r.Intn(2)]
@@ -266,8 +266,7 @@ func (c *composition) run(t *testing.T) (classes map[string]bool) {
 		"rotation/revoke": len(rot.Revoke) > 0, "rotation/drop-bundle": rot.DropBundle, "rotation/torn": rot.TornRollout,
 		"rotation/revoked-deposits": rot.RevokedDeposits, "offline": m.OfflineDevices > 0,
 		"drop": m.DroppedDeposits > 0, "corrupt": m.CorruptDeposits > 0, "slow": p.SlowFraction > 0,
-		"crash": m.Reassignments > 0, "abandoned": m.PartitionsAbandoned > 0,
-		"floor-abort": first.abort == "coverage-floor", "size-cut": cut && c.bound == "size",
+		"crash": m.Reassignments > 0, "floor-abort": first.abort == "coverage-floor", "size-cut": cut && c.bound == "size",
 		"duration-cut": cut && c.bound == "duration", "audit-outvoted": c.compromised > 0 && m.AuditDetections > 0}
 	if s := p.SSI; s != nil {
 		classes[fmt.Sprintf("%s/%v", s.Behaviors[0], s.Persistent)] = m.IntegrityViolations > 0 ||
@@ -461,22 +460,12 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 		if !reflect.DeepEqual(o.rows, twin.rows) {
 			t.Errorf("%+v: rows under the SSI script\n%v\nwant the honest twin's\n%v", cl, o.rows, twin.rows)
 		}
-	case !cut && m.PartitionsAbandoned == 0:
+	case !cut:
 		ref := referenceExcluding(t, f, c.sql, c.exclude)
 		if c.generated {
 			approxSameResult(t, c.sql, resp.Result, ref)
 		} else if !reflect.DeepEqual(o.rows, sortedRows(ref)) {
 			t.Errorf("%+v: rows\n%v\nwant the answer over the devices that can answer\n%v", cl, o.rows, sortedRows(ref))
-		}
-	case !cut && !c.generated && !slices.ContainsFunc(m.Ledger, func(le ssi.LedgerEntry) bool {
-		return le.Kind == "partition-abandoned" && le.Phase != "filtering"
-	}):
-		// An abandoned filtering partition loses its rows and invents none.
-		ref := sortedRows(referenceExcluding(t, f, c.sql, c.exclude))
-		for _, row := range o.rows {
-			if !slices.Contains(ref, row) {
-				t.Errorf("%+v: row %s is not in the answer over the devices that can answer\n%v", cl, row, ref)
-			}
 		}
 	}
 
@@ -520,7 +509,7 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 	count := map[string]int{}
 	for _, le := range m.Ledger {
 		count[le.Kind]++
-		crash := le.Kind == "reassign" || le.Kind == "partition-abandoned"
+		crash := le.Kind == "reassign"
 		if le.At.Before(obs.SimOrigin()) || (crash || strings.HasPrefix(le.Kind, "deposit-")) && le.Device == "" ||
 			crash && (le.Phase == "" || !p.For(le.Device, c.qid).CrashInPhase) || le.Kind == "reassign" && le.Wait <= 0 {
 			t.Errorf("%+v: ledger entry %+v is unstamped, malformed, or names a device the plan does not crash", cl, le)
@@ -605,8 +594,6 @@ func strikes(s *faultplan.SSIScript, kind protocol.Kind, twin *observed) int {
 	// tuple only its filtering one — that no phase emptied.
 	case replay && (kind == protocol.KindBasic || kind == protocol.KindSAgg && m.Nt <= 1):
 		return 0
-	case replay && m.PartitionsAbandoned > 0:
-		return -1
 	}
 	return 1
 }

@@ -11,14 +11,13 @@ import (
 // collector is what one collection worker brings to every Collect it
 // runs: an arena the ciphertexts are carved from, the scratch it scans
 // and assembles plaintexts in, and one RNG aimed at each device's stream
-// in turn. None is safe for concurrent use; the walk gives each worker
-// its own.
+// in turn. None is safe for concurrent use; a run lends each worker its
+// own, and releases its arena when the query is over (Engine.release).
 type collector struct {
 	arena   tdscrypto.Arena
 	scratch tds.Scratch
 	src     rng.Source
 	rng     *rand.Rand // over src
-	last    int        // tuples of the worker's previous Collect
 }
 
 func newCollector() *collector {

@@ -89,9 +89,11 @@ type Engine struct {
 	planCache *tds.PlanCache     // what a query's devices share; no device holds a plan of its own
 	obs       *engineObs         // tracer + metrics registry
 
-	// The devices runs wake slots into: walkers for collection windows,
-	// folders for phase workers, so no collection device holds a fold scratch.
-	walkers, folders devicePool
+	// What runs borrow: window slots, phase workers' devices (so no
+	// collection device holds a fold scratch) and collectors.
+	walkers    idle[collectResult]
+	folders    idle[*tds.TDS]
+	collectors idle[*collector]
 
 	mu        sync.Mutex
 	seq       int

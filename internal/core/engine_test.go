@@ -382,39 +382,6 @@ func TestDistributionDiscoveryCached(t *testing.T) {
 	}
 }
 
-func TestRefreshDiscovery(t *testing.T) {
-	f := newFixture(t, 15, nil)
-	f.run(t, flagshipSQL, protocol.KindCNoise, protocol.Params{})
-	if len(f.eng.discovery) != 1 {
-		t.Fatalf("cache = %d", len(f.eng.discovery))
-	}
-	// New households appear in a brand-new district; the stale histogram
-	// would misroute them until a refresh.
-	for i := range 3 {
-		f.insert(t, i, "Consumer", storage.Row{storage.Int(900), storage.Str("Bordeaux"), storage.Str("detached house")})
-		f.insert(t, i, "Power", storage.Row{storage.Int(900), storage.Float(33), storage.Int(0)})
-	}
-	f.eng.RefreshDiscovery()
-	if len(f.eng.discovery) != 0 {
-		t.Fatal("cache not cleared")
-	}
-	want := f.reference(t, flagshipSQL)
-	got, _ := f.run(t, flagshipSQL, protocol.KindCNoise, protocol.Params{})
-	assertSameResult(t, got, want)
-	// The rediscovered domain includes the new district.
-	found := false
-	for _, d := range f.eng.discovery {
-		for _, row := range d.domain {
-			if row[0].AsString() == "Bordeaux" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("refresh did not pick up the new district")
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
 		t.Error("empty config accepted")

@@ -175,35 +175,32 @@ func (e *Engine) wake(t *tds.TDS, slot int) error {
 	return nil
 }
 
-// devicePool holds devices between runs with the buffers they grew (a
-// collection device its largest slot's rows, a phase device its fold
-// scratch), so later queries wake into them without allocating. A device
-// put back forgets the query it served.
-type devicePool struct {
+// idle holds what runs borrow between them with the buffers it grew (a
+// slot's rows and tuple buffer, a fold scratch, a collector's scratch), so
+// later queries run in them without allocating.
+type idle[T any] struct {
 	mu   sync.Mutex
-	idle []*tds.TDS
+	free []T
 }
 
-// take returns n devices, idle ones first; put gives them back.
-func (p *devicePool) take(e *Engine, n int) []*tds.TDS {
+// take returns n, idle ones first and the rest made by fresh; put gives
+// them back.
+func (p *idle[T]) take(n int, fresh func() T) []T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := max(len(p.idle)-n, 0)
-	ts := append(make([]*tds.TDS, 0, n), p.idle[k:]...)
-	p.idle = p.idle[:k]
+	k := max(len(p.free)-n, 0)
+	ts := append(make([]T, 0, n), p.free[k:]...)
+	p.free = p.free[:k]
 	for len(ts) < n {
-		ts = append(ts, e.newShell())
+		ts = append(ts, fresh())
 	}
 	return ts
 }
 
-func (p *devicePool) put(ts []*tds.TDS) {
-	for _, t := range ts {
-		t.Forget()
-	}
+func (p *idle[T]) put(ts []T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.idle = append(p.idle, ts...)
+	p.free = append(p.free, ts...)
 }
 
 // slotServes reports whether the device in one fleet slot can open

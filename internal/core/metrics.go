@@ -40,8 +40,8 @@ type Metrics struct {
 	// TLocal is the average simulated busy time per TDS participation.
 	TLocal time.Duration
 	// Reassignments counts partitions re-issued after their assignee's
-	// scripted crash: the ledger's reassign entries less its
-	// partition-abandoned ones. Each is also a timeout in Timeouts.
+	// scripted crash: the ledger's reassign entries. Each is also a
+	// timeout in Timeouts.
 	Reassignments int
 	// CollectErrors counts TDSs that connected but could not answer
 	// (stale key epoch, local fault); the protocol proceeds without them.
@@ -78,9 +78,9 @@ type Metrics struct {
 	// counts: verifyCollection holds the ledger to them.
 	CorruptDeposits int
 	// Timeouts counts every SSI-side timeout the run absorbed: dropped
-	// deposits plus every crashed phase assignment, re-issued or abandoned
-	// (the ledger's reassign entries) — including those of a phase the run
-	// aborted in, which has no Phases entry.
+	// deposits plus every crashed phase assignment (the ledger's reassign
+	// entries) — including those of a phase the run aborted in, which has
+	// no Phases entry.
 	Timeouts int
 	// RetryWait is the total simulated time the SSI spent waiting out
 	// timeouts and backoffs: the sum of the ledger's waits. The share
@@ -89,9 +89,8 @@ type Metrics struct {
 	// collection-phase deposit timeouts (collection time is excluded from
 	// TQ, as in the paper).
 	RetryWait time.Duration
-	// PartitionsAbandoned counts partitions dropped after the fault plan's
-	// MaxAttempts re-issues — graceful degradation instead of livelock —
-	// as the ledger's partition-abandoned entries.
+	// PartitionsAbandoned is always 0: no partition is abandoned. It goes
+	// with the next re-pin of the digests, which print every field.
 	PartitionsAbandoned int
 	// IntegrityChecks counts verification steps of the verified execution
 	// path: one per acknowledged deposit, per covering-count and
@@ -146,8 +145,7 @@ func (rs *runState) settle(o *engineObs) {
 	if m.PTDS > 0 {
 		m.TLocal = rs.busy / time.Duration(m.PTDS)
 	}
-	// Every crash the SSI timed out is a reassign entry; those it gave up
-	// on are followed by a partition-abandoned one.
+	// Every crash the SSI timed out is a reassign entry.
 	m.Timeouts = m.DroppedDeposits
 	stale, revoked := 0, 0
 	for _, le := range m.Ledger {
@@ -156,9 +154,6 @@ func (rs *runState) settle(o *engineObs) {
 		case "reassign":
 			m.Reassignments++
 			m.Timeouts++
-		case "partition-abandoned":
-			m.Reassignments--
-			m.PartitionsAbandoned++
 		case "deposit-stale":
 			stale++
 		case "deposit-revoked":

@@ -32,7 +32,6 @@ type engineObs struct {
 	bytes         *obs.CounterVec // by flow and direction
 	retryWait     *obs.Counter
 	reassigns     *obs.Counter
-	abandoned     *obs.Counter
 	coverage      *obs.Gauge
 	dummyRatio    *obs.Gauge
 	phaseSeconds  *obs.HistogramVec
@@ -62,8 +61,6 @@ func newEngineObs() *engineObs {
 			"simulated time the SSI spent waiting out timeouts and backoffs"),
 		reassigns: reg.Counter("tcq_reassignments_total",
 			"partitions re-issued after a worker death"),
-		abandoned: reg.Counter("tcq_partitions_abandoned_total",
-			"partitions dropped after the fault plan's MaxAttempts"),
 		coverage: reg.Gauge("tcq_coverage_ratio",
 			"deposited / eligible devices of the last collection"),
 		dummyRatio: reg.Gauge("tcq_dummy_ratio",
@@ -111,8 +108,10 @@ type runState struct {
 	// integ is the verification context: deposit records, the running
 	// digest, and the check tallies behind the IntegrityReport.
 	integ *integrityState
-	// phaseDevs are the phases' devices, one per crew worker (runPhase).
+	// phaseDevs are the phases' devices, one per crew worker (runPhase),
+	// and cols the collection walk's collectors: the run's until it ends.
 	phaseDevs []*tds.TDS
+	cols      []*collector
 	// Live-rotation context. rotScript is the fault plan's scripted
 	// rotation (nil when none); commits counts committed deposit envelopes
 	// in connection order — the worker-count-independent trigger clock the
@@ -246,7 +245,6 @@ func (o *engineObs) observe(m *Metrics, stale, revoked int) {
 	}
 	o.retryWait.Add(m.RetryWait.Seconds())
 	o.reassigns.Add(float64(m.Reassignments))
-	o.abandoned.Add(float64(m.PartitionsAbandoned))
 	for _, p := range m.Phases {
 		o.phaseSeconds.With(phaseLabel(p.Name)).Observe(p.Duration.Seconds())
 	}

@@ -143,6 +143,7 @@ func TestPackedMemoryFootprint(t *testing.T) {
 		if tc.collect && testing.Short() {
 			continue
 		}
+		runtime.GC() // a sync.Pool keeps its spares one GC: none of earlier tests' in base
 		base := heapInUse()
 		eng := newTestEngine(t, tc.n, nil, nil)
 		perDevice := func() int64 { return int64(heapInUse()-base) / int64(tc.n) }
@@ -166,8 +167,7 @@ func TestPackedMemoryFootprint(t *testing.T) {
 			after := perDevice() // resp is dead here: the trace and journal go too
 			t.Logf("%s: %d bytes/device after one collection pass", tc.name, after)
 			if after > budget {
-				t.Errorf("%s fleet holds %d B/device after a collection pass, budget %d",
-					tc.name, after, budget)
+				t.Errorf("%s fleet holds %d B/device after a collection pass, budget %d", tc.name, after, budget)
 			}
 		}
 		runtime.KeepAlive(eng)

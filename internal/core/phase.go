@@ -136,10 +136,10 @@ func (c *crew) stop() {
 // a PhaseTimeout plus capped exponential backoff (phaseStats.Wait), names
 // the assignee and the instant it started waiting in a "reassign" ledger
 // entry, and re-issues the partition to freshly drawn replacements until
-// the plan's MaxAttempts abandons it, and its output with it. All draws
-// happen sequentially up front, and a failing phase reports its first
-// failing assignment in plan order, so the phase is deterministic for any
-// worker count.
+// one returns it: no partition, and no output, is ever abandoned. All
+// draws happen sequentially up front, and a failing phase reports its
+// first failing assignment in plan order, so the phase is deterministic
+// for any worker count.
 func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string, input []protocol.WireTuple,
 	build func() ([][]protocol.WireTuple, []int32),
 	shape func([][]protocol.WireTuple) [][]protocol.WireTuple,
@@ -237,7 +237,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string, input
 			faults.For(primary, post.ID).CrashInPhase {
 			// The scripted churn: the primary assignee crashes before
 			// committing. The SSI times out, backs off, and re-issues the
-			// partition to a fresh draw — or abandons it past MaxAttempts.
+			// partition to a fresh draw.
 			draws = draws[:from]
 			wait := faults.RetryWait(t.attempt)
 			at := phaseStart.Add(stats.Wait) // instant the SSI starts waiting this one out
@@ -246,14 +246,6 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string, input
 				Kind: "reassign", Phase: phase, Device: primary,
 				Attempt: t.attempt, Wait: wait, At: at,
 			})
-			if max := faults.MaxAttempts; max > 0 && t.attempt >= max {
-				e.record(rs, ssi.LedgerEntry{
-					Kind: "partition-abandoned", Phase: phase,
-					Device: primary, Attempt: t.attempt,
-					At: phaseStart.Add(stats.Wait),
-				})
-				continue
-			}
 			stats.Reassigned++
 			tasks = append(tasks, task{part: t.part, attempt: t.attempt + 1})
 			continue
@@ -267,7 +259,7 @@ func (e *Engine) runPhase(ctx context.Context, rs *runState, phase string, input
 	// hence the whole run) is deterministic for any worker count.
 	units := make([]workUnit, len(draws))
 	if rs.phaseDevs == nil { // one per crew worker, given back when the run ends
-		rs.phaseDevs = e.folders.take(e, rs.crew.n)
+		rs.phaseDevs = e.folders.take(rs.crew.n, e.newShell)
 	}
 	devs := rs.phaseDevs
 	err = rs.crew.each(len(plan), func(k, ai int) error {

@@ -84,7 +84,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		rs.rotScript = req.Faults.Rotation
 	}
 	metrics := rs.metrics
-	defer func() { e.folders.put(rs.phaseDevs) }()
+	defer e.release(rs) // last: after the SSI drops the query
 	defer rs.crew.stop()
 
 	if err := rs.ssi.PostQuery(post, rs.clock.Now()); err != nil {
@@ -159,6 +159,24 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	e.obs.bytes.With("deliver_down").Add(float64(outBytes))
 
 	return e.finishRun(rs, root, res, nil)
+}
+
+// release gives back a run's phase devices and collectors, their arenas
+// released, once the engine's own *ssi.SSI has dropped the query and so
+// ended every use of its tuples. An injected Service may keep tuples past
+// Drop (a recorder replaying deposits): that run's memory goes to the GC.
+func (e *Engine) release(rs *runState) {
+	if _, own := e.ssi.(*ssi.SSI); !own {
+		return
+	}
+	for _, t := range rs.phaseDevs {
+		t.Forget()
+	}
+	for _, c := range rs.cols {
+		c.arena.Release()
+	}
+	e.folders.put(rs.phaseDevs)
+	e.collectors.put(rs.cols)
 }
 
 // collectInputs assembles the per-protocol collection-phase inputs: the
@@ -378,16 +396,6 @@ func groupCountHint(stmt *sqlparse.SelectStmt) int {
 		return 1
 	}
 	return 16
-}
-
-// RefreshDiscovery drops every cached A_G distribution so the next query
-// of a tagged protocol re-runs the discovery process — the paper's
-// "refreshed from time to time instead of being run for each query"
-// (Section 4.4). Call it after bulk data changes shift the distribution.
-func (e *Engine) RefreshDiscovery() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.discovery = make(map[string]*discovered)
 }
 
 // discovered is a cached distribution-discovery outcome. The entry lands

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -151,7 +152,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 
 	s.mu.Lock()
 	if s.closed {
-		s.rejectLocked("closed", who)
+		s.cRejected.With("closed", who).Inc()
 		s.mu.Unlock()
 		return nil, ErrServerClosed
 	}
@@ -160,12 +161,12 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		s.order = append(s.order, who)
 	}
 	if s.queued >= s.cfg.QueueDepth {
-		s.rejectLocked("busy", who)
+		s.cRejected.With("busy", who).Inc()
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d requests queued", ErrServerBusy, s.queued)
 	}
 	if s.ids[req.QueryID] {
-		s.rejectLocked("duplicate", who)
+		s.cRejected.With("duplicate", who).Inc()
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: query %s is already queued or in flight", req.QueryID)
 	}
@@ -181,8 +182,13 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		return p.resp, p.err
 	case <-ctx.Done():
 		s.mu.Lock()
-		if !p.started {
-			s.withdrawLocked(p)
+		if !p.started { // still queued (unless Close failed it): withdraw it
+			if i := slices.Index(s.queues[who], p); i >= 0 {
+				s.queues[who] = slices.Delete(s.queues[who], i, i+1)
+				s.queued--
+				s.gQueued.Set(float64(s.queued))
+				delete(s.ids, p.req.QueryID)
+			}
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %v", ErrQueryTimeout, ctx.Err())
 		}
@@ -213,25 +219,6 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-}
-
-// rejectLocked records one admission rejection.
-func (s *Server) rejectLocked(reason, querier string) {
-	s.cRejected.With(reason, querier).Inc()
-}
-
-// withdrawLocked removes a still-queued request whose context expired.
-func (s *Server) withdrawLocked(p *pending) {
-	who := p.req.Querier.ID
-	for i, q := range s.queues[who] {
-		if q == p {
-			s.queues[who] = append(s.queues[who][:i], s.queues[who][i+1:]...)
-			s.queued--
-			s.gQueued.Set(float64(s.queued))
-			delete(s.ids, p.req.QueryID)
-			return
-		}
-	}
 }
 
 // dispatchLocked fills free execution slots from the queues in

@@ -46,8 +46,11 @@ func outcomeOf(t *testing.T, req Request, resp *Response) queryOutcome {
 // metrics, ledger, trace and journal whether Engine.Execute runs it alone
 // on a fresh engine or a Server interleaves it with 15 other queries
 // (mixed protocols, churn on, verify on) over one shared fleet: the
-// scheduler writes nothing into a query's record. Run under -race it
-// doubles as the scheduler's data-race gate.
+// scheduler writes nothing into a query's record. The shared engine first
+// runs every protocol twice in turn, so its later runs take the memory
+// earlier ones released (window slots, collectors, arenas, store chunks):
+// nothing recycled may reach a record. Run under -race it doubles as the
+// scheduler's and the pools' data-race gate.
 func TestConcurrentQueryDeterminism(t *testing.T) {
 	type spec struct {
 		id     string
@@ -91,8 +94,28 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 				want[i] = outcomeOf(t, req, resp)
 			}
 
-			// The same specs, all in flight at once over one shared fleet.
+			// A divergence names its first differing line: rows, Metrics, then
+			// the journal and the trace.
+			same := func(what string, i int, got queryOutcome) {
+				render := func(o queryOutcome) string {
+					return fmt.Sprintf("rows %s\nmetrics %+v\n%s%s", o.rows, o.metrics, o.journal, o.trace)
+				}
+				diverge(t, fmt.Sprintf("%s (%v) %s:", specs[i].id, specs[i].kind, what), render(want[i]), render(got))
+			}
+
+			// One engine runs every protocol twice in turn, each run after the
+			// first in memory an earlier run released.
 			f := newFixture(t, 40, nil)
+			for round := 0; round < 2; round++ {
+				for i := range min(len(specs), len(churnScenarios)) {
+					req := reqOf(f, specs[i])
+					resp, err := f.eng.Execute(context.Background(), req)
+					noErr(t, err)
+					same(fmt.Sprintf("in round %d on a reused engine", round+1), i, outcomeOf(t, req, resp))
+				}
+			}
+
+			// The same specs, all in flight at once over that engine's fleet.
 			srv := NewServer(f.eng, ServerConfig{MaxInFlight: 8, QueueDepth: len(specs)})
 			defer srv.Close()
 			got := make([]queryOutcome, len(specs))
@@ -116,21 +139,7 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatalf("concurrent %s: %v", sp.id, errs[i])
 				}
-				if got[i].rows != want[i].rows {
-					t.Errorf("%s (%v): rows diverged under concurrency\nsolo: %s\nconc: %s",
-						sp.id, sp.kind, want[i].rows, got[i].rows)
-				}
-				if !reflect.DeepEqual(got[i].metrics, want[i].metrics) {
-					t.Errorf("%s (%v): metrics/ledger diverged under concurrency\nsolo: %+v\nconc: %+v",
-						sp.id, sp.kind, want[i].metrics, got[i].metrics)
-				}
-				if got[i].trace != want[i].trace {
-					t.Errorf("%s (%v): trace diverged under concurrency", sp.id, sp.kind)
-				}
-				if got[i].journal != want[i].journal {
-					t.Errorf("%s (%v): journal diverged under concurrency\nsolo:\n%s\nconc:\n%s",
-						sp.id, sp.kind, want[i].journal, got[i].journal)
-				}
+				same("under concurrency", i, got[i])
 			}
 		})
 	}

@@ -100,7 +100,7 @@ func TestSSIVisibilityAudit(t *testing.T) {
 	ssiEvents := map[string]bool{
 		"deposit": true, "relay": true, "partition": true,
 		"deposit-timeout": true, "deposit-stale": true, "deposit-corrupt": true,
-		"reassign": true, "partition-abandoned": true,
+		"reassign": true,
 	}
 	for i, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
@@ -191,7 +191,6 @@ func TestRegistryExportAfterRuns(t *testing.T) {
 			want["tcq_coverage_ratio"] = m.CoverageRatio // the last run's collection completes
 			want["tcq_retry_wait_seconds_total"] += m.RetryWait.Seconds()
 			want["tcq_reassignments_total"] += float64(m.Reassignments)
-			want["tcq_partitions_abandoned_total"] += float64(m.PartitionsAbandoned)
 			for _, p := range m.Phases {
 				want[`tcq_phase_seconds_count{phase="`+phaseLabel(p.Name)+`"}`]++
 				want[`tcq_phase_seconds_sum{phase="`+phaseLabel(p.Name)+`"}`] += p.Duration.Seconds()

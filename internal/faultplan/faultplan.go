@@ -17,6 +17,7 @@
 package faultplan
 
 import (
+	"slices"
 	"time"
 
 	"github.com/trustedcells/tcq/internal/rng"
@@ -73,10 +74,6 @@ type Plan struct {
 	PhaseTimeout   time.Duration
 	BackoffBase    time.Duration
 	BackoffCap     time.Duration
-
-	// MaxAttempts caps how many times one partition is assigned before the
-	// SSI abandons it (graceful degradation); 0 never abandons.
-	MaxAttempts int
 
 	// CoverageFloor is the minimum ratio of eligible devices whose deposit
 	// must commit for the run to count as answered; below it the engine
@@ -144,15 +141,7 @@ type SSIScript struct {
 
 // Scripts reports whether b is among the scripted behaviors.
 func (s *SSIScript) Scripts(b SSIMisbehavior) bool {
-	if s == nil {
-		return false
-	}
-	for _, x := range s.Behaviors {
-		if x == b {
-			return true
-		}
-	}
-	return false
+	return s != nil && slices.Contains(s.Behaviors, b)
 }
 
 // RotationScript schedules the engine's one key-change mechanism, the

@@ -80,6 +80,10 @@ type QueryState struct {
 // one slice that doubles through gigabyte reallocations.
 const tupleChunk = 4096
 
+// spareChunks is how many of a dropped query's chunks Drop keeps for later
+// queries (2.3 MB); a larger collection's tail goes to the GC.
+const spareChunks = 8
+
 // tupleStore holds the collection multiset as a sequence of fixed-size
 // chunks: deposits stream in through append, verifiers read back bounded
 // windows through slice, and the whole collection is never required to
@@ -87,19 +91,20 @@ const tupleChunk = 4096
 // the covering-count and per-deposit commitment checks rely on offsets
 // into the deposit-order sequence.
 //
-// The store is append-only and a stored tuple is immutable: a chunk is
-// allocated at full capacity and never moves, and a written slot is never
-// written again. So reads can be views: a window handed out before later
-// deposits still reads the same tuples after them.
+// The store is append-only and a stored tuple is immutable until Drop: a
+// chunk is allocated at full capacity and never moves, and a written slot
+// is never written again. So reads can be views: a window handed out before
+// later deposits still reads the same tuples after them.
 type tupleStore struct {
 	chunks [][]protocol.WireTuple
 	n      int
+	spare  *sync.Pool // of zeroed *[tupleChunk]protocol.WireTuple
 }
 
 func (ts *tupleStore) append(ws []protocol.WireTuple) {
 	for len(ws) > 0 {
 		if len(ts.chunks) == 0 || len(ts.chunks[len(ts.chunks)-1]) == tupleChunk {
-			ts.chunks = append(ts.chunks, make([]protocol.WireTuple, 0, tupleChunk))
+			ts.chunks = append(ts.chunks, ts.spare.Get().(*[tupleChunk]protocol.WireTuple)[:0])
 		}
 		last := &ts.chunks[len(ts.chunks)-1]
 		take := min(len(ws), tupleChunk-len(*last))
@@ -143,16 +148,17 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 // trace and journal itself, so an injected Service needs nothing outside
 // this interface for its runs to be fully recorded.
 //
-// A deposit's envelope, tuple slice and Commit are the depositor's again
-// once DepositEnvelope(Batch) returns: an implementation copies the tuples
-// it keeps (the bytes they point to are immutable and may be shared) and
-// reads Commit only during the call, so the collection walk refills one
-// envelope, buffer and MAC per window slot. DepositEnvelopeBatch's out is
-// the SSI's again at the query's next DepositEnvelopeBatch: one caller at a
-// time commits a query's envelopes, as the engine's commit thread does;
-// DepositEnvelope's outcome is its caller's.
-// CollectedTuples and DepositEnvelope have no engine caller: they stay for
-// bench/spans.go, which forwards them by name.
+// What a query's calls return (store views, builds, their positions) is
+// valid until Drop, which clears the store's chunks for later queries. A
+// deposit's envelope, tuples and Commit are the depositor's again once
+// DepositEnvelope(Batch) returns: an implementation copies the tuples it
+// keeps and reads Commit only during the call. The bytes the tuples point
+// to are shared, and intact until Drop; then the engine zeroes them for
+// later queries behind its own SSI. DepositEnvelopeBatch's out is the
+// SSI's again at the query's next call: one caller at a time commits a
+// query's envelopes, as the engine's commit thread does. DepositEnvelope's
+// outcome is its caller's; it and CollectedTuples have no engine caller,
+// and stay for bench/spans.go, which forwards them by name.
 type Service interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)
@@ -190,7 +196,7 @@ type LedgerEntry struct {
 	// Kind classifies the event: "deposit-timeout", "deposit-corrupt",
 	// "deposit-stale", "deposit-retry" (the second connection of a device
 	// first refused as stale, which is what books it), "deposit-revoked",
-	// "reassign", "partition-abandoned", and the rotation lifecycle marks
+	// "reassign", and the rotation lifecycle marks
 	// "rotation-begin", "rotation-wave", "rotation-complete".
 	Kind string
 	// Phase names the aggregation/filtering phase for reassignments.
@@ -261,8 +267,9 @@ type admitPolicy struct {
 // highly available" (Section 2.1) precisely because it serves many
 // queriers at once. The epoch policy is fleet-wide and held once.
 type SSI struct {
-	stripes []stripe
-	policy  atomic.Pointer[admitPolicy]
+	stripes          []stripe
+	policy           atomic.Pointer[admitPolicy]
+	chunks, attempts sync.Pool // what dropped queries leave later ones, cleared
 }
 
 // NewSharded returns an empty SSI with n stripes (DefaultShards when
@@ -276,12 +283,21 @@ func NewSharded(n int) *SSI {
 		s.stripes[i].queries = make(map[string]*QueryState)
 	}
 	s.policy.Store(&admitPolicy{})
+	s.chunks.New = func() any { return new([tupleChunk]protocol.WireTuple) }
+	s.attempts.New = func() any { return make(map[string]int) }
 	return s
 }
 
 // stripeOf routes one query ID to its stripe.
 func (s *SSI) stripeOf(id string) *stripe {
 	return &s.stripes[rng.Hash(id)%uint32(len(s.stripes))]
+}
+
+// query locks id's stripe and returns the query's state, nil if unknown.
+func (s *SSI) query(id string) (*QueryState, *sync.Mutex) {
+	sp := s.stripeOf(id)
+	sp.mu.Lock()
+	return sp.queries[id], &sp.mu
 }
 
 // SetEpochPolicy installs the rotation admit policy, atomically for every
@@ -311,8 +327,9 @@ func (s *SSI) PostQuery(post *protocol.QueryPost, now time.Time) error {
 	sp.queries[post.ID] = &QueryState{
 		Post:      post,
 		StartedAt: now,
+		tuples:    tupleStore{spare: &s.chunks},
 		tagCounts: make(map[string]*int64),
-		attempts:  make(map[string]int),
+		attempts:  s.attempts.Get().(map[string]int), // a clear keeps its table
 	}
 	return nil
 }
@@ -327,11 +344,9 @@ func (s *SSI) PostQuery(post *protocol.QueryPost, now time.Time) error {
 // (ErrRevokedDeposit / ErrStaleDeposit / ErrCorruptDeposit) and nothing is
 // stored — the collection stays open.
 func (s *SSI) DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return 0, false, fmt.Errorf("ssi: unknown query %q", id)
 	}
 	var out [1]DepositOutcome
@@ -381,11 +396,9 @@ func (p *admitPolicy) graceAdmits(depEpoch, postEpoch int) bool {
 // index (-1 when the collection is still open, or was already complete
 // before the first envelope).
 func (s *SSI) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) (out []DepositOutcome, doneAt int, done bool, err error) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return nil, -1, false, fmt.Errorf("ssi: unknown query %q", id)
 	}
 	st.outcomes = slices.Grow(st.outcomes[:0], len(deps))[:len(deps)]
@@ -421,11 +434,9 @@ func (s *SSI) commitLocked(st *QueryState, deps []*protocol.Deposit, out []Depos
 // order, so the ledger is deterministic for a fixed fault seed regardless
 // of worker count.
 func (s *SSI) Record(id string, e LedgerEntry) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return
 	}
 	st.ledger = append(st.ledger, e)
@@ -433,16 +444,12 @@ func (s *SSI) Record(id string, e LedgerEntry) {
 
 // LedgerFor returns a copy of the recovery ledger of a query.
 func (s *SSI) LedgerFor(id string) []LedgerEntry {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return nil
 	}
-	out := make([]LedgerEntry, len(st.ledger))
-	copy(out, st.ledger)
-	return out
+	return slices.Clone(st.ledger)
 }
 
 // depositLocked stores one device's tuples, up to the SIZE cap; the
@@ -484,11 +491,9 @@ func (s *SSI) observe(st *QueryState, w *protocol.WireTuple) {
 // aggregation phase; they feed the same curious record. The instant is
 // the engine's to trace; the SSI keeps no clock of its own.
 func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, _ time.Time) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return
 	}
 	for i := range tuples {
@@ -498,17 +503,13 @@ func (s *SSI) ObserveRelay(id string, tuples []protocol.WireTuple, _ time.Time) 
 
 // CollectionDone reports whether the SIZE condition has been reached.
 func (s *SSI) CollectionDone(id string, now time.Time) bool {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return false
 	}
-	if !st.Done {
-		if d := st.Post.Size.Duration; d > 0 && now.Sub(st.StartedAt) >= d {
-			st.Done = true
-		}
+	if d := st.Post.Size.Duration; d > 0 && now.Sub(st.StartedAt) >= d {
+		st.Done = true
 	}
 	return st.Done
 }
@@ -518,11 +519,9 @@ func (s *SSI) CollectionDone(id string, now time.Time) bool {
 // fleet consumers should prefer CollectedCount + CollectedRange, which
 // never force the whole collection into one slice.
 func (s *SSI) CollectedTuples(id string) []protocol.WireTuple {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return nil
 	}
 	return st.tuples.slice(0, st.tuples.n)
@@ -530,11 +529,9 @@ func (s *SSI) CollectedTuples(id string) []protocol.WireTuple {
 
 // CollectedCount returns the number of tuples stored for the query.
 func (s *SSI) CollectedCount(id string) int {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return 0
 	}
 	return st.tuples.n
@@ -544,11 +541,9 @@ func (s *SSI) CollectedCount(id string) int {
 // — the window a streaming verifier walks one deposit at a time instead
 // of materializing the whole collection. A snapshot; never written through.
 func (s *SSI) CollectedRange(id string, start, end int) []protocol.WireTuple {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return nil
 	}
 	return st.tuples.slice(start, end)
@@ -556,11 +551,9 @@ func (s *SSI) CollectedRange(id string, start, end int) []protocol.WireTuple {
 
 // ObservationFor returns a snapshot of the curious ledger of a query.
 func (s *SSI) ObservationFor(id string) Observation {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return Observation{TagCounts: map[string]int64{}}
 	}
 	return st.observation()
@@ -569,22 +562,32 @@ func (s *SSI) ObservationFor(id string) Observation {
 // BytesStored returns the temporary-storage footprint of a query at the
 // SSI — a component of Load_Q.
 func (s *SSI) BytesStored(id string) int64 {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return 0
 	}
 	return st.BytesStored
 }
 
-// Drop discards all state of a finished query.
+// Drop discards all state of a finished query: its store chunks and
+// attempt map are cleared for the next queries posted, so every view its
+// calls returned is void from here on.
 func (s *SSI) Drop(id string) {
 	sp := s.stripeOf(id)
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
+	st := sp.queries[id]
 	delete(sp.queries, id)
+	sp.mu.Unlock()
+	if st == nil {
+		return
+	}
+	for _, c := range st.tuples.chunks[:min(len(st.tuples.chunks), spareChunks)] {
+		clear(c)
+		s.chunks.Put((*[tupleChunk]protocol.WireTuple)(c[:tupleChunk]))
+	}
+	clear(st.attempts)
+	s.attempts.Put(st.attempts)
 }
 
 // PartitionRandom splits tuples into partitions of at most perPartition
@@ -627,11 +630,9 @@ func (s *SSI) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerParti
 // pos is nil: deposit order is itself a uniform random permutation of the
 // fleet, so a window is exactly the "random partition" of step 9.
 func (s *SSI) StreamBuild(id string, perPartition int) ([][]protocol.WireTuple, []int32) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok || st.tuples.n == 0 {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil || st.tuples.n == 0 {
 		return nil, nil
 	}
 	n, parts, pos := st.tuples.n, [][]protocol.WireTuple(nil), []int32(nil)
@@ -655,11 +656,9 @@ func (s *SSI) StreamBuild(id string, perPartition int) ([][]protocol.WireTuple, 
 // the re-issue is exactly the build it originally computed, whatever was
 // done to the outer slice it handed out.
 func (s *SSI) Repartition(id string) ([][]protocol.WireTuple, []int32) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok || st.lastBuild == nil {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil || st.lastBuild == nil {
 		return nil, nil
 	}
 	return viewBuild(st.lastBuild), st.lastPos
@@ -667,11 +666,9 @@ func (s *SSI) Repartition(id string) ([][]protocol.WireTuple, []int32) {
 
 // stashBuild snapshots a build of the caller's tuples for Repartition.
 func (s *SSI) stashBuild(id string, parts [][]protocol.WireTuple) {
-	sp := s.stripeOf(id)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	st, ok := sp.queries[id]
-	if !ok {
+	st, mu := s.query(id)
+	defer mu.Unlock()
+	if st == nil {
 		return
 	}
 	st.lastBuild, st.lastPos = viewBuild(parts), nil

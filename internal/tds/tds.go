@@ -305,8 +305,14 @@ type memo struct {
 	tags *tagTable
 }
 
-// Forget clears the device's memo, so a pooled device retains no post.
-func (t *TDS) Forget() { t.last = memo{} }
+// Forget clears the device's memo, so a pooled device retains no post,
+// and releases its fold arena: the outputs of every step it ran are void.
+func (t *TDS) Forget() {
+	t.last = memo{}
+	if t.fold != nil {
+		t.fold.arena.Release()
+	}
+}
 
 // admit returns this device's admission of the post under the material
 // serving it — the plan, whether true tuples are granted, or what stopped
@@ -581,8 +587,8 @@ var (
 // foldScratch is the RAM a device folds every partition it opens in, like
 // the token's one partial-aggregate structure (Section 4.2), so a warm fold
 // allocates only what it emits. That is never scratch: ciphertexts and
-// digests are carved from the append-only arena, so a step's output may
-// feed later steps on the device. Texts and keys are interned per plan.
+// digests are carved from the arena, which Forget releases, so a step's
+// output may feed later steps. Texts and keys are interned per plan.
 type foldScratch struct {
 	plan    *sqlexec.Plan // of the last fold
 	acc     sqlexec.Accumulator

@@ -90,7 +90,7 @@ func TestFoldStreamMatchesFold(t *testing.T) {
 
 // TestArenaEncrypt: arena-backed nDet_Enc must produce the same
 // decryptable plaintext as the plain allocating path, for nil arenas,
-// small slots and oversized fallbacks.
+// small slots and oversized fallbacks, and Release must zero its blocks.
 func TestArenaEncrypt(t *testing.T) {
 	s := MustSuite(DeriveKey(Key{}, "arena"))
 	aad := []byte("header")
@@ -130,6 +130,10 @@ func TestArenaEncrypt(t *testing.T) {
 	}
 	if !bytes.Equal(first, snapshot) {
 		t.Error("arena slot overwritten by later allocations")
+	}
+	// Release zeroes what it hands on, so a stale read cannot open.
+	if a.Release(); !bytes.Equal(first, make([]byte, len(first))) {
+		t.Error("a released slot keeps its ciphertext")
 	}
 }
 

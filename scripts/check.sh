@@ -47,9 +47,9 @@ repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
 design=$(wc -l <DESIGN.md)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 4908); repo outside bench/: $repo (ceiling 15204);" \
+echo "internal/core + internal/ssi: $core_ssi (ceiling 4884); repo outside bench/: $repo (ceiling 15203);" \
     "tests outside bench/: $tests (ceiling 15331); DESIGN.md: $design (ceiling 1615)"
-if [ "$core_ssi" -gt 4908 ] || [ "$repo" -gt 15204 ] || [ "$tests" -gt 15331 ] || [ "$design" -gt 1615 ]; then
+if [ "$core_ssi" -gt 4884 ] || [ "$repo" -gt 15203 ] || [ "$tests" -gt 15331 ] || [ "$design" -gt 1615 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
@@ -80,12 +80,12 @@ fi
 # observability layer below theirs when a run became one account; raise a
 # floor when a PR raises the share. The engine's share can move by a few
 # tenths from run to run (whether a SIZE cut lands inside a batched commit
-# run depends on which slots the helpers finished first; 84.8-84.9 % on a
-# 2-core box), so its floor sits 0.2 below its reading.
+# run depends on which slots the helpers finished first; 85.6-85.7 % on
+# a 2-core box), so its floor sits 0.2 below its reading.
 echo "==> reach (programs, not tests)"
 reach=$(scripts/reach.sh)
 echo "$reach"
-for floor in internal/sqlexec=77.9 internal/sqlparse=58.5 internal/storage=70.9 internal/obs=59.1 internal/core=84.6; do
+for floor in internal/sqlexec=77.9 internal/sqlparse=58.5 internal/storage=70.9 internal/obs=59.1 internal/core=85.4; do
     pkg=${floor%=*}
     min=${floor#*=}
     got=$(echo "$reach" | awk -v pkg="$pkg" '$1 == "reach" && $2 == pkg { print $3 }')
@@ -99,8 +99,8 @@ done
 # methods aside). Lower the ceiling when a PR lowers the count.
 unentered=$(echo "$reach" | sed -n '/^unreached functions:/,$p' |
     awk 'NR > 1 && $NF != "String" && $NF != "exprNode" && $NF != "Error"' | wc -l)
-echo "functions no program enters: $unentered (ceiling 25)"
-if [ "$unentered" -gt 25 ]; then
+echo "functions no program enters: $unentered (ceiling 22)"
+if [ "$unentered" -gt 22 ]; then
     echo "more functions unreached by every program than the ceiling" >&2
     exit 1
 fi
@@ -150,7 +150,7 @@ fi
 # along the run path, where they would be a second copy to keep in step.
 echo "==> Metrics-sourced instruments only in internal/core/observe.go"
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    'obs\.(devices|tuples|retryWait|reassigns|abandoned|integrity|phaseSeconds)\b' internal/core |
+    'obs\.(devices|tuples|retryWait|reassigns|integrity|phaseSeconds)\b' internal/core |
     grep -v '^internal/core/observe\.go:'; then
     echo "feed these instruments from Metrics in observe, not per event" >&2
     exit 1
