@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/costmodel"
+	"github.com/trustedcells/tcq/internal/protocol"
 )
 
 // The conformance report closes the loop between the paper's two
@@ -94,8 +95,18 @@ func (e *Engine) conformance(rs *runState) *ConformanceReport {
 	if g < 1 {
 		g = 1
 	}
+	// The model's N_t is the tuples before its own expansion, which it
+	// multiplies back in: n_f + 1 wire tuples per true one under
+	// Rnf_Noise, G under C_Noise. Dummies stay in: the model bills them.
+	expansion := 1.0
+	switch rs.post.Kind {
+	case protocol.KindRnfNoise:
+		expansion = float64(rs.post.Params.Nf + 1)
+	case protocol.KindCNoise:
+		expansion = g
+	}
 	p := costmodel.Params{
-		Nt:        float64(m.Nt),
+		Nt:        float64(m.Nt) / expansion,
 		G:         g,
 		St:        st,
 		Tt:        tt,

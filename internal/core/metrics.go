@@ -89,9 +89,6 @@ type Metrics struct {
 	// collection-phase deposit timeouts (collection time is excluded from
 	// TQ, as in the paper).
 	RetryWait time.Duration
-	// PartitionsAbandoned is always 0: no partition is abandoned. It goes
-	// with the next re-pin of the digests, which print every field.
-	PartitionsAbandoned int
 	// IntegrityChecks counts verification steps of the verified execution
 	// path: one per acknowledged deposit, per covering-count and
 	// coverage-account reconciliation, and per partition build (retries
