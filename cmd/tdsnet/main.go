@@ -16,12 +16,13 @@
 // uploads, slow devices and crash-before-commit during the aggregation
 // phases. The run then reports its coverage ratio and recovery account.
 //
-// The -rotate-every/-revoke-ids flags exercise the live key lifecycle:
-// a signed trust-bundle rotation (and optional broadcast revocation)
+// The -rotate-every/-revoke-ids flags exercise the live key lifecycle
+// through a fault plan's RotationScript, the one way to rotate mid-query: a
+// signed trust-bundle rotation (and optional broadcast revocation)
 // begins mid-collection and rolls out in staged waves while the query is
-// in flight. The grace window keeps both epochs serving until the rollout
-// completes; the run reports how many stale deposits were retried and
-// which devices stayed expelled.
+// in flight. The grace window keeps both epochs serving, and closes
+// itself when the query ends if the last wave has landed; the run reports
+// how many stale deposits were retried and which devices stayed expelled.
 //
 // The -ssi-adversary flag upgrades the threat model from honest-but-curious
 // to weakly malicious: the SSI itself misbehaves on schedule (dropping,

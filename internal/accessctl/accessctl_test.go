@@ -91,13 +91,22 @@ func cred(roles ...string) Credential {
 	return Credential{QuerierID: "q", Roles: roles, Expiry: expiry}
 }
 
+// parse is sqlparse.Parse for the literal queries these tests know are valid.
+func parse(src string) *sqlparse.SelectStmt {
+	stmt, err := sqlparse.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return stmt
+}
+
 func TestAuthorizeAggregateOnly(t *testing.T) {
 	p := policyAggOnly()
-	agg := sqlparse.MustParse(`SELECT AVG(cons) FROM Power GROUP BY period`)
+	agg := parse(`SELECT AVG(cons) FROM Power GROUP BY period`)
 	if err := p.Authorize(cred("energy-analyst"), agg); err != nil {
 		t.Fatalf("aggregate denied: %v", err)
 	}
-	ident := sqlparse.MustParse(`SELECT cid, cons FROM Power`)
+	ident := parse(`SELECT cid, cons FROM Power`)
 	err := p.Authorize(cred("energy-analyst"), ident)
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("identifying query allowed: %v", err)
@@ -106,11 +115,11 @@ func TestAuthorizeAggregateOnly(t *testing.T) {
 
 func TestAuthorizeTableScope(t *testing.T) {
 	p := &Policy{Rules: []Rule{{Role: "r", Tables: []string{"Power"}}}}
-	ok := sqlparse.MustParse(`SELECT cons FROM Power`)
+	ok := parse(`SELECT cons FROM Power`)
 	if err := p.Authorize(cred("r"), ok); err != nil {
 		t.Fatal(err)
 	}
-	bad := sqlparse.MustParse(`SELECT cons FROM Power P, Consumer C`)
+	bad := parse(`SELECT cons FROM Power P, Consumer C`)
 	if err := p.Authorize(cred("r"), bad); !errors.Is(err, ErrDenied) {
 		t.Fatalf("out-of-scope table allowed: %v", err)
 	}
@@ -118,7 +127,7 @@ func TestAuthorizeTableScope(t *testing.T) {
 
 func TestAuthorizeNoRole(t *testing.T) {
 	p := policyAggOnly()
-	q := sqlparse.MustParse(`SELECT AVG(cons) FROM Power GROUP BY period`)
+	q := parse(`SELECT AVG(cons) FROM Power GROUP BY period`)
 	if err := p.Authorize(cred("stranger"), q); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unknown role allowed: %v", err)
 	}
@@ -138,11 +147,11 @@ func TestAuthorizeDeniedColumns(t *testing.T) {
 		`SELECT district FROM Consumer WHERE accommodation = 'flat'`,
 		`SELECT AVG(cons) FROM Power P, Consumer C GROUP BY C.accommodation`,
 	} {
-		if err := p.Authorize(cred("r"), sqlparse.MustParse(q)); !errors.Is(err, ErrDenied) {
+		if err := p.Authorize(cred("r"), parse(q)); !errors.Is(err, ErrDenied) {
 			t.Errorf("denied column allowed in %q: %v", q, err)
 		}
 	}
-	if err := p.Authorize(cred("r"), sqlparse.MustParse(`SELECT district FROM Consumer`)); err != nil {
+	if err := p.Authorize(cred("r"), parse(`SELECT district FROM Consumer`)); err != nil {
 		t.Errorf("legal query denied: %v", err)
 	}
 }
@@ -153,7 +162,7 @@ func TestAuthorizeMostPermissiveRuleWins(t *testing.T) {
 		{Role: "doctor", Tables: []string{"Power"}},
 	}}
 	// A querier holding both roles may run identifying queries on Power.
-	q := sqlparse.MustParse(`SELECT cons FROM Power`)
+	q := parse(`SELECT cons FROM Power`)
 	if err := p.Authorize(cred("analyst", "doctor"), q); err != nil {
 		t.Fatalf("union of roles should allow: %v", err)
 	}
@@ -179,15 +188,15 @@ func TestAuthorizeNoCrossRulePrivilegeCombination(t *testing.T) {
 		{Role: "alert-service", Tables: []string{"Patient"}},
 	}}
 	c := cred("epidemiologist", "alert-service")
-	leak := sqlparse.MustParse(`SELECT pid, cost FROM Visit`)
+	leak := parse(`SELECT pid, cost FROM Visit`)
 	if err := p.Authorize(c, leak); !errors.Is(err, ErrDenied) {
 		t.Fatalf("cross-rule combination authorized an identifying Visit query: %v", err)
 	}
 	// Each rule still authorizes what it intends.
-	if err := p.Authorize(c, sqlparse.MustParse(`SELECT COUNT(*) FROM Visit GROUP BY year`)); err != nil {
+	if err := p.Authorize(c, parse(`SELECT COUNT(*) FROM Visit GROUP BY year`)); err != nil {
 		t.Errorf("aggregate over Visit denied: %v", err)
 	}
-	if err := p.Authorize(c, sqlparse.MustParse(`SELECT pid FROM Patient`)); err != nil {
+	if err := p.Authorize(c, parse(`SELECT pid FROM Patient`)); err != nil {
 		t.Errorf("identifying over Patient denied: %v", err)
 	}
 }
@@ -215,7 +224,7 @@ func TestAuthorizeDeniedColumnEveryPosition(t *testing.T) {
 		{"HAVING", `SELECT COUNT(*) FROM Consumer GROUP BY cid HAVING MIN(district) > 'A'`},
 	} {
 		t.Run(c.pos, func(t *testing.T) {
-			if err := p.Authorize(cred("r"), sqlparse.MustParse(c.q)); !errors.Is(err, ErrDenied) {
+			if err := p.Authorize(cred("r"), parse(c.q)); !errors.Is(err, ErrDenied) {
 				t.Errorf("denied column allowed in %q: %v", c.q, err)
 			}
 		})
@@ -225,7 +234,7 @@ func TestAuthorizeDeniedColumnEveryPosition(t *testing.T) {
 		`SELECT AVG(cons) FROM Power GROUP BY period HAVING MIN(cons) > 1`,
 		`SELECT COUNT(*) FROM Consumer`,
 	} {
-		if err := p.Authorize(cred("r"), sqlparse.MustParse(q)); err != nil {
+		if err := p.Authorize(cred("r"), parse(q)); err != nil {
 			t.Errorf("legal query %q denied: %v", q, err)
 		}
 	}
@@ -247,7 +256,7 @@ type alien struct{ *sqlparse.ColumnRef }
 
 func TestAuthorizeUnknownExpressionFailsClosed(t *testing.T) {
 	p := &Policy{Rules: []Rule{{Role: "r", DeniedColumns: []string{"district"}}}}
-	stmt := sqlparse.MustParse(`SELECT cid FROM Consumer WHERE cid = 1`)
+	stmt := parse(`SELECT cid FROM Consumer WHERE cid = 1`)
 	stmt.Where.(*sqlparse.BinaryExpr).Left = alien{&sqlparse.ColumnRef{Name: "cid"}}
 	if err := p.Authorize(cred("r"), stmt); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unknown node allowed: %v", err)

@@ -90,7 +90,7 @@ func TestPhaseErrorDeterminism(t *testing.T) {
 		f := newFixture(t, 30, func(c *Config) { c.CollectWorkers = workers })
 		post, err := f.q.BuildPost("phase-error", flagshipSQL, protocol.KindSAgg, protocol.Params{})
 		noErr(t, err)
-		post.Epoch = f.eng.wireEpoch()
+		post.Epoch = f.eng.enterEpoch()
 		defer f.eng.planCache.Drop(post.ID)
 		for rep := 0; rep < 20; rep++ {
 			rs := &runState{post: post, rng: rand.New(rand.NewSource(3)), metrics: &Metrics{},

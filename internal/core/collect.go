@@ -161,6 +161,10 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 		devices = append(devices, d)
 	}
 
+	// One stale rule: a device that cannot serve the post's epoch is
+	// queued for a retry whenever a rotation may be moving the fleet —
+	// the run scripts one, or one was in progress as the walk began.
+	rs.rotating = rs.rotScript != nil || e.rotationInProgress()
 	n := int64(len(devices)) // how many can deposit, each deposit holding a tuple or more
 	if limit := post.Size.MaxTuples; limit > 0 {
 		n = min(n, limit)
@@ -483,8 +487,8 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 	case w.refused(d, attempt):
 		return fateRefused, nil
 	}
-	if r.awake && rs.rotScript != nil {
-		// A scripted rotation fires at commit points, so it may have
+	if r.awake && rs.rotating {
+		// A rotation's waves land at commit points, so one may have
 		// migrated the slot since it was claimed: re-key it.
 		e.aim(r.t, d.slot)
 	} else if !r.awake {
@@ -493,7 +497,7 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 		}
 		r.awake = true
 	}
-	if attempt > 1 || (rs.rotScript != nil && e.rotationInProgress()) {
+	if attempt > 1 || (rs.rotating && e.rotationInProgress()) {
 		e.life.RLock()
 		serves := e.slotServes(d.slot, post.Epoch)
 		e.life.RUnlock()
@@ -504,7 +508,7 @@ func (w *collectWalk) resolve(d collectDevice, r *collectResult, now time.Time, 
 			return fateStale, nil
 		}
 	}
-	if !r.ran || !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
+	if !r.ran || !r.specNow.Equal(now) || (rs.rotating && r.err != nil) {
 		// Never collected, collected against another clock, or failed in
 		// what may have been the device's pre-migration state.
 		w.collect(w.cols[0], r, now)

@@ -16,8 +16,6 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/rng"
-	"github.com/trustedcells/tcq/internal/sqlexec"
-	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
@@ -35,7 +33,7 @@ func newBenchEngine(b testing.TB, fleet, workers int) (*Engine, *querier.Querier
 func newCollectionRun(tb testing.TB, eng *Engine, q *querier.Querier) *runState {
 	post, err := q.BuildPost(eng.nextQueryID(), benchAggSQL, protocol.KindSAgg, protocol.Params{})
 	noErr(tb, err)
-	post.Epoch = eng.wireEpoch()
+	post.Epoch = eng.enterEpoch()
 	now := time.Unix(1700000000, 0)
 	noErr(tb, eng.ssi.PostQuery(post, now))
 	return &runState{post: post, rng: rng.New(eng.cfg.Seed, post.ID, rng.Run), metrics: &Metrics{},
@@ -387,8 +385,7 @@ func BenchmarkCollectLocal(b *testing.B) {
 	}{{"deep", 300}, {"wide", 2}} {
 		b.Run(shape.name, func(b *testing.B) {
 			_, t, _ := newDevice(b, shape.readings)
-			plan, err := sqlexec.Compile(sqlparse.MustParse(benchAggSQL), t.DB.Schema())
-			noErr(b, err)
+			plan := compilePlan(b, benchAggSQL, t.DB.Schema())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -107,6 +107,9 @@ type Engine struct {
 	life sync.RWMutex
 	// rot is the in-progress live rotation (rotation.go); nil otherwise.
 	rot *rotationState
+	// posted counts the runs in flight by the wire epoch they posted at:
+	// a rotation's grace window closes once none at the old epoch is left.
+	posted map[int]int
 	// bundleSeq is the trust-bundle distribution counter: the Version of
 	// the last bundle published, which devices enforce monotonicity
 	// against.
@@ -160,6 +163,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		obs:       newEngineObs(),
 		mats:      []*tds.KeyMaterial{km},
 		discovery: make(map[string]*discovered),
+		posted:    make(map[int]int),
 	}, nil
 }
 
@@ -186,15 +190,6 @@ func (e *Engine) nextQueryID() string {
 	defer e.mu.Unlock()
 	e.seq++
 	return fmt.Sprintf("q-%06d", e.seq)
-}
-
-// wireEpoch is the 1-based key epoch stamped on query posts and deposit
-// envelopes. KeyAuthority epochs are 0-based; on the wire 0 means
-// "unknown", so the first epoch transmits as 1.
-func (e *Engine) wireEpoch() int {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	return int(e.keyAuth.Epoch()) + 1
 }
 
 // availableWorkers is the number of TDSs connected during aggregation and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,8 +234,7 @@ func TestGlobalAggregate(t *testing.T) {
 }
 
 // filteringPadder pads every random build of at most one tuple — a global
-// aggregate's filtering build — with two empty partitions, which the
-// partition-multiset check admits.
+// aggregate's filtering build — with two empty partitions.
 type filteringPadder struct{ ssi.Service }
 
 func (p filteringPadder) PartitionRandom(id string, tuples []protocol.WireTuple, per int, r *rand.Rand) [][]protocol.WireTuple {
@@ -245,11 +245,39 @@ func (p filteringPadder) PartitionRandom(id string, tuples []protocol.WireTuple,
 	return append(parts, nil, nil)
 }
 
+// aggregationPadder pads every first-step build — the first aggregation
+// phase's under S_Agg and the tagged protocols — with one empty partition.
+type aggregationPadder struct{ ssi.Service }
+
+func (p aggregationPadder) StreamBuild(id string, per int) ([][]protocol.WireTuple, []int32) {
+	parts, pos := p.Service.StreamBuild(id, per)
+	return append(parts, nil), pos
+}
+
+// TestPaddedAggregationBuildIsQuarantined: the engine owns a build's
+// shape, so an aggregation build padded with an empty partition fails
+// verification though it holds every tuple: it is quarantined, its
+// re-issue recovers, and the rows are the honest ones.
+func TestPaddedAggregationBuildIsQuarantined(t *testing.T) {
+	for _, kind := range []protocol.Kind{protocol.KindSAgg, protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist} {
+		for _, workers := range []int{1, 8} {
+			f := newFixture(t, 20, func(c *Config) { c.CollectWorkers, c.SSI = workers, aggregationPadder{ssi.NewSharded(1)} })
+			got, m := f.run(t, flagshipSQL, kind, protocol.Params{})
+			assertSameResult(t, got, f.reference(t, flagshipSQL))
+			assertLedgerHas(t, m.Ledger, "integrity-recovered", m.Phases[0].Name)
+			if m.IntegrityQuarantines != 1 || m.IntegrityRecovered != 1 {
+				t.Errorf("%v workers=%d: %d quarantined, %d recovered; want the padded build's one each",
+					kind, workers, m.IntegrityQuarantines, m.IntegrityRecovered)
+			}
+		}
+	}
+}
+
 // TestGlobalAggregateOverNoMatches: a global aggregate over no true tuple
 // answers (0, NULL) under every aggregate protocol and worker count, from
 // its one filtering unit — through its reassignment when that unit's
-// first assignee crashes, and however many empty partitions the SSI pads
-// the filtering build with.
+// first assignee crashes, and through the quarantine of a filtering build
+// the SSI padded with empty partitions, whose re-issue recovers.
 func TestGlobalAggregateOverNoMatches(t *testing.T) {
 	crash := &faultplan.Plan{Seed: 7, CrashFraction: 0.3} // its one crash: S_Agg's first filtering assignee
 	for _, kind := range []protocol.Kind{protocol.KindSAgg, protocol.KindRnfNoise, protocol.KindCNoise, protocol.KindEDHist} {
@@ -277,6 +305,8 @@ func TestGlobalAggregateOverNoMatches(t *testing.T) {
 				}
 				if v.faults != nil {
 					assertLedgerHas(t, m.Ledger, "reassign", "filtering")
+				} else if v.padded {
+					assertLedgerHas(t, m.Ledger, "integrity-recovered", "filtering")
 				}
 			}
 		}
@@ -416,6 +446,17 @@ func TestAvailableFractionRange(t *testing.T) {
 			t.Errorf("AvailableFraction %v runs at %v, want %v", tc.in, eng.cfg.AvailableFraction, tc.want)
 		}
 	}
+}
+
+// postingSSI counts PostQuery calls.
+type postingSSI struct {
+	*ssi.SSI
+	posted atomic.Int32
+}
+
+func (p *postingSSI) PostQuery(post *protocol.QueryPost, at time.Time) error {
+	p.posted.Add(1)
+	return p.SSI.PostQuery(post, at)
 }
 
 // TestNegativeNfRejected: Execute refuses n_f < 0 before posting, instead

@@ -9,6 +9,8 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 	"github.com/trustedcells/tcq/internal/sqlexec"
+	"github.com/trustedcells/tcq/internal/sqlparse"
+	"github.com/trustedcells/tcq/internal/storage"
 )
 
 // Test-side spellings of the common Execute shapes, for call sites that
@@ -23,6 +25,16 @@ func noErr(t testing.TB, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// compilePlan parses and compiles sql against schema.
+func compilePlan(tb testing.TB, sql string, schema *storage.Schema) *sqlexec.Plan {
+	tb.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	noErr(tb, err)
+	plan, err := sqlexec.Compile(stmt, schema)
+	noErr(tb, err)
+	return plan
 }
 
 // slotID is the ID ProvisionFleet enrolls a slot's device under.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math/bits"
+	"slices"
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/ssi"
@@ -271,9 +272,14 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 //
 // Relayed partials (in input) are pinned by nothing else, so a multiset
 // check proves them and each partition's leaf commits its tuples' bytes.
+// The engine, not the SSI, owns a build's shape: no honest build holds an
+// empty partition, so a build holding one fails.
 func (rs *runState) foldBuild(phase string, covering bool, input []protocol.WireTuple,
 	parts [][]protocol.WireTuple, pos []int32) bool {
 	st, c := rs.integ, rs.verifier
+	if slices.ContainsFunc(parts, func(p []protocol.WireTuple) bool { return len(p) == 0 }) {
+		return false
+	}
 	if covering && st.inOrder(parts) {
 		fold, end := c.StartFold("bounds/"+phase), 0
 		fold.Add(st.digest)

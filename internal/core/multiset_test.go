@@ -243,7 +243,7 @@ func digestRun(views ...[]protocol.WireTuple) *runState {
 // to a different digest, whether the fold commits partition boundaries
 // (the covering result in deposit order), the store positions the build
 // names (permuted) or bytes (relayed partials); the same build folds to
-// the same digest.
+// the same digest, and a build padded with an empty partition fails.
 func TestIntegrityDigestPinsGrouping(t *testing.T) {
 	a, b, c, d := wt("t", "ct-a", "d"), wt("t", "ct-b", "d"), wt("", "ct-c", ""), wt("u", "ct-d", "e")
 	input := []protocol.WireTuple{a, b, c, d}
@@ -254,7 +254,6 @@ func TestIntegrityDigestPinsGrouping(t *testing.T) {
 		x, y     parts
 	}{
 		{"in order, a boundary moved", true, parts{{a, b}, {c, d}}, parts{{a}, {b, c, d}}},
-		{"in order, an empty partition added", true, parts{{a, b}, {c, d}}, parts{{a, b}, {}, {c, d}}},
 		{"in order vs permuted", true, parts{{a, b}, {c, d}}, parts{{b, a}, {c, d}}},
 		{"permuted, a tuple moved", true, parts{{b, a}, {d, c}}, parts{{b}, {a, d, c}}},
 		{"permuted, partitions swapped", true, parts{{b, a}, {d, c}}, parts{{d, c}, {b, a}}},
@@ -276,6 +275,12 @@ func TestIntegrityDigestPinsGrouping(t *testing.T) {
 			t.Errorf("%s: %v and %v fold to one digest", tc.name, tc.x, tc.y)
 		}
 	}
+	for _, covering := range []bool{true, false} { // no honest build holds an empty partition
+		padded := parts{{a, b}, {}, {c, d}}
+		if digestRun(input[:1], input[1:]).foldBuild("step", covering, input, padded, positionsOf(input, padded)) {
+			t.Errorf("covering=%v: a build holding an empty partition passed", covering)
+		}
+	}
 }
 
 // FuzzMultisetEqual holds the index-table check to the reference on
@@ -287,7 +292,7 @@ func TestIntegrityDigestPinsGrouping(t *testing.T) {
 // sizes, and the build names its honest tuples' positions (two swapped,
 // or one repeated, if the seed says so). The covering-build check must accept exactly the
 // builds in deposit order and the permutations whose every position names
-// an equal verified tuple.
+// an equal verified tuple, with no empty partition.
 func FuzzMultisetEqual(f *testing.F) {
 	f.Add([]byte{0x15, 'a', 'b', 'a', 0x15, 'a', 'b', 'a', 0x06, 'b', 'a', 'a'}, []byte{}, int64(1), uint8(0), uint8(2))
 	f.Add([]byte{0x06, 'a', 'b', 'c'}, []byte{0x09, 'a', 'b', 'c'}, int64(2), uint8(5), uint8(0))
@@ -354,8 +359,9 @@ func FuzzMultisetEqual(f *testing.F) {
 		if got := st.multisetEqual(input, parts); got != want {
 			t.Fatalf("multisetEqual = %v, reference = %v\ninput %q\nparts %q", got, want, input, parts)
 		}
-		want = refPositions(input, parts, pos) || slices.EqualFunc(slices.Concat(parts...), input,
-			func(a, b protocol.WireTuple) bool { return tupleKey(a) == tupleKey(b) })
+		want = !slices.ContainsFunc(parts, func(p []protocol.WireTuple) bool { return len(p) == 0 }) &&
+			(refPositions(input, parts, pos) || slices.EqualFunc(slices.Concat(parts...), input,
+				func(a, b protocol.WireTuple) bool { return tupleKey(a) == tupleKey(b) }))
 		rs := digestRun(views...)
 		if got := rs.foldBuild("fuzz", true, nil, parts, pos); got != want {
 			t.Fatalf("covering build check = %v, reference = %v\ninput %q\nviews %q\nparts %q\npos %v",

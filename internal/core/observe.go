@@ -113,7 +113,8 @@ type runState struct {
 	phaseDevs []*tds.TDS
 	cols      []*collector
 	// Live-rotation context. rotScript is the fault plan's scripted
-	// rotation (nil when none); commits counts committed deposit envelopes
+	// rotation (nil when none); rotating turns the walk's stale rule on
+	// (collectionPhase); commits counts committed deposit envelopes
 	// in connection order — the worker-count-independent trigger clock the
 	// script fires on; rotStarted is the commit count at which the scripted
 	// rotation began. staleQ queues devices that connected while a torn
@@ -123,6 +124,7 @@ type runState struct {
 	// pinned at post time so a mid-run rotation cannot shift what the
 	// engine verifies deposits and partition commitments against.
 	rotScript  *faultplan.RotationScript
+	rotating   bool
 	commits    int
 	rotStarted int
 	staleQ     []collectDevice

@@ -9,25 +9,8 @@ import (
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/sqlexec"
-	"github.com/trustedcells/tcq/internal/sqlparse"
 	"github.com/trustedcells/tcq/internal/storage"
 )
-
-// TestPackedRevocation: broadcast revocation expels the named devices,
-// the survivors re-keyed through the broadcast and the revoked slots dead
-// on their old epoch.
-func TestPackedRevocation(t *testing.T) {
-	f := newFixture(t, 16, nil)
-	noErr(t, f.eng.RevokeAndRotate("tds-00003", "tds-00007"))
-	fresh := newQuerierForEngine(t, f.eng, "fresh")
-	got, m, err := runQuery(f.eng, fresh, `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
-	noErr(t, err)
-	want := referenceExcluding(t, f, `SELECT cid FROM Consumer`, map[int]bool{3: true, 7: true})
-	if m.CollectErrors != 2 || !slices.Equal(sortedRows(got), sortedRows(want)) {
-		t.Errorf("CollectErrors = %d, rows %v; want the 2 revoked and the 14 survivors' %v",
-			m.CollectErrors, sortedRows(got), sortedRows(want))
-	}
-}
 
 // TestEngineInsert: Insert takes a row only for an enrolled device's ID
 // and a row its table admits; a refused row leaves the fleet as it was.
@@ -90,9 +73,7 @@ func TestEngineInsert(t *testing.T) {
 // slot's database, row for row.
 func TestDeviceWakeDoesNotAllocate(t *testing.T) {
 	f := newFixture(t, 12, nil)
-	plan, err := sqlexec.Compile(sqlparse.MustParse(
-		`SELECT C.district, P.cons FROM Power P, Consumer C WHERE C.cid = P.cid`), f.eng.Schema())
-	noErr(t, err)
+	plan := compilePlan(t, `SELECT C.district, P.cons FROM Power P, Consumer C WHERE C.cid = P.cid`, f.eng.Schema())
 	dev, phase := f.eng.newShell(), f.eng.newShell()
 	slot, scanned, scan := 0, 0, new(sqlexec.Scan)
 	wakeScanNext := func() {

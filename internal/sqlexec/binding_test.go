@@ -27,7 +27,9 @@ func TestCompileBindingErrors(t *testing.T) {
 		`SELECT period FROM Power GROUP BY period HAVING cons > 1`:     `sqlexec: column "cons" must appear in GROUP BY or inside an aggregate`,
 		`SELECT period FROM Power GROUP BY period HAVING nope > 1`:     `sqlexec: unknown column "nope"`,
 	} {
-		_, err := Compile(sqlparse.MustParse(q), testSchema())
+		stmt, err := sqlparse.Parse(q)
+		noErr(t, err)
+		_, err = Compile(stmt, testSchema())
 		if err == nil || err.Error() != want {
 			t.Errorf("%s\n  err  = %v\n  want = %s", q, err, want)
 		}

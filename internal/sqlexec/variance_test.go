@@ -40,7 +40,8 @@ func TestVarianceEmptyAndSingle(t *testing.T) {
 }
 
 func TestVarianceParserAliases(t *testing.T) {
-	stmt := sqlparse.MustParse(`SELECT VAR(x), VARIANCE(x), STDDEV(x) FROM T GROUP BY g`)
+	stmt, err := sqlparse.Parse(`SELECT VAR(x), VARIANCE(x), STDDEV(x) FROM T GROUP BY g`)
+	noErr(t, err)
 	aggs := stmt.Aggregates()
 	if aggs[0].Func != sqlparse.AggVar || aggs[1].Func != sqlparse.AggVar ||
 		aggs[2].Func != sqlparse.AggStddev {

@@ -26,15 +26,6 @@ func Parse(src string) (*SelectStmt, error) {
 	return stmt, nil
 }
 
-// MustParse is Parse for tests and examples with literal queries.
-func MustParse(src string) *SelectStmt {
-	s, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -70,15 +70,6 @@ func NewSuite(k Key) (*Suite, error) {
 	return &Suite{aead: aead, detKey: detKey, detMAC: NewMACPool(detKey)}, nil
 }
 
-// MustSuite is NewSuite for tests and examples.
-func MustSuite(k Key) *Suite {
-	s, err := NewSuite(k)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // NDetEncrypt encrypts plaintext non-deterministically (nDet_Enc): a random
 // nonce makes every ciphertext unique, so the SSI can neither detect equal
 // plaintexts nor mount frequency attacks. aad is authenticated but not
