@@ -12,6 +12,7 @@ import (
 
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
+	"github.com/trustedcells/tcq/internal/sqlexec"
 	"github.com/trustedcells/tcq/internal/ssi"
 )
 
@@ -142,6 +143,28 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 				same("under concurrency", i, got[i])
 			}
 		})
+	}
+}
+
+// TestConcurrentQueries: callers that share one engine with no Server in
+// front of it may run Execute at once; each gets the rows it would alone.
+func TestConcurrentQueries(t *testing.T) {
+	f := newFixture(t, 30, nil)
+	queries := []struct {
+		sql  string
+		kind protocol.Kind
+	}{{flagshipSQL, protocol.KindSAgg}, {countSQL, protocol.KindSAgg},
+		{`SELECT cid FROM Consumer WHERE accommodation = 'flat'`, protocol.KindBasic}, {flagshipSQL, protocol.KindCNoise}}
+	got, errs := make([]*sqlexec.Result, len(queries)), make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, qq := range queries {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i], _, errs[i] = runQuery(f.eng, f.q, qq.sql, qq.kind, protocol.Params{}) }()
+	}
+	wg.Wait()
+	for i, qq := range queries {
+		noErr(t, errs[i])
+		assertSameResult(t, got[i], f.reference(t, qq.sql))
 	}
 }
 
