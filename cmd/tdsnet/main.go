@@ -39,9 +39,10 @@
 //	                      timestamps, one event per device the collection
 //	                      reached) as JSON lines
 //	-trace-summary        render the span tree as an ASCII summary
-//	-metrics-out m.prom   write the engine's metrics registry in
-//	                      Prometheus text format
 //	-journal-out q.jsonl  write the structured query journal as JSON lines
+//
+// The printed metrics, the trace and the journal are the query's whole
+// record; the engine keeps no account that outlives a run.
 package main
 
 import (
@@ -112,7 +113,6 @@ type options struct {
 
 	traceOut     string
 	traceSummary bool
-	metricsOut   string
 	journalOut   string
 }
 
@@ -238,7 +238,6 @@ func parseFlags(args []string) options {
 		"concurrent: server MaxInFlight (0 = GOMAXPROCS)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the query trace as JSON lines to this file")
 	fs.BoolVar(&o.traceSummary, "trace-summary", false, "print the query trace as an ASCII span tree")
-	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry (Prometheus text) to this file")
 	fs.StringVar(&o.journalOut, "journal-out", "", "write the structured query journal (JSON lines) to this file")
 	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 	return o
@@ -345,7 +344,7 @@ func runOpts(o options) error {
 		// requested artifacts so the abort is auditable.
 		if resp != nil {
 			printAbort(resp, err)
-			if expErr := exportObservability(o, eng, resp); expErr != nil {
+			if expErr := exportObservability(o, resp); expErr != nil {
 				fmt.Fprintln(os.Stderr, "tdsnet:", expErr)
 			}
 		}
@@ -386,7 +385,7 @@ func runOpts(o options) error {
 		fmt.Printf("\n%s", resp.Conformance)
 	}
 
-	return exportObservability(o, eng, resp)
+	return exportObservability(o, resp)
 }
 
 // runConcurrent is the -concurrent N mode: the same query N times at
@@ -395,8 +394,8 @@ func runOpts(o options) error {
 // connection answers every pending querybox. Reports wall-clock
 // throughput and the exact simulated-latency quantiles; with fixed seeds
 // every per-query simulated metric is identical to a solo run's. The
-// exported trace and journal are query cc-0000's; the metrics registry is
-// engine-wide.
+// exported trace and journal are query cc-0000's, byte-identical to a
+// direct run of it: the server writes nothing into a query's record.
 func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 	q *querier.Querier, kind protocol.Kind, plan *faultplan.Plan) error {
 	inflight := o.inflight
@@ -447,7 +446,7 @@ func runConcurrent(ctx context.Context, o options, eng *core.Engine,
 	fmt.Printf("simulated latency  p50 %.2fms  p99 %.2fms (T_Q per query)\n",
 		obs.Quantile(latencies, 0.50), obs.Quantile(latencies, 0.99))
 	fmt.Printf("completed          %d queries\n", o.concurrent)
-	return exportObservability(o, eng, first)
+	return exportObservability(o, first)
 }
 
 // printIntegrity renders the verified-execution report, or notes that
@@ -527,9 +526,9 @@ func printRecoveryReport(ledger []ssi.LedgerEntry) {
 	}
 }
 
-// exportObservability writes the trace and metrics artifacts the flags
+// exportObservability writes the trace and journal artifacts the flags
 // requested.
-func exportObservability(o options, eng *core.Engine, resp *core.Response) error {
+func exportObservability(o options, resp *core.Response) error {
 	if o.traceSummary && resp.Trace != nil {
 		fmt.Printf("\nquery trace (simulated clock):\n%s", resp.Trace.Summary())
 	}
@@ -549,20 +548,6 @@ func exportObservability(o options, eng *core.Engine, resp *core.Response) error
 			return err
 		}
 		fmt.Printf("trace: wrote %s\n", o.traceOut)
-	}
-	if o.metricsOut != "" {
-		f, err := os.Create(o.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := eng.Registry().WriteText(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: wrote %s\n", o.metricsOut)
 	}
 	if o.journalOut != "" {
 		if resp.Journal == nil {

@@ -110,8 +110,8 @@ func TestRunWithChurn(t *testing.T) {
 	}
 }
 
-// TestObservabilityExports runs a churned query with -trace-out,
-// -metrics-out and -journal-out targets and validates the artifacts.
+// TestObservabilityExports runs a churned query with -trace-out and
+// -journal-out targets and validates the artifacts.
 func TestObservabilityExports(t *testing.T) {
 	runAndCheckExports(t, options{
 		fleet: 40, protoName: "s_agg", query: defaultQuery,
@@ -121,8 +121,7 @@ func TestObservabilityExports(t *testing.T) {
 }
 
 // TestConcurrentObservabilityExports: -concurrent N honours the same
-// export flags as a single run — query cc-0000's trace and journal, and
-// the engine-wide registry.
+// export flags as a single run: query cc-0000's trace and journal.
 func TestConcurrentObservabilityExports(t *testing.T) {
 	runAndCheckExports(t, options{
 		fleet: 30, protoName: "s_agg", query: defaultQuery,
@@ -131,16 +130,14 @@ func TestConcurrentObservabilityExports(t *testing.T) {
 }
 
 // runAndCheckExports runs o with every export target set and validates
-// the three artifacts: the trace file is line-delimited JSON covering
-// every phase, the metrics file parses as Prometheus text, the journal
-// passes its schema check.
+// both artifacts: the trace file is line-delimited JSON covering every
+// phase, the journal passes its schema check.
 func runAndCheckExports(t *testing.T, o options) {
 	t.Helper()
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "trace.jsonl")
-	metricsFile := filepath.Join(dir, "metrics.prom")
 	journalFile := filepath.Join(dir, "journal.jsonl")
-	o.traceOut, o.metricsOut, o.journalOut, o.traceSummary = traceFile, metricsFile, journalFile, true
+	o.traceOut, o.journalOut, o.traceSummary = traceFile, journalFile, true
 	if err := runOpts(o); err != nil {
 		t.Fatal(err)
 	}
@@ -169,19 +166,6 @@ func runAndCheckExports(t *testing.T, o options) {
 		if !names[want] {
 			t.Errorf("trace is missing %q records (have %v)", want, names)
 		}
-	}
-
-	mf, err := os.Open(metricsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
-	if err := obs.CheckText(mf); err != nil {
-		t.Fatalf("metrics file fails the Prometheus checker: %v", err)
-	}
-	mraw, _ := os.ReadFile(metricsFile)
-	if !strings.Contains(string(mraw), "tcq_queries_total") {
-		t.Error("metrics file missing tcq_queries_total")
 	}
 
 	jf, err := os.Open(journalFile)

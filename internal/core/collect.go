@@ -155,7 +155,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 			// connects, so it occupies no connection slot at all. The
 			// engine knows its fault script hit; the SSI never saw it.
 			metrics.OfflineDevices++
-			e.obs.tracer.EngineEvent(post.ID, "fault-"+d.b.Label(), d.id, start, obs.CipherFacts{})
+			e.tracer.EngineEvent(post.ID, "fault-"+d.b.Label(), d.id, start, obs.CipherFacts{})
 			continue
 		}
 		devices = append(devices, d)
@@ -169,7 +169,7 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	if limit := post.Size.MaxTuples; limit > 0 {
 		n = min(n, limit)
 	}
-	e.obs.tracer.Reserve(post.ID, int(n)) // about one event each
+	e.tracer.Reserve(post.ID, int(n)) // about one event each
 	if rs.verify {
 		rs.integ.records = make([]depositRecord, 0, n)
 	}
@@ -197,10 +197,10 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 	return nil
 }
 
-// acceptDeposit folds one accepted deposit into the metrics, the trace,
-// the deposit-size histogram, and the verification records. The byte
-// volume billed is the envelope's full ciphertext — what the SSI actually
-// watched arrive, whether or not the SIZE cap truncated the accepted count.
+// acceptDeposit folds one accepted deposit into the metrics, the trace
+// and the verification records. The byte volume billed is the envelope's
+// full ciphertext — what the SSI actually watched arrive, whether or not
+// the SIZE cap truncated the accepted count.
 func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, accepted int,
 	now time.Time, attempt int) {
 	sent, sentBytes := len(r.tuples), protocol.TotalSize(r.tuples)
@@ -211,9 +211,8 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, r *collectResult, 
 	rs.metrics.DepositedDevices++
 	rs.metrics.CollectBytes += int64(sentBytes)
 	rs.recordDepositCommit(d.id, r, accepted, attempt, sentBytes)
-	e.obs.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
+	e.tracer.SSIEvent(rs.post.ID, "deposit", d.id, now,
 		obs.CipherFacts{Tuples: accepted, Bytes: int64(sentBytes), Attempt: attempt})
-	e.obs.depositTuples.Observe(float64(accepted))
 }
 
 // recordRejected accounts an envelope the SSI rejected. The rejection does

@@ -329,7 +329,7 @@ func TestRotationOverInsertedSlots(t *testing.T) {
 
 // TestAbortCoverageFloorJournal pins a fleet nine-tenths offline under a
 // coverage floor of one half: the run must end in the floor's typed abort,
-// settled on the ledger, the journal, the trace and the registry.
+// settled on the ledger, the journal and the trace.
 func TestAbortCoverageFloorJournal(t *testing.T) {
 	plan := faultplan.Plan{Seed: 2, OfflineFraction: 0.9, CoverageFloor: 0.5}
 	if !pinned(1, 40, plan, cell{}, cell{workers: 8}).run(t)["floor-abort"] {
@@ -423,8 +423,7 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 
 	// 1. Rows are the answer over exactly the devices that can answer —
 	// under an SSI script, the honest twin's — or the run ends in the typed
-	// abort the composition predicts, on the ledger, the journal and the
-	// registry.
+	// abort the composition predicts, on the ledger and the journal.
 	want, either := "", false
 	switch {
 	case p.CoverageFloor > 0 && m.CoverageRatio < p.CoverageFloor:
@@ -450,7 +449,6 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 		}
 		reason := abortReason(err)
 		assertAbortJournal(t, resp, reason)
-		assertRegistryHas(t, f.eng, fmt.Sprintf(`tcq_queries_failed_total{reason=%q} 1`, reason))
 		if le := m.Ledger[len(m.Ledger)-1]; le.Kind != "query-abort" || le.Phase != reason {
 			t.Errorf("%+v: the ledger ends in %+v, want a %s abort", cl, le, reason)
 		}
@@ -568,9 +566,6 @@ func (c *composition) check(t *testing.T, cl cell, script *faultplan.SSIScript, 
 		o.abort == "" && (rep.Recovered != rep.Quarantines || rep.Deposits != m.DepositedDevices ||
 			rep.Checks == 0 || rep.Phases == 0 || len(resp.Integrity.Digest) == 0):
 		t.Errorf("%+v: integrity report %+v (%d deposited) for outcome %q", cl, rep, m.DepositedDevices, o.abort)
-	}
-	if q := m.IntegrityQuarantines; q > 0 {
-		assertRegistryHas(t, f.eng, fmt.Sprintf(`tcq_integrity_events_total{kind="quarantine"} %d`, q))
 	}
 
 	// 6. The journal passes the schema check.

@@ -17,6 +17,7 @@ import (
 
 	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/netsim"
+	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/ssi"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
@@ -87,7 +88,8 @@ type Engine struct {
 	keys      tdscrypto.KeyRing
 	cal       netsim.Calibration // the unit-test board of Section 6.2
 	planCache *tds.PlanCache     // what a query's devices share; no device holds a plan of its own
-	obs       *engineObs         // tracer + metrics registry
+	tracer    *obs.Tracer        // each run's span tree, taken into its Response
+	journal   *obs.Journal       // each run's structured journal, likewise
 
 	// What runs borrow: window slots, phase workers' devices (so no
 	// collection device holds a fold scratch) and collectors.
@@ -160,7 +162,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		keys:      ring,
 		cal:       netsim.DefaultCalibration(),
 		planCache: tds.NewPlanCache(),
-		obs:       newEngineObs(),
+		tracer:    obs.NewTracer(),
+		journal:   obs.NewJournal(),
 		mats:      []*tds.KeyMaterial{km},
 		discovery: make(map[string]*discovered),
 		posted:    make(map[int]int),

@@ -70,11 +70,11 @@ type Response struct {
 	// and the folded k2 digest over everything that entered aggregation.
 	// Nil when the request set SkipVerify.
 	Integrity *IntegrityReport
-	// Journal is the run's structured event stream: admission, dispatch,
-	// phase boundaries, recovery-ledger entries and the terminal outcome,
-	// in canonical order. Byte-identical across CollectWorkers settings
-	// and concurrency for a pinned QueryID; serialize with
-	// Journal.WriteJSONL, validate with obs.CheckJournal.
+	// Journal is the run's structured event stream: query start, phase
+	// boundaries, recovery-ledger entries and the terminal outcome (query
+	// end or abort), in canonical order; a Server writes nothing into it.
+	// Byte-identical across CollectWorkers and concurrency for a pinned
+	// QueryID; serialize with WriteJSONL, validate with obs.CheckJournal.
 	Journal *obs.QueryJournal
 	// Conformance compares the run's measured T_Q and Load_Q against the
 	// Section 6.1 cost model's predictions. Nil for CollectOnly runs and

@@ -183,32 +183,52 @@ func (c *fuseCtx) Err() error {
 	return nil
 }
 
-// TestAbortTimeoutObservability cancels the context mid-collection and
-// requires the same full observability as any other abort: typed error,
-// settled metrics, abort ledger entry, failure counter, and a journal that
-// ends in the abort — possibly with the collect phase still open, which
-// the schema checker permits for aborts — with no stream left open.
+// TestAbortTimeoutObservability cancels the context mid-collection, and
+// inside the first phase after crashes, and requires the same full
+// observability as any other abort: typed error, settled metrics, abort
+// ledger entry, and a journal that ends in the abort — possibly with a
+// phase still open, which the schema checker permits for aborts — with
+// no stream left open. A run's recovery counters are its ledger's, so the
+// crashes of a phase the cancellation cut short still count.
 func TestAbortTimeoutObservability(t *testing.T) {
-	f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = 1 })
-	resp, err := f.eng.Execute(&fuseCtx{Context: context.Background(), fuse: 3}, Request{
-		Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
-		Params: protocol.Params{PartitionTuples: 4},
-	})
-	if !errors.Is(err, ErrQueryTimeout) {
-		t.Fatalf("err = %v, want ErrQueryTimeout", err)
+	for _, tc := range []struct {
+		name   string
+		fuse   int // context checks before the cancellation
+		faults *faultplan.Plan
+	}{
+		{"mid-collection", 3, nil},
+		{"mid-phase-after-crashes", 9, &faultplan.Plan{Seed: 21, CrashFraction: 0.3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One collection worker fixes the walk's context checks, so the
+			// fuse trips at the same point at any GOMAXPROCS.
+			f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = 1 })
+			resp, err := f.eng.Execute(&fuseCtx{Context: context.Background(), fuse: tc.fuse}, Request{
+				Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
+				Params: protocol.Params{PartitionTuples: 4}, Faults: tc.faults,
+			})
+			if !errors.Is(err, ErrQueryTimeout) {
+				t.Fatalf("err = %v, want ErrQueryTimeout", err)
+			}
+			if resp == nil {
+				t.Fatal("mid-run cancellation returned no response; it should abort, not vanish")
+			}
+			if resp.Result != nil {
+				t.Fatal("canceled run still returned rows")
+			}
+			m := resp.Metrics
+			assertLedgerHas(t, m.Ledger, "query-abort", "timeout")
+			if resp.Trace == nil {
+				t.Fatal("canceled run returned no trace")
+			}
+			assertAbortJournal(t, resp, "timeout")
+			if tc.faults != nil && (len(m.Phases) > 0 || m.Reassignments == 0 ||
+				m.Reassignments != ledgerCount(m, "reassign")) {
+				t.Errorf("the cancellation missed the first phase's crashes: %d phases settled, "+
+					"%d reassignments, %d reassign entries", len(m.Phases), m.Reassignments, ledgerCount(m, "reassign"))
+			}
+		})
 	}
-	if resp == nil {
-		t.Fatal("mid-run cancellation returned no response; it should abort, not vanish")
-	}
-	if resp.Result != nil {
-		t.Fatal("canceled run still returned rows")
-	}
-	assertLedgerHas(t, resp.Metrics.Ledger, "query-abort", "timeout")
-	if resp.Trace == nil {
-		t.Fatal("canceled run returned no trace")
-	}
-	assertRegistryHas(t, f.eng, `tcq_queries_failed_total{reason="timeout"} 1`)
-	assertAbortJournal(t, resp, "timeout")
 }
 
 // assertLedgerHas requires one recovery-ledger entry of the given kind (and
@@ -221,17 +241,6 @@ func assertLedgerHas(t *testing.T, ledger []ssi.LedgerEntry, kind, phase string)
 		}
 	}
 	t.Errorf("ledger has no %s/%s entry: %+v", kind, phase, ledger)
-}
-
-// assertRegistryHas requires the engine's cumulative registry to render a
-// line containing want.
-func assertRegistryHas(t *testing.T, e *Engine, want string) {
-	t.Helper()
-	var buf bytes.Buffer
-	noErr(t, e.Registry().WriteText(&buf))
-	if !strings.Contains(buf.String(), want) {
-		t.Errorf("registry is missing %q:\n%s", want, buf.String())
-	}
 }
 
 // TestIntegrityWorkersAgree drives the verifier directly over a store large

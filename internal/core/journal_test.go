@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestServerQueuedCancelJournalNoLeak(t *testing.T) {
 	if err := <-withdrawn; !errors.Is(err, ErrQueryTimeout) {
 		t.Fatalf("withdrawn query: err = %v, want ErrQueryTimeout", err)
 	}
-	if f.eng.obs.journal.Take("withdrawn") != nil {
+	if f.eng.journal.Take("withdrawn") != nil {
 		t.Error("a request withdrawn from the queue left a journal stream")
 	}
 
@@ -81,12 +82,10 @@ func TestServerQueuedCancelJournalNoLeak(t *testing.T) {
 	}
 }
 
-// TestMixedTenantRegistryAndJournal drives two tenants through one
-// Server and validates the full observable surface: the complete
-// Prometheus rendering passes the text-format checker (querier-labelled
-// families included, each tenant's latency histogram among them), and
-// every response's journal is schema-valid.
-func TestMixedTenantRegistryAndJournal(t *testing.T) {
+// TestMixedTenantJournal drives two tenants through one Server: every
+// response's journal is schema-valid, and each tenant gets its three
+// completed responses.
+func TestMixedTenantJournal(t *testing.T) {
 	f := newFixture(t, 8, nil)
 	srv := NewServer(f.eng, ServerConfig{MaxInFlight: 2, QueueDepth: 8})
 	defer srv.Close()
@@ -96,7 +95,11 @@ func TestMixedTenantRegistryAndJournal(t *testing.T) {
 	other, err := querier.New("engie", f.eng.K1(), cred, f.eng.Schema())
 	noErr(t, err)
 
-	var wg sync.WaitGroup
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		completed = map[string]int{}
+	)
 	for i := 0; i < 3; i++ {
 		for _, q := range []*querier.Querier{f.q, other} {
 			wg.Add(1)
@@ -111,27 +114,17 @@ func TestMixedTenantRegistryAndJournal(t *testing.T) {
 				if err := obs.CheckJournal(bytes.NewReader(resp.Journal.Bytes())); err != nil {
 					t.Errorf("journal %s fails schema check: %v", resp.Journal.QueryID, err)
 				}
+				if resp.Result != nil {
+					mu.Lock()
+					completed[rq.Querier.ID]++
+					mu.Unlock()
+				}
 			}()
 		}
 	}
 	wg.Wait()
-
-	var text bytes.Buffer
-	noErr(t, f.eng.Registry().WriteText(&text))
-	if err := obs.CheckText(bytes.NewReader(text.Bytes())); err != nil {
-		t.Fatalf("registry text fails promcheck: %v", err)
-	}
-	for _, want := range []string{
-		`tcq_server_admitted_total{querier="edf"} 3`,
-		`tcq_server_admitted_total{querier="engie"} 3`,
-		`tcq_server_completed_total{outcome="ok",querier="edf"} 3`,
-		`tcq_server_completed_total{outcome="ok",querier="engie"} 3`,
-		`tcq_server_query_seconds_count{querier="edf"} 3`,
-		`tcq_server_query_seconds_count{querier="engie"} 3`,
-	} {
-		if !strings.Contains(text.String(), want) {
-			t.Errorf("registry missing %q", want)
-		}
+	if want := map[string]int{"edf": 3, "engie": 3}; !reflect.DeepEqual(completed, want) {
+		t.Errorf("completed responses by tenant = %v, want %v", completed, want)
 	}
 }
 

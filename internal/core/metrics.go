@@ -11,8 +11,8 @@ import (
 // evaluation (Section 6.1). It is the run's one account: the engine tallies
 // what only it knows along the way, and settle derives the rest once, at
 // the end — PTDS, TQ, TLocal and LoadBytes from Phases, the recovery
-// counters from Ledger — then feeds the registry behind Engine.Registry
-// from it. The per-event detail lives in Response.Trace.
+// counters from Ledger. The per-event detail lives in Response.Trace and
+// Response.Journal; nothing sums Metrics across runs.
 type Metrics struct {
 	Protocol protocol.Kind
 	// Nt is the number of wire tuples deposited during the collection
@@ -127,9 +127,9 @@ type PhaseTiming struct {
 
 // settle closes the run's account, once, on every exit path: it takes the
 // SSI's observation, stored volume and ledger, derives the totals from
-// Phases and the recovery counters from the ledger, and feeds the
-// registry. Nothing else writes a derived field.
-func (rs *runState) settle(o *engineObs) {
+// Phases and the recovery counters from the ledger. Nothing else writes a
+// derived field.
+func (rs *runState) settle() {
 	m, id := rs.metrics, rs.post.ID
 	m.Observation = rs.ssi.ObservationFor(id)
 	m.Ledger = rs.ssi.LedgerFor(id)
@@ -144,18 +144,11 @@ func (rs *runState) settle(o *engineObs) {
 	}
 	// Every crash the SSI timed out is a reassign entry.
 	m.Timeouts = m.DroppedDeposits
-	stale, revoked := 0, 0
 	for _, le := range m.Ledger {
 		m.RetryWait += le.Wait
-		switch le.Kind {
-		case "reassign":
+		if le.Kind == "reassign" {
 			m.Reassignments++
 			m.Timeouts++
-		case "deposit-stale":
-			stale++
-		case "deposit-revoked":
-			revoked++
 		}
 	}
-	o.observe(m, stale, revoked)
 }

@@ -82,7 +82,6 @@ func TestAuditDetectRevokeRotate(t *testing.T) {
 	}
 	got, m, err := runQuery(f.eng, q2, flagshipSQL, protocol.KindSAgg, protocol.Params{PartitionTuples: 4})
 	noErr(t, err)
-	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != len(repeat) {
 		t.Errorf("CollectErrors = %d, want %d revoked devices", m.CollectErrors, len(repeat))
 	}
@@ -116,7 +115,6 @@ func TestRevocationPopulationSemantics(t *testing.T) {
 	noErr(t, f.eng.RevokeAndRotate(victims...))
 	got, m, err := runQuery(f.eng, newQuerierForEngine(t, f.eng, "edf2"), flagshipSQL, protocol.KindSAgg, protocol.Params{})
 	noErr(t, err)
-	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != 2 {
 		t.Errorf("CollectErrors = %d, want the 2 revoked", m.CollectErrors)
 	}
@@ -139,7 +137,6 @@ func TestRevokedDeviceCannotRejoin(t *testing.T) {
 	noErr(t, f.eng.RevokeAndRotate())
 	_, m, err := runQuery(f.eng, newQuerierForEngine(t, f.eng, "edf3"), `SELECT cid FROM Consumer`, protocol.KindBasic, protocol.Params{})
 	noErr(t, err)
-	assertDeviceAccounts(t, m, false)
 	if m.CollectErrors != 1 || m.DepositedDevices != 9 {
 		t.Errorf("CollectErrors = %d, deposited %d; want the one revoked device out", m.CollectErrors, m.DepositedDevices)
 	}

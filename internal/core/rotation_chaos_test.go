@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,6 +335,7 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 	resps := make([]*Response, 16)
 	errs := make([]error, 16)
 	var wg sync.WaitGroup
+	var returned atomic.Int32
 	launch := func(lo, hi int, q *querier.Querier) {
 		for i := lo; i < hi; i++ {
 			wg.Add(1)
@@ -344,15 +346,24 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 					Querier: q, SQL: qs.sql, Kind: qs.kind,
 					QueryID: fmt.Sprintf("rev-race-%02d", i),
 				})
+				returned.Add(1)
 			}(i)
 		}
+	}
+	// posted counts the runs that have posted at the current epoch: those
+	// still in flight there, and those that have returned.
+	old := int(f.eng.keyAuth.Epoch()) + 1
+	posted := func() int {
+		f.eng.life.RLock()
+		defer f.eng.life.RUnlock()
+		return f.eng.posted[old] + int(returned.Load())
 	}
 
 	// Wave 1 of traffic posts at the old epoch, then the rotation begins
 	// underneath it; wave 2 posts at the new epoch (its querier holds the
 	// rotated k1) while the rollout is mid-flight.
 	launch(0, 8, f.q)
-	for start := time.Now(); f.eng.obs.queries.With("S_Agg").Value()+f.eng.obs.queries.With("Basic").Value() < 8; {
+	for start := time.Now(); posted() < 8; {
 		if time.Sleep(time.Millisecond); time.Since(start) > 5*time.Second {
 			t.Fatal("the old-epoch queries did not all post")
 		}

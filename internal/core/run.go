@@ -101,8 +101,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 
-	tr := e.obs.tracer
-	jr := e.obs.journal
+	tr, jr := e.tracer, e.journal
 	root := tr.StartQuery(post.ID, "execute", rs.clock.Now())
 	root.SetAttr("protocol", req.Kind.String())
 	defer tr.Discard(post.ID) // no-op when the trace was taken
@@ -112,7 +111,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		Detail: req.Kind.String(), At: rs.clock.Now(),
 	})
 	defer jr.Discard(post.ID) // no-op when the journal was taken
-	e.obs.queries.With(req.Kind.String()).Inc()
 
 	e.beginPhaseScope(rs, "collect", obs.PartyEngine, obs.CipherFacts{})
 	if err := e.collectionPhase(ctx, rs, cfgTpl); err != nil {
@@ -120,10 +118,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	}
 	e.endPhaseScope(rs, "collect", obs.PartyEngine,
 		obs.CipherFacts{Tuples: int(metrics.Nt), Bytes: metrics.CollectBytes})
-	e.obs.coverage.Set(metrics.CoverageRatio)
-	if metrics.Nt > 0 {
-		e.obs.dummyRatio.Set(float64(metrics.Nt-metrics.TrueTuples) / float64(metrics.Nt))
-	}
 
 	// The covering result is settled: verify it against the deposit
 	// commitments before any TDS aggregates a single tuple.
@@ -157,7 +151,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		SetAttr("bytes", strconv.Itoa(outBytes))
 	e.endPhaseScope(rs, "deliver", obs.PartyQuerier,
 		obs.CipherFacts{Count: len(res.Rows), Bytes: int64(outBytes)})
-	e.obs.bytes.With("deliver_down").Add(float64(outBytes))
 
 	return e.finishRun(rs, root, res, nil)
 }
@@ -298,8 +291,7 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 		e.relay(rs, next)
 		if len(next) > 0 {
 			// The round's achieved reduction factor — the protocol's
-			// effective alpha, histogrammed across rounds and runs.
-			e.obs.saggReduction.Observe(float64(n) / float64(len(next)))
+			// effective alpha.
 			ps.span.SetAttr("reduction", fmt.Sprintf("%d->%d", n, len(next)))
 		}
 		units, per = next, max(int(alpha+0.5), 2)

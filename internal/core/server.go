@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
-
-	"github.com/trustedcells/tcq/internal/obs"
 )
 
 // The multi-tenant query server. An Engine executes one Request at a
@@ -36,8 +33,9 @@ import (
 // from (engine seed, device ID, query ID) and its SSI state is keyed by
 // its own ID. The scheduler changes who waits, never what anyone
 // computes, and writes nothing into a query's record: a submitted query
-// returns the bytes Engine.Execute returns for it. Its own account is the
-// registry's tcq_server_* series.
+// returns the bytes Engine.Execute returns for it. Submit's result is the
+// scheduler's whole account of a request: the Response (its TQ among its
+// Metrics), ErrServerBusy, ErrServerClosed, or a duplicate-ID error.
 var (
 	// ErrServerClosed rejects submissions to a closed server.
 	ErrServerClosed = errors.New("core: server closed")
@@ -71,29 +69,19 @@ type Server struct {
 	next     int                   // ring position the next scan starts at
 	ids      map[string]bool       // query IDs queued or in flight
 	wg       sync.WaitGroup
-
-	gInflight  *obs.Gauge
-	gQueued    *obs.Gauge
-	cAdmitted  *obs.CounterVec // by querier
-	cRejected  *obs.CounterVec // by reason, querier
-	cCompleted *obs.CounterVec // by outcome, querier
-	hLatency   *obs.HistogramVec
-	hQueueWait *obs.HistogramVec
 }
 
 // pending is one submitted request waiting for, or in, execution.
 type pending struct {
-	ctx      context.Context
-	req      Request
-	enqueued time.Time // wall instant of queue entry (obs.Wall)
-	started  bool
-	resp     *Response
-	err      error
-	done     chan struct{}
+	ctx     context.Context
+	req     Request
+	started bool
+	resp    *Response
+	err     error
+	done    chan struct{}
 }
 
-// NewServer wraps the engine in a multi-tenant scheduler. Multiple
-// Servers over one engine share its registry instruments; in practice
+// NewServer wraps the engine in a multi-tenant scheduler. In practice
 // one server per engine is the intended shape.
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	if cfg.MaxInFlight <= 0 {
@@ -102,30 +90,11 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	reg := eng.Registry()
 	return &Server{
 		eng:    eng,
 		cfg:    cfg,
 		queues: make(map[string][]*pending),
 		ids:    make(map[string]bool),
-		gInflight: reg.Gauge("tcq_server_inflight",
-			"queries currently executing"),
-		gQueued: reg.Gauge("tcq_server_queued",
-			"requests waiting for admission"),
-		cAdmitted: reg.CounterVec("tcq_server_admitted_total",
-			"requests admitted into execution, by querier", "querier"),
-		cRejected: reg.CounterVec("tcq_server_rejected_total",
-			"requests rejected at admission, by reason (busy, duplicate, closed) and querier",
-			"reason", "querier"),
-		cCompleted: reg.CounterVec("tcq_server_completed_total",
-			"finished queries, by outcome (ok, error) and querier",
-			"outcome", "querier"),
-		hLatency: reg.HistogramVec("tcq_server_query_seconds",
-			"simulated query latency (TQ) of completed queries, by querier",
-			[]float64{0.001, 0.01, 0.1, 1, 10, 100, 1000}, "querier"),
-		hQueueWait: reg.HistogramVec("tcq_server_queue_seconds",
-			"wall-clock admission-queue wait of dispatched requests, by querier",
-			[]float64{0.0001, 0.001, 0.01, 0.1, 1, 10}, "querier"),
 	}
 }
 
@@ -148,11 +117,10 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		req.QueryID = s.eng.nextQueryID()
 	}
 	who := req.Querier.ID
-	p := &pending{ctx: ctx, req: req, enqueued: obs.Wall(), done: make(chan struct{})}
+	p := &pending{ctx: ctx, req: req, done: make(chan struct{})}
 
 	s.mu.Lock()
 	if s.closed {
-		s.cRejected.With("closed", who).Inc()
 		s.mu.Unlock()
 		return nil, ErrServerClosed
 	}
@@ -161,19 +129,16 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		s.order = append(s.order, who)
 	}
 	if s.queued >= s.cfg.QueueDepth {
-		s.cRejected.With("busy", who).Inc()
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d requests queued", ErrServerBusy, s.queued)
 	}
 	if s.ids[req.QueryID] {
-		s.cRejected.With("duplicate", who).Inc()
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: query %s is already queued or in flight", req.QueryID)
 	}
 	s.ids[req.QueryID] = true
 	s.queues[who] = append(s.queues[who], p)
 	s.queued++
-	s.gQueued.Set(float64(s.queued))
 	s.dispatchLocked()
 	s.mu.Unlock()
 
@@ -186,7 +151,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 			if i := slices.Index(s.queues[who], p); i >= 0 {
 				s.queues[who] = slices.Delete(s.queues[who], i, i+1)
 				s.queued--
-				s.gQueued.Set(float64(s.queued))
 				delete(s.ids, p.req.QueryID)
 			}
 			s.mu.Unlock()
@@ -215,7 +179,6 @@ func (s *Server) Close() {
 			s.queues[id] = nil
 		}
 		s.queued = 0
-		s.gQueued.Set(0)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -233,13 +196,6 @@ func (s *Server) dispatchLocked() {
 		p.started = true
 		s.inflight++
 		s.queued--
-		s.gInflight.Set(float64(s.inflight))
-		s.gQueued.Set(float64(s.queued))
-		s.cAdmitted.With(p.req.Querier.ID).Inc()
-		// Queue wait is a wall-clock quantity: simulated time never moves
-		// while a request queues, so it lives only in metrics — never in
-		// the trace or journal, which the engine alone writes.
-		s.hQueueWait.With(p.req.Querier.ID).Observe(obs.Wall().Sub(p.enqueued).Seconds())
 		s.wg.Add(1)
 		go s.runOne(p)
 	}
@@ -266,19 +222,9 @@ func (s *Server) runOne(p *pending) {
 	defer s.wg.Done()
 	p.resp, p.err = s.eng.Execute(p.ctx, p.req)
 
-	outcome := "ok"
-	if p.err != nil {
-		outcome = "error"
-	}
-
 	s.mu.Lock()
 	s.inflight--
 	delete(s.ids, p.req.QueryID)
-	s.gInflight.Set(float64(s.inflight))
-	s.cCompleted.With(outcome, p.req.Querier.ID).Inc()
-	if p.resp != nil && p.resp.Metrics != nil {
-		s.hLatency.With(p.req.Querier.ID).Observe(p.resp.Metrics.TQ.Seconds())
-	}
 	s.dispatchLocked()
 	s.mu.Unlock()
 	close(p.done)

@@ -3,9 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
-	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/obs"
@@ -130,34 +130,40 @@ func TestSSIVisibilityAudit(t *testing.T) {
 	}
 }
 
-// TestRegistryExportAfterRuns renders the engine's metrics registry after
-// churned runs, a coverage-floor abort, a misbehaviour abort, a run
-// cancelled inside its first phase after a crash, and a collect-only run,
-// and requires well-formed Prometheus text, every series fed from Metrics
-// equal to its sum over the returned Responses, and no labelled counter at
-// 0. A run's recovery counters are its ledger's, so the cancelled run's
-// crash counts although its phase never completed.
-func TestRegistryExportAfterRuns(t *testing.T) {
+// TestRunAccountsAfterRuns drives one engine through churned runs, a
+// coverage-floor abort, a misbehaviour abort, a run cancelled inside its
+// first phase after a crash, a collect-only run and a run whose rotation
+// revokes devices that keep depositing, and holds each run's record to
+// itself: the device accounts close, the recovery counters are the
+// ledger's, the journal is schema-valid and mirrors every ledger entry,
+// an abort's journal ends in its reason, and the trace's deposit events
+// carry every accepted tuple and byte.
+func TestRunAccountsAfterRuns(t *testing.T) {
 	// One collection worker fixes the walk's context checks, so the fuse
 	// trips at the same point of the first phase at any GOMAXPROCS.
 	f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = 1 })
 	basic, sagg := churnScenarios[0], churnScenarios[1]
 	drop := &faultplan.SSIScript{Persistent: true, Behaviors: []faultplan.SSIMisbehavior{faultplan.SSIDropTuple}}
-	want := map[string]float64{}
+	revoke := &faultplan.RotationScript{AfterDeposits: 3, Waves: 2, RevokedDeposits: true,
+		Revoke: []string{slotID(5), slotID(15), slotID(25), slotID(35)}}
 	for _, run := range []struct {
-		name string // an abort's name ends in "abort"
-		req  Request
-		fuse int // context checks before a cancellation; 0 for none
+		name  string
+		req   Request
+		fuse  int    // context checks before a cancellation; 0 for none
+		abort string // the abort's reason; "" for a run that completes
 	}{
-		{"churned-basic", Request{SQL: basic.sql, Kind: basic.kind, Faults: churnPlan()}, 0},
-		{"churned-s_agg", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params, Faults: churnPlan()}, 0},
+		{"churned-basic", Request{SQL: basic.sql, Kind: basic.kind, Faults: churnPlan()}, 0, ""},
+		{"churned-s_agg", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params, Faults: churnPlan()}, 0, ""},
 		{"floor-abort", Request{SQL: sagg.sql, Kind: sagg.kind,
-			Faults: &faultplan.Plan{Seed: 2, OfflineFraction: 0.9, CoverageFloor: 0.5}}, 0},
+			Faults: &faultplan.Plan{Seed: 2, OfflineFraction: 0.9, CoverageFloor: 0.5}}, 0, "coverage-floor"},
 		{"misbehaviour-abort", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params,
-			Faults: &faultplan.Plan{Seed: 21, SSI: drop}}, 0},
+			Faults: &faultplan.Plan{Seed: 21, SSI: drop}}, 0, "ssi-misbehavior"},
 		{"mid-phase-abort", Request{SQL: sagg.sql, Kind: sagg.kind, Params: sagg.params,
-			Faults: &faultplan.Plan{Seed: 21, CrashFraction: 0.3}}, 9},
-		{"collect-only", Request{SQL: sagg.sql, Kind: sagg.kind, CollectOnly: true, Faults: churnPlan()}, 0},
+			Faults: &faultplan.Plan{Seed: 21, CrashFraction: 0.3}}, 9, "timeout"},
+		{"collect-only", Request{SQL: sagg.sql, Kind: sagg.kind, CollectOnly: true, Faults: churnPlan()}, 0, ""},
+		// Last: the rotation re-keys the fleet the runs above share.
+		{"revoked-deposits", Request{SQL: basic.sql, Kind: basic.kind,
+			Faults: &faultplan.Plan{Rotation: revoke}}, 0, ""},
 	} {
 		t.Run(run.name, func(t *testing.T) {
 			var ctx context.Context = context.Background()
@@ -166,57 +172,54 @@ func TestRegistryExportAfterRuns(t *testing.T) {
 			}
 			run.req.Querier = f.q
 			resp, err := f.eng.Execute(ctx, run.req)
-			if (err != nil) != strings.HasSuffix(run.name, "abort") || resp == nil {
+			if (err != nil) != (run.abort != "") || resp == nil {
 				t.Fatal(err)
 			}
-			if m := resp.Metrics; run.fuse > 0 && (len(m.Phases) > 0 || m.Reassignments == 0) {
-				t.Fatalf("the cancellation missed the first phase's crashes: %+v", m)
-			}
 			m := resp.Metrics
-			for family, byLabel := range map[string]map[string]int{
-				`tcq_collect_devices_total{outcome=`: {"accepted": m.DepositedDevices, "offline": m.OfflineDevices,
-					"error": m.CollectErrors, "dropped": m.DroppedDeposits, "corrupt": m.CorruptDeposits,
-					"stale": ledgerCount(m, "deposit-stale"), "revoked": ledgerCount(m, "deposit-revoked")},
-				`tcq_collect_tuples_total{kind=`: {"accepted": int(m.Nt), "true": int(m.TrueTuples)},
-				`tcq_integrity_events_total{kind=`: {"check": m.IntegrityChecks, "violation": m.IntegrityViolations,
-					"quarantine": m.IntegrityQuarantines, "recovered": m.IntegrityRecovered},
-				`tcq_bytes_total{flow=`: {"collect_up": int(m.CollectBytes)},
-			} {
-				for label, n := range byLabel {
-					want[family+strconv.Quote(label)+"}"] += float64(n)
-				}
+			assertDeviceAccounts(t, m, false)
+			if run.req.Faults.Rotation != nil && ledgerCount(m, "deposit-revoked") == 0 {
+				t.Error("no revoked device's deposit reached the SSI's revocation gate")
 			}
-			want[`tcq_queries_total{protocol="`+run.req.Kind.String()+`"}`]++
-			want["tcq_deposit_tuples_sum"] += float64(m.Nt)
-			want["tcq_coverage_ratio"] = m.CoverageRatio // the last run's collection completes
-			want["tcq_retry_wait_seconds_total"] += m.RetryWait.Seconds()
-			want["tcq_reassignments_total"] += float64(m.Reassignments)
-			for _, p := range m.Phases {
-				want[`tcq_phase_seconds_count{phase="`+phaseLabel(p.Name)+`"}`]++
-				want[`tcq_phase_seconds_sum{phase="`+phaseLabel(p.Name)+`"}`] += p.Duration.Seconds()
+
+			var wait time.Duration
+			for _, le := range m.Ledger {
+				wait += le.Wait
+			}
+			if m.Reassignments != ledgerCount(m, "reassign") || m.Timeouts != m.DroppedDeposits+m.Reassignments ||
+				m.RetryWait != wait || m.IntegrityQuarantines != ledgerCount(m, "integrity-quarantine") ||
+				m.IntegrityRecovered != ledgerCount(m, "integrity-recovered") {
+				t.Errorf("recovery counters disagree with the ledger: %d reassignments, %d timeouts, "+
+					"%v retry wait, %d quarantines, %d recovered; ledger %+v", m.Reassignments, m.Timeouts,
+					m.RetryWait, m.IntegrityQuarantines, m.IntegrityRecovered, m.Ledger)
+			}
+			if m.CoverageRatio != float64(m.DepositedDevices)/float64(m.EligibleDevices) {
+				t.Errorf("coverage %v is not %d deposited / %d eligible",
+					m.CoverageRatio, m.DepositedDevices, m.EligibleDevices)
+			}
+
+			if err := obs.CheckJournal(bytes.NewReader(resp.Journal.Bytes())); err != nil {
+				t.Fatalf("journal fails the schema check: %v", err)
+			}
+			if n := resp.Journal.Counts()[obs.JournalLedger]; n != len(m.Ledger) {
+				t.Errorf("%d ledger records in the journal, %d entries on the ledger", n, len(m.Ledger))
+			}
+			if run.abort != "" {
+				assertAbortJournal(t, resp, run.abort)
+			}
+
+			var tuples, sent int64
+			resp.Trace.Walk(func(s *obs.Span) {
+				for _, ev := range s.Events {
+					if ev.Name == "deposit" {
+						tuples += int64(ev.Facts.Tuples)
+						sent += ev.Facts.Bytes
+					}
+				}
+			})
+			if tuples != m.Nt || sent != m.CollectBytes {
+				t.Errorf("the trace's deposits carry %d tuples, %d bytes; the run accepted %d, %d",
+					tuples, sent, m.Nt, m.CollectBytes)
 			}
 		})
-	}
-	var buf bytes.Buffer
-	noErr(t, f.eng.Registry().WriteText(&buf))
-	if err := obs.CheckText(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("registry text fails the checker: %v\n%s", err, buf.String())
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		series, v, _ := strings.Cut(line, " ")
-		if strings.Contains(series, "{") && !strings.Contains(series, "le=") && v == "0" {
-			t.Errorf("labelled series %s renders 0", series)
-		}
-		if n, ok := want[series]; ok {
-			if x, err := strconv.ParseFloat(v, 64); err != nil || x != n {
-				t.Errorf("%s renders %s, want %v (summed over the Responses)", series, v, n)
-			}
-			delete(want, series)
-		}
-	}
-	for series, n := range want {
-		if n != 0 || !strings.Contains(series, "{") {
-			t.Errorf("registry text has no %s", series)
-		}
 	}
 }

@@ -1,14 +1,13 @@
 // Package obs is the engine's observability layer: a deterministic
 // simulated clock, an allocation-light span/event tracer whose output is
-// bit-identical across worker counts, a small metrics registry with a
-// Prometheus-text exporter, and a bundled exposition-format checker.
+// bit-identical across worker counts, and the per-query structured
+// journal with its schema checker. A run's trace and journal are two of
+// its three records; the third is its settled core.Metrics.
 //
 // Everything in this package is driven by *simulated* time (netsim
 // calibration), never the wall clock, so two runs with the same seeds
 // produce byte-identical traces regardless of CollectWorkers or host
-// load. The single sanctioned wall-clock accessor for internal packages
-// is Wall below; scripts/obslint.go enforces that no other internal code
-// calls time.Now directly.
+// load. scripts/obslint.go enforces that no internal code calls time.Now.
 package obs
 
 import "time"
@@ -21,12 +20,6 @@ const simOriginUnix = 1700000000
 // SimOrigin is the fixed origin of the simulated timeline shared by the
 // engine, the SSI ledger and the tracer.
 func SimOrigin() time.Time { return time.Unix(simOriginUnix, 0) }
-
-// Wall reports the wall clock. It exists so that the few places that
-// legitimately need real time (lease expiries in examples, benchmark
-// harnesses) go through one named door instead of scattering time.Now
-// calls that would silently leak nondeterminism into traces.
-func Wall() time.Time { return time.Now() }
 
 // SimClock is the per-run simulated clock. It only moves forward, by
 // explicit amounts derived from the calibrated cost model, so its

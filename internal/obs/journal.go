@@ -173,9 +173,8 @@ var journalKinds = map[string]bool{
 // timestamps; phase-end events never outnumber phase-start events for
 // the same phase name; and the stream is terminal — its last event is
 // query-end or abort, with every phase closed on the query-end path
-// (aborts may leave phases open). It is the journal counterpart of
-// CheckText, so -journal-out files can be gate-checked without
-// dependencies.
+// (aborts may leave phases open). It has no dependencies, so
+// -journal-out files can be gate-checked anywhere.
 func CheckJournal(r io.Reader) error {
 	partyOK := map[string]bool{
 		string(PartyEngine): true, string(PartySSI): true,

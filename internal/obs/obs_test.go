@@ -111,71 +111,3 @@ func TestTraceEventAllocBudget(t *testing.T) {
 		t.Errorf("recording 2000 events into a reserved span allocates %v times, budget 6", allocs)
 	}
 }
-
-func TestRegistryTextAndChecker(t *testing.T) {
-	r := NewRegistry()
-	c := r.CounterVec("tcq_deposits_total", "deposits by outcome", "outcome")
-	c.With("accepted").Add(3)
-	c.With("dropped").Inc()
-	g := r.Gauge("tcq_coverage_ratio", "deposited / eligible")
-	g.Set(0.875)
-	h := r.Histogram("tcq_phase_seconds", "phase durations", []float64{0.1, 1, 10})
-	h.Observe(0.05)
-	h.Observe(2)
-	h.Observe(100)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`# TYPE tcq_deposits_total counter`,
-		`tcq_deposits_total{outcome="accepted"} 3`,
-		`tcq_deposits_total{outcome="dropped"} 1`,
-		`tcq_coverage_ratio 0.875`,
-		`tcq_phase_seconds_bucket{le="+Inf"} 3`,
-		`tcq_phase_seconds_count 3`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exporter output missing %q:\n%s", want, text)
-		}
-	}
-	if err := CheckText(strings.NewReader(text)); err != nil {
-		t.Fatalf("CheckText rejected exporter output: %v\n%s", err, text)
-	}
-	// Deterministic: second render identical.
-	var buf2 bytes.Buffer
-	if err := r.WriteText(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("two renders of the same registry differ")
-	}
-}
-
-func TestCheckTextRejectsGarbage(t *testing.T) {
-	bad := []string{
-		"tcq_thing 1\n", // sample without TYPE
-		"# TYPE tcq_x counter\ntcq_x notanumber\n", // bad value
-		"# TYPE tcq_h histogram\ntcq_h_bucket 3\n", // bucket without le
-		"# TYPE 9bad counter\n",                    // bad metric name
-		"# TYPE tcq_y flavour\n",                   // unknown type
-		"# TYPE tcq_z counter\ntcq_z{a=\"b\" 1\n",  // malformed labels
-	}
-	for _, doc := range bad {
-		if err := CheckText(strings.NewReader(doc)); err == nil {
-			t.Fatalf("CheckText accepted %q", doc)
-		}
-	}
-}
-
-func TestCheckTextHistogramConsistency(t *testing.T) {
-	doc := "# TYPE h histogram\n" +
-		"h_bucket{le=\"1\"} 5\n" +
-		"h_bucket{le=\"+Inf\"} 4\n" + // finite bucket exceeds +Inf
-		"h_sum 1\n" +
-		"h_count 4\n"
-	if err := CheckText(strings.NewReader(doc)); err == nil {
-		t.Fatal("CheckText accepted non-monotone histogram")
-	}
-}

@@ -3,11 +3,9 @@ package obs
 import "sort"
 
 // Quantile returns the exact q-quantile of the samples (0 <= q <= 1),
-// linearly interpolating between order statistics. Unlike the registry's
-// histograms — whose quantiles are bounded by bucket edges — this is for
-// reports that keep the raw samples and want the exact value, e.g. the
-// multi-tenant latency sweep. Returns 0 for an empty slice; the input is
-// not modified.
+// linearly interpolating between order statistics, for reports that keep
+// the raw samples, e.g. the multi-tenant latency sweep. Returns 0 for an
+// empty slice; the input is not modified.
 func Quantile(samples []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -47,9 +47,9 @@ repo=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
 tests=$(find . \( -path ./bench -o -path ./.bench_build \) -prune -o \
     -name '*_test.go' -print | xargs cat | wc -l)
 design=$(wc -l <DESIGN.md)
-echo "internal/core + internal/ssi: $core_ssi (ceiling 4881); repo outside bench/: $repo (ceiling 15187);" \
-    "tests outside bench/: $tests (ceiling 15417); DESIGN.md: $design (ceiling 1615)"
-if [ "$core_ssi" -gt 4881 ] || [ "$repo" -gt 15187 ] || [ "$tests" -gt 15417 ] || [ "$design" -gt 1615 ]; then
+echo "internal/core + internal/ssi: $core_ssi (ceiling 4697); repo outside bench/: $repo (ceiling 14480);" \
+    "tests outside bench/: $tests (ceiling 15342); DESIGN.md: $design (ceiling 1601)"
+if [ "$core_ssi" -gt 4697 ] || [ "$repo" -gt 14480 ] || [ "$tests" -gt 15342 ] || [ "$design" -gt 1601 ]; then
     echo "line budget exceeded" >&2
     exit 1
 fi
@@ -85,7 +85,7 @@ fi
 echo "==> reach (programs, not tests)"
 reach=$(scripts/reach.sh)
 echo "$reach"
-for floor in internal/sqlexec=77.9 internal/sqlparse=59.0 internal/storage=70.9 internal/obs=59.1 internal/core=86.2; do
+for floor in internal/sqlexec=77.9 internal/sqlparse=59.0 internal/storage=70.9 internal/obs=65.5 internal/core=86.2; do
     pkg=${floor%=*}
     min=${floor#*=}
     got=$(echo "$reach" | awk -v pkg="$pkg" '$1 == "reach" && $2 == pkg { print $3 }')
@@ -99,8 +99,8 @@ done
 # methods aside). Lower the ceiling when a PR lowers the count.
 unentered=$(echo "$reach" | sed -n '/^unreached functions:/,$p' |
     awk 'NR > 1 && $NF != "String" && $NF != "exprNode" && $NF != "Error"' | wc -l)
-echo "functions no program enters: $unentered (ceiling 18)"
-if [ "$unentered" -gt 18 ]; then
+echo "functions no program enters: $unentered (ceiling 16)"
+if [ "$unentered" -gt 16 ]; then
     echo "more functions unreached by every program than the ceiling" >&2
     exit 1
 fi
@@ -156,14 +156,14 @@ if grep -rln --include='*.go' --exclude='*_test.go' '"github.com/trustedcells/tc
     exit 1
 fi
 
-# One account per run: the registry instruments with a Metrics or ledger
-# source are fed once, from the settled Metrics, by observe.go — never
-# along the run path, where they would be a second copy to keep in step.
-echo "==> Metrics-sourced instruments only in internal/core/observe.go"
-if grep -rnE --include='*.go' --exclude='*_test.go' \
-    'obs\.(devices|tuples|retryWait|reassigns|integrity|phaseSeconds)\b' internal/core |
-    grep -v '^internal/core/observe\.go:'; then
-    echo "feed these instruments from Metrics in observe, not per event" >&2
+# One account per run: a query's record is its Metrics, trace and journal,
+# all returned on its Response. No program code keeps a second account
+# across runs (a metrics registry, a text exporter, tcq_* series) that
+# would have to be kept in step with them.
+echo "==> one account per run (no registry outside bench/)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+    'NewRegistry|WriteText|tcq_' .; then
+    echo "a run's account is its Response; keep no cross-run registry" >&2
     exit 1
 fi
 

@@ -1,10 +1,8 @@
 // Command obslint enforces the repo's observability discipline:
 //
-//   - No file under internal/ may call time.Now() directly. All simulated
-//     timestamps must flow through obs.SimClock and the single sanctioned
-//     wall-clock escape hatch, obs.Wall() (internal/obs/clock.go) —
-//     otherwise traces and metrics stop being deterministic across runs
-//     and worker counts.
+//   - No file under internal/ may call time.Now(). Every timestamp a run
+//     records flows through obs.SimClock; a wall-clock read would make
+//     traces and journals differ across runs and worker counts.
 //
 //   - The journal-emitting packages (internal/core, internal/ssi,
 //     internal/tds) may not import encoding/json. The journal's wire form
@@ -27,11 +25,6 @@ import (
 	"strings"
 )
 
-// allowed are the files sanctioned to touch the wall clock.
-var allowed = map[string]bool{
-	filepath.Join("internal", "obs", "clock.go"): true,
-}
-
 // noJSON are the journal-emitting packages barred from importing
 // encoding/json directly.
 var noJSON = map[string]bool{
@@ -53,9 +46,6 @@ func main() {
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		if allowed[filepath.Clean(path)] {
-			return nil
-		}
 		hits, err := lintFile(path, noJSON[filepath.Dir(filepath.Clean(path))])
 		if err != nil {
 			return err
@@ -71,7 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "obslint: %d violation(s) in %s/; use obs.SimClock/obs.Wall() for time, internal/obs for journal encoding\n", bad, root)
+		fmt.Fprintf(os.Stderr, "obslint: %d violation(s) in %s/; use obs.SimClock for time, internal/obs for journal encoding\n", bad, root)
 		os.Exit(1)
 	}
 }

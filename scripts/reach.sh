@@ -59,8 +59,7 @@ expect 0 tdsnet -fleet 60 -protocol c_noise -ssi-adversary equivocate-partitioni
 expect 1 tdsnet -fleet 60 -ssi-adversary forge-coverage
 expect 1 tdsnet -fleet 60 -timeout 1ns
 # The multi-tenant server, with every output file.
-expect 0 tdsnet -fleet 30 -concurrent 2 -metrics-out m.prom -trace-out t.jsonl \
-    -journal-out j.jsonl -trace-summary
+expect 0 tdsnet -fleet 30 -concurrent 2 -trace-out t.jsonl -journal-out j.jsonl -trace-summary
 expect 0 benchtool -fig all
 # "all" is Figs 9b-11; the exposure figures, their sweeps, the phase
 # decomposition and the live cost-model check run on their own.
